@@ -21,8 +21,8 @@
 package main
 
 import (
+	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -126,9 +126,7 @@ func loadConfig(path string) (daemon.Config, error) {
 	if err != nil {
 		return cfg, err
 	}
-	dec := json.NewDecoder(strings.NewReader(string(data)))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&cfg); err != nil {
+	if cfg, err = daemon.DecodeConfig(bytes.NewReader(data)); err != nil {
 		return cfg, fmt.Errorf("%s: %w", path, err)
 	}
 	return cfg, nil

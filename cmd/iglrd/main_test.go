@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -32,14 +33,25 @@ func TestLoadConfig(t *testing.T) {
 	}
 }
 
+// TestLoadConfigRejectsUnknownFields: a typo'd field and a knob this
+// version no longer has are both refused, and the error names the field.
 func TestLoadConfigRejectsUnknownFields(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "iglrd.json")
-	if err := os.WriteFile(path, []byte(`{"bundled": ["expr"], "listn": ":1"}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := loadConfig(path); err == nil {
-		t.Fatal("typo'd config field accepted")
+	for field, raw := range map[string]string{
+		"listn":       `{"bundled": ["expr"], "listn": ":1"}`,
+		"lex_workers": `{"bundled": ["expr"], "batch": {"workers": 2, "lex_workers": 4}}`,
+	} {
+		if err := os.WriteFile(path, []byte(raw), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := loadConfig(path)
+		if err == nil {
+			t.Fatalf("config naming %q accepted", field)
+		}
+		if !strings.Contains(err.Error(), field) {
+			t.Fatalf("error %q does not name %q", err, field)
+		}
 	}
 }
 

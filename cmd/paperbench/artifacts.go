@@ -95,8 +95,8 @@ type BenchReport struct {
 	// Daemon is the iglrd parse-service workload: concurrent editing
 	// sessions over loopback HTTP with a mid-load config reload.
 	Daemon *DaemonBench `json:"daemon"`
-	// ColdCorpus is the Table 1 batch-throughput sweep over lex-worker
-	// counts (raw lexer MB/s and end-to-end engine MB/s).
+	// ColdCorpus is the Table 1 batch-throughput workload (raw lexer,
+	// parse-stage and end-to-end engine MB/s).
 	ColdCorpus *ColdCorpusBench `json:"cold_corpus"`
 	// Overload is the backpressure workload: an undersized daemon under
 	// more clients than it can admit — shed rate and codes, queue-wait
@@ -306,7 +306,7 @@ func runArtifactBench(outPath string) error {
 		db.Sessions, db.EditRounds, db.RequestsPerSec,
 		time.Duration(db.P50Micros)*time.Microsecond, time.Duration(db.P99Micros)*time.Microsecond)
 
-	cc, err := runColdCorpus(0.05, []int{1, 2, 4, 8})
+	cc, err := runColdCorpus(0.05)
 	if err != nil {
 		return fmt.Errorf("cold-corpus workload: %w", err)
 	}

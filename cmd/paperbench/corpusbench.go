@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strconv"
 	"strings"
 	"text/tabwriter"
 	"time"
@@ -19,45 +18,36 @@ import (
 )
 
 // The cold-corpus workload: lex and parse the (scaled) Table 1 corpus from
-// a standing start, sweeping the worker count through both stages. This is
-// the throughput axis of the batch path — raw lexer MB/s, parse-stage MB/s
-// (pre-lexed sessions, Parse() alone on the clock; the number the 50×
-// lex/parse gap tracks), and end-to-end engine MB/s with allocation
-// pressure per file. The two stage microbenchmarks take the best of
-// several passes: a single pass is at the mercy of a GC cycle or a
-// scheduler hiccup, and the committed numbers flapped run to run before
-// the repeats took the minimum. It runs standalone under -corpus (the CI
-// race smoke) and as the cold_corpus section of the -json artifact report.
+// a standing start. This is the throughput axis of the batch path — raw
+// lexer MB/s, parse-stage MB/s (pre-lexed sessions, Parse() alone on the
+// clock; the number the 50× lex/parse gap tracks), and end-to-end engine
+// MB/s at the default file pool with allocation pressure per file. The two
+// stage microbenchmarks take the best of several passes: a single pass is
+// at the mercy of a GC cycle or a scheduler hiccup, and the committed
+// numbers flapped run to run before the repeats took the minimum. It runs
+// standalone under -corpus (the CI race smoke) and as the cold_corpus
+// section of the -json artifact report. Its one parallel axis is the
+// engine's file pool (GOMAXPROCS workers); -exp parallel sweeps that pool.
 
-// ColdCorpusRow is one worker count's measurements. The sweep point drives
-// both knobs at once: LexWorkers and ParseWorkers are the same value.
-type ColdCorpusRow struct {
-	LexWorkers   int `json:"lex_workers"`
-	ParseWorkers int `json:"parse_workers"`
+// ColdCorpusBench is the cold-corpus section of the benchmark report.
+type ColdCorpusBench struct {
+	Files      int     `json:"files"`
+	Bytes      int64   `json:"bytes"`
+	Scale      float64 `json:"scale"`
+	GOMAXPROCS int     `json:"gomaxprocs"`
 	// Raw lexer throughput over the corpus, best of five passes.
 	LexMBPerSec float64 `json:"lex_mb_per_sec"`
 	// Parse-stage throughput: sessions built (lexed) off the clock, then
-	// every file's cold Parse() timed together, best of three passes. At
-	// worker counts above one, qualifying files take the chunked parallel
-	// path (§3.4 top-level sequences).
+	// every file's cold Parse() timed together, best of three passes.
 	ParseMBPerSec float64 `json:"parse_mb_per_sec"`
-	// End-to-end engine throughput (lex + parse + commit) with file-level,
-	// per-file lex, and per-file parse parallelism all at this worker count.
+	// End-to-end engine throughput (lex + parse + commit) at the default
+	// file pool.
 	EngineMBPerSec float64 `json:"engine_mb_per_sec"`
 	// Heap allocations per file during the end-to-end run.
 	AllocsPerFile int64 `json:"allocs_per_file"`
 }
 
-// ColdCorpusBench is the cold-corpus section of the benchmark report.
-type ColdCorpusBench struct {
-	Files      int             `json:"files"`
-	Bytes      int64           `json:"bytes"`
-	Scale      float64         `json:"scale"`
-	GOMAXPROCS int             `json:"gomaxprocs"`
-	Rows       []ColdCorpusRow `json:"rows"`
-}
-
-func runColdCorpus(scale float64, sweep []int) (*ColdCorpusBench, error) {
+func runColdCorpus(scale float64) (*ColdCorpusBench, error) {
 	type group struct {
 		lang   *incremental.Language
 		spec   *lexer.Spec
@@ -89,111 +79,95 @@ func runColdCorpus(scale float64, sweep []int) (*ColdCorpusBench, error) {
 		bench.Files++
 	}
 
-	for _, workers := range sweep {
-		row := ColdCorpusRow{LexWorkers: workers, ParseWorkers: workers}
-
-		// Raw lex throughput: every corpus file through the chunked scanner,
-		// best wall time of five passes. An untimed warmup pass grows the
-		// shared token buffer and faults the corpus in so rep 0 measures
-		// the same work as the rest.
-		runtime.GC() // settle debt from the previous row's parse pass
-		var buf []lexer.Token
-		for _, g := range groups {
-			for _, in := range g.inputs {
-				buf = g.spec.ScanParallelInto(in.Source, workers, buf[:0])
-			}
+	// Raw lex throughput: every corpus file through the batch scanner,
+	// best wall time of five passes. An untimed warmup pass grows the
+	// shared token buffer and faults the corpus in so rep 0 measures
+	// the same work as the rest.
+	runtime.GC() // settle corpus-generation debt
+	var buf []lexer.Token
+	for _, g := range groups {
+		for _, in := range g.inputs {
+			buf = g.spec.ScanInto(in.Source, buf[:0])
 		}
-		best := time.Duration(0)
-		for rep := 0; rep < 5; rep++ {
-			start := time.Now()
-			for _, g := range groups {
-				for _, in := range g.inputs {
-					buf = g.spec.ScanParallelInto(in.Source, workers, buf[:0])
-				}
-			}
-			if d := time.Since(start); best == 0 || d < best {
-				best = d
-			}
-		}
-		if best > 0 {
-			row.LexMBPerSec = float64(bench.Bytes) / best.Seconds() / 1e6
-		}
-
-		// Parse stage alone: build every session (which lexes) off the
-		// clock, then time the cold Parse() calls back to back, best of
-		// three passes. Each rep builds fresh sessions so every timed parse
-		// is cold; the GC runs between building and timing so the parses
-		// don't pay down session-construction debt. A session is dropped as
-		// soon as its parse finishes: this row measures parse throughput,
-		// not residency, and holding every finished tree live would tax
-		// each file's parse with GC scans of its predecessors' trees (the
-		// engine row below does keep its whole batch and pays that rent).
-		best = 0
-		for rep := 0; rep < 3; rep++ {
-			var sessions []*incremental.Session
-			for _, g := range groups {
-				for _, in := range g.inputs {
-					sessions = append(sessions, incremental.NewSession(g.lang, in.Source,
-						incremental.WithParseWorkers(workers)))
-				}
-			}
-			runtime.GC()
-			start := time.Now()
-			for i, s := range sessions {
-				if _, err := s.Parse(); err != nil {
-					return nil, fmt.Errorf("cold corpus: parse stage at %d workers: %w", workers, err)
-				}
-				sessions[i] = nil
-			}
-			if d := time.Since(start); best == 0 || d < best {
-				best = d
-			}
-		}
-		if best > 0 {
-			row.ParseMBPerSec = float64(bench.Bytes) / best.Seconds() / 1e6
-		}
-
-		// End to end: the engine's batch path, allocation pressure included.
-		// One pass — ParseAll dominates the wall clock and its variance is
-		// low next to the stage microbenchmarks'.
-		runtime.GC()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
+	}
+	best := time.Duration(0)
+	for rep := 0; rep < 5; rep++ {
 		start := time.Now()
 		for _, g := range groups {
-			batch, err := engine.ParseAll(context.Background(), g.lang, g.inputs,
-				engine.WithPolicy(engine.Policy{Workers: workers, LexWorkers: workers, ParseWorkers: workers}))
-			if err != nil {
-				return nil, err
-			}
-			if batch.Aggregate.Failed != 0 {
-				return nil, fmt.Errorf("cold corpus: %d files failed at %d workers",
-					batch.Aggregate.Failed, workers)
+			for _, in := range g.inputs {
+				buf = g.spec.ScanInto(in.Source, buf[:0])
 			}
 		}
-		wall := time.Since(start)
-		runtime.ReadMemStats(&after)
-		row.EngineMBPerSec = float64(bench.Bytes) / wall.Seconds() / 1e6
-		row.AllocsPerFile = int64(after.Mallocs-before.Mallocs) / int64(bench.Files)
-
-		bench.Rows = append(bench.Rows, row)
+		if d := time.Since(start); best == 0 || d < best {
+			best = d
+		}
 	}
+	if best > 0 {
+		bench.LexMBPerSec = float64(bench.Bytes) / best.Seconds() / 1e6
+	}
+
+	// Parse stage alone: build every session (which lexes) off the
+	// clock, then time the cold Parse() calls back to back, best of
+	// three passes. Each rep builds fresh sessions so every timed parse
+	// is cold; the GC runs between building and timing so the parses
+	// don't pay down session-construction debt. A session is dropped as
+	// soon as its parse finishes: this stage measures parse throughput,
+	// not residency, and holding every finished tree live would tax
+	// each file's parse with GC scans of its predecessors' trees (the
+	// engine run below does keep its whole batch and pays that rent).
+	best = 0
+	for rep := 0; rep < 3; rep++ {
+		var sessions []*incremental.Session
+		for _, g := range groups {
+			for _, in := range g.inputs {
+				sessions = append(sessions, incremental.NewSession(g.lang, in.Source))
+			}
+		}
+		runtime.GC()
+		start := time.Now()
+		for i, s := range sessions {
+			if _, err := s.Parse(); err != nil {
+				return nil, fmt.Errorf("cold corpus: parse stage: %w", err)
+			}
+			sessions[i] = nil
+		}
+		if d := time.Since(start); best == 0 || d < best {
+			best = d
+		}
+	}
+	if best > 0 {
+		bench.ParseMBPerSec = float64(bench.Bytes) / best.Seconds() / 1e6
+	}
+
+	// End to end: the engine's batch path, allocation pressure included.
+	// One pass — ParseAll dominates the wall clock and its variance is
+	// low next to the stage microbenchmarks'.
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	for _, g := range groups {
+		batch, err := engine.ParseAll(context.Background(), g.lang, g.inputs)
+		if err != nil {
+			return nil, err
+		}
+		if batch.Aggregate.Failed != 0 {
+			return nil, fmt.Errorf("cold corpus: %d files failed", batch.Aggregate.Failed)
+		}
+	}
+	wall := time.Since(start)
+	runtime.ReadMemStats(&after)
+	bench.EngineMBPerSec = float64(bench.Bytes) / wall.Seconds() / 1e6
+	bench.AllocsPerFile = int64(after.Mallocs-before.Mallocs) / int64(bench.Files)
+
 	return bench, nil
 }
 
-// runCorpusOnly is the -corpus entry point: the standalone sweep the CI
+// runCorpusOnly is the -corpus entry point: the standalone workload the CI
 // race smoke runs. The table goes to stdout; jsonPath (when set) gets the
 // machine-readable report.
-func runCorpusOnly(scale float64, workers, jsonPath string) error {
-	var sweep []int
-	for _, f := range strings.Split(workers, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n < 1 {
-			return fmt.Errorf("bad -corpus-workers entry %q", f)
-		}
-		sweep = append(sweep, n)
-	}
-	bench, err := runColdCorpus(scale, sweep)
+func runCorpusOnly(scale float64, jsonPath string) error {
+	bench, err := runColdCorpus(scale)
 	if err != nil {
 		return err
 	}
@@ -213,11 +187,9 @@ func formatColdCorpus(b *ColdCorpusBench) string {
 	fmt.Fprintf(&sb, "cold corpus: %d files, %.1f MB (Table 1 at %.0f%% scale), GOMAXPROCS=%d\n",
 		b.Files, float64(b.Bytes)/1e6, 100*b.Scale, b.GOMAXPROCS)
 	w := tabwriter.NewWriter(&sb, 0, 0, 2, ' ', 0)
-	fmt.Fprintln(w, "workers\tlex MB/s\tparse MB/s\tengine MB/s\tallocs/file")
-	for _, r := range b.Rows {
-		fmt.Fprintf(w, "%d\t%.1f\t%.2f\t%.2f\t%d\n",
-			r.LexWorkers, r.LexMBPerSec, r.ParseMBPerSec, r.EngineMBPerSec, r.AllocsPerFile)
-	}
+	fmt.Fprintln(w, "lex MB/s\tparse MB/s\tengine MB/s\tallocs/file")
+	fmt.Fprintf(w, "%.1f\t%.2f\t%.2f\t%d\n",
+		b.LexMBPerSec, b.ParseMBPerSec, b.EngineMBPerSec, b.AllocsPerFile)
 	w.Flush()
 	return sb.String()
 }

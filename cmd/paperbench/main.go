@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	paperbench [-exp all|table1|figure4|figure7|section5|asymptotics|staging|parallel] [-scale 1.0]
+//	paperbench [-exp all|table1|figure4|figure7|section5|asymptotics|ablation|earley|parallel|staging] [-scale 1.0]
 //	           [-budget] [-json out.json] [-cpuprofile cpu.out] [-memprofile mem.out]
 //
 // -scale shrinks the Table 1 / Figure 4 program sizes for quick runs.
@@ -29,6 +29,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"text/tabwriter"
 	"time"
 
@@ -39,19 +40,24 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: all, table1, figure4, figure7, section5, asymptotics, staging, earley, ablation, parallel")
+	exp := flag.String("exp", "all", "experiment: "+strings.Join(experimentNames(), ", "))
 	scale := flag.Float64("scale", 1.0, "scale factor for program sizes")
 	budget := flag.Bool("budget", false, "run the resource-budget sweep (trips/degradations under per-file policies)")
 	jsonOut := flag.String("json", "", "write the compiled-artifact benchmark suite (cold vs cached language loads, lexer MB/s, table footprints) as JSON to this file and exit")
-	corpusOnly := flag.Bool("corpus", false, "run only the cold-corpus throughput workload (lex, parse-stage, and end-to-end MB/s per worker count) and exit; with -json, write its report there")
+	corpusOnly := flag.Bool("corpus", false, "run only the cold-corpus throughput workload (lex, parse-stage, and end-to-end MB/s) and exit; with -json, write its report there")
 	corpusScale := flag.Float64("corpus-scale", 0.05, "fraction of Table 1 line counts for the cold-corpus workload")
-	corpusWorkers := flag.String("corpus-workers", "1,2,4,8", "comma-separated worker counts (lex and parse) for the cold-corpus sweep")
 	overloadOnly := flag.Bool("overload", false, "run only the overload/backpressure workload (shed rate, queue-wait percentiles, accepted throughput against an undersized daemon) and exit; with -json, write its report there")
 	overloadWorkers := flag.Int("overload-workers", 16, "concurrent clients for the -overload workload")
 	overloadRounds := flag.Int("overload-rounds", 6, "create/edit/read/close rounds per client for the -overload workload")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
+
+	exps, err := selectExperiments(*exp)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "paperbench: %v\n", err)
+		os.Exit(2)
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -83,7 +89,7 @@ func main() {
 	}
 
 	if *corpusOnly {
-		if err := runCorpusOnly(*corpusScale, *corpusWorkers, *jsonOut); err != nil {
+		if err := runCorpusOnly(*corpusScale, *jsonOut); err != nil {
 			fmt.Fprintf(os.Stderr, "paperbench: -corpus: %v\n", err)
 			os.Exit(1)
 		}
@@ -114,139 +120,177 @@ func main() {
 		return
 	}
 
-	run := func(name string, f func() error) {
-		if *exp != "all" && *exp != name {
-			return
-		}
-		fmt.Printf("==== %s ====\n", name)
-		if err := f(); err != nil {
-			fmt.Fprintf(os.Stderr, "paperbench: %s: %v\n", name, err)
+	for _, e := range exps {
+		fmt.Printf("==== %s ====\n", e.name)
+		if err := e.run(*scale); err != nil {
+			fmt.Fprintf(os.Stderr, "paperbench: %s: %v\n", e.name, err)
 			os.Exit(1)
 		}
 		fmt.Println()
 	}
+}
 
-	run("table1", func() error {
-		rows, err := experiments.Table1(*scale)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.FormatTable1(rows))
-		var sum float64
-		for _, r := range rows {
-			sum += r.MeasuredPct
-		}
-		fmt.Printf("mean measured overhead: %.3f%% (paper: all rows ≤ 0.52%%, ~0.5%% headline)\n",
-			sum/float64(len(rows)))
-		return nil
-	})
+// experiment is one -exp entry: its name and the runner that prints it.
+type experiment struct {
+	name string
+	run  func(scale float64) error
+}
 
-	run("figure4", func() error {
-		res, err := experiments.Figure4(int(120**scale)+10, 900)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.FormatFigure4(res))
-		return nil
-	})
+// experimentTable lists every -exp name in the order -exp all runs them.
+// The dispatcher, the name check and the flag's help text all read it.
+var experimentTable = []experiment{
+	{"table1", runTable1},
+	{"figure4", runFigure4},
+	{"figure7", runFigure7},
+	{"section5", runSection5},
+	{"asymptotics", runAsymptotics},
+	{"ablation", runAblation},
+	{"earley", runEarley},
+	{"parallel", runParallel},
+	{"staging", runStaging},
+}
 
-	run("figure7", func() error {
-		r, err := experiments.RunFigure7()
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.FormatFigure7(r))
-		return nil
-	})
+// experimentNames is every valid -exp value: "all", then the table's names.
+func experimentNames() []string {
+	names := []string{"all"}
+	for _, e := range experimentTable {
+		names = append(names, e.name)
+	}
+	return names
+}
 
-	run("section5", func() error {
-		b, err := experiments.RunSection5Batch(int(20000**scale)+500, 5)
-		if err != nil {
-			return err
+// selectExperiments resolves an -exp value to the experiments it runs; an
+// unknown name is an error listing the valid ones.
+func selectExperiments(name string) ([]experiment, error) {
+	if name == "all" {
+		return experimentTable, nil
+	}
+	for _, e := range experimentTable {
+		if e.name == name {
+			return []experiment{e}, nil
 		}
-		fmt.Printf("batch: det %.0f ns/token, IGLR %.0f ns/token, ratio %.2f (paper: 12%% vs 15%% parse share ≈ 1.25x)\n",
-			b.DetNsPerTok, b.IGLRNsPerTok, b.Ratio)
-		fmt.Printf("parse share of lex+parse: det %.0f%%, IGLR %.0f%% (paper: 12%% / 15%% of full analysis)\n",
-			100*b.DetShare, 100*b.IGLRShare)
+	}
+	return nil, fmt.Errorf("unknown -exp %q (valid: %s)", name, strings.Join(experimentNames(), ", "))
+}
 
-		inc, err := experiments.RunSection5Incremental(int(8000**scale)+500, 40)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("incremental: det %.0f ns/reparse, IGLR %.0f ns/reparse, ratio %.2f (paper: undetectable difference)\n",
-			inc.DetNsPerRe, inc.IGLRNsPerRe, inc.Ratio)
-		fmt.Printf("IGLR work per reparse: %.1f shifts over %d statements\n",
-			inc.IGLRShiftsPerRe, inc.Statements)
+func runTable1(scale float64) error {
+	rows, err := experiments.Table1(scale)
+	if err != nil {
+		return err
+	}
+	fmt.Print(experiments.FormatTable1(rows))
+	var sum float64
+	for _, r := range rows {
+		sum += r.MeasuredPct
+	}
+	fmt.Printf("mean measured overhead: %.3f%% (paper: all rows ≤ 0.52%%, ~0.5%% headline)\n",
+		sum/float64(len(rows)))
+	return nil
+}
 
-		sp, err := experiments.RunSection5Space(2000)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("space: node %dB, state field %dB = %.1f%% of node (paper: ~5%% over sentential-form nodes); node-count parity %.3f\n",
-			sp.NodeBytes, sp.StateBytes, sp.StatePct, sp.NodeCountRatio)
+func runFigure4(scale float64) error {
+	res, err := experiments.Figure4(int(120*scale)+10, 900)
+	if err != nil {
+		return err
+	}
+	fmt.Print(experiments.FormatFigure4(res))
+	return nil
+}
 
-		amb, err := experiments.RunSection5Ambiguity(int(12000**scale)+1000, 30)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("ambiguity carry cost: plain %.0f ns/reparse, with %d ambiguous regions %.0f ns/reparse → %.2f%% time overhead (paper: well under 1%%)\n",
-			amb.PlainNsPerRe, amb.Ambiguous, amb.AmbNsPerRe, amb.OverheadPct)
-		fmt.Printf("  parser work per reparse: plain %.1f, ambiguous %.1f → %.2f%% work overhead\n",
-			amb.PlainWorkPerRe, amb.AmbWorkPerRe, amb.WorkOverheadPct)
-		return nil
-	})
+func runFigure7(float64) error {
+	r, err := experiments.RunFigure7()
+	if err != nil {
+		return err
+	}
+	fmt.Print(experiments.FormatFigure7(r))
+	return nil
+}
 
-	run("asymptotics", func() error {
-		sizes := []int{1000, 4000, 16000, 64000}
-		if *scale < 0.5 {
-			sizes = []int{500, 2000, 8000}
-		}
-		pts, err := experiments.RunAsymptotics(sizes, 8)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.FormatAsymptotics(pts))
-		fmt.Println("paper §3.4: list-shaped sequences degrade incremental parsing to linear;")
-		fmt.Println("balanced sequences restore O(t + s·lg N) (depth column grows logarithmically).")
-		return nil
-	})
+func runSection5(scale float64) error {
+	b, err := experiments.RunSection5Batch(int(20000*scale)+500, 5)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("batch: det %.0f ns/token, IGLR %.0f ns/token, ratio %.2f (paper: 12%% vs 15%% parse share ≈ 1.25x)\n",
+		b.DetNsPerTok, b.IGLRNsPerTok, b.Ratio)
+	fmt.Printf("parse share of lex+parse: det %.0f%%, IGLR %.0f%% (paper: 12%% / 15%% of full analysis)\n",
+		100*b.DetShare, 100*b.IGLRShare)
+	fmt.Printf("batch work: det %d shifts/%d reductions, IGLR %d/%d, %d splits\n",
+		b.DetShifts, b.DetReductions, b.IGLRShifts, b.IGLRReductions, b.IGLRSplits)
 
-	run("ablation", func() error {
-		r, err := experiments.RunAblation(int(4000**scale)+500, 12)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.FormatAblation(r))
-		fmt.Println("paper §3.3: LALR tables are significantly smaller than LR(1) and merge")
-		fmt.Println("like-cored states, which improves incremental reuse; speeds are comparable.")
-		return nil
-	})
+	inc, err := experiments.RunSection5Incremental(int(8000*scale)+500, 40)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("incremental: det %.0f ns/reparse, IGLR %.0f ns/reparse, ratio %.2f (paper: undetectable difference)\n",
+		inc.DetNsPerRe, inc.IGLRNsPerRe, inc.Ratio)
+	fmt.Printf("IGLR work per reparse: %.1f shifts over %d statements\n",
+		inc.IGLRShiftsPerRe, inc.Statements)
 
-	run("earley", func() error {
-		pts, err := experiments.RunEarleyComparison([]int{500, 2000, 8000})
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.FormatEarleyComparison(pts))
-		fmt.Println("paper footnote 4 (Tomita/Rekers): programming-language grammars are near-LR(1),")
-		fmt.Println("so GLR parses in linear time while Earley pays its general-case overhead.")
-		return nil
-	})
+	sp, err := experiments.RunSection5Space(2000)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("space: node %dB, state field %dB = %.1f%% of node (paper: ~5%% over sentential-form nodes); node-count parity %.3f\n",
+		sp.NodeBytes, sp.StateBytes, sp.StatePct, sp.NodeCountRatio)
 
-	run("parallel", func() error {
-		return runParallel(*scale)
-	})
+	amb, err := experiments.RunSection5Ambiguity(int(12000*scale)+1000, 30)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("ambiguity carry cost: plain %.0f ns/reparse, with %d ambiguous regions %.0f ns/reparse → %.2f%% time overhead (paper: well under 1%%)\n",
+		amb.PlainNsPerRe, amb.Ambiguous, amb.AmbNsPerRe, amb.OverheadPct)
+	fmt.Printf("  parser work per reparse: plain %.1f, ambiguous %.1f → %.2f%% work overhead\n",
+		amb.PlainWorkPerRe, amb.AmbWorkPerRe, amb.WorkOverheadPct)
+	return nil
+}
 
-	run("staging", func() error {
-		pts, err := experiments.RunFilterStaging([]int{4, 8, 16, 32, 64}, 3)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.FormatFilterStaging(pts))
-		fmt.Println("paper §4.1: static filters keep expressions deterministic (linear nodes);")
-		fmt.Println("dynamic-only filtering pays quadratic space per expression before filtering.")
-		return nil
-	})
+func runAsymptotics(scale float64) error {
+	sizes := []int{1000, 4000, 16000, 64000}
+	if scale < 0.5 {
+		sizes = []int{500, 2000, 8000}
+	}
+	pts, err := experiments.RunAsymptotics(sizes, 8)
+	if err != nil {
+		return err
+	}
+	fmt.Print(experiments.FormatAsymptotics(pts))
+	fmt.Println("paper §3.4: list-shaped sequences degrade incremental parsing to linear;")
+	fmt.Println("balanced sequences restore O(t + s·lg N) (depth column grows logarithmically).")
+	return nil
+}
+
+func runAblation(scale float64) error {
+	r, err := experiments.RunAblation(int(4000*scale)+500, 12)
+	if err != nil {
+		return err
+	}
+	fmt.Print(experiments.FormatAblation(r))
+	fmt.Println("paper §3.3: LALR tables are significantly smaller than LR(1) and merge")
+	fmt.Println("like-cored states, which improves incremental reuse; speeds are comparable.")
+	return nil
+}
+
+func runEarley(float64) error {
+	pts, err := experiments.RunEarleyComparison([]int{500, 2000, 8000})
+	if err != nil {
+		return err
+	}
+	fmt.Print(experiments.FormatEarleyComparison(pts))
+	fmt.Println("paper footnote 4 (Tomita/Rekers): programming-language grammars are near-LR(1),")
+	fmt.Println("so GLR parses in linear time while Earley pays its general-case overhead.")
+	return nil
+}
+
+func runStaging(float64) error {
+	pts, err := experiments.RunFilterStaging([]int{4, 8, 16, 32, 64}, 3)
+	if err != nil {
+		return err
+	}
+	fmt.Print(experiments.FormatFilterStaging(pts))
+	fmt.Println("paper §4.1: static filters keep expressions deterministic (linear nodes);")
+	fmt.Println("dynamic-only filtering pays quadratic space per expression before filtering.")
+	return nil
 }
 
 // runBudget drives a corpus salted with pathologically ambiguous files

@@ -18,7 +18,9 @@ package daemon
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"runtime"
 	"sort"
 	"time"
@@ -167,6 +169,23 @@ type Config struct {
 	// admissions run degraded instead of deepening the overload.
 	// Reloadable.
 	PressureBudget incremental.Budget `json:"pressure_budget,omitempty"`
+}
+
+// DecodeConfig reads one JSON config from r. It is strict: an unknown
+// field (a typo, or a knob this version no longer has) and trailing data
+// after the object are errors, and the error names the offending field.
+// Startup, SIGHUP, POST /config and POST /reload all decode through it.
+func DecodeConfig(r io.Reader) (Config, error) {
+	var cfg Config
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&cfg); err != nil {
+		return Config{}, err
+	}
+	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
+		return Config{}, errors.New("trailing data after config object")
+	}
+	return cfg, nil
 }
 
 // withDefaults returns a copy of c with unset knobs resolved.

@@ -394,6 +394,17 @@ func TestAdminConfigReload(t *testing.T) {
 	if got.Version != 2 {
 		t.Fatalf("version after rejected reload = %d, want 2", got.Version)
 	}
+
+	// A config naming a knob the config does not have is refused by name.
+	if s := doJSON(t, "POST", adminURL(d, "/config"),
+		json.RawMessage(`{"bundled":["expr"],"batch":{"lex_workers":4}}`), &e); s != http.StatusBadRequest ||
+		!strings.Contains(e.Error, "lex_workers") {
+		t.Fatalf("unknown-field config: status %d, %+v; want 400 naming lex_workers", s, e)
+	}
+	doJSON(t, "GET", adminURL(d, "/config"), nil, &got)
+	if got.Version != 2 {
+		t.Fatalf("version after refused config = %d, want 2", got.Version)
+	}
 	if s := doJSON(t, "POST", dataURL(d, "/sessions"),
 		createSessionJSON{Language: "c-subset", Text: "int x ;"}, nil); s != http.StatusCreated {
 		t.Fatalf("data plane after rejected reload: status %d", s)
@@ -444,6 +455,24 @@ func TestReloadFromConfigFile(t *testing.T) {
 	write(Config{Bundled: []string{"no-such-language"}})
 	if s := doJSON(t, "POST", adminURL(d, "/reload"), nil, nil); s != http.StatusUnprocessableEntity {
 		t.Fatalf("bad file reload: status %d, want 422", s)
+	}
+
+	// A file naming a knob the config does not have is refused by name,
+	// and the active version does not advance.
+	if err := os.WriteFile(path, []byte(`{"bundled":["expr"],"batch":{"parse_workers":4}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var e errorJSON
+	if s := doJSON(t, "POST", adminURL(d, "/reload"), nil, &e); s != http.StatusUnprocessableEntity ||
+		!strings.Contains(e.Error, "parse_workers") {
+		t.Fatalf("unknown-field file reload: status %d, %+v; want 422 naming parse_workers", s, e)
+	}
+	var got struct {
+		Version int64 `json:"version"`
+	}
+	doJSON(t, "GET", adminURL(d, "/config"), nil, &got)
+	if got.Version != rl.Version {
+		t.Fatalf("version after refused reload = %d, want %d", got.Version, rl.Version)
 	}
 	var hz struct {
 		OK bool `json:"ok"`

@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -832,10 +833,8 @@ func (d *Daemon) handleGetConfig(w http.ResponseWriter, r *http.Request) {
 }
 
 func (d *Daemon) handlePostConfig(w http.ResponseWriter, r *http.Request) {
-	var cfg Config
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&cfg); err != nil {
+	cfg, err := DecodeConfig(r.Body)
+	if err != nil {
 		httpError(w, http.StatusBadRequest, "bad config: %v", err)
 		return
 	}
@@ -855,7 +854,7 @@ func (d *Daemon) handleReload(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusUnprocessableEntity, "reload rejected: %v", err)
 			return
 		}
-		if err := json.Unmarshal(data, &cfg); err != nil {
+		if cfg, err = DecodeConfig(bytes.NewReader(data)); err != nil {
 			httpError(w, http.StatusUnprocessableEntity, "reload rejected: %s: %v", d.ConfigPath, err)
 			return
 		}

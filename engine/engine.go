@@ -141,21 +141,6 @@ type Policy struct {
 	// Workers bounds the worker pool (default runtime.GOMAXPROCS(0);
 	// values < 1 select the default).
 	Workers int `json:"workers,omitempty"`
-	// LexWorkers sets the goroutine count for each file's initial chunked
-	// lex (see incremental.WithLexWorkers; clamped to GOMAXPROCS, 0 or 1
-	// lexes sequentially). Worth setting above 1 when the batch has fewer
-	// big files than cores — with Workers already saturating the machine,
-	// file-level parallelism is the better first knob.
-	LexWorkers int `json:"lex_workers,omitempty"`
-	// ParseWorkers sets the goroutine count for each file's cold chunked
-	// parse (see incremental.WithParseWorkers; 0 or 1 parses
-	// sequentially). Only engages on languages whose top level is an
-	// associative sequence and on files past the chunker's minimum size;
-	// everything else falls back to the sequential parser with
-	// byte-identical trees either way. Like LexWorkers, this is the
-	// file-level parallelism knob for batches with fewer big files than
-	// cores.
-	ParseWorkers int `json:"parse_workers,omitempty"`
 	// Budget bounds every parse attempt's resources (see
 	// incremental.Budget; the zero value is unlimited).
 	Budget incremental.Budget `json:"budget,omitempty"`
@@ -349,10 +334,7 @@ func attemptOne(ctx context.Context, lang *incremental.Language, pool *increment
 		defer cancel()
 	}
 
-	s := pool.NewSession(in.Source,
-		incremental.WithBudget(budget),
-		incremental.WithLexWorkers(cfg.policy.LexWorkers),
-		incremental.WithParseWorkers(cfg.policy.ParseWorkers))
+	s := pool.NewSession(in.Source, incremental.WithBudget(budget))
 	var root *incremental.Node
 	var err error
 	if cfg.policy.Tolerant {

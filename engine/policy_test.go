@@ -197,7 +197,6 @@ func TestPolicyIsTheOneKnobsStruct(t *testing.T) {
 	degraded := incremental.Budget{MaxAlternatives: 2}
 	p := Policy{
 		Workers:        3,
-		LexWorkers:     2,
 		Budget:         incremental.Budget{MaxGSSLinks: 1024, MaxDuration: 50 * time.Millisecond},
 		FileTimeout:    time.Second,
 		Retries:        2,

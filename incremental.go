@@ -282,14 +282,6 @@ type Session struct {
 	stats    ParseStats // snapshot of the most recent IGLR parse
 	budget   Budget
 
-	// docOpts collects batch construction options (parallel lex workers,
-	// donated buffers); consumed once when NewSession builds the document.
-	docOpts document.Options
-	// parseWorkers is the goroutine count for the cold (first) parse: when
-	// >1 and the language's top level is an associative sequence, the token
-	// stream is chunked at element boundaries and the chunks are parsed in
-	// parallel (see WithParseWorkers).
-	parseWorkers int
 	// spareDet is a recycled deterministic parser donated by a Pool,
 	// activated only if the caller asks via UseDeterministic.
 	spareDet *detparse.Parser
@@ -307,34 +299,10 @@ func WithBudget(b Budget) SessionOption {
 	return func(s *Session) { s.SetBudget(b) }
 }
 
-// WithLexWorkers sets the goroutine count for the initial lex of the
-// session's source: large inputs are speculatively lexed in chunks and
-// stitched (see DESIGN.md, "Parallel lexing & arena pooling"). The count
-// is clamped to GOMAXPROCS; 0 or 1 lexes sequentially. Incremental relex
-// after edits is always sequential — edits damage O(1) tokens.
-func WithLexWorkers(n int) SessionOption {
-	return func(s *Session) { s.docOpts.LexWorkers = n }
-}
-
-// WithParseWorkers sets the goroutine count for the cold (first) parse of
-// the session's source. When the language's top level is an associative
-// sequence (§3.4), the token stream is split at proven element boundaries
-// and the pieces are parsed concurrently, then spliced — the resulting tree
-// is byte-identical to a sequential parse, and any input where a safe split
-// cannot be established falls back to the sequential path automatically.
-// The count is clamped to GOMAXPROCS; 0 or 1 parses sequentially.
-// Incremental reparses after edits are always sequential — they are already
-// proportional to the damage, not the document.
-func WithParseWorkers(n int) SessionOption {
-	return func(s *Session) { s.parseWorkers = n }
-}
-
 // NewSession creates an editing session over source.
 func NewSession(lang *Language, source string, opts ...SessionOption) *Session {
-	// The document is built last: options may set batch construction
-	// parameters (WithLexWorkers, pool-donated buffers) that must be in
-	// place before the initial lex, while the parser exists first so
-	// options like WithBudget and WithTrace can configure it.
+	// The parser exists before the options run so options like WithBudget
+	// and WithTrace can configure it; the document is built last.
 	s := &Session{
 		lang:   lang,
 		parser: iglr.New(lang.def.Table),
@@ -342,7 +310,7 @@ func NewSession(lang *Language, source string, opts ...SessionOption) *Session {
 	for _, o := range opts {
 		o(s)
 	}
-	s.doc = lang.def.NewDocumentOpts(source, s.docOpts)
+	s.doc = lang.def.NewDocument(source)
 	return s
 }
 
@@ -436,9 +404,8 @@ func (s *Session) locate(err error) error {
 
 func (s *Session) parseOnce(ctx context.Context) (*Node, error) {
 	// A cold parse (nothing committed yet) consumes exactly the significant
-	// terminals plus EOF, so it can skip the incremental stream machinery:
-	// the deterministic parser runs its batch kernel, and the GLR parser may
-	// chunk the input across parseWorkers goroutines.
+	// terminals plus EOF, so the deterministic parser can skip the
+	// incremental stream machinery and run its batch kernel.
 	cold := s.doc.Root() == nil
 	if s.det != nil {
 		var root *Node
@@ -455,18 +422,6 @@ func (s *Session) parseOnce(ctx context.Context) (*Node, error) {
 		// the GLR parser, whose failure carries the same detail but is the
 		// one the error-isolation machinery consumes. Infrastructure
 		// failures (budget, cancellation) are not re-run.
-	}
-	if cold && s.parseWorkers > 1 && s.budget.Unlimited() && s.parser.Trace == nil {
-		root, stats, ok, err := iglr.ParseChunked(ctx, s.lang.def.Table,
-			s.doc.Terminals(), s.doc.EOFNode(), s.doc.Arena(), s.parseWorkers)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			s.stats = stats
-			return root, nil
-		}
-		// No safe chunking for this input; parse sequentially below.
 	}
 	root, err := s.parser.ParseContext(ctx, s.doc.Stream())
 	s.stats = s.parser.Stats

@@ -41,22 +41,6 @@ const arenaChunk = 256
 // NewArena creates an empty arena.
 func NewArena() *Arena { return &Arena{} }
 
-// NewArenaAt creates an empty arena whose first node receives ID firstID.
-// The chunked batch parser gives each worker arena the host document's
-// current ID watermark, so worker-built nodes never collide with the
-// document's terminals; after splicing, the fragments are renumbered densely
-// and the host arena advanced past them (AdvanceTo).
-func NewArenaAt(firstID int) *Arena { return &Arena{n: int32(firstID)} }
-
-// AdvanceTo raises the arena's next-ID watermark to at least next. Callers
-// that adopt externally built (and renumbered) nodes into this arena's dag
-// use it to keep future IDs unique and the ID space dense.
-func (a *Arena) AdvanceTo(next int) {
-	if int32(next) > a.n {
-		a.n = int32(next)
-	}
-}
-
 // kidsChunk is the pointer count per kid-slice chunk: big enough to make
 // the amortized per-reduction allocation cost vanish, small enough that a
 // mostly-unused tail chunk is noise.

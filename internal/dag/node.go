@@ -166,13 +166,6 @@ func (n *Node) computeCover() {
 	}
 }
 
-// RecomputeCover refreshes the terminal-yield bookkeeping (leftmost and
-// rightmost terminal, terminal count) from the current children. Splicing
-// passes that rewire Kids in place — e.g. the chunked batch parser replacing
-// a stub with the preceding chunk's sequence chain — call it bottom-up over
-// the rewired spine.
-func (n *Node) RecomputeCover() { n.computeCover() }
-
 // PropagateChange sets NestedChange on every ancestor of n (stopping at the
 // first already-marked ancestor, which makes repeated marking cheap).
 func (n *Node) PropagateChange() {

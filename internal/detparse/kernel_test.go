@@ -84,7 +84,7 @@ func TestKernelAllocs(t *testing.T) {
 	p := MustNew(l.tbl)
 
 	allocs := testing.AllocsPerRun(10, func() {
-		arena := dag.NewArenaAt(d.Arena().NumNodes())
+		arena := dag.NewArena()
 		if _, err := p.ParseBatch(nil, terms, eof, arena); err != nil {
 			t.Fatal(err)
 		}

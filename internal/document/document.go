@@ -64,11 +64,8 @@ type Document struct {
 }
 
 // Options tunes document construction for the batch path. The zero value
-// is the default sequential behavior.
+// allocates fresh storage.
 type Options struct {
-	// LexWorkers sets the goroutine count for the initial chunked lex of
-	// large inputs (see lexer.ScanParallel). 0 or 1 lexes sequentially.
-	LexWorkers int
 	// Toks, Nodes, Spare and Terms donate storage from a retired document
 	// (see ReleaseBuffers) so a batch run over many files stops paying the
 	// token/node array allocations per file.
@@ -97,15 +94,14 @@ func NewOpts(spec *lexer.Spec, g *grammar.Grammar, mapTok TokenMapper, initial s
 	return NewInArenaOpts(dag.NewArena(), spec, g, mapTok, initial, opts)
 }
 
-// NewInArenaOpts is NewInArena with batch options: a parallel initial lex
-// and donated buffer storage.
+// NewInArenaOpts is NewInArena with batch options: donated buffer storage.
 func NewInArenaOpts(a *dag.Arena, spec *lexer.Spec, g *grammar.Grammar, mapTok TokenMapper, initial string, opts Options) *Document {
 	d := &Document{
 		spec: spec, g: g, mapTok: mapTok, buf: text.NewBuffer(initial), arena: a,
 		spareNodes: opts.Spare[:0], terms: opts.Terms[:0],
 	}
 	d.eof = d.arena.Terminal(grammar.EOF, "")
-	d.toks = spec.ScanParallelInto(initial, opts.LexWorkers, opts.Toks)
+	d.toks = spec.ScanInto(initial, opts.Toks)
 	nodes := opts.Nodes[:0]
 	for _, t := range d.toks {
 		nodes = append(nodes, d.newTerminal(t))
@@ -164,8 +160,8 @@ func (d *Document) Arena() *dag.Arena { return d.arena }
 
 // EOFNode returns the document's EOF sentinel terminal — the node the
 // stream yields after the last significant terminal. Batch parse paths
-// that bypass the stream (the deterministic kernel, chunked parsing) need
-// it to mirror the stream's token sequence exactly.
+// that bypass the stream (the deterministic kernel) need it to mirror the
+// stream's token sequence exactly.
 func (d *Document) EOFNode() *dag.Node { return d.eof }
 
 // Text returns the current text.

@@ -60,23 +60,3 @@ func TestReleaseBuffersRoundTrip(t *testing.T) {
 		t.Fatalf("edit on recycled doc: %q", got[:12])
 	}
 }
-
-// TestNewOptsParallelLex: a document built with LexWorkers > 1 has the
-// same tokens and terminals as a sequentially lexed one.
-func TestNewOptsParallelLex(t *testing.T) {
-	l := newTestLang(t)
-	src := strings.Repeat("a = 1 + (b + 2); // c\n", 3000) // > minChunkBytes
-	seq := New(l.spec, l.g, l.mapper, src)
-	par := NewOpts(l.spec, l.g, l.mapper, src, Options{LexWorkers: 4})
-	if len(par.Tokens()) != len(seq.Tokens()) {
-		t.Fatalf("parallel %d tokens, sequential %d", len(par.Tokens()), len(seq.Tokens()))
-	}
-	for i, tok := range seq.Tokens() {
-		if par.Tokens()[i] != tok {
-			t.Fatalf("token %d diverges", i)
-		}
-	}
-	if len(par.Terminals()) != len(seq.Terminals()) {
-		t.Fatal("terminal count diverges")
-	}
-}

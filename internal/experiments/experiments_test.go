@@ -79,26 +79,29 @@ func TestFigure4Small(t *testing.T) {
 	}
 }
 
+// TestSection5BatchShape asserts work, not wall-clock time: on the §5
+// conflict-free program the IGLR parser must do exactly the deterministic
+// parser's shifts and reductions, with one stack throughout. The time
+// ratio (1.25x in the paper's system) is logged, not asserted — on a
+// shared machine one scheduler stall skews it.
 func TestSection5BatchShape(t *testing.T) {
-	// The paper's shape: IGLR batch cost is close to deterministic (1.25x
-	// in their system) — allow generous slack for a noisy test machine,
-	// and take the best of a few samples: the suite runs packages in
-	// parallel, and a single scheduler stall skews one wall-clock ratio.
-	var last float64
-	for attempt := 0; attempt < 3; attempt++ {
-		r, err := RunSection5Batch(2500, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.Tokens == 0 || r.DetNsPerTok <= 0 || r.IGLRNsPerTok <= 0 {
-			t.Fatalf("result = %+v", r)
-		}
-		if r.Ratio <= 3.5 && r.Ratio >= 0.4 {
-			return
-		}
-		last = r.Ratio
+	r, err := RunSection5Batch(2500, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Fatalf("IGLR/det ratio %.2f wildly off in every sample", last)
+	if r.Tokens == 0 || r.DetShifts == 0 || r.DetReductions == 0 {
+		t.Fatalf("result = %+v", r)
+	}
+	if r.IGLRShifts != r.DetShifts || r.IGLRReductions != r.DetReductions {
+		t.Fatalf("work differs: det %d shifts/%d reductions, IGLR %d/%d",
+			r.DetShifts, r.DetReductions, r.IGLRShifts, r.IGLRReductions)
+	}
+	if r.IGLRSplits != 0 || r.IGLRMaxActiveParsers != 1 {
+		t.Fatalf("IGLR went non-deterministic: %d splits, max %d active parsers",
+			r.IGLRSplits, r.IGLRMaxActiveParsers)
+	}
+	t.Logf("%d shifts, %d reductions each; IGLR/det time ratio %.2f",
+		r.DetShifts, r.DetReductions, r.Ratio)
 }
 
 func TestSection5IncrementalShape(t *testing.T) {

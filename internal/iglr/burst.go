@@ -182,12 +182,6 @@ func (p *Parser) burst() error {
 				states = append(states[:0], int32(base.state))
 				nodes = nodes[:1]
 			}
-			if p.stubNode != nil && len(kids) > 0 && kids[0] == p.stubNode {
-				prod := p.g.Production(int(step.rule))
-				if !prod.Seq || prod.LHS != p.stubSym {
-					panic(chunkAbort{})
-				}
-			}
 			p.noteNullKids(kids)
 			var node *dag.Node
 			if old := retained(int(step.rule), kids); old != nil {

@@ -54,7 +54,6 @@ type Stats struct {
 	Rounds           int // parse_next_symbol invocations
 	RetainedNodes    int // old nodes reused by bottom-up node retention [25]
 	BudgetPruned     int // ambiguous regions pruned by the ambiguity budget
-	ChunkWorkers     int // chunks a successful parallel cold parse used (0: sequential)
 }
 
 // retained implements bottom-up node reuse: if every child was reused from
@@ -118,14 +117,6 @@ type Parser struct {
 	// contract; the flag exists so differential tests can hold the round
 	// engine up as the oracle.
 	NoBurst bool
-
-	// stubNode/stubSym are set only on chunk-worker parsers (chunk.go): the
-	// placeholder standing in for the unparsed left context. Any reduction
-	// that consumes the stub other than as the left operand of a
-	// deterministic chain production would bake the missing context into an
-	// unspliceable shape, so it aborts the worker (sequential fallback).
-	stubNode *dag.Node
-	stubSym  grammar.Sym
 
 	// Recycled storage: the GSS node/link arenas rewind at each Parse and
 	// the reduction-kids buffer is reused across rounds, so a steady-state
@@ -637,10 +628,6 @@ func (p *Parser) reducer(q *gssNode, rule int, kids []*dag.Node) {
 		p.injectReduce()
 	}
 	lhs := p.g.Production(rule).LHS
-	if p.stubNode != nil && len(kids) > 0 && kids[0] == p.stubNode &&
-		(p.multiple || !p.g.Production(rule).Seq || lhs != p.stubSym) {
-		panic(chunkAbort{})
-	}
 	state := p.table.Goto(q.state, lhs)
 	if state < 0 {
 		// No goto: this reduction path is invalid in context (possible in

@@ -1,64 +1,15 @@
 package langreg_test
 
 import (
-	"fmt"
-	"runtime"
 	"strings"
 	"testing"
 
 	"iglr/internal/langreg"
 )
 
-// forceParallel raises GOMAXPROCS for the test so ScanParallel's
-// GOMAXPROCS clamp doesn't reduce it to the sequential path on single-CPU
-// machines — the differential must exercise real chunk stitching here.
-func forceParallel(t *testing.T) {
-	t.Helper()
-	prev := runtime.GOMAXPROCS(8)
-	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
-}
-
-// TestChunkedLexAllLanguages is the cross-language differential oracle for
-// parallel lexing: for every bundled language, ScanParallel over a corpus
-// large enough to actually chunk must reproduce Scan token-for-token.
-// (Tiny-chunk seam torture lives next to the lexer; this guards the real
-// specs — real comment/string/keyword rules — at realistic sizes.)
-func TestChunkedLexAllLanguages(t *testing.T) {
-	forceParallel(t)
-	for _, e := range langreg.All() {
-		t.Run(e.Name, func(t *testing.T) {
-			var sb strings.Builder
-			for sb.Len() < 192<<10 {
-				for _, s := range e.Samples {
-					sb.WriteString(s)
-					sb.WriteByte('\n')
-				}
-			}
-			text := sb.String()
-			spec := e.Lang().Spec
-			want := spec.Scan(text)
-			if len(want) == 0 {
-				t.Fatal("corpus lexed to zero tokens")
-			}
-			for _, workers := range []int{2, 4, 8} {
-				got := spec.ScanParallel(text, workers)
-				if len(got) != len(want) {
-					t.Fatalf("workers=%d: %d tokens, want %d", workers, len(got), len(want))
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("workers=%d token %d: %+v, want %+v", workers, i, got[i], want[i])
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestChunkedLexTilesText: the parallel stream must tile the input exactly
-// (no gaps, no overlaps) for every bundled language.
+// TestChunkedLexTilesText: the batch lexer's stream must tile the input
+// exactly (no gaps, no overlaps) and alias it, for every bundled language.
 func TestChunkedLexTilesText(t *testing.T) {
-	forceParallel(t)
 	for _, e := range langreg.All() {
 		var sb strings.Builder
 		for sb.Len() < 96<<10 {
@@ -66,7 +17,10 @@ func TestChunkedLexTilesText(t *testing.T) {
 			sb.WriteByte('\n')
 		}
 		text := sb.String()
-		toks := e.Lang().Spec.ScanParallel(text, 4)
+		toks := e.Lang().Spec.ScanInto(text, nil)
+		if len(toks) == 0 {
+			t.Fatalf("%s: corpus lexed to zero tokens", e.Name)
+		}
 		pos := 0
 		for i, tok := range toks {
 			if tok.Offset != pos {
@@ -80,27 +34,5 @@ func TestChunkedLexTilesText(t *testing.T) {
 		if pos != len(text) {
 			t.Fatalf("%s: stream ends at %d, text length %d", e.Name, pos, len(text))
 		}
-	}
-}
-
-// BenchmarkScanParallel tracks end-to-end chunked lex throughput.
-func BenchmarkScanParallel(b *testing.B) {
-	e, _ := langreg.Find("java-subset")
-	var sb strings.Builder
-	for sb.Len() < 1<<20 {
-		sb.WriteString(strings.Join(e.Samples, "\n"))
-		sb.WriteByte('\n')
-	}
-	text := sb.String()
-	spec := e.Lang().Spec
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			buf := spec.ScanParallel(text, workers)
-			b.SetBytes(int64(len(text)))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				buf = spec.ScanParallelInto(text, workers, buf)
-			}
-		})
 	}
 }

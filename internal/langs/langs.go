@@ -81,8 +81,7 @@ func (l *Language) NewDocumentInArena(a *dag.Arena, src string) *document.Docume
 	return document.NewInArena(a, l.Spec, l.Grammar, l.Map, src)
 }
 
-// NewDocumentOpts is NewDocument with batch options (parallel initial lex,
-// donated buffers).
+// NewDocumentOpts is NewDocument with batch options (donated buffers).
 func (l *Language) NewDocumentOpts(src string, opts document.Options) *document.Document {
 	return document.NewOpts(l.Spec, l.Grammar, l.Map, src, opts)
 }

@@ -1,36 +1,13 @@
 package lexer
 
-import (
-	"runtime"
-	"strings"
-	"sync"
-)
-
 // Batch-lexing fast path. Profiling the end-to-end cold path showed the
 // DFA itself is ~10% of Scan's time; the rest is token-slice growth and the
 // GC traffic it induces. ScanInto removes that by lexing into a pre-sized,
-// reusable buffer, and ScanParallel goes wide: it speculatively lexes N
-// byte-ranges on separate goroutines — each starting just after a newline
-// found by a cheap prescan — and stitches the streams where adjacent chunks
-// agree, relexing sequentially across the (rare) disagreeing seam.
-//
-// Stitching is exact, not heuristic: scanOne(text, pos) depends only on
-// (text, pos) — every token starts in the DFA start state — so lexing is
-// Markov at token boundaries. Chunks lex the FULL text from their
-// speculative start (so Lookahead/Open see past the chunk end), and if a
-// speculative token starts exactly at the verified frontier, the entire
-// speculative suffix is the true stream. Newline snapping only affects the
-// agreement hit rate (a boundary inside a string or block comment just
-// means a short relexed seam), never correctness; and because '\n' (0x0A)
-// is never a continuation byte, boundaries cannot split a UTF-8 rune.
+// reusable buffer.
 
 // estBytesPerToken sizes token buffers from text length: program text with
 // whitespace skip tokens averages a handful of bytes per token.
 const estBytesPerToken = 4
-
-// minChunkBytes is the smallest byte-range worth a goroutine; below
-// workers×this, ScanParallel degrades to the sequential path.
-const minChunkBytes = 32 << 10
 
 // ScanInto lexes the whole text into buf's storage (length is reset, the
 // array reused), growing it at most once for typical inputs via a
@@ -43,174 +20,6 @@ func (s *Spec) ScanInto(text string, buf []Token) []Token {
 	}
 	pos := 0
 	for pos < len(text) {
-		length, rule, examined, open := s.scanOne(text, pos)
-		tok := Token{
-			Type:      rule,
-			Offset:    pos,
-			Text:      text[pos : pos+length],
-			Lookahead: examined - length,
-			Open:      open,
-		}
-		if rule >= 0 {
-			tok.Skip = s.rules[rule].Skip
-		}
-		out = append(out, tok)
-		pos += length
-	}
-	return out
-}
-
-// ScanParallel lexes text on up to workers goroutines and returns a stream
-// identical to Scan(text). workers ≤ 1, small inputs, or texts without
-// newlines fall back to the sequential path.
-func (s *Spec) ScanParallel(text string, workers int) []Token {
-	return s.ScanParallelInto(text, workers, nil)
-}
-
-// ScanParallelInto is ScanParallel lexing into buf's storage (as ScanInto).
-// The worker count is clamped to GOMAXPROCS — chunking pays a stitch copy
-// that only parallel execution can buy back, so a CPU-bound scan is never
-// oversubscribed — and to one chunk per minChunkBytes of input.
-func (s *Spec) ScanParallelInto(text string, workers int, buf []Token) []Token {
-	if p := runtime.GOMAXPROCS(0); workers > p {
-		workers = p
-	}
-	if workers > len(text)/minChunkBytes {
-		workers = len(text) / minChunkBytes
-	}
-	if workers <= 1 {
-		return s.ScanInto(text, buf)
-	}
-	return s.scanChunked(text, workers, buf)
-}
-
-// chunkScratch pools per-chunk speculative token buffers across parallel
-// scans of the same Spec.
-var chunkScratch = sync.Pool{
-	New: func() any { b := make([]Token, 0, 4096); return &b },
-}
-
-// chunkStarts picks up to n speculative start offsets: offset 0, then
-// roughly even cut points snapped to just after the next '\n'. Starts are
-// strictly increasing; texts with too few newlines yield fewer chunks.
-func chunkStarts(text string, n int) []int {
-	starts := make([]int, 1, n)
-	for i := 1; i < n; i++ {
-		p := i * (len(text) / n)
-		if last := starts[len(starts)-1]; p <= last {
-			p = last + 1
-		}
-		if p >= len(text) {
-			break
-		}
-		nl := strings.IndexByte(text[p:], '\n')
-		if nl < 0 {
-			break
-		}
-		p += nl + 1
-		if p < len(text) && p > starts[len(starts)-1] {
-			starts = append(starts, p)
-		}
-	}
-	return starts
-}
-
-// scanChunked is the chunked implementation; split out (with an explicit
-// chunk count) so tests can force many tiny chunks on small inputs.
-func (s *Spec) scanChunked(text string, chunks int, buf []Token) []Token {
-	starts := chunkStarts(text, chunks)
-	if len(starts) == 1 {
-		return s.ScanInto(text, buf)
-	}
-
-	// Speculatively lex each chunk from its start over the FULL text,
-	// emitting tokens while they begin before the next chunk's start (the
-	// last token of a chunk may legitimately run past it). Chunk 0 starts
-	// at the true stream origin, so its tokens need no verification.
-	spec := make([][]Token, len(starts))
-	var wg sync.WaitGroup
-	for ci := 1; ci < len(starts); ci++ {
-		wg.Add(1)
-		go func(ci int) {
-			defer wg.Done()
-			spec[ci] = s.lexChunk(text, starts[ci], chunkEnd(starts, ci, len(text)))
-		}(ci)
-	}
-	spec[0] = s.lexChunk(text, 0, chunkEnd(starts, 0, len(text)))
-	wg.Wait()
-
-	// Stitch left to right. e is the verified frontier: every byte < e is
-	// covered by adopted tokens. A speculative token starting exactly at e
-	// is the true next token (lexing is Markov at token boundaries), and
-	// then so is the chunk's whole suffix. Otherwise relex sequentially
-	// from e until a fresh boundary lands on a speculative start.
-	out := buf[:0]
-	if cap(out) == 0 {
-		out = make([]Token, 0, len(text)/estBytesPerToken+8)
-	}
-	e := 0
-	for ci, toks := range spec {
-		// Skip speculative tokens already covered by the frontier.
-		j := 0
-		for j < len(toks) && toks[j].Offset < e {
-			j++
-		}
-		end := chunkEnd(starts, ci, len(text))
-		for {
-			if j < len(toks) && toks[j].Offset == e {
-				// Agreement: adopt the rest of the chunk wholesale.
-				out = append(out, toks[j:]...)
-				e = out[len(out)-1].End()
-				break
-			}
-			// Disagreeing seam (boundary fell inside a string/comment):
-			// relex from the frontier until boundaries reconverge or the
-			// chunk is exhausted (the next chunk then takes over).
-			if e >= end || e >= len(text) {
-				break
-			}
-			out = append(out, s.freshToken(text, e))
-			e = out[len(out)-1].End()
-			for j < len(toks) && toks[j].Offset < e {
-				j++
-			}
-		}
-		// Adopted tokens were copied into out (they alias only the text
-		// string), so every chunk buffer can go back to the pool.
-		toks = toks[:0]
-		chunkScratch.Put(&toks)
-	}
-	// Tail: the last chunk can be exhausted with text remaining (its final
-	// speculative token disagreed); finish sequentially.
-	for e < len(text) {
-		out = append(out, s.freshToken(text, e))
-		e = out[len(out)-1].End()
-	}
-	return out
-}
-
-func chunkEnd(starts []int, ci, textLen int) int {
-	if ci+1 < len(starts) {
-		return starts[ci+1]
-	}
-	return textLen
-}
-
-// lexChunk speculatively lexes text from `from`, emitting every token that
-// starts before `to`. Tokens see the full text, so the last one may end
-// past `to` and lookahead windows are exact. The loop mirrors ScanInto
-// (inline token construction — freshToken's call overhead is measurable at
-// this volume), and the pooled scratch is re-sized up front so it never
-// grows mid-chunk.
-func (s *Spec) lexChunk(text string, from, to int) []Token {
-	out := *chunkScratch.Get().(*[]Token)
-	if need := (to-from)/estBytesPerToken + 8; cap(out) < need {
-		out = make([]Token, 0, need)
-	} else {
-		out = out[:0]
-	}
-	pos := from
-	for pos < to {
 		length, rule, examined, open := s.scanOne(text, pos)
 		tok := Token{
 			Type:      rule,

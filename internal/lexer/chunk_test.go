@@ -1,8 +1,6 @@
 package lexer
 
 import (
-	"fmt"
-	"math/rand"
 	"strings"
 	"testing"
 )
@@ -16,61 +14,6 @@ func tokensEqual(t *testing.T, ctx string, got, want []Token) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("%s: token %d = %+v, want %+v", ctx, i, got[i], want[i])
-		}
-	}
-}
-
-// adversarialTexts are inputs designed so naive chunk boundaries land
-// inside multi-line constructs: block comments spanning newlines, strings,
-// runs with no newlines at all, multi-byte UTF-8, and lone error bytes.
-func adversarialTexts() map[string]string {
-	long := strings.Repeat("x ", 500)
-	return map[string]string{
-		"empty":        "",
-		"no_newline":   "int a = 1; int b = 2; " + long,
-		"only_newline": strings.Repeat("\n", 200),
-		"block_comment_spans_lines": strings.Repeat(
-			"int a = 1;\n/* comment\nline two\nline three */\nint b = 2;\n", 40),
-		"comment_open_at_eof": "int a = 1;\n/* never closed\nstill open\n",
-		"strings_with_escapes": strings.Repeat(
-			"s = \"hello \\\"world\\\"\"; t = \"line\";\n", 60),
-		"multibyte_utf8": strings.Repeat(
-			"α = β + γ; /* ∀x∈S — ünïcödé */\nδ = 42;\n", 50),
-		"error_bytes": strings.Repeat("a = 1; § b = 2; @\n", 50),
-		"line_comments": strings.Repeat(
-			"x = 1; // trailing comment with if else int keywords\n", 60),
-		"pathological_stars": strings.Repeat(
-			"/* ** * ** */\nif (x) { y = \"*/\"; }\n", 40),
-	}
-}
-
-// TestChunkedMatchesSequential forces many tiny chunks through the
-// unexported entry point so seam stitching and the relex fallback are
-// exercised on every adversarial shape, at every chunk count.
-func TestChunkedMatchesSequential(t *testing.T) {
-	s := MustSpec(cRules())
-	for name, text := range adversarialTexts() {
-		want := s.Scan(text)
-		for _, chunks := range []int{2, 3, 4, 7, 16, 61} {
-			got := s.scanChunked(text, chunks, nil)
-			tokensEqual(t, fmt.Sprintf("%s/chunks=%d", name, chunks), got, want)
-		}
-	}
-}
-
-// TestChunkedBoundaryPlacements slides a two-chunk boundary across every
-// position of a small input by lexing with chunkStarts replaced by direct
-// construction — approximated here by varying chunk counts over a text
-// whose newlines sit at awkward places.
-func TestChunkedBoundaryPlacements(t *testing.T) {
-	s := MustSpec(cRules())
-	base := "a\n/*\n*/\nb\n\"s\n\"\nc\n" // newline inside comment and (error) string
-	for n := 1; n <= 8; n++ {
-		text := strings.Repeat(base, n)
-		want := s.Scan(text)
-		for chunks := 2; chunks <= len(text); chunks *= 2 {
-			got := s.scanChunked(text, chunks, nil)
-			tokensEqual(t, fmt.Sprintf("n=%d chunks=%d", n, chunks), got, want)
 		}
 	}
 }
@@ -97,59 +40,4 @@ func TestScanIntoReuse(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("ScanInto with sufficient capacity allocates: %v allocs/op", allocs)
 	}
-}
-
-// TestScanParallelPublic drives the public entry on an input large enough
-// to clear minChunkBytes, with worker counts beyond the chunk supply.
-func TestScanParallelPublic(t *testing.T) {
-	s := MustSpec(cRules())
-	var sb strings.Builder
-	r := rand.New(rand.NewSource(7))
-	lines := []string{
-		"if (a == 1) { b = 2; }\n",
-		"/* multi\nline\ncomment */\n",
-		"s = \"str with // not a comment\";\n",
-		"π = 3; // ünïcödé tail\n",
-		"x@y\n", // error byte
-	}
-	for sb.Len() < 256<<10 {
-		sb.WriteString(lines[r.Intn(len(lines))])
-	}
-	text := sb.String()
-	want := s.Scan(text)
-	for _, w := range []int{0, 1, 2, 4, 8, 64} {
-		tokensEqual(t, fmt.Sprintf("workers=%d", w), s.ScanParallel(text, w), want)
-	}
-	// Into-variant with a recycled buffer.
-	buf := make([]Token, 0, len(want))
-	tokensEqual(t, "ScanParallelInto", s.ScanParallelInto(text, 4, buf), want)
-}
-
-// FuzzChunkedLex asserts chunked ≡ sequential on arbitrary inputs and
-// chunk counts. Seeds bias toward chunk boundaries inside multi-byte
-// UTF-8, comments, and strings.
-func FuzzChunkedLex(f *testing.F) {
-	f.Add("int a = 1;\n/* c */\nint b;\n", 3)
-	f.Add("αβγδεζ ηθικλμ\nνξοπρς\n", 2)             // multi-byte everywhere
-	f.Add("a\n\"string with \\\" escape\nb\n", 4)    // unterminated string
-	f.Add("/* opens\nnever closes", 2)               // open at EOF
-	f.Add("é\né\né\né\n", 5)                         // 2-byte runes around tiny chunks
-	f.Add("x = 1; € y = 2; \U0001F600\nz = 3;\n", 3) // 3- and 4-byte runes
-	f.Add(strings.Repeat("\xff\n", 8), 4)            // invalid UTF-8 error bytes
-	s := MustSpec(cRules())
-	f.Fuzz(func(t *testing.T, text string, chunks int) {
-		if chunks < 2 || chunks > 64 {
-			chunks = 2 + (chunks&0x7fffffff)%63
-		}
-		want := s.Scan(text)
-		got := s.scanChunked(text, chunks, nil)
-		if len(got) != len(want) {
-			t.Fatalf("chunked %d tokens, sequential %d", len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("token %d: chunked %+v, sequential %+v", i, got[i], want[i])
-			}
-		}
-	})
 }

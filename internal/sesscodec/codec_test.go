@@ -65,7 +65,9 @@ func reencode(t *testing.T, res *sesscodec.Restored, def *langs.Language) []byte
 	return data
 }
 
-func exprPub() (*incremental.Language, *langs.Language) { return incremental.ExprLanguage(), expr.Lang() }
+func exprPub() (*incremental.Language, *langs.Language) {
+	return incremental.ExprLanguage(), expr.Lang()
+}
 
 func TestRoundTripCanonical(t *testing.T) {
 	cases := []struct {

@@ -55,15 +55,15 @@ func (p *Pool) NewSession(source string, opts ...SessionOption) *Session {
 		lang:     p.lang,
 		parser:   it.parser,
 		spareDet: it.det,
-		docOpts: document.Options{
-			Toks: it.toks, Nodes: it.nodes, Spare: it.spare, Terms: it.terms,
-		},
+	}
+	docOpts := document.Options{
+		Toks: it.toks, Nodes: it.nodes, Spare: it.spare, Terms: it.terms,
 	}
 	*it = poolItem{}
 	for _, o := range opts {
 		o(s)
 	}
-	s.doc = p.lang.def.NewDocumentOpts(source, s.docOpts)
+	s.doc = p.lang.def.NewDocumentOpts(source, docOpts)
 	return s
 }
 

@@ -78,10 +78,9 @@ func (s *Session) marshalSnapshot(tag uint64) ([]byte, error) {
 // restored session is byte-identical in behavior to the one snapshotted:
 // same FormatDag, same Diagnostics, same outcomes for subsequent edits.
 //
-// Options apply as in NewSession (WithBudget, WithTrace); WithLexWorkers
-// is accepted but moot, since restore does not lex. Parse statistics and
-// the deterministic/GLR parser choice are session runtime state: Stats()
-// starts at zero, and the deterministic parser is re-activated
+// Options apply as in NewSession (WithBudget, WithTrace). Parse statistics
+// and the deterministic/GLR parser choice are session runtime state:
+// Stats() starts at zero, and the deterministic parser is re-activated
 // automatically when the snapshotted session had it on.
 //
 // A corrupt, truncated, or version-skewed artifact fails with an error
