@@ -36,9 +36,10 @@ check: vet race bench-module
 # codec (decode of arbitrary bytes must never panic; accepted artifacts must
 # re-encode canonically), the error-isolation convergence contract
 # (tier-1 recovery preserves text; repairing converges to the batch parse),
-# and the session-snapshot codec plus its write-ahead journal framing
+# the session-snapshot codec plus its write-ahead journal framing
 # (arbitrary bytes never panic; accepted snapshots restore and re-encode
-# canonically).
+# canonically), and the document's incremental relex against a batch scan
+# over random edit scripts.
 fuzz-smoke:
 	$(GO) test -run FuzzParseOracle -fuzz FuzzParseOracle -fuzztime 30s ./internal/earley/
 	$(GO) test -run FuzzRecoveryConverges -fuzz FuzzRecoveryConverges -fuzztime 30s ./internal/recovery/
@@ -46,6 +47,7 @@ fuzz-smoke:
 	$(GO) test -run FuzzErrorIsolationConverges -fuzz FuzzErrorIsolationConverges -fuzztime 30s .
 	$(GO) test -run FuzzSessCodecRoundTrip -fuzz FuzzSessCodecRoundTrip -fuzztime 30s ./internal/sesscodec/
 	$(GO) test -run FuzzJournalDecode -fuzz FuzzJournalDecode -fuzztime 15s ./internal/sesscodec/
+	$(GO) test -run FuzzRelexMatchesScan -fuzz FuzzRelexMatchesScan -fuzztime 15s .
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

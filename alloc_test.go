@@ -6,10 +6,13 @@
 package incremental_test
 
 import (
+	"context"
+	"runtime"
 	"strings"
 	"testing"
 
 	incremental "iglr"
+	"iglr/internal/corpus"
 )
 
 // TestDeterministicReparseAllocFree pins the strongest form: a clean
@@ -96,5 +99,49 @@ func TestIGLRReparseAllocsBounded(t *testing.T) {
 	const maxAllocs = 120
 	if allocs > maxAllocs {
 		t.Fatalf("one-token IGLR reparse allocated %.1f objects/run, want ≤ %d", allocs, maxAllocs)
+	}
+}
+
+// TestEditBytesIndependentOfFileSize pins the edit path in bytes, not
+// objects: Session.Edit splices the damage into the document's token,
+// node and terminal arrays in place and copies only the fresh lexemes, so
+// the bytes one keystroke allocates do not grow with the file. An object
+// count cannot see this — a whole-stream copy is a single object. Each
+// edit is measured alone; the Do that commits it runs outside the count.
+func TestEditBytesIndependentOfFileSize(t *testing.T) {
+	const (
+		pairs       = 60 // 120 measured edits
+		maxPerEdit  = 4 << 10
+		warmupPairs = 10
+	)
+	for _, lines := range []int{1000, 16000} {
+		src, _ := corpus.Generate(corpus.Spec{Name: "edit", Lines: lines, Lang: "c", Seed: 1})
+		s := incremental.NewSession(incremental.CSubset(), src)
+		if out := s.Do(context.Background()); !out.Clean {
+			t.Fatalf("%d lines: initial parse: %v", lines, out.Err)
+		}
+		script := corpus.SelfCancellingEdits(src, warmupPairs+pairs, 2)
+		var before, after runtime.MemStats
+		var bytes uint64
+		edits := 0
+		for i, pair := range script {
+			for _, e := range pair {
+				runtime.ReadMemStats(&before)
+				s.Edit(e.Offset, e.Removed, e.Inserted)
+				runtime.ReadMemStats(&after)
+				if i >= warmupPairs {
+					bytes += after.TotalAlloc - before.TotalAlloc
+					edits++
+				}
+				if out := s.Do(context.Background()); !out.Clean {
+					t.Fatalf("%d lines: reparse after %+v: %v", lines, e, out.Err)
+				}
+			}
+		}
+		perEdit := bytes / uint64(edits)
+		t.Logf("%d lines (%d bytes): Session.Edit allocates %d B/edit over %d edits", lines, len(src), perEdit, edits)
+		if perEdit > maxPerEdit {
+			t.Fatalf("%d lines: Session.Edit allocates %d B/edit, want <= %d", lines, perEdit, maxPerEdit)
+		}
 	}
 }

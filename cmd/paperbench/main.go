@@ -226,6 +226,8 @@ func runSection5(scale float64) error {
 		inc.DetNsPerRe, inc.IGLRNsPerRe, inc.Ratio)
 	fmt.Printf("IGLR work per reparse: %.1f shifts over %d statements\n",
 		inc.IGLRShiftsPerRe, inc.Statements)
+	fmt.Printf("incremental work over %d reparses: det %d shifts/%d reductions, IGLR %d/%d, max %d active parsers\n",
+		inc.Edits, inc.DetShifts, inc.DetReductions, inc.IGLRShifts, inc.IGLRReductions, inc.IGLRMaxActiveParsers)
 
 	sp, err := experiments.RunSection5Space(2000)
 	if err != nil {

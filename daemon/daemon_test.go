@@ -16,6 +16,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unicode/utf8"
 
 	incremental "iglr"
 )
@@ -566,6 +567,34 @@ func TestDurationJSON(t *testing.T) {
 	}
 	if err := json.Unmarshal([]byte(`{"session_ttl":"fast"}`), &cfg); err == nil {
 		t.Fatal("bad duration accepted")
+	}
+}
+
+// TestCapOutlineRuneBoundary: the outline cap backs up to a character
+// start, so a cut that falls inside « or » never reaches the client as a
+// broken character; an outline within the cap passes unchanged.
+func TestCapOutlineRuneBoundary(t *testing.T) {
+	const mark = "\n… (truncated)\n"
+	head := strings.Repeat("a", maxOutlineBytes-1)
+	for _, c := range []struct {
+		tail    string
+		wantLen int // bytes kept before the mark
+	}{
+		{"«x»", maxOutlineBytes - 1}, // the cap falls inside «
+		{"»", maxOutlineBytes - 1},   // ... inside »
+		{"a«", maxOutlineBytes},      // ... on the boundary before «
+	} {
+		long := head + c.tail + strings.Repeat("b", 10)
+		got := capOutline(long)
+		body, ok := strings.CutSuffix(got, mark)
+		if !ok || !utf8.ValidString(got) || len(body) != c.wantLen || !strings.HasPrefix(long, body) {
+			t.Fatalf("tail %q: got %d bytes + mark=%v (valid UTF-8 %v), want a %d-byte prefix + mark",
+				c.tail, len(body), ok, utf8.ValidString(got), c.wantLen)
+		}
+	}
+	short := head[1:] + "»" // exactly maxOutlineBytes
+	if got := capOutline(short); got != short {
+		t.Fatal("outline within the cap was changed")
 	}
 }
 

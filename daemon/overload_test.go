@@ -379,7 +379,17 @@ func TestPressureEvictRestoreByteIdentical(t *testing.T) {
 		createSessionJSON{Language: "expr-ambiguous", Text: pathologicalSrc(t)}, &created); s != http.StatusCreated {
 		t.Fatalf("create: status %d", s)
 	}
-	out := editOnce(t, d, created.ID, editJSON{Offset: 0, Insert: "7*"})
+	// The edit follows the retry contract, as the reads below do: the
+	// janitor may park the new session before the edit reaches its shard,
+	// and that shed is retryable. parse_pending (the batch applied, the
+	// reparse failed) is never retried and fails the test.
+	cl := client.New("http://"+d.Addr().String(), client.Options{MaxRetries: 8})
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	out, err := cl.Edits(ctx, created.ID, []client.Edit{{Offset: 0, Insert: "7*"}})
+	if err != nil {
+		t.Fatalf("edit: %v", err)
+	}
 	var wantSub subtreeJSON
 	if err := json.Unmarshal([]byte(shedTolerantGET(t,
 		dataURL(d, fmt.Sprintf("/sessions/%s/subtree?offset=0&length=%d", created.ID, out.TextLen)))), &wantSub); err != nil {

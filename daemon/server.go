@@ -11,6 +11,7 @@ import (
 	"os"
 	"strconv"
 	"time"
+	"unicode/utf8"
 
 	incremental "iglr"
 	"iglr/engine"
@@ -657,6 +658,21 @@ func (d *Daemon) handleDiagnostics(w http.ResponseWriter, r *http.Request) {
 // arbitrarily large.
 const maxOutlineBytes = 64 << 10
 
+// capOutline cuts an outline longer than maxOutlineBytes and marks the
+// cut. The cut backs up to the start of a character, so it never splits a
+// multi-byte one such as the outline's « and » (the JSON encoding would
+// turn the fragment into U+FFFD).
+func capOutline(outline string) string {
+	if len(outline) <= maxOutlineBytes {
+		return outline
+	}
+	cut := maxOutlineBytes
+	for cut > 0 && !utf8.RuneStart(outline[cut]) {
+		cut--
+	}
+	return outline[:cut] + "\n… (truncated)\n"
+}
+
 func (d *Daemon) handleSubtree(w http.ResponseWriter, r *http.Request) {
 	sess, ok := d.lookup(w, r)
 	if !ok {
@@ -689,16 +705,12 @@ func (d *Daemon) handleSubtree(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		found = true
-		outline := incremental.FormatDag(sess.lang, n)
-		if len(outline) > maxOutlineBytes {
-			outline = outline[:maxOutlineBytes] + "\n… (truncated)\n"
-		}
 		resp = subtreeJSON{
 			Symbol:  sess.lang.SymName(n.Sym),
 			Kind:    kindString(n.Kind),
 			Offset:  off,
 			Length:  ln,
-			Outline: outline,
+			Outline: capOutline(incremental.FormatDag(sess.lang, n)),
 		}
 	})
 	if err != nil {

@@ -10,6 +10,7 @@ package document
 
 import (
 	"fmt"
+	"slices"
 
 	"iglr/internal/dag"
 	"iglr/internal/faultinject"
@@ -31,6 +32,11 @@ type Document struct {
 	toks  []lexer.Token
 	nodes []*dag.Node // parallel to toks; nil for skip tokens
 
+	// maxLook bounds every token's Lookahead — how far back from an edit
+	// the relex must look for affected tokens. Set at scan and restore,
+	// raised by fresh tokens, never lowered.
+	maxLook int
+
 	root *dag.Node // last committed parse root; nil before first parse
 
 	// arena allocates every dag node of this document — terminals, parser
@@ -41,13 +47,15 @@ type Document struct {
 
 	// Persistent parse-input state, reused across reparses so a keystroke
 	// edit allocates O(damage): the one EOF terminal, the significant-
-	// terminal buffer behind Terminals, the Stream object itself, and the
-	// spare node buffer replace() ping-pongs with.
+	// terminal array behind Terminals (spliced by each edit once built),
+	// the Stream object itself, and replace()'s scratch for the fresh
+	// tokens and their terminal nodes.
 	eof        *dag.Node
 	terms      []*dag.Node
 	termsValid bool
 	stream     Stream
-	spareNodes []*dag.Node
+	fresh      []lexer.Token
+	freshNodes []*dag.Node
 
 	// marked collects nodes whose change bits must be cleared at commit.
 	marked []*dag.Node
@@ -66,12 +74,11 @@ type Document struct {
 // Options tunes document construction for the batch path. The zero value
 // allocates fresh storage.
 type Options struct {
-	// Toks, Nodes, Spare and Terms donate storage from a retired document
-	// (see ReleaseBuffers) so a batch run over many files stops paying the
+	// Toks, Nodes and Terms donate storage from a retired document (see
+	// ReleaseBuffers) so a batch run over many files stops paying the
 	// token/node array allocations per file.
 	Toks  []lexer.Token
 	Nodes []*dag.Node
-	Spare []*dag.Node
 	Terms []*dag.Node
 }
 
@@ -98,7 +105,7 @@ func NewOpts(spec *lexer.Spec, g *grammar.Grammar, mapTok TokenMapper, initial s
 func NewInArenaOpts(a *dag.Arena, spec *lexer.Spec, g *grammar.Grammar, mapTok TokenMapper, initial string, opts Options) *Document {
 	d := &Document{
 		spec: spec, g: g, mapTok: mapTok, buf: text.NewBuffer(initial), arena: a,
-		spareNodes: opts.Spare[:0], terms: opts.Terms[:0],
+		terms: opts.Terms[:0],
 	}
 	d.eof = d.arena.Terminal(grammar.EOF, "")
 	d.toks = spec.ScanInto(initial, opts.Toks)
@@ -107,23 +114,22 @@ func NewInArenaOpts(a *dag.Arena, spec *lexer.Spec, g *grammar.Grammar, mapTok T
 		nodes = append(nodes, d.newTerminal(t))
 	}
 	d.nodes = nodes
-	d.recountErrors()
+	d.scanStats()
 	return d
 }
 
 // ReleaseBuffers strips the document's large reusable arrays — token
-// stream, node array, spare and terminal buffers — for donation to a
-// future document via Options. Every element is cleared first so recycled
-// storage pins neither retired dag nodes nor the old text. The document
-// must not be used afterwards.
-func (d *Document) ReleaseBuffers() (toks []lexer.Token, nodes, spare, terms []*dag.Node) {
-	toks, nodes, spare, terms = d.toks, d.nodes, d.spareNodes, d.terms
-	d.toks, d.nodes, d.spareNodes, d.terms = nil, nil, nil, nil
+// stream, node array and terminal buffer — for donation to a future
+// document via Options. Every element is cleared first so recycled storage
+// pins neither retired dag nodes nor the old text. The document must not
+// be used afterwards.
+func (d *Document) ReleaseBuffers() (toks []lexer.Token, nodes, terms []*dag.Node) {
+	toks, nodes, terms = d.toks, d.nodes, d.terms
+	d.toks, d.nodes, d.terms = nil, nil, nil
 	clear(toks[:cap(toks)])
 	clear(nodes[:cap(nodes)])
-	clear(spare[:cap(spare)])
 	clear(terms[:cap(terms)])
-	return toks[:0], nodes[:0], spare[:0], terms[:0]
+	return toks[:0], nodes[:0], terms[:0]
 }
 
 // newTerminal builds a fresh (uncommitted, changed) terminal node for tok,
@@ -180,11 +186,13 @@ func (d *Document) Root() *dag.Node { return d.root }
 func (d *Document) Grammar() *grammar.Grammar { return d.g }
 
 // Tokens returns the current full token stream (including skip tokens).
+// The slice is owned by the document: the next edit splices it in place,
+// overwriting its elements, so callers that need it across edits must copy.
 func (d *Document) Tokens() []lexer.Token { return d.toks }
 
 // Terminals returns the significant terminal nodes in order. The slice is
-// owned by the document and valid until the next edit; callers that need
-// it across edits must copy.
+// owned by the document: the next edit splices it in place, overwriting
+// its elements, so callers that need it across edits must copy.
 func (d *Document) Terminals() []*dag.Node {
 	if !d.termsValid {
 		d.terms = d.terms[:0]
@@ -198,12 +206,15 @@ func (d *Document) Terminals() []*dag.Node {
 	return d.terms
 }
 
-func (d *Document) recountErrors() {
-	d.LexErrorCount = 0
-	for _, t := range d.toks {
-		if t.Type == lexer.ErrorType {
+// scanStats computes, from a whole token stream, what edits then maintain
+// by delta: the error-token count and the lookahead bound.
+func (d *Document) scanStats() {
+	d.LexErrorCount, d.maxLook = 0, 0
+	for i := range d.toks {
+		if d.toks[i].Type == lexer.ErrorType {
 			d.LexErrorCount++
 		}
+		d.maxLook = max(d.maxLook, d.toks[i].Lookahead)
 	}
 }
 
@@ -253,16 +264,13 @@ func (d *Document) replace(offset, removed int, inserted string, record bool) {
 		})
 	}
 	d.buf.Replace(offset, removed, inserted)
-	newText := d.buf.String()
 
-	oldToks := d.toks
-	oldNodes := d.nodes
+	// The relex reads the buffer in place and copies out only the fresh
+	// lexemes, which replace the damaged run d.toks[first:resume].
 	e := lexer.Edit{Offset: offset, Removed: removed, Inserted: inserted}
-	newToks, first, relexed := d.spec.Relex(oldToks, newText, e)
-	d.LastRelexed = relexed
-
-	tailLen := len(newToks) - first - relexed
-	oldResync := len(oldToks) - tailLen
+	first, resume, fresh := d.spec.Damage(d.toks, d.buf.View(), e, d.maxLook, d.fresh)
+	d.fresh = fresh
+	d.LastRelexed = len(fresh)
 
 	// Token re-alignment: relexing invalidates neighbors whose lookahead
 	// windows touch the edit even when they rescan to identical tokens
@@ -272,94 +280,112 @@ func (d *Document) replace(offset, removed int, inserted string, record bool) {
 	sameTok := func(a, b lexer.Token) bool {
 		return a.Type == b.Type && a.Text == b.Text && a.Skip == b.Skip
 	}
-	newLen, oldLen := relexed, oldResync-first
+	old := d.toks[first:resume]
 	p := 0
-	for p < newLen && p < oldLen && sameTok(newToks[first+p], oldToks[first+p]) {
+	for p < len(fresh) && p < len(old) && sameTok(fresh[p], old[p]) {
 		p++
 	}
 	s := 0
-	for s < newLen-p && s < oldLen-p &&
-		sameTok(newToks[first+newLen-1-s], oldToks[first+oldLen-1-s]) {
+	for s < len(fresh)-p && s < len(old)-p &&
+		sameTok(fresh[len(fresh)-1-s], old[len(old)-1-s]) {
 		s++
 	}
-	first += p
-	relexed = newLen - p - s
-	oldResync -= s
-
-	// Splice the node array in step with the token array, building into the
-	// spare buffer (the buffers ping-pong between edits, so a steady-state
-	// edit reallocates neither).
-	nodes := d.spareNodes[:0]
-	nodes = append(nodes, oldNodes[:first]...)
-	for i := first; i < first+relexed; i++ {
-		nodes = append(nodes, d.newTerminal(newToks[i]))
+	// The node array's damage: old nodes [lo, hi) give way to fresh
+	// terminals for fresh[p:len(fresh)-s].
+	lo, hi := first+p, resume-s
+	add := d.freshNodes[:0]
+	addedTerms, removedTerms := 0, 0
+	for _, t := range fresh[p : len(fresh)-s] {
+		n := d.newTerminal(t)
+		if n != nil {
+			addedTerms++
+		}
+		add = append(add, n)
 	}
-	nodes = append(nodes, oldNodes[oldResync:oldResync+s]...)
-	nodes = append(nodes, oldNodes[oldResync+s:]...)
-	d.spareNodes = oldNodes
-
+	d.freshNodes = add
+	for _, n := range d.nodes[lo:hi] {
+		if n != nil {
+			removedTerms++
+		}
+	}
 	// Pure-whitespace/comment edits change no terminal: the previous tree
 	// is untouched and fully reusable.
-	significantRemoved := false
-	for i := first; i < oldResync; i++ {
-		if oldNodes[i] != nil {
-			significantRemoved = true
-			break
-		}
-	}
-	significantInserted := false
-	for i := first; i < first+relexed; i++ {
-		if nodes[i] != nil {
-			significantInserted = true
-			break
-		}
+	if removedTerms > 0 || addedTerms > 0 {
+		d.markDamage(lo, hi)
 	}
 
-	if significantRemoved || significantInserted {
-		// Mark removed terminals and their spines in the old tree.
-		for i := first; i < oldResync; i++ {
-			if n := oldNodes[i]; n != nil && n.Committed {
-				n.Changed = true
+	// Splice in place: the token and node arrays, and the significant-
+	// terminal array once built, take the damage, and the token tail moves
+	// by the edit's delta.
+	for _, t := range old {
+		if t.Type == lexer.ErrorType {
+			d.LexErrorCount--
+		}
+	}
+	for _, t := range fresh {
+		if t.Type == lexer.ErrorType {
+			d.LexErrorCount++
+		}
+		d.maxLook = max(d.maxLook, t.Lookahead)
+	}
+	d.nodes = slices.Replace(d.nodes, lo, hi, add...)
+	if d.termsValid {
+		ti := 0
+		for _, n := range d.nodes[:lo] {
+			if n != nil {
+				ti++
+			}
+		}
+		add = slices.DeleteFunc(add, func(n *dag.Node) bool { return n == nil })
+		d.terms = slices.Replace(d.terms, ti, ti+removedTerms, add...)
+	}
+	clear(add)
+	d.toks = slices.Replace(d.toks, first, resume, fresh...)
+	clear(fresh)
+	delta := e.Delta()
+	for i := first + len(fresh); i < len(d.toks); i++ {
+		d.toks[i].Offset += delta
+	}
+}
+
+// markDamage marks the committed tree for the removal of the terminals
+// d.nodes[lo:hi]: the removed terminals and their spines, and the right
+// context of the last significant terminal before the damage (§3.2).
+func (d *Document) markDamage(lo, hi int) {
+	// Mark removed terminals and their spines in the old tree.
+	for _, n := range d.nodes[lo:hi] {
+		if n != nil && n.Committed {
+			n.Changed = true
+			d.marked = append(d.marked, n)
+			d.propagate(n)
+		}
+	}
+	// Mark the right-context bit on the last significant terminal before
+	// the damage — subtrees ending there saw a different following token —
+	// and propagate a nested change from it so that subtrees spanning the
+	// modification point are invalidated even when no significant terminal
+	// was removed (e.g. an identifier typed into whitespace).
+	for i := lo - 1; i >= 0; i-- {
+		if n := d.nodes[i]; n != nil {
+			if n.Committed {
+				n.RightChanged = true
 				d.marked = append(d.marked, n)
 				d.propagate(n)
+				return
 			}
-		}
-		// Mark the right-context bit on the last significant terminal
-		// before the damage — subtrees ending there saw a different
-		// following token — and propagate a nested change from it so that
-		// subtrees spanning the modification point are invalidated even
-		// when no significant terminal was removed (e.g. an identifier
-		// typed into whitespace).
-		markedNeighbor := false
-		for i := first - 1; i >= 0; i-- {
-			if n := oldNodes[i]; n != nil {
-				if n.Committed {
-					n.RightChanged = true
-					d.marked = append(d.marked, n)
-					d.propagate(n)
-					markedNeighbor = true
-				}
-				break
-			}
-		}
-		if !markedNeighbor {
-			// Damage at the very start: invalidate via the following
-			// significant old terminal instead.
-			for i := oldResync; i < len(oldToks); i++ {
-				if n := oldNodes[i]; n != nil {
-					if n.Committed {
-						d.propagate(n)
-					}
-					break
-				}
-			}
+			break
 		}
 	}
-
-	d.toks = newToks
-	d.nodes = nodes
-	d.termsValid = false
-	d.recountErrors()
+	// Damage at the very start: invalidate via the following significant
+	// old terminal instead.
+	for _, n := range d.nodes[hi:] {
+		if n != nil {
+			if n.Committed {
+				d.propagate(n)
+			}
+			return
+		}
+	}
 }
 
 // propagate sets NestedChange up the parent spine, recording what was

@@ -13,8 +13,8 @@ import (
 // document keeps reachable rather than toward precision.
 func (d *Document) Footprint() int64 {
 	n := d.buf.Footprint()
-	n += int64(cap(d.toks)) * int64(unsafe.Sizeof(lexer.Token{}))
-	n += int64(cap(d.nodes)+cap(d.terms)+cap(d.spareNodes)+cap(d.marked)) * 8
+	n += int64(cap(d.toks)+cap(d.fresh)) * int64(unsafe.Sizeof(lexer.Token{}))
+	n += int64(cap(d.nodes)+cap(d.terms)+cap(d.freshNodes)+cap(d.marked)) * 8
 	n += d.arena.Footprint()
 	for i := range d.pending {
 		n += int64(len(d.pending[i].Removed) + len(d.pending[i].Inserted))

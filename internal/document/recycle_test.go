@@ -16,7 +16,7 @@ func TestReleaseBuffersRoundTrip(t *testing.T) {
 
 	d1 := New(l.spec, l.g, l.mapper, srcA)
 	nToks := len(d1.Tokens())
-	toks, nodes, spare, terms := d1.ReleaseBuffers()
+	toks, nodes, terms := d1.ReleaseBuffers()
 	if len(toks) != 0 || len(nodes) != 0 {
 		t.Fatal("released buffers not length-reset")
 	}
@@ -35,7 +35,7 @@ func TestReleaseBuffersRoundTrip(t *testing.T) {
 	}
 
 	d2 := NewOpts(l.spec, l.g, l.mapper, srcB, Options{
-		Toks: toks, Nodes: nodes, Spare: spare, Terms: terms,
+		Toks: toks, Nodes: nodes, Terms: terms,
 	})
 	fresh := New(l.spec, l.g, l.mapper, srcB)
 	gotToks, wantToks := d2.Tokens(), fresh.Tokens()

@@ -15,13 +15,14 @@ import (
 // through Replace on restore, which regenerates the change marks (and the
 // fresh uncommitted terminals) exactly as the live document produced them.
 //
-// With no pending edits the returned slices alias the document's own
-// storage; callers must consume them before the next edit. With pending
-// edits the committed text is reconstructed by inverting the edit log
-// (newest first) on a copy — the document itself is never mutated — and the
-// committed token stream is recovered by a batch scan of that text, which
-// equals the incrementally maintained stream the document held at commit
-// time (relex ≡ batch scan is a tested invariant).
+// With no pending edits the returned token slice aliases the document's
+// own stream, which the next edit splices in place; callers must consume
+// it before then. With pending edits the committed text is reconstructed
+// by inverting the edit log (newest first) on a copy — the document itself
+// is never mutated — and the committed token stream is recovered by a
+// batch scan of that text, which equals the incrementally maintained
+// stream the document held at commit time (relex ≡ batch scan is a tested
+// invariant).
 func (d *Document) CommittedState() (committed string, toks []lexer.Token, pending []AppliedEdit, err error) {
 	pending = d.PendingEdits()
 	if len(pending) == 0 {
@@ -57,7 +58,7 @@ func Restore(spec *lexer.Spec, g *grammar.Grammar, mapTok TokenMapper, arena *da
 		toks: toks, nodes: nodes,
 	}
 	d.eof = d.arena.Terminal(grammar.EOF, "")
-	d.recountErrors()
+	d.scanStats()
 	return d
 }
 

@@ -176,7 +176,9 @@ func RunSection5Batch(n, reps int) (Section5Batch, error) {
 // Section5Incremental compares incremental reparse cost after
 // self-cancelling single-token modifications — the paper's incremental
 // test, where "the difference in running times for the two parsers was
-// undetectable".
+// undetectable". The work counters, summed over the reparses, sit next
+// to the times: on this conflict-free program both parsers make the same
+// shifts and reductions, and the IGLR parser keeps one stack.
 type Section5Incremental struct {
 	Statements  int
 	Edits       int
@@ -186,6 +188,10 @@ type Section5Incremental struct {
 	// IGLRShiftsPerRe is the average shift count per reparse — the
 	// sublinear work measure.
 	IGLRShiftsPerRe float64
+
+	DetShifts, DetReductions   int
+	IGLRShifts, IGLRReductions int
+	IGLRMaxActiveParsers       int
 }
 
 // RunSection5Incremental runs nEdits self-cancelling edit pairs over a
@@ -222,12 +228,15 @@ func RunSection5Incremental(n, nEdits int) (Section5Incremental, error) {
 		if err != nil {
 			return err
 		}
+		out.DetShifts += det.Stats.Shifts
+		out.DetReductions += det.Stats.Reductions
 		d.Commit(root)
 		return nil
 	}
 	if err := commitDet(dDet); err != nil {
 		return out, err
 	}
+	out.DetShifts, out.DetReductions = 0, 0
 	detTotal, err := run(commitDet, dDet)
 	if err != nil {
 		return out, err
@@ -236,20 +245,21 @@ func RunSection5Incremental(n, nEdits int) (Section5Incremental, error) {
 	// IGLR parser.
 	dGLR := l.NewDocument(src)
 	glr := iglr.New(l.Table)
-	shifts := 0
 	commitGLR := func(d *document.Document) error {
 		root, err := glr.Parse(d.Stream())
 		if err != nil {
 			return err
 		}
-		shifts += glr.Stats.Shifts
+		out.IGLRShifts += glr.Stats.Shifts
+		out.IGLRReductions += glr.Stats.Reductions
+		out.IGLRMaxActiveParsers = max(out.IGLRMaxActiveParsers, glr.Stats.MaxActiveParsers)
 		d.Commit(root)
 		return nil
 	}
 	if err := commitGLR(dGLR); err != nil {
 		return out, err
 	}
-	shifts = 0
+	out.IGLRShifts, out.IGLRReductions, out.IGLRMaxActiveParsers = 0, 0, 0
 	glrTotal, err := run(commitGLR, dGLR)
 	if err != nil {
 		return out, err
@@ -259,7 +269,7 @@ func RunSection5Incremental(n, nEdits int) (Section5Incremental, error) {
 	out.DetNsPerRe = float64(detTotal.Nanoseconds()) / re
 	out.IGLRNsPerRe = float64(glrTotal.Nanoseconds()) / re
 	out.Ratio = out.IGLRNsPerRe / out.DetNsPerRe
-	out.IGLRShiftsPerRe = float64(shifts) / re
+	out.IGLRShiftsPerRe = float64(out.IGLRShifts) / re
 	return out, nil
 }
 

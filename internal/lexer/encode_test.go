@@ -50,38 +50,32 @@ func TestSpecCodecRejectsCorruption(t *testing.T) {
 	}
 }
 
-// TestRelexAppendAliasesOldStream pins the pure-append contract: when every
-// old recognition window is closed before the edit, Relex must keep the old
-// stream without copying (first == len(old), same backing array) and scan
-// only the appended text.
-func TestRelexAppendAliasesOldStream(t *testing.T) {
+// TestRelexAppendScansOnlyAppendedText pins the pure-append case: when
+// every old recognition window is closed before the edit, no old token is
+// affected (first == resume == len(old)) and only the appended text is
+// scanned.
+func TestRelexAppendScansOnlyAppendedText(t *testing.T) {
 	s := MustSpec(cRules())
 	oldText := "int x = 1;"
-	scanned := s.Scan(oldText)
-	// Give the stream spare capacity, as a long-lived editor buffer would
-	// have; the early-out appends fresh tokens into it instead of copying.
-	old := make([]Token, len(scanned), len(scanned)+16)
-	copy(old, scanned)
+	old := s.Scan(oldText)
 	newText := oldText + " int y = 2;"
-	toks, first, relexed := s.Relex(old, newText, Edit{Offset: len(oldText), Inserted: " int y = 2;"})
+	e := Edit{Offset: len(oldText), Inserted: " int y = 2;"}
+	first, resume, fresh := s.Damage(old, newText, e, maxLookahead(old), nil)
 
-	if first != len(old) {
-		t.Fatalf("first = %d, want %d (whole old stream kept)", first, len(old))
+	if first != len(old) || resume != len(old) {
+		t.Fatalf("damage [%d,%d), want [%d,%d) (whole old stream kept)", first, resume, len(old), len(old))
 	}
-	if &toks[0] != &old[0] {
-		t.Fatal("pure append must alias the old backing array, not copy it")
+	if want := len(s.Scan(newText)) - len(old); len(fresh) != want {
+		t.Fatalf("scanned %d tokens, want the %d appended ones", len(fresh), want)
 	}
-	if relexed == 0 || relexed != len(toks)-len(old) {
-		t.Fatalf("relexed = %d, new tokens = %d", relexed, len(toks)-len(old))
-	}
-	if got, want := toks, s.Scan(newText); !reflect.DeepEqual(got, want) {
+	if got, want := splice(old, first, resume, fresh, e.Delta()), s.Scan(newText); !reflect.DeepEqual(got, want) {
 		t.Fatalf("incremental result differs from full scan:\n%v\n%v", got, want)
 	}
 }
 
 // TestRelexAppendMergesOpenToken: appending where the last token's window is
-// open at EOF (a number that could grow) must NOT take the aliasing early
-// out — the open token has to be rescanned and merged.
+// open at EOF (a number that could grow) must invalidate that token — the
+// open token has to be rescanned and merged.
 func TestRelexAppendMergesOpenToken(t *testing.T) {
 	s := MustSpec(cRules())
 	oldText := "x = 1"
@@ -90,12 +84,14 @@ func TestRelexAppendMergesOpenToken(t *testing.T) {
 		t.Fatalf("precondition: last token %+v should be open at EOF", old[len(old)-1])
 	}
 	newText := oldText + "2;"
-	toks, first, _ := s.Relex(old, newText, Edit{Offset: len(oldText), Inserted: "2;"})
+	e := Edit{Offset: len(oldText), Inserted: "2;"}
+	first, resume, fresh := s.Damage(old, newText, e, maxLookahead(old), nil)
 	if first >= len(old) {
 		t.Fatalf("first = %d: open token at EOF must be invalidated by an append", first)
 	}
-	if got, want := toks, s.Scan(newText); !reflect.DeepEqual(got, want) {
-		t.Fatalf("incremental result differs from full scan:\n%v\n%v", got, want)
+	toks := splice(old, first, resume, fresh, e.Delta())
+	if want := s.Scan(newText); !reflect.DeepEqual(toks, want) {
+		t.Fatalf("incremental result differs from full scan:\n%v\n%v", toks, want)
 	}
 	joined := ""
 	for _, tok := range toks {

@@ -9,6 +9,7 @@ package lexer
 
 import (
 	"fmt"
+	"strings"
 	"unicode/utf8"
 
 	"iglr/internal/regex"
@@ -102,7 +103,7 @@ type Token struct {
 	// existed, the recognizer would have examined it, so the token's
 	// lookahead window is open-ended at EOF. Tokens that stopped in a
 	// dead or transition-free state are closed — no append can change
-	// them — which is what lets Relex skip them entirely.
+	// them — which is what lets Damage skip them entirely.
 	Open bool
 }
 
@@ -140,7 +141,7 @@ func (s *Spec) scanOne(text string, pos int) (length, rule, examined int, open b
 				// the recognizer needn't look at the next rune at all; not
 				// charging it keeps the token's lookahead identical whether
 				// it is followed by more text or by end of input, which is
-				// what lets Relex keep such tokens across appends.
+				// what lets Damage keep such tokens across appends.
 				examined = i - pos
 			}
 			if best < 0 {
@@ -194,22 +195,19 @@ type Edit struct {
 // Delta returns the signed change in text length.
 func (e Edit) Delta() int { return len(e.Inserted) - e.Removed }
 
-// Relex incrementally updates the token stream for a single edit. old is
-// the previous token stream for oldText; newText must equal oldText with e
-// applied. It returns the new stream, the index of the first token that
-// differs from the old stream, and the number of freshly scanned tokens
-// (the incremental work measure): tokens[:first] are the old tokens kept,
-// tokens[first:first+relexed] are fresh, and the remainder is the old
-// stream's tail with adjusted offsets.
+// Damage relexes the token stream for one edit without modifying it. old
+// is the stream of the text before the edit, text the text after it, and
+// maxLook an upper bound on every old token's Lookahead. The result is the
+// damage: old[first:resume] is replaced by fresh, and the new stream is
+// old[:first] + fresh + old[resume:] with e.Delta() added to the tail's
+// offsets. fresh is buf[:0] with the rescanned tokens appended, and its
+// length is the incremental work measure.
 //
-// Aliasing contract: when every old token is kept (first == len(old), a
-// pure append at EOF past every closed recognition window) the returned
-// stream aliases old's backing array instead of copying it, and fresh
-// tokens may be appended into old's spare capacity. Callers must treat the
-// old slice as dead once Relex returns.
-func (s *Spec) Relex(old []Token, newText string, e Edit) (tokens []Token, first, relexed int) {
+// text may alias mutable storage, such as a gap buffer's view: the fresh
+// lexemes are copied out of it, so no returned token refers to text.
+func (s *Spec) Damage(old []Token, text string, e Edit, maxLook int, buf []Token) (first, resume int, fresh []Token) {
 	lo := e.Offset
-	hiOld := e.Offset + e.Removed
+	oldLen := len(text) - e.Delta()
 
 	// First affected token: the earliest whose examined window reaches the
 	// edit. A token whose recognition stopped at end-of-input in a live
@@ -217,9 +215,22 @@ func (s *Spec) Relex(old []Token, newText string, e Edit) (tokens []Token, first
 	// existed, the recognizer would have examined it — so its window is
 	// treated as open-ended. A token that stopped in a transition-free
 	// state is closed: appends past its window cannot change it.
-	oldLen := len(newText) - e.Delta()
+	//
+	// No window extends more than maxLook past its token, so every token
+	// ending before lo-maxLook is unaffected: binary-search past those and
+	// scan only the last few candidates.
+	i, j := 0, len(old)
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if old[h].End()+maxLook < lo {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
 	first = len(old)
-	for i, t := range old {
+	for ; i < len(old); i++ {
+		t := &old[i]
 		windowEnd := t.End() + t.Lookahead
 		if windowEnd > lo || (t.Open && windowEnd >= oldLen) {
 			first = i
@@ -227,61 +238,50 @@ func (s *Spec) Relex(old []Token, newText string, e Edit) (tokens []Token, first
 		}
 	}
 
-	// Early out: nothing is invalidated. Every window ends at or before
-	// the edit, which forces the edit to be a pure append at EOF, so the
-	// kept prefix is the entire old stream — alias it (no O(n) copy per
-	// keystroke) and scan only the appended text. The resync machinery
-	// has nothing to splice: no old token starts at or after the edit.
-	if first == len(old) {
-		tokens = old
-		pos := 0
-		if len(old) > 0 {
-			pos = old[len(old)-1].End()
-		}
-		for pos < len(newText) {
-			tokens = append(tokens, s.freshToken(newText, pos))
-			relexed++
-			pos = tokens[len(tokens)-1].End()
-		}
-		return tokens, first, relexed
-	}
-
-	tokens = append(tokens, old[:first]...)
 	pos := 0
 	if first > 0 {
 		pos = old[first-1].End()
 	}
+	// Old tokens starting inside the removed region are affected; the
+	// candidates for resync start at or after its end.
+	hiOld := e.Offset + e.Removed
+	resume = first
+	for resume < len(old) && old[resume].Offset < hiOld {
+		resume++
+	}
 
 	delta := e.Delta()
-	// Index of the first old token that starts at or after the end of the
-	// removed region and is not itself affected; candidates for resync.
-	resyncFrom := first
-	for resyncFrom < len(old) && old[resyncFrom].Offset < hiOld {
-		resyncFrom++
-	}
-
-	for pos < len(newText) {
-		// Resync check: a fresh token boundary that coincides with an
-		// unaffected old token boundary lets us splice the tail.
+	fresh = buf[:0]
+	for pos < len(text) {
+		// Resync: a fresh token boundary past the inserted text that
+		// coincides with an old token boundary lets the old tail stand —
+		// recognition from there reads the same characters as before.
 		if pos >= lo+len(e.Inserted) {
 			oldPos := pos - delta
-			for resyncFrom < len(old) && old[resyncFrom].Offset < oldPos {
-				resyncFrom++
+			for resume < len(old) && old[resume].Offset < oldPos {
+				resume++
 			}
-			if resyncFrom < len(old) && old[resyncFrom].Offset == oldPos && oldPos >= hiOld {
-				for _, t := range old[resyncFrom:] {
-					t.Offset += delta
-					t.Text = newText[t.Offset : t.Offset+len(t.Text)]
-					tokens = append(tokens, t)
-				}
-				return tokens, first, relexed
+			if resume < len(old) && old[resume].Offset == oldPos {
+				break
 			}
 		}
-		tokens = append(tokens, s.freshToken(newText, pos))
-		relexed++
-		pos = tokens[len(tokens)-1].End()
+		fresh = append(fresh, s.freshToken(text, pos))
+		pos = fresh[len(fresh)-1].End()
 	}
-	return tokens, first, relexed
+	if pos >= len(text) {
+		resume = len(old)
+	}
+
+	// One copy of the rescanned span backs every fresh lexeme.
+	if len(fresh) > 0 {
+		start := fresh[0].Offset
+		own := strings.Clone(text[start:pos])
+		for k := range fresh {
+			off := fresh[k].Offset - start
+			fresh[k].Text = own[off : off+len(fresh[k].Text)]
+		}
+	}
+	return first, resume, fresh
 }
 
 // freshToken scans one token at pos of text.

@@ -2,8 +2,10 @@ package lexer
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // cRules is a C-like token specification used across the tests.
@@ -121,20 +123,64 @@ func applyEdit(text string, e Edit) string {
 	return text[:e.Offset] + e.Inserted + text[e.Offset+e.Removed:]
 }
 
+// splice applies a Damage result to old the way a document does:
+// old[first:resume] becomes fresh and the tail moves by delta.
+func splice(old []Token, first, resume int, fresh []Token, delta int) []Token {
+	out := append(append([]Token(nil), old[:first]...), fresh...)
+	for _, t := range old[resume:] {
+		t.Offset += delta
+		out = append(out, t)
+	}
+	return out
+}
+
+func maxLookahead(toks []Token) int {
+	m := 0
+	for _, t := range toks {
+		m = max(m, t.Lookahead)
+	}
+	return m
+}
+
+// checkIncremental relexes text for e, splices the damage into the old
+// stream and compares the result with a batch scan of the new text, field
+// for field. It runs twice: with the stream's own lookahead bound, and
+// with a bound past the text length (the linear-scan degenerate case),
+// which must give the same damage. The new text is handed over as a view
+// of a byte array that is overwritten afterwards, as a gap buffer's next
+// edit would, so a fresh token aliasing it shows up as a mismatch.
 func checkIncremental(t *testing.T, s *Spec, text string, e Edit) (relexed int) {
 	t.Helper()
 	old := s.Scan(text)
+	before := append([]Token(nil), old...)
 	newText := applyEdit(text, e)
-	got, first, relexed := s.Relex(old, newText, e)
-	_ = first
 	want := s.Scan(newText)
-	if len(got) != len(want) {
-		t.Fatalf("edit %+v on %q:\n got %d tokens\nwant %d tokens", e, text, len(got), len(want))
-	}
-	for i := range got {
-		if got[i].Offset != want[i].Offset || got[i].Text != want[i].Text ||
-			got[i].Type != want[i].Type || got[i].Lookahead != want[i].Lookahead {
-			t.Fatalf("edit %+v on %q: token %d differs:\n got %+v\nwant %+v", e, text, i, got[i], want[i])
+	var firstSeen, resumeSeen int
+	for run, bound := range []int{maxLookahead(old), len(text) + 1} {
+		b := []byte(newText)
+		view := string(b)
+		if len(b) > 0 {
+			view = unsafe.String(&b[0], len(b))
+		}
+		first, resume, fresh := s.Damage(old, view, e, bound, nil)
+		clear(b)
+		if !reflect.DeepEqual(old, before) {
+			t.Fatalf("edit %+v on %q: Damage modified the old stream", e, text)
+		}
+		got := splice(old, first, resume, fresh, e.Delta())
+		if len(got) != len(want) {
+			t.Fatalf("edit %+v on %q (bound %d):\n got %d tokens\nwant %d tokens", e, text, bound, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("edit %+v on %q (bound %d): token %d differs:\n got %+v\nwant %+v", e, text, bound, i, got[i], want[i])
+			}
+		}
+		if run == 0 {
+			firstSeen, resumeSeen, relexed = first, resume, len(fresh)
+		} else if first != firstSeen || resume != resumeSeen || len(fresh) != relexed {
+			t.Fatalf("edit %+v on %q: bound %d gives damage [%d,%d)+%d, the stream's bound [%d,%d)+%d",
+				e, text, bound, first, resume, len(fresh), firstSeen, resumeSeen, relexed)
 		}
 	}
 	return relexed
@@ -183,6 +229,9 @@ func TestRelexCommentGrowth(t *testing.T) {
 	// Closing an unterminated comment.
 	text2 := "a /* c  b = 2;"
 	checkIncremental(t, s, text2, Edit{Offset: 8, Removed: 0, Inserted: "*/"})
+	// Closing it by an append at EOF: the opener's window ends exactly
+	// at the edit, open-ended, at the lookahead bound.
+	checkIncremental(t, s, "x /*", Edit{Offset: 4, Inserted: "*/"})
 }
 
 func TestRelexRandomized(t *testing.T) {
@@ -234,11 +283,4 @@ func TestRuleIndex(t *testing.T) {
 	if s.RuleIndex("NOPE") != -1 {
 		t.Fatal("RuleIndex(NOPE) should be -1")
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -169,6 +169,13 @@ func (b *Buffer) Bytes() []byte {
 	return b.data[:b.Len()]
 }
 
+// View returns the whole text as a string over the buffer's own storage,
+// moving the gap to the end if necessary: unlike String it copies nothing.
+// The view is valid only until the next edit, which overwrites the bytes
+// under it, so a caller that keeps any part of it must copy that part
+// first (strings.Clone).
+func (b *Buffer) View() string { return unsafeString(b.Bytes()) }
+
 // ByteAt returns the byte at position i.
 func (b *Buffer) ByteAt(i int) byte {
 	if i < b.gapLo {

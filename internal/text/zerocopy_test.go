@@ -145,8 +145,8 @@ func TestMultiMBBuffer(t *testing.T) {
 	}
 }
 
-// TestBytesContiguous: Bytes() returns the text with the gap moved out of
-// the middle, without allocating.
+// TestBytesContiguous: Bytes() and View() return the text with the gap
+// moved out of the middle, without allocating.
 func TestBytesContiguous(t *testing.T) {
 	b := NewBuffer("0123456789")
 	b.Insert(5, "---") // gap sits mid-buffer afterwards
@@ -155,9 +155,12 @@ func TestBytesContiguous(t *testing.T) {
 		if got := b.Bytes(); string(got) != want {
 			t.Fatalf("Bytes = %q, want %q", got, want)
 		}
+		if got := b.View(); got != want {
+			t.Fatalf("View = %q, want %q", got, want)
+		}
 	})
 	if allocs != 0 {
-		t.Fatalf("Bytes() allocates: %v allocs/op", allocs)
+		t.Fatalf("Bytes()/View() allocate: %v allocs/op", allocs)
 	}
 }
 

@@ -34,7 +34,6 @@ type poolItem struct {
 	det    *detparse.Parser
 	toks   []lexer.Token
 	nodes  []*dag.Node
-	spare  []*dag.Node
 	terms  []*dag.Node
 }
 
@@ -57,7 +56,7 @@ func (p *Pool) NewSession(source string, opts ...SessionOption) *Session {
 		spareDet: it.det,
 	}
 	docOpts := document.Options{
-		Toks: it.toks, Nodes: it.nodes, Spare: it.spare, Terms: it.terms,
+		Toks: it.toks, Nodes: it.nodes, Terms: it.terms,
 	}
 	*it = poolItem{}
 	for _, o := range opts {
@@ -87,7 +86,7 @@ func (p *Pool) Recycle(s *Session) {
 		it.det = s.spareDet
 	}
 	if s.doc != nil {
-		it.toks, it.nodes, it.spare, it.terms = s.doc.ReleaseBuffers()
+		it.toks, it.nodes, it.terms = s.doc.ReleaseBuffers()
 	}
 	*s = Session{} // poison: any further use fails fast
 	p.items.Put(it)
