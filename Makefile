@@ -38,8 +38,9 @@ check: vet race bench-module
 # (tier-1 recovery preserves text; repairing converges to the batch parse),
 # the session-snapshot codec plus its write-ahead journal framing
 # (arbitrary bytes never panic; accepted snapshots restore and re-encode
-# canonically), and the document's incremental relex against a batch scan
-# over random edit scripts.
+# canonically), the document's incremental relex against a batch scan
+# over random edit scripts, and sequence-edit scripts over every bundled
+# language against a cold parse (balanced sequences, §3.4).
 fuzz-smoke:
 	$(GO) test -run FuzzParseOracle -fuzz FuzzParseOracle -fuzztime 30s ./internal/earley/
 	$(GO) test -run FuzzRecoveryConverges -fuzz FuzzRecoveryConverges -fuzztime 30s ./internal/recovery/
@@ -48,6 +49,7 @@ fuzz-smoke:
 	$(GO) test -run FuzzSessCodecRoundTrip -fuzz FuzzSessCodecRoundTrip -fuzztime 30s ./internal/sesscodec/
 	$(GO) test -run FuzzJournalDecode -fuzz FuzzJournalDecode -fuzztime 15s ./internal/sesscodec/
 	$(GO) test -run FuzzRelexMatchesScan -fuzz FuzzRelexMatchesScan -fuzztime 15s .
+	$(GO) test -run FuzzSequenceEditsEqualBatch -fuzz FuzzSequenceEditsEqualBatch -fuzztime 30s .
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

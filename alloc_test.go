@@ -145,3 +145,58 @@ func TestEditBytesIndependentOfFileSize(t *testing.T) {
 		}
 	}
 }
+
+// TestEditWorkIndependentOfFileSize pins what balanced sequences buy (§3.4)
+// in work counters rather than time: with every sequence committed as a
+// balanced tree and clean pieces consumed whole, a one-token edit costs the
+// parser O(lg n) stream steps and the commit O(lg n) new nodes, so the
+// shifts and reductions of a Do, and the bytes it allocates, barely move
+// from a 1,000-line file to a 16,000-line one (35 vs 40 shifts+reductions,
+// 3.7 vs 5.3 KB). Left-recursive sequences re-shift the list suffix
+// instead: 994 shifts+reductions and 92 KB per Do at 16,000 lines against
+// 92 and 8 KB at 1,000.
+func TestEditWorkIndependentOfFileSize(t *testing.T) {
+	const (
+		pairs       = 60 // 120 measured reparses
+		warmupPairs = 10
+	)
+	type work struct{ steps, bytes float64 }
+	measure := func(lines int) work {
+		src, _ := corpus.Generate(corpus.Spec{Name: "edit", Lines: lines, Lang: "c", Seed: 1})
+		s := incremental.NewSession(incremental.CSubset(), src)
+		if out := s.Do(context.Background()); !out.Clean {
+			t.Fatalf("%d lines: initial parse: %v", lines, out.Err)
+		}
+		script := corpus.SelfCancellingEdits(src, warmupPairs+pairs, 2)
+		var before, after runtime.MemStats
+		var steps int
+		var bytes uint64
+		dos := 0
+		for i, pair := range script {
+			for _, e := range pair {
+				s.Edit(e.Offset, e.Removed, e.Inserted)
+				runtime.ReadMemStats(&before)
+				out := s.Do(context.Background())
+				runtime.ReadMemStats(&after)
+				if !out.Clean {
+					t.Fatalf("%d lines: reparse after %+v: %v", lines, e, out.Err)
+				}
+				if i >= warmupPairs {
+					steps += out.Stats.Shifts + out.Stats.Reductions
+					bytes += after.TotalAlloc - before.TotalAlloc
+					dos++
+				}
+			}
+		}
+		w := work{steps: float64(steps) / float64(dos), bytes: float64(bytes) / float64(dos)}
+		t.Logf("%d lines: %.1f shifts+reductions, %.0f B allocated per Do over %d reparses", lines, w.steps, w.bytes, dos)
+		return w
+	}
+	small, large := measure(1000), measure(16000)
+	if large.steps > 2*small.steps {
+		t.Fatalf("shifts+reductions per Do grow with the file: %.1f at 16,000 lines vs %.1f at 1,000", large.steps, small.steps)
+	}
+	if large.bytes > 2*small.bytes {
+		t.Fatalf("bytes per Do grow with the file: %.0f at 16,000 lines vs %.0f at 1,000", large.bytes, small.bytes)
+	}
+}

@@ -15,7 +15,7 @@ import (
 
 func main() {
 	// A tiny configuration language: "key = value;" entries. The Entry*
-	// form declares an associative sequence (the dag may rebalance it).
+	// form declares an associative sequence (committed as a balanced tree).
 	lang, err := incremental.DefineLanguage(incremental.LanguageDef{
 		Name: "config",
 		Grammar: `

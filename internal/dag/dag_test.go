@@ -133,45 +133,99 @@ Stmt : x ';' ;
 	return g
 }
 
+// Recorded states of the test chains: chain nodes enter the continuation
+// state seqCont, elements their own goto state.
+const (
+	seqCont = 4
+	seqElem = 3
+)
+
 // chainOf builds the left-recursive parse structure the parser produces for
 // n statements.
 func chainOf(t testing.TB, g *grammar.Grammar, n int) *Node {
+	return chainOver(t, g, stmts(g, 0, n))
+}
+
+func stmts(g *grammar.Grammar, from, to int) []*Node {
 	stmtSym := g.Lookup("Stmt")
+	var out []*Node
+	for i := from; i < to; i++ {
+		out = append(out, testArena.Production(stmtSym, g.ProductionsFor(stmtSym)[0].ID, seqElem,
+			[]*Node{testArena.Terminal(g.Lookup("x"), fmt.Sprintf("x%d", i)), testArena.Terminal(g.Lookup("';'"), ";")}))
+	}
+	return out
+}
+
+func chainOver(t testing.TB, g *grammar.Grammar, elems []*Node) *Node {
 	plus := g.Lookup("Stmt+")
-	var plusProds []*grammar.Production
+	var single, rec *grammar.Production
 	for _, p := range g.ProductionsFor(plus) {
-		plusProds = append(plusProds, p)
+		if len(p.RHS) == 1 {
+			single = p
+		} else {
+			rec = p
+		}
 	}
-	if len(plusProds) != 2 {
-		t.Fatalf("expected 2 productions for Stmt+")
+	if single == nil || rec == nil {
+		t.Fatalf("expected X and X+ X productions for Stmt+")
 	}
-	single, rec := plusProds[0], plusProds[1]
-	if len(single.RHS) != 1 {
-		single, rec = rec, single
-	}
-	stmt := func(i int) *Node {
-		return testArena.Production(stmtSym, g.ProductionsFor(stmtSym)[0].ID, NoState,
-			[]*Node{testArena.Terminal(g.Lookup("x"), fmt.Sprintf("x%d", i)), testArena.Terminal(g.Lookup("';'"), ";")})
-	}
-	root := testArena.Production(plus, single.ID, NoState, []*Node{stmt(0)})
-	for i := 1; i < n; i++ {
-		root = testArena.Production(plus, rec.ID, NoState, []*Node{root, stmt(i)})
+	root := testArena.Production(plus, single.ID, seqCont, []*Node{elems[0]})
+	for _, e := range elems[1:] {
+		root = testArena.Production(plus, rec.ID, seqCont, []*Node{root, e})
 	}
 	return root
 }
 
-func TestRebalance(t *testing.T) {
+// seqElems flattens balanced sequence structure into its elements.
+func seqElems(n *Node) []*Node {
+	if n.Kind != KindSeq {
+		return []*Node{n}
+	}
+	var out []*Node
+	for _, k := range n.Kids {
+		out = append(out, seqElems(k)...)
+	}
+	return out
+}
+
+// checkCanonical verifies the canonical shape: leaves of at most
+// seqLeafLimit elements, longer runs split at the midpoint.
+func checkCanonical(t *testing.T, n *Node) {
+	t.Helper()
+	c := int(n.SeqCount)
+	if c <= seqLeafLimit {
+		if len(n.Kids) != c {
+			t.Fatalf("run of %d is not one leaf (%d kids)", c, len(n.Kids))
+		}
+		for _, k := range n.Kids {
+			if k.Kind == KindSeq {
+				t.Fatalf("leaf holds a sequence node")
+			}
+		}
+		return
+	}
+	if len(n.Kids) != 2 || int(n.Kids[0].SeqCount) != c/2 {
+		t.Fatalf("run of %d not split at the midpoint", c)
+	}
+	checkCanonical(t, n.Kids[0])
+	checkCanonical(t, n.Kids[1])
+}
+
+func TestSeqBuilderCanonical(t *testing.T) {
 	g := seqGrammar(t)
 	n := 1000
-	chain := chainOf(t, g, n)
-	bal := Rebalance(testArena, g, chain)
-	if got := SeqLen(bal); got != n {
-		t.Fatalf("SeqLen = %d, want %d", got, n)
+	bal := NewSeqBuilder(testArena, g).Canonical(chainOf(t, g, n))
+	if got := int(bal.SeqCount); got != n {
+		t.Fatalf("SeqCount = %d, want %d", got, n)
 	}
 	if d := SeqDepth(bal); d > 14 {
 		t.Fatalf("depth %d too large for %d elements", d, n)
 	}
-	elems := SeqElementsFlat(bal)
+	checkCanonical(t, bal)
+	if bal.State != seqCont {
+		t.Fatalf("root state %d, want the continuation state %d", bal.State, seqCont)
+	}
+	elems := seqElems(bal)
 	if len(elems) != n {
 		t.Fatalf("elements = %d", len(elems))
 	}
@@ -184,89 +238,131 @@ func TestRebalance(t *testing.T) {
 	}
 }
 
-func TestSeqEditorOps(t *testing.T) {
+// within appends the maximal subtrees of n (whose first element has index
+// a) that lie inside elements [from, to) — the pieces the document stream
+// offers around an edit.
+func within(n *Node, a, from, to int, out []SeqPart) []SeqPart {
+	c := int(seqCountOf(n))
+	if a >= to || a+c <= from {
+		return out
+	}
+	if a >= from && a+c <= to {
+		return append(out, SeqPart{Node: n, State: seqCont})
+	}
+	for _, k := range n.Kids {
+		out = within(k, a, from, to, out)
+		a += int(seqCountOf(k))
+	}
+	return out
+}
+
+// sameShape reports whether two balanced trees have one shape over the
+// same elements.
+func sameShape(a, b *Node) bool {
+	if a.Kind != KindSeq || b.Kind != KindSeq {
+		return a == b
+	}
+	if len(a.Kids) != len(b.Kids) || a.SeqCount != b.SeqCount {
+		return false
+	}
+	for i := range a.Kids {
+		if !sameShape(a.Kids[i], b.Kids[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+func TestSeqBuilderRandomAgainstSlice(t *testing.T) {
 	g := seqGrammar(t)
 	sym := g.Lookup("Stmt+")
-	ed := NewSeqEditor(testArena, sym)
-	root := Rebalance(testArena, g, chainOf(t, g, 50))
+	b := NewSeqBuilder(testArena, g)
+	rng := rand.New(rand.NewSource(7))
 
-	// Replace.
-	repl := term("REPL")
-	root2 := ed.Replace(root, 10, repl)
-	if ed.Get(root2, 10) != repl {
-		t.Fatalf("Replace failed")
-	}
-	if ed.Get(root, 10) == repl {
-		t.Fatalf("Replace mutated the old version (must be persistent)")
-	}
-	if SeqLen(root2) != 50 {
-		t.Fatalf("length changed on replace: %d", SeqLen(root2))
-	}
+	model := stmts(g, 0, 50)
+	root := b.Canonical(chainOver(t, g, model))
+	for step := 0; step < 1500; step++ {
+		i := rng.Intn(len(model))
+		removed, repl := 1, stmts(g, 1000+step, 1001+step)
+		switch op := rng.Intn(3); {
+		case op == 0 || len(model) == 1: // insert
+			removed = 0
+			i = rng.Intn(len(model) + 1)
+		case op == 1: // delete
+			repl = nil
+		}
+		parts := within(root, 0, 0, i, nil)
+		for _, e := range repl {
+			parts = append(parts, SeqPart{Node: e, State: seqCont})
+		}
+		parts = within(root, 0, i+removed, len(model), parts)
+		model = append(model[:i:i], append(repl, model[i+removed:]...)...)
 
-	// Insert.
-	ins := term("INS")
-	root3 := ed.Insert(root2, 0, ins)
-	if SeqLen(root3) != 51 || ed.Get(root3, 0) != ins {
-		t.Fatalf("Insert at 0 failed")
-	}
-	root4 := ed.Insert(root3, 51, term("END"))
-	if SeqLen(root4) != 52 || ed.Get(root4, 51).Text != "END" {
-		t.Fatalf("append failed: len=%d", SeqLen(root4))
-	}
+		before := testArena.NumNodes()
+		next := b.Build(sym, parts)
+		built := testArena.NumNodes() - before
+		if removed == 1 && len(repl) == 1 && built > SeqDepth(root) {
+			t.Fatalf("step %d: replacing one element built %d nodes at depth %d", step, built, SeqDepth(root))
+		}
+		root = next
 
-	// Delete.
-	root5 := ed.Delete(root4, 0)
-	if SeqLen(root5) != 51 || ed.Get(root5, 0) == ins {
-		t.Fatalf("Delete failed")
+		elems := seqElems(root)
+		if len(elems) != len(model) || int(root.SeqCount) != len(model) {
+			t.Fatalf("step %d: len %d, model %d", step, len(elems), len(model))
+		}
+		for k, e := range elems {
+			if e != model[k] {
+				t.Fatalf("step %d: element %d = %q, want %q", step, k, e.Yield(), model[k].Yield())
+			}
+		}
+		var fresh []SeqPart
+		for _, e := range model {
+			fresh = append(fresh, SeqPart{Node: e, State: seqCont})
+		}
+		if !sameShape(root, b.Build(sym, fresh)) {
+			t.Fatalf("step %d: reused pieces gave a non-canonical shape", step)
+		}
+		if root.State != seqCont {
+			t.Fatalf("step %d: clean sequence recorded state %d", step, root.State)
+		}
 	}
 }
 
-func TestSeqEditorRandomAgainstSlice(t *testing.T) {
+func TestSeqBuilderMarksMultiParserBoundaries(t *testing.T) {
 	g := seqGrammar(t)
-	sym := g.Lookup("Stmt+")
-	ed := NewSeqEditor(testArena, sym)
-	rng := rand.New(rand.NewSource(7))
-
-	var model []string
-	root := testArena.Seq(sym, nil)
-	for i := 0; i < 20; i++ {
-		e := term(fmt.Sprintf("e%d", i))
-		model = append(model, e.Text)
-		root = ed.Insert(root, len(model)-1, e)
+	chain := chainOf(t, g, 40)
+	// The reduction appending element 29 (the chain's 11th node from the
+	// top) ran while several parsers stayed active.
+	n := chain
+	for i := 0; i < 10; i++ {
+		n = n.Kids[0]
 	}
-	for step := 0; step < 2000; step++ {
-		op := rng.Intn(3)
-		switch {
-		case op == 0 || len(model) == 0: // insert
-			i := rng.Intn(len(model) + 1)
-			e := term(fmt.Sprintf("n%d", step))
-			root = ed.Insert(root, i, e)
-			model = append(model[:i:i], append([]string{e.Text}, model[i:]...)...)
-		case op == 1: // delete
-			i := rng.Intn(len(model))
-			root = ed.Delete(root, i)
-			model = append(model[:i:i], model[i+1:]...)
-		default: // replace
-			i := rng.Intn(len(model))
-			e := term(fmt.Sprintf("r%d", step))
-			root = ed.Replace(root, i, e)
-			model = append(append(model[:i:i], e.Text), model[i+1:]...)
+	n.State = MultiState
+	b := NewSeqBuilder(testArena, g)
+	root := b.Canonical(chain)
+	// A record says MultiState exactly when the node's run holds element 29.
+	var check func(n *Node, a int)
+	check = func(n *Node, a int) {
+		if n.Kind != KindSeq {
+			return
 		}
-		if SeqLen(root) != len(model) {
-			t.Fatalf("step %d: len %d, model %d", step, SeqLen(root), len(model))
+		holds := a <= 29 && 29 < a+int(n.SeqCount)
+		if (n.State == MultiState) != holds {
+			t.Fatalf("run [%d,%d): state %d", a, a+int(n.SeqCount), n.State)
 		}
-		if step%97 == 0 {
-			elems := SeqElementsFlat(root)
-			for i, e := range elems {
-				if e.Text != model[i] {
-					t.Fatalf("step %d: element %d = %q, want %q", step, i, e.Text, model[i])
-				}
-			}
-			// Depth stays logarithmic-ish.
-			if d, n := SeqDepth(root), len(model); n > 16 && d > 4*log2(n) {
-				t.Fatalf("step %d: depth %d too large for %d elements", step, d, n)
-			}
+		for _, k := range n.Kids {
+			check(k, a)
+			a += int(seqCountOf(k))
 		}
+	}
+	check(root, 0)
+
+	// An element that records no parse state (an error region) marks its
+	// leaf too.
+	errNode := testArena.Error([]*Node{term("junk")}, nil)
+	leaf := b.Build(g.Lookup("Stmt+"), []SeqPart{{Node: stmts(g, 0, 1)[0], State: seqCont}, {Node: errNode, State: seqCont}})
+	if leaf.State != MultiState {
+		t.Fatalf("leaf over an error region records state %d", leaf.State)
 	}
 }
 
@@ -281,10 +377,11 @@ func log2(n int) int {
 
 func TestSeqDepthLogarithmicProperty(t *testing.T) {
 	g := seqGrammar(t)
+	b := NewSeqBuilder(testArena, g)
 	f := func(k uint8) bool {
 		n := int(k)%2000 + 1
-		bal := Rebalance(testArena, g, chainOf(t, g, n))
-		return SeqDepth(bal) <= 2*log2(n)+4 && SeqLen(bal) == n
+		bal := b.Canonical(chainOf(t, g, n))
+		return SeqDepth(bal) <= 2*log2(n)+4 && int(bal.SeqCount) == n
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
@@ -293,7 +390,7 @@ func TestSeqDepthLogarithmicProperty(t *testing.T) {
 
 func TestFormat(t *testing.T) {
 	g := seqGrammar(t)
-	root := Rebalance(testArena, g, chainOf(t, g, 3))
+	root := NewSeqBuilder(testArena, g).Canonical(chainOf(t, g, 3))
 	s := Format(g, root)
 	if s == "" {
 		t.Fatal("empty format")

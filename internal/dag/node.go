@@ -41,8 +41,10 @@ const (
 	// are the alternative interpretations of their common yield.
 	KindChoice
 	// KindSeq is an internal node of a balanced associative sequence: Sym
-	// is the sequence nonterminal; its children are elements and/or other
-	// KindSeq nodes. Created by rebalancing, not by the parser.
+	// is the X+ sequence nonterminal; its children are elements (a leaf)
+	// or two KindSeq nodes. Built in canonical shape by SeqBuilder when a
+	// tree is committed, never by the parser; State records the sequence's
+	// continuation state (see seq.go).
 	KindSeq
 	// KindError is an isolated syntax-error region: its children are the
 	// quarantined terminals, kept verbatim so the document's text is never

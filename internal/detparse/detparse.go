@@ -34,6 +34,7 @@ type Stats struct {
 	TerminalShifts int
 	Reductions     int
 	Breakdowns     int
+	SeqPieces      int // balanced sequence pieces consumed whole (§3.4); each is also a subtree shift
 }
 
 // Parser is a deterministic incremental LR parser. It may be reused across
@@ -164,12 +165,23 @@ func (p *Parser) ParseContext(ctx context.Context, stream Stream) (root *dag.Nod
 
 		if !la.IsTerminal() {
 			// Subtree lookahead: state-matching reuse, precomputed
-			// nonterminal reductions, or breakdown (§3.2).
+			// nonterminal reductions, or breakdown (§3.2). A balanced
+			// sequence piece records its sequence's continuation state: it
+			// is shifted as X+ at the start of a sequence; later in it, the
+			// piece — or an element its leaf vouches for — is appended to
+			// the X+ on top of the stack (§3.4).
+			if p.appendSeq(top, la) {
+				stream.Pop()
+				continue
+			}
 			if !la.Changed && !la.IsChoice() && la.State >= 0 {
 				if gt := p.table.Goto(top, la.Sym); gt >= 0 && gt == int(la.State) {
 					p.stack = append(p.stack, entry{state: gt, node: la})
 					p.Stats.Shifts++
 					p.Stats.SubtreeShifts++
+					if la.Kind == dag.KindSeq {
+						p.Stats.SeqPieces++
+					}
 					p.tokens += int(la.TermCount)
 					stream.Pop()
 					continue
@@ -210,6 +222,25 @@ func (p *Parser) ParseContext(ctx context.Context, stream Stream) (root *dag.Nod
 			return p.stack[len(p.stack)-1].node, nil
 		}
 	}
+}
+
+// appendSeq applies the continuation half of the sequence consume rule,
+// exactly as the IGLR parser does: when the stack top is the X+ that the
+// offered subtree la continues — the current state is la's recorded
+// continuation state (see dag.SeqRecord) — la is appended to it in one
+// step.
+func (p *Parser) appendSeq(state int, la *dag.Node) bool {
+	rec := dag.SeqRecord(la)
+	top := &p.stack[len(p.stack)-1]
+	if rec == nil || state != int(rec.State) || len(p.stack) == 1 || top.node.Sym != rec.Sym {
+		return false
+	}
+	top.node = dag.SeqJoin(p.arena, p.g, top.node, la, state)
+	p.Stats.Shifts++
+	p.Stats.SubtreeShifts++
+	p.Stats.SeqPieces++
+	p.tokens += int(la.TermCount)
+	return true
 }
 
 // reduce pops the handle and pushes the new nonterminal node, recording the

@@ -40,7 +40,7 @@ type Document struct {
 	root *dag.Node // last committed parse root; nil before first parse
 
 	// arena allocates every dag node of this document — terminals, parser
-	// structure, rebalanced sequences. One arena per document keeps node
+	// structure, balanced sequences. One arena per document keeps node
 	// IDs unique across the whole tree, which the slice-backed traversal
 	// scratch tables depend on.
 	arena *dag.Arena
@@ -59,6 +59,10 @@ type Document struct {
 
 	// marked collects nodes whose change bits must be cleared at commit.
 	marked []*dag.Node
+
+	// seq rebuilds the sequences a parse produced into canonical balanced
+	// shape at commit; created on the first commit that needs it.
+	seq *dag.SeqBuilder
 
 	// pending records the edits applied since the last commit, with the
 	// removed text captured so they can be reverted — the history that
@@ -160,7 +164,7 @@ func (d *Document) newTerminal(tok lexer.Token) *dag.Node {
 }
 
 // Arena returns the arena owning every node of this document's dag. Passes
-// that create nodes over the tree (rebalancing, sequence edits) must
+// that create nodes over the tree (balanced sequences, error splices) must
 // allocate from it.
 func (d *Document) Arena() *dag.Arena { return d.arena }
 
@@ -397,9 +401,11 @@ func (d *Document) propagate(n *dag.Node) {
 	}
 }
 
-// Commit installs a freshly parsed root: parent pointers are set for new
-// structure (reused subtrees keep theirs), change bits are cleared, and the
-// document's terminals become the committed tree's leaves.
+// Commit installs a freshly parsed root: every sequence the parse built is
+// rebuilt into the canonical balanced shape (§3.4, dag.SeqBuilder), parent
+// pointers are set for new structure (reused subtrees keep theirs), change
+// bits are cleared, and the document's terminals become the committed
+// tree's leaves.
 func (d *Document) Commit(root *dag.Node) {
 	for _, n := range d.marked {
 		n.Changed = false
@@ -409,16 +415,17 @@ func (d *Document) Commit(root *dag.Node) {
 	d.marked = d.marked[:0]
 
 	root.Parent = nil
-	commitWalk(root)
+	d.commitWalk(root)
 	d.root = root
 	d.pending = d.pending[:0]
 }
 
-// commitWalk descends through freshly built structure, setting parent
-// pointers and the committed bit. Interiors of reused (already committed)
-// subtrees are untouched — their parents are still correct — which keeps
-// the commit proportional to the amount of new structure.
-func commitWalk(n *dag.Node) {
+// commitWalk descends through freshly built structure, rebuilding the
+// sequence chains under it into canonical shape and setting parent pointers
+// and the committed bit. Interiors of reused (already committed) subtrees
+// are untouched — their parents are still correct — which keeps the commit
+// proportional to the amount of new structure.
+func (d *Document) commitWalk(n *dag.Node) {
 	fresh := !n.Committed
 	n.Committed = true
 	n.Changed = false
@@ -427,9 +434,19 @@ func commitWalk(n *dag.Node) {
 	if !fresh {
 		return
 	}
-	for _, k := range n.Kids {
+	// Only a production with an X+ operand, or a choice between such
+	// readings, can hold a chain.
+	host := n.Kind != dag.KindProduction || d.g.IsSeqHost(int(n.Prod))
+	for i, k := range n.Kids {
+		if host && !k.Committed && dag.IsSeqChain(d.g, k) {
+			if d.seq == nil {
+				d.seq = dag.NewSeqBuilder(d.arena, d.g)
+			}
+			k = d.seq.Canonical(k)
+			n.Kids[i] = k
+		}
 		k.Parent = n
-		commitWalk(k)
+		d.commitWalk(k)
 	}
 }
 

@@ -85,7 +85,8 @@ func parseAndCommit(t testing.TB, l *testLang, d *Document) (*dag.Node, iglr.Sta
 	return root, p.Stats
 }
 
-// batchParse parses text from scratch through a fresh document.
+// batchParse parses text from scratch through a fresh document and commits
+// it, which is where sequences take their balanced shape.
 func batchParse(t testing.TB, l *testLang, src string) *dag.Node {
 	t.Helper()
 	d := l.doc(src)
@@ -94,7 +95,8 @@ func batchParse(t testing.TB, l *testLang, src string) *dag.Node {
 	if err != nil {
 		t.Fatalf("batch parse of %q: %v", src, err)
 	}
-	return root
+	d.Commit(root)
+	return d.Root()
 }
 
 // equalStructure compares parse structure, ignoring parse states and node
@@ -346,11 +348,12 @@ func TestRandomizedIncrementalEqualsBatch(t *testing.T) {
 			t.Fatalf("step %d: incremental err=%v batch err=%v text=%q", step, err, wantErr, d.Text())
 		}
 		if err == nil {
-			if !equalStructure(root, want) {
-				t.Fatalf("step %d: structure mismatch for %q:\nincremental:\n%sbatch:\n%s",
-					step, d.Text(), dag.Format(l.g, root), dag.Format(l.g, want))
-			}
 			d.Commit(root)
+			refDoc.Commit(want)
+			if !equalStructure(d.Root(), refDoc.Root()) {
+				t.Fatalf("step %d: structure mismatch for %q:\nincremental:\n%sbatch:\n%s",
+					step, d.Text(), dag.Format(l.g, d.Root()), dag.Format(l.g, refDoc.Root()))
+			}
 			parses++
 			continue
 		}
@@ -363,11 +366,11 @@ func TestRandomizedIncrementalEqualsBatch(t *testing.T) {
 		if err2 != nil {
 			t.Fatalf("step %d: reverted text %q fails to parse: %v", step, d.Text(), err2)
 		}
+		d.Commit(root2)
 		want2 := batchParse(t, l, d.Text())
-		if !equalStructure(root2, want2) {
+		if !equalStructure(d.Root(), want2) {
 			t.Fatalf("step %d: reverted structure mismatch for %q", step, d.Text())
 		}
-		d.Commit(root2)
 	}
 	if parses < 30 || reverts < 30 {
 		t.Fatalf("unbalanced coverage: %d parses, %d reverts", parses, reverts)

@@ -14,18 +14,21 @@ func (r Region) Len() int { return r.Hi - r.Lo }
 // Contains reports whether terminal index i falls inside the region.
 func (r Region) Contains(i int) bool { return i >= r.Lo && i < r.Hi }
 
-// MaskedStream is a parser input that yields the document's significant
-// terminals one at a time, skipping every index covered by a quarantine
-// region. Unlike the ordinary Stream it never offers whole subtrees — the
-// masked token sequence differs from the committed tree's yield, so
-// position-based subtree reuse does not apply; bottom-up node retention in
-// the parser still reuses unchanged structure away from the regions.
+// MaskedStream is the parser input of error isolation: the document's
+// significant terminals with every index covered by a quarantine region
+// skipped. Away from the regions it offers reusable subtrees exactly as the
+// ordinary Stream does, with one more condition: an offered subtree ends
+// strictly before the next region, so it neither contains a masked
+// terminal nor is followed, in the masked sequence, by a token other than
+// the one its construction saw. Near the regions, state matching and the
+// parser's bottom-up node retention rebuild what is left.
 type MaskedStream struct {
 	d       *Document
 	terms   []*dag.Node
 	regions []Region // sorted by Lo, disjoint
-	k       int      // next candidate terminal index
+	k       int      // next uncovered terminal index
 	ri      int      // first region not yet passed
+	pending []*dag.Node
 	eofSent bool
 }
 
@@ -54,8 +57,12 @@ func (s *MaskedStream) skip() {
 	}
 }
 
-// La returns the current lookahead terminal (or the EOF node, then nil).
+// La returns the current lookahead: a terminal or a reusable subtree, then
+// the EOF node, then nil.
 func (s *MaskedStream) La() *dag.Node {
+	if len(s.pending) > 0 {
+		return s.pending[len(s.pending)-1]
+	}
 	s.skip()
 	if s.k >= len(s.terms) {
 		if s.eofSent {
@@ -63,30 +70,48 @@ func (s *MaskedStream) La() *dag.Node {
 		}
 		return s.d.eof
 	}
-	return s.terms[s.k]
+	end := len(s.terms)
+	if s.ri < len(s.regions) {
+		end = s.regions[s.ri].Lo - 1
+	}
+	best := maximalSubtree(s.terms[s.k], end-s.k)
+	s.pending = append(s.pending, best)
+	return best
 }
 
-// Pop advances past the current terminal.
+// Pop advances past the current lookahead.
 func (s *MaskedStream) Pop() {
-	if n := s.La(); n == s.d.eof {
-		s.eofSent = true
-		return
-	} else if n == nil {
+	n := s.La()
+	if n == nil {
 		return
 	}
-	s.k++
+	if n == s.d.eof {
+		s.eofSent = true
+		return
+	}
+	s.pending = s.pending[:len(s.pending)-1]
+	s.k += int(n.TermCount)
 }
 
-// Breakdown panics: the stream only ever yields terminals, so a correct
-// parser never requests a breakdown.
+// Breakdown replaces the current subtree by its children, as the ordinary
+// Stream does.
 func (s *MaskedStream) Breakdown() {
-	panic("document: breakdown on a masked terminal stream")
+	n := s.La()
+	if n == nil {
+		return
+	}
+	if n.IsTerminal() {
+		panic("document: breakdown of a terminal")
+	}
+	s.pending = breakdown(s.pending)
 }
 
-// CurIndex returns the document-terminal index of the current lookahead
-// (len(terms) at EOF) — how a parse failure on the masked stream is mapped
-// back to document coordinates.
+// CurIndex returns the document-terminal index of the current lookahead's
+// first terminal (len(terms) at EOF) — how a parse failure on the masked
+// stream is mapped back to document coordinates.
 func (s *MaskedStream) CurIndex() int {
-	s.skip()
+	if len(s.pending) == 0 {
+		s.skip()
+	}
 	return s.k
 }

@@ -66,20 +66,30 @@ func (s *Stream) La() *dag.Node {
 		return s.eof
 	}
 	t := s.terms[s.k]
-	best := t
-	if t.Committed && !t.Changed {
-		for a := t.Parent; a != nil && a.Committed && a.LeftmostTerm == t && !a.NestedChange; a = a.Parent {
-			r := a.RightmostTerm
-			if r == nil || r.RightChanged {
-				break
-			}
-			best = a
-		}
-	}
+	best := maximalSubtree(t, len(s.terms)-s.k)
 	if best != t {
 		s.SubtreeOffers++
 	}
 	s.pending = append(s.pending, best)
+	return best
+}
+
+// maximalSubtree returns the largest committed subtree of at most maxTerms
+// terminals that the stream may offer at the clean terminal t: its yield
+// starts with t, it contains no nested change, and the right-context bit of
+// its last terminal is clear. It returns t itself when there is none.
+func maximalSubtree(t *dag.Node, maxTerms int) *dag.Node {
+	best := t
+	if !t.Committed || t.Changed {
+		return best
+	}
+	for a := t.Parent; a != nil && a.Committed && a.LeftmostTerm == t && !a.NestedChange && int(a.TermCount) <= maxTerms; a = a.Parent {
+		r := a.RightmostTerm
+		if r == nil || r.RightChanged {
+			break
+		}
+		best = a
+	}
 	return best
 }
 
@@ -108,7 +118,15 @@ func (s *Stream) Breakdown() {
 	if n.IsTerminal() {
 		panic("document: breakdown of a terminal")
 	}
-	s.pending = s.pending[:len(s.pending)-1]
+	s.pending = breakdown(s.pending)
+}
+
+// breakdown replaces the subtree on top of pending by its children, last
+// child deepest, dropping null-yield ones; a choice node gives way to its
+// first live interpretation.
+func breakdown(pending []*dag.Node) []*dag.Node {
+	n := pending[len(pending)-1]
+	pending = pending[:len(pending)-1]
 	if n.IsChoice() {
 		alt := n.Kids[0]
 		for _, k := range n.Kids {
@@ -118,13 +136,14 @@ func (s *Stream) Breakdown() {
 			}
 		}
 		if alt.TermCount > 0 {
-			s.pending = append(s.pending, alt)
+			pending = append(pending, alt)
 		}
-		return
+		return pending
 	}
 	for i := len(n.Kids) - 1; i >= 0; i-- {
 		if k := n.Kids[i]; k.TermCount > 0 {
-			s.pending = append(s.pending, k)
+			pending = append(pending, k)
 		}
 	}
+	return pending
 }

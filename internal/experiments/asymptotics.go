@@ -1,17 +1,14 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
 	"time"
 
+	incremental "iglr"
 	"iglr/internal/dag"
-	"iglr/internal/grammar"
-	"iglr/internal/iglr"
-	"iglr/internal/langs"
-	"iglr/internal/lexer"
-	"iglr/internal/lr"
 )
 
 // §3.4: incremental behavior requires logarithmic node access. Repetitive
@@ -19,60 +16,61 @@ import (
 // incremental algorithms over them degenerate to linear time. Storing
 // associative sequences as balanced binary trees restores O(t + s·lg N).
 //
-// The experiment measures both representations: per-edit reparse cost over
-// a flat sequence of N statements, with the edit inside a single element.
+// The experiment measures both representations on the live editing path —
+// Session.Edit + Session.Do — over a flat program of N statements, with
+// each edit inside a single statement:
 //
-//   - list: the committed tree keeps the generated left-recursive chain;
-//     a full incremental IGLR reparse must re-shift every element after
-//     the edit and re-run the chain reductions — Θ(N).
-//   - balanced: the committed sequence is rebalanced (dag.Rebalance); the
-//     edit reparses only the modified element (with a statement-level
-//     parser) and splices it into the balanced sequence by path copying —
-//     O(lg N).
+//   - list: the statements are a hand-written left recursion
+//     (Prog : Prog Stmt | Stmt), which the dag stores as written; every
+//     reparse re-shifts the statements after the edit and re-runs their
+//     list reductions — Θ(N).
+//   - balanced: the statements are a generated sequence (Prog : Stmt*),
+//     committed as a balanced tree; the parser consumes each clean piece
+//     around the edit in one step and the commit rebuilds only the spine
+//     above the edit — O(lg N).
 
-// stmtLang parses a single statement (the element-level parser of the
-// balanced fast path); it shares the surface syntax of DetLang.
-var stmtLang = &langs.Builder{
-	Name: "det-single-statement",
-	GramSrc: `
-%token ID NUM '=' ';' '+' '(' ')' INT
-%start Stmt
+// stmtGrammar is the statement syntax shared by both programs.
+const stmtGrammar = `
 Stmt : ID '=' Expr ';' ;
 Expr : Expr '+' Term | Term ;
 Term : ID | NUM | '(' Expr ')' ;
-`,
-	LexRules: []lexer.Rule{
-		{Name: "WS", Pattern: `[ \t\n\r]+`, Skip: true},
-		{Name: "ID", Pattern: `[a-zA-Z_][a-zA-Z0-9_]*`},
-		{Name: "NUM", Pattern: `[0-9]+`},
-		{Name: "EQ", Pattern: `=`},
-		{Name: "SEMI", Pattern: `;`},
-		{Name: "PLUS", Pattern: `\+`},
-		{Name: "LP", Pattern: `\(`},
-		{Name: "RP", Pattern: `\)`},
-	},
-	TokenSyms: map[string]string{
-		"ID": "ID", "NUM": "NUM", "EQ": "'='", "SEMI": "';'", "PLUS": "'+'",
-		"LP": "'('", "RP": "')'",
-	},
-	Options: lr.Options{Method: lr.LALR},
+`
+
+var stmtLexer = []incremental.LexRule{
+	{Name: "WS", Pattern: `[ \t\n\r]+`, Skip: true},
+	{Name: "ID", Pattern: `[a-zA-Z_][a-zA-Z0-9_]*`},
+	{Name: "NUM", Pattern: `[0-9]+`},
+	{Name: "EQ", Pattern: `=`},
+	{Name: "SEMI", Pattern: `;`},
+	{Name: "PLUS", Pattern: `\+`},
+	{Name: "LP", Pattern: `\(`},
+	{Name: "RP", Pattern: `\)`},
 }
 
-// seqLang is the whole-document language for the sequence experiment: a
-// flat statement sequence.
-var seqLang = &langs.Builder{
-	Name: "det-stmt-sequence",
-	GramSrc: `
-%token ID NUM '=' ';' '+' '(' ')' INT
-%start Prog
-Prog : Stmt* ;
-Stmt : ID '=' Expr ';' ;
-Expr : Expr '+' Term | Term ;
-Term : ID | NUM | '(' Expr ')' ;
-`,
-	LexRules:  stmtLang.LexRules,
-	TokenSyms: stmtLang.TokenSyms,
-	Options:   lr.Options{Method: lr.LALR},
+var stmtTokens = map[string]string{
+	"ID": "ID", "NUM": "NUM", "EQ": "'='", "SEMI": "';'", "PLUS": "'+'",
+	"LP": "'('", "RP": "')'",
+}
+
+func stmtLanguage(name, prog string) (*incremental.Language, error) {
+	return incremental.DefineLanguage(incremental.LanguageDef{
+		Name:      name,
+		Grammar:   "%token ID NUM '=' ';' '+' '(' ')'\n%start Prog\n" + prog + stmtGrammar,
+		Lexer:     stmtLexer,
+		TokenSyms: stmtTokens,
+	}, incremental.WithoutCompiledCache())
+}
+
+// seqLanguage is the balanced column's language: a generated statement
+// sequence, Prog : Stmt*.
+func seqLanguage() (*incremental.Language, error) {
+	return stmtLanguage("stmt-sequence", "Prog : Stmt* ;\n")
+}
+
+// listLanguage is the list column's language: the same statements under a
+// hand-written left recursion, Prog : Prog Stmt | Stmt.
+func listLanguage() (*incremental.Language, error) {
+	return stmtLanguage("stmt-list", "Prog : Prog Stmt | Stmt ;\n")
 }
 
 func seqProgram(n int) string {
@@ -84,152 +82,99 @@ func seqProgram(n int) string {
 	return b.String()
 }
 
-// BalancedSeq is an editable balanced-sequence view of a parsed statement
-// list: edits inside one element reparse only that element and splice it
-// by path copying — the document-level realization of §3.4's balanced
-// sequence representation.
-type BalancedSeq struct {
-	arena   *dag.Arena // shared by the sequence and all element reparses
-	seqSym  grammar.Sym
-	ed      *dag.SeqEditor
-	root    *dag.Node // the balanced sequence
-	stmtP   *iglr.Parser
-	stmtDef *langs.Language
+// literalOffsets returns the byte offset of each statement's numeric
+// literal in seqProgram(n).
+func literalOffsets(n int) []int {
+	out := make([]int, n)
+	off := 0
+	for i := 0; i < n; i++ {
+		prefix := fmt.Sprintf("v%d = v%d + ", i, i)
+		out[i] = off + len(prefix)
+		off += len(prefix) + len(fmt.Sprint(i%97)) + len(";\n")
+	}
+	return out
 }
 
-// NewBalancedSeq parses src (a statement sequence) and rebalances it.
-func NewBalancedSeq(src string) (*BalancedSeq, error) {
-	ul := seqLang.Lang()
-	d := ul.NewDocument(src)
-	p := iglr.New(ul.Table)
-	root, err := p.Parse(d.Stream())
-	if err != nil {
-		return nil, err
-	}
-	g := ul.Grammar
-	bal := dag.Rebalance(d.Arena(), g, root)
-	// Locate the balanced sequence node (child of Prog).
-	var seq *dag.Node
-	bal.Walk(func(n *dag.Node) {
+// seqRoot returns the balanced sequence under a committed tree (nil when
+// there is none).
+func seqRoot(root *incremental.Node) *incremental.Node {
+	var seq *incremental.Node
+	root.Walk(func(n *dag.Node) {
 		if n.Kind == dag.KindSeq && seq == nil {
 			seq = n
 		}
 	})
-	if seq == nil {
-		return nil, fmt.Errorf("no sequence structure found")
-	}
-	sl := stmtLang.Lang()
-	return &BalancedSeq{
-		arena:   d.Arena(),
-		seqSym:  seq.Sym,
-		ed:      dag.NewSeqEditor(d.Arena(), seq.Sym),
-		root:    seq,
-		stmtP:   iglr.New(sl.Table),
-		stmtDef: sl,
-	}, nil
-}
-
-// Len returns the element count.
-func (s *BalancedSeq) Len() int { return dag.SeqLen(s.root) }
-
-// Depth returns the balanced-tree height.
-func (s *BalancedSeq) Depth() int { return dag.SeqDepth(s.root) }
-
-// Element returns statement i.
-func (s *BalancedSeq) Element(i int) *dag.Node { return s.ed.Get(s.root, i) }
-
-// ReplaceElement reparses newText as a single statement and splices it in
-// place of element i. Cost: O(|newText| + lg N).
-func (s *BalancedSeq) ReplaceElement(i int, newText string) error {
-	// The element tree is spliced into the host sequence, so it must come
-	// from the host arena — node IDs index shared scratch tables.
-	d := s.stmtDef.NewDocumentInArena(s.arena, newText)
-	node, err := s.stmtP.Parse(d.Stream())
-	if err != nil {
-		return err
-	}
-	s.root = s.ed.Replace(s.root, i, node)
-	return nil
-}
-
-// Yield concatenates the sequence text (diagnostic; O(N)).
-func (s *BalancedSeq) Yield() string {
-	var b strings.Builder
-	for _, e := range dag.SeqElementsFlat(s.root) {
-		b.WriteString(e.Yield())
-	}
-	return b.String()
+	return seq
 }
 
 // AsymptoticsPoint is one measured size in the §3.4 experiment.
 type AsymptoticsPoint struct {
 	Statements int
-	// List representation: full incremental IGLR reparse per edit.
+	// List representation: hand-written left recursion.
 	ListNsPerEdit     float64
 	ListShiftsPerEdit float64
-	// Balanced representation: element reparse + path-copy splice.
-	BalancedNsPerEdit float64
-	BalancedDepth     int
+	// Balanced representation: generated sequence, balanced at commit.
+	BalancedNsPerEdit     float64
+	BalancedShiftsPerEdit float64
+	BalancedDepth         int
+}
+
+// editSession runs editsPer self-cancelling literal edits (each an edit and
+// its inverse, one Do after each) over seqProgram(n) in a session of lang,
+// returning the mean time and shifts per Do and the session.
+func editSession(lang *incremental.Language, n, editsPer int, seed int64) (ns, shifts float64, s *incremental.Session, err error) {
+	src := seqProgram(n)
+	offs := literalOffsets(n)
+	s = incremental.NewSession(lang, src)
+	ctx := context.Background()
+	if out := s.Do(ctx); out.Err != nil {
+		return 0, 0, nil, out.Err
+	}
+	rng := rand.New(rand.NewSource(seed))
+	total := 0
+	var el time.Duration
+	for e := 0; e < editsPer; e++ {
+		off := offs[rng.Intn(n)]
+		for _, text := range []string{"8", src[off : off+1]} {
+			start := time.Now()
+			s.Edit(off, 1, text)
+			out := s.Do(ctx)
+			el += time.Since(start)
+			if out.Err != nil {
+				return 0, 0, nil, out.Err
+			}
+			total += out.Stats.Shifts
+		}
+	}
+	dos := float64(2 * editsPer)
+	return float64(el.Nanoseconds()) / dos, float64(total) / dos, s, nil
 }
 
 // RunAsymptotics measures both representations across sizes.
 func RunAsymptotics(sizes []int, editsPer int) ([]AsymptoticsPoint, error) {
+	listLang, err := listLanguage()
+	if err != nil {
+		return nil, err
+	}
+	seqLang, err := seqLanguage()
+	if err != nil {
+		return nil, err
+	}
 	var out []AsymptoticsPoint
 	for _, n := range sizes {
 		pt := AsymptoticsPoint{Statements: n}
-		src := seqProgram(n)
-		rng := rand.New(rand.NewSource(int64(n)))
-
-		// List representation: IGLR incremental reparse of the document.
-		ul := seqLang.Lang()
-		d := ul.NewDocument(src)
-		p := iglr.New(ul.Table)
-		root, err := p.Parse(d.Stream())
-		if err != nil {
+		if pt.ListNsPerEdit, pt.ListShiftsPerEdit, _, err = editSession(listLang, n, editsPer, int64(n)); err != nil {
 			return nil, err
 		}
-		d.Commit(root)
-		totalShifts := 0
-		start := time.Now()
-		for e := 0; e < editsPer; e++ {
-			// Replace the numeric literal of a random statement.
-			i := rng.Intn(n)
-			off := strings.Index(src, fmt.Sprintf("v%d = v%d + ", i, i))
-			off += len(fmt.Sprintf("v%d = v%d + ", i, i))
-			d.Replace(off, 1, "8")
-			root, err := p.Parse(d.Stream())
-			if err != nil {
-				return nil, err
-			}
-			totalShifts += p.Stats.Shifts
-			d.Commit(root)
-			d.Replace(off, 1, fmt.Sprintf("%d", (i%97)/10)) // restore-ish (single digit)
-			root, err = p.Parse(d.Stream())
-			if err != nil {
-				return nil, err
-			}
-			totalShifts += p.Stats.Shifts
-			d.Commit(root)
-		}
-		el := time.Since(start)
-		pt.ListNsPerEdit = float64(el.Nanoseconds()) / float64(2*editsPer)
-		pt.ListShiftsPerEdit = float64(totalShifts) / float64(2*editsPer)
-
-		// Balanced representation.
-		bs, err := NewBalancedSeq(src)
-		if err != nil {
+		var s *incremental.Session
+		if pt.BalancedNsPerEdit, pt.BalancedShiftsPerEdit, s, err = editSession(seqLang, n, editsPer, int64(n)); err != nil {
 			return nil, err
 		}
-		start = time.Now()
-		for e := 0; e < 2*editsPer; e++ {
-			i := rng.Intn(n)
-			if err := bs.ReplaceElement(i, fmt.Sprintf("v%d = v%d + 8;", i, i)); err != nil {
-				return nil, err
-			}
+		seq := seqRoot(s.Tree())
+		if seq == nil {
+			return nil, fmt.Errorf("no balanced sequence in the committed tree")
 		}
-		el = time.Since(start)
-		pt.BalancedNsPerEdit = float64(el.Nanoseconds()) / float64(2*editsPer)
-		pt.BalancedDepth = bs.Depth()
+		pt.BalancedDepth = dag.SeqDepth(seq)
 		out = append(out, pt)
 	}
 	return out, nil
@@ -238,11 +183,12 @@ func RunAsymptotics(sizes []int, editsPer int) ([]AsymptoticsPoint, error) {
 // FormatAsymptotics renders the series.
 func FormatAsymptotics(pts []AsymptoticsPoint) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%10s %16s %16s %16s %6s\n",
-		"stmts", "list ns/edit", "list shifts", "balanced ns", "depth")
+	fmt.Fprintf(&b, "%10s %14s %12s %14s %12s %6s\n",
+		"stmts", "list ns/edit", "list shifts", "bal ns/edit", "bal shifts", "depth")
 	for _, p := range pts {
-		fmt.Fprintf(&b, "%10d %16.0f %16.1f %16.0f %6d\n",
-			p.Statements, p.ListNsPerEdit, p.ListShiftsPerEdit, p.BalancedNsPerEdit, p.BalancedDepth)
+		fmt.Fprintf(&b, "%10d %14.0f %12.1f %14.0f %12.1f %6d\n",
+			p.Statements, p.ListNsPerEdit, p.ListShiftsPerEdit,
+			p.BalancedNsPerEdit, p.BalancedShiftsPerEdit, p.BalancedDepth)
 	}
 	return b.String()
 }

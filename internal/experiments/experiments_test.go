@@ -1,8 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
+
+	incremental "iglr"
+	"iglr/internal/dag"
 )
 
 func TestTable1Scaled(t *testing.T) {
@@ -186,24 +190,66 @@ func TestAsymptoticsShape(t *testing.T) {
 }
 
 func TestBalancedSeqEditing(t *testing.T) {
-	bs, err := NewBalancedSeq(seqProgram(100))
+	lang, err := seqLanguage()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bs.Len() != 100 {
-		t.Fatalf("len = %d", bs.Len())
+	src := seqProgram(100)
+	s := incremental.NewSession(lang, src)
+	ctx := context.Background()
+	if out := s.Do(ctx); out.Err != nil {
+		t.Fatal(out.Err)
 	}
-	if err := bs.ReplaceElement(50, "v50 = v50 + 777;"); err != nil {
-		t.Fatal(err)
+	elements := func() []*incremental.Node {
+		var out []*incremental.Node
+		var walk func(n *incremental.Node)
+		walk = func(n *incremental.Node) {
+			if n.Kind != dag.KindSeq {
+				out = append(out, n)
+				return
+			}
+			for _, k := range n.Kids {
+				walk(k)
+			}
+		}
+		walk(seqRoot(s.Tree()))
+		return out
 	}
-	if got := bs.Element(50).Yield(); got != "v50=v50+777;" {
+	before := elements()
+	if len(before) != 100 {
+		t.Fatalf("len = %d", len(before))
+	}
+
+	// Replace element 50's text: only it is reparsed, its neighbours are
+	// the same nodes, and clean pieces around it are consumed whole.
+	old := "v50 = v50 + 50;"
+	off := strings.Index(src, old)
+	s.Edit(off, len(old), "v50 = v50 + 777;")
+	out := s.Do(ctx)
+	if out.Err != nil {
+		t.Fatal(out.Err)
+	}
+	if out.Stats.SeqPieces == 0 {
+		t.Fatalf("no sequence piece consumed: %+v", out.Stats)
+	}
+	after := elements()
+	if len(after) != 100 {
+		t.Fatalf("len after edit = %d", len(after))
+	}
+	if got := after[50].Yield(); got != "v50=v50+777;" {
 		t.Fatalf("element 50 = %q", got)
 	}
-	if bs.Element(49).Yield() != "v49=v49+49;" {
-		t.Fatalf("neighbor disturbed: %q", bs.Element(49).Yield())
+	if after[49] != before[49] || after[51] != before[51] {
+		t.Fatalf("neighbours disturbed: %q %q", after[49].Yield(), after[51].Yield())
 	}
-	if err := bs.ReplaceElement(0, "x = ;"); err == nil {
+
+	// An invalid element edit is a parse error; the committed tree stays.
+	s.Edit(0, len("v0 = v0 + 0;"), "x = ;")
+	if out := s.Do(ctx); out.Err == nil {
 		t.Fatal("invalid element text must fail to parse")
+	}
+	if elements()[50] != after[50] {
+		t.Fatal("failed parse replaced the committed tree")
 	}
 }
 

@@ -23,7 +23,7 @@ import (
 //
 // A right-hand-side name may carry a sequence suffix: X* (zero or more X)
 // or X+ (one or more X); these synthesize associative sequence nonterminals
-// whose structure the parse dag may rebalance (paper §3.4). Quoted names
+// whose structure the committed dag stores balanced (paper §3.4). Quoted names
 // ('+' or "while") are implicitly declared terminals. Comments run from
 // "//" or "#" to end of line, or between "/*" and "*/".
 func Parse(src string) (*Grammar, error) {

@@ -67,7 +67,7 @@ type Symbol struct {
 	Assoc Assoc
 	// SeqElem is the element symbol if this nonterminal was generated for a
 	// sequence form (X* or X+); InvalidSym otherwise. Sequence nonterminals
-	// are associative: their parse structure may be rebalanced freely.
+	// are associative: the committed dag stores their structure balanced.
 	SeqElem Sym
 	// Generated reports whether the symbol was synthesized by the builder
 	// (sequence expansion) rather than written by the user.

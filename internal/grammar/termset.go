@@ -69,8 +69,21 @@ func (s TermSet) Format(g *Grammar) string {
 	return b.String()
 }
 
-// computeAnalyses fills in nullable, FIRST and FOLLOW for g.
+// computeAnalyses fills in nullable, FIRST and FOLLOW for g, and marks the
+// sequence chain productions.
 func (g *Grammar) computeAnalyses() {
+	g.seqChain = make([]bool, len(g.prods))
+	plus := make([]bool, len(g.symbols))
+	for i, p := range g.prods {
+		g.seqChain[i] = p.Seq && (len(p.RHS) == 2 || len(p.RHS) == 1 && p.RHS[0] == g.symbols[p.LHS].SeqElem)
+		plus[p.LHS] = plus[p.LHS] || g.seqChain[i]
+	}
+	g.seqHost = make([]bool, len(g.prods))
+	for i, p := range g.prods {
+		for _, s := range p.RHS {
+			g.seqHost[i] = g.seqHost[i] || plus[s]
+		}
+	}
 	n := len(g.symbols)
 	g.nullable = make([]bool, n)
 	g.first = make([]TermSet, n)

@@ -271,18 +271,14 @@ Stmt : x ';' ;
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	bal := dag.Rebalance(p.arena, g, root)
-	var seqRoot *dag.Node
-	bal.Walk(func(n *dag.Node) {
-		if n.Kind == dag.KindSeq && seqRoot == nil {
-			seqRoot = n
-		}
-	})
-	if seqRoot == nil {
-		t.Fatalf("no balanced sequence structure after Rebalance")
+	// Block → Stmt* → Stmt+: the chain the commit rebuilds balanced.
+	chain := root.Kids[0].Kids[0]
+	if !dag.IsSeqChain(g, chain) {
+		t.Fatalf("no sequence chain under the root: %s", dag.Format(g, root))
 	}
-	if got := dag.SeqLen(seqRoot); got != 20 {
-		t.Fatalf("SeqLen = %d, want 20", got)
+	seqRoot := dag.NewSeqBuilder(p.arena, g).Canonical(chain)
+	if seqRoot.Kind != dag.KindSeq || seqRoot.SeqCount != 20 {
+		t.Fatalf("balanced sequence %v over %d elements, want 20", seqRoot, seqRoot.SeqCount)
 	}
 }
 

@@ -54,6 +54,7 @@ type Stats struct {
 	Rounds           int // parse_next_symbol invocations
 	RetainedNodes    int // old nodes reused by bottom-up node retention [25]
 	BudgetPruned     int // ambiguous regions pruned by the ambiguity budget
+	SeqPieces        int // balanced sequence pieces consumed whole (§3.4); each is also a subtree shift
 }
 
 // retained implements bottom-up node reuse: if every child was reused from
@@ -111,6 +112,16 @@ type Parser struct {
 	accepting  *gssNode
 	sh         *share
 	tokens     int
+	// join, when non-nil, is the node the shifter links instead of the
+	// lookahead: a sequence piece appended to the X+ on the stack.
+	join *dag.Node
+	// seqMulti lists the sequence chain nodes (X+ → X, X+ → X+ X) built
+	// this round while several parsers were active, with the continuation
+	// state each entered. When the round's shift goes into a single
+	// parser, no parser crossed the element boundary they close, and the
+	// shifter stamps them with that state so the commit can record the
+	// boundary as clean (see the dag package's sequence notes).
+	seqMulti []seqMark
 
 	// NoBurst disables the linear-stack fast path (burst.go), forcing every
 	// symbol through the round engine. The two paths are byte-identical by
@@ -153,6 +164,11 @@ func (p *Parser) addLink(n, head *gssNode, node *dag.Node) *gssLink {
 	n.extra = append(n.extra, l)
 	n.nlinks++
 	return l
+}
+
+type seqMark struct {
+	node  *dag.Node
+	state int32
 }
 
 type shiftPair struct {
@@ -228,6 +244,9 @@ func (p *Parser) ParseContext(ctx context.Context, stream Stream) (root *dag.Nod
 	p.gssLinks.reset()
 	p.active = append(p.active[:0], p.newGSSNode(p.table.StartState()))
 	p.accepting = nil
+	p.join = nil
+	clear(p.seqMulti)
+	p.seqMulti = p.seqMulti[:0]
 	p.multiple = false
 	p.anyNondet = false
 	p.sawNullKid = false
@@ -499,7 +518,14 @@ func (p *Parser) actor(a *gssNode) {
 			// Whole-subtree shift (state matching, §3.2/§3.3): valid only
 			// for a lone parser in a conflict-free state, with a clean
 			// deterministically-built subtree whose recorded state equals
-			// today's goto target.
+			// today's goto target. A balanced sequence piece records its
+			// sequence's continuation state, so it is shifted the same way
+			// at the start of a sequence; later in it, the piece — or an
+			// element its leaf vouches for — is appended to the X+ on top
+			// of the stack (§3.4).
+			if p.soleParser(a) && p.appendSeq(a, la) {
+				return
+			}
 			if p.soleParser(a) && p.reusable(la) {
 				if gt := p.table.Goto(a.state, la.Sym); gt >= 0 && gt == int(la.State) && !p.table.HasConflict(a.state) {
 					p.tracef("S: %s (subtree, %d tokens) -> state %d", p.g.Name(la.Sym), countTerms(la), gt)
@@ -570,6 +596,29 @@ func (p *Parser) prodName(rule int) string {
 // this is what lets a chain of reductions keep shifting whole subtrees.
 func (p *Parser) soleParser(a *gssNode) bool {
 	return len(p.forActor) == 0 && len(p.forShifter) == 0 && !p.multiple
+}
+
+// appendSeq applies the continuation half of the sequence consume rule
+// (§3.4): when the lone parser a sits, in a conflict-free state, on the X+
+// that the offered subtree la continues, la is appended to that X+ in one
+// step. la continues the X+ when its recorded continuation state (see
+// dag.SeqRecord) is a's state. The last element needs no check of its own:
+// the stream offers la only when its right context is unchanged.
+func (p *Parser) appendSeq(a *gssNode, la *dag.Node) bool {
+	rec := dag.SeqRecord(la)
+	if rec == nil || a.state != int(rec.State) || a.numLinks() != 1 || p.table.HasConflict(a.state) {
+		return false
+	}
+	l := a.linkAt(0)
+	if l.node.Sym != rec.Sym {
+		return false
+	}
+	p.join = dag.SeqJoin(p.arena, p.g, l.node, la, a.state)
+	p.forShifter = append(p.forShifter, shiftPair{from: l.head, target: a.state})
+	if p.Trace != nil {
+		p.tracef("S: %s (append, %d tokens) -> state %d", p.g.Name(la.Sym), countTerms(la), a.state)
+	}
+	return true
 }
 
 // reusable reports whether a subtree may be considered for state-matching
@@ -648,6 +697,9 @@ func (p *Parser) reducer(q *gssNode, rule int, kids []*dag.Node) {
 	if p.multiple {
 		p.anyNondet = true
 		node = p.sh.getNode(p.arena, p.g, rule, kids, state, true)
+		if p.g.IsSeqChain(rule) {
+			p.seqMulti = append(p.seqMulti, seqMark{node: node, state: int32(state)})
+		}
 	} else if old := retained(rule, kids); old != nil {
 		old.State = int32(state)
 		node = old
@@ -724,6 +776,28 @@ func (p *Parser) reduceActions(state int) []lr.Action {
 	return out
 }
 
+// stampSeqMulti settles the round's multi-parser sequence reductions at
+// its shift: into a single parser, each chain node takes the continuation
+// state it entered (MultiState if it entered several); otherwise they all
+// stay MultiState.
+func (p *Parser) stampSeqMulti() {
+	if !p.multiple {
+		for i, m := range p.seqMulti {
+			st := m.state
+			for _, o := range p.seqMulti[:i] {
+				if o.node == m.node && o.state != st {
+					st = dag.MultiState
+				}
+			}
+			if m.node.Kind == dag.KindProduction {
+				m.node.State = st
+			}
+		}
+	}
+	clear(p.seqMulti)
+	p.seqMulti = p.seqMulti[:0]
+}
+
 func (p *Parser) findActive(state int) *gssNode {
 	for _, a := range p.active {
 		if a.state == state {
@@ -752,19 +826,32 @@ func (p *Parser) shifter() {
 	// Record the parse state in the shifted node (state matching): the
 	// deterministic target when one parser shifts, the non-deterministic
 	// equivalence class otherwise.
-	if p.multiple {
+	node := la
+	switch {
+	case p.join != nil:
+		// An appended piece or element keeps its recorded state and is
+		// linked through its join node.
+		node, p.join = p.join, nil
+		p.Stats.SeqPieces++
+	case p.multiple:
 		la.State = dag.MultiState
-	} else {
+	default:
 		la.State = int32(p.forShifter[0].target)
+		if la.Kind == dag.KindSeq {
+			p.Stats.SeqPieces++
+		}
 	}
 	la.Changed = false
+	if len(p.seqMulti) > 0 {
+		p.stampSeqMulti()
+	}
 
 	for _, sp := range p.forShifter {
 		if q := p.findActive(sp.target); q != nil {
-			p.addLink(q, sp.from, la)
+			p.addLink(q, sp.from, node)
 		} else {
 			n := p.newGSSNode(sp.target)
-			p.addLink(n, sp.from, la)
+			p.addLink(n, sp.from, node)
 			p.active = append(p.active, n)
 		}
 	}

@@ -87,7 +87,7 @@ func Reparse(ctx context.Context, d *document.Document, p *iglr.Parser) (Result,
 	for i, t := range terms {
 		idx[t] = i
 	}
-	s := &splicer{a: d.Arena(), g: g, idx: idx}
+	s := &splicer{a: d.Arena(), g: g, seq: dag.NewSeqBuilder(d.Arena(), g), idx: idx}
 
 	var regions []region
 	creep := 0
@@ -99,6 +99,11 @@ func Reparse(ctx context.Context, d *document.Document, p *iglr.Parser) (Result,
 				return Result{}, serr
 			}
 			if expand == nil {
+				for _, r := range res.Regions {
+					if r.Lo > 0 {
+						unstampBefore(res.Root, 0, r.Lo-1)
+					}
+				}
 				res.Attempts = attempt
 				return res, nil
 			}
@@ -167,6 +172,36 @@ func Reparse(ctx context.Context, d *document.Document, p *iglr.Parser) (Result,
 		}
 	}
 	return Result{}, ErrUnbounded
+}
+
+// unstampBefore stamps NoState on every node under n (whose yield starts
+// at terminal index off) whose yield ends at terminal i, the last one
+// before a quarantined region. The masked parse completed that structure
+// with the token after the region as its lookahead, not the quarantined
+// token that follows it in the document, so an incremental reparse must
+// never reuse it by state matching: the stream's right-context test cannot
+// see the difference.
+func unstampBefore(n *dag.Node, off, i int) {
+	if n.IsTerminal() {
+		return
+	}
+	if off+int(n.TermCount) == i+1 {
+		n.State = dag.NoState
+	}
+	if n.IsChoice() {
+		for _, alt := range n.Kids {
+			unstampBefore(alt, off, i)
+		}
+		return
+	}
+	for _, k := range n.Kids {
+		if c := int(k.TermCount); i < off+c {
+			unstampBefore(k, off, i)
+			return
+		} else {
+			off += c
+		}
+	}
 }
 
 // curIndex maps the parser's masked-stream token count back to a document

@@ -72,11 +72,13 @@ func TestIsolateMiddleStatement(t *testing.T) {
 		t.Fatalf("repaired parse: %v", err)
 	}
 	d.Commit(root)
-	fresh, err := iglr.New(l.Table).Parse(l.NewDocument(d.Text()).Stream())
+	batch := l.NewDocument(d.Text())
+	fresh, err := iglr.New(l.Table).Parse(batch.Stream())
 	if err != nil {
 		t.Fatalf("batch parse: %v", err)
 	}
-	if got, want := dag.Format(l.Grammar, root), dag.Format(l.Grammar, fresh); got != want {
+	batch.Commit(fresh)
+	if got, want := dag.Format(l.Grammar, d.Root()), dag.Format(l.Grammar, batch.Root()); got != want {
 		t.Fatalf("repaired tree differs from batch parse:\n-- incremental --\n%s\n-- batch --\n%s", got, want)
 	}
 }

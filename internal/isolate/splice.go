@@ -1,6 +1,8 @@
 package isolate
 
 import (
+	"slices"
+
 	"iglr/internal/dag"
 	"iglr/internal/document"
 	"iglr/internal/grammar"
@@ -12,6 +14,7 @@ import (
 type splicer struct {
 	a   *dag.Arena
 	g   *grammar.Grammar
+	seq *dag.SeqBuilder
 	idx map[*dag.Node]int // document terminal -> index
 }
 
@@ -55,7 +58,7 @@ func (s *splicer) spliceAll(root *dag.Node, terms []*dag.Node, regions []region)
 // with no deeper host.
 func (s *splicer) insert(n *dag.Node, off, m int, errNode *dag.Node, det *dag.ErrorDetail) (*dag.Node, *expandReq) {
 	if isSeqStruct(s.g, n) {
-		return s.insertSeq(n, off, m, errNode, det)
+		return s.insertSeq(n, off, m, errNode, det, n.Sym)
 	}
 	switch n.Kind {
 	case dag.KindTerminal, dag.KindError:
@@ -136,15 +139,36 @@ func (s *splicer) insert(n *dag.Node, off, m int, errNode *dag.Node, det *dag.Er
 // insertSeq handles a node that is itself sequence structure: a gap at an
 // element boundary hosts the error node as an extra element; a gap strictly
 // inside an element first tries a deeper host, then requests that the whole
-// element be absorbed into the region.
-func (s *splicer) insertSeq(n *dag.Node, off, m int, errNode *dag.Node, det *dag.ErrorDetail) (*dag.Node, *expandReq) {
-	elems := dag.SeqElements(s.g, n)
+// element be absorbed into the region. The X* wrapper delegates to its X+
+// (or, when empty, hosts the error node as the sole element); region is
+// the sequence nonterminal reported for a boundary host.
+func (s *splicer) insertSeq(n *dag.Node, off, m int, errNode *dag.Node, det *dag.ErrorDetail, region grammar.Sym) (*dag.Node, *expandReq) {
+	if n.Kind == dag.KindProduction && !dag.IsSeqChain(s.g, n) {
+		// X* → ε | X+.
+		if len(n.Kids) == 1 {
+			nk, req := s.insertSeq(n.Kids[0], off, m, errNode, det, region)
+			if nk == nil {
+				return nil, req
+			}
+			return s.withKid(n, 0, nk), nil
+		}
+		for _, p := range s.g.ProductionsFor(n.Sym) {
+			if len(p.RHS) == 1 {
+				det.Region = region
+				plus := s.seq.Build(p.RHS[0], []dag.SeqPart{{Node: errNode}})
+				return s.a.Production(n.Sym, p.ID, dag.NoState, []*dag.Node{plus}), nil
+			}
+		}
+		return nil, nil
+	}
+	elems := s.seq.Elements(n)
 	c := off
-	for j, e := range elems {
+	for j, p := range elems {
+		e := p.Node
 		tc := int(e.TermCount)
 		if m == c {
-			det.Region = n.Sym
-			return dag.BuildSeq(s.a, n.Sym, insertAt(elems, j, errNode)), nil
+			det.Region = region
+			return s.build(n.Sym, elems, j, errNode), nil
 		}
 		if m < c+tc {
 			nk, req := s.insert(e, c, m, errNode, det)
@@ -152,10 +176,8 @@ func (s *splicer) insertSeq(n *dag.Node, off, m int, errNode *dag.Node, det *dag
 				return nil, req
 			}
 			if nk != nil {
-				ne := make([]*dag.Node, len(elems))
-				copy(ne, elems)
-				ne[j] = nk
-				return dag.BuildSeq(s.a, n.Sym, ne), nil
+				elems[j].Node = nk
+				return s.build(n.Sym, elems, -1, nil), nil
 			}
 			lo, hi, ok := presentSpan(s.idx, e)
 			if !ok {
@@ -166,19 +188,19 @@ func (s *splicer) insertSeq(n *dag.Node, off, m int, errNode *dag.Node, det *dag
 		c += tc
 	}
 	if m == c {
-		det.Region = n.Sym
-		return dag.BuildSeq(s.a, n.Sym, insertAt(elems, len(elems), errNode)), nil
+		det.Region = region
+		return s.build(n.Sym, elems, len(elems), errNode), nil
 	}
 	return nil, nil
 }
 
-// insertAt returns a copy of elems with extra inserted at position j.
-func insertAt(elems []*dag.Node, j int, extra *dag.Node) []*dag.Node {
-	out := make([]*dag.Node, 0, len(elems)+1)
-	out = append(out, elems[:j]...)
-	out = append(out, extra)
-	out = append(out, elems[j:]...)
-	return out
+// build returns the canonical sequence of the X+ symbol sym over elems,
+// with extra (when non-nil) inserted before position j.
+func (s *splicer) build(sym grammar.Sym, elems []dag.SeqPart, j int, extra *dag.Node) *dag.Node {
+	if extra != nil {
+		elems = slices.Insert(elems, j, dag.SeqPart{Node: extra})
+	}
+	return s.seq.Build(sym, elems)
 }
 
 // withKid path-copies production node n with kid i replaced. The copy gets

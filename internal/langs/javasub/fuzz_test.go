@@ -60,10 +60,11 @@ func TestFuzzIncrementalEqualsBatch(t *testing.T) {
 		if errRef != nil {
 			t.Fatalf("step %d: incremental accepted what batch rejects: %v", step, errRef)
 		}
-		if !structEqual(root, want) {
+		d.Commit(root)
+		dRef.Commit(want)
+		if !structEqual(d.Root(), dRef.Root()) {
 			t.Fatalf("step %d: structure mismatch for:\n%s", step, d.Text())
 		}
-		d.Commit(root)
 		parses++
 	}
 	if parses < 40 || reverts < 40 {

@@ -225,7 +225,8 @@ func TestIncrementalEditingOnJava(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dag.Measure(root2).DagNodes != dag.Measure(want).DagNodes {
+	dRef.Commit(want)
+	if dag.Measure(root2).DagNodes != dag.Measure(dRef.Root()).DagNodes {
 		t.Fatal("incremental structure diverges from batch")
 	}
 }

@@ -86,12 +86,11 @@ func TestLongListIncrementalEdit(t *testing.T) {
 		t.Fatal("edit missing")
 	}
 
-	// The element sequence is associative: rebalancing gives log depth.
-	bal := dag.Rebalance(d.Arena(), l.Grammar, root2)
+	// The element sequence is associative: the commit stores it balanced.
 	var maxLen int
-	bal.Walk(func(n *dag.Node) {
+	d.Root().Walk(func(n *dag.Node) {
 		if n.Kind == dag.KindSeq {
-			if sl := dag.SeqLen(n); sl > maxLen {
+			if sl := int(n.SeqCount); sl > maxLen {
 				maxLen = sl
 			}
 		}

@@ -110,11 +110,11 @@ func TestCharacterSequencesAreAssociative(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Ident uses Letter+: the dag can rebalance the character chain.
-	bal := dag.Rebalance(d.Arena(), l.Grammar, root)
+	// Ident uses Letter+: the commit stores the character chain balanced.
+	d.Commit(root)
 	found := false
-	bal.Walk(func(n *dag.Node) {
-		if n.Kind == dag.KindSeq && dag.SeqLen(n) == 10 {
+	d.Root().Walk(func(n *dag.Node) {
+		if n.Kind == dag.KindSeq && n.SeqCount == 10 {
 			found = true
 		}
 	})

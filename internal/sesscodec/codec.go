@@ -50,8 +50,11 @@ import (
 const Magic = "CCSS"
 
 // FormatVersion is bumped whenever the artifact layout changes; older
-// snapshots then silently fall back to reparse.
-const FormatVersion = 1
+// snapshots then silently fall back to reparse. Version 2: committed
+// sequences are balanced KindSeq trees in canonical shape, whose states
+// record the sequence's continuation state (version 1 stored the parser's
+// left-recursive chains).
+const FormatVersion = 2
 
 // FileExt is the conventional snapshot file extension.
 const FileExt = ".ccsess"

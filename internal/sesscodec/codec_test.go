@@ -161,6 +161,18 @@ func TestDecodeRejectsVersionSkew(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsV1Snapshot: version 1 stored left-recursive sequence
+// chains, which the balanced-sequence parser would not take for committed
+// structure; such a snapshot must fall back to a reparse.
+func TestDecodeRejectsV1Snapshot(t *testing.T) {
+	pub, def := exprPub()
+	data := append([]byte(nil), artifact(t, pub, "a + b", nil, false, false, 0)...)
+	data[len(sesscodec.Magic)] = 1 // single-byte uvarint
+	if _, err := sesscodec.Decode(resign(data), def); !errors.Is(err, sesscodec.ErrVersion) {
+		t.Fatalf("want ErrVersion for a version 1 snapshot, got %v", err)
+	}
+}
+
 func TestDecodeRejectsForeignLanguage(t *testing.T) {
 	pub, _ := exprPub()
 	data := artifact(t, pub, "a + b", nil, false, false, 0)

@@ -115,6 +115,37 @@ func TestSnapshotRestoreTwin(t *testing.T) {
 	}
 }
 
+// TestSnapshotRestoreBalancedTwin: a restored session holds the committed
+// sequences as the same balanced trees, so its parser consumes their clean
+// pieces exactly as the live session's does — the same committed tree and
+// the same work after the same edits.
+func TestSnapshotRestoreBalancedTwin(t *testing.T) {
+	lang := CSubset()
+	var b strings.Builder
+	b.WriteString("typedef int t;\n")
+	for i := 0; i < 40; i++ {
+		fmt.Fprintf(&b, "int v%d = %d; { t(w%d); v%d = v%d + 1; }\n", i, i, i, i, i)
+	}
+	src := b.String()
+	live := NewSession(lang, src)
+	if out := live.Do(nil); out.Err != nil {
+		t.Fatalf("seed parse: %v", out.Err)
+	}
+	twin := restoredTwin(t, live, lang)
+	compareSessions(t, lang, live, twin, "after restore")
+	for i, name := range []string{"v20 =", "w7", "v39 + 1"} {
+		off := strings.Index(live.Text(), name)
+		live.Edit(off, 1, "q")
+		twin.Edit(off, 1, "q")
+		lo, to := live.Do(nil), twin.Do(nil)
+		compareOutcomes(t, lang, lo, to, fmt.Sprintf("edit %d", i))
+		compareSessions(t, lang, live, twin, fmt.Sprintf("after edit %d", i))
+		if to.Stats.SeqPieces == 0 || to.Stats != lo.Stats {
+			t.Fatalf("edit %d: restored twin's work %+v, live %+v", i, to.Stats, lo.Stats)
+		}
+	}
+}
+
 // TestSnapshotPendingEdits: edits applied but not yet parsed survive the
 // round trip — the twin holds the same text, the same committed (stale)
 // tree, and parses to the same result.
