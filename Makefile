@@ -39,8 +39,9 @@ check: vet race bench-module
 # the session-snapshot codec plus its write-ahead journal framing
 # (arbitrary bytes never panic; accepted snapshots restore and re-encode
 # canonically), the document's incremental relex against a batch scan
-# over random edit scripts, and sequence-edit scripts over every bundled
-# language against a cold parse (balanced sequences, §3.4).
+# over random edit scripts on a source spanning many token runs, and
+# sequence-edit scripts over every bundled language against a cold parse
+# (balanced sequences, §3.4).
 fuzz-smoke:
 	$(GO) test -run FuzzParseOracle -fuzz FuzzParseOracle -fuzztime 30s ./internal/earley/
 	$(GO) test -run FuzzRecoveryConverges -fuzz FuzzRecoveryConverges -fuzztime 30s ./internal/recovery/
@@ -48,7 +49,7 @@ fuzz-smoke:
 	$(GO) test -run FuzzErrorIsolationConverges -fuzz FuzzErrorIsolationConverges -fuzztime 30s .
 	$(GO) test -run FuzzSessCodecRoundTrip -fuzz FuzzSessCodecRoundTrip -fuzztime 30s ./internal/sesscodec/
 	$(GO) test -run FuzzJournalDecode -fuzz FuzzJournalDecode -fuzztime 15s ./internal/sesscodec/
-	$(GO) test -run FuzzRelexMatchesScan -fuzz FuzzRelexMatchesScan -fuzztime 15s .
+	$(GO) test -run FuzzRelexMatchesScan -fuzz FuzzRelexMatchesScan -fuzztime 30s .
 	$(GO) test -run FuzzSequenceEditsEqualBatch -fuzz FuzzSequenceEditsEqualBatch -fuzztime 30s .
 
 bench:

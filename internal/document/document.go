@@ -9,8 +9,8 @@
 package document
 
 import (
+	"bytes"
 	"fmt"
-	"slices"
 
 	"iglr/internal/dag"
 	"iglr/internal/faultinject"
@@ -28,9 +28,16 @@ type Document struct {
 	g      *grammar.Grammar
 	mapTok TokenMapper
 
-	buf   *text.Buffer
+	buf *text.Buffer
+	// runs is the token stream in bounded runs (runs.go), each with its
+	// tokens and their significant terminals.
+	runs []run
+	// toks and terms are the arrays the scan (or a restore) filled, with
+	// the runs as their capacity-capped windows: Terminals returns terms
+	// while the runs still window it in order, and ReleaseBuffers donates
+	// both.
 	toks  []lexer.Token
-	nodes []*dag.Node // parallel to toks; nil for skip tokens
+	terms []*dag.Node
 
 	// maxLook bounds every token's Lookahead — how far back from an edit
 	// the relex must look for affected tokens. Set at scan and restore,
@@ -46,16 +53,17 @@ type Document struct {
 	arena *dag.Arena
 
 	// Persistent parse-input state, reused across reparses so a keystroke
-	// edit allocates O(damage): the one EOF terminal, the significant-
-	// terminal array behind Terminals (spliced by each edit once built),
-	// the Stream object itself, and replace()'s scratch for the fresh
-	// tokens and their terminal nodes.
-	eof        *dag.Node
-	terms      []*dag.Node
-	termsValid bool
-	stream     Stream
-	fresh      []lexer.Token
-	freshNodes []*dag.Node
+	// edit allocates O(damage): the one EOF terminal, the Stream object
+	// itself, replace()'s scratch for the fresh tokens and their terminal
+	// nodes, and the flat buffers that Tokens and Terminals return and a
+	// splice gathers runs into (each use overwrites the last).
+	eof          *dag.Node
+	stream       Stream
+	fresh        []lexer.Token
+	freshNodes   []*dag.Node
+	scratchToks  []lexer.Token
+	scratchTerms []*dag.Node
+	scratchRuns  []run
 
 	// marked collects nodes whose change bits must be cleared at commit.
 	marked []*dag.Node
@@ -71,6 +79,11 @@ type Document struct {
 
 	// LastRelexed is the token count rescanned by the latest edit.
 	LastRelexed int
+	// LastSpliceWork is the work the latest edit's splice did: the token
+	// and terminal slots it wrote (copied, moved or re-offset) plus the run
+	// headers it visited. The binary searches that locate runs, O(lg runs)
+	// header reads each, are not counted.
+	LastSpliceWork int
 	// LexErrorCount tracks current error tokens.
 	LexErrorCount int
 }
@@ -78,11 +91,10 @@ type Document struct {
 // Options tunes document construction for the batch path. The zero value
 // allocates fresh storage.
 type Options struct {
-	// Toks, Nodes and Terms donate storage from a retired document (see
+	// Toks and Terms donate storage from a retired document (see
 	// ReleaseBuffers) so a batch run over many files stops paying the
-	// token/node array allocations per file.
+	// token and terminal array allocations per file.
 	Toks  []lexer.Token
-	Nodes []*dag.Node
 	Terms []*dag.Node
 }
 
@@ -107,33 +119,23 @@ func NewOpts(spec *lexer.Spec, g *grammar.Grammar, mapTok TokenMapper, initial s
 
 // NewInArenaOpts is NewInArena with batch options: donated buffer storage.
 func NewInArenaOpts(a *dag.Arena, spec *lexer.Spec, g *grammar.Grammar, mapTok TokenMapper, initial string, opts Options) *Document {
-	d := &Document{
-		spec: spec, g: g, mapTok: mapTok, buf: text.NewBuffer(initial), arena: a,
-		terms: opts.Terms[:0],
-	}
+	d := &Document{spec: spec, g: g, mapTok: mapTok, buf: text.NewBuffer(initial), arena: a}
 	d.eof = d.arena.Terminal(grammar.EOF, "")
-	d.toks = spec.ScanInto(initial, opts.Toks)
-	nodes := opts.Nodes[:0]
-	for _, t := range d.toks {
-		nodes = append(nodes, d.newTerminal(t))
-	}
-	d.nodes = nodes
-	d.scanStats()
+	d.adopt(spec.ScanInto(initial, opts.Toks), opts.Terms, true)
 	return d
 }
 
-// ReleaseBuffers strips the document's large reusable arrays — token
-// stream, node array and terminal buffer — for donation to a future
+// ReleaseBuffers strips the document's large reusable arrays — the token
+// and terminal arrays it was scanned into — for donation to a future
 // document via Options. Every element is cleared first so recycled storage
 // pins neither retired dag nodes nor the old text. The document must not
 // be used afterwards.
-func (d *Document) ReleaseBuffers() (toks []lexer.Token, nodes, terms []*dag.Node) {
-	toks, nodes, terms = d.toks, d.nodes, d.terms
-	d.toks, d.nodes, d.terms = nil, nil, nil
+func (d *Document) ReleaseBuffers() (toks []lexer.Token, terms []*dag.Node) {
+	toks, terms = d.toks, d.terms
+	d.toks, d.terms, d.runs = nil, nil, nil
 	clear(toks[:cap(toks)])
-	clear(nodes[:cap(nodes)])
 	clear(terms[:cap(terms)])
-	return toks[:0], nodes[:0], terms[:0]
+	return toks[:0], terms[:0]
 }
 
 // newTerminal builds a fresh (uncommitted, changed) terminal node for tok,
@@ -180,46 +182,39 @@ func (d *Document) Text() string { return d.buf.String() }
 // Len returns the text length in bytes.
 func (d *Document) Len() int { return d.buf.Len() }
 
-// Version returns the text version.
-func (d *Document) Version() int { return d.buf.Version() }
-
 // Root returns the last committed parse root (nil before the first parse).
 func (d *Document) Root() *dag.Node { return d.root }
 
 // Grammar returns the document's grammar.
 func (d *Document) Grammar() *grammar.Grammar { return d.g }
 
-// Tokens returns the current full token stream (including skip tokens).
-// The slice is owned by the document: the next edit splices it in place,
-// overwriting its elements, so callers that need it across edits must copy.
-func (d *Document) Tokens() []lexer.Token { return d.toks }
-
-// Terminals returns the significant terminal nodes in order. The slice is
-// owned by the document: the next edit splices it in place, overwriting
-// its elements, so callers that need it across edits must copy.
-func (d *Document) Terminals() []*dag.Node {
-	if !d.termsValid {
-		d.terms = d.terms[:0]
-		for _, n := range d.nodes {
-			if n != nil {
-				d.terms = append(d.terms, n)
-			}
-		}
-		d.termsValid = true
-	}
-	return d.terms
+// Tokens returns the current full token stream (including skip tokens)
+// with absolute offsets, flattened from the runs: a linear pass for batch
+// consumers (snapshots, tests), never on the edit path. The slice is owned
+// by the document and overwritten by the next edit or Tokens call, so
+// callers that need it longer must copy.
+func (d *Document) Tokens() []lexer.Token {
+	d.scratchToks = d.appendToks(d.scratchToks[:0], 0, d.numToks(), 0, 0)
+	return d.scratchToks
 }
 
-// scanStats computes, from a whole token stream, what edits then maintain
-// by delta: the error-token count and the lookahead bound.
-func (d *Document) scanStats() {
-	d.LexErrorCount, d.maxLook = 0, 0
-	for i := range d.toks {
-		if d.toks[i].Type == lexer.ErrorType {
-			d.LexErrorCount++
+// Terminals returns the significant terminal nodes in order. While the
+// runs are still, in order, windows of the array the document was scanned
+// into — no edit has resized, moved or replaced one — that array is the
+// answer, with no copy; otherwise the runs are flattened into a document-
+// owned buffer. Either way the next edit overwrites the slice, so callers
+// that need it across edits must copy.
+func (d *Document) Terminals() []*dag.Node {
+	n := 0
+	for i := range d.runs {
+		r := d.runs[i].terms
+		if len(r) > 0 && (n+len(r) > len(d.terms) || &d.terms[n] != &r[0]) {
+			d.scratchTerms = d.appendTerms(d.scratchTerms[:0], 0, d.numTerms())
+			return d.scratchTerms
 		}
-		d.maxLook = max(d.maxLook, d.toks[i].Lookahead)
+		n += len(r)
 	}
+	return d.terms[:n]
 }
 
 // AppliedEdit is one recorded edit with enough information to invert it.
@@ -269,10 +264,11 @@ func (d *Document) replace(offset, removed int, inserted string, record bool) {
 	}
 	d.buf.Replace(offset, removed, inserted)
 
-	// The relex reads the buffer in place and copies out only the fresh
-	// lexemes, which replace the damaged run d.toks[first:resume].
+	// The relex reads the buffer in place, and the old tokens through the
+	// runs, and copies out only the fresh lexemes, which replace the
+	// damaged tokens [first, resume).
 	e := lexer.Edit{Offset: offset, Removed: removed, Inserted: inserted}
-	first, resume, fresh := d.spec.Damage(d.toks, d.buf.View(), e, d.maxLook, d.fresh)
+	first, resume, fresh := d.spec.Damage((*tokenView)(d), d.buf.View(), e, d.maxLook, d.fresh)
 	d.fresh = fresh
 	d.LastRelexed = len(fresh)
 
@@ -284,45 +280,52 @@ func (d *Document) replace(offset, removed int, inserted string, record bool) {
 	sameTok := func(a, b lexer.Token) bool {
 		return a.Type == b.Type && a.Text == b.Text && a.Skip == b.Skip
 	}
-	old := d.toks[first:resume]
 	p := 0
-	for p < len(fresh) && p < len(old) && sameTok(fresh[p], old[p]) {
+	for p < len(fresh) && first+p < resume && sameTok(fresh[p], d.tokAt(first+p)) {
 		p++
 	}
 	s := 0
-	for s < len(fresh)-p && s < len(old)-p &&
-		sameTok(fresh[len(fresh)-1-s], old[len(old)-1-s]) {
+	for s < len(fresh)-p && s < resume-first-p &&
+		sameTok(fresh[len(fresh)-1-s], d.tokAt(resume-1-s)) {
 		s++
 	}
-	// The node array's damage: old nodes [lo, hi) give way to fresh
-	// terminals for fresh[p:len(fresh)-s].
-	lo, hi := first+p, resume-s
+	// The terminal damage: the terminals [tlo, thi) of the old tokens
+	// [first+p, resume-s) give way to fresh terminals for fresh[p:len-s].
+	tlo, thi := d.termIndex(first+p), d.termIndex(resume-s)
 	add := d.freshNodes[:0]
-	addedTerms, removedTerms := 0, 0
 	for _, t := range fresh[p : len(fresh)-s] {
-		n := d.newTerminal(t)
-		if n != nil {
-			addedTerms++
+		if n := d.newTerminal(t); n != nil {
+			add = append(add, n)
 		}
-		add = append(add, n)
 	}
 	d.freshNodes = add
-	for _, n := range d.nodes[lo:hi] {
-		if n != nil {
-			removedTerms++
-		}
-	}
 	// Pure-whitespace/comment edits change no terminal: the previous tree
 	// is untouched and fully reusable.
-	if removedTerms > 0 || addedTerms > 0 {
-		d.markDamage(lo, hi)
+	if thi > tlo || len(add) > 0 {
+		d.markDamage(tlo, thi)
 	}
 
-	// Splice in place: the token and node arrays, and the significant-
-	// terminal array once built, take the damage, and the token tail moves
-	// by the edit's delta.
-	for _, t := range old {
-		if t.Type == lexer.ErrorType {
+	// Matched tokens equal to the old ones field for field (after the
+	// edit's delta, past it) need not be rewritten: the runs take only the
+	// rest, which keeps a damage that merely rescans a neighbour across a
+	// run boundary inside one run.
+	delta := e.Delta()
+	for p > 0 && fresh[0] == d.tokAt(first) {
+		fresh, p, first = fresh[1:], p-1, first+1
+	}
+	for s > 0 {
+		old := d.tokAt(resume - 1)
+		old.Offset += delta
+		if fresh[len(fresh)-1] != old {
+			break
+		}
+		fresh, s, resume = fresh[:len(fresh)-1], s-1, resume-1
+	}
+
+	// The error count and the lookahead bound follow by delta; the runs
+	// take the damage.
+	for i := first; i < resume; i++ {
+		if d.tokAt(i).Type == lexer.ErrorType {
 			d.LexErrorCount--
 		}
 	}
@@ -332,33 +335,19 @@ func (d *Document) replace(offset, removed int, inserted string, record bool) {
 		}
 		d.maxLook = max(d.maxLook, t.Lookahead)
 	}
-	d.nodes = slices.Replace(d.nodes, lo, hi, add...)
-	if d.termsValid {
-		ti := 0
-		for _, n := range d.nodes[:lo] {
-			if n != nil {
-				ti++
-			}
-		}
-		add = slices.DeleteFunc(add, func(n *dag.Node) bool { return n == nil })
-		d.terms = slices.Replace(d.terms, ti, ti+removedTerms, add...)
-	}
+	d.LastSpliceWork = d.splice(first, resume, fresh, tlo, thi, add, delta)
 	clear(add)
-	d.toks = slices.Replace(d.toks, first, resume, fresh...)
-	clear(fresh)
-	delta := e.Delta()
-	for i := first + len(fresh); i < len(d.toks); i++ {
-		d.toks[i].Offset += delta
-	}
+	clear(d.fresh)
 }
 
 // markDamage marks the committed tree for the removal of the terminals
-// d.nodes[lo:hi]: the removed terminals and their spines, and the right
-// context of the last significant terminal before the damage (§3.2).
+// [lo, hi): the removed terminals and their spines, and the right context
+// of the last significant terminal before the damage (§3.2). The
+// neighbouring terminals may sit in other runs.
 func (d *Document) markDamage(lo, hi int) {
 	// Mark removed terminals and their spines in the old tree.
-	for _, n := range d.nodes[lo:hi] {
-		if n != nil && n.Committed {
+	for i := lo; i < hi; i++ {
+		if n := d.termAt(i); n.Committed {
 			n.Changed = true
 			d.marked = append(d.marked, n)
 			d.propagate(n)
@@ -369,25 +358,19 @@ func (d *Document) markDamage(lo, hi int) {
 	// and propagate a nested change from it so that subtrees spanning the
 	// modification point are invalidated even when no significant terminal
 	// was removed (e.g. an identifier typed into whitespace).
-	for i := lo - 1; i >= 0; i-- {
-		if n := d.nodes[i]; n != nil {
-			if n.Committed {
-				n.RightChanged = true
-				d.marked = append(d.marked, n)
-				d.propagate(n)
-				return
-			}
-			break
+	if lo > 0 {
+		if n := d.termAt(lo - 1); n.Committed {
+			n.RightChanged = true
+			d.marked = append(d.marked, n)
+			d.propagate(n)
+			return
 		}
 	}
 	// Damage at the very start: invalidate via the following significant
 	// old terminal instead.
-	for _, n := range d.nodes[hi:] {
-		if n != nil {
-			if n.Committed {
-				d.propagate(n)
-			}
-			return
+	if hi < d.numTerms() {
+		if n := d.termAt(hi); n.Committed {
+			d.propagate(n)
 		}
 	}
 }
@@ -464,42 +447,55 @@ func (d *Document) Stream() *Stream {
 // (non-skip) token, or the text length when i is past the last token —
 // used to map the parser's token-indexed errors to text positions.
 func (d *Document) SignificantTokenOffset(i int) int {
-	n := 0
-	for ti, tok := range d.toks {
-		if d.nodes[ti] == nil {
+	if i < 0 || i >= d.numTerms() {
+		return d.buf.Len()
+	}
+	r := &d.runs[d.runOfTerm(i)]
+	k := r.term
+	for _, t := range r.toks {
+		if t.Skip {
 			continue
 		}
-		if n == i {
-			return tok.Offset
+		if k == i {
+			return r.start + t.Offset
 		}
-		n++
+		k++
 	}
-	return d.buf.Len()
+	panic("document: run terminal count disagrees with its tokens")
 }
 
 // NodeSpan returns the byte span [off, off+length) covering the part of
 // n's terminal yield still present in the current token stream. It reports
 // ok=false when none of n's terminals remain (the node is fully stale).
 // Because the span is recomputed from the live token stream on every call,
-// it automatically tracks edits elsewhere in the document.
+// it automatically tracks edits elsewhere in the document. n must come
+// from the document's arena: the yield is marked in a node-ID table.
 func (d *Document) NodeSpan(n *dag.Node) (off, length int, ok bool) {
-	want := make(map[*dag.Node]bool)
-	for _, t := range n.Terminals(nil) {
-		want[t] = true
-	}
-	if len(want) == 0 {
+	want := dag.AcquireScratch()
+	defer dag.ReleaseScratch(want)
+	yield := n.Terminals(nil)
+	if len(yield) == 0 {
 		return 0, 0, false
 	}
+	for _, t := range yield {
+		want.Visit(t)
+	}
 	start, end := -1, -1
-	for ti, node := range d.nodes {
-		if node == nil || !want[node] {
-			continue
-		}
-		if start < 0 || d.toks[ti].Offset < start {
-			start = d.toks[ti].Offset
-		}
-		if e := d.toks[ti].Offset + len(d.toks[ti].Text); e > end {
-			end = e
+	for i := range d.runs {
+		r := &d.runs[i]
+		k := 0
+		for j := range r.toks {
+			t := &r.toks[j]
+			if t.Skip {
+				continue
+			}
+			if want.Seen(r.terms[k]) {
+				if start < 0 {
+					start = r.start + t.Offset
+				}
+				end = r.start + t.End()
+			}
+			k++
 		}
 	}
 	if start < 0 {
@@ -511,17 +507,9 @@ func (d *Document) NodeSpan(n *dag.Node) (off, length int, ok bool) {
 // Position converts a byte offset to a 1-based (line, column) pair.
 // Columns count bytes within the line.
 func (d *Document) Position(offset int) (line, col int) {
-	if offset > d.buf.Len() {
-		offset = d.buf.Len()
-	}
-	line, col = 1, 1
-	for i := 0; i < offset; i++ {
-		if d.buf.ByteAt(i) == '\n' {
-			line++
-			col = 1
-		} else {
-			col++
-		}
-	}
+	text := d.buf.Bytes()
+	head := text[:min(max(offset, 0), len(text))]
+	line = 1 + bytes.Count(head, []byte{'\n'})
+	col = len(head) - bytes.LastIndexByte(head, '\n')
 	return line, col
 }

@@ -24,9 +24,8 @@ func (r Region) Contains(i int) bool { return i >= r.Lo && i < r.Hi }
 // parser's bottom-up node retention rebuild what is left.
 type MaskedStream struct {
 	d       *Document
-	terms   []*dag.Node
+	cur     cursor   // the next uncovered terminal
 	regions []Region // sorted by Lo, disjoint
-	k       int      // next uncovered terminal index
 	ri      int      // first region not yet passed
 	pending []*dag.Node
 	eofSent bool
@@ -37,7 +36,9 @@ type MaskedStream struct {
 // out. The stream is freshly allocated — isolation runs are off the
 // zero-alloc hot path by construction.
 func (d *Document) MaskedStream(regions []Region) *MaskedStream {
-	return &MaskedStream{d: d, terms: d.Terminals(), regions: regions}
+	s := &MaskedStream{d: d, regions: regions}
+	s.cur.reset(d)
+	return s
 }
 
 // Arena returns the document's node arena.
@@ -47,11 +48,11 @@ func (s *MaskedStream) Arena() *dag.Arena { return s.d.arena }
 func (s *MaskedStream) skip() {
 	for s.ri < len(s.regions) {
 		r := s.regions[s.ri]
-		if s.k < r.Lo {
+		if s.cur.k < r.Lo {
 			return
 		}
-		if s.k < r.Hi {
-			s.k = r.Hi
+		if s.cur.k < r.Hi {
+			s.cur.advance(r.Hi - s.cur.k)
 		}
 		s.ri++
 	}
@@ -64,17 +65,18 @@ func (s *MaskedStream) La() *dag.Node {
 		return s.pending[len(s.pending)-1]
 	}
 	s.skip()
-	if s.k >= len(s.terms) {
+	t := s.cur.term()
+	if t == nil {
 		if s.eofSent {
 			return nil
 		}
 		return s.d.eof
 	}
-	end := len(s.terms)
+	end := s.cur.n
 	if s.ri < len(s.regions) {
 		end = s.regions[s.ri].Lo - 1
 	}
-	best := maximalSubtree(s.terms[s.k], end-s.k)
+	best := maximalSubtree(t, end-s.cur.k)
 	s.pending = append(s.pending, best)
 	return best
 }
@@ -90,7 +92,7 @@ func (s *MaskedStream) Pop() {
 		return
 	}
 	s.pending = s.pending[:len(s.pending)-1]
-	s.k += int(n.TermCount)
+	s.cur.advance(int(n.TermCount))
 }
 
 // Breakdown replaces the current subtree by its children, as the ordinary
@@ -107,11 +109,11 @@ func (s *MaskedStream) Breakdown() {
 }
 
 // CurIndex returns the document-terminal index of the current lookahead's
-// first terminal (len(terms) at EOF) — how a parse failure on the masked
-// stream is mapped back to document coordinates.
+// first terminal (the terminal count at EOF) — how a parse failure on the
+// masked stream is mapped back to document coordinates.
 func (s *MaskedStream) CurIndex() int {
 	if len(s.pending) == 0 {
 		s.skip()
 	}
-	return s.k
+	return s.cur.k
 }

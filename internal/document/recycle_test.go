@@ -16,16 +16,16 @@ func TestReleaseBuffersRoundTrip(t *testing.T) {
 
 	d1 := New(l.spec, l.g, l.mapper, srcA)
 	nToks := len(d1.Tokens())
-	toks, nodes, terms := d1.ReleaseBuffers()
-	if len(toks) != 0 || len(nodes) != 0 {
+	toks, terms := d1.ReleaseBuffers()
+	if len(toks) != 0 || len(terms) != 0 {
 		t.Fatal("released buffers not length-reset")
 	}
 	if cap(toks) < nToks {
 		t.Fatalf("released token capacity %d < %d", cap(toks), nToks)
 	}
-	for _, n := range nodes[:cap(nodes)] {
+	for _, n := range terms[:cap(terms)] {
 		if n != nil {
-			t.Fatal("released node storage still pins a dag node")
+			t.Fatal("released terminal storage still pins a dag node")
 		}
 	}
 	for _, tok := range toks[:cap(toks)] {
@@ -34,9 +34,7 @@ func TestReleaseBuffersRoundTrip(t *testing.T) {
 		}
 	}
 
-	d2 := NewOpts(l.spec, l.g, l.mapper, srcB, Options{
-		Toks: toks, Nodes: nodes, Terms: terms,
-	})
+	d2 := NewOpts(l.spec, l.g, l.mapper, srcB, Options{Toks: toks, Terms: terms})
 	fresh := New(l.spec, l.g, l.mapper, srcB)
 	gotToks, wantToks := d2.Tokens(), fresh.Tokens()
 	if len(gotToks) != len(wantToks) {
@@ -50,13 +48,17 @@ func TestReleaseBuffersRoundTrip(t *testing.T) {
 	if len(d2.Terminals()) != len(fresh.Terminals()) {
 		t.Fatal("terminal count diverges")
 	}
-	if &gotToks[0] != &toks[:1][0] {
-		t.Fatal("donated token storage was not reused")
+	if &d2.Terminals()[0] != &terms[:1][0] {
+		t.Fatal("donated terminal storage was not reused")
 	}
 
-	// The recycled document must still edit correctly.
+	// The recycled document must still edit correctly, and release the
+	// donated token storage again.
 	d2.Replace(0, 5, "delta")
 	if got := d2.Text(); !strings.HasPrefix(got, "delta = 9;") {
 		t.Fatalf("edit on recycled doc: %q", got[:12])
+	}
+	if again, _ := d2.ReleaseBuffers(); &again[:1][0] != &toks[:1][0] {
+		t.Fatal("donated token storage was not reused")
 	}
 }

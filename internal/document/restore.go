@@ -15,9 +15,9 @@ import (
 // through Replace on restore, which regenerates the change marks (and the
 // fresh uncommitted terminals) exactly as the live document produced them.
 //
-// With no pending edits the returned token slice aliases the document's
-// own stream, which the next edit splices in place; callers must consume
-// it before then. With pending edits the committed text is reconstructed
+// With no pending edits the returned token slice is the document's
+// flattened stream (Tokens), which the next edit overwrites; callers must
+// consume it before then. With pending edits the committed text is reconstructed
 // by inverting the edit log (newest first) on a copy — the document itself
 // is never mutated — and the committed token stream is recovered by a
 // batch scan of that text, which equals the incrementally maintained
@@ -26,7 +26,7 @@ import (
 func (d *Document) CommittedState() (committed string, toks []lexer.Token, pending []AppliedEdit, err error) {
 	pending = d.PendingEdits()
 	if len(pending) == 0 {
-		return d.buf.String(), d.toks, pending, nil
+		return d.buf.String(), d.Tokens(), pending, nil
 	}
 	cur := []byte(d.buf.String())
 	for i := len(pending) - 1; i >= 0; i-- {
@@ -45,20 +45,17 @@ func (d *Document) CommittedState() (committed string, toks []lexer.Token, pendi
 }
 
 // Restore rebuilds a document around decoded snapshot state: the committed
-// text, its token stream, and the terminal nodes (parallel to toks, nil at
-// skip tokens) already allocated in arena by the snapshot decoder. The
-// caller is expected to follow with Commit(root) for the decoded tree and
+// text, its token stream (absolute offsets), and the terminal nodes of its
+// significant tokens, in order, already allocated in arena by the snapshot
+// decoder. The document takes ownership of both arrays. The caller is
+// expected to follow with Commit(root) for the decoded tree and
 // ReplayEdit for each recorded pending edit, in order — that sequence takes
 // the document through the same state transitions the original lived
 // through, so the restored twin is byte-identical.
-func Restore(spec *lexer.Spec, g *grammar.Grammar, mapTok TokenMapper, arena *dag.Arena, committed string, toks []lexer.Token, nodes []*dag.Node) *Document {
-	d := &Document{
-		spec: spec, g: g, mapTok: mapTok,
-		buf: text.NewBuffer(committed), arena: arena,
-		toks: toks, nodes: nodes,
-	}
+func Restore(spec *lexer.Spec, g *grammar.Grammar, mapTok TokenMapper, arena *dag.Arena, committed string, toks []lexer.Token, terms []*dag.Node) *Document {
+	d := &Document{spec: spec, g: g, mapTok: mapTok, buf: text.NewBuffer(committed), arena: arena}
 	d.eof = d.arena.Terminal(grammar.EOF, "")
-	d.scanStats()
+	d.adopt(toks, terms, false)
 	return d
 }
 

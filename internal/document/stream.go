@@ -23,8 +23,7 @@ import (
 // ε-reuse from leaking stale right context.
 type Stream struct {
 	d       *Document
-	terms   []*dag.Node
-	k       int // index of the next uncovered terminal in terms
+	cur     cursor // the next uncovered terminal
 	pending []*dag.Node
 	eof     *dag.Node
 	eofSent bool
@@ -34,12 +33,11 @@ type Stream struct {
 }
 
 // reset rewinds the stream for a fresh traversal of d's current state.
-// The pending stack keeps its capacity, the document's terminal buffer and
-// EOF node are shared, so rewinding allocates nothing.
+// The pending stack keeps its capacity, the cursor reads the document's
+// runs and the EOF node is shared, so rewinding allocates nothing.
 func (s *Stream) reset(d *Document) {
 	s.d = d
-	s.terms = nil
-	s.k = 0
+	s.cur.reset(d)
 	s.pending = s.pending[:0]
 	s.eof = d.eof
 	s.eofSent = false
@@ -55,18 +53,15 @@ func (s *Stream) La() *dag.Node {
 	if len(s.pending) > 0 {
 		return s.pending[len(s.pending)-1]
 	}
-	if s.terms == nil {
-		s.terms = s.d.Terminals()
-	}
-	if s.k >= len(s.terms) {
+	t := s.cur.term()
+	if t == nil {
 		if s.eofSent {
 			return nil
 		}
 		s.pending = append(s.pending, s.eof)
 		return s.eof
 	}
-	t := s.terms[s.k]
-	best := maximalSubtree(t, len(s.terms)-s.k)
+	best := maximalSubtree(t, s.cur.n-s.cur.k)
 	if best != t {
 		s.SubtreeOffers++
 	}
@@ -104,7 +99,7 @@ func (s *Stream) Pop() {
 		s.eofSent = true
 		return
 	}
-	s.k += int(n.TermCount)
+	s.cur.advance(int(n.TermCount))
 }
 
 // Breakdown replaces the current subtree by its children. Children with a

@@ -83,9 +83,13 @@ func Reparse(ctx context.Context, d *document.Document, p *iglr.Parser) (Result,
 		return Result{}, ErrUnbounded
 	}
 	g := d.Grammar()
-	idx := make(map[*dag.Node]int, len(terms))
+	// idx maps each present terminal to its index, in a node-ID table:
+	// terminals no longer in the document (and nodes the masked parses
+	// build) have no entry.
+	idx := dag.AcquireScratch()
+	defer dag.ReleaseScratch(idx)
 	for i, t := range terms {
-		idx[t] = i
+		idx.SetValue(t, i)
 	}
 	s := &splicer{a: d.Arena(), g: g, seq: dag.NewSeqBuilder(d.Arena(), g), idx: idx}
 
@@ -234,7 +238,7 @@ type failed struct {
 // document terminal t at index anchor: the whole enclosing sequence element
 // when the terminal still belongs to committed structure, the bare token
 // otherwise.
-func failureRegion(g *grammar.Grammar, idx map[*dag.Node]int, t *dag.Node, anchor int) failed {
+func failureRegion(g *grammar.Grammar, idx *dag.Scratch, t *dag.Node, anchor int) failed {
 	if lo, hi, ok := elementSpan(g, idx, t); ok {
 		if anchor < lo {
 			lo = anchor
@@ -251,7 +255,7 @@ func failureRegion(g *grammar.Grammar, idx map[*dag.Node]int, t *dag.Node, ancho
 // that is an element of an associative sequence and returns its span in
 // current terminal indices. Deleted boundary terminals shrink the span to
 // the surviving ones.
-func elementSpan(g *grammar.Grammar, idx map[*dag.Node]int, t *dag.Node) (lo, hi int, ok bool) {
+func elementSpan(g *grammar.Grammar, idx *dag.Scratch, t *dag.Node) (lo, hi int, ok bool) {
 	for n := t; n != nil; n = n.Parent {
 		p := n.Parent
 		if p == nil || !n.Committed {
@@ -266,10 +270,10 @@ func elementSpan(g *grammar.Grammar, idx map[*dag.Node]int, t *dag.Node) (lo, hi
 
 // presentSpan computes the [lo, hi) terminal-index span of n's yield over
 // the terminals still present in the document.
-func presentSpan(idx map[*dag.Node]int, n *dag.Node) (lo, hi int, ok bool) {
+func presentSpan(idx *dag.Scratch, n *dag.Node) (lo, hi int, ok bool) {
 	lo, hi = -1, -1
 	for _, t := range n.Terminals(nil) {
-		i, present := idx[t]
+		i, present := idx.Value(t)
 		if !present {
 			continue
 		}
@@ -364,7 +368,7 @@ func adjacentRegion(regions []region, anchor int) int {
 // element that strictly extends it, climbing from the quarantined
 // terminals. It returns ok=false when no such element exists (then the
 // caller falls back to token-level growth).
-func escalate(g *grammar.Grammar, idx map[*dag.Node]int, terms []*dag.Node, r region) (lo, hi int, ok bool) {
+func escalate(g *grammar.Grammar, idx *dag.Scratch, terms []*dag.Node, r region) (lo, hi int, ok bool) {
 	for i := r.hi - 1; i >= r.lo; i-- {
 		for n := terms[i]; n != nil && n.Committed; n = n.Parent {
 			p := n.Parent

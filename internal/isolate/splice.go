@@ -15,7 +15,7 @@ type splicer struct {
 	a   *dag.Arena
 	g   *grammar.Grammar
 	seq *dag.SeqBuilder
-	idx map[*dag.Node]int // document terminal -> index
+	idx *dag.Scratch // document terminal -> index
 }
 
 // expandReq asks the isolation loop to absorb the document-terminal span

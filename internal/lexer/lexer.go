@@ -195,19 +195,27 @@ type Edit struct {
 // Delta returns the signed change in text length.
 func (e Edit) Delta() int { return len(e.Inserted) - e.Removed }
 
+// Tokens is the token stream Damage reads: Len tokens, the i-th of them
+// by At, carrying its absolute offset in the text.
+type Tokens interface {
+	Len() int
+	At(i int) Token
+}
+
 // Damage relexes the token stream for one edit without modifying it. old
 // is the stream of the text before the edit, text the text after it, and
 // maxLook an upper bound on every old token's Lookahead. The result is the
-// damage: old[first:resume] is replaced by fresh, and the new stream is
-// old[:first] + fresh + old[resume:] with e.Delta() added to the tail's
-// offsets. fresh is buf[:0] with the rescanned tokens appended, and its
-// length is the incremental work measure.
+// damage: old tokens [first, resume) are replaced by fresh, and the new
+// stream is old[:first] + fresh + old[resume:] with e.Delta() added to the
+// tail's offsets. fresh is buf[:0] with the rescanned tokens appended, and
+// its length is the incremental work measure.
 //
-// text may alias mutable storage, such as a gap buffer's view: the fresh
-// lexemes are copied out of it, so no returned token refers to text.
-func (s *Spec) Damage(old []Token, text string, e Edit, maxLook int, buf []Token) (first, resume int, fresh []Token) {
+// text may alias mutable storage, such as a buffer's in-place view: the
+// fresh lexemes are copied out of it, so no returned token refers to text.
+func (s *Spec) Damage(old Tokens, text string, e Edit, maxLook int, buf []Token) (first, resume int, fresh []Token) {
 	lo := e.Offset
 	oldLen := len(text) - e.Delta()
+	n := old.Len()
 
 	// First affected token: the earliest whose examined window reaches the
 	// edit. A token whose recognition stopped at end-of-input in a live
@@ -219,18 +227,18 @@ func (s *Spec) Damage(old []Token, text string, e Edit, maxLook int, buf []Token
 	// No window extends more than maxLook past its token, so every token
 	// ending before lo-maxLook is unaffected: binary-search past those and
 	// scan only the last few candidates.
-	i, j := 0, len(old)
+	i, j := 0, n
 	for i < j {
 		h := int(uint(i+j) >> 1)
-		if old[h].End()+maxLook < lo {
+		if old.At(h).End()+maxLook < lo {
 			i = h + 1
 		} else {
 			j = h
 		}
 	}
-	first = len(old)
-	for ; i < len(old); i++ {
-		t := &old[i]
+	first = n
+	for ; i < n; i++ {
+		t := old.At(i)
 		windowEnd := t.End() + t.Lookahead
 		if windowEnd > lo || (t.Open && windowEnd >= oldLen) {
 			first = i
@@ -240,13 +248,13 @@ func (s *Spec) Damage(old []Token, text string, e Edit, maxLook int, buf []Token
 
 	pos := 0
 	if first > 0 {
-		pos = old[first-1].End()
+		pos = old.At(first - 1).End()
 	}
 	// Old tokens starting inside the removed region are affected; the
 	// candidates for resync start at or after its end.
 	hiOld := e.Offset + e.Removed
 	resume = first
-	for resume < len(old) && old[resume].Offset < hiOld {
+	for resume < n && old.At(resume).Offset < hiOld {
 		resume++
 	}
 
@@ -258,10 +266,10 @@ func (s *Spec) Damage(old []Token, text string, e Edit, maxLook int, buf []Token
 		// recognition from there reads the same characters as before.
 		if pos >= lo+len(e.Inserted) {
 			oldPos := pos - delta
-			for resume < len(old) && old[resume].Offset < oldPos {
+			for resume < n && old.At(resume).Offset < oldPos {
 				resume++
 			}
-			if resume < len(old) && old[resume].Offset == oldPos {
+			if resume < n && old.At(resume).Offset == oldPos {
 				break
 			}
 		}
@@ -269,7 +277,7 @@ func (s *Spec) Damage(old []Token, text string, e Edit, maxLook int, buf []Token
 		pos = fresh[len(fresh)-1].End()
 	}
 	if pos >= len(text) {
-		resume = len(old)
+		resume = n
 	}
 
 	// One copy of the rescanned span backs every fresh lexeme.

@@ -119,6 +119,12 @@ func TestLookaheadRecorded(t *testing.T) {
 	}
 }
 
+// flat is a token slice read as the Tokens view Damage takes.
+type flat []Token
+
+func (f flat) Len() int       { return len(f) }
+func (f flat) At(i int) Token { return f[i] }
+
 func applyEdit(text string, e Edit) string {
 	return text[:e.Offset] + e.Inserted + text[e.Offset+e.Removed:]
 }
@@ -162,7 +168,7 @@ func checkIncremental(t *testing.T, s *Spec, text string, e Edit) (relexed int) 
 		if len(b) > 0 {
 			view = unsafe.String(&b[0], len(b))
 		}
-		first, resume, fresh := s.Damage(old, view, e, bound, nil)
+		first, resume, fresh := s.Damage(flat(old), view, e, bound, nil)
 		clear(b)
 		if !reflect.DeepEqual(old, before) {
 			t.Fatalf("edit %+v on %q: Damage modified the old stream", e, text)

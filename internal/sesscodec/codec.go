@@ -431,11 +431,11 @@ func Decode(data []byte, l *langs.Language) (*Restored, error) {
 			return nil, err
 		}
 		arena := dag.NewArena()
-		nodes, root, err := decodeNodes(r, arena, toks, l)
+		terms, root, err := decodeNodes(r, arena, toks, l)
 		if err != nil {
 			return nil, err
 		}
-		doc = document.Restore(l.Spec, l.Grammar, l.Map, arena, text, toks, nodes)
+		doc = document.Restore(l.Spec, l.Grammar, l.Map, arena, text, toks, terms)
 		doc.Commit(root)
 	} else {
 		// No committed tree: the snapshot is text + pending edits. A
@@ -502,8 +502,8 @@ func decodeTokens(r *reader, text string, l *langs.Language) ([]lexer.Token, err
 }
 
 // decodeNodes rebuilds the dag from the node table through the arena
-// constructors, returning the per-token terminal array (parallel to toks,
-// nil at skip tokens) and the root. Every reference is validated: kids
+// constructors, returning the terminals of toks' significant tokens, in
+// order, and the root. Every reference is validated: kids
 // point backwards, terminals claim each significant token exactly once,
 // symbols/productions/states are in range for l.
 func decodeNodes(r *reader, arena *dag.Arena, toks []lexer.Token, l *langs.Language) ([]*dag.Node, *dag.Node, error) {
@@ -517,7 +517,7 @@ func decodeNodes(r *reader, arena *dag.Arena, toks []lexer.Token, l *langs.Langu
 			sigTok = append(sigTok, ti)
 		}
 	}
-	nodesArr := make([]*dag.Node, len(toks))
+	terms := make([]*dag.Node, len(sigTok))
 
 	count := r.count()
 	if r.bad {
@@ -544,7 +544,7 @@ func decodeNodes(r *reader, arena *dag.Arena, toks []lexer.Token, l *langs.Langu
 				return fail(i, "significant-token index out of range")
 			}
 			ti := sigTok[si]
-			if nodesArr[ti] != nil {
+			if terms[si] != nil {
 				return fail(i, "token claimed by two terminals")
 			}
 			if f&nodeHasErr != 0 {
@@ -561,7 +561,7 @@ func decodeNodes(r *reader, arena *dag.Arena, toks []lexer.Token, l *langs.Langu
 				return fail(i, "terminal symbol does not match token")
 			}
 			n = arena.Terminal(grammar.Sym(sym), toks[ti].Text)
-			nodesArr[ti] = n
+			terms[si] = n
 		} else {
 			prod := int64(-1)
 			if kind == dag.KindProduction {
@@ -627,20 +627,20 @@ func decodeNodes(r *reader, arena *dag.Arena, toks []lexer.Token, l *langs.Langu
 	}
 	root := table[rootID]
 	// Every significant token must be a leaf of the restored tree —
-	// document invariant: nodes[i] non-nil exactly at non-skip tokens.
-	for _, ti := range sigTok {
-		if nodesArr[ti] == nil {
-			return nil, nil, fmt.Errorf("%w: significant token %d has no terminal node", ErrCorrupt, ti)
+	// document invariant: one terminal per non-skip token.
+	for si, n := range terms {
+		if n == nil {
+			return nil, nil, fmt.Errorf("%w: significant token %d has no terminal node", ErrCorrupt, sigTok[si])
 		}
 	}
 	// And the tree's leaves, left to right, must be exactly those
 	// terminals in stream order — a correctly-checksummed artifact whose
 	// structure disagrees with its own token stream is rejected, never
 	// restored as a wrong document.
-	if err := validateLeaves(root, nodesArr, sigTok, count); err != nil {
+	if err := validateLeaves(root, terms, count); err != nil {
 		return nil, nil, err
 	}
-	return nodesArr, root, nil
+	return terms, root, nil
 }
 
 // validateLeaves checks that root's terminal yield (first unfiltered
@@ -650,7 +650,7 @@ func decodeNodes(r *reader, arena *dag.Arena, toks []lexer.Token, l *langs.Langu
 // per table entry, so an artifact whose sharing structure would make the
 // walk superlinear (an adversarial blow-up, impossible to produce by
 // Encode) is rejected rather than traversed.
-func validateLeaves(root *dag.Node, nodesArr []*dag.Node, sigTok []int, tableLen int) error {
+func validateLeaves(root *dag.Node, terms []*dag.Node, tableLen int) error {
 	budget := 4*tableLen + 8
 	next := 0
 	stack := []*dag.Node{root}
@@ -663,7 +663,7 @@ func validateLeaves(root *dag.Node, nodesArr []*dag.Node, sigTok []int, tableLen
 		stack = stack[:len(stack)-1]
 		switch n.Kind {
 		case dag.KindTerminal:
-			if next >= len(sigTok) || nodesArr[sigTok[next]] != n {
+			if next >= len(terms) || terms[next] != n {
 				return fmt.Errorf("%w: tree leaves out of stream order", ErrCorrupt)
 			}
 			next++
@@ -687,8 +687,8 @@ func validateLeaves(root *dag.Node, nodesArr []*dag.Node, sigTok []int, tableLen
 			}
 		}
 	}
-	if next != len(sigTok) {
-		return fmt.Errorf("%w: tree covers %d of %d significant tokens", ErrCorrupt, next, len(sigTok))
+	if next != len(terms) {
+		return fmt.Errorf("%w: tree covers %d of %d significant tokens", ErrCorrupt, next, len(terms))
 	}
 	return nil
 }

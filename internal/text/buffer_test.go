@@ -25,14 +25,11 @@ func TestBasicEditing(t *testing.T) {
 	if b.String() != "goodbye world" {
 		t.Fatalf("after delete: %q", b.String())
 	}
-	if b.Version() != 3 {
-		t.Fatalf("version = %d, want 3", b.Version())
-	}
 }
 
 func TestSliceAndByteAt(t *testing.T) {
 	b := NewBuffer("0123456789")
-	b.Replace(5, 0, "abc") // 01234abc56789; gap sits mid-buffer
+	b.Replace(5, 0, "abc") // 01234abc56789
 	want := "01234abc56789"
 	if b.String() != want {
 		t.Fatalf("String = %q", b.String())
@@ -47,24 +44,6 @@ func TestSliceAndByteAt(t *testing.T) {
 	}
 	if got := b.Slice(0, 0); got != "" {
 		t.Fatalf("empty slice = %q", got)
-	}
-}
-
-func TestEditLog(t *testing.T) {
-	b := NewBuffer("abc")
-	v0 := b.Version()
-	b.Insert(3, "d")
-	b.Delete(0, 1)
-	edits := b.EditsSince(v0)
-	if len(edits) != 2 {
-		t.Fatalf("edits = %d, want 2", len(edits))
-	}
-	if edits[0].Inserted != "d" || edits[1].Removed != 1 {
-		t.Fatalf("edits = %v", edits)
-	}
-	b.TrimLog(b.Version())
-	if len(b.EditsSince(v0)) != 0 {
-		t.Fatalf("log not trimmed")
 	}
 }
 

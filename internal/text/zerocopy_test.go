@@ -83,8 +83,8 @@ func TestStringCacheAcrossEdits(t *testing.T) {
 	}
 }
 
-// TestEditsSpanningGap exercises edits that straddle the gap position left
-// by previous edits, including removals crossing it in both directions.
+// TestEditsSpanningGap exercises edits that straddle the span a previous
+// edit inserted, including removals crossing it in both directions.
 func TestEditsSpanningGap(t *testing.T) {
 	src := strings.Repeat("abcdefghij", 100) // 1000 bytes
 	b := NewBuffer(src)
@@ -99,10 +99,10 @@ func TestEditsSpanningGap(t *testing.T) {
 		}
 	}
 
-	apply(500, 0, "MID")   // gap now just after 503
-	apply(490, 20, "SPAN") // removal crosses the old gap from the left
-	apply(100, 0, "LEFT")  // gap jumps far left
-	apply(95, 10, "X")     // removal crosses the new gap
+	apply(500, 0, "MID")   // inserted span [500,503)
+	apply(490, 20, "SPAN") // removal crosses it from the left
+	apply(100, 0, "LEFT")  // far left of it
+	apply(95, 10, "X")     // removal crosses the new insertion
 	apply(0, 0, "HEAD")
 	apply(b.Len()-5, 5, "TAIL") // at the far right
 	apply(0, b.Len(), "")       // delete everything
@@ -113,7 +113,7 @@ func TestEditsSpanningGap(t *testing.T) {
 }
 
 // TestMultiMBBuffer: multi-megabyte adopted buffer — zero-copy reads, a
-// mid-file edit spanning the gap, and Bytes() compaction all stay correct.
+// mid-file edit, and Bytes() after it all stay correct.
 func TestMultiMBBuffer(t *testing.T) {
 	var sb strings.Builder
 	line := "func f(x int) int { return x * 2 } // padding padding padding\n"
@@ -135,7 +135,7 @@ func TestMultiMBBuffer(t *testing.T) {
 	if got := b.String(); got != want {
 		t.Fatal("multi-MB edit diverged")
 	}
-	// Bytes() must compact the gap and match, with the edit in place.
+	// Bytes() must match, with the edit in place.
 	if got := b.Bytes(); !bytes.Equal(got, []byte(want)) {
 		t.Fatal("Bytes() diverged after edit")
 	}
@@ -145,11 +145,11 @@ func TestMultiMBBuffer(t *testing.T) {
 	}
 }
 
-// TestBytesContiguous: Bytes() and View() return the text with the gap
-// moved out of the middle, without allocating.
+// TestBytesContiguous: after a mid-text edit, Bytes() and View() return
+// the whole text contiguously, without allocating.
 func TestBytesContiguous(t *testing.T) {
 	b := NewBuffer("0123456789")
-	b.Insert(5, "---") // gap sits mid-buffer afterwards
+	b.Insert(5, "---")
 	want := "01234---56789"
 	allocs := testing.AllocsPerRun(10, func() {
 		if got := b.Bytes(); string(got) != want {

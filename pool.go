@@ -12,7 +12,7 @@ import (
 
 // Pool recycles the expensive per-session machinery — the IGLR parser's
 // GSS arenas and sharer tables, the deterministic parser's stack, and the
-// document's token/node arrays — across many single-shot sessions of one
+// document's token and terminal arrays — across many single-shot sessions of one
 // language. A batch driver parsing thousands of files (see engine) pays
 // those allocations once per worker instead of once per file.
 //
@@ -33,7 +33,6 @@ type poolItem struct {
 	parser *iglr.Parser
 	det    *detparse.Parser
 	toks   []lexer.Token
-	nodes  []*dag.Node
 	terms  []*dag.Node
 }
 
@@ -55,9 +54,7 @@ func (p *Pool) NewSession(source string, opts ...SessionOption) *Session {
 		parser:   it.parser,
 		spareDet: it.det,
 	}
-	docOpts := document.Options{
-		Toks: it.toks, Nodes: it.nodes, Terms: it.terms,
-	}
+	docOpts := document.Options{Toks: it.toks, Terms: it.terms}
 	*it = poolItem{}
 	for _, o := range opts {
 		o(s)
@@ -86,7 +83,7 @@ func (p *Pool) Recycle(s *Session) {
 		it.det = s.spareDet
 	}
 	if s.doc != nil {
-		it.toks, it.nodes, it.terms = s.doc.ReleaseBuffers()
+		it.toks, it.terms = s.doc.ReleaseBuffers()
 	}
 	*s = Session{} // poison: any further use fails fast
 	p.items.Put(it)
