@@ -26,12 +26,12 @@ func TestDeterministicReparseAllocFree(t *testing.T) {
 	if err := s.UseDeterministic(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Parse(); err != nil {
-		t.Fatal(err)
+	if out := s.Do(nil); out.Err != nil {
+		t.Fatal(out.Err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := s.Parse(); err != nil {
-			t.Fatal(err)
+		if out := s.Do(nil); out.Err != nil {
+			t.Fatal(out.Err)
 		}
 	})
 	if allocs != 0 {
@@ -49,8 +49,8 @@ func TestDeterministicEditReparseAllocsBounded(t *testing.T) {
 	if err := s.UseDeterministic(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Parse(); err != nil {
-		t.Fatal(err)
+	if out := s.Do(nil); out.Err != nil {
+		t.Fatal(out.Err)
 	}
 	off := strings.Index(src, "1")
 	flip := false
@@ -61,8 +61,8 @@ func TestDeterministicEditReparseAllocsBounded(t *testing.T) {
 			repl = "2"
 		}
 		s.Edit(off, 1, repl)
-		if _, err := s.Parse(); err != nil {
-			t.Fatal(err)
+		if out := s.Do(nil); out.Err != nil {
+			t.Fatal(out.Err)
 		}
 	})
 	t.Logf("deterministic one-token reparse: %.1f allocs/run", allocs)
@@ -79,8 +79,8 @@ func TestDeterministicEditReparseAllocsBounded(t *testing.T) {
 func TestIGLRReparseAllocsBounded(t *testing.T) {
 	src := "int x; int y; T * a; x = y + 1; a = x * y;"
 	s := incremental.NewSession(incremental.CSubset(), src)
-	if _, err := s.Parse(); err != nil {
-		t.Fatal(err)
+	if out := s.Do(nil); out.Err != nil {
+		t.Fatal(out.Err)
 	}
 	off := strings.Index(src, "y")
 	flip := false
@@ -91,8 +91,8 @@ func TestIGLRReparseAllocsBounded(t *testing.T) {
 			repl = "z"
 		}
 		s.Edit(off, 1, repl)
-		if _, err := s.Parse(); err != nil {
-			t.Fatal(err)
+		if out := s.Do(nil); out.Err != nil {
+			t.Fatal(out.Err)
 		}
 	})
 	t.Logf("IGLR one-token reparse: %.1f allocs/run", allocs)

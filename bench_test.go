@@ -5,10 +5,13 @@
 package incremental_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
+	"time"
 
 	incremental "iglr"
 	"iglr/engine"
@@ -56,11 +59,11 @@ func BenchmarkFigure7(b *testing.B) {
 	lang := incremental.LR2Language()
 	for i := 0; i < b.N; i++ {
 		s := incremental.NewSession(lang, "x z c")
-		tree, err := s.Parse()
-		if err != nil {
-			b.Fatal(err)
+		out := s.Do(nil)
+		if out.Err != nil {
+			b.Fatal(out.Err)
 		}
-		if incremental.CountParses(tree) != 1 {
+		if incremental.CountParses(out.Root) != 1 {
 			b.Fatal("figure 7 grammar must be unambiguous")
 		}
 		b.ReportMetric(float64(s.Stats().MaxActiveParsers), "max-parsers")
@@ -187,8 +190,8 @@ func BenchmarkBatchParseThroughput(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := incremental.NewSession(lang, src)
-		if _, err := s.Parse(); err != nil {
-			b.Fatal(err)
+		if out := s.Do(nil); out.Err != nil {
+			b.Fatal(out.Err)
 		}
 	}
 }
@@ -200,8 +203,8 @@ func BenchmarkIncrementalReparse(b *testing.B) {
 	src, _ := corpus.Generate(spec)
 	lang := incremental.CSubset()
 	s := incremental.NewSession(lang, src)
-	if _, err := s.Parse(); err != nil {
-		b.Fatal(err)
+	if out := s.Do(nil); out.Err != nil {
+		b.Fatal(out.Err)
 	}
 	off := strings.Index(src, "v7 =")
 	if off < 0 {
@@ -210,12 +213,12 @@ func BenchmarkIncrementalReparse(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Edit(off, 2, "vq")
-		if _, err := s.Parse(); err != nil {
-			b.Fatal(err)
+		if out := s.Do(nil); out.Err != nil {
+			b.Fatal(out.Err)
 		}
 		s.Edit(off, 2, "v7")
-		if _, err := s.Parse(); err != nil {
-			b.Fatal(err)
+		if out := s.Do(nil); out.Err != nil {
+			b.Fatal(out.Err)
 		}
 	}
 }
@@ -227,8 +230,8 @@ func BenchmarkSemanticResolution(b *testing.B) {
 	src, nAmb := corpus.Generate(spec)
 	lang := incremental.CSubset()
 	s := incremental.NewSession(lang, src)
-	if _, err := s.Parse(); err != nil {
-		b.Fatal(err)
+	if out := s.Do(nil); out.Err != nil {
+		b.Fatal(out.Err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -271,6 +274,48 @@ func BenchmarkParallelCorpus(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkSessionRestore measures the durability path on one 2,000-line
+// generated C file: Snapshot of a parsed session, RestoreSession from its
+// bytes, and the cold NewSession+Do that a restore replaces. restore/cold
+// is the restore time as a fraction of the cold parse.
+func BenchmarkSessionRestore(b *testing.B) {
+	src, _ := corpus.Generate(corpus.Spec{Name: "restore", Lines: 2000, Lang: "c", Seed: 1})
+	lang := incremental.CSubset()
+	s := incremental.NewSession(lang, src)
+	if out := s.Do(nil); out.Err != nil {
+		b.Fatal(out.Err)
+	}
+	var snap bytes.Buffer
+	if err := s.Snapshot(&snap); err != nil {
+		b.Fatal(err)
+	}
+	var snapshot, restore, cold time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		start := time.Now()
+		if err := s.Snapshot(io.Discard); err != nil {
+			b.Fatal(err)
+		}
+		snapped := time.Now()
+		if _, err := incremental.RestoreSession(bytes.NewReader(snap.Bytes()), lang); err != nil {
+			b.Fatal(err)
+		}
+		restored := time.Now()
+		if out := incremental.NewSession(lang, src).Do(nil); out.Err != nil {
+			b.Fatal(out.Err)
+		}
+		snapshot += snapped.Sub(start)
+		restore += restored.Sub(snapped)
+		cold += time.Since(restored)
+	}
+	n := float64(b.N)
+	b.ReportMetric(float64(snapshot.Nanoseconds())/n, "snapshot-ns/op")
+	b.ReportMetric(float64(restore.Nanoseconds())/n, "restore-ns/op")
+	b.ReportMetric(float64(cold.Nanoseconds())/n, "cold-ns/op")
+	b.ReportMetric(float64(restore)/float64(cold), "restore/cold")
+	b.ReportMetric(float64(snap.Len()), "snapshot-bytes")
 }
 
 var sinkStr string

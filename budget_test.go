@@ -32,10 +32,11 @@ func TestPathologicalInputCompletesUnderAlternativesBudget(t *testing.T) {
 
 	s := incremental.NewSession(lang, src,
 		incremental.WithBudget(incremental.Budget{MaxAlternatives: 2}))
-	root, err := s.Parse()
-	if err != nil {
-		t.Fatalf("budgeted parse of the pathological fixture failed: %v", err)
+	out := s.Do(nil)
+	if out.Err != nil {
+		t.Fatalf("budgeted parse of the pathological fixture failed: %v", out.Err)
 	}
+	root := out.Root
 	if s.Stats().BudgetPruned == 0 {
 		t.Fatal("the fixture must force ambiguity pruning")
 	}
@@ -59,11 +60,11 @@ func TestPathologicalInputCompletesUnderAlternativesBudget(t *testing.T) {
 	// The same input under MaxAlternatives=1 embeds a single parse.
 	s1 := incremental.NewSession(lang, src,
 		incremental.WithBudget(incremental.Budget{MaxAlternatives: 1}))
-	root1, err := s1.Parse()
-	if err != nil {
-		t.Fatal(err)
+	out1 := s1.Do(nil)
+	if out1.Err != nil {
+		t.Fatal(out1.Err)
 	}
-	if got := incremental.CountParses(root1); got != 1 {
+	if got := incremental.CountParses(out1.Root); got != 1 {
 		t.Fatalf("MaxAlternatives=1 should leave exactly one parse, got %d", got)
 	}
 }
@@ -83,7 +84,7 @@ func TestGSSBudgetAbortsPathologicalInput(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := incremental.NewSession(lang, src, incremental.WithBudget(tc.budget))
-			_, err := s.Parse()
+			err := s.Do(nil).Err
 			if err == nil {
 				t.Fatal("tiny budget must abort the pathological parse")
 			}
@@ -106,9 +107,9 @@ func TestGSSBudgetAbortsPathologicalInput(t *testing.T) {
 func TestBudgetAbortLeavesCommittedTreeIntact(t *testing.T) {
 	lang := incremental.AmbiguousExprLanguage()
 	s := incremental.NewSession(lang, "1+2")
-	root, err := s.Parse()
-	if err != nil {
-		t.Fatal(err)
+	base := s.Do(nil)
+	if base.Err != nil {
+		t.Fatal(base.Err)
 	}
 
 	// Grow the document into the pathological shape, under a budget too
@@ -116,20 +117,20 @@ func TestBudgetAbortLeavesCommittedTreeIntact(t *testing.T) {
 	s.SetBudget(incremental.Budget{MaxGSSLinks: 16})
 	src := pathologicalExpr(t)
 	s.Edit(s.Len(), 0, "+"+src)
-	if _, err := s.Parse(); !errors.Is(err, incremental.ErrBudget) {
+	if err := s.Do(nil).Err; !errors.Is(err, incremental.ErrBudget) {
 		t.Fatalf("err = %v, want a budget trip", err)
 	}
-	if s.Tree() != root {
+	if s.Tree() != base.Root {
 		t.Fatal("failed reparse must keep the last committed tree")
 	}
 
 	// Lifting the budget makes the same pending edit parse fine.
 	s.SetBudget(incremental.Budget{})
-	root2, err := s.Parse()
-	if err != nil {
-		t.Fatalf("retry without budget failed: %v", err)
+	out := s.Do(nil)
+	if out.Err != nil {
+		t.Fatalf("retry without budget failed: %v", out.Err)
 	}
-	if root2.Yield() != "1+2+"+src {
+	if out.Root.Yield() != "1+2+"+src {
 		t.Fatal("retried parse must incorporate the pending edit")
 	}
 }
@@ -144,18 +145,18 @@ func TestDeterministicParserHonorsBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	var be *incremental.BudgetError
-	if _, err := s.Parse(); !errors.As(err, &be) {
+	if err := s.Do(nil).Err; !errors.As(err, &be) {
 		t.Fatalf("err = %v, want *BudgetError", err)
 	}
 
 	s.SetBudget(incremental.Budget{MaxDuration: time.Nanosecond})
-	if _, err := s.Parse(); !errors.Is(err, incremental.ErrBudget) {
+	if err := s.Do(nil).Err; !errors.Is(err, incremental.ErrBudget) {
 		t.Fatalf("err = %v, want a deadline trip", err)
 	}
 
 	s.SetBudget(incremental.Budget{})
-	if _, err := s.Parse(); err != nil {
-		t.Fatalf("unbudgeted parse failed: %v", err)
+	if out := s.Do(nil); out.Err != nil {
+		t.Fatalf("unbudgeted parse failed: %v", out.Err)
 	}
 }
 
@@ -165,22 +166,22 @@ func TestAmpleBudgetDoesNotChangeResults(t *testing.T) {
 	src := "1+2*3-4"
 
 	plain := incremental.NewSession(lang, src)
-	want, err := plain.Parse()
-	if err != nil {
-		t.Fatal(err)
+	want := plain.Do(nil)
+	if want.Err != nil {
+		t.Fatal(want.Err)
 	}
 	budgeted := incremental.NewSession(lang, src, incremental.WithBudget(incremental.Budget{
 		MaxGSSNodes: 1 << 20, MaxGSSLinks: 1 << 20, MaxArenaNodes: 1 << 20,
 		MaxAlternatives: 64, MaxDuration: time.Minute,
 	}))
-	got, err := budgeted.Parse()
-	if err != nil {
-		t.Fatal(err)
+	got := budgeted.Do(nil)
+	if got.Err != nil {
+		t.Fatal(got.Err)
 	}
 	if budgeted.Stats().BudgetPruned != 0 {
 		t.Fatal("ample budget must not prune")
 	}
-	if incremental.FormatDag(lang, got) != incremental.FormatDag(lang, want) {
+	if incremental.FormatDag(lang, got.Root) != incremental.FormatDag(lang, want.Root) {
 		t.Fatal("ample budget changed the parse result")
 	}
 }
@@ -196,7 +197,7 @@ func TestCancellationLatencyInsidePathologicalRound(t *testing.T) {
 		incremental.WithBudget(incremental.Budget{MaxDuration: 2 * time.Millisecond}))
 
 	start := time.Now()
-	_, err := s.Parse()
+	err := s.Do(nil).Err
 	elapsed := time.Since(start)
 	if !errors.Is(err, incremental.ErrBudget) {
 		t.Fatalf("err = %v, want a deadline trip", err)
@@ -222,7 +223,7 @@ func TestContextDeadlineInsidePathologicalRound(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := s.ParseContext(ctx)
+	err := s.Do(ctx).Err
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
@@ -236,7 +237,7 @@ func TestContextDeadlineInsidePathologicalRound(t *testing.T) {
 	// The session is reusable: shrink the document to something tractable
 	// and an un-cancelled retry succeeds.
 	s.Edit(0, s.Len()-1, "")
-	if _, err := s.ParseContext(context.Background()); err != nil {
-		t.Fatalf("retry failed: %v", err)
+	if out := s.Do(context.Background()); out.Err != nil {
+		t.Fatalf("retry failed: %v", out.Err)
 	}
 }

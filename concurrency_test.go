@@ -62,15 +62,15 @@ func TestConcurrentSessionsSharedLanguage(t *testing.T) {
 					defer wg.Done()
 					for iter := 0; iter < 3; iter++ {
 						s := incremental.NewSession(tc.lang, tc.src)
-						if _, err := s.Parse(); err != nil {
-							errs <- err
+						if out := s.Do(nil); out.Err != nil {
+							errs <- out.Err
 							return
 						}
 						s.Resolve()
 						off := strings.Index(s.Text(), tc.oldTxt)
 						s.Edit(off, len(tc.oldTxt), tc.newTxt)
-						if _, err := s.Parse(); err != nil {
-							errs <- err
+						if out := s.Do(nil); out.Err != nil {
+							errs <- out.Err
 							return
 						}
 						s.Resolve()
@@ -100,48 +100,48 @@ func TestWithSemanticsDoesNotMutateReceiver(t *testing.T) {
 	src := "typedef int t; t(a);"
 
 	s := incremental.NewSession(base, src)
-	if _, err := s.Parse(); err != nil {
-		t.Fatal(err)
+	if out := s.Do(nil); out.Err != nil {
+		t.Fatal(out.Err)
 	}
 	if res := s.Resolve(); res.ResolvedDecl != 1 {
 		t.Fatalf("base language lost its semantics config: %+v", res)
 	}
 
 	d := incremental.NewSession(derived, src)
-	if _, err := d.Parse(); err != nil {
-		t.Fatal(err)
+	if out := d.Do(nil); out.Err != nil {
+		t.Fatal(out.Err)
 	}
 	if res := d.Resolve(); res.Resolved() != 0 {
 		t.Fatalf("derived language should use the no-op override: %+v", res)
 	}
 }
 
-// TestParseContextPreCancelled: a done context aborts before any work, the
-// committed tree survives, and the session remains usable.
+// TestParseContextPreCancelled: Do with a done context aborts before any
+// work, the committed tree survives, and the session remains usable.
 func TestParseContextPreCancelled(t *testing.T) {
 	lang := incremental.CSubset()
 	s := incremental.NewSession(lang, "int a; int b;")
-	tree, err := s.Parse()
-	if err != nil {
-		t.Fatal(err)
+	base := s.Do(nil)
+	if base.Err != nil {
+		t.Fatal(base.Err)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	s.Edit(4, 1, "x")
-	if _, err := s.ParseContext(ctx); !errors.Is(err, context.Canceled) {
+	if err := s.Do(ctx).Err; !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if s.Tree() != tree {
+	if s.Tree() != base.Root {
 		t.Fatal("cancelled parse must not commit")
 	}
 	// The same session retries cleanly without the context.
-	if tree2, err := s.Parse(); err != nil || tree2.Yield() != "intx;intb;" {
-		t.Fatalf("retry: tree=%v err=%v", tree2, err)
+	if out := s.Do(nil); out.Err != nil || out.Root.Yield() != "intx;intb;" {
+		t.Fatalf("retry: tree=%v err=%v", out.Root, out.Err)
 	}
 }
 
-// TestParseContextCancelMidParse cancels while a large parse is running.
+// TestParseContextCancelMidParse cancels while a large Do is running.
 // Whichever side wins the race, the session must stay coherent: either the
 // parse finished normally, or it returned the cancellation error without
 // committing.
@@ -153,19 +153,19 @@ func TestParseContextCancelMidParse(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() { cancel(); close(done) }()
-	tree, err := s.ParseContext(ctx)
+	out := s.Do(ctx)
 	<-done
-	if err != nil {
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v, want context.Canceled", err)
+	if out.Err != nil {
+		if !errors.Is(out.Err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", out.Err)
 		}
 		if s.Tree() != nil {
 			t.Fatal("cancelled first parse must leave no committed tree")
 		}
-		if _, err := s.Parse(); err != nil {
-			t.Fatalf("retry after cancellation: %v", err)
+		if out := s.Do(nil); out.Err != nil {
+			t.Fatalf("retry after cancellation: %v", out.Err)
 		}
-	} else if tree == nil {
+	} else if out.Root == nil {
 		t.Fatal("successful parse returned nil tree")
 	}
 }
@@ -180,11 +180,11 @@ func TestParseContextDeterministicParser(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := s.ParseContext(ctx); !errors.Is(err, context.Canceled) {
+	if err := s.Do(ctx).Err; !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if _, err := s.ParseContext(context.Background()); err != nil {
-		t.Fatal(err)
+	if out := s.Do(context.Background()); out.Err != nil {
+		t.Fatal(out.Err)
 	}
 }
 
@@ -228,8 +228,8 @@ func TestLanguageCache(t *testing.T) {
 	}
 	for _, l := range langs {
 		s := incremental.NewSession(l, "x; x;")
-		if _, err := s.Parse(); err != nil {
-			t.Fatal(err)
+		if out := s.Do(nil); out.Err != nil {
+			t.Fatal(out.Err)
 		}
 	}
 
@@ -269,12 +269,12 @@ func TestDefineGrammarOptions(t *testing.T) {
 		t.Fatalf("name = %q", lang.Name())
 	}
 	s := incremental.NewSession(lang, "x; x; x;")
-	tree, err := s.Parse()
-	if err != nil {
-		t.Fatal(err)
+	out := s.Do(nil)
+	if out.Err != nil {
+		t.Fatal(out.Err)
 	}
-	if tree.Yield() != "x;x;x;" {
-		t.Fatalf("yield = %q", tree.Yield())
+	if out.Root.Yield() != "x;x;x;" {
+		t.Fatalf("yield = %q", out.Root.Yield())
 	}
 }
 
@@ -320,7 +320,7 @@ func TestDefinitionErrorTypes(t *testing.T) {
 // through the exported type.
 func TestParseErrorStructure(t *testing.T) {
 	s := incremental.NewSession(incremental.ExprLanguage(), "1 +\n+ 2")
-	_, err := s.Parse()
+	err := s.Do(nil).Err
 	if err == nil {
 		t.Fatal("want syntax error")
 	}

@@ -65,11 +65,11 @@ func exprOutline(t *testing.T, text string) string {
 		t.Fatal("expr not bundled")
 	}
 	s := incremental.NewSession(lang, text)
-	root, err := s.Parse()
-	if err != nil {
-		t.Fatalf("oracle parse of %q: %v", text, err)
+	out := s.Do(nil)
+	if out.Err != nil {
+		t.Fatalf("oracle parse of %q: %v", text, out.Err)
 	}
-	return incremental.FormatDag(lang, root)
+	return incremental.FormatDag(lang, out.Root)
 }
 
 // pollMetric scrapes the admin plane until the metric reaches at least

@@ -41,8 +41,8 @@ func artifactFiles(t *testing.T, dir string) []string {
 func parseX(t *testing.T, l *incremental.Language) {
 	t.Helper()
 	s := incremental.NewSession(l, "x; x;")
-	if _, err := s.Parse(); err != nil {
-		t.Fatal(err)
+	if out := s.Do(nil); out.Err != nil {
+		t.Fatal(out.Err)
 	}
 }
 

@@ -21,11 +21,11 @@ func faultSession(t *testing.T) (*incremental.Session, *incremental.Node, string
 	t.Helper()
 	lang := incremental.AmbiguousExprLanguage()
 	s := incremental.NewSession(lang, "1+2*3")
-	root, err := s.Parse()
-	if err != nil {
-		t.Fatal(err)
+	out := s.Do(nil)
+	if out.Err != nil {
+		t.Fatal(out.Err)
 	}
-	return s, root, incremental.FormatDag(lang, root)
+	return s, out.Root, incremental.FormatDag(lang, out.Root)
 }
 
 // parseRecovering runs one parse, converting an injected panic into an
@@ -39,8 +39,7 @@ func parseRecovering(s *incremental.Session) (err error) {
 			}
 		}
 	}()
-	_, err = s.Parse()
-	return err
+	return s.Do(nil).Err
 }
 
 func TestFaultConvergenceAcrossParsePoints(t *testing.T) {
@@ -82,12 +81,12 @@ func TestFaultConvergenceAcrossParsePoints(t *testing.T) {
 			}
 
 			// Fault cleared: the pending edit parses on retry.
-			tree, err := s.Parse()
-			if err != nil {
-				t.Fatalf("post-fault reparse failed: %v", err)
+			out := s.Do(nil)
+			if out.Err != nil {
+				t.Fatalf("post-fault reparse failed: %v", out.Err)
 			}
-			if tree.Yield() != "1+2*3-4" {
-				t.Fatalf("post-fault yield = %q", tree.Yield())
+			if out.Root.Yield() != "1+2*3-4" {
+				t.Fatalf("post-fault yield = %q", out.Root.Yield())
 			}
 		})
 	}
@@ -113,8 +112,8 @@ func TestFaultConvergenceRandomizedRounds(t *testing.T) {
 			if s.Tree() != root || incremental.FormatDag(lang, s.Tree()) != before {
 				t.Fatalf("seed %d: fault corrupted committed state", seed)
 			}
-			if _, err := s.Parse(); err != nil {
-				t.Fatalf("seed %d: post-fault reparse failed: %v", seed, err)
+			if out := s.Do(nil); out.Err != nil {
+				t.Fatalf("seed %d: post-fault reparse failed: %v", seed, out.Err)
 			}
 		} else if err != nil {
 			// Countdown outlived the parse: it must have just succeeded.
@@ -138,7 +137,7 @@ func TestFaultConvergenceLexErrorViaRecovery(t *testing.T) {
 	faultinject.Activate(faultinject.NewPlan(faultinject.Trigger{
 		Point: faultinject.LexTerminal, Match: "777", Every: 1, Do: faultinject.ActError}))
 	s.Edit(s.Len(), 0, "+777")
-	out := s.ParseWithRecovery()
+	out := s.Do(nil, incremental.Tolerant())
 	faultinject.Deactivate()
 
 	if out.Clean {
@@ -156,12 +155,12 @@ func TestFaultConvergenceLexErrorViaRecovery(t *testing.T) {
 
 	// Fault cleared: re-applying the same edit now succeeds.
 	s.Edit(s.Len(), 0, "+777")
-	tree, err := s.Parse()
-	if err != nil {
-		t.Fatal(err)
+	out = s.Do(nil)
+	if out.Err != nil {
+		t.Fatal(out.Err)
 	}
-	if tree.Yield() != "1+2*3+777" {
-		t.Fatalf("yield = %q", tree.Yield())
+	if out.Root.Yield() != "1+2*3+777" {
+		t.Fatalf("yield = %q", out.Root.Yield())
 	}
 }
 
@@ -170,10 +169,11 @@ func TestFaultConvergenceLexErrorViaRecovery(t *testing.T) {
 func TestFaultConvergenceResolvePanic(t *testing.T) {
 	lang := incremental.CPPSubset()
 	s := incremental.NewSession(lang, "typedef int a; a(b); c(d);")
-	root, err := s.Parse()
-	if err != nil {
-		t.Fatal(err)
+	out := s.Do(nil)
+	if out.Err != nil {
+		t.Fatal(out.Err)
 	}
+	root := out.Root
 	before := incremental.FormatDag(lang, root)
 
 	faultinject.Activate(faultinject.NewPlan(faultinject.Trigger{

@@ -14,12 +14,12 @@ func TestMemoryFootprint(t *testing.T) {
 	lang := incremental.ExprLanguage()
 
 	small := incremental.NewSession(lang, "a+b")
-	if _, err := small.Parse(); err != nil {
-		t.Fatal(err)
+	if out := small.Do(nil); out.Err != nil {
+		t.Fatal(out.Err)
 	}
 	big := incremental.NewSession(lang, strings.Repeat("a+b", 2000))
-	if _, err := big.Parse(); err != nil {
-		t.Fatal(err)
+	if out := big.Do(nil); out.Err != nil {
+		t.Fatal(out.Err)
 	}
 
 	fs, fb := small.MemoryFootprint(), big.MemoryFootprint()
@@ -32,8 +32,8 @@ func TestMemoryFootprint(t *testing.T) {
 
 	before := small.MemoryFootprint()
 	small.Edit(0, 0, strings.Repeat("x+", 1000))
-	if _, err := small.Parse(); err != nil {
-		t.Fatal(err)
+	if out := small.Do(nil); out.Err != nil {
+		t.Fatal(out.Err)
 	}
 	after := small.MemoryFootprint()
 	if after <= before {

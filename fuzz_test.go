@@ -29,7 +29,7 @@ func FuzzErrorIsolationConverges(f *testing.F) {
 			}
 		}
 		s := incremental.NewSession(lang, src)
-		if _, err := s.Parse(); err != nil {
+		if out := s.Do(nil); out.Err != nil {
 			t.Skip() // only valid baselines exercise isolation
 		}
 
@@ -46,7 +46,7 @@ func FuzzErrorIsolationConverges(f *testing.F) {
 		broken := src[:off] + ins + src[off+rem:]
 
 		s.Edit(off, rem, ins)
-		out := s.ParseWithRecovery()
+		out := s.Do(nil, incremental.Tolerant())
 		if out.Err != nil {
 			t.Fatalf("recovery errored with a committed baseline: %v", out.Err)
 		}
@@ -74,9 +74,9 @@ func FuzzErrorIsolationConverges(f *testing.F) {
 
 		// Convergence: undoing the edit reparses to the batch-parse tree.
 		s.Edit(off, len(ins), removed)
-		root, err := s.Parse()
-		if err != nil {
-			t.Fatalf("repaired text %q does not reparse: %v", src, err)
+		repaired := s.Do(nil)
+		if repaired.Err != nil {
+			t.Fatalf("repaired text %q does not reparse: %v", src, repaired.Err)
 		}
 		if s.Text() != src {
 			t.Fatalf("repaired text = %q, want %q", s.Text(), src)
@@ -84,11 +84,11 @@ func FuzzErrorIsolationConverges(f *testing.F) {
 		if len(s.Diagnostics()) != 0 || len(s.ErrorNodes()) != 0 {
 			t.Fatalf("quarantine survived the repair: %v", s.Diagnostics())
 		}
-		fresh, err := incremental.NewSession(lang, src).Parse()
-		if err != nil {
-			t.Fatal(err)
+		fresh := incremental.NewSession(lang, src).Do(nil)
+		if fresh.Err != nil {
+			t.Fatal(fresh.Err)
 		}
-		if got, want := incremental.FormatDag(lang, root), incremental.FormatDag(lang, fresh); got != want {
+		if got, want := incremental.FormatDag(lang, repaired.Root), incremental.FormatDag(lang, fresh.Root); got != want {
 			t.Fatalf("repaired tree differs from batch parse:\n-- incremental --\n%s\n-- batch --\n%s", got, want)
 		}
 	})

@@ -16,9 +16,10 @@
 //
 //	lang, _ := incremental.DefineLanguage(def)
 //	s := incremental.NewSession(lang, source)
-//	tree, _ := s.Parse()
+//	out := s.Do(ctx) // out.Root: the parse dag; out.Err: e.g. a *ParseError
 //	s.Edit(offset, removed, inserted)
-//	tree, _ = s.Parse() // incremental: reuses unmodified subtrees
+//	out = s.Do(ctx) // incremental: reuses unmodified subtrees
+//	out = s.Do(ctx, incremental.Tolerant()) // keeps syntax errors as error nodes
 package incremental
 
 import (
@@ -43,7 +44,6 @@ import (
 	"iglr/internal/langs/scannerless"
 	"iglr/internal/lexer"
 	"iglr/internal/lr"
-	"iglr/internal/recovery"
 	"iglr/internal/semantics"
 )
 
@@ -76,8 +76,6 @@ type (
 	Reinterpreted = semantics.ReinterpretedRegion
 	// Filter is a dynamic syntactic disambiguation filter.
 	Filter = disambig.Filter
-	// RecoveryOutcome reports a history-based error-recovery run.
-	RecoveryOutcome = recovery.Outcome
 	// AppliedEdit is a recorded, revertible document edit.
 	AppliedEdit = document.AppliedEdit
 	// TableMethod selects the LR table construction algorithm.
@@ -351,36 +349,14 @@ func (s *Session) Text() string { return s.doc.Text() }
 // Len returns the document length in bytes.
 func (s *Session) Len() int { return s.doc.Len() }
 
-// Tree returns the last committed parse dag (nil before the first Parse).
+// Tree returns the last committed parse dag (nil before the first
+// successful Do).
 func (s *Session) Tree() *Node { return s.doc.Root() }
 
 // Edit applies a text modification. Any number of edits may be batched
-// before the next Parse.
+// before the next Do.
 func (s *Session) Edit(offset, removed int, inserted string) {
 	s.doc.Replace(offset, removed, inserted)
-}
-
-// Parse (re)parses the document incrementally, committing on success. The
-// previous tree is retained on failure; the returned error carries the
-// line/column of the offending token (as a *ParseError).
-//
-// Deprecated: use Do, the context-first session API. Parse is equivalent
-// to Do(nil) with Root/Err unpacked.
-func (s *Session) Parse() (*Node, error) {
-	return s.ParseContext(nil)
-}
-
-// ParseContext is Parse with cooperative cancellation: the parser polls
-// ctx periodically and abandons the parse with an error satisfying
-// errors.Is(err, ctx.Err()) once the context is done. The document and its
-// committed tree are left exactly as before the call, so a cancelled parse
-// can simply be retried. A nil ctx disables the checks.
-//
-// Deprecated: use Do, the context-first session API. ParseContext is
-// equivalent to Do(ctx) with Root/Err unpacked.
-func (s *Session) ParseContext(ctx context.Context) (*Node, error) {
-	out := s.Do(ctx)
-	return out.Root, out.Err
 }
 
 // isDetSyntax reports whether err is a deterministic-parser syntax error.
@@ -426,40 +402,6 @@ func (s *Session) parseOnce(ctx context.Context) (*Node, error) {
 	root, err := s.parser.ParseContext(ctx, s.doc.Stream())
 	s.stats = s.parser.Stats
 	return root, err
-}
-
-// ParseWithRecovery parses with two-tier error recovery. Tier 1 (§4.3
-// extended): a syntax error never reverts the user's text — the damage is
-// confined to the smallest enclosing sequence region, the skipped tokens
-// are kept verbatim under error nodes in the committed tree, and
-// Diagnostics reports them. Tier 2, only when isolation cannot bound the
-// damage: the paper's history-sensitive replay, where failing edits are
-// reverted and reported as unincorporated. Infrastructure failures
-// (ErrBudget, cancellation) abort with pending edits intact and trigger
-// neither tier.
-//
-// Deprecated: use Do with the Tolerant option, which reports the same
-// result as an Outcome.
-func (s *Session) ParseWithRecovery() RecoveryOutcome {
-	return s.ParseWithRecoveryContext(nil)
-}
-
-// ParseWithRecoveryContext is ParseWithRecovery with cooperative
-// cancellation (see ParseContext).
-//
-// Deprecated: use Do with the Tolerant option, which reports the same
-// result as an Outcome.
-func (s *Session) ParseWithRecoveryContext(ctx context.Context) RecoveryOutcome {
-	out := s.Do(ctx, Tolerant())
-	return RecoveryOutcome{
-		Root:           out.Root,
-		Incorporated:   out.Incorporated,
-		Unincorporated: out.Unincorporated,
-		Clean:          out.Clean,
-		Isolated:       out.Isolated,
-		ErrorRegions:   out.ErrorRegions,
-		Err:            out.Err,
-	}
 }
 
 // Resolve runs semantic disambiguation (§4.2) over the committed tree with

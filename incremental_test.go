@@ -11,10 +11,11 @@ import (
 func TestQuickstartExprSession(t *testing.T) {
 	lang := incremental.ExprLanguage()
 	s := incremental.NewSession(lang, "1 + 2 * x")
-	tree, err := s.Parse()
-	if err != nil {
-		t.Fatalf("parse: %v", err)
+	out := s.Do(nil)
+	if out.Err != nil {
+		t.Fatalf("parse: %v", out.Err)
 	}
+	tree := out.Root
 	if tree.Yield() != "1+2*x" {
 		t.Fatalf("yield = %q", tree.Yield())
 	}
@@ -23,23 +24,23 @@ func TestQuickstartExprSession(t *testing.T) {
 	}
 
 	s.Edit(4, 1, "3")
-	tree, err = s.Parse()
-	if err != nil {
-		t.Fatalf("reparse: %v", err)
+	out = s.Do(nil)
+	if out.Err != nil {
+		t.Fatalf("reparse: %v", out.Err)
 	}
-	if tree.Yield() != "1+3*x" {
-		t.Fatalf("yield = %q", tree.Yield())
+	if out.Root.Yield() != "1+3*x" {
+		t.Fatalf("yield = %q", out.Root.Yield())
 	}
 }
 
 func TestCPPSubsetTypedefFlow(t *testing.T) {
 	lang := incremental.CPPSubset()
 	s := incremental.NewSession(lang, "typedef int a; a(b); c(d);")
-	tree, err := s.Parse()
-	if err != nil {
-		t.Fatal(err)
+	out := s.Do(nil)
+	if out.Err != nil {
+		t.Fatal(out.Err)
 	}
-	if !tree.Ambiguous() {
+	if !out.Root.Ambiguous() {
 		t.Fatal("expected retained ambiguity before semantics")
 	}
 	res := s.Resolve()
@@ -49,8 +50,8 @@ func TestCPPSubsetTypedefFlow(t *testing.T) {
 
 	// Declare c: its call site resolves on the next pass.
 	s.Edit(0, 0, "int c; ")
-	if _, err := s.Parse(); err != nil {
-		t.Fatal(err)
+	if out := s.Do(nil); out.Err != nil {
+		t.Fatal(out.Err)
 	}
 	res = s.Resolve()
 	if res.ResolvedDecl != 1 || res.ResolvedStmt != 1 || res.Unresolved != 0 {
@@ -61,12 +62,12 @@ func TestCPPSubsetTypedefFlow(t *testing.T) {
 func TestSessionRecovery(t *testing.T) {
 	lang := incremental.CSubset()
 	s := incremental.NewSession(lang, "int a; int b;")
-	if out := s.ParseWithRecovery(); out.Err != nil || !out.Clean {
+	if out := s.Do(nil, incremental.Tolerant()); out.Err != nil || !out.Clean {
 		t.Fatalf("initial: %+v", out)
 	}
 	s.Edit(4, 1, "x")  // good
 	s.Edit(11, 1, "(") // bad
-	out := s.ParseWithRecovery()
+	out := s.Do(nil, incremental.Tolerant())
 	if out.Err != nil || !out.Isolated || out.ErrorRegions == 0 {
 		t.Fatalf("recovery outcome: %+v", out)
 	}
@@ -80,8 +81,8 @@ func TestSessionRecovery(t *testing.T) {
 	}
 	// Repairing the text clears the quarantine and converges.
 	s.Edit(11, 1, "b")
-	if _, err := s.Parse(); err != nil {
-		t.Fatal(err)
+	if out := s.Do(nil); out.Err != nil {
+		t.Fatal(out.Err)
 	}
 	if s.Text() != "int x; int b;" {
 		t.Fatalf("repaired text = %q", s.Text())
@@ -96,8 +97,8 @@ func TestUseDeterministic(t *testing.T) {
 	if err := s.UseDeterministic(); err != nil {
 		t.Fatalf("expr language is deterministic: %v", err)
 	}
-	if _, err := s.Parse(); err != nil {
-		t.Fatal(err)
+	if out := s.Do(nil); out.Err != nil {
+		t.Fatal(out.Err)
 	}
 
 	amb := incremental.NewSession(incremental.CSubset(), "int a;")
@@ -124,12 +125,12 @@ func TestDefineLanguage(t *testing.T) {
 		t.Fatal("list language should be deterministic")
 	}
 	s := incremental.NewSession(lang, "x; x; x;")
-	tree, err := s.Parse()
-	if err != nil {
-		t.Fatal(err)
+	out := s.Do(nil)
+	if out.Err != nil {
+		t.Fatal(out.Err)
 	}
-	if tree.Yield() != "x;x;x;" {
-		t.Fatalf("yield = %q", tree.Yield())
+	if out.Root.Yield() != "x;x;x;" {
+		t.Fatalf("yield = %q", out.Root.Yield())
 	}
 
 	if _, err := incremental.DefineLanguage(incremental.LanguageDef{
@@ -144,10 +145,11 @@ func TestDefineLanguage(t *testing.T) {
 func TestDynamicOperatorsThroughFacade(t *testing.T) {
 	lang := incremental.AmbiguousExprLanguage()
 	s := incremental.NewSession(lang, "a+b*c")
-	tree, err := s.Parse()
-	if err != nil {
-		t.Fatal(err)
+	out := s.Do(nil)
+	if out.Err != nil {
+		t.Fatal(out.Err)
 	}
+	tree := out.Root
 	if incremental.CountParses(tree) != 2 {
 		t.Fatalf("parses = %d", incremental.CountParses(tree))
 	}
@@ -166,8 +168,8 @@ func TestDynamicOperatorsThroughFacade(t *testing.T) {
 func TestAppendixBTrace(t *testing.T) {
 	lang := incremental.CPPSubset()
 	s := incremental.NewSession(lang, "a(b); c(d);")
-	if _, err := s.Parse(); err != nil {
-		t.Fatal(err)
+	if out := s.Do(nil); out.Err != nil {
+		t.Fatal(out.Err)
 	}
 
 	s.Edit(4, 1, "")  // delete ';'
@@ -176,10 +178,11 @@ func TestAppendixBTrace(t *testing.T) {
 	s.Trace(func(f string, args ...any) {
 		lines = append(lines, fmt.Sprintf(f, args...))
 	})
-	tree, err := s.Parse()
-	if err != nil {
-		t.Fatal(err)
+	out := s.Do(nil)
+	if out.Err != nil {
+		t.Fatal(out.Err)
 	}
+	tree := out.Root
 	s.Trace(nil)
 	trace := strings.Join(lines, "\n")
 

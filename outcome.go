@@ -18,15 +18,14 @@ type parseConfig struct {
 	deterministic bool
 }
 
-// Tolerant enables two-tier error recovery for this call (the behavior of
-// the deprecated ParseWithRecovery). Tier 1: a syntax error never reverts
-// the user's text — the damage is confined to the smallest enclosing
-// sequence region, the skipped tokens are kept verbatim under error nodes
-// in the committed tree, and Diagnostics reports them. Tier 2, only when
-// isolation cannot bound the damage: history-sensitive replay, where
-// failing edits are reverted and reported in Outcome.Unincorporated.
-// Infrastructure failures (ErrBudget, cancellation) abort with pending
-// edits intact and trigger neither tier.
+// Tolerant enables two-tier error recovery for this call. Tier 1: a syntax
+// error never reverts the user's text — the damage is confined to the
+// smallest enclosing sequence region, the skipped tokens are kept verbatim
+// under error nodes in the committed tree, and Diagnostics reports them.
+// Tier 2, only when isolation cannot bound the damage: history-sensitive
+// replay, where failing edits are reverted and reported in
+// Outcome.Unincorporated. Infrastructure failures (ErrBudget,
+// cancellation) abort with pending edits intact and trigger neither tier.
 func Tolerant() ParseOption {
 	return func(c *parseConfig) { c.tolerant = true }
 }
@@ -76,10 +75,9 @@ type Outcome struct {
 }
 
 // Do (re)parses the document incrementally, committing on success — the
-// context-first session API unifying the deprecated
-// Parse/ParseContext/ParseWithRecovery/ParseWithRecoveryContext four-way
-// split. The previous committed tree is retained on failure. The parser
-// polls ctx periodically and abandons the parse with an error satisfying
+// one session parse call for every mode (plain, deterministic, tolerant).
+// The previous committed tree is retained on failure. The parser polls ctx
+// periodically and abandons the parse with an error satisfying
 // errors.Is(err, ctx.Err()) once the context is done; a nil ctx disables
 // the checks, and a cancelled parse can simply be retried.
 func (s *Session) Do(ctx context.Context, opts ...ParseOption) Outcome {

@@ -3,235 +3,211 @@ package incremental_test
 import (
 	"context"
 	"errors"
-	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	incremental "iglr"
 )
 
-// twin drives two sessions over the same language and source through the
-// same edit script: one via the deprecated four-way API, one via Do. Every
-// step asserts the results are identical — the differential contract that
-// lets the old methods be thin wrappers.
-type twin struct {
-	t        *testing.T
-	old, new *incremental.Session
-}
-
-func newTwin(t *testing.T, lang *incremental.Language, src string, opts ...incremental.SessionOption) *twin {
-	return &twin{
-		t:   t,
-		old: incremental.NewSession(lang, src, opts...),
-		new: incremental.NewSession(lang, src, opts...),
-	}
-}
-
-func (tw *twin) edit(offset, removed int, inserted string) {
-	tw.old.Edit(offset, removed, inserted)
-	tw.new.Edit(offset, removed, inserted)
-}
-
-// sameErr compares error identity loosely: both nil, or both non-nil with
-// equal strings (located ParseErrors carry positions in the message).
-func sameErr(t *testing.T, step string, oldErr, newErr error) {
-	t.Helper()
-	switch {
-	case (oldErr == nil) != (newErr == nil):
-		t.Fatalf("%s: error mismatch: old=%v new=%v", step, oldErr, newErr)
-	case oldErr != nil && oldErr.Error() != newErr.Error():
-		t.Fatalf("%s: error text mismatch: old=%q new=%q", step, oldErr, newErr)
-	}
-}
-
-// parse runs ParseContext on old and Do on new and asserts equivalence.
-func (tw *twin) parse(ctx context.Context, step string) {
-	tw.t.Helper()
-	oldRoot, oldErr := tw.old.ParseContext(ctx)
-	out := tw.new.Do(ctx)
-	sameErr(tw.t, step, oldErr, out.Err)
-	if (oldRoot == nil) != (out.Root == nil) {
-		tw.t.Fatalf("%s: root presence mismatch", step)
-	}
-	if oldErr == nil && !out.Clean {
-		tw.t.Fatalf("%s: successful Do must report Clean", step)
-	}
-	tw.sameState(step)
-}
-
-// recover runs ParseWithRecoveryContext on old and Do(Tolerant()) on new.
-func (tw *twin) recover(ctx context.Context, step string) {
-	tw.t.Helper()
-	oldOut := tw.old.ParseWithRecoveryContext(ctx)
-	out := tw.new.Do(ctx, incremental.Tolerant())
-	sameErr(tw.t, step, oldOut.Err, out.Err)
-	if oldOut.Clean != out.Clean || oldOut.Isolated != out.Isolated ||
-		oldOut.ErrorRegions != out.ErrorRegions {
-		tw.t.Fatalf("%s: outcome shape mismatch: old={clean:%v isolated:%v regions:%d} new={clean:%v isolated:%v regions:%d}",
-			step, oldOut.Clean, oldOut.Isolated, oldOut.ErrorRegions,
-			out.Clean, out.Isolated, out.ErrorRegions)
-	}
-	if len(oldOut.Incorporated) != len(out.Incorporated) ||
-		len(oldOut.Unincorporated) != len(out.Unincorporated) {
-		tw.t.Fatalf("%s: edit bookkeeping mismatch: old=%d/%d new=%d/%d", step,
-			len(oldOut.Incorporated), len(oldOut.Unincorporated),
-			len(out.Incorporated), len(out.Unincorporated))
-	}
-	tw.sameState(step)
-}
-
-// sameState asserts both sessions converged to the same document and
-// diagnostic state.
-func (tw *twin) sameState(step string) {
-	tw.t.Helper()
-	if tw.old.Text() != tw.new.Text() {
-		tw.t.Fatalf("%s: text diverged:\nold: %q\nnew: %q", step, tw.old.Text(), tw.new.Text())
-	}
-	oldD, newD := tw.old.Diagnostics(), tw.new.Diagnostics()
-	if !reflect.DeepEqual(oldD, newD) {
-		tw.t.Fatalf("%s: diagnostics diverged:\nold: %v\nnew: %v", step, oldD, newD)
-	}
-	if tw.old.Stats() != tw.new.Stats() {
-		tw.t.Fatalf("%s: stats diverged:\nold: %+v\nnew: %+v", step, tw.old.Stats(), tw.new.Stats())
-	}
-}
+// The Do contract, one path against another: an incremental Do against a
+// cold Do over the same text, the plain path against Tolerant, and a
+// cancelled Do against its retry.
 
 // TestDoDifferentialClean drives clean edit scripts over several bundled
-// languages through both APIs.
+// languages through Do: every successful Do reports Clean with a root, the
+// incremental tree equals a cold Do over the final text, and Tolerant over
+// clean text commits the same tree without claiming any recovery.
 func TestDoDifferentialClean(t *testing.T) {
 	cases := []struct {
 		name string
 		lang *incremental.Language
 		src  string
-		edit func(tw *twin)
+		edit func(s *incremental.Session)
 	}{
-		{"expr", incremental.ExprLanguage(), "1+2*3", func(tw *twin) {
-			tw.edit(0, 0, "9*")
-			tw.edit(2, 1, "7")
+		{"expr", incremental.ExprLanguage(), "1+2*3", func(s *incremental.Session) {
+			s.Edit(0, 0, "9*")
+			s.Edit(2, 1, "7")
 		}},
-		{"c-subset", incremental.CSubset(), "int a = 1; { a = a + 2; }", func(tw *twin) {
-			tw.edit(4, 1, "b")
-			tw.edit(13, 1, "b")
-			tw.edit(17, 1, "b")
+		{"c-subset", incremental.CSubset(), "int a = 1; { a = a + 2; }", func(s *incremental.Session) {
+			s.Edit(4, 1, "b")
+			s.Edit(13, 1, "b")
+			s.Edit(17, 1, "b")
 		}},
-		{"java-subset", incremental.JavaSubset(), "class A { int f() { return 1; } }", func(tw *twin) {
-			tw.edit(27, 1, "42")
+		{"java-subset", incremental.JavaSubset(), "class A { int f() { return 1; } }", func(s *incremental.Session) {
+			s.Edit(27, 1, "42")
 		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			tw := newTwin(t, tc.lang, tc.src)
-			tw.parse(context.Background(), "initial")
-			tc.edit(tw)
-			tw.parse(context.Background(), "after edits")
-			tw.recover(context.Background(), "tolerant on clean text")
+			ctx := context.Background()
+			s := incremental.NewSession(tc.lang, tc.src)
+			if out := s.Do(ctx); out.Err != nil || !out.Clean || out.Root == nil {
+				t.Fatalf("initial Do: %+v", out)
+			}
+			tc.edit(s)
+			out := s.Do(ctx)
+			if out.Err != nil || !out.Clean || out.Root == nil || out.Root != s.Tree() {
+				t.Fatalf("Do after edits: %+v", out)
+			}
+			if out.Stats != s.Stats() {
+				t.Fatalf("Outcome.Stats %+v differs from Session.Stats %+v", out.Stats, s.Stats())
+			}
+			cold := incremental.NewSession(tc.lang, s.Text()).Do(ctx)
+			if cold.Err != nil {
+				t.Fatal(cold.Err)
+			}
+			want := incremental.FormatDag(tc.lang, cold.Root)
+			if got := incremental.FormatDag(tc.lang, out.Root); got != want {
+				t.Fatalf("incremental tree differs from a cold Do:\n-- incremental --\n%s\n-- cold --\n%s", got, want)
+			}
+
+			tol := s.Do(ctx, incremental.Tolerant())
+			if tol.Err != nil || !tol.Clean || tol.Isolated || tol.ErrorRegions != 0 ||
+				len(tol.Incorporated) != 0 || len(tol.Unincorporated) != 0 {
+				t.Fatalf("Tolerant over clean text claimed recovery: %+v", tol)
+			}
+			if got := incremental.FormatDag(tc.lang, tol.Root); got != want {
+				t.Fatalf("Tolerant over clean text changed the tree:\n%s", got)
+			}
+			if ds := s.Diagnostics(); len(ds) != 0 {
+				t.Fatalf("clean text has diagnostics: %v", ds)
+			}
 		})
 	}
 }
 
-// TestDoDifferentialSyntaxError covers the failing plain path (located
-// *ParseError) and the tolerant tier-1 isolation path.
+// TestDoDifferentialSyntaxError breaks a statement and runs both paths over
+// it: the plain Do fails with a located *ParseError, returns no root and
+// keeps the committed tree; Tolerant isolates the damage, keeps the broken
+// text and reports it; the repair clears the diagnostics and converges to
+// the cold parse.
 func TestDoDifferentialSyntaxError(t *testing.T) {
 	lang := incremental.CSubset()
 	src := "int a = 1; int b = 2; int c = 3;"
-	tw := newTwin(t, lang, src)
-	tw.parse(nil, "baseline")
+	s := incremental.NewSession(lang, src)
+	base := s.Do(nil)
+	if !base.Clean {
+		t.Fatalf("baseline: %v", base.Err)
+	}
 
 	// Break the middle statement.
-	tw.edit(15, 1, "= @@")
-	oldRoot, oldErr := tw.old.ParseContext(nil)
-	out := tw.new.Do(nil)
-	if oldErr == nil || out.Err == nil {
-		t.Fatalf("broken text must fail the plain path: old=%v new=%v", oldErr, out.Err)
+	s.Edit(15, 1, "= @@")
+	broken := s.Text()
+	out := s.Do(nil)
+	if out.Err == nil || out.Clean || out.Root != nil {
+		t.Fatalf("broken text must fail the plain path without a root: %+v", out)
 	}
-	sameErr(t, "plain failure", oldErr, out.Err)
 	var pe *incremental.ParseError
 	if !errors.As(out.Err, &pe) {
 		t.Fatalf("Do must locate syntax errors as *ParseError, got %T", out.Err)
 	}
-	if oldRoot != nil || out.Root != nil {
-		t.Fatal("failed plain parse must not return a root")
+	if pe.Line != 1 || pe.Offset < 11 || pe.Offset >= 22 || pe.Col != pe.Offset+1 {
+		t.Fatalf("error located at %d:%d (offset %d), want inside the broken statement", pe.Line, pe.Col, pe.Offset)
+	}
+	if s.Tree() != base.Root || s.Text() != broken {
+		t.Fatal("a failed plain Do must keep the committed tree and the pending text")
 	}
 
-	// Tolerant: both isolate the damage, text preserved.
-	tw.recover(nil, "tolerant isolation")
-	if tw.new.Text() == src {
-		t.Fatal("tolerant parse must preserve the broken text")
+	// Tolerant isolates the damage, text preserved.
+	tol := s.Do(nil, incremental.Tolerant())
+	if tol.Err != nil || tol.Clean || !tol.Isolated || tol.ErrorRegions != 1 ||
+		len(tol.Incorporated) != 1 || len(tol.Unincorporated) != 0 {
+		t.Fatalf("tolerant isolation: %+v", tol)
 	}
-	if len(tw.new.Diagnostics()) == 0 {
-		t.Fatal("isolation must surface diagnostics")
+	if s.Text() != broken {
+		t.Fatalf("tolerant Do must preserve the broken text, got %q", s.Text())
+	}
+	if ds := s.Diagnostics(); len(ds) != 1 {
+		t.Fatalf("isolation must surface one diagnostic, got %v", ds)
 	}
 
-	// Repair (undo the break) converges both back to clean.
-	tw.edit(15, 4, "b")
-	tw.recover(nil, "after repair")
-	if len(tw.new.Diagnostics()) != 0 {
-		t.Fatal("repaired text must clear diagnostics")
+	// Repair (undo the break) converges back to clean.
+	s.Edit(15, 4, "b")
+	rep := s.Do(nil, incremental.Tolerant())
+	if rep.Err != nil || !rep.Clean || rep.Isolated {
+		t.Fatalf("after repair: %+v", rep)
+	}
+	if ds := s.Diagnostics(); len(ds) != 0 {
+		t.Fatalf("repaired text must clear diagnostics, got %v", ds)
+	}
+	cold := incremental.NewSession(lang, src).Do(nil)
+	if got, want := incremental.FormatDag(lang, rep.Root), incremental.FormatDag(lang, cold.Root); got != want {
+		t.Fatalf("repaired tree differs from a cold Do:\n%s\nwant\n%s", got, want)
 	}
 }
 
-// TestDoDifferentialBudget asserts budget trips surface identically and
-// leave both committed trees intact.
+// TestDoDifferentialBudget trips a budget on both paths: the plain Do and
+// Tolerant each report ErrBudget with no root, Tolerant treats the trip as
+// infrastructure and claims neither recovery nor isolation, and the
+// pending edit stays in the text.
 func TestDoDifferentialBudget(t *testing.T) {
 	lang := incremental.AmbiguousExprLanguage()
-	tw := newTwin(t, lang, "1+2", incremental.WithBudget(incremental.Budget{MaxGSSLinks: 8}))
+	s := incremental.NewSession(lang, "1+2", incremental.WithBudget(incremental.Budget{MaxGSSLinks: 8}))
 	// Hostile edit: a long undisambiguated chain.
-	chain := ""
-	for i := 0; i < 40; i++ {
-		chain += "+1"
+	chain := strings.Repeat("+1", 40)
+	s.Edit(3, 0, chain)
+	out := s.Do(nil)
+	if !errors.Is(out.Err, incremental.ErrBudget) || out.Root != nil || out.Clean {
+		t.Fatalf("plain Do: want a budget trip without a root, got %+v", out)
 	}
-	tw.edit(3, 0, chain)
-	oldRoot, oldErr := tw.old.ParseContext(nil)
-	out := tw.new.Do(nil)
-	if !errors.Is(oldErr, incremental.ErrBudget) || !errors.Is(out.Err, incremental.ErrBudget) {
-		t.Fatalf("want budget trips from both: old=%v new=%v", oldErr, out.Err)
+	tol := s.Do(nil, incremental.Tolerant())
+	if !errors.Is(tol.Err, incremental.ErrBudget) || tol.Root != nil {
+		t.Fatalf("tolerant Do: want a budget trip without a root, got %+v", tol)
 	}
-	if oldRoot != nil || out.Root != nil {
-		t.Fatal("tripped parse must not return a root")
+	if tol.Clean || tol.Isolated || tol.ErrorRegions != 0 ||
+		len(tol.Incorporated) != 0 || len(tol.Unincorporated) != 0 {
+		t.Fatalf("infrastructure failure must not claim recovery: %+v", tol)
 	}
-	// Tolerant treats budget trips as infrastructure: aborts, pending intact.
-	oldOut := tw.old.ParseWithRecoveryContext(nil)
-	newOut := tw.new.Do(nil, incremental.Tolerant())
-	if !errors.Is(oldOut.Err, incremental.ErrBudget) || !errors.Is(newOut.Err, incremental.ErrBudget) {
-		t.Fatalf("tolerant budget trip mismatch: old=%v new=%v", oldOut.Err, newOut.Err)
-	}
-	if newOut.Isolated || newOut.Clean {
-		t.Fatal("infrastructure failure must not claim recovery")
+	if s.Text() != "1+2"+chain || s.Tree() != nil {
+		t.Fatalf("budget trip disturbed the session: text %q", s.Text())
 	}
 }
 
-// TestDoDifferentialCancellation asserts a cancelled context aborts both
-// APIs with the context error and a retry succeeds.
+// TestDoDifferentialCancellation runs Do, plain and Tolerant, under a
+// cancelled context: both return context.Canceled without committing, and
+// a retry succeeds with the tree an uncancelled session commits.
 func TestDoDifferentialCancellation(t *testing.T) {
 	lang := incremental.CSubset()
 	src := "int a = 1;"
-	tw := newTwin(t, lang, src)
+	s := incremental.NewSession(lang, src)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, oldErr := tw.old.ParseContext(ctx)
-	out := tw.new.Do(ctx)
-	if !errors.Is(oldErr, context.Canceled) || !errors.Is(out.Err, context.Canceled) {
-		t.Fatalf("want context.Canceled from both: old=%v new=%v", oldErr, out.Err)
+	for _, opts := range [][]incremental.ParseOption{nil, {incremental.Tolerant()}} {
+		out := s.Do(ctx, opts...)
+		if !errors.Is(out.Err, context.Canceled) || out.Root != nil || out.Clean || out.Isolated {
+			t.Fatalf("cancelled Do(%d options): %+v", len(opts), out)
+		}
 	}
-	tw.parse(context.Background(), "retry after cancel")
+	if s.Tree() != nil {
+		t.Fatal("a cancelled Do must not commit")
+	}
+	retry := s.Do(context.Background())
+	if retry.Err != nil || !retry.Clean {
+		t.Fatalf("retry after cancel: %+v", retry)
+	}
+	want := incremental.FormatDag(lang, incremental.NewSession(lang, src).Do(nil).Root)
+	if got := incremental.FormatDag(lang, retry.Root); got != want {
+		t.Fatalf("retried tree differs from an uncancelled Do:\n%s\nwant\n%s", got, want)
+	}
 }
 
-// TestDoDeterministic exercises the Deterministic option against the
+// TestDoDeterministic checks the Deterministic option against the
 // UseDeterministic spelling, including the conflicted-table failure.
 func TestDoDeterministic(t *testing.T) {
 	lang := incremental.Modula2Subset()
-	oldS := incremental.NewSession(lang, "MODULE m; BEGIN END m.")
-	if err := oldS.UseDeterministic(); err != nil {
+	src := "MODULE m; BEGIN END m."
+	viaMethod := incremental.NewSession(lang, src)
+	if err := viaMethod.UseDeterministic(); err != nil {
 		t.Fatal(err)
 	}
-	newS := incremental.NewSession(lang, "MODULE m; BEGIN END m.")
-	oldRoot, oldErr := oldS.ParseContext(nil)
-	out := newS.Do(nil, incremental.Deterministic())
-	if oldErr != nil || out.Err != nil {
-		t.Fatalf("deterministic parse failed: old=%v new=%v", oldErr, out.Err)
+	want := viaMethod.Do(nil)
+	got := incremental.NewSession(lang, src).Do(nil, incremental.Deterministic())
+	if want.Err != nil || got.Err != nil {
+		t.Fatalf("deterministic parse failed: UseDeterministic=%v option=%v", want.Err, got.Err)
 	}
-	if (oldRoot == nil) != (out.Root == nil) {
-		t.Fatal("root presence mismatch")
+	if incremental.FormatDag(lang, got.Root) != incremental.FormatDag(lang, want.Root) {
+		t.Fatal("the option and UseDeterministic commit different trees")
 	}
 
 	// A conflicted table must reject the option with an error, not a panic.
@@ -247,7 +223,7 @@ func TestDoDeterministic(t *testing.T) {
 }
 
 // TestDoTimeoutDeadline asserts Budget.MaxDuration trips surface through
-// Do the same as through the wrappers.
+// Do as ErrBudget.
 func TestDoTimeoutDeadline(t *testing.T) {
 	lang := incremental.AmbiguousExprLanguage()
 	chain := "1"

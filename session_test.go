@@ -10,11 +10,11 @@ import (
 func TestJavaSessionEndToEnd(t *testing.T) {
 	lang := incremental.JavaSubset()
 	s := incremental.NewSession(lang, `class A { int[] xs; void m() { xs[0] = 1; } }`)
-	tree, err := s.Parse()
-	if err != nil {
-		t.Fatal(err)
+	out := s.Do(nil)
+	if out.Err != nil {
+		t.Fatal(out.Err)
 	}
-	if tree.Ambiguous() {
+	if out.Root.Ambiguous() {
 		t.Fatal("java subset resolves its forks by context")
 	}
 	if s.Stats().MaxActiveParsers < 2 {
@@ -23,28 +23,28 @@ func TestJavaSessionEndToEnd(t *testing.T) {
 	// Incremental edit inside the method.
 	off := strings.Index(s.Text(), "= 1")
 	s.Edit(off+2, 1, "42")
-	tree, err = s.Parse()
-	if err != nil {
-		t.Fatal(err)
+	out = s.Do(nil)
+	if out.Err != nil {
+		t.Fatal(out.Err)
 	}
-	if !strings.Contains(tree.Yield(), "xs[0]=42;") {
-		t.Fatalf("yield = %q", tree.Yield())
+	if !strings.Contains(out.Root.Yield(), "xs[0]=42;") {
+		t.Fatalf("yield = %q", out.Root.Yield())
 	}
 }
 
 func TestLispSessionEndToEnd(t *testing.T) {
 	lang := incremental.LispSubset()
 	s := incremental.NewSession(lang, `(define (f x) (* x x)) (f 3)`)
-	if _, err := s.Parse(); err != nil {
-		t.Fatal(err)
+	if out := s.Do(nil); out.Err != nil {
+		t.Fatal(out.Err)
 	}
 	s.Edit(strings.Index(s.Text(), "3"), 1, "99")
-	tree, err := s.Parse()
-	if err != nil {
-		t.Fatal(err)
+	out := s.Do(nil)
+	if out.Err != nil {
+		t.Fatal(out.Err)
 	}
-	if !strings.HasSuffix(tree.Yield(), "(f99)") {
-		t.Fatalf("yield = %q", tree.Yield())
+	if !strings.HasSuffix(out.Root.Yield(), "(f99)") {
+		t.Fatalf("yield = %q", out.Root.Yield())
 	}
 	if s.Stats().SubtreeShifts == 0 {
 		t.Fatal("the definition should be reused whole")
@@ -57,19 +57,19 @@ func TestScannerlessSessionEndToEnd(t *testing.T) {
 		t.Fatal("scannerless keyword prefixes should leave conflicts")
 	}
 	s := incremental.NewSession(lang, "if(cond)x=1;")
-	tree, err := s.Parse()
-	if err != nil {
-		t.Fatal(err)
+	out := s.Do(nil)
+	if out.Err != nil {
+		t.Fatal(out.Err)
 	}
-	if tree.Yield() != "if(cond)x=1;" {
-		t.Fatalf("yield = %q", tree.Yield())
+	if out.Root.Yield() != "if(cond)x=1;" {
+		t.Fatalf("yield = %q", out.Root.Yield())
 	}
 	// Turn the keyword use into an identifier by appending letters.
 	s.Edit(2, 0, "fy")
-	if _, err := s.Parse(); err == nil {
+	if out := s.Do(nil); out.Err == nil {
 		t.Fatal("iffy(cond)... has no statement reading in this grammar")
 	}
-	out := s.ParseWithRecovery()
+	out = s.Do(nil, incremental.Tolerant())
 	if out.Err != nil || len(out.Unincorporated) != 1 {
 		t.Fatalf("recovery: %+v", out)
 	}
@@ -81,8 +81,8 @@ func TestSessionTreeAndLexErrors(t *testing.T) {
 	if s.Tree() != nil {
 		t.Fatal("no tree before first parse")
 	}
-	if _, err := s.Parse(); err != nil {
-		t.Fatal(err)
+	if out := s.Do(nil); out.Err != nil {
+		t.Fatal(out.Err)
 	}
 	if s.Tree() == nil || s.Len() != 6 {
 		t.Fatal("tree/len wrong")
@@ -91,23 +91,23 @@ func TestSessionTreeAndLexErrors(t *testing.T) {
 	if s.LexErrors() != 1 {
 		t.Fatalf("lex errors = %d", s.LexErrors())
 	}
-	if _, err := s.Parse(); err == nil {
+	if out := s.Do(nil); out.Err == nil {
 		t.Fatal("lexical garbage should fail to parse")
 	}
 	s.Edit(3, 2, "")
 	if s.LexErrors() != 0 {
 		t.Fatal("lex error should clear")
 	}
-	if _, err := s.Parse(); err != nil {
-		t.Fatal(err)
+	if out := s.Do(nil); out.Err != nil {
+		t.Fatal(out.Err)
 	}
 }
 
 func TestResolveWithoutSemanticsConfig(t *testing.T) {
 	lang := incremental.ExprLanguage() // no semantics attached
 	s := incremental.NewSession(lang, "a + b")
-	if _, err := s.Parse(); err != nil {
-		t.Fatal(err)
+	if out := s.Do(nil); out.Err != nil {
+		t.Fatal(out.Err)
 	}
 	res := s.Resolve()
 	if res.Resolved() != 0 && res.Unresolved != 0 {
@@ -137,8 +137,8 @@ func TestWithSemanticsOverride(t *testing.T) {
 		IsDeclInterpretation: func(n *incremental.Node) bool { return false },
 	})
 	s := incremental.NewSession(lang, "a")
-	if _, err := s.Parse(); err != nil {
-		t.Fatal(err)
+	if out := s.Do(nil); out.Err != nil {
+		t.Fatal(out.Err)
 	}
 	_ = s.Resolve() // must not panic
 }
@@ -146,8 +146,8 @@ func TestWithSemanticsOverride(t *testing.T) {
 func TestResolveTrackedAndUseSites(t *testing.T) {
 	lang := incremental.CPPSubset()
 	s := incremental.NewSession(lang, "typedef int a; a(b); a(c);")
-	if _, err := s.Parse(); err != nil {
-		t.Fatal(err)
+	if out := s.Do(nil); out.Err != nil {
+		t.Fatal(out.Err)
 	}
 	res, flips := s.ResolveTracked()
 	if res.ResolvedDecl != 2 || len(flips) != 0 {
@@ -158,8 +158,8 @@ func TestResolveTrackedAndUseSites(t *testing.T) {
 	}
 	// Flip the namespace of a.
 	s.Edit(0, len("typedef int a;"), "int a;")
-	if _, err := s.Parse(); err != nil {
-		t.Fatal(err)
+	if out := s.Do(nil); out.Err != nil {
+		t.Fatal(out.Err)
 	}
 	res, flips = s.ResolveTracked()
 	if res.ResolvedStmt != 2 || len(flips) != 2 {
@@ -170,7 +170,7 @@ func TestResolveTrackedAndUseSites(t *testing.T) {
 func TestParseErrorPositions(t *testing.T) {
 	lang := incremental.CSubset()
 	s := incremental.NewSession(lang, "int a;\nint b\nint c;\n")
-	_, err := s.Parse()
+	err := s.Do(nil).Err
 	if err == nil {
 		t.Fatal("missing semicolon should fail")
 	}
@@ -208,15 +208,15 @@ func TestModula2DeterministicSession(t *testing.T) {
 	if err := s.UseDeterministic(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Parse(); err != nil {
-		t.Fatal(err)
+	if out := s.Do(nil); out.Err != nil {
+		t.Fatal(out.Err)
 	}
 	s.Edit(strings.Index(s.Text(), ":= 1")+3, 1, "42")
-	tree, err := s.Parse()
-	if err != nil {
-		t.Fatal(err)
+	out := s.Do(nil)
+	if out.Err != nil {
+		t.Fatal(out.Err)
 	}
-	if !strings.Contains(tree.Yield(), "x:=42") {
-		t.Fatalf("yield = %q", tree.Yield())
+	if !strings.Contains(out.Root.Yield(), "x:=42") {
+		t.Fatalf("yield = %q", out.Root.Yield())
 	}
 }

@@ -2,58 +2,92 @@ package incremental_test
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
 	incremental "iglr"
 )
 
-// tolerantCase is one bundled language plus a valid program and an edit
-// that breaks it.
-type tolerantCase struct {
-	name     string
-	lang     *incremental.Language
-	src      string
+// brokenEdit replaces rem bytes at off with ins.
+type brokenEdit struct {
 	off, rem int
 	ins      string
+}
+
+// tolerantCase is one bundled language plus a valid program and the edits
+// that break it, applied in order at ascending offsets; each edit breaks
+// one statement.
+type tolerantCase struct {
+	name  string
+	lang  *incremental.Language
+	src   string
+	edits []brokenEdit
 }
 
 // The sequence-structured bundled languages: tier-1 isolation must bound
 // the damage in every one of them.
 func seqCases() []tolerantCase {
 	return []tolerantCase{
-		{"csub", incremental.CSubset(), "int a; int b; int c;", 11, 1, "("},
-		{"cppsub", incremental.CPPSubset(), "int a; if (a) x = 1; int b;", 14, 1, "+"},
+		{"csub", incremental.CSubset(), "int a; int b; int c;", []brokenEdit{{11, 1, "("}}},
+		{"cppsub", incremental.CPPSubset(), "int a; if (a) x = 1; int b;", []brokenEdit{{14, 1, "+"}}},
 		{"javasub", incremental.JavaSubset(),
-			"class A { int[] xs; void m() { xs[0] = 1; } }", 31, 2, ")("},
-		{"lispsub", incremental.LispSubset(), "(define (f x) (* x x)) (f 3)", 26, 1, ")"},
+			"class A { int[] xs; void m() { xs[0] = 1; } }", []brokenEdit{{31, 2, ")("}}},
+		{"lispsub", incremental.LispSubset(), "(define (f x) (* x x)) (f 3)", []brokenEdit{{26, 1, ")"}}},
 		{"mod2sub", incremental.Modula2Subset(),
-			"MODULE M;\nVAR x : INTEGER;\nBEGIN\n  x := 1\nEND M.\n", 14, 1, ";"},
-		{"scannerless", incremental.ScannerlessLanguage(), "if(cond)x=1;x=2;", 14, 1, "+"},
+			"MODULE M;\nVAR x : INTEGER;\nBEGIN\n  x := 1\nEND M.\n", []brokenEdit{{14, 1, ";"}}},
+		{"scannerless", incremental.ScannerlessLanguage(), "if(cond)x=1;x=2;", []brokenEdit{{14, 1, "+"}}},
 	}
 }
 
+// densityCases seed 1, 5 and 20 broken statements, spread evenly, into a
+// 200-statement C file. Each edit turns an identifier's first byte into
+// '(', so every offset stays put.
+func densityCases() []tolerantCase {
+	const stmts = 200
+	var sb strings.Builder
+	offsets := make([]int, stmts) // offset of each statement's identifier
+	for i := range offsets {
+		offsets[i] = sb.Len() + len("int ")
+		fmt.Fprintf(&sb, "int v%d; ", i)
+	}
+	var cases []tolerantCase
+	for _, n := range []int{1, 5, 20} {
+		tc := tolerantCase{name: fmt.Sprintf("csub-%d-errors", n), lang: incremental.CSubset(), src: sb.String()}
+		for i := 0; i < n; i++ {
+			tc.edits = append(tc.edits, brokenEdit{offsets[i*stmts/n+stmts/(2*n)], 1, "("})
+		}
+		cases = append(cases, tc)
+	}
+	return cases
+}
+
 // TestIsolationNeverRevertsText is the tentpole acceptance criterion: on
-// every sequence-structured bundled language, an edit that introduces a
-// syntax error keeps the user's text byte-for-byte, commits a tree with at
-// least one error node, and reports at least one diagnostic whose span
-// actually covers broken text; a repairing edit then converges to a tree
-// identical to a from-scratch batch parse.
+// every sequence-structured bundled language, and on a C file with 1, 5 or
+// 20 broken statements, edits that introduce syntax errors keep the user's
+// text byte-for-byte, commit a tree with error nodes, and report exactly
+// one diagnostic per broken statement, whose span covers that damage;
+// repairing edits then converge to a tree identical to a from-scratch
+// batch parse.
 func TestIsolationNeverRevertsText(t *testing.T) {
-	for _, tc := range seqCases() {
+	for _, tc := range append(seqCases(), densityCases()...) {
 		t.Run(tc.name, func(t *testing.T) {
 			s := incremental.NewSession(tc.lang, tc.src)
-			if _, err := s.Parse(); err != nil {
-				t.Fatalf("baseline %q does not parse: %v", tc.src, err)
+			if out := s.Do(nil); out.Err != nil {
+				t.Fatalf("baseline %q does not parse: %v", tc.src, out.Err)
 			}
-			removed := tc.src[tc.off : tc.off+tc.rem]
-			s.Edit(tc.off, tc.rem, tc.ins)
-			broken := tc.src[:tc.off] + tc.ins + tc.src[tc.off+tc.rem:]
-			if _, err := incremental.NewSession(tc.lang, broken).Parse(); err == nil {
-				t.Fatalf("edit does not actually break %q", broken)
+			broken := tc.src
+			removed := make([]string, len(tc.edits))
+			for i, e := range tc.edits {
+				removed[i] = broken[e.off : e.off+e.rem]
+				s.Edit(e.off, e.rem, e.ins)
+				broken = broken[:e.off] + e.ins + broken[e.off+e.rem:]
+			}
+			if out := incremental.NewSession(tc.lang, broken).Do(nil); out.Err == nil {
+				t.Fatalf("edits do not actually break %q", broken)
 			}
 
-			out := s.ParseWithRecovery()
+			out := s.Do(nil, incremental.Tolerant())
 			if out.Err != nil {
 				t.Fatalf("recovery errored: %v", out.Err)
 			}
@@ -68,23 +102,26 @@ func TestIsolationNeverRevertsText(t *testing.T) {
 					out.ErrorRegions, len(s.ErrorNodes()))
 			}
 			ds := s.Diagnostics()
-			if len(ds) < 1 {
-				t.Fatal("no diagnostics reported")
+			if len(ds) != len(tc.edits) {
+				t.Fatalf("%d diagnostics for %d broken statements: %v", len(ds), len(tc.edits), ds)
 			}
-			d := ds[0]
-			if d.Offset < 0 || d.Offset+d.Length > len(broken) || d.Length <= 0 {
-				t.Fatalf("diagnostic span out of range: %+v", d)
-			}
-			if !strings.Contains(broken[d.Offset:d.Offset+d.Length], tc.ins) {
-				t.Fatalf("diagnostic %q does not cover the damage %q",
-					broken[d.Offset:d.Offset+d.Length], tc.ins)
+			for i, d := range ds {
+				if d.Offset < 0 || d.Offset+d.Length > len(broken) || d.Length <= 0 {
+					t.Fatalf("diagnostic span out of range: %+v", d)
+				}
+				if e := tc.edits[i]; d.Offset > e.off || d.Offset+d.Length < e.off+len(e.ins) {
+					t.Fatalf("diagnostic %q does not cover the damage %q at %d",
+						broken[d.Offset:d.Offset+d.Length], e.ins, e.off)
+				}
 			}
 
-			// Repair: inverse edit, then full convergence to the batch parse.
-			s.Edit(tc.off, len(tc.ins), removed)
-			root, err := s.Parse()
-			if err != nil {
-				t.Fatalf("repaired parse: %v", err)
+			// Repair: inverse edits, then full convergence to the batch parse.
+			for i := len(tc.edits) - 1; i >= 0; i-- {
+				s.Edit(tc.edits[i].off, len(tc.edits[i].ins), removed[i])
+			}
+			repaired := s.Do(nil)
+			if repaired.Err != nil {
+				t.Fatalf("repaired parse: %v", repaired.Err)
 			}
 			if s.Text() != tc.src {
 				t.Fatalf("repaired text = %q, want %q", s.Text(), tc.src)
@@ -92,11 +129,11 @@ func TestIsolationNeverRevertsText(t *testing.T) {
 			if len(s.Diagnostics()) != 0 || len(s.ErrorNodes()) != 0 {
 				t.Fatalf("quarantine not cleared after repair: %v", s.Diagnostics())
 			}
-			fresh, err := incremental.NewSession(tc.lang, tc.src).Parse()
-			if err != nil {
-				t.Fatal(err)
+			fresh := incremental.NewSession(tc.lang, tc.src).Do(nil)
+			if fresh.Err != nil {
+				t.Fatal(fresh.Err)
 			}
-			if got, want := incremental.FormatDag(tc.lang, root), incremental.FormatDag(tc.lang, fresh); got != want {
+			if got, want := incremental.FormatDag(tc.lang, repaired.Root), incremental.FormatDag(tc.lang, fresh.Root); got != want {
 				t.Fatalf("repaired tree differs from batch parse:\n-- incremental --\n%s\n-- batch --\n%s", got, want)
 			}
 		})
@@ -109,17 +146,18 @@ func TestIsolationNeverRevertsText(t *testing.T) {
 // as unincorporated, preserving the pre-existing Outcome contract.
 func TestTier2WhenIsolationCannotBound(t *testing.T) {
 	cases := []tolerantCase{
-		{"expr", incremental.ExprLanguage(), "a + b", 2, 1, ")"},
-		{"lr2", incremental.LR2Language(), "x z c", 4, 1, "x x"},
+		{"expr", incremental.ExprLanguage(), "a + b", []brokenEdit{{2, 1, ")"}}},
+		{"lr2", incremental.LR2Language(), "x z c", []brokenEdit{{4, 1, "x x"}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			s := incremental.NewSession(tc.lang, tc.src)
-			if _, err := s.Parse(); err != nil {
-				t.Fatalf("baseline: %v", err)
+			if out := s.Do(nil); out.Err != nil {
+				t.Fatalf("baseline: %v", out.Err)
 			}
-			s.Edit(tc.off, tc.rem, tc.ins)
-			out := s.ParseWithRecovery()
+			e := tc.edits[0]
+			s.Edit(e.off, e.rem, e.ins)
+			out := s.Do(nil, incremental.Tolerant())
 			if out.Isolated {
 				t.Fatalf("isolation cannot bound damage in %s, yet Isolated=true", tc.name)
 			}
@@ -142,11 +180,11 @@ func TestTier2WhenIsolationCannotBound(t *testing.T) {
 func TestDiagnosticsPositionMapping(t *testing.T) {
 	lang := incremental.CSubset()
 	s := incremental.NewSession(lang, "int a; int b; int c;")
-	if _, err := s.Parse(); err != nil {
-		t.Fatal(err)
+	if out := s.Do(nil); out.Err != nil {
+		t.Fatal(out.Err)
 	}
 	s.Edit(11, 1, "(") // break the middle statement
-	if out := s.ParseWithRecovery(); !out.Isolated {
+	if out := s.Do(nil, incremental.Tolerant()); !out.Isolated {
 		t.Fatalf("expected isolation: %+v", out)
 	}
 
@@ -172,7 +210,7 @@ func TestDiagnosticsPositionMapping(t *testing.T) {
 
 	// Commit 1: insertion before the region shifts it right.
 	s.Edit(0, 0, "int p; ")
-	if out := s.ParseWithRecovery(); out.Err != nil || !out.Isolated {
+	if out := s.Do(nil, incremental.Tolerant()); out.Err != nil || !out.Isolated {
 		t.Fatalf("commit 1: %+v", out)
 	}
 	d1 := check("insert before")
@@ -183,7 +221,7 @@ func TestDiagnosticsPositionMapping(t *testing.T) {
 
 	// Commit 2: insertion inside the region grows it in place.
 	s.Edit(d1.Offset+d1.Length-1, 0, " NUM NUM")
-	if out := s.ParseWithRecovery(); out.Err != nil || !out.Isolated {
+	if out := s.Do(nil, incremental.Tolerant()); out.Err != nil || !out.Isolated {
 		t.Fatalf("commit 2: %+v", out)
 	}
 	d2 := check("insert inside")
@@ -195,7 +233,7 @@ func TestDiagnosticsPositionMapping(t *testing.T) {
 	txt := s.Text()
 	tail := strings.LastIndex(txt, "int c;")
 	s.Edit(tail, len("int c;"), "int cc;")
-	if out := s.ParseWithRecovery(); out.Err != nil || !out.Isolated {
+	if out := s.Do(nil, incremental.Tolerant()); out.Err != nil || !out.Isolated {
 		t.Fatalf("commit 3: %+v", out)
 	}
 	d3 := check("edit after")
@@ -203,7 +241,7 @@ func TestDiagnosticsPositionMapping(t *testing.T) {
 		t.Fatalf("offset moved on an after-region edit: %d, want %d", d3.Offset, d2.Offset)
 	}
 
-	// Even between Edit and Parse the positions track live.
+	// Even between Edit and Do the positions track live.
 	s.Edit(0, 0, "int q; ")
 	dLive := check("pending edit")
 	if dLive.Offset != d3.Offset+len("int q; ") {
@@ -218,12 +256,12 @@ func TestDiagnosticsPositionMapping(t *testing.T) {
 func TestBudgetTripLeavesEditsPending(t *testing.T) {
 	lang := incremental.CSubset()
 	s := incremental.NewSession(lang, "int a; int b; int c;")
-	if _, err := s.Parse(); err != nil {
-		t.Fatal(err)
+	if out := s.Do(nil); out.Err != nil {
+		t.Fatal(out.Err)
 	}
 	s.SetBudget(incremental.Budget{MaxArenaNodes: 1})
 	s.Edit(11, 1, "(")
-	out := s.ParseWithRecovery()
+	out := s.Do(nil, incremental.Tolerant())
 	if !errors.Is(out.Err, incremental.ErrBudget) {
 		t.Fatalf("err = %v, want ErrBudget", out.Err)
 	}
@@ -237,7 +275,7 @@ func TestBudgetTripLeavesEditsPending(t *testing.T) {
 	// The pending edit survives: with the budget lifted, the same session
 	// isolates it.
 	s.SetBudget(incremental.Budget{})
-	out = s.ParseWithRecovery()
+	out = s.Do(nil, incremental.Tolerant())
 	if out.Err != nil || !out.Isolated {
 		t.Fatalf("after lifting the budget: %+v", out)
 	}
