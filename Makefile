@@ -34,7 +34,9 @@ check: vet race bench-module
 # Short coverage-guided runs of the fuzz targets: the batch-vs-incremental
 # parse oracle, the recovery convergence invariant, the compiled-artifact
 # codec (decode of arbitrary bytes must never panic; accepted artifacts must
-# re-encode canonically), the error-isolation convergence contract
+# re-encode canonically; resealed inputs, whose mutations get past the
+# checksum, must never panic and must re-encode to a fixed point), the
+# error-isolation convergence contract
 # (tier-1 recovery preserves text; repairing converges to the batch parse),
 # the session-snapshot codec plus its write-ahead journal framing
 # (arbitrary bytes never panic; accepted snapshots restore and re-encode
@@ -46,6 +48,7 @@ fuzz-smoke:
 	$(GO) test -run FuzzParseOracle -fuzz FuzzParseOracle -fuzztime 30s ./internal/earley/
 	$(GO) test -run FuzzRecoveryConverges -fuzz FuzzRecoveryConverges -fuzztime 30s ./internal/recovery/
 	$(GO) test -run FuzzLangCodecRoundTrip -fuzz FuzzLangCodecRoundTrip -fuzztime 30s ./internal/langcodec/
+	$(GO) test -run FuzzLangCodecResealed -fuzz FuzzLangCodecResealed -fuzztime 30s ./internal/langcodec/
 	$(GO) test -run FuzzErrorIsolationConverges -fuzz FuzzErrorIsolationConverges -fuzztime 30s .
 	$(GO) test -run FuzzSessCodecRoundTrip -fuzz FuzzSessCodecRoundTrip -fuzztime 30s ./internal/sesscodec/
 	$(GO) test -run FuzzJournalDecode -fuzz FuzzJournalDecode -fuzztime 15s ./internal/sesscodec/

@@ -1,7 +1,9 @@
 // Command iglrc is the grammar compiler: it reads a yacc-like grammar
 // description, builds LR parse tables with conflicts retained (the
 // "modified bison" of the paper's §5), and reports automaton size,
-// conflicts, and static-filter resolutions.
+// conflicts, and static-filter resolutions. It writes no artifact: a
+// compiled language (grammar, tables and lexer) is a .cclang file written
+// by langc or Language.SaveCompiled.
 //
 // Usage:
 //
@@ -22,24 +24,7 @@ func main() {
 	preferShift := flag.Bool("prefer-shift", false, "resolve remaining shift/reduce conflicts by shifting")
 	noPrec := flag.Bool("no-prec", false, "ignore precedence/associativity declarations")
 	verbose := flag.Bool("v", false, "print the grammar and every resolution")
-	out := flag.String("o", "", "write the compiled table (grammar + automaton) to this file")
-	check := flag.String("check", "", "load a compiled table file and print its summary instead of compiling")
 	flag.Parse()
-
-	if *check != "" {
-		data, err := os.ReadFile(*check)
-		if err != nil {
-			fatal(err)
-		}
-		tbl, err := lr.Decode(data)
-		if err != nil {
-			fatal(err)
-		}
-		g := tbl.Grammar()
-		fmt.Printf("loaded %s: %d symbols, %d productions\n", *check, g.NumSymbols(), g.NumProductions())
-		fmt.Print(tbl.String())
-		return
-	}
 
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: iglrc [flags] grammar.y")
@@ -74,20 +59,6 @@ func main() {
 	})
 	if err != nil {
 		fatal(err)
-	}
-
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fatal(err)
-		}
-		if err := tbl.Encode(f); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote compiled table to %s\n", *out)
 	}
 
 	if *verbose {

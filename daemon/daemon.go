@@ -276,10 +276,8 @@ func (d *Daemon) parkSession(sess *session, when string, pressure bool) {
 		return
 	}
 	toDisk := d.persistPark(sess, when)
-	sess.closed = true
 	sess.parked = toDisk
-	if _, ok := d.sessions.remove(sess.id); ok {
-		d.mets.sessionsOpen.Add(-1)
+	if d.closeSession(sess) {
 		if pressure {
 			d.mets.pressureEvictions.Add(1)
 		} else {
@@ -289,8 +287,6 @@ func (d *Daemon) parkSession(sess *session, when string, pressure bool) {
 			d.mets.evictedToDisk.Add(1)
 		}
 	}
-	d.gov.Release(sess.shard, sess.memBytes)
-	sess.memBytes = 0
 }
 
 // pressureIdleMin is the minimum idle time before a session is eligible
@@ -353,14 +349,10 @@ func (d *Daemon) accountParse(sess *session) {
 		d.parkSession(sess, "pressure", true)
 		return
 	}
-	sess.closed = true
 	d.persistRemove(sess)
-	if _, ok := d.sessions.remove(sess.id); ok {
-		d.mets.sessionsOpen.Add(-1)
+	if d.closeSession(sess) {
 		d.mets.pressureEvictions.Add(1)
 	}
-	d.gov.Release(sess.shard, sess.memBytes)
-	sess.memBytes = 0
 }
 
 // janitor periodically evicts idle sessions. Each sweep runs on the

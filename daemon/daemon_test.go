@@ -3,6 +3,8 @@ package daemon
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -497,6 +499,44 @@ func TestLanguageDirArtifacts(t *testing.T) {
 	}
 	if !created.Outcome.Clean {
 		t.Fatalf("outcome: %+v", created.Outcome)
+	}
+}
+
+// TestReloadRejectsCorruptArtifact: a language dir holding an artifact
+// that is intact by its checksum but corrupt behind it (the grammar's
+// symbol count rewritten to 2^63+5, the checksum recomputed) fails the
+// reload with 422, and the active config keeps serving.
+func TestReloadRejectsCorruptArtifact(t *testing.T) {
+	var buf bytes.Buffer
+	if err := incremental.ExprLanguage().SaveCompiled(&buf); err != nil {
+		t.Fatal(err)
+	}
+	body := buf.Bytes()[:buf.Len()-sha256.Size]
+	at := bytes.Index(body, []byte("IGGR")) + len("IGGR") + 1 // grammar magic, one-byte version
+	_, n := binary.Uvarint(body[at:])
+	data := append(append([]byte(nil), body[:at]...), binary.AppendUvarint(nil, 1<<63+5)...)
+	data = append(data, body[at+n:]...)
+	sum := sha256.Sum256(data)
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "expr"+incremental.CompiledExt), append(data, sum[:]...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	d := testDaemon(t, Config{Bundled: []string{"c-subset"}})
+	var e errorJSON
+	if s := doJSON(t, "POST", adminURL(d, "/config"), Config{LanguageDirs: []string{dir}}, &e); s != http.StatusUnprocessableEntity {
+		t.Fatalf("reload over a corrupt artifact: status %d (%s), want 422", s, e.Error)
+	}
+	var got struct {
+		Version int64 `json:"version"`
+	}
+	doJSON(t, "GET", adminURL(d, "/config"), nil, &got)
+	var langs struct {
+		Languages []string `json:"languages"`
+	}
+	doJSON(t, "GET", dataURL(d, "/languages"), nil, &langs)
+	if got.Version != 1 || len(langs.Languages) != 1 || langs.Languages[0] != "c-subset" {
+		t.Fatalf("after the refused reload: version %d, languages %v; want 1, [c-subset]", got.Version, langs.Languages)
 	}
 }
 

@@ -618,6 +618,31 @@ func TestQuotaRetryAfter(t *testing.T) {
 	}
 }
 
+// TestDeleteReleasesMemory: DELETE returns the session's governor charge,
+// so create/delete churn alone never walks /healthz toward "overloaded".
+func TestDeleteReleasesMemory(t *testing.T) {
+	d := testDaemon(t, Config{Bundled: []string{"expr"}})
+	memory := func() float64 {
+		t.Helper()
+		var body map[string]any
+		if s := doJSON(t, "GET", adminURL(d, "/healthz"), nil, &body); s != http.StatusOK {
+			t.Fatalf("healthz: status %d", s)
+		}
+		mb, _ := body["memory_bytes"].(float64)
+		return mb
+	}
+	created := createExpr(t, d, "1+2*3")
+	if mb := memory(); mb <= 0 {
+		t.Fatalf("memory_bytes with one session = %v, want > 0", mb)
+	}
+	if s := doJSON(t, "DELETE", dataURL(d, "/sessions/"+created.ID), nil, nil); s != http.StatusNoContent {
+		t.Fatalf("delete: status %d", s)
+	}
+	if mb := memory(); mb != 0 {
+		t.Fatalf("memory_bytes after DELETE = %v, want 0", mb)
+	}
+}
+
 // TestHealthzDegradedAndOverloaded: /healthz tracks the governor — ready
 // below the soft watermark, degraded (still 200, still ok) under pressure,
 // 503 "overloaded" at the hard watermark; and an overloaded daemon refuses

@@ -212,21 +212,39 @@ func (d *Daemon) runSession(ctx context.Context, sess *session, fn func()) error
 	return err
 }
 
+// closeSession is the one close path: it marks sess closed, unregisters
+// it and returns its governor charge. memBytes is zeroed, so the charge is
+// released exactly once however many paths close the session. It reports
+// whether this call removed the registry entry; each caller counts the
+// close in its own metric and does its own persistence step. Runs on the
+// session's shard goroutine (or in dropSession once that shard is lost).
+func (d *Daemon) closeSession(sess *session) bool {
+	sess.closed = true
+	d.gov.Release(sess.shard, sess.memBytes)
+	sess.memBytes = 0
+	if _, ok := d.sessions.remove(sess.id); !ok {
+		return false
+	}
+	d.mets.sessionsOpen.Add(-1)
+	return true
+}
+
 // dropSession closes and unregisters a session outside the normal DELETE
-// path (panic containment, aborted creates). The closed flag is flipped on
-// the session's shard; if the shard is wedged the registry entry still
-// goes away, so the slot is freed either way.
+// path (panic containment, aborted creates). The close runs on the
+// session's shard; if the shard is wedged or gone the task never runs and
+// the close happens here, so the slot and the charge are freed either way.
 func (d *Daemon) dropSession(sess *session) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
-	d.pool.run(ctx, sess.shard, func() {
-		sess.closed = true
+	var closed bool
+	if err := d.pool.run(ctx, sess.shard, func() {
 		d.persistRemove(sess)
-	})
-	if _, ok := d.sessions.remove(sess.id); ok {
-		d.mets.sessionsOpen.Add(-1)
+		closed = d.closeSession(sess)
+	}); err != nil {
+		closed = d.closeSession(sess)
+	}
+	if closed {
 		d.mets.sessionsClosed.Add(1)
-		d.gov.Release(sess.shard, sess.memBytes)
 	}
 }
 
@@ -291,14 +309,10 @@ func (d *Daemon) parseSession(r *http.Request, sess *session) (outcomeJSON, bool
 			// The watchdog had to kill this parse: close the session like a
 			// panicked one — livelock and panic get the same containment.
 			stalled = true
-			sess.closed = true
 			d.persistRemove(sess)
-			if _, ok := d.sessions.remove(sess.id); ok {
-				d.mets.sessionsOpen.Add(-1)
+			if d.closeSession(sess) {
 				d.mets.sessionsClosed.Add(1)
 			}
-			d.gov.Release(sess.shard, sess.memBytes)
-			sess.memBytes = 0
 			return
 		}
 		// The parse committed whatever was pending (the initial text, an
@@ -520,10 +534,8 @@ func (d *Daemon) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
 		if sess.closed {
 			return
 		}
-		sess.closed = true
 		d.persistRemove(sess)
-		if _, removed := d.sessions.remove(sess.id); removed {
-			d.mets.sessionsOpen.Add(-1)
+		if d.closeSession(sess) {
 			d.mets.sessionsClosed.Add(1)
 		}
 	})

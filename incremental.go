@@ -277,7 +277,7 @@ type Session struct {
 	parser   *iglr.Parser
 	det      *detparse.Parser // non-nil when UseDeterministic succeeded
 	resolver *semantics.Resolver
-	stats    ParseStats // snapshot of the most recent IGLR parse
+	stats    ParseStats // snapshot of the most recent parse (IGLR or deterministic)
 	budget   Budget
 
 	// spareDet is a recycled deterministic parser donated by a Pool,
@@ -391,6 +391,11 @@ func (s *Session) parseOnce(ctx context.Context) (*Node, error) {
 		} else {
 			root, err = s.det.ParseContext(ctx, s.doc.Stream())
 		}
+		d := &s.det.Stats
+		s.stats = ParseStats{
+			Shifts: d.Shifts, SubtreeShifts: d.SubtreeShifts, TerminalShifts: d.TerminalShifts,
+			Reductions: d.Reductions, Breakdowns: d.Breakdowns, SeqPieces: d.SeqPieces,
+		}
 		if err == nil || !isDetSyntax(err) {
 			return root, err
 		}
@@ -436,7 +441,9 @@ func (s *Session) UseSites(name string) []*Node {
 	return s.resolver.UseSites(name)
 }
 
-// Stats returns the work counters of the most recent IGLR parse. The
+// Stats returns the work counters of the most recent parse, by the IGLR
+// parser or, under UseDeterministic, the deterministic one (which fills
+// the counters it shares with IGLR and leaves the rest zero). The
 // counters are snapshotted when a parse finishes (successfully or not), so
 // the value is stable even if another parse is later started.
 func (s *Session) Stats() ParseStats { return s.stats }

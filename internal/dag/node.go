@@ -168,14 +168,6 @@ func (n *Node) computeCover() {
 	}
 }
 
-// PropagateChange sets NestedChange on every ancestor of n (stopping at the
-// first already-marked ancestor, which makes repeated marking cheap).
-func (n *Node) PropagateChange() {
-	for a := n.Parent; a != nil && !a.NestedChange; a = a.Parent {
-		a.NestedChange = true
-	}
-}
-
 func seqCountOf(n *Node) int32 {
 	if n.Kind == KindSeq {
 		return n.SeqCount
@@ -336,9 +328,6 @@ func (n *Node) String() string {
 		return fmt.Sprintf("p%d(%d)", n.Prod, n.Sym)
 	}
 }
-
-// IsError reports whether n is an isolated syntax-error region.
-func (n *Node) IsError() bool { return n.Kind == KindError }
 
 // CollectErrors returns the KindError nodes reachable from root, leftmost
 // first (preorder). A nil root yields nil.

@@ -107,13 +107,3 @@ func (s *MaskedStream) Breakdown() {
 	}
 	s.pending = breakdown(s.pending)
 }
-
-// CurIndex returns the document-terminal index of the current lookahead's
-// first terminal (the terminal count at EOF) — how a parse failure on the
-// masked stream is mapped back to document coordinates.
-func (s *MaskedStream) CurIndex() int {
-	if len(s.pending) == 0 {
-		s.skip()
-	}
-	return s.cur.k
-}

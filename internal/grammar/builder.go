@@ -1,9 +1,6 @@
 package grammar
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Builder assembles a Grammar incrementally. Symbols may be referenced by
 // name before they are classified; Build resolves everything, synthesizes
@@ -266,14 +263,4 @@ func (b *Builder) Build() (*Grammar, error) {
 		return nil, err
 	}
 	return g, nil
-}
-
-// SymbolNames returns the declared symbol names sorted, for diagnostics.
-func (b *Builder) SymbolNames() []string {
-	out := make([]string, 0, len(b.byName))
-	for n := range b.byName {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }

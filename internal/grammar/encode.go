@@ -3,11 +3,13 @@ package grammar
 import (
 	"encoding/binary"
 	"fmt"
+
+	"iglr/internal/wire"
 )
 
 // Binary serialization of grammars, used for compiled language artifacts
 // (the paper's Ensemble system compiles language descriptions off-line and
-// loads them into the running environment; iglrc -o does the same).
+// loads them into the running environment).
 
 const grammarMagic = "IGGR"
 const grammarVersion = 1
@@ -15,10 +17,10 @@ const grammarVersion = 1
 // AppendBinary serializes g to buf.
 func (g *Grammar) AppendBinary(buf []byte) []byte {
 	buf = append(buf, grammarMagic...)
-	buf = appendUvarint(buf, grammarVersion)
-	buf = appendUvarint(buf, uint64(len(g.symbols)))
+	buf = binary.AppendUvarint(buf, grammarVersion)
+	buf = binary.AppendUvarint(buf, uint64(len(g.symbols)))
 	for _, s := range g.symbols {
-		buf = appendString(buf, s.Name)
+		buf = wire.AppendString(buf, s.Name)
 		flags := byte(0)
 		if s.Terminal {
 			flags |= 1
@@ -27,49 +29,62 @@ func (g *Grammar) AppendBinary(buf []byte) []byte {
 			flags |= 2
 		}
 		buf = append(buf, flags, byte(s.Assoc))
-		buf = appendUvarint(buf, uint64(s.Prec))
-		buf = appendVarint(buf, int64(s.SeqElem))
+		buf = binary.AppendUvarint(buf, uint64(s.Prec))
+		buf = binary.AppendVarint(buf, int64(s.SeqElem))
 	}
-	buf = appendVarint(buf, int64(g.start))
-	buf = appendUvarint(buf, uint64(len(g.prods)))
+	buf = binary.AppendVarint(buf, int64(g.start))
+	buf = binary.AppendUvarint(buf, uint64(len(g.prods)))
 	for _, p := range g.prods {
-		buf = appendVarint(buf, int64(p.LHS))
-		buf = appendUvarint(buf, uint64(len(p.RHS)))
+		buf = binary.AppendVarint(buf, int64(p.LHS))
+		buf = binary.AppendUvarint(buf, uint64(len(p.RHS)))
 		for _, s := range p.RHS {
-			buf = appendVarint(buf, int64(s))
+			buf = binary.AppendVarint(buf, int64(s))
 		}
-		buf = appendUvarint(buf, uint64(p.Prec))
+		buf = binary.AppendUvarint(buf, uint64(p.Prec))
 		flags := byte(p.Assoc)
 		if p.Seq {
 			flags |= 0x80
 		}
 		buf = append(buf, flags)
-		buf = appendString(buf, p.Label)
+		buf = wire.AppendString(buf, p.Label)
 	}
 	return buf
 }
 
 // DecodeBinary reconstructs a grammar serialized by AppendBinary, returning
-// the remaining bytes.
+// the remaining bytes. Every symbol index (start, left- and right-hand
+// sides, sequence elements) is range-checked before the analyses run, so a
+// corrupt artifact is an error, never a panic.
 func DecodeBinary(data []byte) (*Grammar, []byte, error) {
-	r := &reader{data: data}
-	if string(r.bytes(4)) != grammarMagic {
+	r := wire.NewReader(data)
+	if string(r.Bytes(4)) != grammarMagic {
 		return nil, nil, fmt.Errorf("grammar: bad magic")
 	}
-	if v := r.uvarint(); v != grammarVersion {
+	if v := r.Uvarint(); v != grammarVersion {
 		return nil, nil, fmt.Errorf("grammar: unsupported version %d", v)
 	}
-	nSyms := int(r.uvarint())
+	nSyms := r.Count()
+	if r.Bad() || nSyms < NumReserved {
+		return nil, nil, fmt.Errorf("grammar: invalid symbol count")
+	}
+	// sym reads a symbol index, latching the failure if it is out of range.
+	sym := func(invalidOK bool) Sym {
+		s := r.Varint()
+		if (s < 0 || s >= int64(nSyms)) && !(invalidOK && s == int64(InvalidSym)) {
+			r.Fail()
+		}
+		return Sym(s)
+	}
 	g := &Grammar{
 		symbols: make([]Symbol, 0, nSyms),
 		byName:  make(map[string]Sym, nSyms),
 	}
 	for i := 0; i < nSyms; i++ {
-		name := r.str()
-		flags := r.byte()
-		assoc := Assoc(r.byte())
-		prec := int(r.uvarint())
-		seqElem := Sym(r.varint())
+		name := r.Str()
+		flags := r.Byte()
+		assoc := Assoc(r.Byte())
+		prec := int(r.Uvarint())
+		seqElem := sym(true)
 		g.symbols = append(g.symbols, Symbol{
 			Name:      name,
 			Terminal:  flags&1 != 0,
@@ -83,105 +98,34 @@ func DecodeBinary(data []byte) (*Grammar, []byte, error) {
 			g.numTerminals++
 		}
 	}
-	g.start = Sym(r.varint())
-	nProds := int(r.uvarint())
+	g.start = sym(false)
+	nProds := r.Count()
 	g.prods = make([]*Production, 0, nProds)
 	for i := 0; i < nProds; i++ {
 		p := &Production{ID: i, precSym: InvalidSym}
-		p.LHS = Sym(r.varint())
-		n := int(r.uvarint())
-		p.RHS = make([]Sym, n)
-		for j := 0; j < n; j++ {
-			p.RHS[j] = Sym(r.varint())
+		p.LHS = sym(false)
+		p.RHS = make([]Sym, r.Count())
+		for j := range p.RHS {
+			p.RHS[j] = sym(false)
 		}
-		p.Prec = int(r.uvarint())
-		flags := r.byte()
+		p.Prec = int(r.Uvarint())
+		flags := r.Byte()
 		p.Assoc = Assoc(flags &^ 0x80)
 		p.Seq = flags&0x80 != 0
-		p.Label = r.str()
+		p.Label = r.Str()
 		g.prods = append(g.prods, p)
 	}
-	if r.err != nil {
-		return nil, nil, fmt.Errorf("grammar: truncated data: %w", r.err)
+	if r.Bad() {
+		return nil, nil, fmt.Errorf("grammar: truncated data or symbol out of range")
 	}
 	// Rebuild derived state.
 	g.prodsByLHS = make([][]*Production, len(g.symbols))
 	for _, p := range g.prods {
-		if int(p.LHS) >= len(g.symbols) {
-			return nil, nil, fmt.Errorf("grammar: production %d has invalid LHS", p.ID)
-		}
 		g.prodsByLHS[p.LHS] = append(g.prodsByLHS[p.LHS], p)
 	}
 	g.computeAnalyses()
 	if err := g.Validate(); err != nil {
 		return nil, nil, err
 	}
-	return g, r.data, nil
-}
-
-// Encoding helpers shared with the lr package.
-
-func appendUvarint(buf []byte, v uint64) []byte {
-	return binary.AppendUvarint(buf, v)
-}
-
-func appendVarint(buf []byte, v int64) []byte {
-	return binary.AppendVarint(buf, v)
-}
-
-func appendString(buf []byte, s string) []byte {
-	buf = appendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
-}
-
-type reader struct {
-	data []byte
-	err  error
-}
-
-func (r *reader) fail() {
-	if r.err == nil {
-		r.err = fmt.Errorf("unexpected end of data")
-	}
-}
-
-func (r *reader) bytes(n int) []byte {
-	if len(r.data) < n {
-		r.fail()
-		return make([]byte, n)
-	}
-	out := r.data[:n]
-	r.data = r.data[n:]
-	return out
-}
-
-func (r *reader) byte() byte { return r.bytes(1)[0] }
-
-func (r *reader) uvarint() uint64 {
-	v, n := binary.Uvarint(r.data)
-	if n <= 0 {
-		r.fail()
-		return 0
-	}
-	r.data = r.data[n:]
-	return v
-}
-
-func (r *reader) varint() int64 {
-	v, n := binary.Varint(r.data)
-	if n <= 0 {
-		r.fail()
-		return 0
-	}
-	r.data = r.data[n:]
-	return v
-}
-
-func (r *reader) str() string {
-	n := int(r.uvarint())
-	if n > len(r.data) {
-		r.fail()
-		return ""
-	}
-	return string(r.bytes(n))
+	return g, r.Rest(), nil
 }

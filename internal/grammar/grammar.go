@@ -29,9 +29,6 @@ type Production struct {
 // Arity returns the number of right-hand-side symbols.
 func (p *Production) Arity() int { return len(p.RHS) }
 
-// IsEpsilon reports whether the production has an empty right-hand side.
-func (p *Production) IsEpsilon() bool { return len(p.RHS) == 0 }
-
 // Grammar is an immutable context-free grammar produced by a Builder or by
 // parsing a grammar description. All analyses are precomputed by Build.
 type Grammar struct {

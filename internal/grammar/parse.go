@@ -34,16 +34,6 @@ func Parse(src string) (*Grammar, error) {
 	return p.b.Build()
 }
 
-// MustParse is Parse but panics on error; intended for static grammar
-// definitions in language packages and tests.
-func MustParse(src string) *Grammar {
-	g, err := Parse(src)
-	if err != nil {
-		panic(err)
-	}
-	return g
-}
-
 type dslParser struct {
 	b       *Builder
 	src     string

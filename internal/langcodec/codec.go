@@ -29,6 +29,7 @@ import (
 	"iglr/internal/langs"
 	"iglr/internal/lexer"
 	"iglr/internal/lr"
+	"iglr/internal/wire"
 )
 
 // Magic identifies compiled language artifact files.
@@ -58,8 +59,7 @@ func Encode(l *langs.Language) []byte {
 	buf = binary.AppendUvarint(buf, FormatVersion)
 	buf = append(buf, l.Hash[:]...)
 
-	buf = binary.AppendUvarint(buf, uint64(len(l.Name)))
-	buf = append(buf, l.Name...)
+	buf = wire.AppendString(buf, l.Name)
 	buf = l.Grammar.AppendBinary(buf)
 	buf = l.Table.AppendCompiled(buf)
 	buf = l.Spec.AppendBinary(buf)
@@ -81,8 +81,7 @@ func appendTokenMap(buf []byte, tm langs.TokenMap) []byte {
 	sort.Strings(keys)
 	buf = binary.AppendUvarint(buf, uint64(len(keys)))
 	for _, k := range keys {
-		buf = binary.AppendUvarint(buf, uint64(len(k)))
-		buf = append(buf, k...)
+		buf = wire.AppendString(buf, k)
 		buf = binary.AppendVarint(buf, int64(tm.Keywords[k]))
 	}
 	return binary.AppendVarint(buf, int64(tm.IdentRule))
@@ -91,7 +90,9 @@ func appendTokenMap(buf []byte, tm langs.TokenMap) []byte {
 // Decode reconstructs a Language from an artifact produced by Encode. The
 // checksum is verified before anything else, so no section decoder ever
 // sees corrupted bytes; a version mismatch is reported as ErrVersion after
-// the checksum proves the file intact.
+// the checksum proves the file intact. Behind the checksum every section
+// decoder still bounds its counts and range-checks its indices, so a
+// resealed or crafted artifact is an error, never a panic.
 func Decode(data []byte) (*langs.Language, error) {
 	if len(data) < len(Magic)+sha256.Size+1 {
 		return nil, ErrCorrupt
@@ -103,30 +104,20 @@ func Decode(data []byte) (*langs.Language, error) {
 	if string(body[:len(Magic)]) != Magic {
 		return nil, ErrCorrupt
 	}
-	body = body[len(Magic):]
-	v, n := binary.Uvarint(body)
-	if n <= 0 {
+	r := wire.NewReader(body[len(Magic):])
+	if v := r.Uvarint(); r.Bad() {
 		return nil, ErrCorrupt
-	}
-	if v != FormatVersion {
+	} else if v != FormatVersion {
 		return nil, ErrVersion
 	}
-	body = body[n:]
-	if len(body) < sha256.Size {
-		return nil, ErrCorrupt
-	}
 	var hash [32]byte
-	copy(hash[:], body)
-	body = body[sha256.Size:]
-
-	nameLen, n := binary.Uvarint(body)
-	if n <= 0 || nameLen > uint64(len(body)-n) {
+	copy(hash[:], r.Bytes(sha256.Size))
+	name := r.Str()
+	if r.Bad() {
 		return nil, fmt.Errorf("%w: bad name", ErrCorrupt)
 	}
-	name := string(body[n : n+int(nameLen)])
-	body = body[n+int(nameLen):]
 
-	g, rest, err := grammar.DecodeBinary(body)
+	g, rest, err := grammar.DecodeBinary(r.Rest())
 	if err != nil {
 		return nil, fmt.Errorf("%w: grammar: %v", ErrCorrupt, err)
 	}
@@ -138,12 +129,13 @@ func Decode(data []byte) (*langs.Language, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: lexer: %v", ErrCorrupt, err)
 	}
-	tm, rest, err := decodeTokenMap(rest, g, spec)
+	r = wire.NewReader(rest)
+	tm, err := decodeTokenMap(r, g, spec)
 	if err != nil {
 		return nil, err
 	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing payload bytes", ErrCorrupt, len(rest))
+	if n := len(r.Rest()); n != 0 {
+		return nil, fmt.Errorf("%w: %d trailing payload bytes", ErrCorrupt, n)
 	}
 	return &langs.Language{
 		Name:    name,
@@ -156,55 +148,44 @@ func Decode(data []byte) (*langs.Language, error) {
 	}, nil
 }
 
-func decodeTokenMap(data []byte, g *grammar.Grammar, spec *lexer.Spec) (langs.TokenMap, []byte, error) {
+func decodeTokenMap(r *wire.Reader, g *grammar.Grammar, spec *lexer.Spec) (langs.TokenMap, error) {
 	var tm langs.TokenMap
-	fail := func(what string) (langs.TokenMap, []byte, error) {
-		return tm, nil, fmt.Errorf("%w: token map: %s", ErrCorrupt, what)
+	fail := func(what string) (langs.TokenMap, error) {
+		return tm, fmt.Errorf("%w: token map: %s", ErrCorrupt, what)
 	}
-	nRules, n := binary.Uvarint(data)
-	if n <= 0 || int(nRules) != spec.NumRules() {
+	if n := r.Uvarint(); r.Bad() || n != uint64(spec.NumRules()) {
 		return fail("rule count mismatch")
 	}
-	data = data[n:]
-	tm.RuleSyms = make([]grammar.Sym, nRules)
+	tm.RuleSyms = make([]grammar.Sym, spec.NumRules())
 	for i := range tm.RuleSyms {
-		v, n := binary.Varint(data)
-		if n <= 0 || !validMapSym(g, grammar.Sym(v)) {
+		s := r.Varint()
+		if r.Bad() || !validMapSym(g, s) {
 			return fail("rule symbol out of range")
 		}
-		tm.RuleSyms[i] = grammar.Sym(v)
-		data = data[n:]
+		tm.RuleSyms[i] = grammar.Sym(s)
 	}
-	nKw, n := binary.Uvarint(data)
-	if n <= 0 || nKw > uint64(len(data)) {
+	nKw := r.Count()
+	if r.Bad() {
 		return fail("keyword count")
 	}
-	data = data[n:]
 	tm.Keywords = make(map[string]grammar.Sym, nKw)
-	for i := uint64(0); i < nKw; i++ {
-		kl, n := binary.Uvarint(data)
-		if n <= 0 || kl > uint64(len(data)-n) {
-			return fail("keyword text")
+	for i := 0; i < nKw; i++ {
+		k := r.Str()
+		s := r.Varint()
+		if r.Bad() || s == int64(grammar.InvalidSym) || !validMapSym(g, s) {
+			return fail("keyword out of range")
 		}
-		k := string(data[n : n+int(kl)])
-		data = data[n+int(kl):]
-		v, n := binary.Varint(data)
-		s := grammar.Sym(v)
-		if n <= 0 || s == grammar.InvalidSym || !validMapSym(g, s) {
-			return fail("keyword symbol out of range")
-		}
-		tm.Keywords[k] = s
-		data = data[n:]
+		tm.Keywords[k] = grammar.Sym(s)
 	}
-	v, n := binary.Varint(data)
-	if n <= 0 || v < -1 || v >= int64(nRules) {
+	v := r.Varint()
+	if r.Bad() || v < -1 || v >= int64(spec.NumRules()) {
 		return fail("ident rule out of range")
 	}
 	tm.IdentRule = int(v)
-	return tm, data[n:], nil
+	return tm, nil
 }
 
 // validMapSym accepts InvalidSym (an unmapped rule) or any symbol of g.
-func validMapSym(g *grammar.Grammar, s grammar.Sym) bool {
-	return s == grammar.InvalidSym || (s >= 0 && int(s) < g.NumSymbols())
+func validMapSym(g *grammar.Grammar, s int64) bool {
+	return s == int64(grammar.InvalidSym) || (s >= 0 && s < int64(g.NumSymbols()))
 }

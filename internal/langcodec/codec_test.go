@@ -155,6 +155,61 @@ func TestDecodeRejectsTrailingGarbage(t *testing.T) {
 	}
 }
 
+// requireFixedPoint checks the contract for an artifact Decode accepted
+// behind a valid checksum: the language it yields re-encodes, and that
+// encoding decodes and re-encodes to itself. (Byte identity with the
+// accepted input is not required: a mutation may, say, duplicate a
+// keyword that the encoder then writes once.)
+func requireFixedPoint(t *testing.T, l *langs.Language) {
+	t.Helper()
+	enc := langcodec.Encode(l)
+	l2, err := langcodec.Decode(enc)
+	if err != nil {
+		t.Fatalf("re-encoded accepted artifact does not decode: %v", err)
+	}
+	if !bytes.Equal(langcodec.Encode(l2), enc) {
+		t.Fatal("accepted artifact does not re-encode to a fixed point")
+	}
+}
+
+// TestDecodeRejectsResealedCorruption: the checksum is not what keeps a
+// corrupt artifact out. Every payload byte of two bundled artifacts is
+// flipped (XOR 0x01 and 0x80) and the checksum recomputed, so each
+// mutation reaches the section decoders; Decode must never panic, must
+// reject at least one mutation, and whatever it accepts must re-encode to
+// a fixed point.
+func TestDecodeRejectsResealedCorruption(t *testing.T) {
+	for _, name := range []string{"expr", "c-subset"} {
+		e, ok := langreg.Find(name)
+		if !ok {
+			t.Fatalf("%s not registered", name)
+		}
+		l, err := e.Fresh().Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := langcodec.Encode(l)
+		rejected, accepted := 0, 0
+		for pos := len(langcodec.Magic) + 1 + sha256.Size; pos < len(data)-sha256.Size; pos++ {
+			for _, flip := range []byte{0x01, 0x80} {
+				mut := append([]byte(nil), data...)
+				mut[pos] ^= flip
+				dec, err := langcodec.Decode(reseal(mut))
+				if err != nil {
+					rejected++
+					continue
+				}
+				accepted++
+				requireFixedPoint(t, dec)
+			}
+		}
+		if rejected == 0 {
+			t.Fatalf("%s: no resealed mutation was rejected; the validators are not running", name)
+		}
+		t.Logf("%s: %d resealed mutations rejected, %d accepted", name, rejected, accepted)
+	}
+}
+
 // FuzzLangCodecRoundTrip throws arbitrary bytes at the decoder (it must
 // never panic) and requires that anything it accepts re-encodes to the
 // identical artifact — the codec has exactly one representation per
@@ -182,6 +237,28 @@ func FuzzLangCodecRoundTrip(f *testing.F) {
 		}
 		if l2.Name != l.Name || l2.Hash != l.Hash {
 			t.Fatal("re-decode changed identity")
+		}
+	})
+}
+
+// FuzzLangCodecResealed reseals every input before decoding, so the
+// fuzzer's mutations get past the checksum and exercise the section
+// decoders: Decode must never panic, and an accepted artifact must
+// re-encode to a fixed point.
+func FuzzLangCodecResealed(f *testing.F) {
+	for _, e := range langreg.All() {
+		l, err := e.Fresh().Build()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(langcodec.Encode(l))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < sha256.Size {
+			return
+		}
+		if l, err := langcodec.Decode(reseal(data)); err == nil {
+			requireFixedPoint(t, l)
 		}
 	})
 }

@@ -14,7 +14,6 @@ import (
 	"sort"
 	"sync"
 
-	"iglr/internal/dag"
 	"iglr/internal/document"
 	"iglr/internal/grammar"
 	"iglr/internal/lexer"
@@ -73,12 +72,6 @@ func (m TokenMap) Mapper() document.TokenMapper {
 // NewDocument creates a document over src for this language.
 func (l *Language) NewDocument(src string) *document.Document {
 	return document.New(l.Spec, l.Grammar, l.Map, src)
-}
-
-// NewDocumentInArena is NewDocument with the caller's node arena — for
-// scratch documents whose trees get spliced into another document's dag.
-func (l *Language) NewDocumentInArena(a *dag.Arena, src string) *document.Document {
-	return document.NewInArena(a, l.Spec, l.Grammar, l.Map, src)
 }
 
 // NewDocumentOpts is NewDocument with batch options (donated buffers).

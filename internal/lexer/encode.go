@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"iglr/internal/regex"
+	"iglr/internal/wire"
 )
 
 // Binary serialization of compiled lexical specifications for compiled
@@ -22,8 +23,8 @@ func (s *Spec) AppendBinary(buf []byte) []byte {
 	buf = binary.AppendUvarint(buf, specVersion)
 	buf = binary.AppendUvarint(buf, uint64(len(s.rules)))
 	for _, r := range s.rules {
-		buf = appendLexString(buf, r.Name)
-		buf = appendLexString(buf, r.Pattern)
+		buf = wire.AppendString(buf, r.Name)
+		buf = wire.AppendString(buf, r.Pattern)
 		if r.Skip {
 			buf = append(buf, 1)
 		} else {
@@ -38,41 +39,32 @@ func (s *Spec) AppendBinary(buf []byte) []byte {
 // the rule count so a corrupt artifact cannot index out of range at scan
 // time.
 func DecodeSpec(data []byte) (*Spec, []byte, error) {
-	if len(data) < 4 || string(data[:4]) != specMagic {
+	r := wire.NewReader(data)
+	if string(r.Bytes(4)) != specMagic {
 		return nil, nil, fmt.Errorf("lexer: bad spec magic")
 	}
-	data = data[4:]
-	v, n := binary.Uvarint(data)
-	if n <= 0 || v != specVersion {
+	if v := r.Uvarint(); r.Bad() || v != specVersion {
 		return nil, nil, fmt.Errorf("lexer: unsupported spec version")
 	}
-	data = data[n:]
-	nRules, n := binary.Uvarint(data)
-	if n <= 0 || nRules == 0 || nRules > uint64(len(data)) {
+	nRules := r.Count()
+	if r.Bad() || nRules == 0 {
 		return nil, nil, fmt.Errorf("lexer: invalid rule count")
 	}
-	data = data[n:]
 	rules := make([]Rule, nRules)
 	for i := range rules {
-		var err error
-		if rules[i].Name, data, err = readLexString(data); err != nil {
-			return nil, nil, err
-		}
-		if rules[i].Pattern, data, err = readLexString(data); err != nil {
-			return nil, nil, err
-		}
-		if len(data) < 1 {
-			return nil, nil, fmt.Errorf("lexer: truncated spec")
-		}
-		rules[i].Skip = data[0] != 0
-		data = data[1:]
+		rules[i].Name = r.Str()
+		rules[i].Pattern = r.Str()
+		rules[i].Skip = r.Byte() != 0
 	}
-	dfa, rest, err := regex.DecodeDFA(data)
+	if r.Bad() {
+		return nil, nil, fmt.Errorf("lexer: truncated spec")
+	}
+	dfa, rest, err := regex.DecodeDFA(r.Rest())
 	if err != nil {
 		return nil, nil, err
 	}
 	for st := 0; st < dfa.NumStates(); st++ {
-		if a := dfa.Accept(st); a >= int(nRules) {
+		if a := dfa.Accept(st); a >= nRules {
 			return nil, nil, fmt.Errorf("lexer: accept rule %d out of range", a)
 		}
 	}
@@ -80,17 +72,4 @@ func DecodeSpec(data []byte) (*Spec, []byte, error) {
 		return nil, nil, fmt.Errorf("lexer: a rule matches the empty string")
 	}
 	return &Spec{rules: rules, dfa: dfa}, rest, nil
-}
-
-func appendLexString(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
-}
-
-func readLexString(data []byte) (string, []byte, error) {
-	v, n := binary.Uvarint(data)
-	if n <= 0 || v > uint64(len(data)-n) {
-		return "", nil, fmt.Errorf("lexer: truncated string")
-	}
-	return string(data[n : n+int(v)]), data[n+int(v):], nil
 }

@@ -5,15 +5,15 @@ import (
 	"fmt"
 
 	"iglr/internal/grammar"
+	"iglr/internal/wire"
 )
 
 // Compiled-table codec: serializes the dense packed layout directly —
 // spill array, packed action cells, goto array, and the precomputed
 // nonterminal-reduction cells — so decoding is pure reconstruction with no
 // re-packing, no conflict re-resolution, and no FIRST-set traversal. This
-// is the format embedded in compiled language artifacts (internal/langcodec);
-// the older Encode/Decode pair in encode.go remains the layout-independent
-// interchange format used by iglrc.
+// is the one serialized form of a table: compiled language artifacts
+// (internal/langcodec) embed it next to the grammar and the lexer.
 
 const compiledMagic = "IGTC"
 const compiledVersion = 1
@@ -67,8 +67,7 @@ func (t *Table) AppendCompiled(buf []byte) []byte {
 			buf = append(buf, byte(a.Kind))
 			buf = binary.AppendVarint(buf, int64(a.Target))
 		}
-		buf = binary.AppendUvarint(buf, uint64(len(r.Rule)))
-		buf = append(buf, r.Rule...)
+		buf = wire.AppendString(buf, r.Rule)
 	}
 	return buf
 }
@@ -103,23 +102,26 @@ func appendPackedCells(buf []byte, cells []uint64) []byte {
 // freshly built one. Every index, offset, and action target is validated so
 // corrupt artifacts fail decoding instead of corrupting a parse.
 func DecodeCompiled(g *grammar.Grammar, data []byte) (*Table, []byte, error) {
-	if len(data) < 4 || string(data[:4]) != compiledMagic {
+	r := wire.NewReader(data)
+	if string(r.Bytes(4)) != compiledMagic {
 		return nil, nil, fmt.Errorf("lr: bad compiled-table magic")
 	}
-	d := &decoder{data: data[4:]}
-	if v := d.uvarint(); d.err != nil || v != compiledVersion {
+	if v := r.Uvarint(); r.Bad() || v != compiledVersion {
 		return nil, nil, fmt.Errorf("lr: unsupported compiled-table version")
 	}
-	method := Method(d.byte())
+	method := Method(r.Byte())
 	if method > LR1 {
 		return nil, nil, fmt.Errorf("lr: unknown method %d", method)
 	}
-	numStates := int(d.uvarint())
-	nSyms := int(d.uvarint())
-	if d.err != nil || numStates <= 0 || numStates > maxCompiledStates {
+	// Every state but the first is reached by a shift or a goto, which the
+	// table records (kept, or dropped by a filter) in at least two bytes,
+	// so the bytes left bound the state count.
+	numStates := r.Count()
+	nSyms := r.Uvarint()
+	if r.Bad() || numStates <= 0 || numStates > maxCompiledStates {
 		return nil, nil, fmt.Errorf("lr: invalid state count")
 	}
-	if nSyms != g.NumSymbols() {
+	if nSyms != uint64(g.NumSymbols()) {
 		return nil, nil, fmt.Errorf("lr: symbol count mismatch (%d vs %d)", nSyms, g.NumSymbols())
 	}
 
@@ -127,21 +129,21 @@ func DecodeCompiled(g *grammar.Grammar, data []byte) (*Table, []byte, error) {
 		g:             g,
 		method:        method,
 		numStates:     numStates,
-		nSyms:         nSyms,
-		gotos:         make([]int32, numStates*nSyms),
+		nSyms:         int(nSyms),
+		gotos:         make([]int32, numStates*int(nSyms)),
 		conflictState: make([]bool, numStates),
 	}
 	for i := range t.gotos {
 		t.gotos[i] = -1
 	}
 
-	nSpill := int(d.uvarint())
-	if d.err != nil || nSpill < 0 || nSpill > len(d.data) {
+	nSpill := r.Count()
+	if r.Bad() {
 		return nil, nil, fmt.Errorf("lr: invalid spill length")
 	}
 	t.actSpill = make([]Action, nSpill)
 	for i := range t.actSpill {
-		a := Action{Kind: Kind(d.byte()), Target: int32(d.varint())}
+		a := readAction(r)
 		if err := validAction(g, numStates, a); err != nil {
 			return nil, nil, err
 		}
@@ -149,55 +151,51 @@ func DecodeCompiled(g *grammar.Grammar, data []byte) (*Table, []byte, error) {
 	}
 
 	var err error
-	t.actCells, err = decodePackedCells(d, t, "action")
+	t.actCells, err = decodePackedCells(r, t, "action")
 	if err != nil {
 		return nil, nil, err
 	}
-	t.ntCells, err = decodePackedCells(d, t, "nonterminal")
+	t.ntCells, err = decodePackedCells(r, t, "nonterminal")
 	if err != nil {
 		return nil, nil, err
 	}
 
-	occ := int(d.uvarint())
+	occ := r.Count()
 	prev := -1
 	for i := 0; i < occ; i++ {
-		idx := int(d.uvarint())
-		val := int(d.uvarint())
-		if d.err != nil || idx <= prev || idx >= len(t.gotos) || val >= numStates {
+		idx := int(r.Uvarint())
+		val := r.Uvarint()
+		if r.Bad() || idx <= prev || idx >= len(t.gotos) || val >= uint64(numStates) {
 			return nil, nil, fmt.Errorf("lr: invalid goto entry")
 		}
 		t.gotos[idx] = int32(val)
 		prev = idx
 	}
 
-	nRes := int(d.uvarint())
-	if d.err != nil || nRes < 0 || nRes > len(d.data) {
+	nRes := r.Count()
+	if r.Bad() {
 		return nil, nil, fmt.Errorf("lr: invalid resolution count")
 	}
 	for i := 0; i < nRes; i++ {
-		var r Resolution
-		r.State = int(d.uvarint())
-		r.Term = grammar.Sym(d.varint())
-		r.Kept = Action{Kind: Kind(d.byte()), Target: int32(d.varint())}
-		nd := int(d.uvarint())
-		if d.err != nil || nd < 0 || nd > len(d.data) {
-			return nil, nil, fmt.Errorf("lr: invalid resolution")
+		var res Resolution
+		res.State = int(r.Uvarint())
+		res.Term = grammar.Sym(r.Varint())
+		res.Kept = readAction(r)
+		res.Dropped = make([]Action, r.Count())
+		for j := range res.Dropped {
+			res.Dropped[j] = readAction(r)
 		}
-		r.Dropped = make([]Action, nd)
-		for j := range r.Dropped {
-			r.Dropped[j] = Action{Kind: Kind(d.byte()), Target: int32(d.varint())}
-		}
-		r.Rule = string(d.bytes(int(d.uvarint())))
-		t.resolutions = append(t.resolutions, r)
+		res.Rule = r.Str()
+		t.resolutions = append(t.resolutions, res)
 	}
-	if d.err != nil {
-		return nil, nil, fmt.Errorf("lr: truncated compiled table: %w", d.err)
+	if r.Bad() {
+		return nil, nil, fmt.Errorf("lr: truncated compiled table")
 	}
 
 	// Derive conflicts and per-state flags, row-major — the order seal uses.
 	for state := 0; state < numStates; state++ {
-		row := state * nSyms
-		for sym := 0; sym < nSyms; sym++ {
+		row := state * t.nSyms
+		for sym := 0; sym < t.nSyms; sym++ {
 			cell := t.actCells[row+sym]
 			if n := cell & cellCountMask; n > 1 {
 				off := cell >> cellOffShift & cellOffMask
@@ -209,24 +207,28 @@ func DecodeCompiled(g *grammar.Grammar, data []byte) (*Table, []byte, error) {
 			}
 		}
 	}
-	return t, d.data, nil
+	return t, r.Rest(), nil
+}
+
+func readAction(r *wire.Reader) Action {
+	return Action{Kind: Kind(r.Byte()), Target: int32(r.Varint())}
 }
 
 // decodePackedCells reads a sparse (index, count, offset) cell section and
 // re-packs each cell word, pulling the inline action from the spill array.
-func decodePackedCells(d *decoder, t *Table, what string) ([]uint64, error) {
+func decodePackedCells(r *wire.Reader, t *Table, what string) ([]uint64, error) {
 	cells := make([]uint64, t.numStates*t.nSyms)
-	occ := int(d.uvarint())
-	if d.err != nil || occ < 0 || occ > len(d.data) {
+	occ := r.Count()
+	if r.Bad() {
 		return nil, fmt.Errorf("lr: invalid %s cell count", what)
 	}
 	prev := -1
 	for i := 0; i < occ; i++ {
-		idx := int(d.uvarint())
-		cnt := int(d.uvarint())
-		off := int(d.uvarint())
-		if d.err != nil || idx <= prev || idx >= len(cells) ||
-			cnt < 1 || cnt > cellCountMask || off < 0 || off+cnt > len(t.actSpill) {
+		idx := int(r.Uvarint())
+		cnt := int(r.Uvarint())
+		off := int(r.Uvarint())
+		if r.Bad() || idx <= prev || idx >= len(cells) ||
+			cnt < 1 || cnt > cellCountMask || off < 0 || off > len(t.actSpill)-cnt {
 			return nil, fmt.Errorf("lr: invalid %s cell", what)
 		}
 		cells[idx] = packCell(off, cnt, t.actSpill[off])

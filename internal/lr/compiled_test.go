@@ -7,16 +7,25 @@ import (
 	"iglr/internal/grammar"
 )
 
+// roundTrip builds src, serializes the grammar and the compiled table the
+// way a language artifact carries them, and decodes both back.
 func roundTrip(t *testing.T, src string, opts Options) (*Table, *Table) {
 	t.Helper()
 	orig := build(t, src, opts)
-	var buf bytes.Buffer
-	if err := orig.Encode(&buf); err != nil {
-		t.Fatalf("Encode: %v", err)
-	}
-	loaded, err := Decode(buf.Bytes())
+	data := orig.AppendCompiled(orig.Grammar().AppendBinary(nil))
+	g, rest, err := grammar.DecodeBinary(data)
 	if err != nil {
-		t.Fatalf("Decode: %v", err)
+		t.Fatalf("DecodeBinary: %v", err)
+	}
+	loaded, rest, err := DecodeCompiled(g, rest)
+	if err != nil {
+		t.Fatalf("DecodeCompiled: %v", err)
+	}
+	if len(rest) != 0 {
+		t.Fatalf("decoder left %d bytes", len(rest))
+	}
+	if again := loaded.AppendCompiled(g.AppendBinary(nil)); !bytes.Equal(again, data) {
+		t.Fatal("re-encoded table differs")
 	}
 	return orig, loaded
 }
@@ -94,26 +103,23 @@ Stmt : x ';' ;`, Options{Method: LALR}},
 }
 
 func TestDecodeRejectsGarbage(t *testing.T) {
+	orig := build(t, exprSrc, Options{Method: LALR})
+	g := orig.Grammar()
 	for _, data := range [][]byte{
 		nil,
 		[]byte("nope"),
-		[]byte("IGTB"),
-		[]byte("IGTB\x01garbage-that-is-not-a-grammar"),
+		[]byte("IGTC"),
+		[]byte("IGTC\x01garbage-that-is-not-a-table"),
 	} {
-		if _, err := Decode(data); err == nil {
-			t.Fatalf("Decode(%q) should fail", data)
+		if _, _, err := DecodeCompiled(g, data); err == nil {
+			t.Fatalf("DecodeCompiled(%q) should fail", data)
 		}
 	}
 	// Truncations of a valid stream must error, not panic.
-	orig := build(t, exprSrc, Options{Method: LALR})
-	var buf bytes.Buffer
-	if err := orig.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
+	full := orig.AppendCompiled(nil)
 	for _, cut := range []int{5, 10, len(full) / 2, len(full) - 3} {
-		if _, err := Decode(full[:cut]); err == nil {
-			t.Fatalf("Decode of %d-byte truncation should fail", cut)
+		if _, _, err := DecodeCompiled(g, full[:cut]); err == nil {
+			t.Fatalf("DecodeCompiled of %d-byte truncation should fail", cut)
 		}
 	}
 }

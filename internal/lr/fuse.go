@@ -42,10 +42,6 @@ func (t *Table) FusedChain(state int, term grammar.Sym) []FuseStep {
 	return t.fused[fuseKey(state, term)]
 }
 
-// HasFusedChains reports whether any cell of state begins a fused cascade —
-// the cheap per-state gate the kernel reads before the map.
-func (t *Table) HasFusedChains(state int) bool { return t.fusedState[state] }
-
 func fuseKey(state int, term grammar.Sym) uint32 {
 	return uint32(state)<<16 | uint32(uint16(term))
 }

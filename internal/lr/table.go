@@ -180,15 +180,6 @@ func Build(g *grammar.Grammar, opts Options) (*Table, error) {
 	}
 }
 
-// MustBuild is Build but panics on error.
-func MustBuild(g *grammar.Grammar, opts Options) *Table {
-	t, err := Build(g, opts)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
 // Grammar returns the grammar the table was built from.
 func (t *Table) Grammar() *grammar.Grammar { return t.g }
 

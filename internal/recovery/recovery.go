@@ -56,13 +56,6 @@ type Outcome struct {
 	Unincorporated []document.AppliedEdit
 	// Clean reports that the initial parse succeeded with no recovery.
 	Clean bool
-	// Isolated reports that tier-1 error isolation produced Root: the
-	// user's text was preserved verbatim and the damage is quarantined
-	// under ErrorRegions error nodes in the committed tree. Set by the
-	// session layer, never by this package.
-	Isolated bool
-	// ErrorRegions counts the error nodes in Root when Isolated.
-	ErrorRegions int
 	// Err is non-nil in two cases. An infrastructure failure (budget trip,
 	// cancellation — see IsInfrastructure) aborts recovery immediately:
 	// the pending edits are left intact for a retry and no text is

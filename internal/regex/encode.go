@@ -3,6 +3,8 @@ package regex
 import (
 	"encoding/binary"
 	"fmt"
+
+	"iglr/internal/wire"
 )
 
 // Binary serialization of minimized DFAs for compiled language artifacts.
@@ -64,31 +66,33 @@ func (d *DFA) AppendBinary(buf []byte) []byte {
 // transition targets, edge ordering) is validated so corrupt input yields
 // an error rather than a panic downstream.
 func DecodeDFA(data []byte) (*DFA, []byte, error) {
-	r := &dfaReader{data: data}
-	if string(r.bytes(4)) != dfaMagic {
+	r := wire.NewReader(data)
+	if string(r.Bytes(4)) != dfaMagic {
 		return nil, nil, fmt.Errorf("regex: bad DFA magic")
 	}
-	if v := r.uvarint(); v != dfaVersion {
+	if v := r.Uvarint(); v != dfaVersion {
 		return nil, nil, fmt.Errorf("regex: unsupported DFA version %d", v)
 	}
-	n := int(r.uvarint())
-	if r.err != nil || n <= 0 || n > maxDFAStates {
+	// Each state's accept value takes a byte, so the bytes left bound the
+	// state count.
+	n := r.Count()
+	if r.Bad() || n <= 0 || n > maxDFAStates {
 		return nil, nil, fmt.Errorf("regex: invalid DFA state count %d", n)
 	}
 	d := &DFA{accept: make([]int, n)}
 	for i := range d.accept {
-		a := int(r.varint())
+		a := int(r.Varint())
 		if a < -1 {
 			return nil, nil, fmt.Errorf("regex: invalid accept value %d", a)
 		}
 		d.accept[i] = a
 	}
-	k := int(r.uvarint())
-	if r.err != nil || k <= 0 || k > 256 {
+	k := int(r.Uvarint())
+	if r.Bad() || k <= 0 || k > 256 {
 		return nil, nil, fmt.Errorf("regex: invalid class count %d", k)
 	}
 	d.numClasses = k
-	copy(d.classes[:], r.bytes(256))
+	copy(d.classes[:], r.Bytes(256))
 	for _, c := range d.classes {
 		if int(c) >= k {
 			return nil, nil, fmt.Errorf("regex: class id %d out of range", c)
@@ -96,7 +100,7 @@ func DecodeDFA(data []byte) (*DFA, []byte, error) {
 	}
 	d.dense = make([]int32, n*k)
 	for i := range d.dense {
-		t := r.varint()
+		t := r.Varint()
 		if t < Dead || t >= int64(n) {
 			return nil, nil, fmt.Errorf("regex: dense target %d out of range", t)
 		}
@@ -104,8 +108,8 @@ func DecodeDFA(data []byte) (*DFA, []byte, error) {
 	}
 	d.edges = make([][]dfaEdge, n)
 	for s := 0; s < n; s++ {
-		cnt := int(r.uvarint())
-		if r.err != nil || cnt < 0 || cnt > len(r.data) {
+		cnt := r.Count()
+		if r.Bad() {
 			return nil, nil, fmt.Errorf("regex: invalid edge count")
 		}
 		if cnt == 0 {
@@ -114,64 +118,20 @@ func DecodeDFA(data []byte) (*DFA, []byte, error) {
 		edges := make([]dfaEdge, cnt)
 		prev := rune(255)
 		for i := range edges {
-			lo := rune(r.uvarint())
-			hi := rune(r.uvarint())
-			to := int64(r.uvarint())
-			if r.err != nil || lo <= prev || hi < lo || hi > maxRune || to < 0 || to >= int64(n) {
+			lo := r.Uvarint()
+			hi := r.Uvarint()
+			to := r.Uvarint()
+			if r.Bad() || lo <= uint64(prev) || hi < lo || hi > maxRune || to >= uint64(n) {
 				return nil, nil, fmt.Errorf("regex: invalid edge")
 			}
-			edges[i] = dfaEdge{rng: RuneRange{lo, hi}, to: int32(to)}
-			prev = hi
+			edges[i] = dfaEdge{rng: RuneRange{rune(lo), rune(hi)}, to: int32(to)}
+			prev = rune(hi)
 		}
 		d.edges[s] = edges
 	}
-	if r.err != nil {
-		return nil, nil, fmt.Errorf("regex: truncated DFA: %w", r.err)
+	if r.Bad() {
+		return nil, nil, fmt.Errorf("regex: truncated DFA")
 	}
 	d.computeClosed()
-	return d, r.data, nil
-}
-
-type dfaReader struct {
-	data []byte
-	err  error
-}
-
-func (r *dfaReader) fail() {
-	if r.err == nil {
-		r.err = fmt.Errorf("unexpected end of data")
-	}
-}
-
-func (r *dfaReader) bytes(n int) []byte {
-	if n < 0 || len(r.data) < n {
-		r.fail()
-		if n < 0 {
-			n = 0
-		}
-		return make([]byte, n)
-	}
-	out := r.data[:n]
-	r.data = r.data[n:]
-	return out
-}
-
-func (r *dfaReader) uvarint() uint64 {
-	v, n := binary.Uvarint(r.data)
-	if n <= 0 {
-		r.fail()
-		return 0
-	}
-	r.data = r.data[n:]
-	return v
-}
-
-func (r *dfaReader) varint() int64 {
-	v, n := binary.Varint(r.data)
-	if n <= 0 {
-		r.fail()
-		return 0
-	}
-	r.data = r.data[n:]
-	return v
+	return d, r.Rest(), nil
 }

@@ -44,6 +44,7 @@ import (
 	"iglr/internal/grammar"
 	"iglr/internal/langs"
 	"iglr/internal/lexer"
+	"iglr/internal/wire"
 )
 
 // Magic identifies session snapshot artifact files.
@@ -133,7 +134,7 @@ func Encode(st State) ([]byte, error) {
 		flags |= flagDet
 	}
 	buf = append(buf, flags)
-	buf = appendString(buf, st.Text)
+	buf = wire.AppendString(buf, st.Text)
 
 	if st.Root != nil {
 		var err error
@@ -150,17 +151,12 @@ func Encode(st State) ([]byte, error) {
 	buf = binary.AppendUvarint(buf, uint64(len(st.Pending)))
 	for _, e := range st.Pending {
 		buf = binary.AppendUvarint(buf, uint64(e.Offset))
-		buf = appendString(buf, e.Removed)
-		buf = appendString(buf, e.Inserted)
+		buf = wire.AppendString(buf, e.Removed)
+		buf = wire.AppendString(buf, e.Inserted)
 	}
 
 	sum := sha256.Sum256(buf)
 	return append(buf, sum[:]...), nil
-}
-
-func appendString(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
 }
 
 // appendTokens writes the committed token stream, verifying it tiles the
@@ -301,7 +297,7 @@ func appendNode(buf []byte, n *dag.Node, ids map[*dag.Node]uint32, sigIdx map[*d
 	if n.Err != nil {
 		buf = binary.AppendUvarint(buf, uint64(len(n.Err.Expected)))
 		for _, e := range n.Err.Expected {
-			buf = appendString(buf, e)
+			buf = wire.AppendString(buf, e)
 		}
 		buf = binary.AppendVarint(buf, int64(n.Err.Region))
 	}
@@ -315,73 +311,6 @@ type Restored struct {
 	Doc *document.Document
 	Det bool
 	Tag uint64
-}
-
-// reader is a bounds-checked cursor over the artifact payload. Every read
-// past the end (or malformed varint) latches the bad flag; callers check it
-// once per section instead of per field, and no read ever panics.
-type reader struct {
-	data []byte
-	bad  bool
-}
-
-func (r *reader) fail() {
-	r.bad = true
-	r.data = nil
-}
-
-func (r *reader) uvarint() uint64 {
-	v, n := binary.Uvarint(r.data)
-	if n <= 0 {
-		r.fail()
-		return 0
-	}
-	r.data = r.data[n:]
-	return v
-}
-
-func (r *reader) varint() int64 {
-	v, n := binary.Varint(r.data)
-	if n <= 0 {
-		r.fail()
-		return 0
-	}
-	r.data = r.data[n:]
-	return v
-}
-
-// count reads a uvarint bounded by the remaining payload size — a safe
-// allocation bound for any sequence whose elements occupy at least one
-// byte each, which defeats length-bomb inputs.
-func (r *reader) count() int {
-	v := r.uvarint()
-	if v > uint64(len(r.data)) {
-		r.fail()
-		return 0
-	}
-	return int(v)
-}
-
-func (r *reader) take(n int) []byte {
-	if n < 0 || n > len(r.data) {
-		r.fail()
-		return nil
-	}
-	b := r.data[:n]
-	r.data = r.data[n:]
-	return b
-}
-
-func (r *reader) str() string { return string(r.take(r.count())) }
-
-func (r *reader) byteVal() byte {
-	if len(r.data) == 0 {
-		r.fail()
-		return 0
-	}
-	b := r.data[0]
-	r.data = r.data[1:]
-	return b
 }
 
 // Decode reconstructs a session document from an artifact produced by
@@ -404,23 +333,23 @@ func Decode(data []byte, l *langs.Language) (*Restored, error) {
 	if string(body[:len(Magic)]) != Magic {
 		return nil, ErrCorrupt
 	}
-	r := &reader{data: body[len(Magic):]}
-	if v := r.uvarint(); r.bad {
+	r := wire.NewReader(body[len(Magic):])
+	if v := r.Uvarint(); r.Bad() {
 		return nil, ErrCorrupt
 	} else if v != FormatVersion {
 		return nil, ErrVersion
 	}
-	hash := r.take(sha256.Size)
-	if r.bad {
+	hash := r.Bytes(sha256.Size)
+	if r.Bad() {
 		return nil, ErrCorrupt
 	}
 	if string(hash) != string(l.Hash[:]) {
 		return nil, ErrLanguageMismatch
 	}
-	tag := r.uvarint()
-	flags := r.byteVal()
-	text := r.str()
-	if r.bad || flags&^(flagHasRoot|flagDet) != 0 {
+	tag := r.Uvarint()
+	flags := r.Byte()
+	text := r.Str()
+	if r.Bad() || flags&^(flagHasRoot|flagDet) != 0 {
 		return nil, ErrCorrupt
 	}
 
@@ -443,42 +372,42 @@ func Decode(data []byte, l *langs.Language) (*Restored, error) {
 		doc = l.NewDocument(text)
 	}
 
-	nPending := r.count()
-	if r.bad {
+	nPending := r.Count()
+	if r.Bad() {
 		return nil, ErrCorrupt
 	}
 	for i := 0; i < nPending; i++ {
-		off := r.uvarint()
-		removed := r.str()
-		inserted := r.str()
-		if r.bad || off > uint64(doc.Len()) {
+		off := r.Uvarint()
+		removed := r.Str()
+		inserted := r.Str()
+		if r.Bad() || off > uint64(doc.Len()) {
 			return nil, ErrCorrupt
 		}
 		if err := doc.ReplayEdit(document.AppliedEdit{Offset: int(off), Removed: removed, Inserted: inserted}); err != nil {
 			return nil, fmt.Errorf("%w: pending edit %d: %v", ErrCorrupt, i, err)
 		}
 	}
-	if len(r.data) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing payload bytes", ErrCorrupt, len(r.data))
+	if len(r.Rest()) != 0 {
+		return nil, fmt.Errorf("%w: %d trailing payload bytes", ErrCorrupt, len(r.Rest()))
 	}
 	return &Restored{Doc: doc, Det: flags&flagDet != 0, Tag: tag}, nil
 }
 
 // decodeTokens rebuilds the committed token stream over text, validating
 // that the tokens tile the text exactly and reference valid lexer rules.
-func decodeTokens(r *reader, text string, l *langs.Language) ([]lexer.Token, error) {
-	n := r.count()
-	if r.bad {
+func decodeTokens(r *wire.Reader, text string, l *langs.Language) ([]lexer.Token, error) {
+	n := r.Count()
+	if r.Bad() {
 		return nil, ErrCorrupt
 	}
 	toks := make([]lexer.Token, 0, n)
 	off := 0
 	for i := 0; i < n; i++ {
-		typ := r.varint()
-		tl := r.uvarint()
-		la := r.uvarint()
-		f := r.byteVal()
-		if r.bad ||
+		typ := r.Varint()
+		tl := r.Uvarint()
+		la := r.Uvarint()
+		f := r.Byte()
+		if r.Bad() ||
 			(typ != lexer.ErrorType && (typ < 0 || typ >= int64(l.Spec.NumRules()))) ||
 			tl > uint64(len(text)-off) ||
 			la > uint64(len(text)) ||
@@ -506,7 +435,7 @@ func decodeTokens(r *reader, text string, l *langs.Language) ([]lexer.Token, err
 // order, and the root. Every reference is validated: kids
 // point backwards, terminals claim each significant token exactly once,
 // symbols/productions/states are in range for l.
-func decodeNodes(r *reader, arena *dag.Arena, toks []lexer.Token, l *langs.Language) ([]*dag.Node, *dag.Node, error) {
+func decodeNodes(r *wire.Reader, arena *dag.Arena, toks []lexer.Token, l *langs.Language) ([]*dag.Node, *dag.Node, error) {
 	fail := func(i int, what string) ([]*dag.Node, *dag.Node, error) {
 		return nil, nil, fmt.Errorf("%w: node %d: %s", ErrCorrupt, i, what)
 	}
@@ -519,8 +448,8 @@ func decodeNodes(r *reader, arena *dag.Arena, toks []lexer.Token, l *langs.Langu
 	}
 	terms := make([]*dag.Node, len(sigTok))
 
-	count := r.count()
-	if r.bad {
+	count := r.Count()
+	if r.Bad() {
 		return nil, nil, ErrCorrupt
 	}
 	table := make([]*dag.Node, 0, count)
@@ -528,19 +457,19 @@ func decodeNodes(r *reader, arena *dag.Arena, toks []lexer.Token, l *langs.Langu
 	nProds := int64(l.Grammar.NumProductions())
 	nStates := int64(l.Table.NumStates())
 	for i := 0; i < count; i++ {
-		kind := dag.Kind(r.byteVal())
-		sym := r.varint()
-		f := r.byteVal()
-		state := r.varint()
-		if r.bad || kind > dag.KindError || sym < 0 || sym >= nSyms ||
+		kind := dag.Kind(r.Byte())
+		sym := r.Varint()
+		f := r.Byte()
+		state := r.Varint()
+		if r.Bad() || kind > dag.KindError || sym < 0 || sym >= nSyms ||
 			f&^(nodeFiltered|nodeBudgetPruned|nodeHasErr) != 0 ||
 			(state != dag.NoState && state != dag.MultiState && (state < 0 || state >= nStates)) {
 			return fail(i, "malformed header")
 		}
 		var n *dag.Node
 		if kind == dag.KindTerminal {
-			si := r.uvarint()
-			if r.bad || si >= uint64(len(sigTok)) {
+			si := r.Uvarint()
+			if r.Bad() || si >= uint64(len(sigTok)) {
 				return fail(i, "significant-token index out of range")
 			}
 			ti := sigTok[si]
@@ -565,19 +494,19 @@ func decodeNodes(r *reader, arena *dag.Arena, toks []lexer.Token, l *langs.Langu
 		} else {
 			prod := int64(-1)
 			if kind == dag.KindProduction {
-				prod = r.varint()
-				if r.bad || prod < 0 || prod >= nProds || l.Grammar.Production(int(prod)).LHS != grammar.Sym(sym) {
+				prod = r.Varint()
+				if r.Bad() || prod < 0 || prod >= nProds || l.Grammar.Production(int(prod)).LHS != grammar.Sym(sym) {
 					return fail(i, "production out of range")
 				}
 			}
-			nKids := r.count()
-			if r.bad {
+			nKids := r.Count()
+			if r.Bad() {
 				return fail(i, "kid count")
 			}
 			kids := make([]*dag.Node, nKids)
 			for k := 0; k < nKids; k++ {
-				id := r.uvarint()
-				if r.bad || id >= uint64(len(table)) {
+				id := r.Uvarint()
+				if r.Bad() || id >= uint64(len(table)) {
 					return fail(i, "kid reference not yet emitted")
 				}
 				kids[k] = table[id]
@@ -587,16 +516,16 @@ func decodeNodes(r *reader, arena *dag.Arena, toks []lexer.Token, l *langs.Langu
 				if kind != dag.KindError {
 					return fail(i, "error detail on non-error node")
 				}
-				nExp := r.count()
-				if r.bad {
+				nExp := r.Count()
+				if r.Bad() {
 					return fail(i, "expected-set count")
 				}
 				exp := make([]string, nExp)
 				for e := 0; e < nExp; e++ {
-					exp[e] = r.str()
+					exp[e] = r.Str()
 				}
-				region := r.varint()
-				if r.bad || (region != int64(grammar.InvalidSym) && (region < 0 || region >= nSyms)) {
+				region := r.Varint()
+				if r.Bad() || (region != int64(grammar.InvalidSym) && (region < 0 || region >= nSyms)) {
 					return fail(i, "error region symbol")
 				}
 				det = &dag.ErrorDetail{Expected: exp, Region: grammar.Sym(region)}
@@ -621,8 +550,8 @@ func decodeNodes(r *reader, arena *dag.Arena, toks []lexer.Token, l *langs.Langu
 		n.BudgetPruned = f&nodeBudgetPruned != 0
 		table = append(table, n)
 	}
-	rootID := r.uvarint()
-	if r.bad || rootID >= uint64(len(table)) {
+	rootID := r.Uvarint()
+	if r.Bad() || rootID >= uint64(len(table)) {
 		return nil, nil, fmt.Errorf("%w: root reference", ErrCorrupt)
 	}
 	root := table[rootID]

@@ -3,6 +3,8 @@ package sesscodec
 import (
 	"encoding/binary"
 	"hash/crc32"
+
+	"iglr/internal/wire"
 )
 
 // Write-ahead journal framing. Between snapshots the daemon appends one
@@ -53,7 +55,7 @@ func AppendJournalRecord(buf []byte, rec JournalRecord) []byte {
 	for _, e := range rec.Edits {
 		payload = binary.AppendUvarint(payload, uint64(e.Offset))
 		payload = binary.AppendUvarint(payload, uint64(e.Remove))
-		payload = appendString(payload, e.Insert)
+		payload = wire.AppendString(payload, e.Insert)
 	}
 	var hdr [8]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
@@ -91,27 +93,27 @@ func DecodeJournal(data []byte) (recs []JournalRecord, torn bool) {
 }
 
 func decodeJournalPayload(payload []byte) (JournalRecord, bool) {
-	r := &reader{data: payload}
+	r := wire.NewReader(payload)
 	var rec JournalRecord
-	rec.Seq = r.uvarint()
-	n := r.count()
-	if r.bad {
+	rec.Seq = r.Uvarint()
+	n := r.Count()
+	if r.Bad() {
 		return rec, false
 	}
 	rec.Edits = make([]JournalEdit, 0, n)
 	for i := 0; i < n; i++ {
-		off := r.uvarint()
-		rem := r.uvarint()
-		ins := r.str()
+		off := r.Uvarint()
+		rem := r.Uvarint()
+		ins := r.Str()
 		// Offsets and removal counts are bounded by any plausible text
 		// size; reject values that cannot fit an int so replay arithmetic
 		// never overflows.
-		if r.bad || off > 1<<48 || rem > 1<<48 {
+		if r.Bad() || off > 1<<48 || rem > 1<<48 {
 			return rec, false
 		}
 		rec.Edits = append(rec.Edits, JournalEdit{Offset: int(off), Remove: int(rem), Insert: ins})
 	}
-	if len(r.data) != 0 {
+	if len(r.Rest()) != 0 {
 		return rec, false
 	}
 	return rec, true

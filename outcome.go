@@ -63,8 +63,8 @@ type Outcome struct {
 	// are populated under Tolerant only (the plain path leaves them nil to
 	// preserve the zero-allocation clean reparse guarantee).
 	Incorporated, Unincorporated []AppliedEdit
-	// Stats snapshots the session's IGLR work counters after the call
-	// (identical to Session.Stats()).
+	// Stats snapshots the work counters of the call's parse, IGLR or
+	// deterministic (identical to Session.Stats()).
 	Stats ParseStats
 	// Err is nil on success. On the plain path it carries line/column
 	// information as a *ParseError for syntax errors; budget trips and

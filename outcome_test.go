@@ -222,6 +222,38 @@ func TestDoDeterministic(t *testing.T) {
 	}
 }
 
+// TestDoDeterministicStats checks that a deterministic parse reports its
+// work: on a conflict-free table it makes the same shifts and reductions
+// as the IGLR parser, Outcome.Stats matches Session.Stats(), and an
+// incremental reparse counts the subtrees it reuses.
+func TestDoDeterministicStats(t *testing.T) {
+	lang := incremental.Modula2Subset()
+	src := "MODULE M;\nVAR x : INTEGER;\nBEGIN\n  x := 1\nEND M.\n"
+	glr := incremental.NewSession(lang, src).Do(nil)
+	s := incremental.NewSession(lang, src)
+	det := s.Do(nil, incremental.Deterministic())
+	if glr.Err != nil || det.Err != nil {
+		t.Fatalf("parse failed: IGLR %v, deterministic %v", glr.Err, det.Err)
+	}
+	if det.Stats != s.Stats() {
+		t.Fatalf("Outcome.Stats %+v differs from Session.Stats() %+v", det.Stats, s.Stats())
+	}
+	if det.Stats.Shifts == 0 || det.Stats.Shifts != glr.Stats.Shifts ||
+		det.Stats.Reductions != glr.Stats.Reductions {
+		t.Fatalf("deterministic cold parse reports %d shifts, %d reductions; IGLR %d, %d",
+			det.Stats.Shifts, det.Stats.Reductions, glr.Stats.Shifts, glr.Stats.Reductions)
+	}
+	s.Edit(strings.Index(src, ":= 1")+3, 1, "42")
+	out := s.Do(nil, incremental.Deterministic())
+	if out.Err != nil {
+		t.Fatal(out.Err)
+	}
+	if out.Stats != s.Stats() || out.Stats.TerminalShifts == 0 || out.Stats.SubtreeShifts == 0 {
+		t.Fatalf("deterministic reparse stats %+v (Session.Stats() %+v): want terminal and subtree shifts",
+			out.Stats, s.Stats())
+	}
+}
+
 // TestDoTimeoutDeadline asserts Budget.MaxDuration trips surface through
 // Do as ErrBudget.
 func TestDoTimeoutDeadline(t *testing.T) {
