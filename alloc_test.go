@@ -15,40 +15,43 @@ import (
 	"iglr/internal/corpus"
 )
 
-// TestDeterministicReparseAllocFree pins the strongest form: a clean
-// reparse on the deterministic path (no pending edits — the committed root
-// is offered, state-matched, and shifted whole) allocates nothing. Every
-// structure it touches is persistent: the document's terminal buffer and
-// stream, the parser's stack, and the committed tree itself.
-func TestDeterministicReparseAllocFree(t *testing.T) {
-	s := incremental.NewSession(incremental.Modula2Subset(),
-		"MODULE M;\nVAR x : INTEGER;\nBEGIN\n  x := 1\nEND M.\n")
-	if err := s.UseDeterministic(); err != nil {
-		t.Fatal(err)
-	}
-	if out := s.Do(nil); out.Err != nil {
-		t.Fatal(out.Err)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
+// TestReparseAllocFree pins the strongest form: a clean reparse (no
+// pending edits — the committed root is offered, state-matched, and
+// shifted whole) allocates nothing, on a conflict-free language and on one
+// whose table has conflicts. Every structure it touches is persistent: the
+// document's terminal buffer and stream, the parser's GSS arenas and
+// scratch, and the committed tree itself.
+func TestReparseAllocFree(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		lang *incremental.Language
+		src  string
+	}{
+		{"modula2", incremental.Modula2Subset(), "MODULE M;\nVAR x : INTEGER;\nBEGIN\n  x := 1\nEND M.\n"},
+		{"c", incremental.CSubset(), "int x; int y; T * a; x = y + 1; a = x * y;"},
+	} {
+		s := incremental.NewSession(c.lang, c.src)
 		if out := s.Do(nil); out.Err != nil {
-			t.Fatal(out.Err)
+			t.Fatalf("%s: %v", c.name, out.Err)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("clean deterministic reparse allocated %.1f objects/run, want 0", allocs)
+		allocs := testing.AllocsPerRun(100, func() {
+			if out := s.Do(nil); out.Err != nil {
+				t.Fatal(out.Err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: clean reparse allocated %.1f objects/run, want 0", c.name, allocs)
+		}
 	}
 }
 
-// TestDeterministicEditReparseAllocsBounded pins the edit case on the
-// deterministic path: a one-token edit rebuilds only the damaged spine, so
-// a reparse allocates O(damage) — fresh terminals, the handful of
-// productions above them, and at most an arena chunk — never O(tree).
-func TestDeterministicEditReparseAllocsBounded(t *testing.T) {
+// TestModula2EditReparseAllocsBounded pins the edit case on a conflict-free
+// language: a one-token edit rebuilds only the damaged spine, so a reparse
+// allocates O(damage) — fresh terminals, the handful of productions above
+// them, and at most an arena chunk — never O(tree).
+func TestModula2EditReparseAllocsBounded(t *testing.T) {
 	src := "MODULE M;\nVAR x : INTEGER;\nBEGIN\n  x := 1\nEND M.\n"
 	s := incremental.NewSession(incremental.Modula2Subset(), src)
-	if err := s.UseDeterministic(); err != nil {
-		t.Fatal(err)
-	}
 	if out := s.Do(nil); out.Err != nil {
 		t.Fatal(out.Err)
 	}
@@ -65,10 +68,10 @@ func TestDeterministicEditReparseAllocsBounded(t *testing.T) {
 			t.Fatal(out.Err)
 		}
 	})
-	t.Logf("deterministic one-token reparse: %.1f allocs/run", allocs)
+	t.Logf("Modula-2 one-token reparse: %.1f allocs/run", allocs)
 	const maxAllocs = 40
 	if allocs > maxAllocs {
-		t.Fatalf("one-token deterministic reparse allocated %.1f objects/run, want ≤ %d", allocs, maxAllocs)
+		t.Fatalf("one-token Modula-2 reparse allocated %.1f objects/run, want ≤ %d", allocs, maxAllocs)
 	}
 }
 

@@ -135,31 +135,6 @@ func TestBudgetAbortLeavesCommittedTreeIntact(t *testing.T) {
 	}
 }
 
-func TestDeterministicParserHonorsBudget(t *testing.T) {
-	lang := incremental.ExprLanguage()
-	src := strings.Repeat("1+", 400) + "1"
-
-	s := incremental.NewSession(lang, src,
-		incremental.WithBudget(incremental.Budget{MaxArenaNodes: 4}))
-	if err := s.UseDeterministic(); err != nil {
-		t.Fatal(err)
-	}
-	var be *incremental.BudgetError
-	if err := s.Do(nil).Err; !errors.As(err, &be) {
-		t.Fatalf("err = %v, want *BudgetError", err)
-	}
-
-	s.SetBudget(incremental.Budget{MaxDuration: time.Nanosecond})
-	if err := s.Do(nil).Err; !errors.Is(err, incremental.ErrBudget) {
-		t.Fatalf("err = %v, want a deadline trip", err)
-	}
-
-	s.SetBudget(incremental.Budget{})
-	if out := s.Do(nil); out.Err != nil {
-		t.Fatalf("unbudgeted parse failed: %v", out.Err)
-	}
-}
-
 // Ample budgets must be invisible: same tree, same stats, no prunes.
 func TestAmpleBudgetDoesNotChangeResults(t *testing.T) {
 	lang := incremental.AmbiguousExprLanguage()

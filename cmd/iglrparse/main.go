@@ -9,7 +9,9 @@
 //	iglrparse -lang expr -text '1+2*3' -dag
 //
 // Each -edit is applied after the initial parse, followed by an
-// incremental reparse whose statistics are printed.
+// incremental reparse whose statistics are printed. An edit outside the
+// text exits 1. Under -recover, a syntax error an edit introduces is
+// quarantined and each quarantined region is printed as a diagnostic.
 package main
 
 import (
@@ -34,7 +36,7 @@ func main() {
 	showDag := flag.Bool("dag", false, "print the abstract parse dag")
 	trace := flag.Bool("trace", false, "trace parser actions")
 	resolve := flag.Bool("resolve", false, "run semantic disambiguation after parsing")
-	recover := flag.Bool("recover", false, "use history-based error recovery for edits")
+	recover := flag.Bool("recover", false, "reparse edits with error recovery (Do(Tolerant()))")
 	var edits editFlag
 	flag.Var(&edits, "edit", "apply edit offset:removed:text and reparse (repeatable)")
 	flag.Parse()
@@ -94,6 +96,9 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
+		if off < 0 || rem < 0 || off+rem > s.Len() {
+			fatal(fmt.Errorf("edit %q: bytes [%d, %d) lie outside the %d-byte text", espec, off, off+rem, s.Len()))
+		}
 		fmt.Printf("\n== edit @%d -%d +%q ==\n", off, rem, ins)
 		s.Edit(off, rem, ins)
 		if *recover {
@@ -112,6 +117,12 @@ func main() {
 		}
 		tree = out.Root
 		fmt.Printf("relexed %d token(s)\n", s.Relexed())
+		if out.Isolated {
+			fmt.Printf("isolated %d error region(s):\n", out.ErrorRegions)
+			for _, d := range s.Diagnostics() {
+				fmt.Printf("  %s\n", d)
+			}
+		}
 		report(s, tree, *showDag, *resolve, lang)
 	}
 }
@@ -139,12 +150,11 @@ func parseEdit(spec string) (off, rem int, ins string, err error) {
 		return 0, 0, "", fmt.Errorf("edit %q: want offset:removed:text", spec)
 	}
 	off, err = strconv.Atoi(parts[0])
-	if err != nil {
-		return
+	if err == nil {
+		rem, err = strconv.Atoi(parts[1])
 	}
-	rem, err = strconv.Atoi(parts[1])
 	if err != nil {
-		return
+		return 0, 0, "", fmt.Errorf("edit %q: %v", spec, err)
 	}
 	return off, rem, parts[2], nil
 }

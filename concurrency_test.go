@@ -170,24 +170,6 @@ func TestParseContextCancelMidParse(t *testing.T) {
 	}
 }
 
-// TestParseContextDeterministicParser covers the cancellation path of the
-// deterministic state-matching parser.
-func TestParseContextDeterministicParser(t *testing.T) {
-	lang := incremental.Modula2Subset()
-	s := incremental.NewSession(lang, "MODULE M;\nVAR x : INTEGER;\nBEGIN\n  x := 1\nEND M.\n")
-	if err := s.UseDeterministic(); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if err := s.Do(ctx).Err; !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if out := s.Do(context.Background()); out.Err != nil {
-		t.Fatal(out.Err)
-	}
-}
-
 // TestLanguageCache: identical definitions share one compiled language,
 // including under concurrent first definition; WithoutCache opts out.
 func TestLanguageCache(t *testing.T) {

@@ -431,9 +431,8 @@ func (d *Daemon) janitor() {
 
 // watchdog scans the shards for a parse stuck beyond the configured stall
 // threshold — a runaway that escaped its budget, a pathological ambiguity
-// blowup — and cancels it through its context. The parsers poll their
-// context (every round in the GLR engine, every kernel block in the
-// deterministic one), so cancellation actually unwedges the shard; the
+// blowup — and cancels it through its context. The parser polls its
+// context every 64 rounds, so cancellation actually unwedges the shard; the
 // shard side then closes the poisoned session, extending the
 // panic-containment contract to livelock. The tick adapts to the
 // threshold so a short stall_timeout is enforced promptly.

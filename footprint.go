@@ -19,11 +19,5 @@ func (s *Session) MemoryFootprint() int64 {
 	if s.parser != nil {
 		n += s.parser.Footprint()
 	}
-	if s.det != nil {
-		n += s.det.Footprint()
-	}
-	if s.spareDet != nil && s.spareDet != s.det {
-		n += s.spareDet.Footprint()
-	}
 	return n
 }

@@ -24,10 +24,8 @@ package incremental
 
 import (
 	"context"
-	"errors"
 
 	"iglr/internal/dag"
-	"iglr/internal/detparse"
 	"iglr/internal/disambig"
 	"iglr/internal/document"
 	"iglr/internal/grammar"
@@ -259,8 +257,8 @@ func JavaSubset() *Language { return &Language{def: javasub.Lang()} }
 func LispSubset() *Language { return &Language{def: lispsub.Lang()} }
 
 // Modula2Subset returns a conflict-free Modula-2 subset (the first
-// Ensemble language), suitable for both the deterministic and the GLR
-// incremental parsers.
+// Ensemble language), on which the IGLR parser makes the same shifts and
+// reductions as the §3.2 deterministic parser.
 func Modula2Subset() *Language { return &Language{def: mod2sub.Lang()} }
 
 // ScannerlessLanguage returns a character-level (scannerless) GLR language
@@ -275,14 +273,8 @@ type Session struct {
 	lang     *Language
 	doc      *document.Document
 	parser   *iglr.Parser
-	det      *detparse.Parser // non-nil when UseDeterministic succeeded
 	resolver *semantics.Resolver
-	stats    ParseStats // snapshot of the most recent parse (IGLR or deterministic)
-	budget   Budget
-
-	// spareDet is a recycled deterministic parser donated by a Pool,
-	// activated only if the caller asks via UseDeterministic.
-	spareDet *detparse.Parser
+	stats    ParseStats // snapshot of the most recent parse
 }
 
 // SessionOption configures a Session at creation time.
@@ -314,34 +306,10 @@ func NewSession(lang *Language, source string, opts ...SessionOption) *Session {
 
 // SetBudget replaces the session's resource budget. It applies from the
 // next parse; the zero Budget removes all limits.
-func (s *Session) SetBudget(b Budget) {
-	s.budget = b
-	s.parser.Budget = b
-	if s.det != nil {
-		s.det.Budget = b
-	}
-}
+func (s *Session) SetBudget(b Budget) { s.parser.Budget = b }
 
 // BudgetLimits returns the session's current resource budget.
-func (s *Session) BudgetLimits() Budget { return s.budget }
-
-// UseDeterministic switches the session to the deterministic incremental
-// parser (§3.2 baseline). It fails if the language's table has conflicts.
-func (s *Session) UseDeterministic() error {
-	if s.spareDet != nil {
-		// A pool donated an already-built parser for this same table.
-		s.det, s.spareDet = s.spareDet, nil
-		s.det.Budget = s.budget
-		return nil
-	}
-	p, err := detparse.New(s.lang.def.Table)
-	if err != nil {
-		return err
-	}
-	p.Budget = s.budget
-	s.det = p
-	return nil
-}
+func (s *Session) BudgetLimits() Budget { return s.parser.Budget }
 
 // Text returns the current document text.
 func (s *Session) Text() string { return s.doc.Text() }
@@ -359,14 +327,6 @@ func (s *Session) Edit(offset, removed int, inserted string) {
 	s.doc.Replace(offset, removed, inserted)
 }
 
-// isDetSyntax reports whether err is a deterministic-parser syntax error.
-// Kept out of parseOnce's hot path: the errors.As target escapes, and the
-// zero-allocation clean-reparse guarantee must hold.
-func isDetSyntax(err error) bool {
-	var de *detparse.SyntaxError
-	return errors.As(err, &de)
-}
-
 // locate attaches position information to a parser error.
 func (s *Session) locate(err error) error {
 	se, ok := err.(*iglr.SyntaxError)
@@ -379,31 +339,6 @@ func (s *Session) locate(err error) error {
 }
 
 func (s *Session) parseOnce(ctx context.Context) (*Node, error) {
-	// A cold parse (nothing committed yet) consumes exactly the significant
-	// terminals plus EOF, so the deterministic parser can skip the
-	// incremental stream machinery and run its batch kernel.
-	cold := s.doc.Root() == nil
-	if s.det != nil {
-		var root *Node
-		var err error
-		if cold {
-			root, err = s.det.ParseBatch(ctx, s.doc.Terminals(), s.doc.EOFNode(), s.doc.Arena())
-		} else {
-			root, err = s.det.ParseContext(ctx, s.doc.Stream())
-		}
-		d := &s.det.Stats
-		s.stats = ParseStats{
-			Shifts: d.Shifts, SubtreeShifts: d.SubtreeShifts, TerminalShifts: d.TerminalShifts,
-			Reductions: d.Reductions, Breakdowns: d.Breakdowns, SeqPieces: d.SeqPieces,
-		}
-		if err == nil || !isDetSyntax(err) {
-			return root, err
-		}
-		// Syntax error under the deterministic parser: hand the document to
-		// the GLR parser, whose failure carries the same detail but is the
-		// one the error-isolation machinery consumes. Infrastructure
-		// failures (budget, cancellation) are not re-run.
-	}
 	root, err := s.parser.ParseContext(ctx, s.doc.Stream())
 	s.stats = s.parser.Stats
 	return root, err
@@ -441,11 +376,9 @@ func (s *Session) UseSites(name string) []*Node {
 	return s.resolver.UseSites(name)
 }
 
-// Stats returns the work counters of the most recent parse, by the IGLR
-// parser or, under UseDeterministic, the deterministic one (which fills
-// the counters it shares with IGLR and leaves the rest zero). The
-// counters are snapshotted when a parse finishes (successfully or not), so
-// the value is stable even if another parse is later started.
+// Stats returns the IGLR parser's work counters for the most recent parse.
+// The counters are snapshotted when a parse finishes (successfully or
+// not), so the value is stable even if another parse is later started.
 func (s *Session) Stats() ParseStats { return s.stats }
 
 // LexErrors returns the number of lexically invalid tokens currently in

@@ -92,21 +92,6 @@ func TestSessionRecovery(t *testing.T) {
 	}
 }
 
-func TestUseDeterministic(t *testing.T) {
-	s := incremental.NewSession(incremental.ExprLanguage(), "a + b")
-	if err := s.UseDeterministic(); err != nil {
-		t.Fatalf("expr language is deterministic: %v", err)
-	}
-	if out := s.Do(nil); out.Err != nil {
-		t.Fatal(out.Err)
-	}
-
-	amb := incremental.NewSession(incremental.CSubset(), "int a;")
-	if err := amb.UseDeterministic(); err == nil {
-		t.Fatal("C subset has conflicts; deterministic parser must refuse")
-	}
-}
-
 func TestDefineLanguage(t *testing.T) {
 	lang, err := incremental.DefineLanguage(incremental.LanguageDef{
 		Name:    "lists",

@@ -4,16 +4,19 @@
 // and uses a single linear parse stack instead of a GSS, but shares the
 // same input-stream abstraction (reused subtrees plus fresh terminals) and
 // the same state-matching reuse discipline.
+//
+// It is a reference, not a session parser: Session always runs the IGLR
+// parser, which makes the same shifts and reductions on a conflict-free
+// table. The §5 experiments, the cross-parser differential and the
+// sequence-edit oracle drive this parser directly.
 package detparse
 
 import (
-	"context"
 	"fmt"
 	"slices"
 
 	"iglr/internal/dag"
 	"iglr/internal/grammar"
-	"iglr/internal/guard"
 	"iglr/internal/lr"
 )
 
@@ -46,20 +49,9 @@ type Parser struct {
 	g     *grammar.Grammar
 	Stats Stats
 
-	// Budget bounds one parse's resources (see guard.Budget). Only the
-	// arena and deadline budgets apply — a deterministic parser has no
-	// GSS and produces no ambiguity. Tripping one aborts the parse with a
-	// *guard.BudgetError; the committed tree is untouched.
-	Budget guard.Budget
-
 	arena  *dag.Arena
 	stack  []entry
 	tokens int
-	gauge  guard.Gauge
-
-	// Split stacks reused by the batch kernel (kernel.go) across parses.
-	kstates []int32
-	knodes  []*dag.Node
 }
 
 // expected renders the acceptable-terminal set of a state by name, sorted.
@@ -91,9 +83,8 @@ func MustNew(table *lr.Table) *Parser {
 	return p
 }
 
-// SyntaxError reports a failed parse. It carries the same positional and
-// expected-token detail as the IGLR parser's error, so sessions can route
-// either parser's failure into the error-isolation machinery.
+// SyntaxError reports a failed parse, with the same positional and
+// expected-token detail as the IGLR parser's error.
 type SyntaxError struct {
 	Sym     grammar.Sym
 	SymName string
@@ -116,46 +107,12 @@ type entry struct {
 
 // Parse consumes the stream and returns the parse-tree root.
 func (p *Parser) Parse(stream Stream) (*dag.Node, error) {
-	return p.ParseContext(nil, stream)
-}
-
-// checkEvery is the number of main-loop iterations between context polls
-// (matching the IGLR parser's cadence).
-const checkEvery = 64
-
-// ParseContext is Parse with cooperative cancellation: the loop polls ctx
-// every checkEvery iterations and returns ctx.Err() once the context is
-// done. A nil ctx disables the checks.
-func (p *Parser) ParseContext(ctx context.Context, stream Stream) (root *dag.Node, err error) {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
 	p.Stats = Stats{}
 	p.arena = stream.Arena()
-	p.gauge.Reset(p.Budget)
-	if p.Budget.MaxArenaNodes > 0 {
-		p.arena.SetLimit(p.arena.NumNodes() + p.Budget.MaxArenaNodes)
-	}
-	defer func() {
-		p.arena.SetLimit(0)
-		if r := recover(); r != nil {
-			root, err = nil, guard.Recovered(r)
-		}
-	}()
 	p.stack = append(p.stack[:0], entry{state: p.table.StartState()})
 	p.tokens = 0
 
-	for rounds := 0; ; rounds++ {
-		if rounds%checkEvery == checkEvery-1 {
-			if ctx != nil {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-			}
-			p.gauge.CheckDeadline()
-		}
+	for {
 		la := stream.La()
 		top := p.stack[len(p.stack)-1].state
 		if la == nil {

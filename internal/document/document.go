@@ -170,12 +170,6 @@ func (d *Document) newTerminal(tok lexer.Token) *dag.Node {
 // allocate from it.
 func (d *Document) Arena() *dag.Arena { return d.arena }
 
-// EOFNode returns the document's EOF sentinel terminal — the node the
-// stream yields after the last significant terminal. Batch parse paths
-// that bypass the stream (the deterministic kernel) need it to mirror the
-// stream's token sequence exactly.
-func (d *Document) EOFNode() *dag.Node { return d.eof }
-
 // Text returns the current text.
 func (d *Document) Text() string { return d.buf.String() }
 

@@ -187,6 +187,10 @@ func (p *Parser) Grammar() *grammar.Grammar { return p.g }
 // Table returns the parse table.
 func (p *Parser) Table() *lr.Table { return p.table }
 
+// tracef reports one parser action to Trace. A call with arguments must
+// sit behind its own p.Trace != nil check: boxing the arguments into
+// ...any allocates even when tracing is off, and a clean reparse must not
+// allocate.
 func (p *Parser) tracef(format string, args ...any) {
 	if p.Trace != nil {
 		p.Trace(format, args...)
@@ -528,7 +532,9 @@ func (p *Parser) actor(a *gssNode) {
 			}
 			if p.soleParser(a) && p.reusable(la) {
 				if gt := p.table.Goto(a.state, la.Sym); gt >= 0 && gt == int(la.State) && !p.table.HasConflict(a.state) {
-					p.tracef("S: %s (subtree, %d tokens) -> state %d", p.g.Name(la.Sym), countTerms(la), gt)
+					if p.Trace != nil {
+						p.tracef("S: %s (subtree, %d tokens) -> state %d", p.g.Name(la.Sym), countTerms(la), gt)
+					}
 					p.forShifter = append(p.forShifter, shiftPair{from: a, target: gt})
 					return
 				}

@@ -161,11 +161,6 @@ type Table struct {
 	// multiply defined (used to track the non-deterministic state
 	// equivalence class during incremental parsing).
 	conflictState []bool
-
-	// fused holds the precomputed reduction cascades (see fuse.go), keyed
-	// by fuseKey(state, term); fusedState[state] gates the lookup.
-	fused      map[uint32][]FuseStep
-	fusedState []bool
 }
 
 // Build constructs a parse table for g.
@@ -420,7 +415,6 @@ func (tb *tableBuilder) seal() *Table {
 	}
 	tb.actions = nil
 	tb.precomputeNontermActions()
-	tb.precomputeFusedChains()
 	return t
 }
 

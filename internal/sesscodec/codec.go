@@ -74,7 +74,7 @@ var (
 )
 
 // State is the persistable extract of a session, as assembled by
-// Session.Snapshot: the committed document state plus session-level flags.
+// Session.Snapshot: the committed document state plus the journal tag.
 type State struct {
 	// Lang is the language the session parses under; its hash binds the
 	// artifact and its tables validate symbol/production/state ranges.
@@ -89,8 +89,6 @@ type State struct {
 	Root *dag.Node
 	// Pending are the edits applied since the last commit, oldest first.
 	Pending []document.AppliedEdit
-	// Det records whether the session runs the deterministic parser.
-	Det bool
 	// Tag is an opaque sequence tag stored verbatim — the daemon uses it
 	// to mark which journal records a snapshot already includes.
 	Tag uint64
@@ -103,11 +101,8 @@ const (
 	nodeHasErr       = 1 << 2
 )
 
-// Header flag bits.
-const (
-	flagHasRoot = 1 << 0
-	flagDet     = 1 << 1
-)
+// Header flag bits. Decode refuses any other bit.
+const flagHasRoot = 1 << 0
 
 // Token flag bits.
 const (
@@ -129,9 +124,6 @@ func Encode(st State) ([]byte, error) {
 	var flags byte
 	if st.Root != nil {
 		flags |= flagHasRoot
-	}
-	if st.Det {
-		flags |= flagDet
 	}
 	buf = append(buf, flags)
 	buf = wire.AppendString(buf, st.Text)
@@ -306,10 +298,9 @@ func appendNode(buf []byte, n *dag.Node, ids map[*dag.Node]uint32, sigIdx map[*d
 
 // Restored is the result of decoding a snapshot: a document in exactly the
 // state the snapshotted session's document was in (committed tree installed,
-// pending edits re-applied), plus the session-level extras.
+// pending edits re-applied), plus the journal tag.
 type Restored struct {
 	Doc *document.Document
-	Det bool
 	Tag uint64
 }
 
@@ -349,7 +340,7 @@ func Decode(data []byte, l *langs.Language) (*Restored, error) {
 	tag := r.Uvarint()
 	flags := r.Byte()
 	text := r.Str()
-	if r.Bad() || flags&^(flagHasRoot|flagDet) != 0 {
+	if r.Bad() || flags&^flagHasRoot != 0 {
 		return nil, ErrCorrupt
 	}
 
@@ -390,7 +381,7 @@ func Decode(data []byte, l *langs.Language) (*Restored, error) {
 	if len(r.Rest()) != 0 {
 		return nil, fmt.Errorf("%w: %d trailing payload bytes", ErrCorrupt, len(r.Rest()))
 	}
-	return &Restored{Doc: doc, Det: flags&flagDet != 0, Tag: tag}, nil
+	return &Restored{Doc: doc, Tag: tag}, nil
 }
 
 // decodeTokens rebuilds the committed token stream over text, validating

@@ -57,7 +57,7 @@ func reencode(t *testing.T, res *sesscodec.Restored, def *langs.Language) []byte
 	}
 	data, err := sesscodec.Encode(sesscodec.State{
 		Lang: def, Text: text, Toks: toks, Root: res.Doc.Root(),
-		Pending: pending, Det: res.Det, Tag: res.Tag,
+		Pending: pending, Tag: res.Tag,
 	})
 	if err != nil {
 		t.Fatalf("re-encode: %v", err)
@@ -206,6 +206,22 @@ func TestDecodeRejectsResignedCorruption(t *testing.T) {
 	}
 	if rejected == 0 {
 		t.Fatal("no resigned mutation was rejected — validators are not running")
+	}
+}
+
+// TestDecodeRejectsUnknownFlag: a resealed snapshot whose header sets flag
+// bit 1, which no encoder writes, is refused like any unknown bit.
+func TestDecodeRejectsUnknownFlag(t *testing.T) {
+	pub, def := exprPub()
+	data := append([]byte(nil), artifact(t, pub, "a + b", nil, false, false, 0)...)
+	// magic | version (1 byte) | language hash | tag 0 (1 byte) | flags
+	flags := len(sesscodec.Magic) + 1 + sha256.Size + 1
+	if data[flags] != 1 {
+		t.Fatalf("flags byte = %#x, want only the has-root bit", data[flags])
+	}
+	data[flags] |= 1 << 1
+	if _, err := sesscodec.Decode(resign(data), def); !errors.Is(err, sesscodec.ErrCorrupt) {
+		t.Fatalf("want ErrCorrupt for flag bit 1, got %v", err)
 	}
 }
 

@@ -14,8 +14,7 @@ import (
 type ParseOption func(*parseConfig)
 
 type parseConfig struct {
-	tolerant      bool
-	deterministic bool
+	tolerant bool
 }
 
 // Tolerant enables two-tier error recovery for this call. Tier 1: a syntax
@@ -30,19 +29,8 @@ func Tolerant() ParseOption {
 	return func(c *parseConfig) { c.tolerant = true }
 }
 
-// Deterministic switches the session to the deterministic incremental
-// parser (§3.2 baseline) before parsing — the option spelling of
-// UseDeterministic, and like it the switch is sticky: later Do calls on
-// the same session keep using the deterministic parser. Do fails with an
-// error if the language's table has conflicts. Syntax errors under the
-// deterministic parser are re-run through the GLR parser so recovery and
-// diagnostics behave identically in both modes.
-func Deterministic() ParseOption {
-	return func(c *parseConfig) { c.deterministic = true }
-}
-
 // Outcome is the result of one Session.Do call — the single result shape
-// for every parse mode (plain, deterministic, tolerant).
+// for both parse modes (plain and tolerant).
 type Outcome struct {
 	// Root is the committed parse dag. It is non-nil on success; under
 	// Tolerant it may also be non-nil alongside a non-nil Err when tier-2
@@ -63,8 +51,8 @@ type Outcome struct {
 	// are populated under Tolerant only (the plain path leaves them nil to
 	// preserve the zero-allocation clean reparse guarantee).
 	Incorporated, Unincorporated []AppliedEdit
-	// Stats snapshots the work counters of the call's parse, IGLR or
-	// deterministic (identical to Session.Stats()).
+	// Stats snapshots the IGLR parser's work counters for the call's
+	// parse (identical to Session.Stats()).
 	Stats ParseStats
 	// Err is nil on success. On the plain path it carries line/column
 	// information as a *ParseError for syntax errors; budget trips and
@@ -75,13 +63,13 @@ type Outcome struct {
 }
 
 // Do (re)parses the document incrementally, committing on success — the
-// one session parse call for every mode (plain, deterministic, tolerant).
+// one session parse call for both modes (plain and tolerant).
 // The previous committed tree is retained on failure. The parser polls ctx
 // periodically and abandons the parse with an error satisfying
 // errors.Is(err, ctx.Err()) once the context is done; a nil ctx disables
 // the checks, and a cancelled parse can simply be retried.
 func (s *Session) Do(ctx context.Context, opts ...ParseOption) Outcome {
-	// Zero options is the hot path (a clean deterministic reparse must stay
+	// Zero options is the hot path (a clean reparse must stay
 	// allocation-free): skip the config application, whose indirect calls
 	// would force the config to the heap.
 	if len(opts) == 0 {
@@ -90,11 +78,6 @@ func (s *Session) Do(ctx context.Context, opts ...ParseOption) Outcome {
 	var cfg parseConfig
 	for _, o := range opts {
 		o(&cfg)
-	}
-	if cfg.deterministic && s.det == nil {
-		if err := s.UseDeterministic(); err != nil {
-			return Outcome{Err: err, Stats: s.stats}
-		}
 	}
 	if cfg.tolerant {
 		return s.doTolerant(ctx)
@@ -124,8 +107,7 @@ func (s *Session) doTolerant(ctx context.Context) Outcome {
 	if recovery.IsInfrastructure(err) {
 		return Outcome{Err: err, Stats: s.stats}
 	}
-	// Tier 1: text-preserving isolation, always driven by the GLR parser
-	// (deterministic sessions hand their syntax errors over anyway).
+	// Tier 1: text-preserving isolation.
 	if res, ierr := isolate.Reparse(ctx, s.doc, s.parser); ierr == nil {
 		s.doc.Commit(res.Root)
 		return Outcome{Root: res.Root, Incorporated: pending,

@@ -192,68 +192,6 @@ func TestDoDifferentialCancellation(t *testing.T) {
 	}
 }
 
-// TestDoDeterministic checks the Deterministic option against the
-// UseDeterministic spelling, including the conflicted-table failure.
-func TestDoDeterministic(t *testing.T) {
-	lang := incremental.Modula2Subset()
-	src := "MODULE m; BEGIN END m."
-	viaMethod := incremental.NewSession(lang, src)
-	if err := viaMethod.UseDeterministic(); err != nil {
-		t.Fatal(err)
-	}
-	want := viaMethod.Do(nil)
-	got := incremental.NewSession(lang, src).Do(nil, incremental.Deterministic())
-	if want.Err != nil || got.Err != nil {
-		t.Fatalf("deterministic parse failed: UseDeterministic=%v option=%v", want.Err, got.Err)
-	}
-	if incremental.FormatDag(lang, got.Root) != incremental.FormatDag(lang, want.Root) {
-		t.Fatal("the option and UseDeterministic commit different trees")
-	}
-
-	// A conflicted table must reject the option with an error, not a panic.
-	amb := incremental.AmbiguousExprLanguage()
-	s := incremental.NewSession(amb, "1+2")
-	if out := s.Do(nil, incremental.Deterministic()); out.Err == nil {
-		t.Fatal("Deterministic over a conflicted table must fail")
-	}
-	// The failure is sticky-free: a plain Do still works.
-	if out := s.Do(nil); out.Err != nil {
-		t.Fatalf("plain Do after rejected Deterministic: %v", out.Err)
-	}
-}
-
-// TestDoDeterministicStats checks that a deterministic parse reports its
-// work: on a conflict-free table it makes the same shifts and reductions
-// as the IGLR parser, Outcome.Stats matches Session.Stats(), and an
-// incremental reparse counts the subtrees it reuses.
-func TestDoDeterministicStats(t *testing.T) {
-	lang := incremental.Modula2Subset()
-	src := "MODULE M;\nVAR x : INTEGER;\nBEGIN\n  x := 1\nEND M.\n"
-	glr := incremental.NewSession(lang, src).Do(nil)
-	s := incremental.NewSession(lang, src)
-	det := s.Do(nil, incremental.Deterministic())
-	if glr.Err != nil || det.Err != nil {
-		t.Fatalf("parse failed: IGLR %v, deterministic %v", glr.Err, det.Err)
-	}
-	if det.Stats != s.Stats() {
-		t.Fatalf("Outcome.Stats %+v differs from Session.Stats() %+v", det.Stats, s.Stats())
-	}
-	if det.Stats.Shifts == 0 || det.Stats.Shifts != glr.Stats.Shifts ||
-		det.Stats.Reductions != glr.Stats.Reductions {
-		t.Fatalf("deterministic cold parse reports %d shifts, %d reductions; IGLR %d, %d",
-			det.Stats.Shifts, det.Stats.Reductions, glr.Stats.Shifts, glr.Stats.Reductions)
-	}
-	s.Edit(strings.Index(src, ":= 1")+3, 1, "42")
-	out := s.Do(nil, incremental.Deterministic())
-	if out.Err != nil {
-		t.Fatal(out.Err)
-	}
-	if out.Stats != s.Stats() || out.Stats.TerminalShifts == 0 || out.Stats.SubtreeShifts == 0 {
-		t.Fatalf("deterministic reparse stats %+v (Session.Stats() %+v): want terminal and subtree shifts",
-			out.Stats, s.Stats())
-	}
-}
-
 // TestDoTimeoutDeadline asserts Budget.MaxDuration trips surface through
 // Do as ErrBudget.
 func TestDoTimeoutDeadline(t *testing.T) {

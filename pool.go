@@ -4,22 +4,21 @@ import (
 	"sync"
 
 	"iglr/internal/dag"
-	"iglr/internal/detparse"
 	"iglr/internal/document"
 	"iglr/internal/iglr"
 	"iglr/internal/lexer"
 )
 
 // Pool recycles the expensive per-session machinery — the IGLR parser's
-// GSS arenas and sharer tables, the deterministic parser's stack, and the
-// document's token and terminal arrays — across many single-shot sessions of one
-// language. A batch driver parsing thousands of files (see engine) pays
-// those allocations once per worker instead of once per file.
+// GSS arenas and sharer tables and the document's token and terminal
+// arrays — across many single-shot sessions of one language. A batch
+// driver parsing thousands of files (see engine) pays those allocations
+// once per worker instead of once per file.
 //
 // The dag arena is deliberately NOT pooled: parse trees escape to the
 // caller through results, so their arena cannot be recycled underneath
 // them. Everything the pool recycles is scrubbed of dag pointers first
-// (iglr/detparse Scrub, document.ReleaseBuffers), so a parked item never
+// (iglr.Parser.Scrub, document.ReleaseBuffers), so a parked item never
 // pins a retired tree.
 //
 // A Pool is safe for concurrent use; each Session it yields remains
@@ -31,7 +30,6 @@ type Pool struct {
 
 type poolItem struct {
 	parser *iglr.Parser
-	det    *detparse.Parser
 	toks   []lexer.Token
 	terms  []*dag.Node
 }
@@ -49,11 +47,7 @@ func (p *Pool) NewSession(source string, opts ...SessionOption) *Session {
 	if it == nil {
 		return NewSession(p.lang, source, opts...)
 	}
-	s := &Session{
-		lang:     p.lang,
-		parser:   it.parser,
-		spareDet: it.det,
-	}
+	s := &Session{lang: p.lang, parser: it.parser}
 	docOpts := document.Options{Toks: it.toks, Terms: it.terms}
 	*it = poolItem{}
 	for _, o := range opts {
@@ -75,13 +69,6 @@ func (p *Pool) Recycle(s *Session) {
 	it.parser.Scrub()
 	it.parser.Budget = Budget{}
 	it.parser.Stats = iglr.Stats{}
-	if det := s.det; det != nil {
-		det.Scrub()
-		det.Budget = Budget{}
-		it.det = det
-	} else if s.spareDet != nil {
-		it.det = s.spareDet
-	}
 	if s.doc != nil {
 		it.toks, it.terms = s.doc.ReleaseBuffers()
 	}

@@ -101,23 +101,17 @@ func TestPooledSessionEditing(t *testing.T) {
 	pool.Recycle(s)
 }
 
-// TestPooledDeterministicReparseAllocFree: the pooled path preserves the
-// zero-allocation guarantee for clean deterministic reparse — the guard
-// the arena-pooling layer must not break.
-func TestPooledDeterministicReparseAllocFree(t *testing.T) {
+// TestPooledReparseAllocFree: the pooled path preserves the
+// zero-allocation guarantee for a clean reparse — the guard the
+// arena-pooling layer must not break.
+func TestPooledReparseAllocFree(t *testing.T) {
 	lang := Modula2Subset()
 	pool := NewPool(lang)
 	warm := pool.NewSession(pooledSource("modula2-subset"))
-	if err := warm.UseDeterministic(); err != nil {
-		t.Fatal(err)
-	}
 	warm.Do(nil)
 	pool.Recycle(warm)
 
 	s := pool.NewSession(pooledSource("modula2-subset"))
-	if err := s.UseDeterministic(); err != nil {
-		t.Fatal(err)
-	}
 	if out := s.Do(nil); out.Err != nil {
 		t.Fatal(out.Err)
 	}
@@ -127,7 +121,7 @@ func TestPooledDeterministicReparseAllocFree(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("pooled clean deterministic reparse allocates: %v allocs/op", allocs)
+		t.Fatalf("pooled clean reparse allocates: %v allocs/op", allocs)
 	}
 	pool.Recycle(s)
 }

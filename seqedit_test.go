@@ -17,7 +17,10 @@ import (
 // ';', '{' and '}'), splitting and merging elements, nested blocks,
 // typedef-ambiguous elements, the first and the last element, and several
 // edits batched before one Do. After every clean Do the committed tree must
-// equal a fresh session's cold parse of the same text, byte for byte.
+// equal a fresh session's cold parse of the same text, byte for byte. In the
+// deterministic mode a twin document driven by the §5 reference parser
+// (detparse) takes the same edits, and its committed tree must equal the
+// session's too.
 
 // seqLang is one language and the material its scripts are made of.
 type seqLang struct {
@@ -137,7 +140,8 @@ func seqLanguages() []seqLang {
 	}
 }
 
-// Modes a script runs its Do calls under.
+// Modes a script runs its Do calls under: plain Do, Do(Tolerant()), and
+// plain Do with a detparse twin.
 const (
 	modePlain = iota
 	modeTolerant
@@ -233,11 +237,33 @@ func runSequenceScript(t *testing.T, l seqLang, mode int, seed int64, steps int)
 		if !l.lang.Deterministic() {
 			return 0, 0
 		}
-		opts = []incremental.ParseOption{incremental.Deterministic()}
 	}
-	s := incremental.NewSession(l.lang, l.program(rng, 24))
+	base := l.program(rng, 24)
+	s := incremental.NewSession(l.lang, base)
 	if out := s.Do(ctx, opts...); out.Err != nil || !out.Clean {
 		t.Fatalf("%s: base program does not parse: %v", l.name, out.Err)
+	}
+	// twin is the detparse document of the deterministic mode; twinDo parses
+	// it after the session's Do and checks that both agree on success.
+	var twin *incremental.DetTwin
+	var twinRoot *incremental.Node
+	twinShifts, twinPieces := 0, 0
+	twinDo := func(sessionErr error, step int) {
+		if twin == nil {
+			return
+		}
+		root, st, err := twin.Do()
+		if (err == nil) != (sessionErr == nil) {
+			t.Fatalf("%s step %d: detparse err %v, session err %v\n%s", l.name, step, err, sessionErr, s.Text())
+		}
+		twinRoot, twinShifts, twinPieces = root, st.Shifts, st.SeqPieces
+	}
+	if mode == modeDeterministic {
+		var err error
+		if twin, err = incremental.NewDetTwin(l.lang, base); err != nil {
+			t.Fatal(err)
+		}
+		twinDo(nil, -1)
 	}
 	for step := 0; step < steps; step++ {
 		batch := 1
@@ -255,22 +281,30 @@ func runSequenceScript(t *testing.T, l seqLang, mode int, seed int64, steps int)
 			single = single && inElem && inLongSequence(s, e.off)
 			removed := text[e.off : e.off+e.rem]
 			s.Edit(e.off, e.rem, e.ins)
+			if twin != nil {
+				twin.Edit(e.off, e.rem, e.ins)
+			}
 			done = append(done, seqEdit{off: e.off, rem: len(e.ins), ins: removed})
 		}
 		out := s.Do(ctx, opts...)
+		twinDo(out.Err, step)
 		undo := func(why string) {
 			for i := len(done) - 1; i >= 0; i-- {
 				s.Edit(done[i].off, done[i].rem, done[i].ins)
+				if twin != nil {
+					twin.Edit(done[i].off, done[i].rem, done[i].ins)
+				}
 			}
 			if out = s.Do(ctx, opts...); out.Err != nil || !out.Clean {
 				t.Fatalf("%s mode %d step %d: %s: the undone edits do not reparse cleanly: %v\n%s", l.name, mode, step, why, out.Err, s.Text())
 			}
+			twinDo(out.Err, step)
 			single = false
 		}
 		switch {
 		case out.Err != nil && mode != modeTolerant:
-			// Plain and deterministic sessions keep the pending edits on
-			// a syntax error.
+			// Plain sessions and the twin keep the pending edits on a
+			// syntax error.
 			undo("syntax error")
 		case out.Isolated:
 			// The break stays in the text under error nodes; repairing it
@@ -282,12 +316,23 @@ func runSequenceScript(t *testing.T, l seqLang, mode int, seed int64, steps int)
 		clean++
 		// A single-element edit inside a long clean sequence that reached
 		// the parser (the tree was not reused whole, as after an edit in a
-		// comment) must take some piece of it whole.
-		if mode == modePlain && single && out.Stats.Shifts > 1 {
-			if out.Stats.SeqPieces == 0 {
-				t.Fatalf("%s step %d: a clean single-element edit consumed no sequence piece: %+v", l.name, step, out.Stats)
+		// comment) must take some piece of it whole: the session's IGLR
+		// parser in plain mode, the twin's detparse in deterministic mode.
+		shifts, consumed := out.Stats.Shifts, out.Stats.SeqPieces
+		if twin != nil {
+			shifts, consumed = twinShifts, twinPieces
+		}
+		if mode != modeTolerant && single && shifts > 1 {
+			if consumed == 0 {
+				t.Fatalf("%s mode %d step %d: a clean single-element edit consumed no sequence piece (%d shifts)", l.name, mode, step, shifts)
 			}
-			pieces += out.Stats.SeqPieces
+			pieces += consumed
+		}
+		if twin != nil {
+			if got, want := incremental.FormatDag(l.lang, twinRoot), incremental.FormatDag(l.lang, s.Tree()); got != want {
+				t.Fatalf("%s step %d: detparse twin's committed tree differs from the session's for\n%s\n-- detparse --\n%s\n-- session --\n%s",
+					l.name, step, s.Text(), got, want)
+			}
 		}
 		fresh := incremental.NewSession(l.lang, s.Text())
 		if cold := fresh.Do(ctx, opts...); cold.Err != nil || !cold.Clean {

@@ -199,15 +199,15 @@ func TestParseErrorPositions(t *testing.T) {
 	}
 }
 
+// TestModula2DeterministicSession: a session over the conflict-free
+// Modula-2 subset parses and reparses an edit (the IGLR parser runs every
+// session, conflict-free or not).
 func TestModula2DeterministicSession(t *testing.T) {
 	lang := incremental.Modula2Subset()
 	if !lang.Deterministic() {
 		t.Fatal("Modula-2 subset should be conflict-free")
 	}
 	s := incremental.NewSession(lang, "MODULE M;\nVAR x : INTEGER;\nBEGIN\n  x := 1\nEND M.\n")
-	if err := s.UseDeterministic(); err != nil {
-		t.Fatal(err)
-	}
 	if out := s.Do(nil); out.Err != nil {
 		t.Fatal(out.Err)
 	}

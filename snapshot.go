@@ -65,7 +65,6 @@ func (s *Session) marshalSnapshot(tag uint64) ([]byte, error) {
 		Toks:    toks,
 		Root:    s.doc.Root(),
 		Pending: pending,
-		Det:     s.det != nil,
 		Tag:     tag,
 	})
 }
@@ -79,9 +78,7 @@ func (s *Session) marshalSnapshot(tag uint64) ([]byte, error) {
 // same FormatDag, same Diagnostics, same outcomes for subsequent edits.
 //
 // Options apply as in NewSession (WithBudget, WithTrace). Parse statistics
-// and the deterministic/GLR parser choice are session runtime state:
-// Stats() starts at zero, and the deterministic parser is re-activated
-// automatically when the snapshotted session had it on.
+// are session runtime state: Stats() starts at zero.
 //
 // A corrupt, truncated, or version-skewed artifact fails with an error
 // matching ErrSnapshotCorrupt / ErrSnapshotVersion — never a panic and
@@ -115,10 +112,5 @@ func restoreSessionBytes(data []byte, lang *Language, opts ...SessionOption) (*S
 		o(s)
 	}
 	s.doc = res.Doc
-	if res.Det {
-		if err := s.UseDeterministic(); err != nil {
-			return nil, 0, err
-		}
-	}
 	return s, res.Tag, nil
 }

@@ -204,30 +204,6 @@ func TestSnapshotTolerantErrorNodes(t *testing.T) {
 	}
 }
 
-// TestSnapshotDeterministicMode: the deterministic-parser choice is
-// restored from the artifact.
-func TestSnapshotDeterministicMode(t *testing.T) {
-	lang := Modula2Subset()
-	live := NewSession(lang, pooledSource("modula2-subset"))
-	if err := live.UseDeterministic(); err != nil {
-		t.Fatal(err)
-	}
-	if out := live.Do(nil); out.Err != nil {
-		t.Fatalf("seed parse: %v", out.Err)
-	}
-	twin := restoredTwin(t, live, lang)
-	if twin.det == nil {
-		t.Fatal("restored session did not re-activate the deterministic parser")
-	}
-	compareSessions(t, lang, live, twin, "after restore")
-
-	plain := NewSession(lang, pooledSource("modula2-subset"))
-	plain.Do(nil)
-	if r := restoredTwin(t, plain, lang); r.det != nil {
-		t.Fatal("restored session activated the deterministic parser unasked")
-	}
-}
-
 // TestSnapshotBeforeFirstParse: a session that has never parsed (text and
 // pending edits only) still round-trips; both twins then parse identically.
 func TestSnapshotBeforeFirstParse(t *testing.T) {
