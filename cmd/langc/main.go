@@ -1,8 +1,9 @@
 // Command langc compiles bundled languages into .cclang artifacts — the
 // off-line half of the compiled-language pipeline. Deployments run `langc
 // compile -all -o dir` at build time, ship the directory, and load it with
-// engine.LoadLanguages (or point WithCompiledCache at it) so serving
-// processes never pay LR construction or lexer subset construction.
+// engine.LoadLanguages, incremental.LoadCompiledFile or iglrd's
+// language_dirs, so serving processes never pay LR construction or lexer
+// subset construction.
 //
 // Usage:
 //
@@ -104,8 +105,7 @@ func compile(args []string) {
 
 // writeFileAtomic replaces path via temp-file-plus-rename, so a serving
 // process loading the artifact directory (engine.LoadLanguages, an iglrd
-// reload) can never observe a partially written artifact — the same
-// discipline as the library's disk cache.
+// reload) can never observe a partially written artifact.
 func writeFileAtomic(path string, data []byte) error {
 	f, err := os.CreateTemp(filepath.Dir(path), ".tmp-*"+langcodec.FileExt)
 	if err != nil {

@@ -7,7 +7,8 @@
 //	paperbench [-exp all|table1|figure4|figure7|section5|asymptotics|ablation|earley|staging|budget]
 //	           [-scale 1.0] [-cpuprofile cpu.out] [-memprofile mem.out]
 //
-// -scale shrinks the Table 1 / Figure 4 program sizes for quick runs.
+// -scale shrinks the Table 1 / Figure 4 program sizes for quick runs; it
+// must be a positive finite number.
 // -exp budget is the resource-governance sweep: a corpus salted with
 // pathologically ambiguous files is driven through the engine under
 // per-file budgets of decreasing strictness, reporting budget trips,
@@ -16,14 +17,16 @@
 // experiments (the memory profile is a heap snapshot taken after they
 // finish), for inspecting the hot path outside the go test harness.
 //
-// An unknown -exp name, an undefined flag or any positional argument exits
-// with status 2 and the usage text.
+// An unknown -exp name, a -scale that is not a positive finite number, an
+// undefined flag or any positional argument exits with status 2 and the
+// usage text.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -51,6 +54,11 @@ func main() {
 	exps, err := selectExperiments(*exp)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "paperbench: %v\n", err)
+		flag.Usage()
+		os.Exit(2)
+	}
+	if !(*scale > 0) || math.IsInf(*scale, 1) {
+		fmt.Fprintf(os.Stderr, "paperbench: -scale %v: want a positive finite number\n", *scale)
 		flag.Usage()
 		os.Exit(2)
 	}

@@ -11,10 +11,11 @@ import (
 
 // TestUnknownExperimentExits2 runs the command itself: an unknown -exp
 // name, a stray positional argument (which would otherwise stop flag
-// parsing and silently run every experiment at full scale) and a removed
-// flag must each exit 2 with the usage text, not succeed. The test binary
-// re-runs this test with the command's arguments after "--", and that
-// child calls main.
+// parsing and silently run every experiment at full scale), a removed flag
+// and a -scale that is not a positive finite number (which would size the
+// generated programs at zero, negative or undefined lengths) must each
+// exit 2 with the usage text, not succeed. The test binary re-runs this
+// test with the command's arguments after "--", and that child calls main.
 func TestUnknownExperimentExits2(t *testing.T) {
 	if args := flag.Args(); len(args) > 0 {
 		os.Args = append([]string{"paperbench"}, args...)
@@ -29,6 +30,12 @@ func TestUnknownExperimentExits2(t *testing.T) {
 		{"unknown experiment", []string{"-exp", "bogus"}, append(experimentNames(), `"bogus"`, "-scale")},
 		{"positional argument", []string{"table1", "-scale", "0.05"}, []string{`"table1"`, "-exp"}},
 		{"removed flag", []string{"-json", "x"}, []string{"-json", "-exp"}},
+		{"zero scale", []string{"-exp", "table1", "-scale", "0"}, []string{"-scale 0"}},
+		{"negative scale", []string{"-exp", "table1", "-scale", "-1"}, []string{"-scale -1"}},
+		{"NaN scale", []string{"-exp", "table1", "-scale", "NaN"}, []string{"-scale NaN"}},
+		{"infinite scale", []string{"-exp", "table1", "-scale", "+Inf"}, []string{"-scale +Inf"}},
+		{"negative figure4 scale", []string{"-exp", "figure4", "-scale", "-1"}, []string{"-scale -1"}},
+		{"negative section5 scale", []string{"-exp", "section5", "-scale", "-1"}, []string{"-scale -1"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -13,8 +13,8 @@ import (
 // Compiled language artifacts: the public face of internal/langcodec.
 // SaveCompiled/LoadCompiled let deployments ship languages as .cclang files
 // (produced by cmd/langc or programmatically) and start parsing without
-// paying LR construction or lexer subset construction; the same format
-// backs the transparent disk layer of the definition cache (diskcache.go).
+// paying LR construction or lexer subset construction. An artifact is the
+// one way to skip the build that DefineLanguage runs on every call.
 
 // CompiledExt is the conventional artifact file extension.
 const CompiledExt = langcodec.FileExt
@@ -41,9 +41,8 @@ func (l *Language) SaveCompiledFile(path string) error {
 }
 
 // LoadCompiled reconstructs a ready-to-parse language from artifact bytes.
-// Unlike the transparent disk cache, an explicitly loaded artifact that is
-// corrupt or version-mismatched is an error — the caller asked for this
-// specific file and there is no source definition to fall back to.
+// An artifact that is corrupt or version-mismatched is an error: there is
+// no source definition to fall back to.
 func LoadCompiled(data []byte) (*Language, error) {
 	def, err := langcodec.Decode(data)
 	if err != nil {

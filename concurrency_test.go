@@ -2,12 +2,13 @@ package incremental_test
 
 // Concurrency contract tests (run with -race): one compiled *Language is
 // shared by many Sessions on different goroutines; Sessions themselves are
-// single-goroutine. Plus the context-aware parse path and the compiled-
-// language cache.
+// single-goroutine. Plus the context-aware parse path and concurrent
+// language definition.
 
 import (
 	"context"
 	"errors"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -170,12 +171,10 @@ func TestParseContextCancelMidParse(t *testing.T) {
 	}
 }
 
-// TestLanguageCache: identical definitions share one compiled language,
-// including under concurrent first definition; WithoutCache opts out.
-func TestLanguageCache(t *testing.T) {
-	incremental.ResetLanguageCache()
-	def := incremental.LanguageDef{
-		Name:    "cache-lists",
+// listDef is a small sequence language for the definition tests.
+func listDef(name string) incremental.LanguageDef {
+	return incremental.LanguageDef{
+		Name:    name,
 		Grammar: "%token x ';'\n%start L\nL : Item* ;\nItem : x ';' ;",
 		Lexer: []incremental.LexRule{
 			{Name: "WS", Pattern: `[ \t\n]+`, Skip: true},
@@ -184,7 +183,12 @@ func TestLanguageCache(t *testing.T) {
 		},
 		TokenSyms: map[string]string{"X": "x", "SEMI": "';'"},
 	}
+}
 
+// TestLanguageCache: concurrent definitions of one language share no
+// hidden state; each builds its own language, and each result parses.
+func TestLanguageCache(t *testing.T) {
+	def := listDef("concurrent-lists")
 	const goroutines = 8
 	var wg sync.WaitGroup
 	langs := make([]*incremental.Language, goroutines)
@@ -201,74 +205,52 @@ func TestLanguageCache(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	st := incremental.LanguageCacheStats()
-	if st.Entries != 1 {
-		t.Fatalf("entries = %d, want 1 (concurrent builds must deduplicate)", st.Entries)
-	}
-	if st.Misses != 1 || st.Hits != goroutines-1 {
-		t.Fatalf("hits/misses = %d/%d, want %d/1", st.Hits, st.Misses, goroutines-1)
-	}
 	for _, l := range langs {
-		s := incremental.NewSession(l, "x; x;")
-		if out := s.Do(nil); out.Err != nil {
+		if l == nil {
+			t.FailNow()
+		}
+		out := incremental.NewSession(l, "x; x; x;").Do(nil)
+		if out.Err != nil {
 			t.Fatal(out.Err)
 		}
-	}
-
-	// A definition differing in any compiled field is a new entry…
-	if _, err := incremental.DefineLanguage(def, incremental.WithMethod(incremental.LR1)); err != nil {
-		t.Fatal(err)
-	}
-	if st := incremental.LanguageCacheStats(); st.Entries != 2 {
-		t.Fatalf("entries = %d, want 2 after method change", st.Entries)
-	}
-	// …while WithoutCache leaves the cache untouched.
-	if _, err := incremental.DefineLanguage(def, incremental.WithoutCache()); err != nil {
-		t.Fatal(err)
-	}
-	if st := incremental.LanguageCacheStats(); st.Entries != 2 {
-		t.Fatalf("entries = %d, want 2 after WithoutCache", st.Entries)
+		if out.Root.Yield() != "x;x;x;" {
+			t.Fatalf("yield = %q", out.Root.Yield())
+		}
 	}
 }
 
-// TestDefineGrammarOptions exercises the option-first spelling end to end.
-func TestDefineGrammarOptions(t *testing.T) {
-	lang, err := incremental.DefineGrammar(
-		"%token x ';'\n%start L\nL : Item* ;\nItem : x ';' ;",
-		incremental.WithName("opt-lists"),
-		incremental.WithLexer(
-			incremental.LexRule{Name: "WS", Pattern: `[ \t\n]+`, Skip: true},
-			incremental.LexRule{Name: "X", Pattern: `x`},
-			incremental.LexRule{Name: "SEMI", Pattern: `;`},
-		),
-		incremental.WithTokenSyms(map[string]string{"X": "x", "SEMI": "';'"}),
-		incremental.WithMethod(incremental.LR1),
-	)
+// TestDefineLanguageWritesNothing: defining and using a language touches
+// no file, in particular nothing under the user's cache directory.
+func TestDefineLanguageWritesNothing(t *testing.T) {
+	home := t.TempDir()
+	t.Setenv("HOME", home)
+	t.Setenv("XDG_CACHE_HOME", home)
+	// A fresh name, so no definition built earlier in the process can
+	// stand in for this one.
+	l, err := incremental.DefineLanguage(listDef("writes-nothing " + home))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lang.Name() != "opt-lists" {
-		t.Fatalf("name = %q", lang.Name())
-	}
-	s := incremental.NewSession(lang, "x; x; x;")
-	out := s.Do(nil)
-	if out.Err != nil {
+	if out := incremental.NewSession(l, "x; x;").Do(nil); out.Err != nil {
 		t.Fatal(out.Err)
 	}
-	if out.Root.Yield() != "x;x;x;" {
-		t.Fatalf("yield = %q", out.Root.Yield())
+	left, err := os.ReadDir(home)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range left {
+		t.Errorf("DefineLanguage left %s in %s", e.Name(), home)
 	}
 }
 
 // TestDefinitionErrorTypes: rejected definitions surface as structured,
 // errors.Is/As-compatible values.
 func TestDefinitionErrorTypes(t *testing.T) {
-	_, err := incremental.DefineGrammar(
-		"%start S\nS : Undefined ;",
-		incremental.WithName("broken"),
-		incremental.WithLexer(incremental.LexRule{Name: "X", Pattern: "x"}),
-		incremental.WithoutCache(),
-	)
+	_, err := incremental.DefineLanguage(incremental.LanguageDef{
+		Name:    "broken",
+		Grammar: "%start S\nS : Undefined ;",
+		Lexer:   []incremental.LexRule{{Name: "X", Pattern: "x"}},
+	})
 	if err == nil {
 		t.Fatal("invalid grammar must be rejected")
 	}
@@ -287,12 +269,11 @@ func TestDefinitionErrorTypes(t *testing.T) {
 	}
 
 	// A bad token mapping is a "tokens"-stage error.
-	_, err = incremental.DefineGrammar(
-		"%token x\n%start S\nS : x ;",
-		incremental.WithLexer(incremental.LexRule{Name: "X", Pattern: "x"}),
-		incremental.WithTokenSyms(map[string]string{"X": "nope"}),
-		incremental.WithoutCache(),
-	)
+	_, err = incremental.DefineLanguage(incremental.LanguageDef{
+		Grammar:   "%token x\n%start S\nS : x ;",
+		Lexer:     []incremental.LexRule{{Name: "X", Pattern: "x"}},
+		TokenSyms: map[string]string{"X": "nope"},
+	})
 	if !errors.As(err, &de) || de.Stage != "tokens" {
 		t.Fatalf("want tokens-stage DefinitionError, got %v", err)
 	}

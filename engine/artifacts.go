@@ -14,10 +14,9 @@ import (
 // compile`: a service points at a directory of precompiled artifacts and
 // starts serving without paying table construction for any of them.
 //
-// Unlike the transparent disk cache, explicit artifacts are a deployment
-// input: a corrupt or version-mismatched file is an error (there is no
-// source definition to recompile from), as are two artifacts claiming the
-// same language name.
+// Artifacts are a deployment input: a corrupt or version-mismatched file is
+// an error (there is no source definition to recompile from), as are two
+// artifacts claiming the same language name.
 func LoadLanguages(dir string) (map[string]*incremental.Language, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {

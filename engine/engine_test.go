@@ -100,30 +100,30 @@ func TestPerFileErrorIsolation(t *testing.T) {
 
 // TestPanicIsolation: a panicking semantic hook poisons only its own file.
 func TestPanicIsolation(t *testing.T) {
-	lang, err := incremental.DefineGrammar(
-		"%token x ';'\n%start L\nL : Item* ;\nItem : x ';' ;",
-		incremental.WithName("panicky"),
-		incremental.WithLexer(
-			incremental.LexRule{Name: "WS", Pattern: `[ \t\n]+`, Skip: true},
-			incremental.LexRule{Name: "X", Pattern: `x`},
-			incremental.LexRule{Name: "SEMI", Pattern: `;`},
-		),
-		incremental.WithTokenSyms(map[string]string{"X": "x", "SEMI": "';'"}),
-		incremental.WithSemantics(incremental.SemanticsConfig{
-			IsScope: func(n *incremental.Node) bool {
-				if strings.Contains(n.Yield(), "x;x;x;") {
-					panic("hook exploded")
-				}
-				return false
-			},
-			TypedefName:          func(n *incremental.Node) (string, bool) { return "", false },
-			DeclaredName:         func(n *incremental.Node) (string, bool) { return "", false },
-			IsDeclInterpretation: func(n *incremental.Node) bool { return false },
-		}),
-	)
+	lang, err := incremental.DefineLanguage(incremental.LanguageDef{
+		Name:    "panicky",
+		Grammar: "%token x ';'\n%start L\nL : Item* ;\nItem : x ';' ;",
+		Lexer: []incremental.LexRule{
+			{Name: "WS", Pattern: `[ \t\n]+`, Skip: true},
+			{Name: "X", Pattern: `x`},
+			{Name: "SEMI", Pattern: `;`},
+		},
+		TokenSyms: map[string]string{"X": "x", "SEMI": "';'"},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	lang = lang.WithSemantics(incremental.SemanticsConfig{
+		IsScope: func(n *incremental.Node) bool {
+			if strings.Contains(n.Yield(), "x;x;x;") {
+				panic("hook exploded")
+			}
+			return false
+		},
+		TypedefName:          func(n *incremental.Node) (string, bool) { return "", false },
+		DeclaredName:         func(n *incremental.Node) (string, bool) { return "", false },
+		IsDeclInterpretation: func(n *incremental.Node) bool { return false },
+	})
 	inputs := []Input{
 		{Name: "ok1", Source: "x; x;"},
 		{Name: "boom", Source: "x; x; x;"},

@@ -24,6 +24,7 @@ package incremental
 
 import (
 	"context"
+	"fmt"
 
 	"iglr/internal/dag"
 	"iglr/internal/disambig"
@@ -123,9 +124,9 @@ func Prefer(pred func(*Node) bool) Filter { return disambig.Prefer(pred) }
 // dags parsed with a raw ambiguous grammar.
 type Operators = disambig.Operators
 
-// LanguageDef defines a language from sources. A def can be filled in
-// directly or assembled with functional Options (see DefineLanguage); both
-// spellings are equivalent.
+// LanguageDef defines a language from sources. DefineLanguage compiles it;
+// attach a semantic-disambiguation configuration to the result with
+// (*Language).WithSemantics.
 type LanguageDef struct {
 	Name string
 	// Grammar is a yacc-like grammar (see internal/grammar.Parse for the
@@ -145,18 +146,6 @@ type LanguageDef struct {
 	PreferShift bool
 	// NoPrecedence disables precedence/associativity resolution.
 	NoPrecedence bool
-	// Semantics, when non-nil, is attached to the compiled language as its
-	// semantic-disambiguation configuration (§4.2).
-	Semantics *SemanticsConfig
-
-	// noCache bypasses the compiled-language cache (set via WithoutCache).
-	noCache bool
-	// compiledCacheDir overrides the disk-artifact cache directory (set via
-	// WithCompiledCache); empty means the per-user default.
-	compiledCacheDir string
-	// noDiskCache disables the disk-artifact layer only (set via
-	// WithoutCompiledCache); the memory layer still applies.
-	noDiskCache bool
 }
 
 // Language is a compiled language definition. It is immutable: every
@@ -168,28 +157,39 @@ type Language struct {
 	sem *SemanticsConfig
 }
 
-// DefineLanguage compiles a language definition, after applying any
-// options to (a copy of) d.
-//
-// Compiled languages are cached by definition content: a second call with
-// an identical definition returns the already-built tables instead of
-// rebuilding them, so high-traffic services may call DefineLanguage per
-// request without paying LR construction each time. WithoutCache opts out;
-// LanguageCacheStats observes the cache.
-func DefineLanguage(d LanguageDef, opts ...Option) (*Language, error) {
-	for _, o := range opts {
-		o(&d)
+// DefineLanguage compiles a language definition. Every call builds the LR
+// tables and the lexer DFA, so build a language once and share the
+// immutable result, or ship it as a compiled artifact (SaveCompiled,
+// LoadCompiled, cmd/langc) to skip the build. A rejected definition, or a
+// panic during construction, is returned as a *DefinitionError.
+func DefineLanguage(d LanguageDef) (l *Language, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			e, ok := r.(error)
+			if !ok {
+				e = fmt.Errorf("%v", r)
+			}
+			l, err = nil, &DefinitionError{Language: d.Name, Stage: "internal", Err: e}
+		}
+	}()
+	b := &langs.Builder{
+		Name:      d.Name,
+		GramSrc:   d.Grammar,
+		LexRules:  d.Lexer,
+		TokenSyms: d.TokenSyms,
+		Keywords:  d.Keywords,
+		IdentRule: d.IdentRule,
+		Options: lr.Options{
+			Method:       d.Method,
+			PreferShift:  d.PreferShift,
+			NoPrecedence: d.NoPrecedence,
+		},
 	}
-	def, err := compileDef(d)
+	def, err := b.Build()
 	if err != nil {
-		return nil, err
+		return nil, newDefinitionError(d.Name, err)
 	}
-	l := &Language{def: def}
-	if d.Semantics != nil {
-		cfg := *d.Semantics
-		l.sem = &cfg
-	}
-	return l, nil
+	return &Language{def: def}, nil
 }
 
 // WithSemantics returns a copy of l with the semantic-disambiguation

@@ -93,18 +93,14 @@ func TestSessionRecovery(t *testing.T) {
 }
 
 func TestDefineLanguage(t *testing.T) {
-	lang, err := incremental.DefineLanguage(incremental.LanguageDef{
-		Name:    "lists",
-		Grammar: "%token x ';'\n%start L\nL : Item* ;\nItem : x ';' ;",
-		Lexer: []incremental.LexRule{
-			{Name: "WS", Pattern: `[ \t\n]+`, Skip: true},
-			{Name: "X", Pattern: `x`},
-			{Name: "SEMI", Pattern: `;`},
-		},
-		TokenSyms: map[string]string{"X": "x", "SEMI": "';'"},
-	})
+	def := listDef("lists")
+	def.Method = incremental.LR1
+	lang, err := incremental.DefineLanguage(def)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if lang.Name() != "lists" {
+		t.Fatalf("name = %q", lang.Name())
 	}
 	if !lang.Deterministic() {
 		t.Fatal("list language should be deterministic")

@@ -100,26 +100,12 @@ type Options struct {
 
 // New creates a document over the initial text, lexing it in full.
 func New(spec *lexer.Spec, g *grammar.Grammar, mapTok TokenMapper, initial string) *Document {
-	return NewInArena(dag.NewArena(), spec, g, mapTok, initial)
+	return NewOpts(spec, g, mapTok, initial, Options{})
 }
 
-// NewInArena is New but allocates the document's nodes from an existing
-// arena. Several documents may share one arena when their trees are
-// composed into a single dag (e.g. statements reparsed in scratch
-// documents and spliced into a host sequence) — node IDs stay unique
-// across the combined structure.
-func NewInArena(a *dag.Arena, spec *lexer.Spec, g *grammar.Grammar, mapTok TokenMapper, initial string) *Document {
-	return NewInArenaOpts(a, spec, g, mapTok, initial, Options{})
-}
-
-// NewOpts is New with batch options.
+// NewOpts is New with batch options: donated buffer storage.
 func NewOpts(spec *lexer.Spec, g *grammar.Grammar, mapTok TokenMapper, initial string, opts Options) *Document {
-	return NewInArenaOpts(dag.NewArena(), spec, g, mapTok, initial, opts)
-}
-
-// NewInArenaOpts is NewInArena with batch options: donated buffer storage.
-func NewInArenaOpts(a *dag.Arena, spec *lexer.Spec, g *grammar.Grammar, mapTok TokenMapper, initial string, opts Options) *Document {
-	d := &Document{spec: spec, g: g, mapTok: mapTok, buf: text.NewBuffer(initial), arena: a}
+	d := &Document{spec: spec, g: g, mapTok: mapTok, buf: text.NewBuffer(initial), arena: dag.NewArena()}
 	d.eof = d.arena.Terminal(grammar.EOF, "")
 	d.adopt(spec.ScanInto(initial, opts.Toks), opts.Terms, true)
 	return d

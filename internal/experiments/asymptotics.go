@@ -58,7 +58,7 @@ func stmtLanguage(name, prog string) (*incremental.Language, error) {
 		Grammar:   "%token ID NUM '=' ';' '+' '(' ')'\n%start Prog\n" + prog + stmtGrammar,
 		Lexer:     stmtLexer,
 		TokenSyms: stmtTokens,
-	}, incremental.WithoutCompiledCache())
+	})
 }
 
 // seqLanguage is the balanced column's language: a generated statement

@@ -5,8 +5,6 @@
 // (nullable, FIRST, FOLLOW) required for LR table construction.
 package grammar
 
-import "fmt"
-
 // Sym identifies a grammar symbol. Symbols are dense small integers indexing
 // the grammar's symbol table. The first symbols are reserved:
 //
@@ -79,10 +77,3 @@ func (s Symbol) String() string { return s.Name }
 // IsSequence reports whether the symbol is a generated associative-sequence
 // nonterminal.
 func (s Symbol) IsSequence() bool { return s.SeqElem != InvalidSym }
-
-func fmtSym(g *Grammar, s Sym) string {
-	if g == nil {
-		return fmt.Sprintf("sym(%d)", s)
-	}
-	return g.Name(s)
-}

@@ -764,13 +764,22 @@ func (p *Parser) reducer(q *gssNode, rule int, kids []*dag.Node) {
 }
 
 // reduceActions returns the reduce actions available to a parser in state
-// for the current lookahead. Only terminal lookaheads participate — by the
-// time several parsers interact, the round's lookahead has been broken down
-// to a terminal (§3.3: only terminals are read while multiple parsers are
-// active).
+// for the current lookahead. By the time several parsers interact, the
+// round's lookahead has been broken down to a terminal (§3.3: only
+// terminals are read while multiple parsers are active). A lone parser can
+// still meet its own state again under a subtree lookahead: a reduction
+// chosen through FIRST(la) on a right-recursive rule (Form : QUOTE Form)
+// re-enters the state it reduced from, so the new link needs the same
+// precomputed nonterminal reduction the actor applied.
 func (p *Parser) reduceActions(state int) []lr.Action {
 	la := p.stream.La()
-	if la == nil || !la.IsTerminal() {
+	if la == nil {
+		return nil
+	}
+	if !la.IsTerminal() {
+		if act, n := p.table.OneNontermAction(state, la.Sym); n == 1 && act.Kind == lr.Reduce {
+			return []lr.Action{act}
+		}
 		return nil
 	}
 	var out []lr.Action

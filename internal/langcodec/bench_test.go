@@ -42,8 +42,8 @@ func BenchmarkLanguageLoadCached(b *testing.B) {
 	}
 }
 
-// BenchmarkEncode measures producing an artifact (the `langc compile` /
-// cache-store side).
+// BenchmarkEncode measures producing an artifact (the `langc compile`
+// side).
 func BenchmarkEncode(b *testing.B) {
 	for _, e := range langreg.All() {
 		b.Run(e.Name, func(b *testing.B) {

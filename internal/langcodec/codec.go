@@ -11,11 +11,11 @@
 //	payload (name, grammar, compiled table, lexer spec, token map) |
 //	32-byte SHA-256 checksum over every preceding byte
 //
-// The definition hash (langs.HashDef) invalidates artifacts whose source
-// definition changed in any way; the format version invalidates artifacts
-// written by an incompatible codec; the trailing checksum rejects truncated
-// or bit-flipped files before any section decoder runs. Consumers treat all
-// three failures as "artifact absent" and recompile.
+// The definition hash (langs.HashDef) names the source definition an
+// artifact was compiled from, and session snapshots bind to it; the format
+// version rejects artifacts written by an incompatible codec; the trailing
+// checksum rejects truncated or bit-flipped files before any section
+// decoder runs.
 package langcodec
 
 import (
@@ -36,14 +36,14 @@ import (
 const Magic = "CCLG"
 
 // FormatVersion is bumped whenever any embedded section format changes;
-// older artifacts then silently recompile.
+// older artifacts are then refused with ErrVersion.
 const FormatVersion = 1
 
 // FileExt is the conventional artifact file extension.
 const FileExt = ".cclang"
 
-// Sentinel decode failures. Both mean "recompile from source"; they are
-// distinguished so tools (langc verify, cache stats) can report why.
+// Sentinel decode failures, distinguished so tools (langc verify) can
+// report why an artifact was refused.
 var (
 	// ErrCorrupt reports a truncated, bit-flipped, or non-artifact file.
 	ErrCorrupt = errors.New("langcodec: corrupt artifact")

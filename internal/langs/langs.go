@@ -37,7 +37,7 @@ type Language struct {
 	// can serialize it.
 	Tokens TokenMap
 	// Hash is the content hash of the definition this language was compiled
-	// from (HashDef); artifacts embed it so stale files self-invalidate.
+	// from (HashDef); artifacts embed it and session snapshots bind to it.
 	Hash [32]byte
 }
 
@@ -214,9 +214,10 @@ func (b *Builder) Hash() [32]byte {
 }
 
 // HashDef hashes every field that influences language compilation into a
-// canonical content key: the memory cache uses it to deduplicate identical
-// definitions, and compiled artifacts embed it so a stale file (any edit to
-// the grammar, lexer rules, token mapping, or table options) self-invalidates.
+// canonical content key. Compiled artifacts embed it to name their source
+// definition, and session snapshots bind to it, so a snapshot never
+// restores under a language whose grammar, lexer rules, token mapping, or
+// table options differ.
 // Map fields are serialized in sorted order; every string is length-prefixed
 // so field boundaries cannot collide.
 func HashDef(name, gramSrc string, rules []lexer.Rule, tokenSyms, keywords map[string]string, identRule string, opts lr.Options) [32]byte {

@@ -4,9 +4,9 @@
 //
 // The buffer is optimized for the two lives a document actually leads.
 // Cold (batch) inputs are adopted without copying: NewBuffer aliases the
-// source string — possibly an mmap'd file (see MapFile) — and every read
-// (String, Slice, Bytes, ByteAt) is served zero-copy from that backing
-// until the first edit, which detaches into owned storage (copy-on-write).
+// source string, and every read (String, Slice, Bytes, ByteAt) is served
+// zero-copy from that backing until the first edit, which detaches into
+// owned storage (copy-on-write).
 // Warm (editing) buffers hold the text as one flat byte slice: the
 // document relexes it in place after every edit (View), so keeping it
 // contiguous is what matters. A same-length edit moves nothing; a
@@ -37,9 +37,9 @@ func (e Edit) String() string {
 type Buffer struct {
 	data []byte
 
-	// ro marks adopted, possibly shared backing storage (NewBuffer,
-	// NewBufferBytes): data must never be written through; the first Apply
-	// detaches into an owned array.
+	// ro marks adopted, possibly shared backing storage (NewBuffer): data
+	// must never be written through; the first Apply detaches into an owned
+	// array.
 	ro bool
 	// str caches the materialized text: the adopted source string while ro,
 	// or the result of the last String() call since the last edit. "" means
@@ -54,15 +54,6 @@ type Buffer struct {
 // untouched.
 func NewBuffer(s string) *Buffer {
 	return &Buffer{data: unsafe.Slice(unsafe.StringData(s), len(s)), ro: true, str: s}
-}
-
-// NewBufferBytes creates a buffer over data without copying it. The caller
-// promises not to mutate data for the buffer's lifetime (an mmap'd region,
-// Mapped.Bytes, satisfies this); the buffer itself never writes through it
-// (copy-on-write, as NewBuffer). Close an underlying mapping only after
-// the buffer has been edited once or is no longer read.
-func NewBufferBytes(data []byte) *Buffer {
-	return &Buffer{data: data, ro: true, str: unsafeString(data)}
 }
 
 // unsafeString views b as a string without copying. Callers must guarantee

@@ -2,8 +2,6 @@ package text
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"unsafe"
@@ -37,7 +35,7 @@ func TestAdoptZeroCopy(t *testing.T) {
 }
 
 // TestCopyOnWriteLeavesOriginal: the first edit detaches; the adopted
-// string and mapped bytes are never written through.
+// string is never written through.
 func TestCopyOnWriteLeavesOriginal(t *testing.T) {
 	src := "hello, world"
 	b := NewBuffer(src)
@@ -50,17 +48,6 @@ func TestCopyOnWriteLeavesOriginal(t *testing.T) {
 	}
 	if unsafe.StringData(b.String()) == unsafe.StringData(src) {
 		t.Fatal("edited buffer still aliases the adopted string")
-	}
-
-	raw := []byte("byte-backed text")
-	orig := append([]byte(nil), raw...)
-	bb := NewBufferBytes(raw)
-	bb.Insert(0, "XX ")
-	if !bytes.Equal(raw, orig) {
-		t.Fatalf("adopted bytes mutated: %q", raw)
-	}
-	if got := bb.String(); got != "XX byte-backed text" {
-		t.Fatalf("after edit: %q", got)
 	}
 }
 
@@ -162,68 +149,6 @@ func TestBytesContiguous(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("Bytes()/View() allocate: %v allocs/op", allocs)
 	}
-}
-
-func TestMapFile(t *testing.T) {
-	dir := t.TempDir()
-
-	t.Run("regular", func(t *testing.T) {
-		path := filepath.Join(dir, "f.txt")
-		content := strings.Repeat("mmap me\n", 4096)
-		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		m, err := MapFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.Len() != len(content) || m.Text() != content {
-			t.Fatal("mapped contents diverge")
-		}
-		buf := m.Buffer()
-		if buf.String() != content {
-			t.Fatal("buffer over mapping diverges")
-		}
-		// Editing detaches, so the buffer survives Close.
-		buf.Replace(0, 4, "edit")
-		if err := m.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if !strings.HasPrefix(buf.String(), "edit me\n") {
-			t.Fatalf("detached buffer corrupted after unmap: %q", buf.String()[:16])
-		}
-		if err := m.Close(); err != nil { // double close is a no-op
-			t.Fatal(err)
-		}
-	})
-
-	t.Run("empty", func(t *testing.T) {
-		path := filepath.Join(dir, "empty.txt")
-		if err := os.WriteFile(path, nil, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		m, err := MapFile(path)
-		if err != nil {
-			t.Fatalf("empty-file map: %v", err)
-		}
-		if m.Len() != 0 || m.Text() != "" {
-			t.Fatalf("empty file mapped to %d bytes", m.Len())
-		}
-		b := m.Buffer()
-		b.Insert(0, "now non-empty")
-		if b.String() != "now non-empty" {
-			t.Fatal("edit on empty-file buffer failed")
-		}
-		if err := m.Close(); err != nil {
-			t.Fatal(err)
-		}
-	})
-
-	t.Run("missing", func(t *testing.T) {
-		if _, err := MapFile(filepath.Join(dir, "nope")); err == nil {
-			t.Fatal("expected error for missing file")
-		}
-	})
 }
 
 func TestAdoptEmptyString(t *testing.T) {

@@ -49,6 +49,23 @@ func TestLispSessionEndToEnd(t *testing.T) {
 	if s.Stats().SubtreeShifts == 0 {
 		t.Fatal("the definition should be reused whole")
 	}
+
+	// A quote typed before a quoted atom: the reduction Form : QUOTE Form,
+	// chosen through FIRST of the reused next form, re-enters the state it
+	// reduced from, and the reparse must still reach the cold parse.
+	s = incremental.NewSession(lang, "'a b")
+	if out := s.Do(nil); out.Err != nil {
+		t.Fatal(out.Err)
+	}
+	s.Edit(1, 0, "'")
+	out = s.Do(nil)
+	if out.Err != nil {
+		t.Fatal(out.Err)
+	}
+	cold := incremental.NewSession(lang, s.Text()).Do(nil)
+	if got, want := incremental.FormatDag(lang, out.Root), incremental.FormatDag(lang, cold.Root); got != want {
+		t.Fatalf("incremental parse of %q:\n%s\nwant the cold parse:\n%s", s.Text(), got, want)
+	}
 }
 
 func TestScannerlessSessionEndToEnd(t *testing.T) {

@@ -235,18 +235,74 @@ func TestSnapshotTag(t *testing.T) {
 }
 
 // TestRestoreForeignLanguage: an artifact restores only against the exact
-// language definition it was taken under.
+// language definition it was taken under. The definition hash binds the
+// two: building an equal definition again, or attaching semantics, keeps
+// it; any change to the grammar does not.
 func TestRestoreForeignLanguage(t *testing.T) {
-	s := NewSession(ExprLanguage(), "a + b")
-	s.Do(nil)
-	data := snapshotBytes(t, s, 0)
-	if _, err := RestoreSession(bytes.NewReader(data), CSubset()); err != ErrSnapshotLanguage {
-		t.Fatalf("want ErrSnapshotLanguage, got %v", err)
+	def := LanguageDef{
+		Name:    "restore-lists",
+		Grammar: "%token x ';'\n%start L\nL : Item* ;\nItem : x ';' ;",
+		Lexer: []LexRule{
+			{Name: "WS", Pattern: `[ \t\n]+`, Skip: true},
+			{Name: "X", Pattern: `x`},
+			{Name: "SEMI", Pattern: `;`},
+		},
+		TokenSyms: map[string]string{"X": "x", "SEMI": "';'"},
 	}
-	// Same grammar content compiled twice is the same definition hash —
-	// restore across instances is allowed.
-	if _, err := RestoreSession(bytes.NewReader(data), ExprLanguage()); err != nil {
-		t.Fatalf("restore against equal definition failed: %v", err)
+	define := func(d LanguageDef) *Language {
+		t.Helper()
+		l, err := DefineLanguage(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l
+	}
+	lists := define(def)
+	plus := def
+	plus.Grammar = strings.Replace(def.Grammar, "Item*", "Item+", 1)
+	withSem := define(def).WithSemantics(SemanticsConfig{
+		IsScope: func(*Node) bool { return false },
+	})
+
+	cases := []struct {
+		name    string
+		taken   *Language
+		src     string
+		offered *Language
+		foreign bool // restore must fail with ErrSnapshotLanguage
+	}{
+		{"other bundled language", ExprLanguage(), "a + b", CSubset(), true},
+		{"same bundled language", ExprLanguage(), "a + b", ExprLanguage(), false},
+		{"grammar one token apart", lists, "x; x;", define(plus), true},
+		{"same definition plus semantics", lists, "x; x;", withSem, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewSession(tc.taken, tc.src)
+			if out := s.Do(nil); out.Err != nil {
+				t.Fatal(out.Err)
+			}
+			_, err := RestoreSession(bytes.NewReader(snapshotBytes(t, s, 0)), tc.offered)
+			if tc.foreign && err != ErrSnapshotLanguage {
+				t.Fatalf("want ErrSnapshotLanguage, got %v", err)
+			}
+			if !tc.foreign && err != nil {
+				t.Fatalf("restore against equal definition failed: %v", err)
+			}
+		})
+	}
+
+	// Semantics are not part of the compiled language: both spell the same
+	// artifact.
+	var a, b bytes.Buffer
+	if err := lists.SaveCompiled(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := withSem.SaveCompiled(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatal("WithSemantics changed the compiled artifact")
 	}
 }
 
