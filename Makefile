@@ -41,9 +41,10 @@ check: vet race bench-module
 # the session-snapshot codec plus its write-ahead journal framing
 # (arbitrary bytes never panic; accepted snapshots restore and re-encode
 # canonically), the document's incremental relex against a batch scan
-# over random edit scripts on a source spanning many token runs, and
+# over random edit scripts on a source spanning many token runs,
 # sequence-edit scripts over every bundled language against a cold parse
-# (balanced sequences, §3.4).
+# (balanced sequences, §3.4), and the reads that locate nodes from the
+# tree (NodeSpan, Subtree, the error walk) against the token scan.
 fuzz-smoke:
 	$(GO) test -run FuzzParseOracle -fuzz FuzzParseOracle -fuzztime 30s ./internal/earley/
 	$(GO) test -run FuzzRecoveryConverges -fuzz FuzzRecoveryConverges -fuzztime 30s ./internal/recovery/
@@ -54,6 +55,7 @@ fuzz-smoke:
 	$(GO) test -run FuzzJournalDecode -fuzz FuzzJournalDecode -fuzztime 15s ./internal/sesscodec/
 	$(GO) test -run FuzzRelexMatchesScan -fuzz FuzzRelexMatchesScan -fuzztime 30s .
 	$(GO) test -run FuzzSequenceEditsEqualBatch -fuzz FuzzSequenceEditsEqualBatch -fuzztime 30s .
+	$(GO) test -run FuzzReadsEqualScan -fuzz FuzzReadsEqualScan -fuzztime 30s .
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -239,3 +239,53 @@ func TestEditWorkIndependentOfFileSize(t *testing.T) {
 		t.Fatalf("bytes per Do grow with the file: %.0f at 16,000 lines vs %.0f at 1,000", large.bytes, small.bytes)
 	}
 }
+
+// TestReadWorkIndependentOfFileSize pins what locating nodes from the tree
+// buys: a cursor read — Subtree at an identifier, then NodeSpan on the
+// node it returns — and a clean Diagnostics do work (the session's
+// ReadWork: tree nodes visited plus tokens scanned) that stays within 2×
+// from a 1,000-line file to a 16,000-line one. Subtree used to locate each
+// kid it tried by scanning every token, and Diagnostics walked the whole
+// tree, so both grew 16× between the sizes.
+func TestReadWorkIndependentOfFileSize(t *testing.T) {
+	const reads = 64
+	type work struct{ subtree, span, diags float64 }
+	measure := func(lines int) work {
+		src, _ := corpus.Generate(corpus.Spec{Name: "reads", Lines: lines, Lang: "c", Seed: 1})
+		s := incremental.NewSession(incremental.CSubset(), src)
+		if out := s.Do(context.Background()); !out.Clean {
+			t.Fatalf("%d lines: initial parse: %v", lines, out.Err)
+		}
+		var w work
+		for _, pair := range corpus.SelfCancellingEdits(src, reads, 3) {
+			off := pair[0].Offset // an identifier's first byte
+			n := s.Subtree(off, 1)
+			w.subtree += float64(incremental.ReadWork(s))
+			if start, size, ok := s.NodeSpan(n); !ok || start > off || start+size <= off {
+				t.Fatalf("%d lines: Subtree(%d, 1) = %v spans [%d,+%d) ok=%v", lines, off, n, start, size, ok)
+			}
+			w.span += float64(incremental.ReadWork(s))
+		}
+		w.subtree /= reads
+		w.span /= reads
+		if ds := s.Diagnostics(); len(ds) != 0 {
+			t.Fatalf("%d lines: a clean parse reports %v", lines, ds)
+		}
+		w.diags = float64(incremental.ReadWork(s))
+		t.Logf("%d lines: read work %.0f per Subtree, %.0f per NodeSpan, %.0f per clean Diagnostics", lines, w.subtree, w.span, w.diags)
+		return w
+	}
+	small, large := measure(1000), measure(16000)
+	for _, c := range []struct {
+		read         string
+		small, large float64
+	}{
+		{"Subtree at an identifier", small.subtree, large.subtree},
+		{"NodeSpan of its node", small.span, large.span},
+		{"a clean Diagnostics", small.diags, large.diags},
+	} {
+		if c.large > 2*c.small {
+			t.Errorf("%s: read work grows with the file: %.0f at 16,000 lines vs %.0f at 1,000", c.read, c.large, c.small)
+		}
+	}
+}

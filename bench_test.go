@@ -318,6 +318,48 @@ func BenchmarkSessionRestore(b *testing.B) {
 	b.ReportMetric(float64(snap.Len()), "snapshot-bytes")
 }
 
+// BenchmarkReads measures the session's reads on generated C files of
+// 1,000 to 16,000 lines: Subtree at an identifier (the node under an
+// editor's cursor), NodeSpan of the node it returns, and Diagnostics of a
+// clean parse, each after the Do that committed the file. The cursors are
+// identifiers drawn across the whole file.
+func BenchmarkReads(b *testing.B) {
+	for _, lines := range []int{1000, 2000, 4000, 16000} {
+		src, _ := corpus.Generate(corpus.Spec{Name: "reads", Lines: lines, Lang: "c", Seed: 1})
+		s := incremental.NewSession(incremental.CSubset(), src)
+		if out := s.Do(nil); !out.Clean {
+			b.Fatal(out.Err)
+		}
+		var spots []int
+		var nodes []*incremental.Node
+		for _, p := range corpus.SelfCancellingEdits(src, 256, 3) {
+			spots = append(spots, p[0].Offset)
+			nodes = append(nodes, s.Subtree(p[0].Offset, 1))
+		}
+		b.Run(fmt.Sprintf("Subtree/lines=%d", lines), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if s.Subtree(spots[i%len(spots)], 1) == nil {
+					b.Fatal("no subtree covers an identifier")
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("NodeSpan/lines=%d", lines), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, _, ok := s.NodeSpan(nodes[i%len(nodes)]); !ok {
+					b.Fatal("a committed node has no span")
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("Diagnostics/lines=%d", lines), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if len(s.Diagnostics()) != 0 {
+					b.Fatal("a clean parse reports diagnostics")
+				}
+			}
+		})
+	}
+}
+
 var sinkStr string
 
 // BenchmarkLexThroughput measures the incremental lexer's batch scan rate.

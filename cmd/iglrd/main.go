@@ -18,11 +18,18 @@
 // journaled to disk before they apply, sessions snapshot on eviction and
 // shutdown, and a restart over the same directory restores each session
 // on its first touch (see DESIGN.md, "Durability & crash recovery").
+//
+// An undefined flag, any positional argument (which would end flag parsing
+// and drop every flag after it) and a negative -session-ttl exit with
+// status 2 and the usage text; a configuration the daemon cannot serve (an
+// unknown language, a missing directory or config file) exits 1 with a
+// message.
 package main
 
 import (
 	"bytes"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -39,9 +46,17 @@ func main() {
 	log.SetFlags(log.LstdFlags | log.Lmicroseconds)
 	log.SetPrefix("iglrd: ")
 	if err := run(os.Args[1:]); err != nil {
+		if errors.Is(err, errUsage) {
+			os.Exit(2)
+		}
 		log.Fatal(err)
 	}
 }
+
+// errUsage reports a bad command line that run has already explained,
+// with the usage text; main exits 2 on it, as the flag package does for
+// an undefined flag.
+var errUsage = errors.New("iglrd: bad command line")
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("iglrd", flag.ExitOnError)
@@ -55,6 +70,16 @@ func run(args []string) error {
 		persistDir = fs.String("persist-dir", "", "session durability directory: snapshots + write-ahead journals, crash-safe restarts (overrides config)")
 	)
 	fs.Parse(args)
+	if fs.NArg() > 0 {
+		fmt.Fprintf(fs.Output(), "iglrd: unexpected argument %q (every setting is a flag)\n", fs.Arg(0))
+		fs.Usage()
+		return errUsage
+	}
+	if *ttl < 0 {
+		fmt.Fprintf(fs.Output(), "iglrd: -session-ttl %v: want a duration of 0 (no eviction) or more\n", *ttl)
+		fs.Usage()
+		return errUsage
+	}
 
 	cfg, err := loadConfig(*configPath)
 	if err != nil {

@@ -21,6 +21,7 @@ import (
 	"unicode/utf8"
 
 	incremental "iglr"
+	"iglr/internal/corpus"
 )
 
 // testDaemon starts a daemon on ephemeral loopback ports and tears it down
@@ -635,6 +636,94 @@ func TestCapOutlineRuneBoundary(t *testing.T) {
 	short := head[1:] + "»" // exactly maxOutlineBytes
 	if got := capOutline(short); got != short {
 		t.Fatal("outline within the cap was changed")
+	}
+}
+
+// TestRenderOutlineEqualsCappedFormat: the capped render is byte for byte
+// what capping the whole outline gives, for outlines far past the cap (the
+// root of a 2,000-line file renders ~1.2 MB), near it and within it: every
+// node down one path from the root, and the nodes under random cursors.
+func TestRenderOutlineEqualsCappedFormat(t *testing.T) {
+	lang, _ := incremental.BundledLanguage("c-subset")
+	src, _ := corpus.Generate(corpus.Spec{Name: "outline", Lines: 2000, Lang: "c", AmbiguousPerKLoC: 30, Seed: 3})
+	s := incremental.NewSession(lang, src)
+	if out := s.Do(context.Background()); !out.Clean {
+		t.Fatal(out.Err)
+	}
+	nodes := []*incremental.Node{}
+	for n := s.Tree(); ; n = n.Kids[len(n.Kids)/2] {
+		nodes = append(nodes, n)
+		if len(n.Kids) == 0 {
+			break
+		}
+	}
+	for _, p := range corpus.SelfCancellingEdits(src, 16, 5) {
+		nodes = append(nodes, s.Subtree(p[0].Offset, 1+p[0].Offset%300))
+	}
+	capped := 0
+	for _, n := range nodes {
+		want := capOutline(incremental.FormatDag(lang, n))
+		if got := renderOutline(lang, n); got != want {
+			t.Fatalf("%v: rendered outline (%d bytes) differs from the capped format (%d bytes)", n, len(got), len(want))
+		}
+		if strings.HasSuffix(want, "… (truncated)\n") {
+			capped++
+		}
+	}
+	if capped == 0 || capped == len(nodes) {
+		t.Fatalf("%d of %d outlines capped: want both kinds", capped, len(nodes))
+	}
+}
+
+// TestSubtreeOutlineAllocBounded: a subtree request for the root's span in
+// a 16,000-line session renders its outline only up to the cap, so the
+// request allocates under 1 MB (rendering the whole outline first, ~10 MB
+// of text, allocated ~60 MB), and answers the capped outline.
+func TestSubtreeOutlineAllocBounded(t *testing.T) {
+	d := testDaemon(t, Config{Bundled: []string{"c-subset"}})
+	lang, _ := incremental.BundledLanguage("c-subset")
+	src, _ := corpus.Generate(corpus.Spec{Name: "outline", Lines: 16000, Lang: "c", Seed: 1})
+	ref := incremental.NewSession(lang, src)
+	if out := ref.Do(context.Background()); !out.Clean {
+		t.Fatal(out.Err)
+	}
+	off, ln, _ := ref.NodeSpan(ref.Tree())
+	var created sessionJSON
+	if status := doJSON(t, "POST", dataURL(d, "/sessions"),
+		createSessionJSON{Language: "c-subset", Text: src}, &created); status != http.StatusCreated {
+		t.Fatalf("create: status %d", status)
+	}
+	url := dataURL(d, fmt.Sprintf("/sessions/%s/subtree?offset=%d&length=%d", created.ID, off, ln))
+	// The body is read into storage allocated outside the count, which
+	// then holds the request's own allocations: the daemon's, and the
+	// client's transport.
+	get := func(body *bytes.Buffer) {
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if _, err := body.ReadFrom(resp.Body); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("subtree: status %d, %v", resp.StatusCode, err)
+		}
+	}
+	get(new(bytes.Buffer)) // warm the connection
+	body := bytes.NewBuffer(make([]byte, 0, 256<<10))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	get(body)
+	runtime.ReadMemStats(&after)
+	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+		t.Errorf("a subtree request for the root's span at 16,000 lines allocated %d bytes, want under 1 MB", n)
+	} else {
+		t.Logf("a subtree request for the root's span at 16,000 lines allocated %d bytes", n)
+	}
+	var sub subtreeJSON
+	if err := json.Unmarshal(body.Bytes(), &sub); err != nil {
+		t.Fatal(err)
+	}
+	if want := capOutline(incremental.FormatDag(lang, ref.Subtree(off, ln))); sub.Outline != want {
+		t.Fatalf("outline of %d bytes differs from the capped reference outline of %d bytes", len(sub.Outline), len(want))
 	}
 }
 

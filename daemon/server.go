@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"os"
 	"strconv"
+	"strings"
 	"time"
 	"unicode/utf8"
 
@@ -670,6 +671,37 @@ func (d *Daemon) handleDiagnostics(w http.ResponseWriter, r *http.Request) {
 // arbitrarily large.
 const maxOutlineBytes = 64 << 10
 
+// errOutlineFull ends a render once outlineBuffer holds all capOutline
+// reads.
+var errOutlineFull = errors.New("daemon: outline cap reached")
+
+// outlineBuffer keeps the first maxOutlineBytes+1 bytes written to it —
+// enough for capOutline to see that the outline is long and where to cut
+// it — and refuses the rest, which stops the render. Past 4 KB it grows
+// straight to the cap instead of doubling.
+type outlineBuffer struct{ strings.Builder }
+
+func (b *outlineBuffer) Write(p []byte) (int, error) {
+	room := maxOutlineBytes + 1 - b.Len()
+	if n := b.Len() + len(p); n > b.Cap() && n > 4<<10 {
+		b.Grow(room)
+	}
+	if len(p) > room {
+		b.Builder.Write(p[:room])
+		return room, errOutlineFull
+	}
+	return b.Builder.Write(p)
+}
+
+// renderOutline returns capOutline(FormatDag(lang, n)), byte for byte,
+// without rendering the outline past the cap: the root of a 16,000-line
+// file renders ~10 MB.
+func renderOutline(lang *incremental.Language, n *incremental.Node) string {
+	var b outlineBuffer
+	incremental.FormatDagTo(&b, lang, n) // only errOutlineFull, at the cap
+	return capOutline(b.String())
+}
+
 // capOutline cuts an outline longer than maxOutlineBytes and marks the
 // cut. The cut backs up to the start of a character, so it never splits a
 // multi-byte one such as the outline's « and » (the JSON encoding would
@@ -722,7 +754,7 @@ func (d *Daemon) handleSubtree(w http.ResponseWriter, r *http.Request) {
 			Kind:    kindString(n.Kind),
 			Offset:  off,
 			Length:  ln,
-			Outline: capOutline(incremental.FormatDag(sess.lang, n)),
+			Outline: renderOutline(sess.lang, n),
 		}
 	})
 	if err != nil {

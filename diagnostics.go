@@ -50,10 +50,19 @@ func (d Diagnostic) String() string {
 // region reparse cleanly, and offsets track the current text even while
 // edits are pending. It is empty when the last committed tree is a clean
 // parse (or before the first parse).
+//
+// Cost: the walk descends only into subtrees whose HasError summary is
+// set, so a clean tree costs one node visit and k regions O(k·depth)
+// visits; each region is then located as NodeSpan locates a node — from
+// the tree and the run headers with no edit pending, by a scan of the
+// whole token stream otherwise.
 func (s *Session) Diagnostics() []Diagnostic {
 	var out []Diagnostic
-	for _, n := range dag.CollectErrors(s.doc.Root()) {
+	errs, work := dag.CollectErrors(s.doc.Root())
+	s.readWork = work
+	for _, n := range errs {
 		off, length, ok := s.doc.NodeSpan(n)
+		s.readWork += s.doc.LastReadWork
 		if !ok {
 			// Every quarantined token has been edited away; the region will
 			// be re-judged (and this entry dropped or replaced) on the next
@@ -74,8 +83,11 @@ func (s *Session) Diagnostics() []Diagnostic {
 }
 
 // ErrorNodes returns the error nodes in the committed tree, leftmost
-// first — the structural counterpart of Diagnostics. The returned nodes
-// are owned by the session's tree and must not be mutated.
+// first — the structural counterpart of Diagnostics, at the cost of its
+// walk. The returned nodes are owned by the session's tree and must not be
+// mutated.
 func (s *Session) ErrorNodes() []*Node {
-	return dag.CollectErrors(s.doc.Root())
+	var errs []*Node
+	errs, s.readWork = dag.CollectErrors(s.doc.Root())
+	return errs
 }

@@ -9,6 +9,28 @@ import (
 // document's LastSpliceWork) to the external tests.
 func SpliceWork(s *Session) int { return s.doc.LastSpliceWork }
 
+// ScanSpan is NodeSpan's fallback, the document's scan of every token for
+// n's terminals: the reference of the read oracle.
+func ScanSpan(s *Session, n *Node) (offset, length int, ok bool) { return s.doc.ScanSpan(n) }
+
+// SubtreeScan is Subtree's fallback descent, which locates the root and
+// every kid it tries with ScanSpan.
+func SubtreeScan(s *Session, offset, length int) *Node {
+	if root := s.doc.Root(); root != nil {
+		return s.subtreeScan(root, offset, length)
+	}
+	return nil
+}
+
+// Pending reports whether the session holds edits its committed tree has
+// not seen.
+func Pending(s *Session) bool { return len(s.doc.PendingEdits()) > 0 }
+
+// ReadWork returns the work of the session's latest read (NodeSpan,
+// Subtree, Diagnostics, ErrorNodes): tree nodes visited plus tokens
+// scanned.
+func ReadWork(s *Session) int { return s.readWork }
+
 // DetTwin is a document of its own driven by the §5 reference parser
 // (detparse), which the sequence oracle edits alongside a Session.
 type DetTwin struct {

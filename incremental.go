@@ -25,6 +25,7 @@ package incremental
 import (
 	"context"
 	"fmt"
+	"io"
 
 	"iglr/internal/dag"
 	"iglr/internal/disambig"
@@ -111,6 +112,11 @@ func CountParses(root *Node) int { return iglr.CountParses(root) }
 
 // FormatDag renders a dag as an indented outline.
 func FormatDag(l *Language, n *Node) string { return dag.Format(l.def.Grammar, n) }
+
+// FormatDagTo writes FormatDag's outline to w, one line per Write, and
+// stops at the first write error, which it returns — so a writer that
+// refuses bytes past a cap bounds the render.
+func FormatDagTo(w io.Writer, l *Language, n *Node) error { return dag.FormatTo(w, l.def.Grammar, n) }
 
 // ApplyFilter rewrites a dag with a dynamic syntactic filter, discarding
 // losing interpretations (§4.1). It returns the new root and the number of
@@ -275,6 +281,10 @@ type Session struct {
 	parser   *iglr.Parser
 	resolver *semantics.Resolver
 	stats    ParseStats // snapshot of the most recent parse
+	// readWork is the work the latest read (NodeSpan, Subtree,
+	// Diagnostics, ErrorNodes) did: tree nodes visited plus tokens
+	// scanned, the per-read counterpart of the document's LastSpliceWork.
+	readWork int
 }
 
 // SessionOption configures a Session at creation time.

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"iglr/internal/grammar"
 )
@@ -406,5 +407,44 @@ func TestWalkVisitsSharedOnce(t *testing.T) {
 	root.Walk(func(n *Node) { count++ })
 	if count != 4 {
 		t.Fatalf("walk visited %d nodes, want 4", count)
+	}
+}
+
+// TestNodeSize pins the layout the Node comment describes: the kind and
+// the seven flags share one word, and a node is 104 bytes.
+func TestNodeSize(t *testing.T) {
+	if got := unsafe.Sizeof(Node{}); got != 104 {
+		t.Fatalf("dag.Node is %d bytes, want 104", got)
+	}
+}
+
+// TestHasErrorSummary: the summary is set on every ancestor of an error
+// node, through any alternative of a choice (a later one too, and one
+// added by AddChoice), and CollectErrors finds the error nodes in preorder
+// while visiting one node of a clean tree.
+func TestHasErrorSummary(t *testing.T) {
+	clean := testArena.Production(2, 1, NoState, []*Node{term("a"), term("b")})
+	if clean.HasError {
+		t.Fatal("clean production carries HasError")
+	}
+	if errs, visited := CollectErrors(clean); len(errs) != 0 || visited != 1 {
+		t.Fatalf("clean tree: %d errors after %d visits, want 0 after 1", len(errs), visited)
+	}
+	e1 := testArena.Error([]*Node{term("@")}, nil)
+	bad := testArena.Production(2, 2, NoState, []*Node{e1})
+	choice := testArena.Choice(2, testArena.Production(2, 3, NoState, []*Node{term("c")}), bad)
+	if !e1.HasError || !bad.HasError || !choice.HasError {
+		t.Fatalf("HasError: error %v, parent %v, choice over it %v", e1.HasError, bad.HasError, choice.HasError)
+	}
+	e2 := testArena.Error([]*Node{term("$")}, nil)
+	later := testArena.Choice(2, testArena.Production(2, 4, NoState, []*Node{term("d")}))
+	later.AddChoice(testArena.Production(2, 5, NoState, []*Node{e2}))
+	if !later.HasError {
+		t.Fatal("AddChoice of an alternative with an error left HasError unset")
+	}
+	root := testArena.Production(2, 6, NoState, []*Node{clean, choice, later})
+	errs, _ := CollectErrors(root)
+	if len(errs) != 2 || errs[0] != e1 || errs[1] != e2 {
+		t.Fatalf("CollectErrors = %v, want [%v %v]", errs, e1, e2)
 	}
 }

@@ -10,6 +10,7 @@ package dag
 
 import (
 	"fmt"
+	"io"
 	"strings"
 
 	"iglr/internal/grammar"
@@ -62,9 +63,10 @@ const (
 // identity; structural sharing is what makes the representation a dag.
 // Nodes are created through an Arena, which assigns the ID.
 //
-// Field order is deliberate: the one-byte kind and flags pack into a single
-// word, the int32s fill the next two, and the pointer-bearing fields close
-// the struct — 104 bytes total. Node memory is the dominant allocation of a
+// Field order is deliberate: the one-byte kind and the seven flags pack
+// into a single word, the int32s fill the next three, and the
+// pointer-bearing fields close the struct — 104 bytes total, which
+// TestNodeSize pins. Node memory is the dominant allocation of a
 // cold batch parse (roughly one node per input byte on C-like corpora), so
 // every field byte is zeroed, written, and GC-scanned millions of times per
 // corpus file; keep the struct tight when adding fields.
@@ -93,6 +95,13 @@ type Node struct {
 	// that rely on the §5 bounded-ambiguity claims should treat the region
 	// as disambiguated by policy, not by evidence.
 	BudgetPruned bool
+	// HasError summarizes the subtree: it is set when a KindError node is
+	// reachable from this one through any kid, every choice alternative
+	// included. The constructors compute it from the kids, and AddChoice
+	// and the parser's in-place choice promotion keep it, so CollectErrors
+	// skips every subtree without it. Filters that drop alternatives leave
+	// it set, which only makes that walk look further.
+	HasError bool
 	// ID is the dense per-arena node number, assigned at allocation. It
 	// never changes and is unique within the node's arena; Scratch tables
 	// index by it.
@@ -149,23 +158,28 @@ type ErrorDetail struct {
 	Region grammar.Sym
 }
 
-// computeCover fills the terminal-yield bookkeeping from the children.
+// computeCover fills the terminal-yield bookkeeping and the HasError
+// summary from the children, folding them in locals so that each field is
+// written once.
 func (n *Node) computeCover() {
-	n.TermCount = 0
-	n.LeftmostTerm, n.RightmostTerm = nil, nil
-	kids := n.Kids
-	if n.Kind == KindChoice && len(kids) > 0 {
-		kids = kids[:1] // all interpretations share one yield
-	}
-	for _, k := range kids {
-		n.TermCount += k.TermCount
-		if n.LeftmostTerm == nil {
-			n.LeftmostTerm = k.LeftmostTerm
+	var count int32
+	var first, last *Node
+	hasErr := n.Kind == KindError
+	for i, k := range n.Kids {
+		hasErr = hasErr || k.HasError
+		if n.Kind == KindChoice && i > 0 {
+			continue // all interpretations share one yield
+		}
+		count += k.TermCount
+		if first == nil {
+			first = k.LeftmostTerm
 		}
 		if k.RightmostTerm != nil {
-			n.RightmostTerm = k.RightmostTerm
+			last = k.RightmostTerm
 		}
 	}
+	n.TermCount, n.HasError = count, hasErr
+	n.LeftmostTerm, n.RightmostTerm = first, last
 }
 
 func seqCountOf(n *Node) int32 {
@@ -190,6 +204,7 @@ func (n *Node) AddChoice(alt *Node) {
 		panic("dag: AddChoice on non-choice node")
 	}
 	n.Kids = append(n.Kids, alt)
+	n.HasError = n.HasError || alt.HasError
 }
 
 // Selected returns the surviving interpretation of a choice node: the
@@ -330,46 +345,79 @@ func (n *Node) String() string {
 }
 
 // CollectErrors returns the KindError nodes reachable from root, leftmost
-// first (preorder). A nil root yields nil.
-func CollectErrors(root *Node) []*Node {
+// first (preorder), and the number of nodes it visited. It descends only
+// into subtrees whose HasError summary is set, so a clean tree costs one
+// visit and k error nodes cost O(k·depth). A nil root yields nil.
+func CollectErrors(root *Node) (errs []*Node, visited int) {
 	if root == nil {
-		return nil
+		return nil, 0
 	}
-	var out []*Node
-	root.Walk(func(n *Node) {
-		if n.Kind == KindError {
-			out = append(out, n)
+	if !root.HasError {
+		return nil, 1
+	}
+	s := AcquireScratch()
+	defer ReleaseScratch(s)
+	var collect func(n *Node)
+	collect = func(n *Node) {
+		visited++
+		if !n.HasError || !s.Visit(n) {
+			return
 		}
-	})
-	return out
+		if n.Kind == KindError {
+			errs = append(errs, n)
+		}
+		for _, k := range n.Kids {
+			collect(k)
+		}
+	}
+	collect(root)
+	return errs, visited
 }
 
 // Format renders the subtree as an indented outline using grammar names.
 func Format(g *grammar.Grammar, n *Node) string {
 	var b strings.Builder
-	format(g, n, 0, &b)
+	FormatTo(&b, g, n)
 	return b.String()
 }
 
-func format(g *grammar.Grammar, n *Node, depth int, b *strings.Builder) {
-	b.WriteString(strings.Repeat("  ", depth))
+// FormatTo writes Format's outline to w, one line per Write, and stops at
+// the first write error, which it returns: a writer that refuses the bytes
+// past a cap ends the render there.
+func FormatTo(w io.Writer, g *grammar.Grammar, n *Node) error {
+	var line []byte
+	return formatTo(w, g, n, 0, &line)
+}
+
+func formatTo(w io.Writer, g *grammar.Grammar, n *Node, depth int, line *[]byte) error {
+	b := (*line)[:0]
+	for range depth {
+		b = append(b, "  "...)
+	}
 	switch n.Kind {
 	case KindTerminal:
-		fmt.Fprintf(b, "%s %q", g.Name(n.Sym), n.Text)
+		b = fmt.Appendf(b, "%s %q", g.Name(n.Sym), n.Text)
 	case KindChoice:
-		fmt.Fprintf(b, "%s «choice of %d»", g.Name(n.Sym), len(n.Kids))
+		b = fmt.Appendf(b, "%s «choice of %d»", g.Name(n.Sym), len(n.Kids))
 	case KindSeq:
-		fmt.Fprintf(b, "%s «seq %d»", g.Name(n.Sym), len(n.Kids))
+		b = fmt.Appendf(b, "%s «seq %d»", g.Name(n.Sym), len(n.Kids))
 	case KindError:
-		fmt.Fprintf(b, "ERROR «%d token(s)»", n.TermCount)
+		b = fmt.Appendf(b, "ERROR «%d token(s)»", n.TermCount)
 	default:
-		fmt.Fprintf(b, "%s := %s", g.Name(n.Sym), g.ProductionString(g.Production(int(n.Prod))))
+		b = fmt.Appendf(b, "%s := %s", g.Name(n.Sym), g.ProductionString(g.Production(int(n.Prod))))
 	}
 	if n.Filtered {
-		b.WriteString("  [filtered]")
+		b = append(b, "  [filtered]"...)
 	}
-	b.WriteByte('\n')
+	b = append(b, '\n')
+	*line = b
+	if _, err := w.Write(b); err != nil {
+		return err
+	}
 	for _, k := range n.Kids {
-		format(g, k, depth+1, b)
+		if err := formatTo(w, g, k, depth+1, line); err != nil {
+			return err
+		}
 	}
+	return nil
 }

@@ -68,6 +68,11 @@ type Document struct {
 	// marked collects nodes whose change bits must be cleared at commit.
 	marked []*dag.Node
 
+	// edited records that the token stream changed since the last commit
+	// (an edit applied, or one reverted): the committed tree's terminal
+	// counts then describe another stream, and reads fall back to the scan.
+	edited bool
+
 	// seq rebuilds the sequences a parse produced into canonical balanced
 	// shape at commit; created on the first commit that needs it.
 	seq *dag.SeqBuilder
@@ -84,6 +89,10 @@ type Document struct {
 	// headers it visited. The binary searches that locate runs, O(lg runs)
 	// header reads each, are not counted.
 	LastSpliceWork int
+	// LastReadWork is the work the latest read (NodeSpan, TermWindow,
+	// SignificantTokenOffset) did: tree nodes visited plus tokens scanned.
+	// The binary searches over the run headers are not counted.
+	LastReadWork int
 	// LexErrorCount tracks current error tokens.
 	LexErrorCount int
 }
@@ -235,6 +244,7 @@ func (d *Document) replace(offset, removed int, inserted string, record bool) {
 	if offset < 0 || removed < 0 || offset > d.buf.Len() || removed > d.buf.Len()-offset {
 		panic(fmt.Sprintf("document: edit @%d -%d out of range (len %d)", offset, removed, d.buf.Len()))
 	}
+	d.edited = true
 	if record {
 		d.pending = append(d.pending, AppliedEdit{
 			Offset:   offset,
@@ -381,6 +391,7 @@ func (d *Document) Commit(root *dag.Node) {
 	d.commitWalk(root)
 	d.root = root
 	d.pending = d.pending[:0]
+	d.edited = false
 }
 
 // commitWalk descends through freshly built structure, rebuilding the
@@ -430,27 +441,100 @@ func (d *Document) SignificantTokenOffset(i int) int {
 	if i < 0 || i >= d.numTerms() {
 		return d.buf.Len()
 	}
+	d.LastReadWork = 0
+	off, _ := d.termBytes(i)
+	return off
+}
+
+// NodeSpan returns the byte span [off, off+length) covering the part of
+// n's terminal yield still present in the current token stream. It reports
+// ok=false when none of n's terminals remain (the node is fully stale) or
+// n has no terminal yield.
+//
+// A node of the committed tree, read while no edit is pending, is located
+// from the tree (firstTerm) and its first and last terminals from the run
+// headers (termBytes): O(depth·fanout + lg runs + maxRun), whatever the
+// file size. Otherwise — edits applied since the last commit, or a node
+// whose parent chain does not reach the committed root — NodeSpan scans
+// every token for n's terminals, so a span tracks pending edits and a node
+// edited away reports ok=false. n must come from the document's arena: the
+// scan marks the yield in a node-ID table.
+func (d *Document) NodeSpan(n *dag.Node) (off, length int, ok bool) {
+	d.LastReadWork = 0
+	if n.TermCount == 0 {
+		return 0, 0, false
+	}
+	i, ok := d.firstTerm(n)
+	if !ok {
+		chain := d.LastReadWork
+		off, length, ok = d.ScanSpan(n)
+		d.LastReadWork += chain
+		return off, length, ok
+	}
+	off, _ = d.termBytes(i)
+	_, end := d.termBytes(i + int(n.TermCount) - 1)
+	return off, end - off, true
+}
+
+// firstTerm returns the index of n's first terminal in the token stream,
+// read off the committed tree: the terminal counts of the kids left of the
+// node at each step of n's parent chain, summed (a choice parent adds 0:
+// its alternatives share one yield). ok is false while edits are pending,
+// or when the chain does not reach the committed root through parents
+// that each hold the node below them as a kid — a node of an older tree,
+// or a shared node whose recorded parent has left the tree.
+func (d *Document) firstTerm(n *dag.Node) (i int, ok bool) {
+	if d.edited || d.root == nil {
+		return 0, false
+	}
+	for c := n; c != d.root; c = c.Parent {
+		p := c.Parent
+		if p == nil {
+			return 0, false
+		}
+		held := false
+		for _, k := range p.Kids {
+			d.LastReadWork++
+			if k == c {
+				held = true
+				break
+			}
+			if p.Kind != dag.KindChoice {
+				i += int(k.TermCount)
+			}
+		}
+		if !held {
+			return 0, false
+		}
+	}
+	return i, i+int(n.TermCount) <= d.numTerms()
+}
+
+// termBytes returns the byte span of significant terminal i, for
+// 0 ≤ i < numTerms: a binary search over the run headers, then a scan of
+// the one run that holds it.
+func (d *Document) termBytes(i int) (start, end int) {
 	r := &d.runs[d.runOfTerm(i)]
 	k := r.term
 	for _, t := range r.toks {
+		d.LastReadWork++
 		if t.Skip {
 			continue
 		}
 		if k == i {
-			return r.start + t.Offset
+			return r.start + t.Offset, r.start + t.End()
 		}
 		k++
 	}
 	panic("document: run terminal count disagrees with its tokens")
 }
 
-// NodeSpan returns the byte span [off, off+length) covering the part of
-// n's terminal yield still present in the current token stream. It reports
-// ok=false when none of n's terminals remain (the node is fully stale).
-// Because the span is recomputed from the live token stream on every call,
-// it automatically tracks edits elsewhere in the document. n must come
-// from the document's arena: the yield is marked in a node-ID table.
-func (d *Document) NodeSpan(n *dag.Node) (off, length int, ok bool) {
+// ScanSpan is NodeSpan's fallback, and the reference the read oracle
+// holds NodeSpan to: it marks n's terminals (the first unfiltered reading
+// at choices) and scans every token of the document for them, so it
+// tracks pending edits and needs no parent chain.
+func (d *Document) ScanSpan(n *dag.Node) (off, length int, ok bool) {
+	d.LastReadWork = 0
 	want := dag.AcquireScratch()
 	defer dag.ReleaseScratch(want)
 	yield := n.Terminals(nil)
@@ -460,9 +544,11 @@ func (d *Document) NodeSpan(n *dag.Node) (off, length int, ok bool) {
 	for _, t := range yield {
 		want.Visit(t)
 	}
+	d.LastReadWork += len(yield)
 	start, end := -1, -1
 	for i := range d.runs {
 		r := &d.runs[i]
+		d.LastReadWork += len(r.toks)
 		k := 0
 		for j := range r.toks {
 			t := &r.toks[j]
@@ -482,6 +568,83 @@ func (d *Document) NodeSpan(n *dag.Node) (off, length int, ok bool) {
 		return 0, 0, false
 	}
 	return start, end - start, true
+}
+
+// TermWindow maps the byte range [lo, hi) to terminal indices for a
+// descent over the committed tree: a is the index of the last significant
+// terminal that starts at or before lo (-1 when none does), and b the
+// number of significant terminals that end before hi. A node whose
+// terminals are [i, i+c), c > 0, spans the range exactly when i ≤ a and
+// i+c-1 ≥ b. Each bound costs a binary search over the run headers and a
+// scan of one run. ok is false while edits are pending: the tree's
+// terminal counts then describe the committed stream, not the current one,
+// and callers locate nodes with NodeSpan's scan instead.
+func (d *Document) TermWindow(lo, hi int) (a, b int, ok bool) {
+	d.LastReadWork = 0
+	if d.edited || d.root == nil {
+		return 0, 0, false
+	}
+	return d.termsStartingBy(lo) - 1, d.termsEndingBefore(hi), true
+}
+
+// termsStartingBy returns the number of significant terminals that start
+// at or before byte x. The last run starting at or before x holds the last
+// of them; the earlier runs' terminals all start before it.
+func (d *Document) termsStartingBy(x int) int {
+	lo, hi := 0, len(d.runs)
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if d.runs[h].start <= x {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	if lo == 0 {
+		return 0
+	}
+	r := &d.runs[lo-1]
+	k := r.term
+	for _, t := range r.toks {
+		if r.start+t.Offset > x {
+			break
+		}
+		d.LastReadWork++
+		if !t.Skip {
+			k++
+		}
+	}
+	return k
+}
+
+// termsEndingBefore returns the number of significant terminals that end
+// before byte y. The last run starting before y holds the last of them;
+// the earlier runs' terminals all end at or before its start.
+func (d *Document) termsEndingBefore(y int) int {
+	lo, hi := 0, len(d.runs)
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if d.runs[h].start < y {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	if lo == 0 {
+		return 0
+	}
+	r := &d.runs[lo-1]
+	k := r.term
+	for _, t := range r.toks {
+		if r.start+t.End() >= y {
+			break
+		}
+		d.LastReadWork++
+		if !t.Skip {
+			k++
+		}
+	}
+	return k
 }
 
 // Position converts a byte offset to a 1-based (line, column) pair.

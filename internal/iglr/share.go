@@ -137,12 +137,14 @@ func addInterpretation(a *dag.Arena, target, alt *dag.Node) *dag.Node {
 	}
 	// Promote in place: copy the current contents to a fresh node, then
 	// rewrite target as a choice over {copy, alt}. References held by GSS
-	// links or already-built parents stay valid — they now see the choice.
+	// links or already-built parents stay valid — they now see the choice,
+	// whose error summary covers both readings.
 	first := a.Clone(target)
 	target.Kind = dag.KindChoice
 	target.Prod = -1
 	target.State = dag.MultiState
 	target.Text = ""
 	target.Kids = []*dag.Node{first, alt}
+	target.HasError = first.HasError || alt.HasError
 	return target
 }

@@ -42,7 +42,7 @@ func TestIsolateMiddleStatement(t *testing.T) {
 	if len(res.Errors) != 1 {
 		t.Fatalf("error nodes = %d, want 1", len(res.Errors))
 	}
-	if got := dag.CollectErrors(res.Root); len(got) != 1 || got[0] != res.Errors[0] {
+	if got, _ := dag.CollectErrors(res.Root); len(got) != 1 || got[0] != res.Errors[0] {
 		t.Fatalf("CollectErrors disagrees with Result.Errors: %v vs %v", got, res.Errors)
 	}
 	if d.Text() != "int a; int (; int c;" {

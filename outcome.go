@@ -133,8 +133,18 @@ func (s *Session) doTolerant(ctx context.Context) Outcome {
 // session's committed tree; ok is false when the node's entire yield has
 // been edited away (or n has no terminal yield). Positions track pending
 // edits, so a span stays valid while edits accumulate before the next Do.
+//
+// Cost: with no edit pending since the last Do, the node is located from
+// the tree — its left siblings' terminal counts along its parent chain —
+// and the token runs' headers, in O(depth·fanout + lg runs) plus a scan of
+// at most two runs of 512 tokens, whatever the file size. While edits are
+// pending, or for a node whose parent chain does not reach the committed
+// root (one shared between readings, or kept from an older tree), it falls
+// back to scanning every token of the document.
 func (s *Session) NodeSpan(n *Node) (offset, length int, ok bool) {
-	return s.doc.NodeSpan(n)
+	offset, length, ok = s.doc.NodeSpan(n)
+	s.readWork = s.doc.LastReadWork
+	return offset, length, ok
 }
 
 // Subtree returns the smallest node in the committed tree whose span
@@ -143,12 +153,72 @@ func (s *Session) NodeSpan(n *Node) (offset, length int, ok bool) {
 // node covers the range, and nil before the first successful Do (or when
 // the range lies outside every node's span). The returned node is owned by
 // the session's tree and must not be mutated.
+//
+// Cost: with no edit pending since the last Do, the range becomes a window
+// of terminal indices once (two binary searches over the token runs'
+// headers, each with a scan of one run), and the descent compares each
+// kid's terminal count with it: O(depth·fanout) node visits, whatever the
+// file size. While edits are pending it falls back to locating every kid
+// it tries with NodeSpan's scan of the whole token stream.
 func (s *Session) Subtree(offset, length int) *Node {
-	n := s.doc.Root()
-	if n == nil {
+	root := s.doc.Root()
+	s.readWork = 0
+	if root == nil {
 		return nil
 	}
-	if off, ln, ok := s.doc.NodeSpan(n); !ok || offset < off || offset+length > off+ln {
+	a, b, ok := s.doc.TermWindow(offset, offset+length)
+	s.readWork = s.doc.LastReadWork
+	if !ok {
+		return s.subtreeScan(root, offset, length)
+	}
+	if a < 0 || b >= int(root.TermCount) {
+		return nil
+	}
+	if length < 1 {
+		_, b, _ = s.doc.TermWindow(offset, offset+1)
+		s.readWork += s.doc.LastReadWork
+	}
+	// The descent by terminal indices: the kid whose terminals [base,
+	// base+TermCount) hold the window, as subtreeScan's span test would
+	// find it.
+	n, base := root, 0
+descend:
+	for {
+		if n.Kind == dag.KindChoice {
+			// Alternatives cover the same span; narrow into the reading the
+			// pipeline would embed.
+			for _, alt := range n.Kids {
+				s.readWork++
+				if alt != nil && !alt.Filtered {
+					n = alt
+					continue descend
+				}
+			}
+			return n
+		}
+		for _, k := range n.Kids {
+			s.readWork++
+			if k == nil {
+				continue
+			}
+			c := int(k.TermCount)
+			if c > 0 && base <= a && base+c-1 >= b {
+				n = k
+				continue descend
+			}
+			base += c
+		}
+		return n
+	}
+}
+
+// subtreeScan is Subtree's fallback while edits are pending, and the
+// reference the read oracle holds Subtree to: it locates the root and each
+// kid it tries with the document's scan of the whole token stream.
+func (s *Session) subtreeScan(n *Node, offset, length int) *Node {
+	off, ln, ok := s.doc.ScanSpan(n)
+	s.readWork += s.doc.LastReadWork
+	if !ok || offset < off || offset+length > off+ln {
 		return nil
 	}
 	if length < 1 {
@@ -158,8 +228,6 @@ descend:
 	for {
 		kids := n.Kids
 		if n.Kind == dag.KindChoice {
-			// Alternatives cover the same span; narrow into the reading the
-			// pipeline would embed.
 			for _, alt := range kids {
 				if alt != nil && !alt.Filtered {
 					n = alt
@@ -172,7 +240,8 @@ descend:
 			if k == nil {
 				continue
 			}
-			off, ln, ok := s.doc.NodeSpan(k)
+			off, ln, ok := s.doc.ScanSpan(k)
+			s.readWork += s.doc.LastReadWork
 			if ok && offset >= off && offset+length <= off+ln {
 				n = k
 				continue descend
