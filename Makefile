@@ -39,8 +39,9 @@ check: vet race bench-module
 # error-isolation convergence contract
 # (tier-1 recovery preserves text; repairing converges to the batch parse),
 # the session-snapshot codec plus its write-ahead journal framing
-# (arbitrary bytes never panic; accepted snapshots restore and re-encode
-# canonically), the document's incremental relex against a batch scan
+# (arbitrary bytes never panic; accepted snapshots re-encode canonically
+# and restore coherently), restored sessions against the live ones they
+# were snapshotted from, the document's incremental relex against a batch scan
 # over random edit scripts on a source spanning many token runs,
 # sequence-edit scripts over every bundled language against a cold parse
 # (balanced sequences, §3.4), and the reads that locate nodes from the
@@ -53,6 +54,7 @@ fuzz-smoke:
 	$(GO) test -run FuzzErrorIsolationConverges -fuzz FuzzErrorIsolationConverges -fuzztime 30s .
 	$(GO) test -run FuzzSessCodecRoundTrip -fuzz FuzzSessCodecRoundTrip -fuzztime 30s ./internal/sesscodec/
 	$(GO) test -run FuzzJournalDecode -fuzz FuzzJournalDecode -fuzztime 15s ./internal/sesscodec/
+	$(GO) test -run FuzzRestoreEqualsLive -fuzz FuzzRestoreEqualsLive -fuzztime 30s .
 	$(GO) test -run FuzzRelexMatchesScan -fuzz FuzzRelexMatchesScan -fuzztime 30s .
 	$(GO) test -run FuzzSequenceEditsEqualBatch -fuzz FuzzSequenceEditsEqualBatch -fuzztime 30s .
 	$(GO) test -run FuzzReadsEqualScan -fuzz FuzzReadsEqualScan -fuzztime 30s .

@@ -6,7 +6,9 @@
 package incremental_test
 
 import (
+	"bytes"
 	"context"
+	"io"
 	"runtime"
 	"strings"
 	"testing"
@@ -288,4 +290,70 @@ func TestReadWorkIndependentOfFileSize(t *testing.T) {
 			t.Errorf("%s: read work grows with the file: %.0f at 16,000 lines vs %.0f at 1,000", c.read, c.large, c.small)
 		}
 	}
+}
+
+// TestFirstDiagnosticsAllocBounded: Diagnostics' error walk keeps a
+// visited set of only the nodes it enters, so even the first call after
+// the garbage collector has emptied every pool allocates in proportion to
+// the walk, not to the arena. On a 16,000-line tolerant session with one
+// region that call allocated 2.3 MB while its tables grew to the largest
+// node ID; the guard is 64 KB.
+func TestFirstDiagnosticsAllocBounded(t *testing.T) {
+	src, _ := corpus.Generate(corpus.Spec{Name: "diags", Lines: 16000, Lang: "c", Seed: 1})
+	s := incremental.NewSession(incremental.CSubset(), src)
+	if out := s.Do(context.Background()); !out.Clean {
+		t.Fatalf("initial parse: %v", out.Err)
+	}
+	mid := len(src) / 2
+	s.Edit(mid+strings.IndexByte(src[mid:], ';')+1, 0, " @#! ")
+	if out := s.Do(context.Background(), incremental.Tolerant()); !out.Isolated || out.ErrorRegions != 1 {
+		t.Fatalf("want one isolated region, got isolated=%v regions=%d err=%v", out.Isolated, out.ErrorRegions, out.Err)
+	}
+	runtime.GC()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	diags := s.Diagnostics()
+	runtime.ReadMemStats(&after)
+	if len(diags) != 1 {
+		t.Fatalf("want one diagnostic, got %v", diags)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 64<<10 {
+		t.Errorf("the first Diagnostics after two GCs allocated %d bytes at 16,000 lines, want under 64 KB", n)
+	} else {
+		t.Logf("the first Diagnostics after two GCs allocated %d bytes at 16,000 lines", n)
+	}
+}
+
+// TestSnapshotCostsTheText: a snapshot holds the text, not the tree. A
+// clean 2,000-line C session's artifact is at most the text plus 1 KiB
+// (it was 277,626 bytes, 9.4× the text, while it held the token stream
+// and the node table), and taking it allocates at most 4× the text.
+func TestSnapshotCostsTheText(t *testing.T) {
+	src, _ := corpus.Generate(corpus.Spec{Name: "restore", Lines: 2000, Lang: "c", Seed: 1})
+	s := incremental.NewSession(incremental.CSubset(), src)
+	if out := s.Do(context.Background()); !out.Clean {
+		t.Fatalf("initial parse: %v", out.Err)
+	}
+	var buf bytes.Buffer
+	if err := s.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if buf.Len() > len(src)+1<<10 {
+		t.Errorf("snapshot of %d text bytes is %d bytes, want at most the text plus 1 KiB", len(src), buf.Len())
+	}
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if err := s.Snapshot(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / runs
+	if per > uint64(4*len(src)) {
+		t.Errorf("Snapshot allocated %d bytes per call for %d text bytes, want at most 4×", per, len(src))
+	}
+	t.Logf("snapshot: %d bytes for %d text bytes, %d bytes allocated per call", buf.Len(), len(src), per)
 }

@@ -687,7 +687,7 @@ func TestSubtreeOutlineAllocBounded(t *testing.T) {
 	if out := ref.Do(context.Background()); !out.Clean {
 		t.Fatal(out.Err)
 	}
-	off, ln, _ := ref.NodeSpan(ref.Tree())
+	off, ln := 0, len(src)
 	var created sessionJSON
 	if status := doJSON(t, "POST", dataURL(d, "/sessions"),
 		createSessionJSON{Language: "c-subset", Text: src}, &created); status != http.StatusCreated {
@@ -714,9 +714,9 @@ func TestSubtreeOutlineAllocBounded(t *testing.T) {
 	get(body)
 	runtime.ReadMemStats(&after)
 	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
-		t.Errorf("a subtree request for the root's span at 16,000 lines allocated %d bytes, want under 1 MB", n)
+		t.Errorf("a subtree request for the whole text at 16,000 lines allocated %d bytes, want under 1 MB", n)
 	} else {
-		t.Logf("a subtree request for the root's span at 16,000 lines allocated %d bytes", n)
+		t.Logf("a subtree request for the whole text at 16,000 lines allocated %d bytes", n)
 	}
 	var sub subtreeJSON
 	if err := json.Unmarshal(body.Bytes(), &sub); err != nil {
@@ -724,6 +724,44 @@ func TestSubtreeOutlineAllocBounded(t *testing.T) {
 	}
 	if want := capOutline(incremental.FormatDag(lang, ref.Subtree(off, ln))); sub.Outline != want {
 		t.Fatalf("outline of %d bytes differs from the capped reference outline of %d bytes", len(sub.Outline), len(want))
+	}
+}
+
+// TestSubtreeWholeText: offset=0&length=text_len asks for the whole tree
+// even when the text starts or ends in whitespace, which lies outside the
+// root's span; a range in leading whitespace is clamped to the span too,
+// and a range that touches no terminal is still a 404.
+func TestSubtreeWholeText(t *testing.T) {
+	d := testDaemon(t, Config{Bundled: []string{"c-subset"}})
+	lang, _ := incremental.BundledLanguage("c-subset")
+	for _, text := range []string{"int a;\nint b;\n", "\n  int a; int b;"} {
+		lead := len(text) - len(strings.TrimLeft(text, " \n"))
+		trail := len(strings.TrimRight(text, " \n"))
+		ref := incremental.NewSession(lang, text)
+		if out := ref.Do(context.Background()); !out.Clean {
+			t.Fatal(out.Err)
+		}
+		var created sessionJSON
+		if status := doJSON(t, "POST", dataURL(d, "/sessions"),
+			createSessionJSON{Language: "c-subset", Text: text}, &created); status != http.StatusCreated {
+			t.Fatalf("create: status %d", status)
+		}
+		var sub subtreeJSON
+		url := dataURL(d, fmt.Sprintf("/sessions/%s/subtree?offset=0&length=%d", created.ID, len(text)))
+		if status := doJSON(t, "GET", url, nil, &sub); status != http.StatusOK {
+			t.Fatalf("whole-text subtree of %q: status %d, want 200", text, status)
+		}
+		if want := incremental.FormatDag(lang, ref.Subtree(lead, trail-lead)); sub.Offset != lead || sub.Length != trail-lead || sub.Outline != want {
+			t.Fatalf("whole-text subtree of %q: [%d,+%d)\n%s\nwant [%d,+%d)\n%s", text, sub.Offset, sub.Length, sub.Outline, lead, trail-lead, want)
+		}
+		url = dataURL(d, fmt.Sprintf("/sessions/%s/subtree?offset=0&length=%d", created.ID, lead+1))
+		if status := doJSON(t, "GET", url, nil, &sub); status != http.StatusOK || sub.Offset != lead {
+			t.Fatalf("subtree from leading whitespace into %q: status %d, offset %d, want 200 at %d", text, status, sub.Offset, lead)
+		}
+		url = dataURL(d, fmt.Sprintf("/sessions/%s/subtree?offset=%d&length=%d", created.ID, trail, len(text)-trail))
+		if status := doJSON(t, "GET", url, nil, nil); trail < len(text) && status != http.StatusNotFound {
+			t.Fatalf("subtree of the trailing whitespace of %q: status %d, want 404", text, status)
+		}
 	}
 }
 

@@ -195,11 +195,16 @@ type sessPersist struct {
 	broken bool
 }
 
-// sessionMetaJSON is the immutable per-session metadata record.
+// sessionMetaJSON is the immutable per-session metadata record. Budget is
+// the budget the session was admitted under — its tenant's, or the
+// pressure budget — which a restore keeps, as a live session does: the
+// restore reparses the snapshot's text, and only the budget that parsed it
+// prunes the same ambiguous regions.
 type sessionMetaJSON struct {
-	Language string `json:"language"`
-	Tenant   string `json:"tenant,omitempty"`
-	Tolerant bool   `json:"tolerant,omitempty"`
+	Language string             `json:"language"`
+	Tenant   string             `json:"tenant,omitempty"`
+	Tolerant bool               `json:"tolerant,omitempty"`
+	Budget   incremental.Budget `json:"budget"`
 }
 
 // persistFault consults the fault-injection plan for the persistence
@@ -252,6 +257,7 @@ func (d *Daemon) persistAfterParse(sess *session) {
 		sess.p = &sessPersist{store: d.persist}
 		meta, err := json.Marshal(sessionMetaJSON{
 			Language: sess.langName, Tenant: sess.tenant, Tolerant: sess.tolerant,
+			Budget: sess.s.BudgetLimits(),
 		})
 		if err == nil {
 			err = d.persist.writeFileAtomic(d.persist.metaPath(sess.id), meta, true)
@@ -450,9 +456,8 @@ func (d *Daemon) restoreSession(id string) (sess *session, ok, shed bool) {
 		d.restoreFailed(id, "snapshot", err)
 		return nil, false, false
 	}
-	ten := sn.tenant(meta.Tenant)
 	s, tag, err := incremental.RestoreSessionTagged(bytes.NewReader(snapRaw), lang,
-		incremental.WithBudget(ten.Budget))
+		incremental.WithBudget(meta.Budget))
 	if err != nil {
 		d.restoreFailed(id, "snapshot decode", err)
 		return nil, false, false

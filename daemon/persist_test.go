@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"net/http"
 	"os"
@@ -212,9 +213,10 @@ func TestPersistTornJournal(t *testing.T) {
 	editOnce(t, d2, created.ID, editJSON{Offset: 0, Remove: 1, Insert: "8"})
 }
 
-// TestPersistCorruptSnapshot: an unusable snapshot artifact degrades to a
-// 404 — the daemon neither fails nor serves a wrong tree — and the
-// artifacts are removed so the corruption is never retried.
+// TestPersistCorruptSnapshot: an unusable snapshot artifact — corrupt, or
+// written by another format version — degrades to a 404: the daemon
+// neither fails nor serves a wrong tree, and the artifacts are removed so
+// the failure is never retried.
 func TestPersistCorruptSnapshot(t *testing.T) {
 	for name, corrupt := range map[string]func(t *testing.T, path string){
 		"bitflip": func(t *testing.T, path string) {
@@ -229,6 +231,20 @@ func TestPersistCorruptSnapshot(t *testing.T) {
 		},
 		"truncated": func(t *testing.T, path string) {
 			if err := os.Truncate(path, 10); err != nil {
+				t.Fatal(err)
+			}
+		},
+		// A well-formed artifact of format version 2, which held the token
+		// stream and node table, resealed behind a valid checksum.
+		"version2": func(t *testing.T, path string) {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body := data[:len(data)-sha256.Size]
+			body[len("CCSS")] = 2 // the single-byte uvarint format version
+			sum := sha256.Sum256(body)
+			if err := os.WriteFile(path, append(body, sum[:]...), 0o644); err != nil {
 				t.Fatal(err)
 			}
 		},

@@ -347,7 +347,9 @@ func (n *Node) String() string {
 // CollectErrors returns the KindError nodes reachable from root, leftmost
 // first (preorder), and the number of nodes it visited. It descends only
 // into subtrees whose HasError summary is set, so a clean tree costs one
-// visit and k error nodes cost O(k·depth). A nil root yields nil.
+// visit and k error nodes cost O(k·depth). Its visited set holds only the
+// nodes it enters, so its memory follows the walk, not the arena's size. A
+// nil root yields nil.
 func CollectErrors(root *Node) (errs []*Node, visited int) {
 	if root == nil {
 		return nil, 0
@@ -355,14 +357,14 @@ func CollectErrors(root *Node) (errs []*Node, visited int) {
 	if !root.HasError {
 		return nil, 1
 	}
-	s := AcquireScratch()
-	defer ReleaseScratch(s)
+	seen := make(map[*Node]bool)
 	var collect func(n *Node)
 	collect = func(n *Node) {
 		visited++
-		if !n.HasError || !s.Visit(n) {
+		if !n.HasError || seen[n] {
 			return
 		}
+		seen[n] = true
 		if n.Kind == KindError {
 			errs = append(errs, n)
 		}

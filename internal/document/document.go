@@ -32,16 +32,15 @@ type Document struct {
 	// runs is the token stream in bounded runs (runs.go), each with its
 	// tokens and their significant terminals.
 	runs []run
-	// toks and terms are the arrays the scan (or a restore) filled, with
-	// the runs as their capacity-capped windows: Terminals returns terms
-	// while the runs still window it in order, and ReleaseBuffers donates
-	// both.
+	// toks and terms are the arrays the scan filled, with the runs as
+	// their capacity-capped windows: Terminals returns terms while the
+	// runs still window it in order, and ReleaseBuffers donates both.
 	toks  []lexer.Token
 	terms []*dag.Node
 
 	// maxLook bounds every token's Lookahead — how far back from an edit
-	// the relex must look for affected tokens. Set at scan and restore,
-	// raised by fresh tokens, never lowered.
+	// the relex must look for affected tokens. Set at scan, raised by
+	// fresh tokens, never lowered.
 	maxLook int
 
 	root *dag.Node // last committed parse root; nil before first parse
@@ -116,7 +115,7 @@ func New(spec *lexer.Spec, g *grammar.Grammar, mapTok TokenMapper, initial strin
 func NewOpts(spec *lexer.Spec, g *grammar.Grammar, mapTok TokenMapper, initial string, opts Options) *Document {
 	d := &Document{spec: spec, g: g, mapTok: mapTok, buf: text.NewBuffer(initial), arena: dag.NewArena()}
 	d.eof = d.arena.Terminal(grammar.EOF, "")
-	d.adopt(spec.ScanInto(initial, opts.Toks), opts.Terms, true)
+	d.adopt(spec.ScanInto(initial, opts.Toks), opts.Terms)
 	return d
 }
 
@@ -178,10 +177,10 @@ func (d *Document) Root() *dag.Node { return d.root }
 func (d *Document) Grammar() *grammar.Grammar { return d.g }
 
 // Tokens returns the current full token stream (including skip tokens)
-// with absolute offsets, flattened from the runs: a linear pass for batch
-// consumers (snapshots, tests), never on the edit path. The slice is owned
-// by the document and overwritten by the next edit or Tokens call, so
-// callers that need it longer must copy.
+// with absolute offsets, flattened from the runs: a linear pass for tests
+// that compare streams, never on the edit path. The slice is owned by the
+// document and overwritten by the next edit or Tokens call, so callers
+// that need it longer must copy.
 func (d *Document) Tokens() []lexer.Token {
 	d.scratchToks = d.appendToks(d.scratchToks[:0], 0, d.numToks(), 0, 0)
 	return d.scratchToks
@@ -476,15 +475,28 @@ func (d *Document) NodeSpan(n *dag.Node) (off, length int, ok bool) {
 	return off, end - off, true
 }
 
-// firstTerm returns the index of n's first terminal in the token stream,
-// read off the committed tree: the terminal counts of the kids left of the
-// node at each step of n's parent chain, summed (a choice parent adds 0:
-// its alternatives share one yield). ok is false while edits are pending,
-// or when the chain does not reach the committed root through parents
-// that each hold the node below them as a kid — a node of an older tree,
-// or a shared node whose recorded parent has left the tree.
+// firstTerm returns the index of n's first terminal in the token stream:
+// TreeIndex, which holds for the current stream only while no edit is
+// pending.
 func (d *Document) firstTerm(n *dag.Node) (i int, ok bool) {
-	if d.edited || d.root == nil {
+	if d.edited {
+		return 0, false
+	}
+	i, ok = d.TreeIndex(n)
+	return i, ok && i+int(n.TermCount) <= d.numTerms()
+}
+
+// TreeIndex returns the index of n's first terminal in the committed
+// tree's yield, read off the tree: the terminal counts of the kids left of
+// the node at each step of n's parent chain, summed (a choice parent adds
+// 0: its alternatives share one yield). Edits mark the committed tree but
+// never reshape it, so the index holds while edits are pending — as an
+// index into the committed stream. ok is false when the chain does not
+// reach the committed root through parents that each hold the node below
+// them as a kid — a node of an older tree, or a shared node whose recorded
+// parent has left the tree.
+func (d *Document) TreeIndex(n *dag.Node) (i int, ok bool) {
+	if d.root == nil {
 		return 0, false
 	}
 	for c := n; c != d.root; c = c.Parent {
@@ -507,7 +519,7 @@ func (d *Document) firstTerm(n *dag.Node) (i int, ok bool) {
 			return 0, false
 		}
 	}
-	return i, i+int(n.TermCount) <= d.numTerms()
+	return i, true
 }
 
 // termBytes returns the byte span of significant terminal i, for

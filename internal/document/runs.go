@@ -47,14 +47,11 @@ type run struct {
 // adopt installs a whole token stream with absolute offsets as the
 // document's runs: capacity-capped windows of scanRun tokens. One pass
 // rewrites each token's offset relative to its run, derives the error
-// count and the lookahead bound, and, when build is set, creates the
-// significant tokens' terminals into terms[:0]; otherwise terms holds
-// them already. The arrays become the document's own (ReleaseBuffers
-// donates them).
-func (d *Document) adopt(toks []lexer.Token, terms []*dag.Node, build bool) {
-	if build {
-		terms = terms[:0]
-	}
+// count and the lookahead bound, and creates the significant tokens'
+// terminals into terms[:0]. The arrays become the document's own
+// (ReleaseBuffers donates them).
+func (d *Document) adopt(toks []lexer.Token, terms []*dag.Node) {
+	terms = terms[:0]
 	d.runs = make([]run, 0, (len(toks)+scanRun-1)/scanRun)
 	d.LexErrorCount, d.maxLook = 0, 0
 	term := 0
@@ -64,9 +61,7 @@ func (d *Document) adopt(toks []lexer.Token, terms []*dag.Node, build bool) {
 		for k := range r.toks {
 			t := &r.toks[k]
 			if !t.Skip {
-				if build {
-					terms = append(terms, d.newTerminal(*t))
-				}
+				terms = append(terms, d.newTerminal(*t))
 				term++
 			}
 			if t.Type == lexer.ErrorType {

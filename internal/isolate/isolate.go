@@ -25,11 +25,16 @@
 // structure bounds the gap, or after a fixed number of attempts.
 // Infrastructure failures — budget trips, context cancellation — are never
 // treated as syntax damage; they propagate unchanged.
+//
+// A restored session snapshot recorded where its regions ended up, so
+// Requarantine runs the second move alone: one masked parse with exactly
+// those regions and their splice, failing rather than growing a region.
 package isolate
 
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sort"
 
 	"iglr/internal/dag"
@@ -83,15 +88,8 @@ func Reparse(ctx context.Context, d *document.Document, p *iglr.Parser) (Result,
 		return Result{}, ErrUnbounded
 	}
 	g := d.Grammar()
-	// idx maps each present terminal to its index, in a node-ID table:
-	// terminals no longer in the document (and nodes the masked parses
-	// build) have no entry.
-	idx := dag.AcquireScratch()
-	defer dag.ReleaseScratch(idx)
-	for i, t := range terms {
-		idx.SetValue(t, i)
-	}
-	s := &splicer{a: d.Arena(), g: g, seq: dag.NewSeqBuilder(d.Arena(), g), idx: idx}
+	s := newSplicer(d, terms)
+	defer dag.ReleaseScratch(s.idx)
 
 	var regions []region
 	creep := 0
@@ -103,11 +101,6 @@ func Reparse(ctx context.Context, d *document.Document, p *iglr.Parser) (Result,
 				return Result{}, serr
 			}
 			if expand == nil {
-				for _, r := range res.Regions {
-					if r.Lo > 0 {
-						unstampBefore(res.Root, 0, r.Lo-1)
-					}
-				}
 				res.Attempts = attempt
 				return res, nil
 			}
@@ -143,7 +136,7 @@ func Reparse(ctx context.Context, d *document.Document, p *iglr.Parser) (Result,
 		// region to the next enclosing sequence element re-aligns it with
 		// the grammar instead of creeping across healthy neighbors.
 		if adj := adjacentRegion(regions, anchor); adj >= 0 {
-			if lo, hi, ok := escalate(g, idx, terms, regions[adj]); ok {
+			if lo, hi, ok := escalate(g, s.idx, terms, regions[adj]); ok {
 				regions = merge(regions, region{lo: lo, hi: hi})
 				if unbounded(regions, len(terms)) {
 					return Result{}, ErrUnbounded
@@ -151,7 +144,7 @@ func Reparse(ctx context.Context, d *document.Document, p *iglr.Parser) (Result,
 				continue
 			}
 		}
-		next := failureRegion(g, idx, terms[anchor], anchor)
+		next := failureRegion(g, s.idx, terms[anchor], anchor)
 		// Panic-mode fallback: when the failure point has no committed
 		// element structure and creeps forward token by token just past an
 		// existing region, grow that region backward exponentially so a
@@ -176,6 +169,53 @@ func Reparse(ctx context.Context, d *document.Document, p *iglr.Parser) (Result,
 		}
 	}
 	return Result{}, ErrUnbounded
+}
+
+// Quarantine is an error region as a snapshot records it: the significant
+// terminals [Lo, Hi) its error node holds and the expected set the node
+// reports.
+type Quarantine struct {
+	Lo, Hi   int
+	Expected []string
+}
+
+// Requarantine rebuilds a committed tree's error regions over the
+// document's current state: one parse through a mask of exactly the given
+// regions (sorted, disjoint and not touching, as Reparse leaves them),
+// then Reparse's splice of one error node per region. Where Reparse would
+// grow a region — the parse fails, or a region no longer splices at a
+// sequence boundary — Requarantine fails instead, so the tree it returns
+// holds exactly the regions it was given. The parser's Budget applies; a
+// nil ctx disables cancellation polls.
+func Requarantine(ctx context.Context, d *document.Document, p *iglr.Parser, qs []Quarantine) (Result, error) {
+	terms := d.Terminals()
+	regions := make([]region, len(qs))
+	end := -1
+	for i, q := range qs {
+		if q.Lo <= end || q.Hi <= q.Lo || q.Hi > len(terms) {
+			return Result{}, fmt.Errorf("isolate: region [%d,%d) out of order or outside %d terminals", q.Lo, q.Hi, len(terms))
+		}
+		end = q.Hi
+		regions[i] = region{lo: q.Lo, hi: q.Hi, expected: q.Expected}
+	}
+	if unbounded(regions, len(terms)) {
+		return Result{}, ErrUnbounded
+	}
+	root, err := p.ParseContext(ctx, d.MaskedStream(mask(regions)))
+	if err != nil {
+		return Result{}, err
+	}
+	s := newSplicer(d, terms)
+	defer dag.ReleaseScratch(s.idx)
+	res, expand, err := s.spliceAll(root, terms, regions)
+	if err == nil && expand != nil {
+		err = fmt.Errorf("isolate: a region would grow to [%d,%d)", expand.lo, expand.hi)
+	}
+	if err != nil {
+		return Result{}, err
+	}
+	res.Attempts = 1
+	return res, nil
 }
 
 // unstampBefore stamps NoState on every node under n (whose yield starts

@@ -18,12 +18,25 @@ type splicer struct {
 	idx *dag.Scratch // document terminal -> index
 }
 
+// newSplicer returns a splicer over the document's arena whose index maps
+// each of terms to its position, in a node-ID table: terminals no longer in
+// the document (and nodes the masked parses build) have no entry. The
+// caller releases the index with dag.ReleaseScratch.
+func newSplicer(d *document.Document, terms []*dag.Node) *splicer {
+	idx := dag.AcquireScratch()
+	for i, t := range terms {
+		idx.SetValue(t, i)
+	}
+	return &splicer{a: d.Arena(), g: d.Grammar(), seq: dag.NewSeqBuilder(d.Arena(), d.Grammar()), idx: idx}
+}
+
 // expandReq asks the isolation loop to absorb the document-terminal span
 // [lo, hi): the quarantine gap fell strictly inside a sequence element, so
 // the whole element must join the region before splicing can succeed.
 type expandReq struct{ lo, hi int }
 
-// spliceAll inserts one error node per region into root, left to right.
+// spliceAll inserts one error node per region into root, left to right,
+// then unstamps the structure before each region (unstampBefore).
 // Splicing ascending keeps every region's gap position equal to its Lo in
 // the evolving tree's terminal coordinates: all terminals before an
 // unspliced region are present (earlier regions were just re-inserted) and
@@ -47,6 +60,11 @@ func (s *splicer) spliceAll(root *dag.Node, terms []*dag.Node, regions []region)
 		res.Root = nr
 		res.Errors = append(res.Errors, errNode)
 		res.Regions = append(res.Regions, document.Region{Lo: r.lo, Hi: r.hi})
+	}
+	for _, r := range res.Regions {
+		if r.Lo > 0 {
+			unstampBefore(res.Root, 0, r.Lo-1)
+		}
 	}
 	return res, nil, nil
 }

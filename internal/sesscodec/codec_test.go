@@ -21,6 +21,12 @@ import (
 // snapshot with tag.
 func artifact(t *testing.T, lang *incremental.Language, src string, edits [][3]string, pending bool, tolerant bool, tag uint64) []byte {
 	t.Helper()
+	return sessionArtifact(t, buildSession(t, lang, src, edits, pending, tolerant), tag)
+}
+
+// buildSession parses src, then applies the edits as artifact describes.
+func buildSession(t *testing.T, lang *incremental.Language, src string, edits [][3]string, pending bool, tolerant bool) *incremental.Session {
+	t.Helper()
 	s := incremental.NewSession(lang, src)
 	var opts []incremental.ParseOption
 	if tolerant {
@@ -39,6 +45,12 @@ func artifact(t *testing.T, lang *incremental.Language, src string, edits [][3]s
 			s.Do(nil, opts...)
 		}
 	}
+	return s
+}
+
+// sessionArtifact snapshots s with tag.
+func sessionArtifact(t *testing.T, s *incremental.Session, tag uint64) []byte {
+	t.Helper()
 	var buf bytes.Buffer
 	if err := s.SnapshotTagged(&buf, tag); err != nil {
 		t.Fatalf("snapshot: %v", err)
@@ -46,29 +58,50 @@ func artifact(t *testing.T, lang *incremental.Language, src string, edits [][3]s
 	return buf.Bytes()
 }
 
-// reencode re-serializes a restored document, which must reproduce the
+// reencode re-serializes a decoded state, which must reproduce the
 // artifact it was decoded from — the codec has one canonical encoding per
 // session state.
-func reencode(t *testing.T, res *sesscodec.Restored, def *langs.Language) []byte {
+func reencode(st *sesscodec.State, def *langs.Language) []byte {
+	st.Lang = def
+	return sesscodec.Encode(*st)
+}
+
+// checkAccepted holds an artifact the decoder accepted to the codec's
+// contract: it re-encodes to the same bytes, and restoring it never
+// panics; a restored session snapshots to an artifact that restores the
+// same text and tree again.
+func checkAccepted(t *testing.T, data []byte, st *sesscodec.State, pub *incremental.Language, def *langs.Language) {
 	t.Helper()
-	text, toks, pending, err := res.Doc.CommittedState()
-	if err != nil {
-		t.Fatalf("committed state: %v", err)
+	if got := reencode(st, def); !bytes.Equal(got, data) {
+		t.Fatalf("not canonical: re-encode %d bytes vs original %d", len(got), len(data))
 	}
-	data, err := sesscodec.Encode(sesscodec.State{
-		Lang: def, Text: text, Toks: toks, Root: res.Doc.Root(),
-		Pending: pending, Tag: res.Tag,
-	})
+	s, tag, err := incremental.RestoreSessionTagged(bytes.NewReader(data), pub)
 	if err != nil {
-		t.Fatalf("re-encode: %v", err)
+		return
 	}
-	return data
+	again, _, err := incremental.RestoreSessionTagged(bytes.NewReader(sessionArtifact(t, s, tag)), pub)
+	if err != nil {
+		t.Fatalf("restoring a restored session's snapshot failed: %v", err)
+	}
+	if again.Text() != s.Text() {
+		t.Fatal("re-restore changed text")
+	}
+	r1, r2 := s.Tree(), again.Tree()
+	if (r1 == nil) != (r2 == nil) {
+		t.Fatal("re-restore changed root presence")
+	}
+	if r1 != nil && dag.Format(def.Grammar, r1) != dag.Format(def.Grammar, r2) {
+		t.Fatal("re-restore changed tree")
+	}
 }
 
 func exprPub() (*incremental.Language, *langs.Language) {
 	return incremental.ExprLanguage(), expr.Lang()
 }
 
+// TestRoundTripCanonical: a snapshot decodes to a state that re-encodes
+// to the same bytes, and a session restored from it snapshots to the same
+// bytes again.
 func TestRoundTripCanonical(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -78,6 +111,9 @@ func TestRoundTripCanonical(t *testing.T) {
 		edits    [][3]string
 		pending  bool
 		tolerant bool
+		resolve  bool
+		regions  int
+		choices  int
 	}{
 		{name: "expr-clean", src: "a + b * (c - 42) / d"},
 		{name: "expr-edited", src: "a + b * c", edits: [][3]string{{"b", "b", "bb"}, {"c", "c", "(c - 42)"}}},
@@ -86,11 +122,16 @@ func TestRoundTripCanonical(t *testing.T) {
 			name: "csub-error-nodes", pub: incremental.CSubset(), def: csub.Lang(),
 			src:      "typedef int T; T x; x = f(x, 1) + 2; return x + 1;",
 			edits:    [][3]string{{"x = f", "", "@#! "}},
-			tolerant: true,
+			tolerant: true, regions: 1,
 		},
 		{
 			name: "mod2-det", pub: incremental.Modula2Subset(), def: mod2sub.Lang(),
 			src: "MODULE M; VAR x: INTEGER; BEGIN x := 1 END M.",
+		},
+		{
+			name: "csub-resolved", pub: incremental.CSubset(), def: csub.Lang(),
+			src:     "typedef int T; T(x); int y; y(z);",
+			resolve: true, choices: 2,
 		},
 	}
 	for _, tc := range cases {
@@ -98,16 +139,28 @@ func TestRoundTripCanonical(t *testing.T) {
 			if tc.pub == nil {
 				tc.pub, tc.def = exprPub()
 			}
-			data := artifact(t, tc.pub, tc.src, tc.edits, tc.pending, tc.tolerant, 7)
-			res, err := sesscodec.Decode(data, tc.def)
+			s := buildSession(t, tc.pub, tc.src, tc.edits, tc.pending, tc.tolerant)
+			if tc.resolve {
+				s.Resolve()
+			}
+			data := sessionArtifact(t, s, 7)
+			st, err := sesscodec.Decode(data, tc.def)
 			if err != nil {
 				t.Fatalf("decode: %v", err)
 			}
-			if res.Tag != 7 {
-				t.Fatalf("tag: got %d", res.Tag)
+			if st.Tag != 7 || len(st.Regions) != tc.regions || len(st.Choices) != tc.choices {
+				t.Fatalf("decoded tag %d, %d region(s), %d choice(s); want 7, %d, %d",
+					st.Tag, len(st.Regions), len(st.Choices), tc.regions, tc.choices)
 			}
-			if got := reencode(t, res, tc.def); !bytes.Equal(got, data) {
+			if got := reencode(st, tc.def); !bytes.Equal(got, data) {
 				t.Fatalf("not canonical: re-encode %d bytes vs original %d", len(got), len(data))
+			}
+			twin, tag, err := incremental.RestoreSessionTagged(bytes.NewReader(data), tc.pub)
+			if err != nil {
+				t.Fatalf("restore: %v", err)
+			}
+			if got := sessionArtifact(t, twin, tag); !bytes.Equal(got, data) {
+				t.Fatalf("restored session snapshots to %d bytes, not the %d it was restored from", len(got), len(data))
 			}
 		})
 	}
@@ -173,6 +226,21 @@ func TestDecodeRejectsV1Snapshot(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsV2Snapshot: version 2 stored the token stream and the
+// whole node table instead of the text's history residue; such a snapshot
+// must fall back to a reparse.
+func TestDecodeRejectsV2Snapshot(t *testing.T) {
+	pub, def := exprPub()
+	data := append([]byte(nil), artifact(t, pub, "a + b", nil, false, false, 0)...)
+	data[len(sesscodec.Magic)] = 2 // single-byte uvarint
+	if _, err := sesscodec.Decode(resign(data), def); !errors.Is(err, sesscodec.ErrVersion) {
+		t.Fatalf("want ErrVersion for a version 2 snapshot, got %v", err)
+	}
+	if _, err := incremental.RestoreSession(bytes.NewReader(resign(data)), pub); !errors.Is(err, incremental.ErrSnapshotVersion) {
+		t.Fatalf("want ErrSnapshotVersion from RestoreSession, got %v", err)
+	}
+}
+
 func TestDecodeRejectsForeignLanguage(t *testing.T) {
 	pub, _ := exprPub()
 	data := artifact(t, pub, "a + b", nil, false, false, 0)
@@ -185,23 +253,25 @@ func TestDecodeRejectsForeignLanguage(t *testing.T) {
 // checksum must not get a malformed body past the structural validators —
 // the daemon treats artifacts as untrusted input.
 func TestDecodeRejectsResignedCorruption(t *testing.T) {
-	pub, def := exprPub()
-	data := artifact(t, pub, "a + b * (c - 42) / d", nil, false, false, 0)
+	pub, def := incremental.CSubset(), csub.Lang()
+	data := artifact(t, pub, "typedef int T; T x; x = f(x, 1) + 2; return x + 1;",
+		[][3]string{{"x = f", "", "@#! "}}, false, true, 0)
 	body := len(data) - sha256.Size
 	rejected := 0
 	for pos := len(sesscodec.Magic) + 1 + sha256.Size; pos < body; pos++ {
 		for _, flip := range []byte{0x01, 0x80} {
 			mut := append([]byte(nil), data...)
 			mut[pos] ^= flip
-			res, err := sesscodec.Decode(resign(mut), def)
+			mut = resign(mut)
+			st, err := sesscodec.Decode(mut, def)
 			if err != nil {
 				rejected++
 				continue
 			}
-			// A mutation the decoder accepts must still restore a
-			// structurally coherent document (never a panic, never an
-			// inconsistent tree): re-encoding it must succeed.
-			reencode(t, res, def)
+			// A mutation the decoder accepts must still be canonical and
+			// restore coherently (never a panic, never an inconsistent
+			// tree).
+			checkAccepted(t, mut, st, pub, def)
 		}
 	}
 	if rejected == 0 {
@@ -294,7 +364,7 @@ func TestJournalEmpty(t *testing.T) {
 
 // FuzzSessCodecRoundTrip throws arbitrary bytes at the snapshot decoder:
 // it must never panic, and anything it accepts must re-encode canonically
-// and restore to a coherent document.
+// and restore to a coherent session (checkAccepted).
 func FuzzSessCodecRoundTrip(f *testing.F) {
 	exprPubL, exprDef := exprPub()
 	tt := &testing.T{}
@@ -302,34 +372,23 @@ func FuzzSessCodecRoundTrip(f *testing.F) {
 	f.Add(artifact(tt, exprPubL, "a + b * c", [][3]string{{"b", "b", "zz"}}, true, false, 3))
 	f.Add(artifact(tt, incremental.CSubset(), "typedef int T; T x; x = f(x, 1) + 2; return x + 1;",
 		[][3]string{{"x = f", "", "@#! "}}, false, true, 1))
+	resolved := buildSession(tt, incremental.CSubset(), "typedef int T; T(x); int y; y(z);", nil, false, false)
+	resolved.Resolve()
+	f.Add(sessionArtifact(tt, resolved, 2))
 	if tt.Failed() {
 		f.Fatal("seed construction failed")
 	}
-	defs := []*langs.Language{exprDef, csub.Lang()}
+	targets := []struct {
+		pub *incremental.Language
+		def *langs.Language
+	}{{exprPubL, exprDef}, {incremental.CSubset(), csub.Lang()}}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, def := range defs {
-			res, err := sesscodec.Decode(data, def)
+		for _, l := range targets {
+			st, err := sesscodec.Decode(data, l.def)
 			if err != nil {
 				continue
 			}
-			// Accepted: the restored document must be coherent enough to
-			// re-encode, and the re-encoding must round-trip to the same
-			// text, tree, and pending set.
-			enc := reencode(t, res, def)
-			res2, err := sesscodec.Decode(enc, def)
-			if err != nil {
-				t.Fatalf("re-decode failed: %v", err)
-			}
-			if res2.Doc.Text() != res.Doc.Text() {
-				t.Fatal("re-decode changed text")
-			}
-			r1, r2 := res.Doc.Root(), res2.Doc.Root()
-			if (r1 == nil) != (r2 == nil) {
-				t.Fatal("re-decode changed root presence")
-			}
-			if r1 != nil && dag.Format(def.Grammar, r1) != dag.Format(def.Grammar, r2) {
-				t.Fatal("re-decode changed tree")
-			}
+			checkAccepted(t, data, st, l.pub, l.def)
 		}
 	})
 }

@@ -149,10 +149,13 @@ func (s *Session) NodeSpan(n *Node) (offset, length int, ok bool) {
 
 // Subtree returns the smallest node in the committed tree whose span
 // covers [offset, offset+length), descending through choice nodes via
-// their first unfiltered alternative. It returns the root when no smaller
-// node covers the range, and nil before the first successful Do (or when
-// the range lies outside every node's span). The returned node is owned by
-// the session's tree and must not be mutated.
+// their first unfiltered alternative. A range that reaches past the root's
+// span — into leading or trailing whitespace, or off the text — is first
+// clamped to it, so [0, Len()) asks for the whole tree. It returns the
+// root when no smaller node covers the range, and nil before the first
+// successful Do (or when the range touches no terminal: it lies wholly
+// outside the root's span). The returned node is owned by the session's
+// tree and must not be mutated.
 //
 // Cost: with no edit pending since the last Do, the range becomes a window
 // of terminal indices once (two binary searches over the token runs'
@@ -172,7 +175,18 @@ func (s *Session) Subtree(offset, length int) *Node {
 		return s.subtreeScan(root, offset, length)
 	}
 	if a < 0 || b >= int(root.TermCount) {
-		return nil
+		// The range reaches past the root's span, into leading or trailing
+		// whitespace or off the text: clamp it to the span, as a read of
+		// the whole text asks.
+		off, ln, ok := s.doc.NodeSpan(root)
+		s.readWork += s.doc.LastReadWork
+		lo, hi := max(offset, off), min(offset+length, off+ln)
+		if !ok || hi <= lo {
+			return nil
+		}
+		offset, length = lo, hi-lo
+		a, b, _ = s.doc.TermWindow(offset, offset+length)
+		s.readWork += s.doc.LastReadWork
 	}
 	if length < 1 {
 		_, b, _ = s.doc.TermWindow(offset, offset+1)
@@ -218,8 +232,15 @@ descend:
 func (s *Session) subtreeScan(n *Node, offset, length int) *Node {
 	off, ln, ok := s.doc.ScanSpan(n)
 	s.readWork += s.doc.LastReadWork
-	if !ok || offset < off || offset+length > off+ln {
+	if !ok {
 		return nil
+	}
+	if offset < off || offset+length > off+ln {
+		lo, hi := max(offset, off), min(offset+length, off+ln)
+		if hi <= lo {
+			return nil
+		}
+		offset, length = lo, hi-lo
 	}
 	if length < 1 {
 		length = 1

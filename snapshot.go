@@ -1,26 +1,33 @@
 package incremental
 
 import (
+	"fmt"
 	"io"
+	"slices"
 
-	"iglr/internal/iglr"
+	"iglr/internal/dag"
+	"iglr/internal/isolate"
 	"iglr/internal/sesscodec"
 )
 
-// Session persistence: Snapshot serializes a session's document state —
-// committed text, token stream, parse dag, and pending edits — as a
-// versioned, checksummed .ccsess artifact, and RestoreSession rebuilds a
-// session from one without lexing or parsing. The restored session is
-// behaviorally identical to the original: same committed tree (byte-
-// identical FormatDag), same Diagnostics, and the same outcome for any
-// subsequent edit sequence. See DESIGN.md, "Durability & crash recovery".
+// Session persistence: Snapshot serializes what a parse of a session's
+// text cannot recompute — the committed text, the pending edits, and the
+// committed tree's history residue (isolated error regions, and the choice
+// nodes a semantic filter marked or the ambiguity budget pruned) — as a
+// versioned, checksummed .ccsess artifact. RestoreSession reparses the
+// committed text and re-applies the residue. A cold parse commits the same
+// tree an incremental one does (the incremental ≡ batch oracles), so the
+// restored session is behaviorally identical to the original: same
+// committed tree (byte-identical FormatDag), same Diagnostics, and the
+// same outcome for any subsequent edit sequence. See DESIGN.md,
+// "Durability & crash recovery".
 
 // Sentinel restore failures, aliasing the sesscodec package's. All of them
 // mean the artifact is unusable and the caller should parse from source;
 // they are distinguished so services can count why.
 var (
 	// ErrSnapshotCorrupt reports a truncated, bit-flipped, or non-snapshot
-	// input.
+	// input, or one whose committed tree a parse does not reproduce.
 	ErrSnapshotCorrupt = sesscodec.ErrCorrupt
 	// ErrSnapshotVersion reports a snapshot written by an incompatible
 	// format version.
@@ -38,6 +45,13 @@ const SnapshotExt = sesscodec.FileExt
 // edits are included and survive the round trip. Snapshot fails — writing
 // nothing — if the session state cannot be captured consistently; callers
 // treat that as "session not persistable" and keep it live.
+//
+// The artifact holds the text, not the tree: its size is the committed
+// text's plus the edits' and a few bytes per error region and marked
+// choice, and taking it costs one walk of the committed tree. A dag that
+// ApplyFilter rewrote is the caller's, not the session's: the session
+// never learns of the rewrite, so a restored twin holds the unfiltered
+// parse, and applying the same filter to it gives the filtered dag again.
 func (s *Session) Snapshot(w io.Writer) error { return s.SnapshotTagged(w, 0) }
 
 // SnapshotTagged is Snapshot with an opaque sequence tag stored in the
@@ -55,24 +69,93 @@ func (s *Session) SnapshotTagged(w io.Writer, tag uint64) error {
 }
 
 func (s *Session) marshalSnapshot(tag uint64) ([]byte, error) {
-	committed, toks, pending, err := s.doc.CommittedState()
+	committed, pending, err := s.doc.CommittedState()
 	if err != nil {
 		return nil, err
 	}
-	return sesscodec.Encode(sesscodec.State{
-		Lang:    s.lang.def,
-		Text:    committed,
-		Toks:    toks,
-		Root:    s.doc.Root(),
-		Pending: pending,
-		Tag:     tag,
-	})
+	st := sesscodec.State{Lang: s.lang.def, Text: committed, Pending: pending, Tag: tag}
+	if root := s.doc.Root(); root != nil {
+		st.HasTree = true
+		errs, _ := dag.CollectErrors(root)
+		for _, n := range errs {
+			i, ok := s.doc.TreeIndex(n)
+			if !ok {
+				return nil, fmt.Errorf("incremental: snapshot: an error region is not in the committed tree")
+			}
+			r := isolate.Quarantine{Lo: i, Hi: i + int(n.TermCount)}
+			if n.Err != nil {
+				r.Expected = n.Err.Expected
+			}
+			st.Regions = append(st.Regions, r)
+		}
+		for _, c := range choiceSites(root) {
+			var marks []int
+			for i, alt := range c.n.Kids {
+				if alt.Filtered {
+					marks = append(marks, i)
+				}
+			}
+			if marks != nil || c.n.BudgetPruned {
+				st.Choices = append(st.Choices, sesscodec.Choice{ChoiceKey: c.key, Pruned: c.n.BudgetPruned, Filtered: marks})
+			}
+		}
+		slices.SortFunc(st.Choices, func(a, b sesscodec.Choice) int { return sesscodec.CompareKeys(a.ChoiceKey, b.ChoiceKey) })
+	}
+	return sesscodec.Encode(st), nil
+}
+
+// choiceSite is a choice node of a committed tree with its key.
+type choiceSite struct {
+	n   *Node
+	key sesscodec.ChoiceKey
+}
+
+// choiceSites returns the choice nodes reachable from root, each once, in
+// preorder with every alternative visited, keyed by terminal span, symbol
+// and occurrence (sesscodec.ChoiceKey). The walk visits every node, but it
+// allocates only for the choices it finds.
+func choiceSites(root *Node) []choiceSite {
+	var sites []choiceSite
+	var seen map[*Node]bool
+	var walk func(n *Node, base int)
+	walk = func(n *Node, base int) {
+		if n.Kind == dag.KindChoice {
+			if seen[n] {
+				return
+			}
+			if seen == nil {
+				seen = make(map[*Node]bool)
+			}
+			seen[n] = true
+			sites = append(sites, choiceSite{n: n, key: sesscodec.ChoiceKey{First: base, Count: int(n.TermCount), Sym: n.Sym}})
+			for _, alt := range n.Kids {
+				walk(alt, base)
+			}
+			return
+		}
+		for _, k := range n.Kids {
+			walk(k, base)
+			base += int(k.TermCount)
+		}
+	}
+	walk(root, 0)
+	if len(sites) > 1 {
+		occ := make(map[sesscodec.ChoiceKey]int, len(sites))
+		for i := range sites {
+			k := &sites[i].key
+			k.Occ = occ[*k]
+			occ[*k]++
+		}
+	}
+	return sites
 }
 
 // RestoreSession rebuilds a session from a .ccsess artifact written by
 // Snapshot. lang must be the same language definition (by content hash)
 // the snapshot was taken under; any other language is refused with
-// ErrSnapshotLanguage. The committed tree is decoded — not reparsed — and
+// ErrSnapshotLanguage. The committed text is parsed cold under the
+// session's budget — through a mask of exactly the recorded error regions
+// when there are any — the recorded filter marks are re-applied, and the
 // pending edits are re-applied through the normal edit path, so the
 // restored session is byte-identical in behavior to the one snapshotted:
 // same FormatDag, same Diagnostics, same outcomes for subsequent edits.
@@ -82,8 +165,10 @@ func (s *Session) marshalSnapshot(tag uint64) ([]byte, error) {
 //
 // A corrupt, truncated, or version-skewed artifact fails with an error
 // matching ErrSnapshotCorrupt / ErrSnapshotVersion — never a panic and
-// never a silently wrong tree; every structural invariant is re-validated
-// against lang's tables during decode.
+// never a silently wrong tree. So does one whose tree the parse does not
+// reproduce: a region that no longer splices, a recorded choice that is
+// missing, a budget that prunes other choices than the recorded ones, or a
+// budget trip.
 func RestoreSession(r io.Reader, lang *Language, opts ...SessionOption) (*Session, error) {
 	s, _, err := RestoreSessionTagged(r, lang, opts...)
 	return s, err
@@ -100,17 +185,73 @@ func RestoreSessionTagged(r io.Reader, lang *Language, opts ...SessionOption) (*
 }
 
 func restoreSessionBytes(data []byte, lang *Language, opts ...SessionOption) (*Session, uint64, error) {
-	res, err := sesscodec.Decode(data, lang.def)
+	st, err := sesscodec.Decode(data, lang.def)
 	if err != nil {
 		return nil, 0, err
 	}
-	s := &Session{
-		lang:   lang,
-		parser: iglr.New(lang.def.Table),
+	s := NewSession(lang, st.Text, opts...)
+	if st.HasTree {
+		if err := s.reparseCommitted(st); err != nil {
+			return nil, 0, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
+		}
 	}
-	for _, o := range opts {
-		o(s)
+	for i, e := range st.Pending {
+		if err := s.doc.ReplayEdit(e); err != nil {
+			return nil, 0, fmt.Errorf("%w: pending edit %d: %v", ErrSnapshotCorrupt, i, err)
+		}
 	}
-	s.doc = res.Doc
-	return s, res.Tag, nil
+	s.stats = ParseStats{}
+	return s, st.Tag, nil
+}
+
+// reparseCommitted rebuilds the committed tree a snapshot recorded: one
+// parse of the session's text, masked by the recorded error regions, then
+// the recorded choices' filter marks and the check that the budget pruned
+// exactly the recorded ones. Whatever does not reproduce is an error.
+func (s *Session) reparseCommitted(st *sesscodec.State) error {
+	var root *Node
+	if len(st.Regions) == 0 {
+		r, err := s.parseOnce(nil)
+		if err != nil {
+			return err
+		}
+		root = r
+	} else {
+		res, err := isolate.Requarantine(nil, s.doc, s.parser, st.Regions)
+		if err != nil {
+			return err
+		}
+		root = res.Root
+	}
+	s.doc.Commit(root)
+	if len(st.Choices) == 0 && s.parser.Stats.BudgetPruned == 0 {
+		return nil // the tree holds no marked or pruned choice
+	}
+	want := make(map[sesscodec.ChoiceKey]sesscodec.Choice, len(st.Choices))
+	for _, c := range st.Choices {
+		want[c.ChoiceKey] = c
+	}
+	for _, site := range choiceSites(root) {
+		c, ok := want[site.key]
+		if !ok {
+			if site.n.BudgetPruned {
+				return fmt.Errorf("the budget pruned an unrecorded choice at terminal %d", site.key.First)
+			}
+			continue
+		}
+		delete(want, site.key)
+		if c.Pruned != site.n.BudgetPruned {
+			return fmt.Errorf("the choice at terminal %d was pruned %v, recorded %v", site.key.First, site.n.BudgetPruned, c.Pruned)
+		}
+		for _, i := range c.Filtered {
+			if i >= len(site.n.Kids) {
+				return fmt.Errorf("the choice at terminal %d has no alternative %d", site.key.First, i)
+			}
+			site.n.Kids[i].Filtered = true
+		}
+	}
+	if len(want) > 0 {
+		return fmt.Errorf("%d recorded choice(s) missing from the parse", len(want))
+	}
+	return nil
 }

@@ -323,3 +323,29 @@ func TestSnapshotBudgetOption(t *testing.T) {
 		t.Fatalf("budgeted restored session parse: %v", out.Err)
 	}
 }
+
+// TestSnapshotAfterApplyFilter pins the ApplyFilter contract: the filter
+// rewrites a dag the caller holds and the session never learns of it, so a
+// restored twin holds the unfiltered parse, and the same filter applied to
+// the twin gives the live session's filtered outline.
+func TestSnapshotAfterApplyFilter(t *testing.T) {
+	lang := AmbiguousExprLanguage()
+	filter := Operators{Prec: map[string]int{"+": 1, "-": 1, "*": 2, "/": 2}}.Filter()
+	live := NewSession(lang, "a + b * c - d / e + f")
+	if out := live.Do(nil); out.Err != nil {
+		t.Fatalf("seed parse: %v", out.Err)
+	}
+	unfiltered := FormatDag(lang, live.Tree())
+	filtered, n := ApplyFilter(live.Tree(), filter)
+	if n == 0 {
+		t.Fatal("the filter discarded no interpretation")
+	}
+	twin := restoredTwin(t, live, lang)
+	if got := FormatDag(lang, twin.Tree()); got != unfiltered {
+		t.Fatalf("restored twin is not the unfiltered parse:\n%s\nwant:\n%s", got, unfiltered)
+	}
+	twinFiltered, m := ApplyFilter(twin.Tree(), filter)
+	if w, g := FormatDag(lang, filtered), FormatDag(lang, twinFiltered); w != g || m != n {
+		t.Fatalf("the filter on the twin discarded %d (live %d) and gives:\n%s\nlive:\n%s", m, n, g, w)
+	}
+}
