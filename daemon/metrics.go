@@ -97,6 +97,7 @@ type metrics struct {
 
 	restoreHits      atomic.Int64
 	restoreMisses    atomic.Int64
+	restoreDiverged  atomic.Int64
 	evictedToDisk    atomic.Int64
 	journalRecords   atomic.Int64
 	journalReplayed  atomic.Int64
@@ -176,6 +177,7 @@ func (m *metrics) write(w io.Writer) {
 
 	c("iglrd_sessions_restored_total", "Sessions restored from disk on first touch after an eviction or restart.", m.restoreHits.Load())
 	c("iglrd_session_restore_misses_total", "Restore attempts that fell back to 404 (missing, corrupt, or unreplayable artifacts).", m.restoreMisses.Load())
+	c("iglrd_session_restores_diverged_total", "Restored sessions whose snapshot tree a cold parse did not reproduce; the text was kept and the tree is the cold parse's.", m.restoreDiverged.Load())
 	c("iglrd_sessions_evicted_to_disk_total", "Idle evictions whose full session state was made durable first.", m.evictedToDisk.Load())
 	c("iglrd_journal_records_total", "Write-ahead journal records appended (one per accepted edit batch).", m.journalRecords.Load())
 	c("iglrd_journal_replayed_total", "Journal records replayed while restoring sessions.", m.journalReplayed.Load())

@@ -423,6 +423,88 @@ func TestPressureEvictRestoreByteIdentical(t *testing.T) {
 	}
 }
 
+// TestPressureEvictRestoreDiverged: a session under the pressure tier's
+// ambiguity budget, over the ambiguous expression grammar, is edited, parked
+// by the pressure sweep and restored on its next touch with its text
+// intact and the cold parse's tree. Its incremental tree after the edit is
+// not that cold parse (one reading of "bx*f-b" where a cold parse keeps
+// two; see ROADMAP), so the restore counts as diverged — and the session
+// is served, never a 404. An in-process session that takes the same steps
+// tells whether the live tree diverged.
+func TestPressureEvictRestoreDiverged(t *testing.T) {
+	budget := incremental.Budget{MaxAlternatives: 2}
+	d := testDaemon(t, Config{
+		Bundled:         []string{"expr-ambiguous"},
+		Persist:         Persist{Dir: t.TempDir()},
+		MemorySoftBytes: 1 << 10,
+		DefaultTenant:   Tenant{Budget: budget},
+		PressureBudget:  budget,
+	})
+	var created sessionJSON
+	if s := doJSON(t, "POST", dataURL(d, "/sessions"),
+		createSessionJSON{Language: "expr-ambiguous", Text: "b*f-b"}, &created); s != http.StatusCreated {
+		t.Fatalf("create: status %d", s)
+	}
+	cl := client.New("http://"+d.Addr().String(), client.Options{MaxRetries: 8})
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	if _, err := cl.Edits(ctx, created.ID, []client.Edit{{Offset: 1, Insert: "x"}}); err != nil {
+		t.Fatalf("edit: %v", err)
+	}
+	if v := pollMetric(t, d, "iglrd_pressure_evictions_total", 1, 5*time.Second); v < 1 {
+		t.Fatalf("pressure_evictions_total = %d, want >= 1", v)
+	}
+
+	lang, _ := incremental.BundledLanguage("expr-ambiguous")
+	live := incremental.NewSession(lang, "b*f-b", incremental.WithBudget(budget))
+	live.Do(nil)
+	live.Edit(1, 0, "x")
+	live.Do(nil)
+	cold := incremental.NewSession(lang, "bx*f-b", incremental.WithBudget(budget))
+	if out := cold.Do(nil); out.Err != nil {
+		t.Fatal(out.Err)
+	}
+	var got subtreeJSON
+	if err := json.Unmarshal([]byte(shedTolerantGET(t,
+		dataURL(d, "/sessions/"+created.ID+"/subtree?offset=0&length=6"))), &got); err != nil {
+		t.Fatalf("subtree decode: %v", err)
+	}
+	if want := incremental.FormatDag(lang, cold.Subtree(0, 6)); got.Outline != want {
+		t.Fatalf("restored tree is not the cold parse:\n%s\nwant:\n%s", got.Outline, want)
+	}
+	var diverged int64
+	if incremental.FormatDag(lang, live.Tree()) != incremental.FormatDag(lang, cold.Tree()) {
+		diverged = 1
+	}
+	// The restore left the session unsnapshotted, so its next park writes
+	// the tree it serves, and the next restore reproduces that exactly.
+	if v := pollMetric(t, d, "iglrd_pressure_evictions_total", 2, 5*time.Second); v < 2 {
+		t.Fatalf("pressure_evictions_total = %d, want >= 2", v)
+	}
+	var again subtreeJSON
+	if err := json.Unmarshal([]byte(shedTolerantGET(t,
+		dataURL(d, "/sessions/"+created.ID+"/subtree?offset=0&length=6"))), &again); err != nil {
+		t.Fatalf("subtree decode: %v", err)
+	}
+	if again.Outline != got.Outline {
+		t.Fatalf("second restore changed the tree:\n%s\nfirst:\n%s", again.Outline, got.Outline)
+	}
+	m := scrapeMetrics(t, d)
+	if v := metricValue(t, m, "iglrd_sessions_restored_total"); v < 2 {
+		t.Fatalf("restored_total = %d, want >= 2", v)
+	}
+	if v := metricValue(t, m, "iglrd_session_restores_diverged_total"); v != diverged {
+		t.Fatalf("restores_diverged_total = %d, want %d", v, diverged)
+	}
+	if v := metricValue(t, m, "iglrd_session_restore_misses_total"); v != 0 {
+		t.Fatalf("restore_misses_total = %d, want 0", v)
+	}
+	out, err := cl.Edits(ctx, created.ID, []client.Edit{{Offset: 6, Insert: "+c"}})
+	if err != nil || out.TextLen != 8 {
+		t.Fatalf("edit after the restore: %+v, %v", out, err)
+	}
+}
+
 // shedTolerantGET fetches url like a well-behaved client: 429/503 sheds
 // (e.g. the janitor re-parking a just-restored session before its read
 // task ran) are retried until the deadline; any other non-200 fails.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -420,9 +421,10 @@ func (d *Daemon) persistAll(ctx context.Context) {
 
 // restoreSession rebuilds a session from its on-disk artifacts: snapshot
 // load, then replay of every journal record the snapshot does not cover,
-// each batch applied and parsed exactly as the live daemon did. Any
-// unusable state fails the restore, removes the artifacts, and reports a
-// miss — the caller 404s and the client re-creates the session from
+// each batch applied and parsed exactly as the live daemon did. A snapshot
+// whose tree the restore's parse does not reproduce still restores, with
+// the cold parse's tree (counted as diverged). Any unusable state fails
+// the restore, removes the artifacts, and reports a miss — the caller 404s and the client re-creates the session from
 // source. shed is true when the rebuilt session's footprint would push
 // the memory governor past its hard watermark: the artifacts stay intact
 // and the caller 503s with a retry hint instead of 404ing. Runs on the
@@ -458,6 +460,16 @@ func (d *Daemon) restoreSession(id string) (sess *session, ok, shed bool) {
 	}
 	s, tag, err := incremental.RestoreSessionTagged(bytes.NewReader(snapRaw), lang,
 		incremental.WithBudget(meta.Budget))
+	diverged := errors.Is(err, incremental.ErrSnapshotDiverged)
+	if diverged {
+		// The text and pending edits are intact, so nothing acknowledged
+		// is lost; only the tree is the cold parse's, not the live one's.
+		// The session counts as unsnapshotted, so its next park or parse
+		// writes a snapshot of the tree it now serves.
+		d.mets.restoreDiverged.Add(1)
+		d.Logf("daemon: session %s restored with a reparsed tree: %v", id, err)
+		err = nil
+	}
 	if err != nil {
 		d.restoreFailed(id, "snapshot decode", err)
 		return nil, false, false
@@ -509,7 +521,7 @@ func (d *Daemon) restoreSession(id string) (sess *session, ok, shed bool) {
 		s:        s,
 		lastUsed: time.Now(),
 		p: &sessPersist{
-			store: ps, walBytes: walBytes, seq: seq, snapSeq: tag, haveSnap: true,
+			store: ps, walBytes: walBytes, seq: seq, snapSeq: tag, haveSnap: !diverged,
 		},
 	}
 	// Reviving the session adds its full footprint back to the fleet; a

@@ -66,16 +66,18 @@ type Result struct {
 	Root *dag.Node
 	// Errors holds the spliced error nodes, leftmost first.
 	Errors []*dag.Node
-	// Regions are the final quarantine regions in terminal indices.
-	Regions []document.Region
+	// Regions are the final quarantine regions, leftmost first.
+	Regions []Region
 	// Attempts counts the masked parses the run needed.
 	Attempts int
 }
 
-// region is a quarantine range plus the failure detail that created it.
-type region struct {
-	lo, hi   int
-	expected []string
+// Region is a quarantine range — the significant terminals [Lo, Hi) an
+// error node holds — plus the expected set it reports, the detail of the
+// failure that created it.
+type Region struct {
+	Lo, Hi   int
+	Expected []string
 }
 
 // Reparse runs tier-1 isolation over the document's current state using
@@ -91,7 +93,7 @@ func Reparse(ctx context.Context, d *document.Document, p *iglr.Parser) (Result,
 	s := newSplicer(d, terms)
 	defer dag.ReleaseScratch(s.idx)
 
-	var regions []region
+	var regions []Region
 	creep := 0
 	for attempt := 1; attempt <= maxAttempts; attempt++ {
 		root, err := p.ParseContext(ctx, d.MaskedStream(mask(regions)))
@@ -104,7 +106,7 @@ func Reparse(ctx context.Context, d *document.Document, p *iglr.Parser) (Result,
 				res.Attempts = attempt
 				return res, nil
 			}
-			regions = merge(regions, region{lo: expand.lo, hi: expand.hi})
+			regions = merge(regions, Region{Lo: expand.lo, Hi: expand.hi})
 			if unbounded(regions, len(terms)) {
 				return Result{}, ErrUnbounded
 			}
@@ -123,8 +125,8 @@ func Reparse(ctx context.Context, d *document.Document, p *iglr.Parser) (Result,
 		// A failure at EOF clamps onto the last terminal, which may already
 		// be quarantined; anchor on the nearest unmasked terminal instead.
 		for i := len(regions) - 1; i >= 0; i-- {
-			if r := regions[i]; anchor >= r.lo && anchor < r.hi {
-				anchor = r.lo - 1
+			if r := regions[i]; anchor >= r.Lo && anchor < r.Hi {
+				anchor = r.Lo - 1
 			}
 		}
 		if anchor < 0 {
@@ -137,7 +139,7 @@ func Reparse(ctx context.Context, d *document.Document, p *iglr.Parser) (Result,
 		// the grammar instead of creeping across healthy neighbors.
 		if adj := adjacentRegion(regions, anchor); adj >= 0 {
 			if lo, hi, ok := escalate(g, s.idx, terms, regions[adj]); ok {
-				regions = merge(regions, region{lo: lo, hi: hi})
+				regions = merge(regions, Region{Lo: lo, Hi: hi})
 				if unbounded(regions, len(terms)) {
 					return Result{}, ErrUnbounded
 				}
@@ -149,34 +151,26 @@ func Reparse(ctx context.Context, d *document.Document, p *iglr.Parser) (Result,
 		// element structure and creeps forward token by token just past an
 		// existing region, grow that region backward exponentially so a
 		// batch parse of a broken file still finds a synchronization point.
-		if next.expectedFromToken && adjacentBefore(regions, next.lo) {
+		if next.expectedFromToken && adjacentBefore(regions, next.Lo) {
 			creep++
 			back := 1 << creep
 			if back > 64 {
 				back = 64
 			}
-			next.lo -= back
-			if next.lo < 0 {
-				next.lo = 0
+			next.Lo -= back
+			if next.Lo < 0 {
+				next.Lo = 0
 			}
 		} else {
 			creep = 0
 		}
-		next.expected = se.Expected
-		regions = merge(regions, next.region)
+		next.Expected = se.Expected
+		regions = merge(regions, next.Region)
 		if unbounded(regions, len(terms)) {
 			return Result{}, ErrUnbounded
 		}
 	}
 	return Result{}, ErrUnbounded
-}
-
-// Quarantine is an error region as a snapshot records it: the significant
-// terminals [Lo, Hi) its error node holds and the expected set the node
-// reports.
-type Quarantine struct {
-	Lo, Hi   int
-	Expected []string
 }
 
 // Requarantine rebuilds a committed tree's error regions over the
@@ -187,16 +181,14 @@ type Quarantine struct {
 // sequence boundary — Requarantine fails instead, so the tree it returns
 // holds exactly the regions it was given. The parser's Budget applies; a
 // nil ctx disables cancellation polls.
-func Requarantine(ctx context.Context, d *document.Document, p *iglr.Parser, qs []Quarantine) (Result, error) {
+func Requarantine(ctx context.Context, d *document.Document, p *iglr.Parser, regions []Region) (Result, error) {
 	terms := d.Terminals()
-	regions := make([]region, len(qs))
 	end := -1
-	for i, q := range qs {
-		if q.Lo <= end || q.Hi <= q.Lo || q.Hi > len(terms) {
-			return Result{}, fmt.Errorf("isolate: region [%d,%d) out of order or outside %d terminals", q.Lo, q.Hi, len(terms))
+	for _, r := range regions {
+		if r.Lo <= end || r.Hi <= r.Lo || r.Hi > len(terms) {
+			return Result{}, fmt.Errorf("isolate: region [%d,%d) out of order or outside %d terminals", r.Lo, r.Hi, len(terms))
 		}
-		end = q.Hi
-		regions[i] = region{lo: q.Lo, hi: q.Hi, expected: q.Expected}
+		end = r.Hi
 	}
 	if unbounded(regions, len(terms)) {
 		return Result{}, ErrUnbounded
@@ -250,15 +242,15 @@ func unstampBefore(n *dag.Node, off, i int) {
 
 // curIndex maps the parser's masked-stream token count back to a document
 // terminal index: the k-th unmasked terminal, skipping quarantined spans.
-func curIndex(se *iglr.SyntaxError, regions []region, terms []*dag.Node) int {
+func curIndex(se *iglr.SyntaxError, regions []Region, terms []*dag.Node) int {
 	k := 0
 	consumed := se.TokenIndex
 	for _, r := range regions {
-		if r.lo > k+consumed {
+		if r.Lo > k+consumed {
 			break
 		}
-		consumed -= r.lo - k // unmasked terminals before this region
-		k = r.hi
+		consumed -= r.Lo - k // unmasked terminals before this region
+		k = r.Hi
 	}
 	k += consumed
 	if k > len(terms) {
@@ -270,7 +262,7 @@ func curIndex(se *iglr.SyntaxError, regions []region, terms []*dag.Node) int {
 // failed captures one new quarantine range and whether it came from bare
 // tokens (no committed element structure to lean on).
 type failed struct {
-	region
+	Region
 	expectedFromToken bool
 }
 
@@ -286,9 +278,9 @@ func failureRegion(g *grammar.Grammar, idx *dag.Scratch, t *dag.Node, anchor int
 		if anchor >= hi {
 			hi = anchor + 1
 		}
-		return failed{region: region{lo: lo, hi: hi}}
+		return failed{Region: Region{Lo: lo, Hi: hi}}
 	}
-	return failed{region: region{lo: anchor, hi: anchor + 1}, expectedFromToken: true}
+	return failed{Region: Region{Lo: anchor, Hi: anchor + 1}, expectedFromToken: true}
 }
 
 // elementSpan climbs from terminal t to the smallest committed ancestor
@@ -340,10 +332,10 @@ func isSeqStruct(g *grammar.Grammar, n *dag.Node) bool {
 }
 
 // mask renders the region set in the document layer's form.
-func mask(regions []region) []document.Region {
+func mask(regions []Region) []document.Region {
 	out := make([]document.Region, len(regions))
 	for i, r := range regions {
-		out[i] = document.Region{Lo: r.lo, Hi: r.hi}
+		out[i] = document.Region{Lo: r.Lo, Hi: r.Hi}
 	}
 	return out
 }
@@ -351,42 +343,42 @@ func mask(regions []region) []document.Region {
 // merge inserts nr into the sorted, disjoint region list, coalescing
 // overlapping or adjacent ranges. Failure details of the earliest merged
 // region win (the first failure in a span is the one worth reporting).
-func merge(regions []region, nr region) []region {
+func merge(regions []Region, nr Region) []Region {
 	out := regions[:0:0]
 	placed := false
 	for _, r := range regions {
 		switch {
-		case r.hi < nr.lo: // strictly before (not even adjacent)
+		case r.Hi < nr.Lo: // strictly before (not even adjacent)
 			out = append(out, r)
-		case nr.hi < r.lo: // strictly after
+		case nr.Hi < r.Lo: // strictly after
 			if !placed {
 				out = append(out, nr)
 				placed = true
 			}
 			out = append(out, r)
 		default: // overlap or adjacency: coalesce into nr and keep scanning
-			if r.lo < nr.lo {
-				nr.lo = r.lo
+			if r.Lo < nr.Lo {
+				nr.Lo = r.Lo
 			}
-			if r.hi > nr.hi {
-				nr.hi = r.hi
+			if r.Hi > nr.Hi {
+				nr.Hi = r.Hi
 			}
-			if len(r.expected) > 0 {
-				nr.expected = r.expected
+			if len(r.Expected) > 0 {
+				nr.Expected = r.Expected
 			}
 		}
 	}
 	if !placed {
 		out = append(out, nr)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].lo < out[j].lo })
+	sort.Slice(out, func(i, j int) bool { return out[i].Lo < out[j].Lo })
 	return out
 }
 
 // adjacentBefore reports whether some region ends exactly where lo begins.
-func adjacentBefore(regions []region, lo int) bool {
+func adjacentBefore(regions []Region, lo int) bool {
 	for _, r := range regions {
-		if r.hi == lo {
+		if r.Hi == lo {
 			return true
 		}
 	}
@@ -395,9 +387,9 @@ func adjacentBefore(regions []region, lo int) bool {
 
 // adjacentRegion returns the index of a region bordering the failure
 // anchor on either side, or -1.
-func adjacentRegion(regions []region, anchor int) int {
+func adjacentRegion(regions []Region, anchor int) int {
 	for i, r := range regions {
-		if r.hi == anchor || r.lo == anchor+1 {
+		if r.Hi == anchor || r.Lo == anchor+1 {
 			return i
 		}
 	}
@@ -408,8 +400,8 @@ func adjacentRegion(regions []region, anchor int) int {
 // element that strictly extends it, climbing from the quarantined
 // terminals. It returns ok=false when no such element exists (then the
 // caller falls back to token-level growth).
-func escalate(g *grammar.Grammar, idx *dag.Scratch, terms []*dag.Node, r region) (lo, hi int, ok bool) {
-	for i := r.hi - 1; i >= r.lo; i-- {
+func escalate(g *grammar.Grammar, idx *dag.Scratch, terms []*dag.Node, r Region) (lo, hi int, ok bool) {
+	for i := r.Hi - 1; i >= r.Lo; i-- {
 		for n := terms[i]; n != nil && n.Committed; n = n.Parent {
 			p := n.Parent
 			if p == nil {
@@ -419,14 +411,14 @@ func escalate(g *grammar.Grammar, idx *dag.Scratch, terms []*dag.Node, r region)
 				continue
 			}
 			elo, ehi, present := presentSpan(idx, n)
-			if !present || (elo >= r.lo && ehi <= r.hi) {
+			if !present || (elo >= r.Lo && ehi <= r.Hi) {
 				continue // no extension yet: keep climbing
 			}
-			if elo > r.lo {
-				elo = r.lo
+			if elo > r.Lo {
+				elo = r.Lo
 			}
-			if ehi < r.hi {
-				ehi = r.hi
+			if ehi < r.Hi {
+				ehi = r.Hi
 			}
 			return elo, ehi, true
 		}
@@ -436,13 +428,13 @@ func escalate(g *grammar.Grammar, idx *dag.Scratch, terms []*dag.Node, r region)
 
 // unbounded reports whether the region set should abort isolation: the
 // quarantine would swallow every terminal, or fragments past the cap.
-func unbounded(regions []region, n int) bool {
+func unbounded(regions []Region, n int) bool {
 	if len(regions) > maxRegions {
 		return true
 	}
 	covered := 0
 	for _, r := range regions {
-		covered += r.hi - r.lo
+		covered += r.Hi - r.Lo
 	}
 	return covered >= n
 }

@@ -141,7 +141,7 @@ func TestIsolateWithoutCommittedTree(t *testing.T) {
 	// The undamaged statements survive outside the quarantine.
 	total := 0
 	for _, r := range res.Regions {
-		total += r.Len()
+		total += r.Hi - r.Lo
 	}
 	if total >= len(d.Terminals()) {
 		t.Fatalf("quarantine swallowed all %d terminals", total)

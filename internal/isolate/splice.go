@@ -43,14 +43,14 @@ type expandReq struct{ lo, hi int }
 // masked spans only occur at or after the gap. A non-nil expandReq means
 // the loop must retry with a bigger region; ErrUnbounded means no sequence
 // structure can host some region at all.
-func (s *splicer) spliceAll(root *dag.Node, terms []*dag.Node, regions []region) (Result, *expandReq, error) {
+func (s *splicer) spliceAll(root *dag.Node, terms []*dag.Node, regions []Region) (Result, *expandReq, error) {
 	res := Result{Root: root}
 	for _, r := range regions {
-		det := &dag.ErrorDetail{Expected: r.expected, Region: grammar.InvalidSym}
-		kids := make([]*dag.Node, r.hi-r.lo)
-		copy(kids, terms[r.lo:r.hi])
+		det := &dag.ErrorDetail{Expected: r.Expected, Region: grammar.InvalidSym}
+		kids := make([]*dag.Node, r.Hi-r.Lo)
+		copy(kids, terms[r.Lo:r.Hi])
 		errNode := s.a.Error(kids, det)
-		nr, req := s.insert(res.Root, 0, r.lo, errNode, det)
+		nr, req := s.insert(res.Root, 0, r.Lo, errNode, det)
 		if req != nil {
 			return Result{}, req, nil
 		}
@@ -59,7 +59,7 @@ func (s *splicer) spliceAll(root *dag.Node, terms []*dag.Node, regions []region)
 		}
 		res.Root = nr
 		res.Errors = append(res.Errors, errNode)
-		res.Regions = append(res.Regions, document.Region{Lo: r.lo, Hi: r.hi})
+		res.Regions = append(res.Regions, r)
 	}
 	for _, r := range res.Regions {
 		if r.Lo > 0 {

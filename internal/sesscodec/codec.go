@@ -3,16 +3,18 @@
 // parse cannot recompute: the committed text, the edits still pending
 // against it, the journal tag, and the residue of the committed tree's
 // history — the isolated error regions (their terminal ranges and
-// expected sets) and the choice nodes that carry a semantic filter's marks
-// or an ambiguity-budget prune. Everything else about the committed tree
-// is a function of the text, so a restore reparses it (see
-// RestoreSession in the root package).
+// expected sets) and the choice nodes that carry a semantic filter's
+// marks — plus a fingerprint of the tree's structure, its budget prunes
+// included. Everything else about the committed tree is a function of the
+// text, so a restore reparses it and checks the parse against the
+// fingerprint and the residue (see RestoreSession in the root package).
 //
 // Layout:
 //
 //	magic "CCSS" | uvarint format version | 32-byte language definition
 //	hash | uvarint journal tag | flags | committed text |
-//	[error regions | marked choices]   (committed-tree sessions) |
+//	[fingerprint | error regions | marked choices]   (committed-tree
+//	sessions) |
 //	pending edit log |
 //	32-byte SHA-256 checksum over every preceding byte
 //
@@ -76,10 +78,13 @@ type State struct {
 	// HasTree reports a committed tree: false when the session never
 	// parsed, or its first parse failed.
 	HasTree bool
+	// Fingerprint is a hash of the committed tree's structure, which a
+	// restore's parse must reproduce (the root package's choiceSites).
+	Fingerprint uint64
 	// Regions are the committed tree's isolated error regions, leftmost
 	// first, in significant-terminal indices of the committed text; they
 	// never overlap or touch.
-	Regions []isolate.Quarantine
+	Regions []isolate.Region
 	// Choices are the committed tree's choice nodes that carry history, in
 	// key order (CompareKeys).
 	Choices []Choice
@@ -107,19 +112,15 @@ func CompareKeys(a, b ChoiceKey) int {
 }
 
 // Choice is a choice node whose state a parse does not reproduce: the
-// alternatives a semantic filter marked Filtered, listed by index in
-// ascending order, and whether the ambiguity budget pruned it.
+// alternatives a semantic filter marked Filtered, at least one, listed by
+// index in ascending order.
 type Choice struct {
 	ChoiceKey
-	Pruned   bool
 	Filtered []int
 }
 
 // Header flag bits. Decode refuses any other bit.
 const flagHasTree = 1 << 0
-
-// Choice flag bits.
-const choicePruned = 1 << 0
 
 // Encode serializes st as a session snapshot artifact.
 func Encode(st State) []byte {
@@ -136,6 +137,7 @@ func Encode(st State) []byte {
 	buf = wire.AppendString(buf, st.Text)
 
 	if st.HasTree {
+		buf = binary.LittleEndian.AppendUint64(buf, st.Fingerprint)
 		buf = binary.AppendUvarint(buf, uint64(len(st.Regions)))
 		for _, r := range st.Regions {
 			buf = binary.AppendUvarint(buf, uint64(r.Lo))
@@ -151,11 +153,6 @@ func Encode(st State) []byte {
 			buf = binary.AppendUvarint(buf, uint64(c.Count))
 			buf = binary.AppendUvarint(buf, uint64(c.Sym))
 			buf = binary.AppendUvarint(buf, uint64(c.Occ))
-			var f byte
-			if c.Pruned {
-				f |= choicePruned
-			}
-			buf = append(buf, f)
 			buf = binary.AppendUvarint(buf, uint64(len(c.Filtered)))
 			for _, i := range c.Filtered {
 				buf = binary.AppendUvarint(buf, uint64(i))
@@ -216,9 +213,14 @@ func Decode(data []byte, l *langs.Language) (*State, error) {
 	if st.HasTree {
 		// A significant terminal is at least one byte, so every terminal
 		// index and count is bounded by the text's length.
-		maxTerm := uint64(len(st.Text))
+		fp := r.Bytes(8)
+		if r.Bad() {
+			return nil, ErrCorrupt
+		}
+		st.Fingerprint = binary.LittleEndian.Uint64(fp)
+		terms := uint64(len(st.Text))
 		nRegions := r.Count()
-		st.Regions = make([]isolate.Quarantine, 0, nRegions)
+		st.Regions = make([]isolate.Region, 0, nRegions)
 		end := -1
 		for i := 0; i < nRegions; i++ {
 			lo, hi := r.Uvarint(), r.Uvarint()
@@ -226,18 +228,17 @@ func Decode(data []byte, l *langs.Language) (*State, error) {
 			for j := range exp {
 				exp[j] = r.Str()
 			}
-			if r.Bad() || hi > maxTerm || lo >= hi || int(lo) <= end {
+			if r.Bad() || hi > terms || lo >= hi || int(lo) <= end {
 				return nil, fmt.Errorf("%w: error region %d malformed", ErrCorrupt, i)
 			}
 			end = int(hi)
-			st.Regions = append(st.Regions, isolate.Quarantine{Lo: int(lo), Hi: int(hi), Expected: exp})
+			st.Regions = append(st.Regions, isolate.Region{Lo: int(lo), Hi: int(hi), Expected: exp})
 		}
 		nChoices := r.Count()
 		st.Choices = make([]Choice, 0, nChoices)
 		nSyms := uint64(l.Grammar.NumSymbols())
 		for i := 0; i < nChoices; i++ {
 			first, count, sym, occ := r.Uvarint(), r.Uvarint(), r.Uvarint(), r.Uvarint()
-			f := r.Byte()
 			marks := make([]int, r.Count())
 			prev := -1
 			for j := range marks {
@@ -248,13 +249,12 @@ func Decode(data []byte, l *langs.Language) (*State, error) {
 				}
 				marks[j], prev = int(m), int(m)
 			}
-			if r.Bad() || first > maxTerm || count > maxTerm-first || sym >= nSyms ||
-				occ > maxTerm || f&^choicePruned != 0 || (f == 0 && len(marks) == 0) {
+			if r.Bad() || first > terms || count > terms-first || sym >= nSyms ||
+				occ > terms || len(marks) == 0 {
 				return nil, fmt.Errorf("%w: choice %d malformed", ErrCorrupt, i)
 			}
 			c := Choice{
 				ChoiceKey: ChoiceKey{First: int(first), Count: int(count), Sym: grammar.Sym(sym), Occ: int(occ)},
-				Pruned:    f&choicePruned != 0,
 				Filtered:  marks,
 			}
 			if i > 0 && CompareKeys(st.Choices[i-1].ChoiceKey, c.ChoiceKey) >= 0 {

@@ -1,6 +1,7 @@
 package incremental
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"slices"
@@ -13,21 +14,24 @@ import (
 // Session persistence: Snapshot serializes what a parse of a session's
 // text cannot recompute — the committed text, the pending edits, and the
 // committed tree's history residue (isolated error regions, and the choice
-// nodes a semantic filter marked or the ambiguity budget pruned) — as a
-// versioned, checksummed .ccsess artifact. RestoreSession reparses the
-// committed text and re-applies the residue. A cold parse commits the same
-// tree an incremental one does (the incremental ≡ batch oracles), so the
-// restored session is behaviorally identical to the original: same
-// committed tree (byte-identical FormatDag), same Diagnostics, and the
-// same outcome for any subsequent edit sequence. See DESIGN.md,
-// "Durability & crash recovery".
+// nodes a semantic filter marked) — plus a fingerprint of the tree's
+// structure and budget prunes, as a versioned, checksummed .ccsess
+// artifact. RestoreSession reparses the committed text, re-applies the
+// residue and checks the parse against the fingerprint. A cold parse
+// commits the same tree an incremental one does (the incremental ≡ batch
+// oracles), so the restored session is normally identical to the
+// original: same committed tree (byte-identical FormatDag), same
+// Diagnostics, and the same outcome for any subsequent edit sequence.
+// Where the live tree is not the cold parse of its text, the restore says
+// so (ErrSnapshotDiverged) and keeps the text. See DESIGN.md, "Durability
+// & crash recovery".
 
 // Sentinel restore failures, aliasing the sesscodec package's. All of them
 // mean the artifact is unusable and the caller should parse from source;
 // they are distinguished so services can count why.
 var (
 	// ErrSnapshotCorrupt reports a truncated, bit-flipped, or non-snapshot
-	// input, or one whose committed tree a parse does not reproduce.
+	// input.
 	ErrSnapshotCorrupt = sesscodec.ErrCorrupt
 	// ErrSnapshotVersion reports a snapshot written by an incompatible
 	// format version.
@@ -36,6 +40,19 @@ var (
 	// language definition (by content hash) than the one offered.
 	ErrSnapshotLanguage = sesscodec.ErrLanguageMismatch
 )
+
+// ErrSnapshotDiverged reports an intact snapshot whose committed tree the
+// restore's parse does not reproduce: the parse has another fingerprint
+// (other readings, lexemes or budget prunes), or misses a recorded region
+// or marked choice. The live tree was then not the cold parse of its text: an
+// ApplyFilter rewrote it, its budget prunes depended on which subtrees the
+// incremental parses reused, or an incremental parse in an ambiguous
+// region committed a tree a cold parse does not give. RestoreSession
+// returns the session with this error: its text and pending edits are the
+// snapshot's, and its committed tree is the one a new session's first Do
+// commits over that text — tolerant when the snapshot recorded error
+// regions.
+var ErrSnapshotDiverged = errors.New("incremental: the restored tree diverged from the snapshot's")
 
 // SnapshotExt is the conventional snapshot file extension.
 const SnapshotExt = sesscodec.FileExt
@@ -48,10 +65,11 @@ const SnapshotExt = sesscodec.FileExt
 //
 // The artifact holds the text, not the tree: its size is the committed
 // text's plus the edits' and a few bytes per error region and marked
-// choice, and taking it costs one walk of the committed tree. A dag that
-// ApplyFilter rewrote is the caller's, not the session's: the session
-// never learns of the rewrite, so a restored twin holds the unfiltered
-// parse, and applying the same filter to it gives the filtered dag again.
+// choice, and taking it costs one walk of the committed tree. ApplyFilter
+// rewrites the committed dag in place, outside the session's parses, so no
+// parse rebuilds a filtered tree: its restore reports ErrSnapshotDiverged
+// with a twin that holds the unfiltered parse, and applying the same
+// filter to the twin gives the filtered dag again.
 func (s *Session) Snapshot(w io.Writer) error { return s.SnapshotTagged(w, 0) }
 
 // SnapshotTagged is Snapshot with an opaque sequence tag stored in the
@@ -82,21 +100,23 @@ func (s *Session) marshalSnapshot(tag uint64) ([]byte, error) {
 			if !ok {
 				return nil, fmt.Errorf("incremental: snapshot: an error region is not in the committed tree")
 			}
-			r := isolate.Quarantine{Lo: i, Hi: i + int(n.TermCount)}
+			r := isolate.Region{Lo: i, Hi: i + int(n.TermCount)}
 			if n.Err != nil {
 				r.Expected = n.Err.Expected
 			}
 			st.Regions = append(st.Regions, r)
 		}
-		for _, c := range choiceSites(root) {
+		sites, fp := choiceSites(root)
+		st.Fingerprint = fp
+		for _, c := range sites {
 			var marks []int
 			for i, alt := range c.n.Kids {
 				if alt.Filtered {
 					marks = append(marks, i)
 				}
 			}
-			if marks != nil || c.n.BudgetPruned {
-				st.Choices = append(st.Choices, sesscodec.Choice{ChoiceKey: c.key, Pruned: c.n.BudgetPruned, Filtered: marks})
+			if marks != nil {
+				st.Choices = append(st.Choices, sesscodec.Choice{ChoiceKey: c.key, Filtered: marks})
 			}
 		}
 		slices.SortFunc(st.Choices, func(a, b sesscodec.Choice) int { return sesscodec.CompareKeys(a.ChoiceKey, b.ChoiceKey) })
@@ -112,33 +132,47 @@ type choiceSite struct {
 
 // choiceSites returns the choice nodes reachable from root, each once, in
 // preorder with every alternative visited, keyed by terminal span, symbol
-// and occurrence (sesscodec.ChoiceKey). The walk visits every node, but it
-// allocates only for the choices it finds.
-func choiceSites(root *Node) []choiceSite {
+// and occurrence (sesscodec.ChoiceKey), and the tree's fingerprint: a hash
+// of every node's kind, symbol, production, lexeme, budget prune and kids
+// in order, so two trees that render alike and prune alike share it
+// however their nodes are shared. Filter marks are left out; the snapshot
+// records those. The walk visits every node, but it allocates only for
+// the choices it finds.
+func choiceSites(root *Node) ([]choiceSite, uint64) {
 	var sites []choiceSite
-	var seen map[*Node]bool
-	var walk func(n *Node, base int)
-	walk = func(n *Node, base int) {
+	var memo map[*Node]uint64
+	var walk func(n *Node, base int) uint64
+	walk = func(n *Node, base int) uint64 {
+		w := uint64(n.Kind)<<32 | uint64(uint32(n.Sym))
+		if n.BudgetPruned {
+			w |= 1 << 40
+		}
+		h := mix(w, uint64(uint32(n.Prod)))
+		for i := 0; i < len(n.Text); i++ {
+			h = (h ^ uint64(n.Text[i])) * 0x100000001b3 // FNV-1a
+		}
 		if n.Kind == dag.KindChoice {
-			if seen[n] {
-				return
+			if v, ok := memo[n]; ok {
+				return v
 			}
-			if seen == nil {
-				seen = make(map[*Node]bool)
+			if memo == nil {
+				memo = make(map[*Node]uint64)
 			}
-			seen[n] = true
+			memo[n] = 0 // until the alternatives are hashed
 			sites = append(sites, choiceSite{n: n, key: sesscodec.ChoiceKey{First: base, Count: int(n.TermCount), Sym: n.Sym}})
 			for _, alt := range n.Kids {
-				walk(alt, base)
+				h = mix(h, walk(alt, base))
 			}
-			return
+			memo[n] = h
+			return h
 		}
 		for _, k := range n.Kids {
-			walk(k, base)
+			h = mix(h, walk(k, base))
 			base += int(k.TermCount)
 		}
+		return h
 	}
-	walk(root, 0)
+	fp := walk(root, 0)
 	if len(sites) > 1 {
 		occ := make(map[sesscodec.ChoiceKey]int, len(sites))
 		for i := range sites {
@@ -147,28 +181,39 @@ func choiceSites(root *Node) []choiceSite {
 			occ[*k]++
 		}
 	}
-	return sites
+	return sites, fp
+}
+
+// mix folds x into the hash h: splitmix64's multiply and xor-shift, so the
+// order of the words matters.
+func mix(h, x uint64) uint64 {
+	h = (h ^ x) * 0x9e3779b97f4a7c15
+	return h ^ h>>29
 }
 
 // RestoreSession rebuilds a session from a .ccsess artifact written by
 // Snapshot. lang must be the same language definition (by content hash)
 // the snapshot was taken under; any other language is refused with
-// ErrSnapshotLanguage. The committed text is parsed cold under the
-// session's budget — through a mask of exactly the recorded error regions
-// when there are any — the recorded filter marks are re-applied, and the
-// pending edits are re-applied through the normal edit path, so the
-// restored session is byte-identical in behavior to the one snapshotted:
-// same FormatDag, same Diagnostics, same outcomes for subsequent edits.
+// ErrSnapshotLanguage. The committed text is parsed cold — through a mask
+// of exactly the recorded error regions when there are any — the parse is
+// checked against the recorded fingerprint, the recorded filter marks are
+// re-applied, and the pending edits are
+// re-applied through the normal edit path, so the restored session is
+// byte-identical in behavior to the one snapshotted: same FormatDag, same
+// Diagnostics, same outcomes for subsequent edits.
 //
-// Options apply as in NewSession (WithBudget, WithTrace). Parse statistics
-// are session runtime state: Stats() starts at zero.
+// Options apply as in NewSession (WithBudget, WithTrace), but the
+// restore's own parse runs under the budget's MaxAlternatives alone: the
+// live tree already passed the abort limits, and a cold parse of text
+// that grew through edits is charged for all of it, where each
+// incremental parse was charged for its growth. Parse statistics are
+// session runtime state: Stats() starts at zero.
 //
 // A corrupt, truncated, or version-skewed artifact fails with an error
-// matching ErrSnapshotCorrupt / ErrSnapshotVersion — never a panic and
-// never a silently wrong tree. So does one whose tree the parse does not
-// reproduce: a region that no longer splices, a recorded choice that is
-// missing, a budget that prunes other choices than the recorded ones, or a
-// budget trip.
+// matching ErrSnapshotCorrupt / ErrSnapshotVersion — never a panic. An
+// intact artifact whose tree the parse does not reproduce returns a
+// session over its text together with an error matching
+// ErrSnapshotDiverged, never silently a different tree.
 func RestoreSession(r io.Reader, lang *Language, opts ...SessionOption) (*Session, error) {
 	s, _, err := RestoreSessionTagged(r, lang, opts...)
 	return s, err
@@ -190,9 +235,17 @@ func restoreSessionBytes(data []byte, lang *Language, opts ...SessionOption) (*S
 		return nil, 0, err
 	}
 	s := NewSession(lang, st.Text, opts...)
+	var diverged error
 	if st.HasTree {
-		if err := s.reparseCommitted(st); err != nil {
-			return nil, 0, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
+		if diverged = s.reparseCommitted(st); diverged != nil {
+			s = NewSession(lang, st.Text, opts...)
+			s.withAltBudget(func() {
+				if len(st.Regions) > 0 {
+					s.Do(nil, Tolerant())
+				} else {
+					s.Do(nil)
+				}
+			})
 		}
 	}
 	for i, e := range st.Pending {
@@ -201,57 +254,63 @@ func restoreSessionBytes(data []byte, lang *Language, opts ...SessionOption) (*S
 		}
 	}
 	s.stats = ParseStats{}
+	if diverged != nil {
+		return s, st.Tag, fmt.Errorf("%w: %v", ErrSnapshotDiverged, diverged)
+	}
 	return s, st.Tag, nil
+}
+
+// withAltBudget runs parse under the session budget's MaxAlternatives
+// alone (see RestoreSession).
+func (s *Session) withAltBudget(parse func()) {
+	b := s.parser.Budget
+	s.parser.Budget = Budget{MaxAlternatives: b.MaxAlternatives}
+	defer func() { s.parser.Budget = b }()
+	parse()
 }
 
 // reparseCommitted rebuilds the committed tree a snapshot recorded: one
 // parse of the session's text, masked by the recorded error regions, then
-// the recorded choices' filter marks and the check that the budget pruned
-// exactly the recorded ones. Whatever does not reproduce is an error.
+// the check that the tree has the recorded fingerprint, then the recorded
+// filter marks. Whatever does not reproduce is an error, and the caller
+// drops the session.
 func (s *Session) reparseCommitted(st *sesscodec.State) error {
-	var root *Node
-	if len(st.Regions) == 0 {
-		r, err := s.parseOnce(nil)
-		if err != nil {
-			return err
+	var (
+		root *Node
+		err  error
+	)
+	s.withAltBudget(func() {
+		if len(st.Regions) == 0 {
+			root, err = s.parseOnce(nil)
+			return
 		}
-		root = r
-	} else {
-		res, err := isolate.Requarantine(nil, s.doc, s.parser, st.Regions)
-		if err != nil {
-			return err
-		}
+		var res isolate.Result
+		res, err = isolate.Requarantine(nil, s.doc, s.parser, st.Regions)
 		root = res.Root
+	})
+	if err != nil {
+		return err
 	}
 	s.doc.Commit(root)
-	if len(st.Choices) == 0 && s.parser.Stats.BudgetPruned == 0 {
-		return nil // the tree holds no marked or pruned choice
+	sites, fp := choiceSites(root)
+	if fp != st.Fingerprint {
+		return fmt.Errorf("the parse's fingerprint is %#x, the snapshot's %#x", fp, st.Fingerprint)
 	}
-	want := make(map[sesscodec.ChoiceKey]sesscodec.Choice, len(st.Choices))
+	if len(st.Choices) == 0 {
+		return nil
+	}
+	at := make(map[sesscodec.ChoiceKey]*Node, len(sites))
+	for _, site := range sites {
+		at[site.key] = site.n
+	}
 	for _, c := range st.Choices {
-		want[c.ChoiceKey] = c
-	}
-	for _, site := range choiceSites(root) {
-		c, ok := want[site.key]
-		if !ok {
-			if site.n.BudgetPruned {
-				return fmt.Errorf("the budget pruned an unrecorded choice at terminal %d", site.key.First)
-			}
-			continue
-		}
-		delete(want, site.key)
-		if c.Pruned != site.n.BudgetPruned {
-			return fmt.Errorf("the choice at terminal %d was pruned %v, recorded %v", site.key.First, site.n.BudgetPruned, c.Pruned)
+		n := at[c.ChoiceKey]
+		if n == nil || c.Filtered[len(c.Filtered)-1] >= len(n.Kids) {
+			return fmt.Errorf("the parse has no choice at terminal %d with the recorded alternatives", c.First)
 		}
 		for _, i := range c.Filtered {
-			if i >= len(site.n.Kids) {
-				return fmt.Errorf("the choice at terminal %d has no alternative %d", site.key.First, i)
-			}
-			site.n.Kids[i].Filtered = true
+			n.Kids[i].Filtered = true
 		}
-	}
-	if len(want) > 0 {
-		return fmt.Errorf("%d recorded choice(s) missing from the parse", len(want))
 	}
 	return nil
 }

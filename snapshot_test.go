@@ -2,9 +2,11 @@ package incremental
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 )
 
 // snapshotSource returns a source that parses cleanly under each bundled
@@ -324,10 +326,43 @@ func TestSnapshotBudgetOption(t *testing.T) {
 	}
 }
 
+// TestRestoreIgnoresAbortLimits: a restore's parse runs under its budget's
+// MaxAlternatives alone. A session grown by edits under an arena cap that
+// a cold parse of its text exceeds (each incremental parse was charged
+// only for its growth) restores exactly under that cap, and under a
+// deadline no parse meets, and keeps the budget for its later parses.
+func TestRestoreIgnoresAbortLimits(t *testing.T) {
+	lang := CSubset()
+	live := NewSession(lang, "int a0;\n", WithBudget(Budget{MaxArenaNodes: 400}))
+	if out := live.Do(nil); out.Err != nil {
+		t.Fatalf("seed parse: %v", out.Err)
+	}
+	for i := 0; i < 40; i++ {
+		live.Edit(live.Len(), 0, "int b;\nint c;\nint d;\n")
+		if out := live.Do(nil); out.Err != nil {
+			t.Fatalf("edit %d: %v", i, out.Err)
+		}
+	}
+	for _, b := range []Budget{{MaxArenaNodes: 400}, {MaxDuration: time.Nanosecond}} {
+		if out := NewSession(lang, live.Text(), WithBudget(b)).Do(nil); !errors.Is(out.Err, ErrBudget) {
+			t.Fatalf("budget %+v: a cold parse of the grown text gave %v, want a budget trip", b, out.Err)
+		}
+		twin, err := RestoreSession(bytes.NewReader(snapshotBytes(t, live, 0)), lang, WithBudget(b))
+		if err != nil {
+			t.Fatalf("budget %+v: restore: %v", b, err)
+		}
+		compareSessions(t, lang, live, twin, fmt.Sprintf("budget %+v", b))
+		if twin.BudgetLimits() != b {
+			t.Fatalf("restored budget %+v, want %+v", twin.BudgetLimits(), b)
+		}
+	}
+}
+
 // TestSnapshotAfterApplyFilter pins the ApplyFilter contract: the filter
-// rewrites a dag the caller holds and the session never learns of it, so a
-// restored twin holds the unfiltered parse, and the same filter applied to
-// the twin gives the live session's filtered outline.
+// rewrites the committed dag in place, outside the session's parses, so no
+// parse of the text rebuilds it. The restore says so (ErrSnapshotDiverged)
+// and its twin holds the unfiltered parse; the same filter applied to the
+// twin gives the live session's filtered outline.
 func TestSnapshotAfterApplyFilter(t *testing.T) {
 	lang := AmbiguousExprLanguage()
 	filter := Operators{Prec: map[string]int{"+": 1, "-": 1, "*": 2, "/": 2}}.Filter()
@@ -340,7 +375,10 @@ func TestSnapshotAfterApplyFilter(t *testing.T) {
 	if n == 0 {
 		t.Fatal("the filter discarded no interpretation")
 	}
-	twin := restoredTwin(t, live, lang)
+	twin, err := RestoreSession(bytes.NewReader(snapshotBytes(t, live, 0)), lang)
+	if !errors.Is(err, ErrSnapshotDiverged) || twin == nil {
+		t.Fatalf("restore of a filtered session: %v, want ErrSnapshotDiverged and a session", err)
+	}
 	if got := FormatDag(lang, twin.Tree()); got != unfiltered {
 		t.Fatalf("restored twin is not the unfiltered parse:\n%s\nwant:\n%s", got, unfiltered)
 	}
