@@ -158,7 +158,7 @@ func choiceSites(root *Node) ([]choiceSite, uint64) {
 			if memo == nil {
 				memo = make(map[*Node]uint64)
 			}
-			memo[n] = 0 // until the alternatives are hashed
+			memo[n] = 0 // so a cycle back to n, a live-tree fault, ends
 			sites = append(sites, choiceSite{n: n, key: sesscodec.ChoiceKey{First: base, Count: int(n.TermCount), Sym: n.Sym}})
 			for _, alt := range n.Kids {
 				h = mix(h, walk(alt, base))

@@ -7,6 +7,10 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"iglr/internal/document"
+	"iglr/internal/isolate"
+	"iglr/internal/sesscodec"
 )
 
 // snapshotSource returns a source that parses cleanly under each bundled
@@ -354,6 +358,38 @@ func TestRestoreIgnoresAbortLimits(t *testing.T) {
 		compareSessions(t, lang, live, twin, fmt.Sprintf("budget %+v", b))
 		if twin.BudgetLimits() != b {
 			t.Fatalf("restored budget %+v, want %+v", twin.BudgetLimits(), b)
+		}
+	}
+}
+
+// TestRestoreDivergedKeepsText: an intact snapshot whose committed tree
+// no parse of its text reproduces — here a tree recorded over text a cold
+// parse rejects, which an incremental parse in an ambiguous region can
+// leave — restores with ErrSnapshotDiverged into a session over the same
+// text and pending edits whose tree is what a new session's first Do
+// commits: tolerant when the snapshot recorded error regions.
+func TestRestoreDivergedKeepsText(t *testing.T) {
+	lang := CSubset()
+	const text = "int a; int (; int c;"
+	for _, regions := range [][]isolate.Region{nil, {{Lo: 3, Hi: 5}}} {
+		data := sesscodec.Encode(sesscodec.State{
+			Lang: lang.def, Text: text, HasTree: true, Regions: regions,
+			Pending: []document.AppliedEdit{{Offset: 0, Inserted: "int z; "}},
+		})
+		twin, err := RestoreSession(bytes.NewReader(data), lang)
+		if !errors.Is(err, ErrSnapshotDiverged) || twin == nil {
+			t.Fatalf("regions %v: restore: %v, want ErrSnapshotDiverged and a session", regions, err)
+		}
+		cold := NewSession(lang, text)
+		if regions == nil {
+			cold.Do(nil)
+		} else if out := cold.Do(nil, Tolerant()); !out.Isolated {
+			t.Fatalf("the tolerant cold parse did not isolate: %+v", out)
+		}
+		cold.Edit(0, 0, "int z; ")
+		compareSessions(t, lang, cold, twin, fmt.Sprintf("regions %v", regions))
+		if w, g := fmt.Sprint(cold.doc.PendingEdits()), fmt.Sprint(twin.doc.PendingEdits()); w != g {
+			t.Fatalf("pending edits: %s, want %s", g, w)
 		}
 	}
 }
