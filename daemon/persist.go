@@ -424,11 +424,12 @@ func (d *Daemon) persistAll(ctx context.Context) {
 // each batch applied and parsed exactly as the live daemon did. A snapshot
 // whose tree the restore's parse does not reproduce still restores, with
 // the cold parse's tree (counted as diverged). Any unusable state fails
-// the restore, removes the artifacts, and reports a miss — the caller 404s and the client re-creates the session from
-// source. shed is true when the rebuilt session's footprint would push
-// the memory governor past its hard watermark: the artifacts stay intact
-// and the caller 503s with a retry hint instead of 404ing. Runs on the
-// request goroutine; the session is private until restoreAdd publishes it.
+// the restore, removes the artifacts, and reports a miss — the caller
+// 404s and the client re-creates the session from source. shed is true
+// when the rebuilt session's footprint would push the memory governor
+// past its hard watermark: the artifacts stay intact and the caller 503s
+// with a retry hint instead of 404ing. Runs on the request goroutine; the
+// session is private until restoreAdd publishes it.
 func (d *Daemon) restoreSession(id string) (sess *session, ok, shed bool) {
 	ps := d.persist
 	seqID, ok := sessionSeqFromID(id)

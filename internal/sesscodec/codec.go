@@ -218,7 +218,7 @@ func Decode(data []byte, l *langs.Language) (*State, error) {
 			return nil, ErrCorrupt
 		}
 		st.Fingerprint = binary.LittleEndian.Uint64(fp)
-		terms := uint64(len(st.Text))
+		maxTerm := uint64(len(st.Text))
 		nRegions := r.Count()
 		st.Regions = make([]isolate.Region, 0, nRegions)
 		end := -1
@@ -228,7 +228,7 @@ func Decode(data []byte, l *langs.Language) (*State, error) {
 			for j := range exp {
 				exp[j] = r.Str()
 			}
-			if r.Bad() || hi > terms || lo >= hi || int(lo) <= end {
+			if r.Bad() || hi > maxTerm || lo >= hi || int(lo) <= end {
 				return nil, fmt.Errorf("%w: error region %d malformed", ErrCorrupt, i)
 			}
 			end = int(hi)
@@ -249,8 +249,8 @@ func Decode(data []byte, l *langs.Language) (*State, error) {
 				}
 				marks[j], prev = int(m), int(m)
 			}
-			if r.Bad() || first > terms || count > terms-first || sym >= nSyms ||
-				occ > terms || len(marks) == 0 {
+			if r.Bad() || first > maxTerm || count > maxTerm-first || sym >= nSyms ||
+				occ > maxTerm || len(marks) == 0 {
 				return nil, fmt.Errorf("%w: choice %d malformed", ErrCorrupt, i)
 			}
 			c := Choice{
