@@ -37,7 +37,7 @@ check: vet race bench-module
 # re-encode canonically; resealed inputs, whose mutations get past the
 # checksum, must never panic and must re-encode to a fixed point), the
 # error-isolation convergence contract
-# (tier-1 recovery preserves text; repairing converges to the batch parse),
+# (isolation preserves text; repairing converges to the batch parse),
 # the session-snapshot codec plus its write-ahead journal framing
 # (arbitrary bytes never panic; accepted snapshots re-encode canonically
 # and restore coherently), restored sessions against the live ones they
@@ -48,7 +48,6 @@ check: vet race bench-module
 # tree (NodeSpan, Subtree, the error walk) against the token scan.
 fuzz-smoke:
 	$(GO) test -run FuzzParseOracle -fuzz FuzzParseOracle -fuzztime 30s ./internal/earley/
-	$(GO) test -run FuzzRecoveryConverges -fuzz FuzzRecoveryConverges -fuzztime 30s ./internal/recovery/
 	$(GO) test -run FuzzLangCodecRoundTrip -fuzz FuzzLangCodecRoundTrip -fuzztime 30s ./internal/langcodec/
 	$(GO) test -run FuzzLangCodecResealed -fuzz FuzzLangCodecResealed -fuzztime 30s ./internal/langcodec/
 	$(GO) test -run FuzzErrorIsolationConverges -fuzz FuzzErrorIsolationConverges -fuzztime 30s .

@@ -107,6 +107,38 @@ func TestIGLRReparseAllocsBounded(t *testing.T) {
 	}
 }
 
+// TestTolerantReparseAllocs: Do(Tolerant()) after a one-token edit that
+// parses allocates at most one object more than Do() — the option's
+// config. The tolerant path keeps no copy of the pending edits.
+func TestTolerantReparseAllocs(t *testing.T) {
+	src := "MODULE M;\nVAR x : INTEGER;\nBEGIN\n  x := 1\nEND M.\n"
+	off := strings.Index(src, "1")
+	measure := func(do func(s *incremental.Session) incremental.Outcome) float64 {
+		s := incremental.NewSession(incremental.Modula2Subset(), src)
+		if out := s.Do(nil); out.Err != nil {
+			t.Fatal(out.Err)
+		}
+		flip := false
+		return testing.AllocsPerRun(200, func() {
+			flip = !flip
+			repl := "1"
+			if flip {
+				repl = "2"
+			}
+			s.Edit(off, 1, repl)
+			if out := do(s); out.Err != nil || !out.Clean {
+				t.Fatalf("reparse: %+v", out)
+			}
+		})
+	}
+	plain := measure(func(s *incremental.Session) incremental.Outcome { return s.Do(nil) })
+	tolerant := measure(func(s *incremental.Session) incremental.Outcome { return s.Do(nil, incremental.Tolerant()) })
+	t.Logf("one-token reparse: Do() %.1f, Do(Tolerant()) %.1f allocs/run", plain, tolerant)
+	if tolerant > plain+1 {
+		t.Fatalf("Do(Tolerant()) allocated %.1f objects/run, Do() %.1f: want at most one more", tolerant, plain)
+	}
+}
+
 // TestEditBytesIndependentOfFileSize pins the edit path in work and bytes,
 // not time: Session.Edit rewrites only the run of the document's token
 // stream that the damage touches and moves the sums of the run headers

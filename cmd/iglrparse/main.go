@@ -103,17 +103,11 @@ func main() {
 		s.Edit(off, rem, ins)
 		if *recover {
 			out = s.Do(ctx, incremental.Tolerant())
-			if out.Err != nil {
-				fatal(out.Err)
-			}
-			if len(out.Unincorporated) > 0 {
-				fmt.Printf("unincorporated edits: %d (reverted)\n", len(out.Unincorporated))
-			}
 		} else {
 			out = s.Do(ctx)
-			if out.Err != nil {
-				fatal(out.Err)
-			}
+		}
+		if out.Err != nil {
+			fatal(out.Err)
 		}
 		tree = out.Root
 		fmt.Printf("relexed %d token(s)\n", s.Relexed())

@@ -230,6 +230,40 @@ func TestTolerantSessionQuarantinesAndRepairs(t *testing.T) {
 	}
 }
 
+// TestTolerantSessionKeepsUnboundedEdit: an edit no sequence can confine
+// (expr has none) is answered as isolated, with one diagnostic, and the
+// session's text holds it: a read of the whole text shows the edited
+// token. A tolerant create over garbage answers with a diagnostic, not an
+// error.
+func TestTolerantSessionKeepsUnboundedEdit(t *testing.T) {
+	d := testDaemon(t, Config{Bundled: []string{"expr", "c-subset"}})
+
+	var created sessionJSON
+	status := doJSON(t, "POST", dataURL(d, "/sessions"),
+		createSessionJSON{Language: "expr", Text: "a + b", Tolerant: true}, &created)
+	if status != http.StatusCreated || !created.Outcome.Clean {
+		t.Fatalf("create: status %d, outcome %+v", status, created.Outcome)
+	}
+	var out outcomeJSON
+	status = doJSON(t, "POST", dataURL(d, "/sessions/"+created.ID+"/edits"),
+		editsRequestJSON{Edits: []editJSON{{Offset: 2, Remove: 1, Insert: ")"}}}, &out)
+	if status != http.StatusOK || out.Error != "" || !out.Isolated || len(out.Diagnostics) != 1 {
+		t.Fatalf("edit: status %d, want isolated with one diagnostic, got %+v", status, out)
+	}
+	var sub subtreeJSON
+	status = doJSON(t, "GET", dataURL(d, "/sessions/"+created.ID+"/subtree?offset=0&length=5"), nil, &sub)
+	if status != http.StatusOK || !strings.Contains(sub.Outline, `")"`) {
+		t.Fatalf("subtree: status %d, want the edited token in the outline, got %+v", status, sub)
+	}
+
+	var garbage sessionJSON
+	status = doJSON(t, "POST", dataURL(d, "/sessions"),
+		createSessionJSON{Language: "c-subset", Text: ") ) ) )", Tolerant: true}, &garbage)
+	if status != http.StatusCreated || garbage.Outcome.Error != "" || len(garbage.Outcome.Diagnostics) != 1 {
+		t.Fatalf("create over garbage: status %d, outcome %+v", status, garbage.Outcome)
+	}
+}
+
 func TestUnknownLanguageAndBadEdits(t *testing.T) {
 	d := testDaemon(t, Config{Bundled: []string{"expr"}})
 

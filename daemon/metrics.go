@@ -153,7 +153,7 @@ func (m *metrics) write(w io.Writer) {
 	c("iglrd_parse_errors_total", "Parses that failed with a syntax error (non-tolerant sessions).", m.parseErrors.Load())
 	c("iglrd_budget_trips_total", "Parses aborted by a resource budget.", m.budgetTrips.Load())
 	c("iglrd_degraded_parses_total", "Parses that pruned ambiguity under the alternatives budget.", m.degraded.Load())
-	c("iglrd_isolated_parses_total", "Tolerant parses that quarantined syntax errors (tier-1 isolation).", m.isolated.Load())
+	c("iglrd_isolated_parses_total", "Tolerant parses that quarantined syntax errors (error isolation).", m.isolated.Load())
 	c("iglrd_diagnostics_total", "Diagnostics reported across all parses.", m.diagnostics.Load())
 
 	fmt.Fprintf(w, "# HELP iglrd_parse_seconds Parse latency, per session parse.\n# TYPE iglrd_parse_seconds histogram\n")

@@ -36,9 +36,9 @@ type createSessionJSON struct {
 	Language string `json:"language"`
 	Text     string `json:"text"`
 	Tenant   string `json:"tenant,omitempty"`
-	// Tolerant makes every parse of this session run under two-tier error
-	// recovery: syntax errors are quarantined as diagnostics instead of
-	// failing the parse.
+	// Tolerant makes every parse of this session run under error
+	// isolation (Do(Tolerant())): syntax errors are quarantined as
+	// diagnostics instead of failing the parse, and the text is kept.
 	Tolerant bool `json:"tolerant,omitempty"`
 }
 

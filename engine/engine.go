@@ -59,9 +59,9 @@ type Result struct {
 	// with Retries was set and an attempt failed retryably).
 	Attempts int
 	// Diagnostics lists the quarantined syntax-error regions when the
-	// policy is Tolerant and the file parsed under tier-1 error isolation
-	// (empty for clean parses). Root is then a valid tree with one error
-	// node per diagnostic and Err is nil.
+	// policy is Tolerant and the file parsed under error isolation (empty
+	// for clean parses). Root is then a valid tree with one error node per
+	// diagnostic and Err is nil.
 	Diagnostics []incremental.Diagnostic
 	// Degraded reports that the result was produced under reduced
 	// fidelity: the parse ran with the policy's DegradedBudget, and/or
@@ -101,9 +101,9 @@ type Aggregate struct {
 	// fidelity (see Result.Degraded); BudgetTrips sums the budget
 	// errors hit across all attempts of all files.
 	Degraded, BudgetTrips int
-	// FilesWithDiagnostics counts files that parsed only under tier-1
-	// error isolation; Diagnostics sums their quarantined regions
-	// (Tolerant policies only).
+	// FilesWithDiagnostics counts files that parsed only under error
+	// isolation; Diagnostics sums their quarantined regions (Tolerant
+	// policies only).
 	FilesWithDiagnostics, Diagnostics int
 	// Wall is the batch wall time, including worker startup.
 	Wall time.Duration
@@ -162,10 +162,10 @@ type Policy struct {
 	// produced under it are marked Degraded.
 	DegradedBudget *incremental.Budget `json:"degraded_budget,omitempty"`
 	// Tolerant makes syntax errors non-fatal per file: the session's
-	// tier-1 error isolation quarantines the damage and the Result
-	// carries a valid Root plus Diagnostics instead of an Err. Files
-	// whose damage cannot be bounded still fail. Budget trips, timeouts
-	// and cancellation are unaffected — they stay errors (and stay
+	// error isolation quarantines the damage and the Result carries a
+	// valid Root plus Diagnostics instead of an Err. Only a file with no
+	// token still fails with a syntax error. Budget trips, timeouts and
+	// cancellation are unaffected — they stay errors (and stay
 	// retryable).
 	Tolerant bool `json:"tolerant,omitempty"`
 }
@@ -340,9 +340,6 @@ func attemptOne(ctx context.Context, lang *incremental.Language, pool *increment
 	if cfg.policy.Tolerant {
 		out := s.Do(ctx, incremental.Tolerant())
 		root, err = out.Root, out.Err
-		if err == nil && root == nil {
-			err = fmt.Errorf("engine: %s: recovery produced no tree", in.Name)
-		}
 		if out.Isolated {
 			res.Diagnostics = s.Diagnostics()
 		}

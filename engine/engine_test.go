@@ -196,13 +196,14 @@ func TestEmptyBatch(t *testing.T) {
 
 // TestTolerantPolicyKeepsBrokenFiles: under Policy.Tolerant a syntactically
 // broken file still yields a Root — the damage quarantined under error
-// nodes and reported as Diagnostics — while healthy files are untouched and
-// files isolation cannot bound keep surfacing their parse error.
+// nodes and reported as Diagnostics — while healthy files are untouched;
+// a file no region can bound yields one error node over all of it.
 func TestTolerantPolicyKeepsBrokenFiles(t *testing.T) {
 	inputs := []Input{
 		{Name: "ok1.c", Source: "int a; a = 1;"},
 		{Name: "broken.c", Source: "int a; int (; int b;"},
 		{Name: "ok2.c", Source: "int z;"},
+		{Name: "garbage.c", Source: ") ) ) )"},
 	}
 	lang := incremental.CSubset()
 	b, err := AnalyzeAll(context.Background(), lang, inputs,
@@ -224,7 +225,10 @@ func TestTolerantPolicyKeepsBrokenFiles(t *testing.T) {
 	if len(b.Results[0].Diagnostics) != 0 || len(b.Results[2].Diagnostics) != 0 {
 		t.Fatal("healthy files must not carry diagnostics")
 	}
-	if b.Aggregate.FilesWithDiagnostics != 1 || b.Aggregate.Diagnostics < 1 {
+	if g := b.Results[3]; len(g.Diagnostics) != 1 || g.Diagnostics[0].Length != len(inputs[3].Source) {
+		t.Fatalf("garbage.c diagnostics = %v, want one over the whole file", g.Diagnostics)
+	}
+	if b.Aggregate.FilesWithDiagnostics != 2 || b.Aggregate.Diagnostics < 2 {
 		t.Fatalf("aggregate diagnostics: %+v", b.Aggregate)
 	}
 	if b.Aggregate.Dag.ErrorNodes < 1 {

@@ -71,7 +71,7 @@ func main() {
 
 	fmt.Printf("\n(each reparse touched a handful of tokens out of %d — the rest was reused)\n", st.Terminals)
 
-	// Error episode: two edits, one of which breaks the parse. Tier-1
+	// Error episode: two edits, one of which breaks the parse. Error
 	// isolation keeps BOTH — the user's text is never reverted; the broken
 	// span is quarantined under an error node and reported as a diagnostic
 	// while the rest of the program stays incrementally parsed (§1, §4.3).
@@ -85,8 +85,7 @@ func main() {
 	if out.Err != nil {
 		log.Fatal(out.Err)
 	}
-	fmt.Printf("recovery: %d edit(s) incorporated, isolated=%v, %d quarantined region(s)\n",
-		len(out.Incorporated), out.Isolated, out.ErrorRegions)
+	fmt.Printf("recovery: isolated=%v, %d quarantined region(s)\n", out.Isolated, out.ErrorRegions)
 	if len(s.Text()) == brokenLen && strings.Contains(s.Text(), "renamed_w") {
 		fmt.Println("both edits kept: the text was not rolled back")
 	}

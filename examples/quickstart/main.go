@@ -73,9 +73,9 @@ timeout = 30;
 	fmt.Printf("incremental reparse: relexed %d token(s), shifted %d terminal(s) and %d whole subtree(s)\n",
 		s.Relexed(), st.TerminalShifts, st.SubtreeShifts)
 
-	// A syntax error keeps the previous tree; a tolerant reparse
-	// quarantines the broken span (or, failing that, reverts the offending
-	// edit and flags it as unincorporated — §4.3).
+	// A syntax error keeps the previous tree; a tolerant reparse keeps the
+	// text and quarantines the broken span under an error node (at worst
+	// one that owns the whole text), reported as a diagnostic.
 	fmt.Println("\nbreaking the file (deleting the first '='), then recovering ...")
 	eq := strings.Index(s.Text(), "=")
 	s.Edit(eq, 1, "")
@@ -83,8 +83,8 @@ timeout = 30;
 		fmt.Println("  parse failed as expected:", failed.Err)
 	}
 	rec := s.Do(ctx, incremental.Tolerant())
-	fmt.Printf("  recovery: isolated=%v, %d edit(s) reverted, document consistent again: %v\n",
-		rec.Isolated, len(rec.Unincorporated), rec.Err == nil)
+	fmt.Printf("  recovery: isolated=%v, %d diagnostic(s), document consistent again: %v\n",
+		rec.Isolated, len(s.Diagnostics()), rec.Err == nil)
 }
 
 func countEntries(lang *incremental.Language, tree *incremental.Node) int {

@@ -7,8 +7,8 @@ import (
 	"iglr/internal/faultinject"
 )
 
-// The convergence suite: the recovery package's "always converge"
-// guarantee, extended from user syntax errors to infrastructure faults.
+// The convergence suite: error isolation's "always converge" guarantee,
+// extended from user syntax errors to infrastructure faults.
 // For every injection point we force a fault during a reparse and prove
 // (a) the committed tree is exactly the pre-fault tree — same root, same
 // rendering — and (b) once the fault clears, the same pending edit
@@ -126,41 +126,45 @@ func TestFaultConvergenceRandomizedRounds(t *testing.T) {
 }
 
 // A lexical fault corrupts a token *in the document*, so plain retry
-// cannot converge — but history-based recovery does: the poisoned edit is
-// reverted and reported, and the document text is restored.
+// cannot converge — but tolerant isolation does: the edit stays in the
+// text, quarantined and reported, and once the fault clears, retyping the
+// edit converges to the cold parse.
 func TestFaultConvergenceLexErrorViaRecovery(t *testing.T) {
 	lang := incremental.AmbiguousExprLanguage()
-	s, root, before := faultSession(t)
+	s, _, _ := faultSession(t)
 
-	// Every: 1 makes the corruption persistent while the plan is active:
-	// recovery's replay probe relexes the region and must hit it again.
+	// Every: 1 corrupts each terminal the edit creates for "777".
 	faultinject.Activate(faultinject.NewPlan(faultinject.Trigger{
 		Point: faultinject.LexTerminal, Match: "777", Every: 1, Do: faultinject.ActError}))
 	s.Edit(s.Len(), 0, "+777")
 	out := s.Do(nil, incremental.Tolerant())
 	faultinject.Deactivate()
 
-	if out.Clean {
-		t.Fatal("the corrupted token must fail the first probe")
+	if out.Err != nil || out.Clean || !out.Isolated {
+		t.Fatalf("the corrupted token must be isolated: %+v", out)
 	}
-	if len(out.Unincorporated) != 1 {
-		t.Fatalf("unincorporated = %d, want the poisoned edit", len(out.Unincorporated))
+	if s.Text() != "1+2*3+777" {
+		t.Fatalf("isolation must keep the text, got %q", s.Text())
 	}
-	if s.Tree() != root || incremental.FormatDag(lang, s.Tree()) != before {
-		t.Fatal("recovery must preserve the committed tree")
-	}
-	if s.Text() != "1+2*3" {
-		t.Fatalf("recovery must restore the text, got %q", s.Text())
+	ds := s.Diagnostics()
+	if len(ds) != 1 || ds[0].Offset > 6 || ds[0].Offset+ds[0].Length < 9 {
+		t.Fatalf("want one diagnostic covering 777, got %v", ds)
 	}
 
-	// Fault cleared: re-applying the same edit now succeeds.
-	s.Edit(s.Len(), 0, "+777")
+	// Fault cleared: the corrupted terminal node survives a relex of the
+	// same bytes, so delete the edit, parse, and type it again.
+	s.Edit(5, 4, "")
+	if out = s.Do(nil); out.Err != nil || out.Root.Yield() != "1+2*3" {
+		t.Fatalf("after deleting the edit: %v, %+v", out.Err, out)
+	}
+	s.Edit(5, 0, "+777")
 	out = s.Do(nil)
 	if out.Err != nil {
 		t.Fatal(out.Err)
 	}
-	if out.Root.Yield() != "1+2*3+777" {
-		t.Fatalf("yield = %q", out.Root.Yield())
+	cold := incremental.NewSession(lang, "1+2*3+777").Do(nil)
+	if got, want := incremental.FormatDag(lang, out.Root), incremental.FormatDag(lang, cold.Root); got != want {
+		t.Fatalf("retyped edit differs from the cold parse:\n%s\nwant\n%s", got, want)
 	}
 }
 

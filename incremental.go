@@ -76,8 +76,6 @@ type (
 	Reinterpreted = semantics.ReinterpretedRegion
 	// Filter is a dynamic syntactic disambiguation filter.
 	Filter = disambig.Filter
-	// AppliedEdit is a recorded, revertible document edit.
-	AppliedEdit = document.AppliedEdit
 	// TableMethod selects the LR table construction algorithm.
 	TableMethod = lr.Method
 	// Budget bounds the resources a single parse may consume (GSS nodes

@@ -71,7 +71,7 @@ func TestSessionRecovery(t *testing.T) {
 	if out.Err != nil || !out.Isolated || out.ErrorRegions == 0 {
 		t.Fatalf("recovery outcome: %+v", out)
 	}
-	// Tier-1 isolation never reverts the user's text: the bad edit stays,
+	// Isolation never reverts the user's text: the bad edit stays,
 	// quarantined under an error node and reported as a diagnostic.
 	if s.Text() != "int x; int (;" {
 		t.Fatalf("text = %q", s.Text())

@@ -49,8 +49,8 @@ const (
 	KindSeq
 	// KindError is an isolated syntax-error region: its children are the
 	// quarantined terminals, kept verbatim so the document's text is never
-	// reverted by error handling. Error nodes are created by the tier-1
-	// isolating reparse (internal/isolate), never by the parser itself; like
+	// reverted by error handling. Error nodes are created by the isolating
+	// reparse (internal/isolate), never by the parser itself; like
 	// BudgetPruned regions they mark structure that is usable but carries no
 	// grammatical interpretation. Their state is NoState, so incremental
 	// reparses always break them down and re-offer the quarantined tokens —

@@ -67,9 +67,9 @@ type Document struct {
 	// marked collects nodes whose change bits must be cleared at commit.
 	marked []*dag.Node
 
-	// edited records that the token stream changed since the last commit
-	// (an edit applied, or one reverted): the committed tree's terminal
-	// counts then describe another stream, and reads fall back to the scan.
+	// edited records that the token stream changed since the last commit:
+	// the committed tree's terminal counts then describe another stream,
+	// and reads fall back to the scan.
 	edited bool
 
 	// seq rebuilds the sequences a parse produced into canonical balanced
@@ -77,8 +77,7 @@ type Document struct {
 	seq *dag.SeqBuilder
 
 	// pending records the edits applied since the last commit, with the
-	// removed text captured so they can be reverted — the history that
-	// §4.3's non-correcting error recovery replays.
+	// removed text captured so that CommittedState can invert them.
 	pending []AppliedEdit
 
 	// LastRelexed is the token count rescanned by the latest edit.
@@ -218,25 +217,11 @@ func (d *Document) PendingEdits() []AppliedEdit {
 	return append([]AppliedEdit(nil), d.pending...)
 }
 
-// RevertPending undoes every edit since the last commit (newest first),
-// restoring the text of the committed tree.
-func (d *Document) RevertPending() {
-	for len(d.pending) > 0 {
-		e := d.pending[len(d.pending)-1]
-		d.replace(e.Offset, len(e.Inserted), e.Removed, false)
-		d.pending = d.pending[:len(d.pending)-1]
-	}
-}
-
 // Replace applies a text edit: the buffer is updated, the affected region
 // is relexed incrementally, and the previous tree is marked — modified
 // terminals and their ancestor spines (nested changes), plus the
 // right-context bit on the terminal preceding the damage (§3.2).
 func (d *Document) Replace(offset, removed int, inserted string) {
-	d.replace(offset, removed, inserted, true)
-}
-
-func (d *Document) replace(offset, removed int, inserted string, record bool) {
 	// Overflow-safe: a huge removed count must not wrap offset+removed
 	// negative and slip past the check into a buffer panic with a
 	// misleading message.
@@ -244,13 +229,11 @@ func (d *Document) replace(offset, removed int, inserted string, record bool) {
 		panic(fmt.Sprintf("document: edit @%d -%d out of range (len %d)", offset, removed, d.buf.Len()))
 	}
 	d.edited = true
-	if record {
-		d.pending = append(d.pending, AppliedEdit{
-			Offset:   offset,
-			Removed:  d.buf.Slice(offset, offset+removed),
-			Inserted: inserted,
-		})
-	}
+	d.pending = append(d.pending, AppliedEdit{
+		Offset:   offset,
+		Removed:  d.buf.Slice(offset, offset+removed),
+		Inserted: inserted,
+	})
 	d.buf.Replace(offset, removed, inserted)
 
 	// The relex reads the buffer in place, and the old tokens through the

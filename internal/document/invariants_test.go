@@ -130,14 +130,20 @@ func TestPendingEditsLifecycle(t *testing.T) {
 	if len(pend) != 2 || pend[0].Removed != "1" || pend[1].Inserted != "q" {
 		t.Fatalf("pending = %+v", pend)
 	}
-	d.RevertPending()
+	// Undo both edits, newest first, by their inverses: they are recorded
+	// too, and the log still inverts to the committed text.
+	d.Replace(pend[1].Offset, len(pend[1].Inserted), pend[1].Removed)
+	d.Replace(pend[0].Offset, len(pend[0].Inserted), pend[0].Removed)
 	if d.Text() != "a = 1; b = 2; c = 3;" {
-		t.Fatalf("revert: %q", d.Text())
+		t.Fatalf("undo: %q", d.Text())
 	}
-	if len(d.PendingEdits()) != 0 {
-		t.Fatal("pending should be empty after revert")
+	if pend = d.PendingEdits(); len(pend) != 4 || pend[2].Inserted != "a" || pend[3].Removed != "9" {
+		t.Fatalf("pending after undo = %+v", pend)
 	}
-	// The tree is reusable again: the touched tokens are relexed (revert
+	if committed, _, err := d.CommittedState(); err != nil || committed != d.Text() {
+		t.Fatalf("committed state = %q, %v", committed, err)
+	}
+	// The tree is reusable again: the touched tokens are relexed (an undo
 	// does not resurrect their old terminal nodes) but the untouched
 	// statements come back as whole subtrees.
 	p := iglr.New(l.tbl)
@@ -146,10 +152,10 @@ func TestPendingEditsLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	if p.Stats.SubtreeShifts == 0 {
-		t.Fatalf("expected subtree reuse after revert: %+v", p.Stats)
+		t.Fatalf("expected subtree reuse after the undo: %+v", p.Stats)
 	}
 	if p.Stats.TerminalShifts > 6 {
-		t.Fatalf("revert should keep the damage local: %+v", p.Stats)
+		t.Fatalf("the undo should keep the damage local: %+v", p.Stats)
 	}
 	d.Commit(root)
 	checkInvariants(t, l, d)

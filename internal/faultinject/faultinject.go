@@ -12,11 +12,14 @@
 // The action says what the site does: return an error token, panic, report
 // cancellation, or panic with a budget error (a forced allocation-cap hit).
 //
-// The convergence suite in this package's tests proves the system's core
-// robustness guarantee: after *any* injected fault the session's committed
-// tree is byte-identical to the pre-fault tree, and the next clean edit
-// reparses correctly — the recovery package's "always converge" property
-// extended from user syntax errors to infrastructure faults.
+// The convergence suite (the root package's faultconverge_test.go) proves
+// the system's core robustness guarantee: after an injected cancellation,
+// budget trip or panic the session's committed tree is byte-identical to
+// the pre-fault tree, and the retried parse is correct. A lexical fault
+// corrupts a terminal in the document, which a tolerant parse quarantines
+// like any syntax error, keeping the text; once the fault clears, retyping
+// the edit converges to the cold parse — error isolation's "always
+// converge" property extended from user syntax errors to faults.
 package faultinject
 
 import (

@@ -1,5 +1,5 @@
-// Package isolate implements tier-1, text-preserving error recovery: when
-// a reparse fails, the damage is confined to the smallest enclosing
+// Package isolate implements text-preserving error recovery: when a
+// reparse fails, the damage is confined to the smallest enclosing
 // sequence/statement region instead of reverting the user's edits. The
 // quarantined tokens are kept verbatim under an explicit error node
 // (dag.KindError) spliced into an otherwise ordinary parse of the remaining
@@ -20,11 +20,13 @@
 //     on an element boundary is expanded to the enclosing element and the
 //     loop re-runs.
 //
-// Isolation gives up (callers then fall back to tier-2 history replay)
-// when the regions would swallow the whole token stream, when no sequence
-// structure bounds the gap, or after a fixed number of attempts.
-// Infrastructure failures — budget trips, context cancellation — are never
-// treated as syntax damage; they propagate unchanged.
+// Where the loop cannot bound the damage — the regions would swallow the
+// whole token stream, no sequence structure hosts a region, or the
+// attempts run out — its last resort is one error node that owns every
+// terminal, as the root. So isolation always keeps the text, and fails
+// only for a document with no terminal at all. Infrastructure failures —
+// budget trips, context cancellation — are never treated as syntax
+// damage; they propagate unchanged.
 //
 // A restored session snapshot recorded where its regions ended up, so
 // Requarantine runs the second move alone: one masked parse with exactly
@@ -43,33 +45,25 @@ import (
 	"iglr/internal/iglr"
 )
 
-// ErrUnbounded reports that error isolation could not confine the damage
-// (e.g. the whole file is garbage, or the grammar offers no sequence
-// structure around the failure). Callers fall back to tier-2 edit replay.
+// ErrUnbounded reports that the document has no terminal, so not even
+// the whole-file error node can hold the damage.
 var ErrUnbounded = errors.New("isolate: damage cannot be bounded")
 
-// maxAttempts bounds the masked-parse iterations of one isolation run. It
-// must comfortably exceed maxRegions: discovering each disjoint damage
-// region costs at least one masked attempt, plus a few more for region
-// growth and splice-driven expansion.
+// maxAttempts bounds the masked-parse iterations of one isolation run.
+// Each attempt adds at most one region, so it bounds the region count
+// too; a run that needs more quarantines the whole file.
 const maxAttempts = 64
 
-// maxRegions bounds how many disjoint quarantine regions one run may
-// accumulate before the file is treated as unboundable.
-const maxRegions = 32
-
-// Result reports a successful tier-1 isolating reparse. The root has not
+// Result reports a successful isolating reparse. The root has not
 // been committed; the caller owns that decision.
 type Result struct {
 	// Root is the spliced tree: a valid parse of the unquarantined text
-	// with one KindError node per region.
+	// with one KindError node per region, or the whole-file error node.
 	Root *dag.Node
 	// Errors holds the spliced error nodes, leftmost first.
 	Errors []*dag.Node
 	// Regions are the final quarantine regions, leftmost first.
 	Regions []Region
-	// Attempts counts the masked parses the run needed.
-	Attempts int
 }
 
 // Region is a quarantine range — the significant terminals [Lo, Hi) an
@@ -80,10 +74,13 @@ type Region struct {
 	Expected []string
 }
 
-// Reparse runs tier-1 isolation over the document's current state using
-// the given parser (whose Budget applies to every masked attempt). On
-// success the returned Result's Root contains at least one error node and
-// the document's text is untouched. A nil ctx disables cancellation polls.
+// Reparse runs isolation over the document's current state using the
+// given parser (whose Budget applies to every masked attempt). On success
+// the returned Result's Root contains at least one error node — at worst
+// one that owns every terminal — and the document's text is untouched.
+// It fails with ErrUnbounded only when the document has no terminal, and
+// otherwise only with an error that aborted a masked parse. A nil ctx
+// disables cancellation polls.
 func Reparse(ctx context.Context, d *document.Document, p *iglr.Parser) (Result, error) {
 	terms := d.Terminals()
 	if len(terms) == 0 {
@@ -94,21 +91,21 @@ func Reparse(ctx context.Context, d *document.Document, p *iglr.Parser) (Result,
 	defer dag.ReleaseScratch(s.idx)
 
 	var regions []Region
+	var expected []string // the first failure's, for the whole-file node
 	creep := 0
-	for attempt := 1; attempt <= maxAttempts; attempt++ {
+	for range maxAttempts {
 		root, err := p.ParseContext(ctx, d.MaskedStream(mask(regions)))
 		if err == nil {
-			res, expand, serr := s.spliceAll(root, terms, regions)
-			if serr != nil {
-				return Result{}, serr
+			res, expand, ok := s.spliceAll(root, terms, regions)
+			if !ok {
+				break
 			}
 			if expand == nil {
-				res.Attempts = attempt
 				return res, nil
 			}
 			regions = merge(regions, Region{Lo: expand.lo, Hi: expand.hi})
 			if unbounded(regions, len(terms)) {
-				return Result{}, ErrUnbounded
+				break
 			}
 			continue
 		}
@@ -117,6 +114,9 @@ func Reparse(ctx context.Context, d *document.Document, p *iglr.Parser) (Result,
 			// Budget trip, cancellation, or an injected fault: the text is
 			// not known to be wrong — the parse was aborted.
 			return Result{}, err
+		}
+		if expected == nil {
+			expected = se.Expected
 		}
 		anchor := curIndex(se, regions, terms)
 		if anchor >= len(terms) {
@@ -130,7 +130,7 @@ func Reparse(ctx context.Context, d *document.Document, p *iglr.Parser) (Result,
 			}
 		}
 		if anchor < 0 {
-			return Result{}, ErrUnbounded
+			break
 		}
 		// A failure bordering an existing region usually means the
 		// quarantine cut a construct in half (e.g. a list header left
@@ -141,7 +141,7 @@ func Reparse(ctx context.Context, d *document.Document, p *iglr.Parser) (Result,
 			if lo, hi, ok := escalate(g, s.idx, terms, regions[adj]); ok {
 				regions = merge(regions, Region{Lo: lo, Hi: hi})
 				if unbounded(regions, len(terms)) {
-					return Result{}, ErrUnbounded
+					break
 				}
 				continue
 			}
@@ -167,10 +167,10 @@ func Reparse(ctx context.Context, d *document.Document, p *iglr.Parser) (Result,
 		next.Expected = se.Expected
 		regions = merge(regions, next.Region)
 		if unbounded(regions, len(terms)) {
-			return Result{}, ErrUnbounded
+			break
 		}
 	}
-	return Result{}, ErrUnbounded
+	return wholeFile(d.Arena(), terms, expected), nil
 }
 
 // Requarantine rebuilds a committed tree's error regions over the
@@ -179,8 +179,9 @@ func Reparse(ctx context.Context, d *document.Document, p *iglr.Parser) (Result,
 // then Reparse's splice of one error node per region. Where Reparse would
 // grow a region — the parse fails, or a region no longer splices at a
 // sequence boundary — Requarantine fails instead, so the tree it returns
-// holds exactly the regions it was given. The parser's Budget applies; a
-// nil ctx disables cancellation polls.
+// holds exactly the regions it was given. One region over every terminal
+// is Reparse's last resort, rebuilt the same way without a parse. The
+// parser's Budget applies; a nil ctx disables cancellation polls.
 func Requarantine(ctx context.Context, d *document.Document, p *iglr.Parser, regions []Region) (Result, error) {
 	terms := d.Terminals()
 	end := -1
@@ -190,8 +191,8 @@ func Requarantine(ctx context.Context, d *document.Document, p *iglr.Parser, reg
 		}
 		end = r.Hi
 	}
-	if unbounded(regions, len(terms)) {
-		return Result{}, ErrUnbounded
+	if len(regions) == 1 && regions[0].Lo == 0 && regions[0].Hi == len(terms) {
+		return wholeFile(d.Arena(), terms, regions[0].Expected), nil
 	}
 	root, err := p.ParseContext(ctx, d.MaskedStream(mask(regions)))
 	if err != nil {
@@ -199,14 +200,13 @@ func Requarantine(ctx context.Context, d *document.Document, p *iglr.Parser, reg
 	}
 	s := newSplicer(d, terms)
 	defer dag.ReleaseScratch(s.idx)
-	res, expand, err := s.spliceAll(root, terms, regions)
-	if err == nil && expand != nil {
-		err = fmt.Errorf("isolate: a region would grow to [%d,%d)", expand.lo, expand.hi)
+	res, expand, ok := s.spliceAll(root, terms, regions)
+	switch {
+	case !ok:
+		return Result{}, errors.New("isolate: no sequence structure hosts a region")
+	case expand != nil:
+		return Result{}, fmt.Errorf("isolate: a region would grow to [%d,%d)", expand.lo, expand.hi)
 	}
-	if err != nil {
-		return Result{}, err
-	}
-	res.Attempts = 1
 	return res, nil
 }
 
@@ -426,12 +426,9 @@ func escalate(g *grammar.Grammar, idx *dag.Scratch, terms []*dag.Node, r Region)
 	return 0, 0, false
 }
 
-// unbounded reports whether the region set should abort isolation: the
-// quarantine would swallow every terminal, or fragments past the cap.
+// unbounded reports whether the quarantine would swallow every terminal,
+// so that only the whole-file error node can hold the damage.
 func unbounded(regions []Region, n int) bool {
-	if len(regions) > maxRegions {
-		return true
-	}
 	covered := 0
 	for _, r := range regions {
 		covered += r.Hi - r.Lo

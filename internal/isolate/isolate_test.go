@@ -148,6 +148,8 @@ func TestIsolateWithoutCommittedTree(t *testing.T) {
 	}
 }
 
+// TestIsolateWholeFileGarbageUnbounded: garbage that no region can bound
+// is quarantined whole, as one error node over every terminal at the root.
 func TestIsolateWholeFileGarbageUnbounded(t *testing.T) {
 	l := csub.Lang()
 	d := l.NewDocument("int a;")
@@ -155,12 +157,19 @@ func TestIsolateWholeFileGarbageUnbounded(t *testing.T) {
 	commit(t, d, p)
 
 	d.Replace(0, 6, ") ) ) )")
-	_, err := isolate.Reparse(nil, d, p)
-	if !errors.Is(err, isolate.ErrUnbounded) {
-		t.Fatalf("err = %v, want ErrUnbounded", err)
+	res, err := isolate.Reparse(nil, d, p)
+	if err != nil {
+		t.Fatalf("Reparse: %v", err)
+	}
+	n := len(d.Terminals())
+	if len(res.Regions) != 1 || res.Regions[0].Lo != 0 || res.Regions[0].Hi != n {
+		t.Fatalf("regions = %+v, want one [0,%d)", res.Regions, n)
+	}
+	if len(res.Errors) != 1 || res.Root != res.Errors[0] || int(res.Root.TermCount) != n {
+		t.Fatalf("want the root to be the one error node over %d terminals: %+v", n, res)
 	}
 	if d.Text() != ") ) ) )" {
-		t.Fatalf("isolation must not touch the text even when it gives up: %q", d.Text())
+		t.Fatalf("isolation must not touch the text: %q", d.Text())
 	}
 }
 

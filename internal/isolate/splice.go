@@ -41,21 +41,18 @@ type expandReq struct{ lo, hi int }
 // the evolving tree's terminal coordinates: all terminals before an
 // unspliced region are present (earlier regions were just re-inserted) and
 // masked spans only occur at or after the gap. A non-nil expandReq means
-// the loop must retry with a bigger region; ErrUnbounded means no sequence
+// the loop must retry with a bigger region; ok is false when no sequence
 // structure can host some region at all.
-func (s *splicer) spliceAll(root *dag.Node, terms []*dag.Node, regions []Region) (Result, *expandReq, error) {
-	res := Result{Root: root}
+func (s *splicer) spliceAll(root *dag.Node, terms []*dag.Node, regions []Region) (res Result, expand *expandReq, ok bool) {
+	res.Root = root
 	for _, r := range regions {
-		det := &dag.ErrorDetail{Expected: r.Expected, Region: grammar.InvalidSym}
-		kids := make([]*dag.Node, r.Hi-r.Lo)
-		copy(kids, terms[r.Lo:r.Hi])
-		errNode := s.a.Error(kids, det)
+		errNode, det := errorNode(s.a, terms, r)
 		nr, req := s.insert(res.Root, 0, r.Lo, errNode, det)
 		if req != nil {
-			return Result{}, req, nil
+			return Result{}, req, true
 		}
 		if nr == nil {
-			return Result{}, nil, ErrUnbounded
+			return Result{}, nil, false
 		}
 		res.Root = nr
 		res.Errors = append(res.Errors, errNode)
@@ -66,7 +63,24 @@ func (s *splicer) spliceAll(root *dag.Node, terms []*dag.Node, regions []Region)
 			unstampBefore(res.Root, 0, r.Lo-1)
 		}
 	}
-	return res, nil, nil
+	return res, nil, true
+}
+
+// wholeFile is isolation's last resort: one error node that owns every
+// terminal, as the root, reporting the first failure's expected set.
+func wholeFile(a *dag.Arena, terms []*dag.Node, expected []string) Result {
+	r := Region{Lo: 0, Hi: len(terms), Expected: expected}
+	errNode, _ := errorNode(a, terms, r)
+	return Result{Root: errNode, Errors: []*dag.Node{errNode}, Regions: []Region{r}}
+}
+
+// errorNode builds the error node that quarantines region r's terminals,
+// with no isolating sequence recorded yet.
+func errorNode(a *dag.Arena, terms []*dag.Node, r Region) (*dag.Node, *dag.ErrorDetail) {
+	det := &dag.ErrorDetail{Expected: r.Expected, Region: grammar.InvalidSym}
+	kids := make([]*dag.Node, r.Hi-r.Lo)
+	copy(kids, terms[r.Lo:r.Hi])
+	return a.Error(kids, det), det
 }
 
 // insert places errNode at terminal position m within the subtree n (whose

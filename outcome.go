@@ -2,11 +2,11 @@ package incremental
 
 import (
 	"context"
+	"errors"
 
 	"iglr/internal/dag"
-	"iglr/internal/document"
+	"iglr/internal/guard"
 	"iglr/internal/isolate"
-	"iglr/internal/recovery"
 )
 
 // ParseOption configures one Session.Do call. Options compose: the zero
@@ -17,14 +17,14 @@ type parseConfig struct {
 	tolerant bool
 }
 
-// Tolerant enables two-tier error recovery for this call. Tier 1: a syntax
-// error never reverts the user's text — the damage is confined to the
-// smallest enclosing sequence region, the skipped tokens are kept verbatim
-// under error nodes in the committed tree, and Diagnostics reports them.
-// Tier 2, only when isolation cannot bound the damage: history-sensitive
-// replay, where failing edits are reverted and reported in
-// Outcome.Unincorporated. Infrastructure failures (ErrBudget,
-// cancellation) abort with pending edits intact and trigger neither tier.
+// Tolerant enables error recovery for this call: a syntax error never
+// reverts the user's text. The damage is confined to the smallest
+// enclosing sequence region, the skipped tokens are kept verbatim under
+// error nodes in the committed tree, and Diagnostics reports them. Where
+// no sequence bounds the damage, one error node owns the whole text.
+// Only a text with no token fails, with a *ParseError. Infrastructure
+// failures (ErrBudget, cancellation) abort with pending edits intact and
+// trigger no recovery.
 func Tolerant() ParseOption {
 	return func(c *parseConfig) { c.tolerant = true }
 }
@@ -32,33 +32,25 @@ func Tolerant() ParseOption {
 // Outcome is the result of one Session.Do call — the single result shape
 // for both parse modes (plain and tolerant).
 type Outcome struct {
-	// Root is the committed parse dag. It is non-nil on success; under
-	// Tolerant it may also be non-nil alongside a non-nil Err when tier-2
-	// recovery restored and committed the baseline text.
+	// Root is the committed parse dag: non-nil exactly when Err is nil.
+	// Under Tolerant it may be an error node that owns the whole text.
 	Root *Node
 	// Clean reports that the parse succeeded with no recovery.
 	Clean bool
-	// Isolated reports that tier-1 error isolation produced Root
-	// (Tolerant only): the text was preserved verbatim and the damage is
-	// quarantined under ErrorRegions error nodes. Diagnostics() locates
-	// them.
+	// Isolated reports that error isolation produced Root (Tolerant
+	// only): the text was preserved verbatim and the damage is quarantined
+	// under ErrorRegions error nodes. Diagnostics() locates them.
 	Isolated bool
 	// ErrorRegions counts the quarantined error nodes in Root when
 	// Isolated.
 	ErrorRegions int
-	// Incorporated holds the edits this call committed; Unincorporated
-	// holds edits reverted by tier-2 recovery, in application order. Both
-	// are populated under Tolerant only (the plain path leaves them nil to
-	// preserve the zero-allocation clean reparse guarantee).
-	Incorporated, Unincorporated []AppliedEdit
 	// Stats snapshots the IGLR parser's work counters for the call's
 	// parse (identical to Session.Stats()).
 	Stats ParseStats
-	// Err is nil on success. On the plain path it carries line/column
-	// information as a *ParseError for syntax errors; budget trips and
-	// cancellation pass through unwrapped (match with ErrBudget /
-	// errors.Is(err, ctx.Err())). Under Tolerant, see the Tolerant option
-	// for when Err is set.
+	// Err is nil on success. It carries line/column information as a
+	// *ParseError for syntax errors (under Tolerant, only for a text with
+	// no token); budget trips and cancellation pass through unwrapped
+	// (match with ErrBudget / errors.Is(err, ctx.Err())).
 	Err error
 }
 
@@ -96,37 +88,38 @@ func (s *Session) doPlain(ctx context.Context) Outcome {
 	return Outcome{Root: root, Clean: true, Stats: s.stats}
 }
 
-// doTolerant is Do's two-tier recovery path (see the Tolerant option).
+// doTolerant is Do's recovering path (see the Tolerant option): parse,
+// and on a syntax error commit the isolating reparse's tree instead.
 func (s *Session) doTolerant(ctx context.Context) Outcome {
-	pending := s.doc.PendingEdits()
 	root, err := s.parseOnce(ctx)
 	if err == nil {
 		s.doc.Commit(root)
-		return Outcome{Root: root, Incorporated: pending, Clean: true, Stats: s.stats}
+		return Outcome{Root: root, Clean: true, Stats: s.stats}
 	}
-	if recovery.IsInfrastructure(err) {
+	if isInfrastructure(err) {
 		return Outcome{Err: err, Stats: s.stats}
 	}
-	// Tier 1: text-preserving isolation.
-	if res, ierr := isolate.Reparse(ctx, s.doc, s.parser); ierr == nil {
-		s.doc.Commit(res.Root)
-		return Outcome{Root: res.Root, Incorporated: pending,
-			Isolated: true, ErrorRegions: len(res.Errors), Stats: s.stats}
-	} else if recovery.IsInfrastructure(ierr) {
+	res, ierr := isolate.Reparse(ctx, s.doc, s.parser)
+	if errors.Is(ierr, isolate.ErrUnbounded) {
+		// The text has no token for an error node to hold.
+		return Outcome{Err: s.locate(err), Stats: s.stats}
+	}
+	if ierr != nil {
 		return Outcome{Err: ierr, Stats: s.stats}
 	}
-	// Tier 2: history-sensitive edit replay.
-	rec := recovery.Parse(s.doc, func(d *document.Document) (*Node, error) {
-		return s.parseOnce(ctx)
-	})
-	return Outcome{
-		Root:           rec.Root,
-		Clean:          rec.Clean,
-		Incorporated:   rec.Incorporated,
-		Unincorporated: rec.Unincorporated,
-		Err:            rec.Err,
-		Stats:          s.stats,
-	}
+	s.doc.Commit(res.Root)
+	return Outcome{Root: res.Root, Isolated: true, ErrorRegions: len(res.Errors), Stats: s.stats}
+}
+
+// isInfrastructure classifies a parse failure: true for resource-budget
+// trips and context cancellation — aborted parses that say nothing about
+// whether the text is syntactically valid. Isolation must not quarantine
+// user edits for these; they surface unchanged with the pending edits
+// intact so the caller can retry under a bigger budget.
+func isInfrastructure(err error) bool {
+	return errors.Is(err, guard.ErrBudget) ||
+		errors.Is(err, context.Canceled) ||
+		errors.Is(err, context.DeadlineExceeded)
 }
 
 // NodeSpan reports n's byte span in the current text. n must belong to the

@@ -63,8 +63,7 @@ func TestDoDifferentialClean(t *testing.T) {
 			}
 
 			tol := s.Do(ctx, incremental.Tolerant())
-			if tol.Err != nil || !tol.Clean || tol.Isolated || tol.ErrorRegions != 0 ||
-				len(tol.Incorporated) != 0 || len(tol.Unincorporated) != 0 {
+			if tol.Err != nil || !tol.Clean || tol.Isolated || tol.ErrorRegions != 0 {
 				t.Fatalf("Tolerant over clean text claimed recovery: %+v", tol)
 			}
 			if got := incremental.FormatDag(tc.lang, tol.Root); got != want {
@@ -111,8 +110,7 @@ func TestDoDifferentialSyntaxError(t *testing.T) {
 
 	// Tolerant isolates the damage, text preserved.
 	tol := s.Do(nil, incremental.Tolerant())
-	if tol.Err != nil || tol.Clean || !tol.Isolated || tol.ErrorRegions != 1 ||
-		len(tol.Incorporated) != 1 || len(tol.Unincorporated) != 0 {
+	if tol.Err != nil || tol.Clean || !tol.Isolated || tol.ErrorRegions != 1 {
 		t.Fatalf("tolerant isolation: %+v", tol)
 	}
 	if s.Text() != broken {
@@ -155,8 +153,7 @@ func TestDoDifferentialBudget(t *testing.T) {
 	if !errors.Is(tol.Err, incremental.ErrBudget) || tol.Root != nil {
 		t.Fatalf("tolerant Do: want a budget trip without a root, got %+v", tol)
 	}
-	if tol.Clean || tol.Isolated || tol.ErrorRegions != 0 ||
-		len(tol.Incorporated) != 0 || len(tol.Unincorporated) != 0 {
+	if tol.Clean || tol.Isolated || tol.ErrorRegions != 0 {
 		t.Fatalf("infrastructure failure must not claim recovery: %+v", tol)
 	}
 	if s.Text() != "1+2"+chain || s.Tree() != nil {

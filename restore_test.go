@@ -109,7 +109,7 @@ func restoreLanguages() []restoreLang {
 // scripts cut short by a live fault outside the restore or by a diverged
 // restore.
 type restoreStats struct {
-	twins, regions, marks, prunes, pending, kept, reverted, stale, diverged int
+	twins, regions, marks, prunes, pending, kept, stale, diverged int
 }
 
 // restoreEdit draws one edit: an identifier letter replaced, a whole
@@ -254,12 +254,9 @@ func agreesWithCold(s *Session, out Outcome, budget Budget) bool {
 func runRestoreScript(t *testing.T, l restoreLang, seed int64, steps int, st *restoreStats) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	// Isolation needs sequences to bound the damage; without them a
-	// tolerant parse falls to tier 2, so those languages parse plain.
-	var tolerant []ParseOption
-	if len(l.elems) > 0 {
-		tolerant = []ParseOption{Tolerant()}
-	}
+	// Where no sequence bounds the damage (expr, lr2), a tolerant parse
+	// quarantines the whole file, and that tree must restore too.
+	tolerant := []ParseOption{Tolerant()}
 	live := NewSession(l.lang, l.source(rng), WithBudget(l.budget))
 	if out := live.Do(nil); out.Err != nil {
 		t.Fatalf("%s: base program: %v", l.name, out.Err)
@@ -319,19 +316,14 @@ func runRestoreScript(t *testing.T, l restoreLang, seed int64, steps int, st *re
 		}
 	}
 	// do parses both sessions and compares them. It reports false, and
-	// the script stops, at faults outside the restore (see CHANGES.md):
-	// tier-2 recovery reverted an edit and left the live tree holding
-	// terminals the document replaced, or an incremental parse of either
-	// session disagreed with a cold parse of the same text (under an
-	// ambiguity budget that includes prunes that depend on which subtrees
-	// the session's history let the parser reuse).
+	// the script stops, at a fault outside the restore (see CHANGES.md):
+	// an incremental parse of either session disagreed with a cold parse
+	// of the same text (under an ambiguity budget that includes prunes
+	// that depend on which subtrees the session's history let the parser
+	// reuse).
 	do := func(when string, opts ...ParseOption) (Outcome, bool) {
 		t.Helper()
 		out := live.Do(nil, opts...)
-		if len(out.Unincorporated) > 0 {
-			st.reverted++
-			return out, false
-		}
 		if !agreesWithCold(live, out, l.budget) {
 			st.stale++
 			// The live session committed a tree that is not the cold
@@ -343,7 +335,7 @@ func runRestoreScript(t *testing.T, l restoreLang, seed int64, steps int, st *re
 		}
 		if twin != nil {
 			got := twin.Do(nil, opts...)
-			if len(got.Unincorporated) == 0 && !agreesWithCold(twin, got, l.budget) {
+			if !agreesWithCold(twin, got, l.budget) {
 				st.stale++
 				return out, false
 			}

@@ -179,7 +179,7 @@ func TestSnapshotPendingEdits(t *testing.T) {
 }
 
 // TestSnapshotTolerantErrorNodes: a committed tree holding quarantined
-// error regions (tier-1 isolation) round-trips with its diagnostics, and
+// error regions (error isolation) round-trips with its diagnostics, and
 // both sessions converge identically when the text is repaired.
 func TestSnapshotTolerantErrorNodes(t *testing.T) {
 	lang := CSubset()

@@ -1,12 +1,14 @@
 package incremental_test
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strings"
 	"testing"
 
 	incremental "iglr"
+	"iglr/internal/corpus"
 )
 
 // brokenEdit replaces rem bytes at off with ins.
@@ -25,8 +27,8 @@ type tolerantCase struct {
 	edits []brokenEdit
 }
 
-// The sequence-structured bundled languages: tier-1 isolation must bound
-// the damage in every one of them.
+// The sequence-structured bundled languages: isolation must bound the
+// damage in every one of them.
 func seqCases() []tolerantCase {
 	return []tolerantCase{
 		{"csub", incremental.CSubset(), "int a; int b; int c;", []brokenEdit{{11, 1, "("}}},
@@ -92,10 +94,10 @@ func TestIsolationNeverRevertsText(t *testing.T) {
 				t.Fatalf("recovery errored: %v", out.Err)
 			}
 			if !out.Isolated {
-				t.Fatalf("tier-1 isolation did not engage: %+v", out)
+				t.Fatalf("isolation did not engage: %+v", out)
 			}
 			if s.Text() != broken {
-				t.Fatalf("text reverted under tier-1: %q, want %q", s.Text(), broken)
+				t.Fatalf("text reverted under isolation: %q, want %q", s.Text(), broken)
 			}
 			if out.ErrorRegions < 1 || len(s.ErrorNodes()) < 1 {
 				t.Fatalf("no error nodes committed: regions=%d nodes=%d",
@@ -140,37 +142,149 @@ func TestIsolationNeverRevertsText(t *testing.T) {
 	}
 }
 
-// TestTier2WhenIsolationCannotBound: languages without associative
-// sequences offer no isolation boundary, so recovery falls back to the
-// paper's history-sensitive replay — the bad edit is reverted and reported
-// as unincorporated, preserving the pre-existing Outcome contract.
-func TestTier2WhenIsolationCannotBound(t *testing.T) {
-	cases := []tolerantCase{
+// lastResortCases break text that no sequence structure can confine:
+// expr and lr2 have no sequences, scannerless `if`→`iffy` leaves no
+// statement reading, `) ) ) )` is garbage from the first parse on (its one
+// edit stands for the whole text, and repair replaces it), and 40 breaks
+// in one Do of a 4,000-line C file run isolation out of attempts.
+func lastResortCases() []tolerantCase {
+	src, _ := corpus.Generate(corpus.Spec{Name: "last-resort", Lines: 4000, Lang: "c", Seed: 1})
+	many := tolerantCase{name: "csub-40-breaks", lang: incremental.CSubset(), src: src}
+	for i, at, shift := 0, 0, 0; i < 40; i++ {
+		at += len(src) / 41
+		semi := at + strings.IndexByte(src[at:], ';') + 1
+		many.edits = append(many.edits, brokenEdit{semi + shift, 0, " @#! "})
+		shift += len(" @#! ")
+	}
+	return []tolerantCase{
 		{"expr", incremental.ExprLanguage(), "a + b", []brokenEdit{{2, 1, ")"}}},
 		{"lr2", incremental.LR2Language(), "x z c", []brokenEdit{{4, 1, "x x"}}},
+		{"scannerless", incremental.ScannerlessLanguage(), "if(cond)x=1;", []brokenEdit{{2, 0, "fy"}}},
+		{"csub-first-parse", incremental.CSubset(), "", []brokenEdit{{0, 0, ") ) ) )"}}},
+		many,
 	}
-	for _, tc := range cases {
+}
+
+// TestIsolationLastResortKeepsText: where isolation cannot bound the
+// damage, one error node owns the whole text. The edits stay, one
+// diagnostic covers all of them, a read of the whole text answers, a
+// snapshot restores the same tree, and repairing the text converges to
+// the cold parse.
+func TestIsolationLastResortKeepsText(t *testing.T) {
+	for _, tc := range lastResortCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			s := incremental.NewSession(tc.lang, tc.src)
-			if out := s.Do(nil); out.Err != nil {
-				t.Fatalf("baseline: %v", out.Err)
+			broken := tc.src
+			for _, e := range tc.edits {
+				broken = broken[:e.off] + e.ins + broken[e.off+e.rem:]
 			}
-			e := tc.edits[0]
-			s.Edit(e.off, e.rem, e.ins)
+			first := tc.src == ""
+			var s *incremental.Session
+			if first {
+				s = incremental.NewSession(tc.lang, broken)
+			} else {
+				s = incremental.NewSession(tc.lang, tc.src)
+				if out := s.Do(nil); out.Err != nil {
+					t.Fatalf("baseline: %v", out.Err)
+				}
+				for _, e := range tc.edits {
+					s.Edit(e.off, e.rem, e.ins)
+				}
+			}
 			out := s.Do(nil, incremental.Tolerant())
-			if out.Isolated {
-				t.Fatalf("isolation cannot bound damage in %s, yet Isolated=true", tc.name)
+			if out.Err != nil || !out.Isolated || out.ErrorRegions != 1 {
+				t.Fatalf("want the whole file isolated: %+v", out)
 			}
-			if out.Err != nil {
-				t.Fatalf("tier-2 errored: %v", out.Err)
+			if s.Text() != broken {
+				t.Fatalf("text changed under isolation: %q, want %q", s.Text(), broken)
 			}
-			if len(out.Unincorporated) != 1 {
-				t.Fatalf("unincorporated = %d, want 1", len(out.Unincorporated))
+			ds := s.Diagnostics()
+			if len(ds) != 1 {
+				t.Fatalf("want one diagnostic, got %v", ds)
 			}
-			if s.Text() != tc.src {
-				t.Fatalf("tier-2 must revert the bad edit: %q, want %q", s.Text(), tc.src)
+			for _, e := range tc.edits {
+				if d := ds[0]; d.Offset > e.off || d.Offset+d.Length < e.off+len(e.ins) {
+					t.Fatalf("diagnostic [%d,%d) does not cover the edit %q at %d", d.Offset, d.Offset+d.Length, e.ins, e.off)
+				}
+			}
+			if n := s.Subtree(0, s.Len()); n == nil || n != s.Tree() {
+				t.Fatalf("a read of the whole text answered %v, want the root", n)
+			}
+
+			var buf bytes.Buffer
+			if err := s.Snapshot(&buf); err != nil {
+				t.Fatal(err)
+			}
+			twin, err := incremental.RestoreSession(&buf, tc.lang)
+			if err != nil {
+				t.Fatalf("restore: %v", err)
+			}
+			if got, want := incremental.FormatDag(tc.lang, twin.Tree()), incremental.FormatDag(tc.lang, s.Tree()); got != want {
+				t.Fatalf("restored tree differs:\n%s\nwant\n%s", got, want)
+			}
+			if got := twin.Diagnostics(); fmt.Sprint(got) != fmt.Sprint(ds) {
+				t.Fatalf("restored diagnostics %v, want %v", got, ds)
+			}
+
+			repaired := tc.src
+			if first {
+				repaired = "int a;"
+				s.Edit(0, s.Len(), repaired)
+			} else {
+				for i := len(tc.edits) - 1; i >= 0; i-- {
+					e := tc.edits[i]
+					s.Edit(e.off, len(e.ins), tc.src[e.off:e.off+e.rem])
+				}
+			}
+			rep := s.Do(nil)
+			if rep.Err != nil || s.Text() != repaired || len(s.Diagnostics()) != 0 {
+				t.Fatalf("repair: %v, text %q, diagnostics %v", rep.Err, s.Text(), s.Diagnostics())
+			}
+			cold := incremental.NewSession(tc.lang, repaired).Do(nil)
+			if got, want := incremental.FormatDag(tc.lang, rep.Root), incremental.FormatDag(tc.lang, cold.Root); got != want {
+				t.Fatalf("repaired tree differs from the cold parse:\n%s\nwant\n%s", got, want)
 			}
 		})
+	}
+}
+
+// TestTolerantTextWithNoToken: a text with no token leaves an error node
+// nothing to hold, so Do(Tolerant()) fails as the plain Do does, with a
+// located *ParseError, and commits nothing.
+func TestTolerantTextWithNoToken(t *testing.T) {
+	s := incremental.NewSession(incremental.ExprLanguage(), "  ")
+	out := s.Do(nil, incremental.Tolerant())
+	var pe *incremental.ParseError
+	if !errors.As(out.Err, &pe) || out.Root != nil || out.Isolated || s.Tree() != nil {
+		t.Fatalf("want a located syntax error and no tree, got %+v", out)
+	}
+}
+
+// TestIsolationKeepsAccumulatedErrors: a 2,000-line C file takes 50
+// breaks, one Do(Tolerant()) after each. Each Do keeps the text and holds
+// one region per break so far; no count of regions sends the file to a
+// mechanism that reverts edits.
+func TestIsolationKeepsAccumulatedErrors(t *testing.T) {
+	const breaks = 50
+	src, _ := corpus.Generate(corpus.Spec{Name: "accumulate", Lines: 2000, Lang: "c", Seed: 1})
+	s := incremental.NewSession(incremental.CSubset(), src)
+	if out := s.Do(nil); out.Err != nil {
+		t.Fatal(out.Err)
+	}
+	// Break statements from the end of the file toward its start, so each
+	// offset holds in the text the earlier breaks left.
+	text := src
+	for k := 1; k <= breaks; k++ {
+		at := len(src) * (breaks - k + 1) / (breaks + 1)
+		off := at + strings.IndexByte(src[at:], ';') + 1
+		s.Edit(off, 0, " @#! ")
+		text = text[:off] + " @#! " + text[off:]
+		out := s.Do(nil, incremental.Tolerant())
+		if out.Err != nil || !out.Isolated || out.ErrorRegions != k {
+			t.Fatalf("break %d: want %d isolated regions, got %+v", k, k, out)
+		}
+		if s.Text() != text {
+			t.Fatalf("break %d changed the text", k)
+		}
 	}
 }
 
@@ -265,7 +379,7 @@ func TestBudgetTripLeavesEditsPending(t *testing.T) {
 	if !errors.Is(out.Err, incremental.ErrBudget) {
 		t.Fatalf("err = %v, want ErrBudget", out.Err)
 	}
-	if out.Isolated || len(out.Unincorporated) != 0 || len(out.Incorporated) != 0 {
+	if out.Isolated || out.Clean || out.Root != nil {
 		t.Fatalf("budget trip triggered recovery machinery: %+v", out)
 	}
 	if s.Text() != "int a; int (; int c;" {
