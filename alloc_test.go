@@ -274,16 +274,127 @@ func TestEditWorkIndependentOfFileSize(t *testing.T) {
 	}
 }
 
+// TestTolerantWorkIndependentOfFileSize pins what a syntax error costs in
+// work counters, not time: isolation reads terminals through the token
+// runs, locates committed nodes from the tree and the pending edits, and
+// splices each host sequence from its pieces, so a Do(Tolerant()) that
+// isolates an error builds, allocates and handles the same amount whatever
+// the file size. Two shapes, at 1,000 and 16,000 lines: a "= ;" break
+// before an identifier and its repair, and a clean identifier edit in the
+// file's second half while one break near its top persists, which every
+// such Do isolates again. Per Do, the arena nodes built, the bytes
+// allocated and the isolation's own work (terminals read or indexed plus
+// sequence parts handled) stay within 2× between the sizes; indexing every
+// terminal and rebuilding each host sequence from all its elements grew
+// them 3–3.5×, 5–12× and 16×.
+func TestTolerantWorkIndependentOfFileSize(t *testing.T) {
+	const (
+		pairs       = 60
+		warmupPairs = 10
+		brk         = "= ;"
+	)
+	type work struct{ nodes, bytes, isolate float64 }
+	shapes := []string{"break and repair", "clean edit while a break persists"}
+	measure := func(lines, shape int) work {
+		src, _ := corpus.Generate(corpus.Spec{Name: "edit", Lines: lines, Lang: "c", Seed: 1})
+		s := incremental.NewSession(incremental.CSubset(), src)
+		if out := s.Do(context.Background()); !out.Clean {
+			t.Fatalf("%d lines: initial parse: %v", lines, out.Err)
+		}
+		var (
+			w             work
+			dos           int
+			before, after runtime.MemStats
+			tolerant      = incremental.Tolerant()
+			measured      bool
+		)
+		do := func(what string, wantRegions int) {
+			nodes := incremental.ArenaNodes(s)
+			runtime.ReadMemStats(&before)
+			out := s.Do(context.Background(), tolerant)
+			runtime.ReadMemStats(&after)
+			if out.Err != nil || out.ErrorRegions != wantRegions || out.Clean != (wantRegions == 0) {
+				t.Fatalf("%d lines, %s: want %d regions, got %+v", lines, what, wantRegions, out)
+			}
+			if measured {
+				w.nodes += float64(incremental.ArenaNodes(s) - nodes)
+				w.bytes += float64(after.TotalAlloc - before.TotalAlloc)
+				w.isolate += float64(incremental.IsolateWork(s))
+				dos++
+			}
+		}
+		script := corpus.SelfCancellingEdits(src, 4*(warmupPairs+pairs), 2)
+		switch shape {
+		case 0:
+			for i, pair := range script[:warmupPairs+pairs] {
+				measured = i >= warmupPairs
+				off := pair[0].Offset
+				s.Edit(off, 0, brk)
+				do("break", 1)
+				s.Edit(off, len(brk), "")
+				do("repair", 0)
+			}
+		case 1:
+			top := len(src) / 20
+			top += strings.IndexByte(src[top:], '\n') + 1
+			top += strings.IndexFunc(src[top:], func(r rune) bool { return r != ' ' })
+			s.Edit(top, 0, brk)
+			do("break near the top", 1)
+			k := 0
+			for _, pair := range script {
+				if pair[0].Offset < len(src)/2 {
+					continue
+				}
+				if k == warmupPairs+pairs {
+					break
+				}
+				measured = k >= warmupPairs
+				k++
+				for _, e := range pair {
+					s.Edit(e.Offset+len(brk), e.Removed, e.Inserted)
+					do("clean edit", 1)
+				}
+			}
+			if k < warmupPairs+pairs {
+				t.Fatalf("%d lines: %d identifier pairs in the second half, want %d", lines, k, warmupPairs+pairs)
+			}
+		}
+		w.nodes /= float64(dos)
+		w.bytes /= float64(dos)
+		w.isolate /= float64(dos)
+		t.Logf("%s, %d lines: %.0f nodes built, %.0f B allocated, %.0f isolation work per Do(Tolerant()) over %d",
+			shapes[shape], lines, w.nodes, w.bytes, w.isolate, dos)
+		return w
+	}
+	for i, shape := range shapes {
+		small, large := measure(1000, i), measure(16000, i)
+		for _, c := range []struct {
+			what         string
+			small, large float64
+		}{
+			{"arena nodes built", small.nodes, large.nodes},
+			{"bytes allocated", small.bytes, large.bytes},
+			{"isolation work", small.isolate, large.isolate},
+		} {
+			if c.large > 2*c.small {
+				t.Errorf("%s: %s per Do(Tolerant()) grows with the file: %.0f at 16,000 lines vs %.0f at 1,000", shape, c.what, c.large, c.small)
+			}
+		}
+	}
+}
+
 // TestReadWorkIndependentOfFileSize pins what locating nodes from the tree
 // buys: a cursor read — Subtree at an identifier, then NodeSpan on the
-// node it returns — and a clean Diagnostics do work (the session's
-// ReadWork: tree nodes visited plus tokens scanned) that stays within 2×
-// from a 1,000-line file to a 16,000-line one. Subtree used to locate each
-// kid it tried by scanning every token, and Diagnostics walked the whole
-// tree, so both grew 16× between the sizes.
+// node it returns — a clean Diagnostics, and a Diagnostics while one
+// region exists do work (the session's ReadWork:
+// tree nodes visited plus tokens scanned, plus the bytes a line lookup
+// examines) that stays within 2× from a 1,000-line file to a 16,000-line
+// one. Subtree used to locate each kid it tried by scanning every token,
+// Diagnostics walked the whole tree, and a region's line was the count of
+// the newlines before it, so all three grew 16× between the sizes.
 func TestReadWorkIndependentOfFileSize(t *testing.T) {
 	const reads = 64
-	type work struct{ subtree, span, diags float64 }
+	type work struct{ subtree, span, diags, region float64 }
 	measure := func(lines int) work {
 		src, _ := corpus.Generate(corpus.Spec{Name: "reads", Lines: lines, Lang: "c", Seed: 1})
 		s := incremental.NewSession(incremental.CSubset(), src)
@@ -306,7 +417,25 @@ func TestReadWorkIndependentOfFileSize(t *testing.T) {
 			t.Fatalf("%d lines: a clean parse reports %v", lines, ds)
 		}
 		w.diags = float64(incremental.ReadWork(s))
-		t.Logf("%d lines: read work %.0f per Subtree, %.0f per NodeSpan, %.0f per clean Diagnostics", lines, w.subtree, w.span, w.diags)
+		const breaks = 8 // one at a time, spread over the file
+		for k := 1; k <= breaks; k++ {
+			at := len(src) * k / (breaks + 1)
+			off := at + strings.IndexByte(src[at:], ';') + 1
+			s.Edit(off, 0, " @#! ")
+			if out := s.Do(context.Background(), incremental.Tolerant()); out.ErrorRegions != 1 {
+				t.Fatalf("%d lines: want one isolated region, got %+v", lines, out)
+			}
+			if ds := s.Diagnostics(); len(ds) != 1 {
+				t.Fatalf("%d lines: want one diagnostic, got %v", lines, ds)
+			}
+			w.region += float64(incremental.ReadWork(s)) / breaks
+			s.Edit(off, len(" @#! "), "")
+			if out := s.Do(context.Background(), incremental.Tolerant()); !out.Clean {
+				t.Fatalf("%d lines: repair: %+v", lines, out)
+			}
+		}
+		t.Logf("%d lines: read work %.0f per Subtree, %.0f per NodeSpan, %.0f per clean Diagnostics, %.0f per Diagnostics with one region",
+			lines, w.subtree, w.span, w.diags, w.region)
 		return w
 	}
 	small, large := measure(1000), measure(16000)
@@ -317,6 +446,7 @@ func TestReadWorkIndependentOfFileSize(t *testing.T) {
 		{"Subtree at an identifier", small.subtree, large.subtree},
 		{"NodeSpan of its node", small.span, large.span},
 		{"a clean Diagnostics", small.diags, large.diags},
+		{"a Diagnostics with one region", small.region, large.region},
 	} {
 		if c.large > 2*c.small {
 			t.Errorf("%s: read work grows with the file: %.0f at 16,000 lines vs %.0f at 1,000", c.read, c.large, c.small)

@@ -22,6 +22,10 @@ func SubtreeScan(s *Session, offset, length int) *Node {
 	return nil
 }
 
+// RunStarts returns the byte offset where each of the document's token
+// runs begins.
+func RunStarts(s *Session) []int { return s.doc.RunStarts(nil) }
+
 // Pending reports whether the session holds edits its committed tree has
 // not seen.
 func Pending(s *Session) bool { return len(s.doc.PendingEdits()) > 0 }
@@ -30,6 +34,14 @@ func Pending(s *Session) bool { return len(s.doc.PendingEdits()) > 0 }
 // Subtree, Diagnostics, ErrorNodes): tree nodes visited plus tokens
 // scanned.
 func ReadWork(s *Session) int { return s.readWork }
+
+// IsolateWork returns the work of the session's latest Do(Tolerant())
+// outside its parses (isolate.Result.Work, 0 for a clean parse): the
+// terminals isolation read or indexed plus the sequence parts it handled.
+func IsolateWork(s *Session) int { return s.isolateWork }
+
+// ArenaNodes returns the number of nodes the session's arena has built.
+func ArenaNodes(s *Session) int { return s.doc.Arena().NumNodes() }
 
 // DetTwin is a document of its own driven by the §5 reference parser
 // (detparse), which the sequence oracle edits alongside a Session.

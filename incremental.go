@@ -283,6 +283,8 @@ type Session struct {
 	// Diagnostics, ErrorNodes) did: tree nodes visited plus tokens
 	// scanned, the per-read counterpart of the document's LastSpliceWork.
 	readWork int
+	// isolateWork is the latest Do(Tolerant())'s isolate.Result.Work.
+	isolateWork int
 }
 
 // SessionOption configures a Session at creation time.

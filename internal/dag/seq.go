@@ -133,34 +133,11 @@ func (b *SeqBuilder) Canonical(n *Node) *Node {
 	return root
 }
 
-// Elements returns the elements of the X+ structure n (a chain, a join or
-// a balanced tree) in order, each with the state Build expects. The slice
-// is the caller's.
-func (b *SeqBuilder) Elements(n *Node) []SeqPart {
-	var out []SeqPart
-	parts := b.flatten(n, b.buf[:0])
-	for _, p := range parts {
-		if p.Node.Kind == KindSeq {
-			out = appendElements(out, p.Node)
-		} else {
-			out = append(out, p)
-		}
-	}
-	clear(parts)
-	b.buf = parts
-	return out
-}
-
-func appendElements(out []SeqPart, n *Node) []SeqPart {
-	for _, k := range n.Kids {
-		if k.Kind == KindSeq {
-			out = appendElements(out, k)
-		} else {
-			out = append(out, SeqPart{Node: k, State: n.State})
-		}
-	}
-	return out
-}
+// Parts returns the runs of the X+ structure n (a chain, a join or a
+// balanced tree) in order, as Build takes them: the element each chain
+// node appended, with the chain node's state, and each piece, which stands
+// for its elements. The slice is the caller's.
+func (b *SeqBuilder) Parts(n *Node) []SeqPart { return b.flatten(n, nil) }
 
 // flatten appends to parts the runs of the X+ structure n in order: the
 // element each chain node appended, with the chain node's state, and each

@@ -11,6 +11,7 @@ package document
 import (
 	"bytes"
 	"fmt"
+	"strings"
 
 	"iglr/internal/dag"
 	"iglr/internal/faultinject"
@@ -79,6 +80,9 @@ type Document struct {
 	// pending records the edits applied since the last commit, with the
 	// removed text captured so that CommittedState can invert them.
 	pending []AppliedEdit
+	// damage records the terminal damage of the same edits, oldest first:
+	// PresentSpan moves committed terminal indices through it.
+	damage []termDamage
 
 	// LastRelexed is the token count rescanned by the latest edit.
 	LastRelexed int
@@ -196,13 +200,17 @@ func (d *Document) Terminals() []*dag.Node {
 	for i := range d.runs {
 		r := d.runs[i].terms
 		if len(r) > 0 && (n+len(r) > len(d.terms) || &d.terms[n] != &r[0]) {
-			d.scratchTerms = d.appendTerms(d.scratchTerms[:0], 0, d.numTerms())
+			d.scratchTerms = d.AppendTerms(d.scratchTerms[:0], 0, d.NumTerms())
 			return d.scratchTerms
 		}
 		n += len(r)
 	}
 	return d.terms[:n]
 }
+
+// termDamage is one edit's terminal damage: the terminals [lo, hi) of the
+// stream as it stood gave way to add fresh ones.
+type termDamage struct{ lo, hi, add int }
 
 // AppliedEdit is one recorded edit with enough information to invert it.
 type AppliedEdit struct {
@@ -229,11 +237,9 @@ func (d *Document) Replace(offset, removed int, inserted string) {
 		panic(fmt.Sprintf("document: edit @%d -%d out of range (len %d)", offset, removed, d.buf.Len()))
 	}
 	d.edited = true
-	d.pending = append(d.pending, AppliedEdit{
-		Offset:   offset,
-		Removed:  d.buf.Slice(offset, offset+removed),
-		Inserted: inserted,
-	})
+	gone := d.buf.Slice(offset, offset+removed)
+	d.pending = append(d.pending, AppliedEdit{Offset: offset, Removed: gone, Inserted: inserted})
+	dLine := strings.Count(inserted, "\n") - strings.Count(gone, "\n")
 	d.buf.Replace(offset, removed, inserted)
 
 	// The relex reads the buffer in place, and the old tokens through the
@@ -275,6 +281,7 @@ func (d *Document) Replace(offset, removed int, inserted string) {
 	// is untouched and fully reusable.
 	if thi > tlo || len(add) > 0 {
 		d.markDamage(tlo, thi)
+		d.damage = append(d.damage, termDamage{tlo, thi, len(add)})
 	}
 
 	// Matched tokens equal to the old ones field for field (after the
@@ -307,7 +314,7 @@ func (d *Document) Replace(offset, removed int, inserted string) {
 		}
 		d.maxLook = max(d.maxLook, t.Lookahead)
 	}
-	d.LastSpliceWork = d.splice(first, resume, fresh, tlo, thi, add, delta)
+	d.LastSpliceWork = d.splice(first, resume, fresh, tlo, thi, add, delta, dLine)
 	clear(add)
 	clear(d.fresh)
 }
@@ -319,7 +326,7 @@ func (d *Document) Replace(offset, removed int, inserted string) {
 func (d *Document) markDamage(lo, hi int) {
 	// Mark removed terminals and their spines in the old tree.
 	for i := lo; i < hi; i++ {
-		if n := d.termAt(i); n.Committed {
+		if n := d.TermAt(i); n.Committed {
 			n.Changed = true
 			d.marked = append(d.marked, n)
 			d.propagate(n)
@@ -331,7 +338,7 @@ func (d *Document) markDamage(lo, hi int) {
 	// modification point are invalidated even when no significant terminal
 	// was removed (e.g. an identifier typed into whitespace).
 	if lo > 0 {
-		if n := d.termAt(lo - 1); n.Committed {
+		if n := d.TermAt(lo - 1); n.Committed {
 			n.RightChanged = true
 			d.marked = append(d.marked, n)
 			d.propagate(n)
@@ -340,8 +347,8 @@ func (d *Document) markDamage(lo, hi int) {
 	}
 	// Damage at the very start: invalidate via the following significant
 	// old terminal instead.
-	if hi < d.numTerms() {
-		if n := d.termAt(hi); n.Committed {
+	if hi < d.NumTerms() {
+		if n := d.TermAt(hi); n.Committed {
 			d.propagate(n)
 		}
 	}
@@ -373,6 +380,7 @@ func (d *Document) Commit(root *dag.Node) {
 	d.commitWalk(root)
 	d.root = root
 	d.pending = d.pending[:0]
+	d.damage = d.damage[:0]
 	d.edited = false
 }
 
@@ -420,7 +428,7 @@ func (d *Document) Stream() *Stream {
 // (non-skip) token, or the text length when i is past the last token —
 // used to map the parser's token-indexed errors to text positions.
 func (d *Document) SignificantTokenOffset(i int) int {
-	if i < 0 || i >= d.numTerms() {
+	if i < 0 || i >= d.NumTerms() {
 		return d.buf.Len()
 	}
 	d.LastReadWork = 0
@@ -466,7 +474,7 @@ func (d *Document) firstTerm(n *dag.Node) (i int, ok bool) {
 		return 0, false
 	}
 	i, ok = d.TreeIndex(n)
-	return i, ok && i+int(n.TermCount) <= d.numTerms()
+	return i, ok && i+int(n.TermCount) <= d.NumTerms()
 }
 
 // TreeIndex returns the index of n's first terminal in the committed
@@ -505,8 +513,95 @@ func (d *Document) TreeIndex(n *dag.Node) (i int, ok bool) {
 	return i, true
 }
 
+// PresentSpan returns the current terminal indices [lo, hi) of the part of
+// the committed node n's yield that the pending edits left in the stream.
+// TreeIndex places n in the committed stream; a descent from each end of
+// n skips the terminals the edits removed (markDamage set their Changed
+// bits), following the first unfiltered reading at choices as
+// dag.Node.Terminals does; and the edits' terminal damage moves the first
+// and last present terminals to their current indices. That costs
+// O(depth·fanout + removed terminals + pending edits + lg runs), whatever
+// the file size. ok is false when no terminal of n is left. located is
+// false when the tree cannot place n — its parent chain does not reach the
+// committed root, or the terminals found are not where the damage puts
+// them — and the caller must find the terminals another way.
+// LastReadWork counts the nodes visited and the terminals read.
+func (d *Document) PresentSpan(n *dag.Node) (lo, hi int, ok, located bool) {
+	d.LastReadWork = 0
+	i, held := d.TreeIndex(n)
+	if !held {
+		return 0, 0, false, false
+	}
+	a, first := d.edgePresent(n, i, false)
+	if first == nil {
+		return 0, 0, false, true
+	}
+	b, last := d.edgePresent(n, i, true)
+	lo, hi = d.moved(a), d.moved(b)+1
+	d.LastReadWork += 2
+	if hi > d.NumTerms() || d.TermAt(lo) != first || d.TermAt(hi-1) != last {
+		return 0, 0, false, false
+	}
+	return lo, hi, true, true
+}
+
+// edgePresent returns the committed index and node of the first terminal
+// of n's yield that no pending edit removed — the last one when fromEnd —
+// or a nil node when the edits removed them all; n's yield starts at
+// committed index i.
+func (d *Document) edgePresent(n *dag.Node, i int, fromEnd bool) (int, *dag.Node) {
+	if n.TermCount == 0 {
+		return 0, nil
+	}
+	d.LastReadWork++
+	switch n.Kind {
+	case dag.KindTerminal:
+		if n.Changed {
+			return 0, nil
+		}
+		return i, n
+	case dag.KindChoice:
+		for _, alt := range n.Kids {
+			if !alt.Filtered {
+				return d.edgePresent(alt, i, fromEnd)
+			}
+		}
+		return d.edgePresent(n.Kids[0], i, fromEnd)
+	}
+	if !fromEnd {
+		for _, k := range n.Kids {
+			if j, t := d.edgePresent(k, i, false); t != nil {
+				return j, t
+			}
+			i += int(k.TermCount)
+		}
+		return 0, nil
+	}
+	i += int(n.TermCount)
+	for x := len(n.Kids) - 1; x >= 0; x-- {
+		k := n.Kids[x]
+		i -= int(k.TermCount)
+		if j, t := d.edgePresent(k, i, true); t != nil {
+			return j, t
+		}
+	}
+	return 0, nil
+}
+
+// moved returns the current index of the present terminal at committed
+// index i: past each pending edit's damage it moves by that edit's
+// terminal delta.
+func (d *Document) moved(i int) int {
+	for _, e := range d.damage {
+		if i >= e.hi {
+			i += e.add - (e.hi - e.lo)
+		}
+	}
+	return i
+}
+
 // termBytes returns the byte span of significant terminal i, for
-// 0 ≤ i < numTerms: a binary search over the run headers, then a scan of
+// 0 ≤ i < NumTerms: a binary search over the run headers, then a scan of
 // the one run that holds it.
 func (d *Document) termBytes(i int) (start, end int) {
 	r := &d.runs[d.runOfTerm(i)]
@@ -586,19 +681,11 @@ func (d *Document) TermWindow(lo, hi int) (a, b int, ok bool) {
 // at or before byte x. The last run starting at or before x holds the last
 // of them; the earlier runs' terminals all start before it.
 func (d *Document) termsStartingBy(x int) int {
-	lo, hi := 0, len(d.runs)
-	for lo < hi {
-		h := int(uint(lo+hi) >> 1)
-		if d.runs[h].start <= x {
-			lo = h + 1
-		} else {
-			hi = h
-		}
-	}
-	if lo == 0 {
+	i := d.runAtByte(x)
+	if i < 0 {
 		return 0
 	}
-	r := &d.runs[lo-1]
+	r := &d.runs[i]
 	k := r.term
 	for _, t := range r.toks {
 		if r.start+t.Offset > x {
@@ -643,11 +730,19 @@ func (d *Document) termsEndingBefore(y int) int {
 }
 
 // Position converts a byte offset to a 1-based (line, column) pair.
-// Columns count bytes within the line.
+// Columns count bytes within the line. The line is the newline sum of the
+// run holding the offset, found by a binary search over the run headers,
+// plus the newlines before the offset within that run; LastReadWork
+// counts the bytes examined: those, and the ones back to the line's start.
 func (d *Document) Position(offset int) (line, col int) {
 	text := d.buf.Bytes()
-	head := text[:min(max(offset, 0), len(text))]
-	line = 1 + bytes.Count(head, []byte{'\n'})
-	col = len(head) - bytes.LastIndexByte(head, '\n')
-	return line, col
+	offset = min(max(offset, 0), len(text))
+	start, line := 0, 1
+	if i := d.runAtByte(offset); i >= 0 {
+		start, line = d.runs[i].start, 1+d.runs[i].line
+	}
+	line += bytes.Count(text[start:offset], newline)
+	bol := bytes.LastIndexByte(text[:offset], '\n') + 1
+	d.LastReadWork = offset - start + offset - bol
+	return line, offset - bol + 1
 }

@@ -1,6 +1,7 @@
 package document
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 
@@ -23,6 +24,9 @@ const maxRun = 512
 // split, which would also shift every later header in the run list.
 const scanRun = maxRun * 3 / 4
 
+// newline is what the headers' line sums count.
+var newline = []byte{'\n'}
+
 // run is a bounded piece of the document's token stream: the unit of
 // relative token positions. Only the headers hold absolute positions, so
 // an edit's delta re-offsets the tokens after it in its own run and moves
@@ -30,9 +34,10 @@ const scanRun = maxRun * 3 / 4
 type run struct {
 	// start, tok and term are the absolute byte offset of the run's first
 	// byte, the index of its first token and the index of its first
-	// significant terminal: prefix sums over the earlier runs' byte
-	// lengths, token counts and terminal counts, kept by every splice.
-	start, tok, term int
+	// significant terminal, and line the number of newlines before start:
+	// prefix sums over the earlier runs' byte lengths, token counts,
+	// terminal counts and newlines, kept by every splice.
+	start, tok, term, line int
 	// toks holds the run's tokens, 1 to maxRun of them, with offsets
 	// relative to start.
 	toks []lexer.Token
@@ -48,16 +53,19 @@ type run struct {
 // document's runs: capacity-capped windows of scanRun tokens. One pass
 // rewrites each token's offset relative to its run, derives the error
 // count and the lookahead bound, and creates the significant tokens'
-// terminals into terms[:0]. The arrays become the document's own
-// (ReleaseBuffers donates them).
+// terminals into terms[:0]; the newlines before each run are counted in
+// the text. The arrays become the document's own (ReleaseBuffers donates
+// them).
 func (d *Document) adopt(toks []lexer.Token, terms []*dag.Node) {
 	terms = terms[:0]
 	d.runs = make([]run, 0, (len(toks)+scanRun-1)/scanRun)
 	d.LexErrorCount, d.maxLook = 0, 0
-	term := 0
+	text := d.buf.Bytes()
+	term, line := 0, 0
 	for i := 0; i < len(toks); i += scanRun {
 		end := min(i+scanRun, len(toks))
-		r := run{start: toks[i].Offset, tok: i, term: term, toks: toks[i:end:end]}
+		r := run{start: toks[i].Offset, tok: i, term: term, line: line, toks: toks[i:end:end]}
+		line += bytes.Count(text[r.start:toks[end-1].End()], newline)
 		for k := range r.toks {
 			t := &r.toks[k]
 			if !t.Skip {
@@ -92,8 +100,8 @@ func (d *Document) numToks() int {
 	return r.tok + len(r.toks)
 }
 
-// numTerms returns the number of significant terminals in the document.
-func (d *Document) numTerms() int {
+// NumTerms returns the number of significant terminals in the document.
+func (d *Document) NumTerms() int {
 	if len(d.runs) == 0 {
 		return 0
 	}
@@ -117,13 +125,28 @@ func (d *Document) runOfTok(i int) int {
 }
 
 // runOfTerm returns the index of the run holding terminal i, for
-// 0 ≤ i < numTerms. Runs without terminals share their successor's sum,
+// 0 ≤ i < NumTerms. Runs without terminals share their successor's sum,
 // so the last run whose sum is ≤ i is the one that holds it.
 func (d *Document) runOfTerm(i int) int {
 	lo, hi := 0, len(d.runs)
 	for lo < hi {
 		h := int(uint(lo+hi) >> 1)
 		if d.runs[h].term <= i {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	return lo - 1
+}
+
+// runAtByte returns the index of the last run starting at or before byte
+// x, or -1 when none does: a binary search over the headers' byte sums.
+func (d *Document) runAtByte(x int) int {
+	lo, hi := 0, len(d.runs)
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if d.runs[h].start <= x {
 			lo = h + 1
 		} else {
 			hi = h
@@ -140,8 +163,9 @@ func (d *Document) tokAt(i int) lexer.Token {
 	return t
 }
 
-// termAt returns significant terminal i.
-func (d *Document) termAt(i int) *dag.Node {
+// TermAt returns significant terminal i, for 0 ≤ i < NumTerms: a binary
+// search over the run headers.
+func (d *Document) TermAt(i int) *dag.Node {
 	r := &d.runs[d.runOfTerm(i)]
 	return r.terms[i-r.term]
 }
@@ -150,7 +174,7 @@ func (d *Document) termAt(i int) *dag.Node {
 // the index its terminal has (or would have) in the terminal sequence.
 func (d *Document) termIndex(i int) int {
 	if i >= d.numToks() {
-		return d.numTerms()
+		return d.NumTerms()
 	}
 	r := &d.runs[d.runOfTok(i)]
 	k := r.term
@@ -185,8 +209,8 @@ func (d *Document) appendToks(dst []lexer.Token, i, j, shift, base int) []lexer.
 	return dst
 }
 
-// appendTerms appends significant terminals [i, j) to dst.
-func (d *Document) appendTerms(dst []*dag.Node, i, j int) []*dag.Node {
+// AppendTerms appends significant terminals [i, j) to dst.
+func (d *Document) AppendTerms(dst []*dag.Node, i, j int) []*dag.Node {
 	for ri := d.runOfTerm(i); i < j; ri++ {
 		r := &d.runs[ri]
 		end := min(j, r.term+len(r.terms))
@@ -199,8 +223,8 @@ func (d *Document) appendTerms(dst []*dag.Node, i, j int) []*dag.Node {
 // splice rewrites the runs for one edit: tokens [first, resume) give way
 // to fresh (absolute offsets in the new text) and terminals [tlo, thi) to
 // add, and the headers after the rewritten runs move by the edit's byte,
-// token and terminal deltas. It returns the work it did: token and
-// terminal slots written (copied, moved or re-offset) plus run headers
+// token, terminal and newline deltas. It returns the work it did: token
+// and terminal slots written (copied, moved or re-offset) plus run headers
 // visited, not counting the binary searches that locate runs.
 //
 // A damage inside one run that leaves it within the size bounds is
@@ -210,7 +234,7 @@ func (d *Document) appendTerms(dst []*dag.Node, i, j int) []*dag.Node {
 // gathered around the damage and cut again into runs of at most maxRun
 // tokens, so a paste yields many runs and a deletion across runs drops
 // the ones between its ends.
-func (d *Document) splice(first, resume int, fresh []lexer.Token, tlo, thi int, add []*dag.Node, delta int) (work int) {
+func (d *Document) splice(first, resume int, fresh []lexer.Token, tlo, thi int, add []*dag.Node, delta, dLine int) (work int) {
 	dTok, dTerm := len(fresh)-(resume-first), len(add)-(thi-tlo)
 	ra := d.runOfTok(min(first, d.numToks()-1))
 	rb := ra
@@ -251,7 +275,7 @@ func (d *Document) splice(first, resume int, fresh []lexer.Token, tlo, thi int, 
 					r.toks[k].Offset += delta
 				}
 			}
-			return work + d.shiftHeaders(next, delta, dTok, dTerm)
+			return work + d.shiftHeaders(next, delta, dTok, dTerm, dLine)
 		}
 	}
 
@@ -264,9 +288,9 @@ func (d *Document) splice(first, resume int, fresh []lexer.Token, tlo, thi int, 
 			lo--
 		}
 	}
-	var base, tok0, term0, tokEnd, termEnd int
+	var base, tok0, term0, line, tokEnd, termEnd int
 	if lo < hi {
-		base, tok0, term0 = d.runs[lo].start, d.runs[lo].tok, d.runs[lo].term
+		base, tok0, term0, line = d.runs[lo].start, d.runs[lo].tok, d.runs[lo].term, d.runs[lo].line
 		last := &d.runs[hi-1]
 		tokEnd, termEnd = last.tok+len(last.toks), last.term+len(last.terms)
 	}
@@ -276,14 +300,15 @@ func (d *Document) splice(first, resume int, fresh []lexer.Token, tlo, thi int, 
 		toks = append(toks, t)
 	}
 	toks = d.appendToks(toks, resume, tokEnd, delta, base)
-	terms := d.appendTerms(d.scratchTerms[:0], term0, tlo)
+	terms := d.AppendTerms(d.scratchTerms[:0], term0, tlo)
 	terms = append(terms, add...)
-	terms = d.appendTerms(terms, thi, termEnd)
+	terms = d.AppendTerms(terms, thi, termEnd)
 	d.scratchToks, d.scratchTerms = toks, terms
 	work = len(toks) + len(terms)
 
 	// Cut into ⌈n/maxRun⌉ runs of near-equal size, reusing the gathered
-	// runs' storage where it fits.
+	// runs' storage where it fits; their newlines are counted again.
+	text := d.buf.Bytes()
 	parts := d.scratchRuns[:0]
 	total := len(toks)
 	k := (total + maxRun - 1) / maxRun
@@ -299,7 +324,7 @@ func (d *Document) splice(first, resume int, fresh []lexer.Token, tlo, thi int, 
 				m++
 			}
 		}
-		r := run{start: start, tok: tok, term: term}
+		r := run{start: start, tok: tok, term: term, line: line}
 		if old := lo + j; old < hi && cap(d.runs[old].toks) >= n && cap(d.runs[old].terms) >= m {
 			r.toks, r.terms, r.own = d.runs[old].toks[:n], d.runs[old].terms[:m], d.runs[old].own
 		} else {
@@ -312,6 +337,7 @@ func (d *Document) splice(first, resume int, fresh []lexer.Token, tlo, thi int, 
 		}
 		copy(r.terms, terms[:m])
 		start = base + toks[n-1].End()
+		line += bytes.Count(text[r.start:start], newline)
 		toks, terms = toks[n:], terms[m:]
 		tok, term = tok+n, term+m
 		work += n + m
@@ -324,13 +350,14 @@ func (d *Document) splice(first, resume int, fresh []lexer.Token, tlo, thi int, 
 	if k != hi-lo {
 		work += len(d.runs) - next
 	}
-	return work + d.shiftHeaders(next, delta, dTok, dTerm)
+	return work + d.shiftHeaders(next, delta, dTok, dTerm, dLine)
 }
 
 // shiftHeaders moves the sums of the headers from run i on by an edit's
-// byte, token and terminal deltas, and returns the headers it visited.
-func (d *Document) shiftHeaders(i, delta, dTok, dTerm int) int {
-	if delta == 0 && dTok == 0 && dTerm == 0 {
+// byte, token, terminal and newline deltas, and returns the headers it
+// visited.
+func (d *Document) shiftHeaders(i, delta, dTok, dTerm, dLine int) int {
+	if delta == 0 && dTok == 0 && dTerm == 0 && dLine == 0 {
 		return 0
 	}
 	for k := i; k < len(d.runs); k++ {
@@ -338,6 +365,7 @@ func (d *Document) shiftHeaders(i, delta, dTok, dTerm int) int {
 		r.start += delta
 		r.tok += dTok
 		r.term += dTerm
+		r.line += dLine
 	}
 	return len(d.runs) - i
 }
@@ -355,7 +383,7 @@ type cursor struct {
 
 // reset puts the cursor on d's first terminal.
 func (c *cursor) reset(d *Document) {
-	*c = cursor{runs: d.runs, n: d.numTerms()}
+	*c = cursor{runs: d.runs, n: d.NumTerms()}
 	if len(c.runs) > 0 {
 		c.terms = c.runs[0].terms
 	}
@@ -396,18 +424,18 @@ func (d *Document) RunStarts(dst []int) []int {
 // CheckRuns verifies the run invariants: every run holds 1 to maxRun
 // tokens whose relative offsets tile it from 0, one terminal per
 // significant token; the runs tile the text in order; and the headers'
-// byte, token and terminal sums are the prefix sums of the runs before
-// them. The relex oracle calls it after every edit.
+// byte, token, terminal and newline sums are the prefix sums of the runs
+// before them. The relex oracle calls it after every edit.
 func (d *Document) CheckRuns() error {
-	start, tok, term := 0, 0, 0
+	start, tok, term, line := 0, 0, 0, 0
 	for i := range d.runs {
 		r := &d.runs[i]
 		if len(r.toks) == 0 || len(r.toks) > maxRun {
 			return fmt.Errorf("document: run %d holds %d tokens, want 1 to %d", i, len(r.toks), maxRun)
 		}
-		if r.start != start || r.tok != tok || r.term != term {
-			return fmt.Errorf("document: run %d header (start %d, tok %d, term %d), prefix sums (%d, %d, %d)",
-				i, r.start, r.tok, r.term, start, tok, term)
+		if r.start != start || r.tok != tok || r.term != term || r.line != line {
+			return fmt.Errorf("document: run %d header (start %d, tok %d, term %d, line %d), prefix sums (%d, %d, %d, %d)",
+				i, r.start, r.tok, r.term, r.line, start, tok, term, line)
 		}
 		off, sig := 0, 0
 		for k, t := range r.toks {
@@ -422,6 +450,10 @@ func (d *Document) CheckRuns() error {
 		if sig != len(r.terms) {
 			return fmt.Errorf("document: run %d has %d significant tokens but %d terminals", i, sig, len(r.terms))
 		}
+		if start+off > d.buf.Len() {
+			return fmt.Errorf("document: run %d ends at byte %d, past the text's %d", i, start+off, d.buf.Len())
+		}
+		line += bytes.Count(d.buf.Bytes()[start:start+off], newline)
 		start, tok, term = start+off, tok+len(r.toks), term+sig
 	}
 	if start != d.buf.Len() {

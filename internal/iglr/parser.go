@@ -109,6 +109,7 @@ type Parser struct {
 	multiple   bool
 	anyNondet  bool // any round used non-deterministic machinery
 	sawNullKid bool // any fresh node gained a null-yield child or alternative
+	restamped  bool // a retained committed node took a new state this round (Restamped)
 	accepting  *gssNode
 	sh         *share
 	tokens     int
@@ -180,6 +181,20 @@ type shiftPair struct {
 func New(table *lr.Table) *Parser {
 	return &Parser{table: table, g: table.Grammar(), sh: newShare()}
 }
+
+// Restamped reports whether the latest parse round — of a failed parse,
+// the round that failed — changed the recorded state of a node of the
+// committed tree: bottom-up retention re-derived the node in another
+// context. Such restamps are the one thing a failed parse leaves behind
+// that a parse reads (it also stamps the terminals it shifts, which no
+// parse reads). A second parse of the same stream may shift a restamped
+// node whole where the first rebuilt it, but from the round after that
+// node's reduction, which retention leaves to one parser, the two parses
+// are in the same configuration. So the second fails at the same token,
+// and with the same expected terminals unless the failing round restamped:
+// then the parsers that reduced to the node, active in the first parse's
+// round, are missing from the second's.
+func (p *Parser) Restamped() bool { return p.restamped }
 
 // Grammar returns the parser's grammar.
 func (p *Parser) Grammar() *grammar.Grammar { return p.g }
@@ -254,6 +269,7 @@ func (p *Parser) ParseContext(ctx context.Context, stream Stream) (root *dag.Nod
 	p.multiple = false
 	p.anyNondet = false
 	p.sawNullKid = false
+	p.restamped = false
 	p.tokens = 0
 
 	for p.accepting == nil {
@@ -375,6 +391,7 @@ func (p *Parser) preferAlt(a, b *dag.Node) bool {
 // parseNextSymbol performs one reduce/shift round (Appendix A).
 func (p *Parser) parseNextSymbol() error {
 	p.Stats.Rounds++
+	p.restamped = false
 	if p.Stats.Rounds%checkEvery == 0 {
 		if p.ctx != nil {
 			if err := p.ctx.Err(); err != nil {
@@ -707,6 +724,7 @@ func (p *Parser) reducer(q *gssNode, rule int, kids []*dag.Node) {
 			p.seqMulti = append(p.seqMulti, seqMark{node: node, state: int32(state)})
 		}
 	} else if old := retained(rule, kids); old != nil {
+		p.restamped = p.restamped || old.State != int32(state)
 		old.State = int32(state)
 		node = old
 		p.Stats.RetainedNodes++

@@ -20,6 +20,11 @@
 //     on an element boundary is expanded to the enclosing element and the
 //     loop re-runs.
 //
+// Terminals are read through the document's token runs, and a committed
+// node's span is located from the tree and the pending edits
+// (Document.PresentSpan), so an isolation costs the damage, the masked
+// parses and O(lg N) per sequence it splices into, not the file.
+//
 // Where the loop cannot bound the damage — the regions would swallow the
 // whole token stream, no sequence structure hosts a region, or the
 // attempts run out — its last resort is one error node that owns every
@@ -64,6 +69,9 @@ type Result struct {
 	Errors []*dag.Node
 	// Regions are the final quarantine regions, leftmost first.
 	Regions []Region
+	// Work counts what the isolation did outside its masked parses: the
+	// terminals it read or indexed plus the sequence parts it handled.
+	Work int
 }
 
 // Region is a quarantine range — the significant terminals [Lo, Hi) an
@@ -75,53 +83,54 @@ type Region struct {
 }
 
 // Reparse runs isolation over the document's current state using the
-// given parser (whose Budget applies to every masked attempt). On success
-// the returned Result's Root contains at least one error node — at worst
-// one that owns every terminal — and the document's text is untouched.
-// It fails with ErrUnbounded only when the document has no terminal, and
-// otherwise only with an error that aborted a masked parse. A nil ctx
-// disables cancellation polls.
-func Reparse(ctx context.Context, d *document.Document, p *iglr.Parser) (Result, error) {
-	terms := d.Terminals()
-	if len(terms) == 0 {
+// given parser (whose Budget applies to every masked attempt). failed, when
+// not nil, is the syntax error of a parse of that same state whose failing
+// round restamped no committed node (iglr.Parser.Restamped): a parse
+// without a mask would fail the same way, so failed stands for the first
+// attempt. On success the returned Result's Root contains at least one
+// error node — at worst one that owns every terminal — and the document's
+// text is untouched. It fails with ErrUnbounded only when the document has
+// no terminal, and otherwise only with an error that aborted a masked
+// parse. A nil ctx disables cancellation polls.
+func Reparse(ctx context.Context, d *document.Document, p *iglr.Parser, failed *iglr.SyntaxError) (Result, error) {
+	n := d.NumTerms()
+	if n == 0 {
 		return Result{}, ErrUnbounded
 	}
-	g := d.Grammar()
-	s := newSplicer(d, terms)
-	defer dag.ReleaseScratch(s.idx)
+	s := newSplicer(d)
+	defer s.release()
 
 	var regions []Region
 	var expected []string // the first failure's, for the whole-file node
 	creep := 0
-	for range maxAttempts {
-		root, err := p.ParseContext(ctx, d.MaskedStream(mask(regions)))
-		if err == nil {
-			res, expand, ok := s.spliceAll(root, terms, regions)
-			if !ok {
-				break
+	for attempt := range maxAttempts {
+		se := failed
+		if attempt > 0 || se == nil {
+			root, err := p.ParseContext(ctx, d.MaskedStream(mask(regions)))
+			if err == nil {
+				res, expand, ok := s.spliceAll(root, regions)
+				if !ok {
+					break
+				}
+				if expand == nil {
+					return res, nil
+				}
+				regions = merge(regions, Region{Lo: expand.lo, Hi: expand.hi})
+				if unbounded(regions, n) {
+					break
+				}
+				continue
 			}
-			if expand == nil {
-				return res, nil
+			if !errors.As(err, &se) {
+				// Budget trip, cancellation, or an injected fault: the text is
+				// not known to be wrong — the parse was aborted.
+				return Result{}, err
 			}
-			regions = merge(regions, Region{Lo: expand.lo, Hi: expand.hi})
-			if unbounded(regions, len(terms)) {
-				break
-			}
-			continue
-		}
-		var se *iglr.SyntaxError
-		if !errors.As(err, &se) {
-			// Budget trip, cancellation, or an injected fault: the text is
-			// not known to be wrong — the parse was aborted.
-			return Result{}, err
 		}
 		if expected == nil {
 			expected = se.Expected
 		}
-		anchor := curIndex(se, regions, terms)
-		if anchor >= len(terms) {
-			anchor = len(terms) - 1
-		}
+		anchor := min(unmask(se.TokenIndex, regions), n-1)
 		// A failure at EOF clamps onto the last terminal, which may already
 		// be quarantined; anchor on the nearest unmasked terminal instead.
 		for i := len(regions) - 1; i >= 0; i-- {
@@ -138,15 +147,15 @@ func Reparse(ctx context.Context, d *document.Document, p *iglr.Parser) (Result,
 		// region to the next enclosing sequence element re-aligns it with
 		// the grammar instead of creeping across healthy neighbors.
 		if adj := adjacentRegion(regions, anchor); adj >= 0 {
-			if lo, hi, ok := escalate(g, s.idx, terms, regions[adj]); ok {
+			if lo, hi, ok := s.escalate(regions[adj]); ok {
 				regions = merge(regions, Region{Lo: lo, Hi: hi})
-				if unbounded(regions, len(terms)) {
+				if unbounded(regions, n) {
 					break
 				}
 				continue
 			}
 		}
-		next := failureRegion(g, s.idx, terms[anchor], anchor)
+		next := s.failureRegion(anchor)
 		// Panic-mode fallback: when the failure point has no committed
 		// element structure and creeps forward token by token just past an
 		// existing region, grow that region backward exponentially so a
@@ -166,11 +175,11 @@ func Reparse(ctx context.Context, d *document.Document, p *iglr.Parser) (Result,
 		}
 		next.Expected = se.Expected
 		regions = merge(regions, next.Region)
-		if unbounded(regions, len(terms)) {
+		if unbounded(regions, n) {
 			break
 		}
 	}
-	return wholeFile(d.Arena(), terms, expected), nil
+	return s.wholeFile(expected), nil
 }
 
 // Requarantine rebuilds a committed tree's error regions over the
@@ -183,24 +192,24 @@ func Reparse(ctx context.Context, d *document.Document, p *iglr.Parser) (Result,
 // is Reparse's last resort, rebuilt the same way without a parse. The
 // parser's Budget applies; a nil ctx disables cancellation polls.
 func Requarantine(ctx context.Context, d *document.Document, p *iglr.Parser, regions []Region) (Result, error) {
-	terms := d.Terminals()
+	n := d.NumTerms()
 	end := -1
 	for _, r := range regions {
-		if r.Lo <= end || r.Hi <= r.Lo || r.Hi > len(terms) {
-			return Result{}, fmt.Errorf("isolate: region [%d,%d) out of order or outside %d terminals", r.Lo, r.Hi, len(terms))
+		if r.Lo <= end || r.Hi <= r.Lo || r.Hi > n {
+			return Result{}, fmt.Errorf("isolate: region [%d,%d) out of order or outside %d terminals", r.Lo, r.Hi, n)
 		}
 		end = r.Hi
 	}
-	if len(regions) == 1 && regions[0].Lo == 0 && regions[0].Hi == len(terms) {
-		return wholeFile(d.Arena(), terms, regions[0].Expected), nil
+	s := newSplicer(d)
+	defer s.release()
+	if len(regions) == 1 && regions[0].Lo == 0 && regions[0].Hi == n {
+		return s.wholeFile(regions[0].Expected), nil
 	}
 	root, err := p.ParseContext(ctx, d.MaskedStream(mask(regions)))
 	if err != nil {
 		return Result{}, err
 	}
-	s := newSplicer(d, terms)
-	defer dag.ReleaseScratch(s.idx)
-	res, expand, ok := s.spliceAll(root, terms, regions)
+	res, expand, ok := s.spliceAll(root, regions)
 	switch {
 	case !ok:
 		return Result{}, errors.New("isolate: no sequence structure hosts a region")
@@ -240,23 +249,18 @@ func unstampBefore(n *dag.Node, off, i int) {
 	}
 }
 
-// curIndex maps the parser's masked-stream token count back to a document
-// terminal index: the k-th unmasked terminal, skipping quarantined spans.
-func curIndex(se *iglr.SyntaxError, regions []Region, terms []*dag.Node) int {
-	k := 0
-	consumed := se.TokenIndex
+// unmask maps position p of a yield that lacks the given regions (sorted
+// and disjoint) — the masked stream's, where a parser's token count is a
+// position, or that of a tree whose regions are not spliced yet — to a
+// document terminal index.
+func unmask(p int, regions []Region) int {
 	for _, r := range regions {
-		if r.Lo > k+consumed {
+		if p < r.Lo {
 			break
 		}
-		consumed -= r.Lo - k // unmasked terminals before this region
-		k = r.Hi
+		p += r.Hi - r.Lo
 	}
-	k += consumed
-	if k > len(terms) {
-		k = len(terms)
-	}
-	return k
+	return p
 }
 
 // failed captures one new quarantine range and whether it came from bare
@@ -266,12 +270,11 @@ type failed struct {
 	expectedFromToken bool
 }
 
-// failureRegion chooses the quarantine range for a failure anchored on the
-// document terminal t at index anchor: the whole enclosing sequence element
-// when the terminal still belongs to committed structure, the bare token
-// otherwise.
-func failureRegion(g *grammar.Grammar, idx *dag.Scratch, t *dag.Node, anchor int) failed {
-	if lo, hi, ok := elementSpan(g, idx, t); ok {
+// failureRegion chooses the quarantine range for a failure anchored on
+// document terminal anchor: the whole enclosing sequence element when the
+// terminal still belongs to committed structure, the bare token otherwise.
+func (s *splicer) failureRegion(anchor int) failed {
+	if lo, hi, ok := s.elementSpan(s.term(anchor)); ok {
 		if anchor < lo {
 			lo = anchor
 		}
@@ -287,39 +290,17 @@ func failureRegion(g *grammar.Grammar, idx *dag.Scratch, t *dag.Node, anchor int
 // that is an element of an associative sequence and returns its span in
 // current terminal indices. Deleted boundary terminals shrink the span to
 // the surviving ones.
-func elementSpan(g *grammar.Grammar, idx *dag.Scratch, t *dag.Node) (lo, hi int, ok bool) {
+func (s *splicer) elementSpan(t *dag.Node) (lo, hi int, ok bool) {
 	for n := t; n != nil; n = n.Parent {
 		p := n.Parent
 		if p == nil || !n.Committed {
 			return 0, 0, false
 		}
-		if isSeqStruct(g, p) && !isSeqStruct(g, n) {
-			return presentSpan(idx, n)
+		if isSeqStruct(s.g, p) && !isSeqStruct(s.g, n) {
+			return s.presentSpan(n)
 		}
 	}
 	return 0, 0, false
-}
-
-// presentSpan computes the [lo, hi) terminal-index span of n's yield over
-// the terminals still present in the document.
-func presentSpan(idx *dag.Scratch, n *dag.Node) (lo, hi int, ok bool) {
-	lo, hi = -1, -1
-	for _, t := range n.Terminals(nil) {
-		i, present := idx.Value(t)
-		if !present {
-			continue
-		}
-		if lo < 0 || i < lo {
-			lo = i
-		}
-		if i >= hi {
-			hi = i + 1
-		}
-	}
-	if lo < 0 {
-		return 0, 0, false
-	}
-	return lo, hi, true
 }
 
 // isSeqStruct reports whether n is associative-sequence structure: a
@@ -400,17 +381,17 @@ func adjacentRegion(regions []Region, anchor int) int {
 // element that strictly extends it, climbing from the quarantined
 // terminals. It returns ok=false when no such element exists (then the
 // caller falls back to token-level growth).
-func escalate(g *grammar.Grammar, idx *dag.Scratch, terms []*dag.Node, r Region) (lo, hi int, ok bool) {
+func (s *splicer) escalate(r Region) (lo, hi int, ok bool) {
 	for i := r.Hi - 1; i >= r.Lo; i-- {
-		for n := terms[i]; n != nil && n.Committed; n = n.Parent {
+		for n := s.term(i); n != nil && n.Committed; n = n.Parent {
 			p := n.Parent
 			if p == nil {
 				break
 			}
-			if !isSeqStruct(g, p) || isSeqStruct(g, n) {
+			if !isSeqStruct(s.g, p) || isSeqStruct(s.g, n) {
 				continue
 			}
-			elo, ehi, present := presentSpan(idx, n)
+			elo, ehi, present := s.presentSpan(n)
 			if !present || (elo >= r.Lo && ehi <= r.Hi) {
 				continue // no extension yet: keep climbing
 			}

@@ -31,11 +31,14 @@ func TestIsolateMiddleStatement(t *testing.T) {
 	commit(t, d, p)
 
 	d.Replace(11, 1, "(") // int b; -> int (;
-	if _, err := p.Parse(d.Stream()); err == nil {
-		t.Fatal("the broken text must not parse")
+	_, err := p.Parse(d.Stream())
+	var se *iglr.SyntaxError
+	if !errors.As(err, &se) {
+		t.Fatalf("the broken text must fail with a syntax error, got %v", err)
 	}
 
-	res, err := isolate.Reparse(nil, d, p)
+	// The plain parse's failure stands for isolation's first attempt.
+	res, err := isolate.Reparse(nil, d, p, se)
 	if err != nil {
 		t.Fatalf("Reparse: %v", err)
 	}
@@ -90,7 +93,7 @@ func TestIsolateNestedBlockStatement(t *testing.T) {
 	commit(t, d, p)
 
 	d.Replace(13, 1, ")") // inner: int b; -> int );
-	res, err := isolate.Reparse(nil, d, p)
+	res, err := isolate.Reparse(nil, d, p, nil)
 	if err != nil {
 		t.Fatalf("Reparse: %v", err)
 	}
@@ -128,7 +131,7 @@ func TestIsolateWithoutCommittedTree(t *testing.T) {
 	d := l.NewDocument("int a; int (; int c;")
 	p := iglr.New(l.Table)
 
-	res, err := isolate.Reparse(nil, d, p)
+	res, err := isolate.Reparse(nil, d, p, nil)
 	if err != nil {
 		t.Fatalf("Reparse: %v", err)
 	}
@@ -157,7 +160,7 @@ func TestIsolateWholeFileGarbageUnbounded(t *testing.T) {
 	commit(t, d, p)
 
 	d.Replace(0, 6, ") ) ) )")
-	res, err := isolate.Reparse(nil, d, p)
+	res, err := isolate.Reparse(nil, d, p, nil)
 	if err != nil {
 		t.Fatalf("Reparse: %v", err)
 	}
@@ -181,7 +184,7 @@ func TestBudgetErrorPropagates(t *testing.T) {
 
 	d.Replace(11, 1, "(")
 	p.Budget = guard.Budget{MaxArenaNodes: 1}
-	_, err := isolate.Reparse(nil, d, p)
+	_, err := isolate.Reparse(nil, d, p, nil)
 	if !errors.Is(err, guard.ErrBudget) {
 		t.Fatalf("err = %v, want a budget error", err)
 	}
@@ -203,7 +206,7 @@ func TestMultipleRegions(t *testing.T) {
 	// Break statements 2 and 5 independently.
 	d.Replace(2*7+4, 1, "(")
 	d.Replace(5*7+4, 1, ")")
-	res, err := isolate.Reparse(nil, d, p)
+	res, err := isolate.Reparse(nil, d, p, nil)
 	if err != nil {
 		t.Fatalf("Reparse: %v", err)
 	}

@@ -10,24 +10,82 @@ import (
 
 // splicer inserts error nodes into a masked-parse tree at associative-
 // sequence boundaries, path-copying the spine with fresh NoState nodes so
-// committed structure is never mutated in place.
+// committed structure is never mutated in place. It reads the document's
+// terminals through the token runs, and locates committed nodes from the
+// tree (Document.PresentSpan).
 type splicer struct {
+	d   *document.Document
 	a   *dag.Arena
 	g   *grammar.Grammar
 	seq *dag.SeqBuilder
-	idx *dag.Scratch // document terminal -> index
+	// idx maps each document terminal to its index, for the nodes the tree
+	// cannot place: built on the first such node, released by release.
+	idx *dag.Scratch
+	// rest holds, during spliceAll, the regions not yet spliced: the gaps
+	// in the tree's yield that separate its positions from the document's
+	// terminal indices.
+	rest []Region
+	// work counts the terminals read or indexed plus the sequence parts
+	// handled (Result.Work).
+	work int
 }
 
-// newSplicer returns a splicer over the document's arena whose index maps
-// each of terms to its position, in a node-ID table: terminals no longer in
-// the document (and nodes the masked parses build) have no entry. The
-// caller releases the index with dag.ReleaseScratch.
-func newSplicer(d *document.Document, terms []*dag.Node) *splicer {
-	idx := dag.AcquireScratch()
-	for i, t := range terms {
-		idx.SetValue(t, i)
+// newSplicer returns a splicer over the document, allocating from its
+// arena.
+func newSplicer(d *document.Document) *splicer {
+	return &splicer{d: d, a: d.Arena(), g: d.Grammar(), seq: dag.NewSeqBuilder(d.Arena(), d.Grammar())}
+}
+
+// release returns the fallback index, if one was built.
+func (s *splicer) release() {
+	if s.idx != nil {
+		dag.ReleaseScratch(s.idx)
 	}
-	return &splicer{a: d.Arena(), g: d.Grammar(), seq: dag.NewSeqBuilder(d.Arena(), d.Grammar()), idx: idx}
+}
+
+// term returns document terminal i, read through the runs.
+func (s *splicer) term(i int) *dag.Node {
+	s.work++
+	return s.d.TermAt(i)
+}
+
+// presentSpan returns the [lo, hi) terminal-index span of the committed
+// node n's yield over the terminals still present in the document,
+// located from the tree and the pending edits (Document.PresentSpan).
+// Only a node the tree cannot place falls back to an index of every
+// terminal, built once per splicer.
+func (s *splicer) presentSpan(n *dag.Node) (lo, hi int, ok bool) {
+	lo, hi, ok, located := s.d.PresentSpan(n)
+	s.work += s.d.LastReadWork
+	if located {
+		return lo, hi, ok
+	}
+	if s.idx == nil {
+		s.idx = dag.AcquireScratch()
+		terms := s.d.AppendTerms(nil, 0, s.d.NumTerms())
+		for i, t := range terms {
+			s.idx.SetValue(t, i)
+		}
+		s.work += len(terms)
+	}
+	lo, hi = -1, -1
+	for _, t := range n.Terminals(nil) {
+		s.work++
+		i, present := s.idx.Value(t)
+		if !present {
+			continue
+		}
+		if lo < 0 || i < lo {
+			lo = i
+		}
+		if i >= hi {
+			hi = i + 1
+		}
+	}
+	if lo < 0 {
+		return 0, 0, false
+	}
+	return lo, hi, true
 }
 
 // expandReq asks the isolation loop to absorb the document-terminal span
@@ -43,10 +101,11 @@ type expandReq struct{ lo, hi int }
 // masked spans only occur at or after the gap. A non-nil expandReq means
 // the loop must retry with a bigger region; ok is false when no sequence
 // structure can host some region at all.
-func (s *splicer) spliceAll(root *dag.Node, terms []*dag.Node, regions []Region) (res Result, expand *expandReq, ok bool) {
+func (s *splicer) spliceAll(root *dag.Node, regions []Region) (res Result, expand *expandReq, ok bool) {
 	res.Root = root
-	for _, r := range regions {
-		errNode, det := errorNode(s.a, terms, r)
+	for i, r := range regions {
+		s.rest = regions[i:]
+		errNode, det := s.errorNode(r)
 		nr, req := s.insert(res.Root, 0, r.Lo, errNode, det)
 		if req != nil {
 			return Result{}, req, true
@@ -63,24 +122,25 @@ func (s *splicer) spliceAll(root *dag.Node, terms []*dag.Node, regions []Region)
 			unstampBefore(res.Root, 0, r.Lo-1)
 		}
 	}
+	res.Work = s.work
 	return res, nil, true
 }
 
 // wholeFile is isolation's last resort: one error node that owns every
 // terminal, as the root, reporting the first failure's expected set.
-func wholeFile(a *dag.Arena, terms []*dag.Node, expected []string) Result {
-	r := Region{Lo: 0, Hi: len(terms), Expected: expected}
-	errNode, _ := errorNode(a, terms, r)
-	return Result{Root: errNode, Errors: []*dag.Node{errNode}, Regions: []Region{r}}
+func (s *splicer) wholeFile(expected []string) Result {
+	r := Region{Lo: 0, Hi: s.d.NumTerms(), Expected: expected}
+	errNode, _ := s.errorNode(r)
+	return Result{Root: errNode, Errors: []*dag.Node{errNode}, Regions: []Region{r}, Work: s.work}
 }
 
 // errorNode builds the error node that quarantines region r's terminals,
-// with no isolating sequence recorded yet.
-func errorNode(a *dag.Arena, terms []*dag.Node, r Region) (*dag.Node, *dag.ErrorDetail) {
+// read through the runs, with no isolating sequence recorded yet.
+func (s *splicer) errorNode(r Region) (*dag.Node, *dag.ErrorDetail) {
 	det := &dag.ErrorDetail{Expected: r.Expected, Region: grammar.InvalidSym}
-	kids := make([]*dag.Node, r.Hi-r.Lo)
-	copy(kids, terms[r.Lo:r.Hi])
-	return a.Error(kids, det), det
+	kids := s.d.AppendTerms(make([]*dag.Node, 0, r.Hi-r.Lo), r.Lo, r.Hi)
+	s.work += len(kids)
+	return s.a.Error(kids, det), det
 }
 
 // insert places errNode at terminal position m within the subtree n (whose
@@ -174,6 +234,14 @@ func (s *splicer) insert(n *dag.Node, off, m int, errNode *dag.Node, det *dag.Er
 // element be absorbed into the region. The X* wrapper delegates to its X+
 // (or, when empty, hosts the error node as the sole element); region is
 // the sequence nonterminal reported for a boundary host.
+//
+// The sequence is rebuilt from its parts (dag.SeqBuilder.Parts): the
+// pieces the masked parse reused and the elements it appended. Only the
+// piece that holds the gap is split, level by level along the path to it,
+// so Build reuses every other piece that keeps its canonical position —
+// all of them when the element count is the committed one, as it is when
+// an element is replaced or the error node takes the place of the one
+// element its region masked — and builds O(lg N) nodes.
 func (s *splicer) insertSeq(n *dag.Node, off, m int, errNode *dag.Node, det *dag.ErrorDetail, region grammar.Sym) (*dag.Node, *expandReq) {
 	if n.Kind == dag.KindProduction && !dag.IsSeqChain(s.g, n) {
 		// X* → ε | X+.
@@ -193,46 +261,49 @@ func (s *splicer) insertSeq(n *dag.Node, off, m int, errNode *dag.Node, det *dag
 		}
 		return nil, nil
 	}
-	elems := s.seq.Elements(n)
+	parts := s.seq.Parts(n)
+	s.work += len(parts)
 	c := off
-	for j, p := range elems {
-		e := p.Node
+	for j := 0; j < len(parts); j++ {
+		e := parts[j].Node
 		tc := int(e.TermCount)
 		if m == c {
 			det.Region = region
-			return s.build(n.Sym, elems, j, errNode), nil
+			return s.seq.Build(n.Sym, slices.Insert(parts, j, dag.SeqPart{Node: errNode})), nil
 		}
-		if m < c+tc {
-			nk, req := s.insert(e, c, m, errNode, det)
-			if req != nil {
-				return nil, req
-			}
-			if nk != nil {
-				elems[j].Node = nk
-				return s.build(n.Sym, elems, -1, nil), nil
-			}
-			lo, hi, ok := presentSpan(s.idx, e)
-			if !ok {
-				return nil, nil
-			}
-			return nil, &expandReq{lo: lo, hi: hi}
+		if m >= c+tc {
+			c += tc
+			continue
 		}
-		c += tc
+		if e.Kind == dag.KindSeq {
+			// The gap is inside this piece: put its kids in its place, the
+			// elements of a leaf with the state the leaf recorded for them.
+			kids := make([]dag.SeqPart, len(e.Kids))
+			for i, k := range e.Kids {
+				kids[i] = dag.SeqPart{Node: k, State: e.State}
+			}
+			s.work += len(kids)
+			parts = slices.Replace(parts, j, j+1, kids...)
+			j--
+			continue
+		}
+		nk, req := s.insert(e, c, m, errNode, det)
+		if req != nil {
+			return nil, req
+		}
+		if nk != nil {
+			parts[j].Node = nk
+			return s.seq.Build(n.Sym, parts), nil
+		}
+		// Every terminal of e is present, and those before the gap sit at
+		// their document indices.
+		return nil, &expandReq{lo: c, hi: unmask(c+tc-1, s.rest) + 1}
 	}
 	if m == c {
 		det.Region = region
-		return s.build(n.Sym, elems, len(elems), errNode), nil
+		return s.seq.Build(n.Sym, append(parts, dag.SeqPart{Node: errNode})), nil
 	}
 	return nil, nil
-}
-
-// build returns the canonical sequence of the X+ symbol sym over elems,
-// with extra (when non-nil) inserted before position j.
-func (s *splicer) build(sym grammar.Sym, elems []dag.SeqPart, j int, extra *dag.Node) *dag.Node {
-	if extra != nil {
-		elems = slices.Insert(elems, j, dag.SeqPart{Node: extra})
-	}
-	return s.seq.Build(sym, elems)
 }
 
 // withKid path-copies production node n with kid i replaced. The copy gets

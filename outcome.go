@@ -5,7 +5,7 @@ import (
 	"errors"
 
 	"iglr/internal/dag"
-	"iglr/internal/guard"
+	"iglr/internal/iglr"
 	"iglr/internal/isolate"
 )
 
@@ -89,17 +89,29 @@ func (s *Session) doPlain(ctx context.Context) Outcome {
 }
 
 // doTolerant is Do's recovering path (see the Tolerant option): parse,
-// and on a syntax error commit the isolating reparse's tree instead.
+// and on a syntax error commit the isolating reparse's tree instead,
+// starting it from that error. Any other failure — a budget trip, a
+// cancellation — aborted the parse and says nothing about whether the text
+// is valid: it surfaces unchanged, with the pending edits intact, so the
+// caller can retry under a bigger budget.
 func (s *Session) doTolerant(ctx context.Context) Outcome {
+	s.isolateWork = 0
 	root, err := s.parseOnce(ctx)
 	if err == nil {
 		s.doc.Commit(root)
 		return Outcome{Root: root, Clean: true, Stats: s.stats}
 	}
-	if isInfrastructure(err) {
+	var se *iglr.SyntaxError
+	if !errors.As(err, &se) {
 		return Outcome{Err: err, Stats: s.stats}
 	}
-	res, ierr := isolate.Reparse(ctx, s.doc, s.parser)
+	if s.parser.Restamped() {
+		// A repeat of the parse can fail with fewer expected terminals, and
+		// isolation reports the repeat's.
+		se = nil
+	}
+	res, ierr := isolate.Reparse(ctx, s.doc, s.parser, se)
+	s.isolateWork = res.Work
 	if errors.Is(ierr, isolate.ErrUnbounded) {
 		// The text has no token for an error node to hold.
 		return Outcome{Err: s.locate(err), Stats: s.stats}
@@ -109,17 +121,6 @@ func (s *Session) doTolerant(ctx context.Context) Outcome {
 	}
 	s.doc.Commit(res.Root)
 	return Outcome{Root: res.Root, Isolated: true, ErrorRegions: len(res.Errors), Stats: s.stats}
-}
-
-// isInfrastructure classifies a parse failure: true for resource-budget
-// trips and context cancellation — aborted parses that say nothing about
-// whether the text is syntactically valid. Isolation must not quarantine
-// user edits for these; they surface unchanged with the pending edits
-// intact so the caller can retry under a bigger budget.
-func isInfrastructure(err error) bool {
-	return errors.Is(err, guard.ErrBudget) ||
-		errors.Is(err, context.Canceled) ||
-		errors.Is(err, context.DeadlineExceeded)
 }
 
 // NodeSpan reports n's byte span in the current text. n must belong to the

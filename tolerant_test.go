@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
@@ -284,6 +285,153 @@ func TestIsolationKeepsAccumulatedErrors(t *testing.T) {
 		}
 		if s.Text() != text {
 			t.Fatalf("break %d changed the text", k)
+		}
+	}
+}
+
+// TestIsolationAcrossRuns: isolation reads terminals through the
+// document's token runs, not a flat array, and locates committed nodes from
+// the tree. A 2,500-line C file spans at least 40 runs; a "= ;" break goes
+// before an identifier that is a run's first terminal, before one that is
+// a run's last terminal, and into a statement that straddles a run
+// boundary, whose region then spans the two runs. Each break, and a clean
+// identifier edit in another run while it persists, isolates exactly one
+// region whose diagnostic covers the break; every error node's NodeSpan is
+// its ScanSpan; and deleting the break commits the cold parse's tree.
+func TestIsolationAcrossRuns(t *testing.T) {
+	const brk = "= ;"
+	lang := incremental.CSubset()
+	src, _ := corpus.Generate(corpus.Spec{Name: "runs", Lines: 2500, Lang: "c", Seed: 1})
+	cold := incremental.NewSession(lang, src)
+	if out := cold.Do(nil); !out.Clean {
+		t.Fatalf("cold parse: %v", out.Err)
+	}
+	want := incremental.FormatDag(lang, cold.Tree())
+	s := incremental.NewSession(lang, src)
+	if out := s.Do(nil); !out.Clean {
+		t.Fatal(out.Err)
+	}
+	starts := incremental.RunStarts(s)
+	if len(starts) < 40 {
+		t.Fatalf("%d runs, want at least 40", len(starts))
+	}
+
+	isSpace := func(c byte) bool { return c == ' ' || c == '\n' || c == '\t' }
+	isWord := func(c byte) bool { return c == '_' || c >= 'a' && c <= 'z' || c >= '0' && c <= '9' }
+	// ident reports whether a variable name (v12, w3) starts at off.
+	ident := func(off int) bool {
+		return (src[off] == 'v' || src[off] == 'w') && (off == 0 || !isWord(src[off-1]))
+	}
+	// The break sites, each found in the runs after the previous one's.
+	type site struct {
+		name     string
+		off, run int // where the break goes, and the run that holds it
+	}
+	var cases []site
+	k := 4
+	for ; k < len(starts)-1; k++ { // a run's first terminal
+		off := starts[k]
+		for isSpace(src[off]) {
+			off++
+		}
+		if ident(off) {
+			cases = append(cases, site{"first terminal of a run", off, k})
+			break
+		}
+	}
+	for k += 4; k < len(starts)-1; k++ { // a run's last terminal
+		off := starts[k+1]
+		for isSpace(src[off-1]) {
+			off--
+		}
+		for isWord(src[off-1]) {
+			off--
+		}
+		if ident(off) {
+			cases = append(cases, site{"last terminal of a run", off, k})
+			break
+		}
+	}
+	for k += 4; k < len(starts)-1; k++ { // "vA = vB + n;" with the boundary after vA
+		b := starts[k]
+		line := strings.LastIndexByte(src[:b], '\n') + 1
+		end := line + strings.IndexByte(src[line:], ';')
+		stmt := strings.TrimLeft(src[line:end], " ")
+		first := end - len(stmt)
+		eq := strings.Index(stmt, " = ")
+		if eq < 0 || !ident(first) || strings.HasPrefix(stmt, "int") {
+			continue
+		}
+		if off := first + eq + len(" = "); first < b && b < end && ident(off) {
+			cases = append(cases, site{"statement across two runs", off, k})
+			break
+		}
+	}
+	if len(cases) != 3 {
+		t.Fatalf("found %d of the 3 break sites", len(cases))
+	}
+
+	spansMatch := func(step string) {
+		t.Helper()
+		for _, n := range s.ErrorNodes() {
+			off, length, ok := s.NodeSpan(n)
+			soff, slength, sok := incremental.ScanSpan(s, n)
+			if off != soff || length != slength || ok != sok {
+				t.Fatalf("%s: error node's NodeSpan [%d,+%d) %v, ScanSpan [%d,+%d) %v", step, off, length, ok, soff, slength, sok)
+			}
+		}
+	}
+	isolated := func(step string, off int) incremental.Diagnostic {
+		t.Helper()
+		if out := s.Do(nil, incremental.Tolerant()); out.Err != nil || !out.Isolated || out.ErrorRegions != 1 {
+			t.Fatalf("%s: want one isolated region, got %+v", step, out)
+		}
+		ds := s.Diagnostics()
+		if len(ds) != 1 || ds[0].Offset > off || ds[0].Offset+ds[0].Length < off+len(brk) {
+			t.Fatalf("%s: diagnostics %v do not cover the break at %d", step, ds, off)
+		}
+		spansMatch(step)
+		return ds[0]
+	}
+	edits := corpus.SelfCancellingEdits(src, 64, 3)
+	for _, c := range cases {
+		s.Edit(c.off, 0, brk)
+		d := isolated(c.name, c.off)
+		t.Logf("%s: break at byte %d in run %d, region %q", c.name, c.off, c.run, s.Text()[d.Offset:d.Offset+d.Length])
+		if c.name == "statement across two runs" {
+			inside := false
+			for _, b := range incremental.RunStarts(s) {
+				inside = inside || d.Offset < b && b < d.Offset+d.Length
+			}
+			if !inside {
+				t.Fatalf("%s: the region [%d,+%d) lies within one run", c.name, d.Offset, d.Length)
+			}
+		}
+		// A clean edit in another run while the break persists.
+		var far [2]corpus.Edit
+		for _, pair := range edits {
+			if r := sort.SearchInts(starts, pair[0].Offset+1) - 1; r < c.run-2 || r > c.run+2 {
+				far = pair
+				break
+			}
+		}
+		if far[0].Inserted == "" {
+			t.Fatalf("%s: no identifier edit outside runs %d±2", c.name, c.run)
+		}
+		for _, e := range far {
+			o := e.Offset
+			if o > c.off {
+				o += len(brk)
+			}
+			s.Edit(o, e.Removed, e.Inserted)
+			isolated(c.name+", clean edit elsewhere", c.off)
+		}
+		s.Edit(c.off, len(brk), "")
+		if out := s.Do(nil, incremental.Tolerant()); !out.Clean {
+			t.Fatalf("%s: deleting the break: %+v", c.name, out)
+		}
+		if got := incremental.FormatDag(lang, s.Tree()); got != want {
+			t.Fatalf("%s: deleting the break does not commit the cold parse's tree", c.name)
 		}
 	}
 }
