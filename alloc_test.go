@@ -385,16 +385,14 @@ func TestTolerantWorkIndependentOfFileSize(t *testing.T) {
 
 // TestReadWorkIndependentOfFileSize pins what locating nodes from the tree
 // buys: a cursor read — Subtree at an identifier, then NodeSpan on the
-// node it returns — a clean Diagnostics, and a Diagnostics while one
-// region exists do work (the session's ReadWork:
-// tree nodes visited plus tokens scanned, plus the bytes a line lookup
-// examines) that stays within 2× from a 1,000-line file to a 16,000-line
-// one. Subtree used to locate each kid it tried by scanning every token,
-// Diagnostics walked the whole tree, and a region's line was the count of
-// the newlines before it, so all three grew 16× between the sizes.
+// node it returns — and a clean Diagnostics do work (the session's
+// ReadWork: tree nodes visited plus tokens scanned) that stays within 2×
+// from a 1,000-line file to a 16,000-line one. Subtree used to locate each
+// kid it tried by scanning every token, and Diagnostics walked the whole
+// tree, so both grew 16× between the sizes.
 func TestReadWorkIndependentOfFileSize(t *testing.T) {
 	const reads = 64
-	type work struct{ subtree, span, diags, region float64 }
+	type work struct{ subtree, span, diags float64 }
 	measure := func(lines int) work {
 		src, _ := corpus.Generate(corpus.Spec{Name: "reads", Lines: lines, Lang: "c", Seed: 1})
 		s := incremental.NewSession(incremental.CSubset(), src)
@@ -417,25 +415,7 @@ func TestReadWorkIndependentOfFileSize(t *testing.T) {
 			t.Fatalf("%d lines: a clean parse reports %v", lines, ds)
 		}
 		w.diags = float64(incremental.ReadWork(s))
-		const breaks = 8 // one at a time, spread over the file
-		for k := 1; k <= breaks; k++ {
-			at := len(src) * k / (breaks + 1)
-			off := at + strings.IndexByte(src[at:], ';') + 1
-			s.Edit(off, 0, " @#! ")
-			if out := s.Do(context.Background(), incremental.Tolerant()); out.ErrorRegions != 1 {
-				t.Fatalf("%d lines: want one isolated region, got %+v", lines, out)
-			}
-			if ds := s.Diagnostics(); len(ds) != 1 {
-				t.Fatalf("%d lines: want one diagnostic, got %v", lines, ds)
-			}
-			w.region += float64(incremental.ReadWork(s)) / breaks
-			s.Edit(off, len(" @#! "), "")
-			if out := s.Do(context.Background(), incremental.Tolerant()); !out.Clean {
-				t.Fatalf("%d lines: repair: %+v", lines, out)
-			}
-		}
-		t.Logf("%d lines: read work %.0f per Subtree, %.0f per NodeSpan, %.0f per clean Diagnostics, %.0f per Diagnostics with one region",
-			lines, w.subtree, w.span, w.diags, w.region)
+		t.Logf("%d lines: read work %.0f per Subtree, %.0f per NodeSpan, %.0f per clean Diagnostics", lines, w.subtree, w.span, w.diags)
 		return w
 	}
 	small, large := measure(1000), measure(16000)
@@ -446,7 +426,6 @@ func TestReadWorkIndependentOfFileSize(t *testing.T) {
 		{"Subtree at an identifier", small.subtree, large.subtree},
 		{"NodeSpan of its node", small.span, large.span},
 		{"a clean Diagnostics", small.diags, large.diags},
-		{"a Diagnostics with one region", small.region, large.region},
 	} {
 		if c.large > 2*c.small {
 			t.Errorf("%s: read work grows with the file: %.0f at 16,000 lines vs %.0f at 1,000", c.read, c.large, c.small)

@@ -54,9 +54,8 @@ func (d Diagnostic) String() string {
 // Cost: the walk descends only into subtrees whose HasError summary is
 // set, so a clean tree costs one node visit and k regions O(k·depth)
 // visits; each region is then located as NodeSpan locates a node — from
-// the tree and the run headers with no edit pending, by a scan of the
-// whole token stream otherwise — and its line is the newline count of the
-// token run that holds it plus a count within that run.
+// the tree, the pending edits' terminal damage and the run headers — and
+// its line is the count of the newlines before it.
 func (s *Session) Diagnostics() []Diagnostic {
 	var out []Diagnostic
 	errs, work := dag.CollectErrors(s.doc.Root())
@@ -71,7 +70,6 @@ func (s *Session) Diagnostics() []Diagnostic {
 			continue
 		}
 		line, col := s.doc.Position(off)
-		s.readWork += s.doc.LastReadWork
 		d := Diagnostic{Offset: off, Length: length, Line: line, Col: col}
 		if n.Err != nil {
 			d.Expected = n.Err.Expected

@@ -11,7 +11,6 @@ package document
 import (
 	"bytes"
 	"fmt"
-	"strings"
 
 	"iglr/internal/dag"
 	"iglr/internal/faultinject"
@@ -237,9 +236,11 @@ func (d *Document) Replace(offset, removed int, inserted string) {
 		panic(fmt.Sprintf("document: edit @%d -%d out of range (len %d)", offset, removed, d.buf.Len()))
 	}
 	d.edited = true
-	gone := d.buf.Slice(offset, offset+removed)
-	d.pending = append(d.pending, AppliedEdit{Offset: offset, Removed: gone, Inserted: inserted})
-	dLine := strings.Count(inserted, "\n") - strings.Count(gone, "\n")
+	d.pending = append(d.pending, AppliedEdit{
+		Offset:   offset,
+		Removed:  d.buf.Slice(offset, offset+removed),
+		Inserted: inserted,
+	})
 	d.buf.Replace(offset, removed, inserted)
 
 	// The relex reads the buffer in place, and the old tokens through the
@@ -314,7 +315,7 @@ func (d *Document) Replace(offset, removed int, inserted string) {
 		}
 		d.maxLook = max(d.maxLook, t.Lookahead)
 	}
-	d.LastSpliceWork = d.splice(first, resume, fresh, tlo, thi, add, delta, dLine)
+	d.LastSpliceWork = d.splice(first, resume, fresh, tlo, thi, add, delta)
 	clear(add)
 	clear(d.fresh)
 }
@@ -441,40 +442,28 @@ func (d *Document) SignificantTokenOffset(i int) int {
 // ok=false when none of n's terminals remain (the node is fully stale) or
 // n has no terminal yield.
 //
-// A node of the committed tree, read while no edit is pending, is located
-// from the tree (firstTerm) and its first and last terminals from the run
-// headers (termBytes): O(depth·fanout + lg runs + maxRun), whatever the
-// file size. Otherwise — edits applied since the last commit, or a node
-// whose parent chain does not reach the committed root — NodeSpan scans
-// every token for n's terminals, so a span tracks pending edits and a node
-// edited away reports ok=false. n must come from the document's arena: the
-// scan marks the yield in a node-ID table.
+// A node of the committed tree is located by PresentSpan — from the tree
+// and the pending edits' terminal damage — and its first and last present
+// terminals from the run headers (termBytes): O(depth·fanout + removed
+// terminals + pending edits + lg runs + maxRun), whatever the file size.
+// A node PresentSpan cannot place — one whose parent chain does not reach
+// the committed root — is found by ScanSpan's scan of every token. n must
+// come from the document's arena: the scan marks the yield in a node-ID
+// table.
 func (d *Document) NodeSpan(n *dag.Node) (off, length int, ok bool) {
-	d.LastReadWork = 0
-	if n.TermCount == 0 {
-		return 0, 0, false
-	}
-	i, ok := d.firstTerm(n)
-	if !ok {
+	lo, hi, ok, located := d.PresentSpan(n)
+	if !located {
 		chain := d.LastReadWork
 		off, length, ok = d.ScanSpan(n)
 		d.LastReadWork += chain
 		return off, length, ok
 	}
-	off, _ = d.termBytes(i)
-	_, end := d.termBytes(i + int(n.TermCount) - 1)
-	return off, end - off, true
-}
-
-// firstTerm returns the index of n's first terminal in the token stream:
-// TreeIndex, which holds for the current stream only while no edit is
-// pending.
-func (d *Document) firstTerm(n *dag.Node) (i int, ok bool) {
-	if d.edited {
-		return 0, false
+	if !ok {
+		return 0, 0, false
 	}
-	i, ok = d.TreeIndex(n)
-	return i, ok && i+int(n.TermCount) <= d.NumTerms()
+	off, _ = d.termBytes(lo)
+	_, end := d.termBytes(hi - 1)
+	return off, end - off, true
 }
 
 // TreeIndex returns the index of n's first terminal in the committed
@@ -668,7 +657,7 @@ func (d *Document) ScanSpan(n *dag.Node) (off, length int, ok bool) {
 // i+c-1 ≥ b. Each bound costs a binary search over the run headers and a
 // scan of one run. ok is false while edits are pending: the tree's
 // terminal counts then describe the committed stream, not the current one,
-// and callers locate nodes with NodeSpan's scan instead.
+// and callers locate nodes with ScanSpan instead.
 func (d *Document) TermWindow(lo, hi int) (a, b int, ok bool) {
 	d.LastReadWork = 0
 	if d.edited || d.root == nil {
@@ -681,11 +670,19 @@ func (d *Document) TermWindow(lo, hi int) (a, b int, ok bool) {
 // at or before byte x. The last run starting at or before x holds the last
 // of them; the earlier runs' terminals all start before it.
 func (d *Document) termsStartingBy(x int) int {
-	i := d.runAtByte(x)
-	if i < 0 {
+	lo, hi := 0, len(d.runs)
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if d.runs[h].start <= x {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	if lo == 0 {
 		return 0
 	}
-	r := &d.runs[i]
+	r := &d.runs[lo-1]
 	k := r.term
 	for _, t := range r.toks {
 		if r.start+t.Offset > x {
@@ -730,19 +727,11 @@ func (d *Document) termsEndingBefore(y int) int {
 }
 
 // Position converts a byte offset to a 1-based (line, column) pair.
-// Columns count bytes within the line. The line is the newline sum of the
-// run holding the offset, found by a binary search over the run headers,
-// plus the newlines before the offset within that run; LastReadWork
-// counts the bytes examined: those, and the ones back to the line's start.
+// Columns count bytes within the line.
 func (d *Document) Position(offset int) (line, col int) {
 	text := d.buf.Bytes()
-	offset = min(max(offset, 0), len(text))
-	start, line := 0, 1
-	if i := d.runAtByte(offset); i >= 0 {
-		start, line = d.runs[i].start, 1+d.runs[i].line
-	}
-	line += bytes.Count(text[start:offset], newline)
-	bol := bytes.LastIndexByte(text[:offset], '\n') + 1
-	d.LastReadWork = offset - start + offset - bol
-	return line, offset - bol + 1
+	head := text[:min(max(offset, 0), len(text))]
+	line = 1 + bytes.Count(head, []byte{'\n'})
+	col = len(head) - bytes.LastIndexByte(head, '\n')
+	return line, col
 }

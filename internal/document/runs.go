@@ -1,7 +1,6 @@
 package document
 
 import (
-	"bytes"
 	"fmt"
 	"slices"
 
@@ -24,9 +23,6 @@ const maxRun = 512
 // split, which would also shift every later header in the run list.
 const scanRun = maxRun * 3 / 4
 
-// newline is what the headers' line sums count.
-var newline = []byte{'\n'}
-
 // run is a bounded piece of the document's token stream: the unit of
 // relative token positions. Only the headers hold absolute positions, so
 // an edit's delta re-offsets the tokens after it in its own run and moves
@@ -34,10 +30,9 @@ var newline = []byte{'\n'}
 type run struct {
 	// start, tok and term are the absolute byte offset of the run's first
 	// byte, the index of its first token and the index of its first
-	// significant terminal, and line the number of newlines before start:
-	// prefix sums over the earlier runs' byte lengths, token counts,
-	// terminal counts and newlines, kept by every splice.
-	start, tok, term, line int
+	// significant terminal: prefix sums over the earlier runs' byte
+	// lengths, token counts and terminal counts, kept by every splice.
+	start, tok, term int
 	// toks holds the run's tokens, 1 to maxRun of them, with offsets
 	// relative to start.
 	toks []lexer.Token
@@ -53,19 +48,16 @@ type run struct {
 // document's runs: capacity-capped windows of scanRun tokens. One pass
 // rewrites each token's offset relative to its run, derives the error
 // count and the lookahead bound, and creates the significant tokens'
-// terminals into terms[:0]; the newlines before each run are counted in
-// the text. The arrays become the document's own (ReleaseBuffers donates
-// them).
+// terminals into terms[:0]. The arrays become the document's own
+// (ReleaseBuffers donates them).
 func (d *Document) adopt(toks []lexer.Token, terms []*dag.Node) {
 	terms = terms[:0]
 	d.runs = make([]run, 0, (len(toks)+scanRun-1)/scanRun)
 	d.LexErrorCount, d.maxLook = 0, 0
-	text := d.buf.Bytes()
-	term, line := 0, 0
+	term := 0
 	for i := 0; i < len(toks); i += scanRun {
 		end := min(i+scanRun, len(toks))
-		r := run{start: toks[i].Offset, tok: i, term: term, line: line, toks: toks[i:end:end]}
-		line += bytes.Count(text[r.start:toks[end-1].End()], newline)
+		r := run{start: toks[i].Offset, tok: i, term: term, toks: toks[i:end:end]}
 		for k := range r.toks {
 			t := &r.toks[k]
 			if !t.Skip {
@@ -132,21 +124,6 @@ func (d *Document) runOfTerm(i int) int {
 	for lo < hi {
 		h := int(uint(lo+hi) >> 1)
 		if d.runs[h].term <= i {
-			lo = h + 1
-		} else {
-			hi = h
-		}
-	}
-	return lo - 1
-}
-
-// runAtByte returns the index of the last run starting at or before byte
-// x, or -1 when none does: a binary search over the headers' byte sums.
-func (d *Document) runAtByte(x int) int {
-	lo, hi := 0, len(d.runs)
-	for lo < hi {
-		h := int(uint(lo+hi) >> 1)
-		if d.runs[h].start <= x {
 			lo = h + 1
 		} else {
 			hi = h
@@ -223,8 +200,8 @@ func (d *Document) AppendTerms(dst []*dag.Node, i, j int) []*dag.Node {
 // splice rewrites the runs for one edit: tokens [first, resume) give way
 // to fresh (absolute offsets in the new text) and terminals [tlo, thi) to
 // add, and the headers after the rewritten runs move by the edit's byte,
-// token, terminal and newline deltas. It returns the work it did: token
-// and terminal slots written (copied, moved or re-offset) plus run headers
+// token and terminal deltas. It returns the work it did: token and
+// terminal slots written (copied, moved or re-offset) plus run headers
 // visited, not counting the binary searches that locate runs.
 //
 // A damage inside one run that leaves it within the size bounds is
@@ -234,7 +211,7 @@ func (d *Document) AppendTerms(dst []*dag.Node, i, j int) []*dag.Node {
 // gathered around the damage and cut again into runs of at most maxRun
 // tokens, so a paste yields many runs and a deletion across runs drops
 // the ones between its ends.
-func (d *Document) splice(first, resume int, fresh []lexer.Token, tlo, thi int, add []*dag.Node, delta, dLine int) (work int) {
+func (d *Document) splice(first, resume int, fresh []lexer.Token, tlo, thi int, add []*dag.Node, delta int) (work int) {
 	dTok, dTerm := len(fresh)-(resume-first), len(add)-(thi-tlo)
 	ra := d.runOfTok(min(first, d.numToks()-1))
 	rb := ra
@@ -275,7 +252,7 @@ func (d *Document) splice(first, resume int, fresh []lexer.Token, tlo, thi int, 
 					r.toks[k].Offset += delta
 				}
 			}
-			return work + d.shiftHeaders(next, delta, dTok, dTerm, dLine)
+			return work + d.shiftHeaders(next, delta, dTok, dTerm)
 		}
 	}
 
@@ -288,9 +265,9 @@ func (d *Document) splice(first, resume int, fresh []lexer.Token, tlo, thi int, 
 			lo--
 		}
 	}
-	var base, tok0, term0, line, tokEnd, termEnd int
+	var base, tok0, term0, tokEnd, termEnd int
 	if lo < hi {
-		base, tok0, term0, line = d.runs[lo].start, d.runs[lo].tok, d.runs[lo].term, d.runs[lo].line
+		base, tok0, term0 = d.runs[lo].start, d.runs[lo].tok, d.runs[lo].term
 		last := &d.runs[hi-1]
 		tokEnd, termEnd = last.tok+len(last.toks), last.term+len(last.terms)
 	}
@@ -307,8 +284,7 @@ func (d *Document) splice(first, resume int, fresh []lexer.Token, tlo, thi int, 
 	work = len(toks) + len(terms)
 
 	// Cut into ⌈n/maxRun⌉ runs of near-equal size, reusing the gathered
-	// runs' storage where it fits; their newlines are counted again.
-	text := d.buf.Bytes()
+	// runs' storage where it fits.
 	parts := d.scratchRuns[:0]
 	total := len(toks)
 	k := (total + maxRun - 1) / maxRun
@@ -324,7 +300,7 @@ func (d *Document) splice(first, resume int, fresh []lexer.Token, tlo, thi int, 
 				m++
 			}
 		}
-		r := run{start: start, tok: tok, term: term, line: line}
+		r := run{start: start, tok: tok, term: term}
 		if old := lo + j; old < hi && cap(d.runs[old].toks) >= n && cap(d.runs[old].terms) >= m {
 			r.toks, r.terms, r.own = d.runs[old].toks[:n], d.runs[old].terms[:m], d.runs[old].own
 		} else {
@@ -337,7 +313,6 @@ func (d *Document) splice(first, resume int, fresh []lexer.Token, tlo, thi int, 
 		}
 		copy(r.terms, terms[:m])
 		start = base + toks[n-1].End()
-		line += bytes.Count(text[r.start:start], newline)
 		toks, terms = toks[n:], terms[m:]
 		tok, term = tok+n, term+m
 		work += n + m
@@ -350,14 +325,13 @@ func (d *Document) splice(first, resume int, fresh []lexer.Token, tlo, thi int, 
 	if k != hi-lo {
 		work += len(d.runs) - next
 	}
-	return work + d.shiftHeaders(next, delta, dTok, dTerm, dLine)
+	return work + d.shiftHeaders(next, delta, dTok, dTerm)
 }
 
 // shiftHeaders moves the sums of the headers from run i on by an edit's
-// byte, token, terminal and newline deltas, and returns the headers it
-// visited.
-func (d *Document) shiftHeaders(i, delta, dTok, dTerm, dLine int) int {
-	if delta == 0 && dTok == 0 && dTerm == 0 && dLine == 0 {
+// byte, token and terminal deltas, and returns the headers it visited.
+func (d *Document) shiftHeaders(i, delta, dTok, dTerm int) int {
+	if delta == 0 && dTok == 0 && dTerm == 0 {
 		return 0
 	}
 	for k := i; k < len(d.runs); k++ {
@@ -365,7 +339,6 @@ func (d *Document) shiftHeaders(i, delta, dTok, dTerm, dLine int) int {
 		r.start += delta
 		r.tok += dTok
 		r.term += dTerm
-		r.line += dLine
 	}
 	return len(d.runs) - i
 }
@@ -424,18 +397,18 @@ func (d *Document) RunStarts(dst []int) []int {
 // CheckRuns verifies the run invariants: every run holds 1 to maxRun
 // tokens whose relative offsets tile it from 0, one terminal per
 // significant token; the runs tile the text in order; and the headers'
-// byte, token, terminal and newline sums are the prefix sums of the runs
-// before them. The relex oracle calls it after every edit.
+// byte, token and terminal sums are the prefix sums of the runs before
+// them. The relex oracle calls it after every edit.
 func (d *Document) CheckRuns() error {
-	start, tok, term, line := 0, 0, 0, 0
+	start, tok, term := 0, 0, 0
 	for i := range d.runs {
 		r := &d.runs[i]
 		if len(r.toks) == 0 || len(r.toks) > maxRun {
 			return fmt.Errorf("document: run %d holds %d tokens, want 1 to %d", i, len(r.toks), maxRun)
 		}
-		if r.start != start || r.tok != tok || r.term != term || r.line != line {
-			return fmt.Errorf("document: run %d header (start %d, tok %d, term %d, line %d), prefix sums (%d, %d, %d, %d)",
-				i, r.start, r.tok, r.term, r.line, start, tok, term, line)
+		if r.start != start || r.tok != tok || r.term != term {
+			return fmt.Errorf("document: run %d header (start %d, tok %d, term %d), prefix sums (%d, %d, %d)",
+				i, r.start, r.tok, r.term, start, tok, term)
 		}
 		off, sig := 0, 0
 		for k, t := range r.toks {
@@ -450,10 +423,6 @@ func (d *Document) CheckRuns() error {
 		if sig != len(r.terms) {
 			return fmt.Errorf("document: run %d has %d significant tokens but %d terminals", i, sig, len(r.terms))
 		}
-		if start+off > d.buf.Len() {
-			return fmt.Errorf("document: run %d ends at byte %d, past the text's %d", i, start+off, d.buf.Len())
-		}
-		line += bytes.Count(d.buf.Bytes()[start:start+off], newline)
 		start, tok, term = start+off, tok+len(r.toks), term+sig
 	}
 	if start != d.buf.Len() {

@@ -84,15 +84,20 @@ type Region struct {
 
 // Reparse runs isolation over the document's current state using the
 // given parser (whose Budget applies to every masked attempt). failed, when
-// not nil, is the syntax error of a parse of that same state whose failing
-// round restamped no committed node (iglr.Parser.Restamped): a parse
-// without a mask would fail the same way, so failed stands for the first
-// attempt. On success the returned Result's Root contains at least one
-// error node — at worst one that owns every terminal — and the document's
-// text is untouched. It fails with ErrUnbounded only when the document has
-// no terminal, and otherwise only with an error that aborted a masked
-// parse. A nil ctx disables cancellation polls.
+// not nil, is the syntax error of p's latest parse, a parse of that same
+// state: a parse without a mask would fail the same way, so failed stands
+// for the first attempt — unless the failing round restamped a committed
+// node (iglr.Parser.Restamped), when a repeat can fail with fewer expected
+// terminals and isolation reports the repeat's. On success the returned
+// Result's Root contains at least one error node — at worst one that owns
+// every terminal — and the document's text is untouched. It fails with
+// ErrUnbounded only when the document has no terminal, and otherwise only
+// with an error that aborted a masked parse. A nil ctx disables
+// cancellation polls.
 func Reparse(ctx context.Context, d *document.Document, p *iglr.Parser, failed *iglr.SyntaxError) (Result, error) {
+	if p.Restamped() {
+		failed = nil
+	}
 	n := d.NumTerms()
 	if n == 0 {
 		return Result{}, ErrUnbounded

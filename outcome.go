@@ -105,11 +105,6 @@ func (s *Session) doTolerant(ctx context.Context) Outcome {
 	if !errors.As(err, &se) {
 		return Outcome{Err: err, Stats: s.stats}
 	}
-	if s.parser.Restamped() {
-		// A repeat of the parse can fail with fewer expected terminals, and
-		// isolation reports the repeat's.
-		se = nil
-	}
 	res, ierr := isolate.Reparse(ctx, s.doc, s.parser, se)
 	s.isolateWork = res.Work
 	if errors.Is(ierr, isolate.ErrUnbounded) {
@@ -128,13 +123,14 @@ func (s *Session) doTolerant(ctx context.Context) Outcome {
 // been edited away (or n has no terminal yield). Positions track pending
 // edits, so a span stays valid while edits accumulate before the next Do.
 //
-// Cost: with no edit pending since the last Do, the node is located from
-// the tree — its left siblings' terminal counts along its parent chain —
-// and the token runs' headers, in O(depth·fanout + lg runs) plus a scan of
-// at most two runs of 512 tokens, whatever the file size. While edits are
-// pending, or for a node whose parent chain does not reach the committed
-// root (one shared between readings, or kept from an older tree), it falls
-// back to scanning every token of the document.
+// Cost: the node is located from the tree — its left siblings' terminal
+// counts along its parent chain, then a descent from each end past the
+// terminals pending edits removed, moved through those edits' terminal
+// damage — and the token runs' headers, in O(depth·fanout + removed
+// terminals + pending edits + lg runs) plus a scan of at most two runs of
+// 512 tokens, whatever the file size. For a node whose parent chain does
+// not reach the committed root (one shared between readings, or kept from
+// an older tree), it falls back to scanning every token of the document.
 func (s *Session) NodeSpan(n *Node) (offset, length int, ok bool) {
 	offset, length, ok = s.doc.NodeSpan(n)
 	s.readWork = s.doc.LastReadWork
@@ -156,7 +152,7 @@ func (s *Session) NodeSpan(n *Node) (offset, length int, ok bool) {
 // headers, each with a scan of one run), and the descent compares each
 // kid's terminal count with it: O(depth·fanout) node visits, whatever the
 // file size. While edits are pending it falls back to locating every kid
-// it tries with NodeSpan's scan of the whole token stream.
+// it tries with a scan of the whole token stream.
 func (s *Session) Subtree(offset, length int) *Node {
 	root := s.doc.Root()
 	s.readWork = 0

@@ -13,8 +13,8 @@ import (
 )
 
 // The read oracle. NodeSpan locates a node of the committed tree from its
-// left siblings' terminal counts along its parent chain and the token
-// runs' headers; Subtree descends by terminal indices; Diagnostics and
+// left siblings' terminal counts along its parent chain, the pending
+// edits' terminal damage and the token runs' headers; Subtree descends by terminal indices; Diagnostics and
 // ErrorNodes walk only subtrees whose HasError summary is set. Each read
 // must answer exactly what the scan it replaced answers — ScanSpan (every
 // token searched for the node's terminals), SubtreeScan (the descent that
@@ -53,8 +53,8 @@ type readStats struct {
 
 // checkReads compares every read of s with the scan. With no edit pending
 // it checks NodeSpan on every node reachable from the tree, every reading
-// of every choice included; while edits are pending (when the reads fall
-// back to the scan themselves) a sample. old holds nodes of earlier trees.
+// of every choice included; while edits are pending, when each scan costs
+// the whole text, a sample. old holds nodes of earlier trees.
 func checkReads(t *testing.T, s *incremental.Session, rng *rand.Rand, old []*incremental.Node, st *readStats, when string) {
 	t.Helper()
 	span := func(n *incremental.Node) {

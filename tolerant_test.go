@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -257,6 +258,37 @@ func TestTolerantTextWithNoToken(t *testing.T) {
 	var pe *incremental.ParseError
 	if !errors.As(out.Err, &pe) || out.Root != nil || out.Isolated || s.Tree() != nil {
 		t.Fatalf("want a located syntax error and no tree, got %+v", out)
+	}
+}
+
+// TestIsolationRepeatsARestampingFailure: isolation starts from the plain
+// parse's syntax error instead of repeating that parse, unless the round
+// that failed restamped a committed node. Typing "(" after the second int
+// of "int a; int b; int c;" is such a failure: bottom-up retention
+// restamps the committed declarator, and the round fails at ';' expecting
+// ')', ';' and '=' (a plain Do on a twin session shows it). A repeat
+// shifts the restamped node whole and fails at the same ';' expecting only
+// ')', the set the diagnostic reports.
+func TestIsolationRepeatsARestampingFailure(t *testing.T) {
+	const src = "int a; int b; int c;"
+	open := func() *incremental.Session {
+		s := incremental.NewSession(incremental.CSubset(), src)
+		if out := s.Do(nil); !out.Clean {
+			t.Fatal(out.Err)
+		}
+		s.Edit(10, 0, "(")
+		return s
+	}
+	var pe *incremental.ParseError
+	if out := open().Do(nil); !errors.As(out.Err, &pe) || !slices.Equal(pe.Expected, []string{"')'", "';'", "'='"}) {
+		t.Fatalf("plain Do: want a failure expecting ')', ';', '=', got %v", out.Err)
+	}
+	s := open()
+	if out := s.Do(nil, incremental.Tolerant()); out.Err != nil || !out.Isolated || out.ErrorRegions != 1 {
+		t.Fatalf("want one isolated region, got %+v", out)
+	}
+	if ds := s.Diagnostics(); len(ds) != 1 || ds[0].Offset != pe.Offset-len("int( b") || !slices.Equal(ds[0].Expected, []string{"')'"}) {
+		t.Fatalf("diagnostics %v, want one over \"int( b;\" expecting ')'", ds)
 	}
 }
 
