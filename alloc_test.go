@@ -283,10 +283,10 @@ func TestEditWorkIndependentOfFileSize(t *testing.T) {
 // before an identifier and its repair, and a clean identifier edit in the
 // file's second half while one break near its top persists, which every
 // such Do isolates again. Per Do, the arena nodes built, the bytes
-// allocated and the isolation's own work (terminals read or indexed plus
-// sequence parts handled) stay within 2× between the sizes; indexing every
-// terminal and rebuilding each host sequence from all its elements grew
-// them 3–3.5×, 5–12× and 16×.
+// allocated and the isolation's own work (tree nodes and terminals read
+// plus sequence parts handled) stay within 2× between the sizes; indexing
+// every terminal and rebuilding each host sequence from all its elements
+// grew them 3–3.5×, 5–12× and 16×.
 func TestTolerantWorkIndependentOfFileSize(t *testing.T) {
 	const (
 		pairs       = 60

@@ -155,10 +155,10 @@ type Config struct {
 	// (0 = unlimited). Excess requests shed with 429 + Retry-After before
 	// touching any session. Reloadable.
 	MaxInflight int `json:"max_inflight,omitempty"`
-	// StallTimeout arms the shard watchdog (0 = disabled): a parse running
-	// longer than this is cancelled via its context and the session is
-	// closed as poisoned — the livelock extension of the panic-recovery
-	// contract. Reloadable.
+	// StallTimeout bounds one parse (0 = disabled): a parse running longer
+	// than this is cancelled via its context and the session is closed as
+	// poisoned — the livelock extension of the panic-recovery contract.
+	// Reloadable; a reload applies to the parses that start after it.
 	StallTimeout Duration `json:"stall_timeout,omitempty"`
 	// DefaultDeadline is applied to data-plane requests that carry no
 	// deadline of their own (0 = none); queued work whose deadline expired

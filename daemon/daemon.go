@@ -37,10 +37,6 @@ type Daemon struct {
 	// inflight counts concurrently executing data-plane requests for the
 	// MaxInflight admission cap.
 	inflight atomic.Int64
-	// watch holds each shard's currently running parse, if any, for the
-	// stall watchdog. The slot is written only by the shard's own
-	// goroutine; the watchdog reads it and cancels through it.
-	watch []atomic.Pointer[runningTask]
 
 	// ConfigPath, when set, is the file POST /reload re-reads. The
 	// command-line wrapper sets it; embedded daemons may leave it empty
@@ -55,20 +51,7 @@ type Daemon struct {
 	dataLn, adminLn   net.Listener
 	janitorStop       chan struct{}
 	janitorDone       chan struct{}
-	watchdogDone      chan struct{}
 	stopJanitor       sync.Once
-}
-
-// runningTask is one parse in flight on a shard goroutine, registered so
-// the watchdog can see how long it has been running and cancel it.
-type runningTask struct {
-	sessID  string
-	started time.Time
-	cancel  context.CancelFunc
-	// byWatchdog is set (once) by the watchdog before cancelling; the
-	// shard side reads it after the parse returns to tell a stall
-	// cancellation from an ordinary client disconnect.
-	byWatchdog atomic.Bool
 }
 
 // New builds a daemon from cfg: the config is compiled into the first
@@ -80,14 +63,12 @@ func New(cfg Config) (*Daemon, error) {
 		return nil, err
 	}
 	d := &Daemon{
-		pool:         newShardPool(sn.cfg.Shards, sn.cfg.QueueDepth),
-		sessions:     newRegistry(),
-		gov:          govern.New(sn.cfg.Shards),
-		watch:        make([]atomic.Pointer[runningTask], sn.cfg.Shards),
-		Logf:         log.Printf,
-		janitorStop:  make(chan struct{}),
-		janitorDone:  make(chan struct{}),
-		watchdogDone: make(chan struct{}),
+		pool:        newShardPool(sn.cfg.Shards, sn.cfg.QueueDepth),
+		sessions:    newRegistry(),
+		gov:         govern.New(sn.cfg.Shards),
+		Logf:        log.Printf,
+		janitorStop: make(chan struct{}),
+		janitorDone: make(chan struct{}),
 	}
 	d.gov.SetWatermarks(sn.cfg.MemorySoftBytes, sn.cfg.MemoryHardBytes)
 	d.pool.onWait = d.mets.queueWait.observe
@@ -109,7 +90,6 @@ func New(cfg Config) (*Daemon, error) {
 		}
 	}
 	go d.janitor()
-	go d.watchdog()
 	return d, nil
 }
 
@@ -233,7 +213,6 @@ func (d *Daemon) Shutdown(ctx context.Context) error {
 	}
 	d.stopJanitor.Do(func() { close(d.janitorStop) })
 	<-d.janitorDone
-	<-d.watchdogDone
 	// Park every live session on disk (bounded by the drain deadline) so
 	// a graceful restart restores each one without journal replay.
 	d.persistAll(ctx)
@@ -424,50 +403,6 @@ func (d *Daemon) janitor() {
 					}
 				})
 				cancel()
-			}
-		}
-	}
-}
-
-// watchdog scans the shards for a parse stuck beyond the configured stall
-// threshold — a runaway that escaped its budget, a pathological ambiguity
-// blowup — and cancels it through its context. The parser polls its
-// context every 64 rounds, so cancellation actually unwedges the shard; the
-// shard side then closes the poisoned session, extending the
-// panic-containment contract to livelock. The tick adapts to the
-// threshold so a short stall_timeout is enforced promptly.
-func (d *Daemon) watchdog() {
-	defer close(d.watchdogDone)
-	for {
-		stall := time.Duration(d.snap.Load().cfg.StallTimeout)
-		tick := 250 * time.Millisecond
-		if stall > 0 {
-			tick = stall / 4
-			if tick < 5*time.Millisecond {
-				tick = 5 * time.Millisecond
-			}
-			if tick > 250*time.Millisecond {
-				tick = 250 * time.Millisecond
-			}
-		}
-		select {
-		case <-d.janitorStop:
-			return
-		case <-time.After(tick):
-		}
-		if stall <= 0 {
-			continue
-		}
-		for i := range d.watch {
-			rt := d.watch[i].Load()
-			if rt == nil || time.Since(rt.started) < stall {
-				continue
-			}
-			if rt.byWatchdog.CompareAndSwap(false, true) {
-				rt.cancel()
-				d.mets.watchdogCancels.Add(1)
-				d.Logf("daemon: watchdog cancelled stalled parse on shard %d (session %s, running %v > stall_timeout %v)",
-					i, rt.sessID, time.Since(rt.started).Round(time.Millisecond), stall)
 			}
 		}
 	}

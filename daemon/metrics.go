@@ -79,7 +79,7 @@ type metrics struct {
 	diagnostics  atomic.Int64
 	parseLatency histogram
 
-	// Overload protection: load shedding, queue behavior, the watchdog,
+	// Overload protection: load shedding, queue behavior, stalled parses,
 	// and pressure-mode eviction.
 	shedQueueFull     atomic.Int64
 	shedInflight      atomic.Int64
@@ -164,7 +164,7 @@ func (m *metrics) write(w io.Writer) {
 	c("iglrd_shed_memory_total", "Creations and restores shed with 503 by the memory hard watermark.", m.shedMemory.Load())
 	c("iglrd_shed_parse_pending_total", "Edit batches accepted and durable whose reparse failed (503 parse_pending; the batch must not be re-sent).", m.shedParsePending.Load())
 	c("iglrd_queue_expired_total", "Queued tasks dropped because their request deadline expired before a shard could run them.", m.queueExpired.Load())
-	c("iglrd_watchdog_cancels_total", "Stalled parses cancelled by the shard watchdog (the session is closed).", m.watchdogCancels.Load())
+	c("iglrd_watchdog_cancels_total", "Parses cancelled after running past stall_timeout (the session is closed).", m.watchdogCancels.Load())
 	c("iglrd_pressure_evictions_total", "Sessions parked to disk by memory-pressure eviction (soft-watermark sweeps and hard-watermark relief).", m.pressureEvictions.Load())
 	c("iglrd_degraded_admits_total", "Sessions admitted under the degraded pressure budget.", m.degradedAdmits.Load())
 

@@ -251,8 +251,8 @@ func (d *Daemon) dropSession(sess *session) {
 
 // writeShardError renders a shard-task failure: 429 + Retry-After when the
 // shard's queue shed the request, 503 + Retry-After when the request's
-// deadline expired (waiting in queue or mid-parse) or the watchdog killed
-// a stalled parse, 500 when the task itself panicked. Panic details stay
+// deadline expired (waiting in queue or mid-parse) or a parse stalled past
+// stall_timeout, 500 when the task itself panicked. Panic details stay
 // in the log, not the response.
 func (d *Daemon) writeShardError(w http.ResponseWriter, err error) {
 	switch {
@@ -278,10 +278,11 @@ func (d *Daemon) writeShardError(w http.ResponseWriter, err error) {
 
 // parseSession runs one parse of sess on its shard, updating metrics, the
 // idle clock, and the session's governor account, and renders the outcome.
-// The parse is registered with the stall watchdog: a parse the watchdog
-// cancelled closes the session (its state can no longer be trusted to
-// finish anything) and surfaces as errShardStalled. The bool reports
-// whether the session was still open.
+// With a stall_timeout, the parse runs under a context that times out
+// after it with errShardStalled as the cause (the parser polls its context
+// every 64 rounds); a parse it stopped closes the session, whose state can
+// no longer be trusted to finish anything, and surfaces as
+// errShardStalled. The bool reports whether the session was still open.
 func (d *Daemon) parseSession(r *http.Request, sess *session) (outcomeJSON, bool, error) {
 	var (
 		oj      outcomeJSON
@@ -295,20 +296,25 @@ func (d *Daemon) parseSession(r *http.Request, sess *session) (outcomeJSON, bool
 		open = true
 		sess.lastUsed = time.Now()
 		start := time.Now()
-		pctx, cancel := context.WithCancel(r.Context())
-		rt := &runningTask{sessID: sess.id, started: start, cancel: cancel}
-		d.watch[sess.shard].Store(rt)
+		pctx := r.Context()
+		stall := time.Duration(d.snap.Load().cfg.StallTimeout)
+		if stall > 0 {
+			var cancel context.CancelFunc
+			pctx, cancel = context.WithTimeoutCause(pctx, stall, errShardStalled)
+			defer cancel()
+		}
 		var out incremental.Outcome
 		if sess.tolerant {
 			out = sess.s.Do(pctx, incremental.Tolerant())
 		} else {
 			out = sess.s.Do(pctx)
 		}
-		d.watch[sess.shard].Store(nil)
-		cancel()
-		if rt.byWatchdog.Load() {
-			// The watchdog had to kill this parse: close the session like a
-			// panicked one — livelock and panic get the same containment.
+		if out.Err != nil && context.Cause(pctx) == errShardStalled {
+			// The parse stalled: close the session like a panicked one —
+			// livelock and panic get the same containment.
+			d.mets.watchdogCancels.Add(1)
+			d.Logf("daemon: cancelled stalled parse on shard %d (session %s, running %v > stall_timeout %v)",
+				sess.shard, sess.id, time.Since(start).Round(time.Millisecond), stall)
 			stalled = true
 			d.persistRemove(sess)
 			if d.closeSession(sess) {

@@ -27,9 +27,10 @@ var errPoolClosed = errors.New("daemon: shard pool shut down")
 // submissions wait instead.
 var errQueueFull = errors.New("daemon: shard queue full")
 
-// errShardStalled reports a parse the watchdog cancelled after it stalled
-// beyond the configured stall threshold; the session is closed (the
-// livelock extension of the panic-containment contract).
+// errShardStalled reports a parse cancelled after it stalled beyond the
+// configured stall_timeout — the cause of its context's timeout; the
+// session is closed (the livelock extension of the panic-containment
+// contract).
 var errShardStalled = errors.New("daemon: parse stalled beyond stall_timeout; session closed")
 
 // session is one live editing session. The incremental.Session inside is

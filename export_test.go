@@ -36,8 +36,8 @@ func Pending(s *Session) bool { return len(s.doc.PendingEdits()) > 0 }
 func ReadWork(s *Session) int { return s.readWork }
 
 // IsolateWork returns the work of the session's latest Do(Tolerant())
-// outside its parses (isolate.Result.Work, 0 for a clean parse): the
-// terminals isolation read or indexed plus the sequence parts it handled.
+// outside its parses (isolate.Result.Work, 0 for a clean parse): the tree
+// nodes and terminals isolation read plus the sequence parts it handled.
 func IsolateWork(s *Session) int { return s.isolateWork }
 
 // ArenaNodes returns the number of nodes the session's arena has built.

@@ -1,9 +1,12 @@
 package incremental_test
 
 import (
+	"errors"
+	"slices"
 	"testing"
 
 	incremental "iglr"
+	"iglr/internal/iglr"
 )
 
 // FuzzErrorIsolationConverges drives the convergence contract with
@@ -17,6 +20,7 @@ func FuzzErrorIsolationConverges(f *testing.F) {
 	f.Add("int a; int b;", 4, 1, "))")
 	f.Add("int x;", 0, 0, "( ")
 	f.Add("int a; a = 1; int b;", 9, 2, ")) ((")
+	f.Add("int a; int b; int c;", 10, 0, "(")
 	lang := incremental.CSubset()
 	f.Fuzz(func(t *testing.T, src string, off, rem int, ins string) {
 		if len(src) > 200 || len(ins) > 50 {
@@ -65,6 +69,18 @@ func FuzzErrorIsolationConverges(f *testing.F) {
 		}
 		if len(s.Diagnostics()) < 1 {
 			t.Fatal("isolated without diagnostics")
+		}
+		// The expected set names what the stopped parsers could accept,
+		// never the terminal they failed at: a twin session's plain Do
+		// over the same edit shows it.
+		twin := incremental.NewSession(lang, src)
+		twin.Do(nil)
+		twin.Edit(off, rem, ins)
+		var se *iglr.SyntaxError
+		if err := twin.Do(nil).Err; !errors.As(err, &se) {
+			t.Fatalf("plain Do on the broken text: want a syntax error, got %v", err)
+		} else if slices.Contains(se.Expected, se.SymName) {
+			t.Fatalf("plain Do failed at %s and expects it: %v", se.SymName, err)
 		}
 
 		// Convergence: undoing the edit reparses to the batch-parse tree.

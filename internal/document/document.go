@@ -421,7 +421,15 @@ func (d *Document) commitWalk(n *dag.Node) {
 // the document and rewound on every call — at most one may be in use at a
 // time (documents are single-writer anyway).
 func (d *Document) Stream() *Stream {
-	d.stream.reset(d)
+	d.stream.reset(d, nil)
+	return &d.stream
+}
+
+// MaskedStream is Stream with the given regions (sorted, disjoint, in
+// terminal indices) masked out: error isolation's parser input. It rewinds
+// and returns the same document-owned stream.
+func (d *Document) MaskedStream(regions []Region) *Stream {
+	d.stream.reset(d, regions)
 	return &d.stream
 }
 
@@ -442,22 +450,12 @@ func (d *Document) SignificantTokenOffset(i int) int {
 // ok=false when none of n's terminals remain (the node is fully stale) or
 // n has no terminal yield.
 //
-// A node of the committed tree is located by PresentSpan — from the tree
-// and the pending edits' terminal damage — and its first and last present
-// terminals from the run headers (termBytes): O(depth·fanout + removed
-// terminals + pending edits + lg runs + maxRun), whatever the file size.
-// A node PresentSpan cannot place — one whose parent chain does not reach
-// the committed root — is found by ScanSpan's scan of every token. n must
-// come from the document's arena: the scan marks the yield in a node-ID
-// table.
+// The node's present terminals are located by PresentSpan, and their bytes
+// read from the run headers (termBytes): for a node of the committed tree,
+// O(depth·fanout + removed terminals + pending edits + lg runs + maxRun),
+// whatever the file size. n must come from the document's arena.
 func (d *Document) NodeSpan(n *dag.Node) (off, length int, ok bool) {
-	lo, hi, ok, located := d.PresentSpan(n)
-	if !located {
-		chain := d.LastReadWork
-		off, length, ok = d.ScanSpan(n)
-		d.LastReadWork += chain
-		return off, length, ok
-	}
+	lo, hi, ok := d.PresentSpan(n)
 	if !ok {
 		return 0, 0, false
 	}
@@ -503,35 +501,60 @@ func (d *Document) TreeIndex(n *dag.Node) (i int, ok bool) {
 }
 
 // PresentSpan returns the current terminal indices [lo, hi) of the part of
-// the committed node n's yield that the pending edits left in the stream.
-// TreeIndex places n in the committed stream; a descent from each end of
-// n skips the terminals the edits removed (markDamage set their Changed
-// bits), following the first unfiltered reading at choices as
+// n's yield that the pending edits left in the stream. TreeIndex places a
+// node of the committed tree in the committed stream; a descent from each
+// end of n skips the terminals the edits removed (markDamage set their
+// Changed bits), following the first unfiltered reading at choices as
 // dag.Node.Terminals does; and the edits' terminal damage moves the first
 // and last present terminals to their current indices. That costs
 // O(depth·fanout + removed terminals + pending edits + lg runs), whatever
-// the file size. ok is false when no terminal of n is left. located is
-// false when the tree cannot place n — its parent chain does not reach the
-// committed root, or the terminals found are not where the damage puts
-// them — and the caller must find the terminals another way.
-// LastReadWork counts the nodes visited and the terminals read.
-func (d *Document) PresentSpan(n *dag.Node) (lo, hi int, ok, located bool) {
+// the file size. A node the tree cannot place — its parent chain does not
+// reach the committed root, or the terminals found are not where the
+// damage puts them — is found by scanning every run's terminals for its
+// marked yield; n must then come from the document's arena. ok is false
+// when no terminal of n is left. LastReadWork counts the nodes visited and
+// the terminals read.
+func (d *Document) PresentSpan(n *dag.Node) (lo, hi int, ok bool) {
 	d.LastReadWork = 0
-	i, held := d.TreeIndex(n)
-	if !held {
-		return 0, 0, false, false
+	if i, held := d.TreeIndex(n); held {
+		a, first := d.edgePresent(n, i, false)
+		if first == nil {
+			return 0, 0, false
+		}
+		b, last := d.edgePresent(n, i, true)
+		lo, hi = d.moved(a), d.moved(b)+1
+		d.LastReadWork += 2
+		if hi <= d.NumTerms() && d.TermAt(lo) == first && d.TermAt(hi-1) == last {
+			return lo, hi, true
+		}
 	}
-	a, first := d.edgePresent(n, i, false)
-	if first == nil {
-		return 0, 0, false, true
+	return d.scanTerms(n)
+}
+
+// scanTerms is PresentSpan's fallback: it marks n's terminals (the first
+// unfiltered reading at choices) and scans every run's terminals for them.
+func (d *Document) scanTerms(n *dag.Node) (lo, hi int, ok bool) {
+	want := dag.AcquireScratch()
+	defer dag.ReleaseScratch(want)
+	yield := n.Terminals(nil)
+	for _, t := range yield {
+		want.Visit(t)
 	}
-	b, last := d.edgePresent(n, i, true)
-	lo, hi = d.moved(a), d.moved(b)+1
-	d.LastReadWork += 2
-	if hi > d.NumTerms() || d.TermAt(lo) != first || d.TermAt(hi-1) != last {
-		return 0, 0, false, false
+	d.LastReadWork += len(yield)
+	lo, hi = -1, -1
+	for i := range d.runs {
+		r := &d.runs[i]
+		d.LastReadWork += len(r.terms)
+		for j, t := range r.terms {
+			if want.Seen(t) {
+				if lo < 0 {
+					lo = r.term + j
+				}
+				hi = r.term + j + 1
+			}
+		}
 	}
-	return lo, hi, true, true
+	return lo, hi, lo >= 0
 }
 
 // edgePresent returns the committed index and node of the first terminal
@@ -608,10 +631,10 @@ func (d *Document) termBytes(i int) (start, end int) {
 	panic("document: run terminal count disagrees with its tokens")
 }
 
-// ScanSpan is NodeSpan's fallback, and the reference the read oracle
-// holds NodeSpan to: it marks n's terminals (the first unfiltered reading
-// at choices) and scans every token of the document for them, so it
-// tracks pending edits and needs no parent chain.
+// ScanSpan is the reference the read oracle holds NodeSpan to, and
+// Subtree's fallback while edits are pending: it marks n's terminals (the
+// first unfiltered reading at choices) and scans every token of the
+// document for them, so it tracks pending edits and needs no parent chain.
 func (d *Document) ScanSpan(n *dag.Node) (off, length int, ok bool) {
 	d.LastReadWork = 0
 	want := dag.AcquireScratch()

@@ -345,8 +345,8 @@ func (d *Document) shiftHeaders(i, delta, dTok, dTerm int) int {
 
 // cursor walks the document's significant terminals across the runs: run
 // ri, whose terminals are terms, position pos in them, and global terminal
-// index k. Stream and MaskedStream read terminals through it; moving it
-// past a reused subtree skips whole runs by their counts.
+// index k. Stream reads terminals through it; moving it past a reused
+// subtree skips whole runs by their counts.
 type cursor struct {
 	runs       []run
 	terms      []*dag.Node // runs[ri].terms, nil past the last run

@@ -21,9 +21,18 @@ import (
 // exposes the children of the current subtree (left_breakdown); null-yield
 // children are dropped — the parser rebuilds ε structure, which keeps
 // ε-reuse from leaking stale right context.
+//
+// Error isolation parses through a mask (Document.MaskedStream): the
+// terminals of each quarantine region are skipped, and an offered subtree
+// ends before the terminal that precedes the next region, so it neither
+// contains a masked terminal nor is followed, in the masked sequence, by a
+// token other than the one its construction saw. Near the regions, state
+// matching and the parser's bottom-up node retention rebuild what is left.
 type Stream struct {
 	d       *Document
-	cur     cursor // the next uncovered terminal
+	cur     cursor   // the next uncovered terminal
+	regions []Region // the mask: sorted by Lo, disjoint
+	ri      int      // first region not yet passed
 	pending []*dag.Node
 	eof     *dag.Node
 	eofSent bool
@@ -32,12 +41,18 @@ type Stream struct {
 	SubtreeOffers int
 }
 
-// reset rewinds the stream for a fresh traversal of d's current state.
-// The pending stack keeps its capacity, the cursor reads the document's
-// runs and the EOF node is shared, so rewinding allocates nothing.
-func (s *Stream) reset(d *Document) {
+// Region is a half-open range [Lo, Hi) of significant-terminal indices —
+// the unit in which the error-isolation layer quarantines damage.
+type Region struct{ Lo, Hi int }
+
+// reset rewinds the stream for a fresh traversal of d's current state
+// with the given regions masked out. The pending stack keeps its capacity,
+// the cursor reads the document's runs and the EOF node is shared, so
+// rewinding allocates nothing.
+func (s *Stream) reset(d *Document, regions []Region) {
 	s.d = d
 	s.cur.reset(d)
+	s.regions, s.ri = regions, 0
 	s.pending = s.pending[:0]
 	s.eof = d.eof
 	s.eofSent = false
@@ -53,6 +68,7 @@ func (s *Stream) La() *dag.Node {
 	if len(s.pending) > 0 {
 		return s.pending[len(s.pending)-1]
 	}
+	s.skip()
 	t := s.cur.term()
 	if t == nil {
 		if s.eofSent {
@@ -61,12 +77,30 @@ func (s *Stream) La() *dag.Node {
 		s.pending = append(s.pending, s.eof)
 		return s.eof
 	}
-	best := maximalSubtree(t, s.cur.n-s.cur.k)
+	end := s.cur.n
+	if s.ri < len(s.regions) {
+		end = s.regions[s.ri].Lo - 1
+	}
+	best := maximalSubtree(t, end-s.cur.k)
 	if best != t {
 		s.SubtreeOffers++
 	}
 	s.pending = append(s.pending, best)
 	return best
+}
+
+// skip advances the cursor past any masked region it has entered.
+func (s *Stream) skip() {
+	for s.ri < len(s.regions) {
+		r := s.regions[s.ri]
+		if s.cur.k < r.Lo {
+			return
+		}
+		if s.cur.k < r.Hi {
+			s.cur.advance(r.Hi - s.cur.k)
+		}
+		s.ri++
+	}
 }
 
 // maximalSubtree returns the largest committed subtree of at most maxTerms

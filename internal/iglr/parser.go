@@ -109,7 +109,6 @@ type Parser struct {
 	multiple   bool
 	anyNondet  bool // any round used non-deterministic machinery
 	sawNullKid bool // any fresh node gained a null-yield child or alternative
-	restamped  bool // a retained committed node took a new state this round (Restamped)
 	accepting  *gssNode
 	sh         *share
 	tokens     int
@@ -181,20 +180,6 @@ type shiftPair struct {
 func New(table *lr.Table) *Parser {
 	return &Parser{table: table, g: table.Grammar(), sh: newShare()}
 }
-
-// Restamped reports whether the latest parse round — of a failed parse,
-// the round that failed — changed the recorded state of a node of the
-// committed tree: bottom-up retention re-derived the node in another
-// context. Such restamps are the one thing a failed parse leaves behind
-// that a parse reads (it also stamps the terminals it shifts, which no
-// parse reads). A second parse of the same stream may shift a restamped
-// node whole where the first rebuilt it, but from the round after that
-// node's reduction, which retention leaves to one parser, the two parses
-// are in the same configuration. So the second fails at the same token,
-// and with the same expected terminals unless the failing round restamped:
-// then the parsers that reduced to the node, active in the first parse's
-// round, are missing from the second's.
-func (p *Parser) Restamped() bool { return p.restamped }
 
 // Grammar returns the parser's grammar.
 func (p *Parser) Grammar() *grammar.Grammar { return p.g }
@@ -269,7 +254,6 @@ func (p *Parser) ParseContext(ctx context.Context, stream Stream) (root *dag.Nod
 	p.multiple = false
 	p.anyNondet = false
 	p.sawNullKid = false
-	p.restamped = false
 	p.tokens = 0
 
 	for p.accepting == nil {
@@ -391,7 +375,6 @@ func (p *Parser) preferAlt(a, b *dag.Node) bool {
 // parseNextSymbol performs one reduce/shift round (Appendix A).
 func (p *Parser) parseNextSymbol() error {
 	p.Stats.Rounds++
-	p.restamped = false
 	if p.Stats.Rounds%checkEvery == 0 {
 		if p.ctx != nil {
 			if err := p.ctx.Err(); err != nil {
@@ -445,7 +428,7 @@ func (p *Parser) parseNextSymbol() error {
 		la := p.stream.La()
 		return &SyntaxError{
 			Sym: la.Sym, SymName: p.g.Name(la.Sym), Text: laText(la), TokenIndex: p.tokens,
-			Expected: p.expectedTerminals(),
+			Expected: p.expectedTerminals(la),
 		}
 	}
 	p.shifter()
@@ -467,7 +450,8 @@ func (p *Parser) injectRound() error {
 		panic(&faultinject.Panic{Point: faultinject.ParseRound, Detail: detail})
 	case faultinject.ActDelay:
 		// A stalled parse round: sleep in context-sized slices so the
-		// watchdog's cancellation still unwedges the shard mid-stall.
+		// context's cancellation (iglrd's stall_timeout) still unwedges the
+		// shard mid-stall.
 		deadline := time.Now().Add(sleep)
 		for time.Now().Before(deadline) {
 			if p.ctx != nil && p.ctx.Err() != nil {
@@ -495,13 +479,20 @@ func (p *Parser) injectReduce() {
 	}
 }
 
-// expectedTerminals collects, over the parsers active when the error was
-// detected, every terminal with a defined action — the "expected one of"
-// set for diagnostics (the per-state sets come from the table's
-// ExpectedTerminals extraction).
-func (p *Parser) expectedTerminals() []string {
+// expectedTerminals collects the "expected one of" set for diagnostics:
+// every terminal with a defined action in the state of a parser that
+// stopped on the failing terminal la (the per-state sets come from the
+// table's ExpectedTerminals extraction). The parsers that reduced on la
+// stay in the active list but are left out: their states accept la
+// itself, and which of them a round holds depends on whether it rebuilt a
+// committed node or shifted it whole. Without them the set is the same
+// for a cold parse and an incremental one.
+func (p *Parser) expectedTerminals(la *dag.Node) []string {
 	seen := map[grammar.Sym]bool{}
 	for _, a := range p.active {
+		if _, n := p.table.OneAction(a.state, la.LeftmostTerm.Sym); n > 0 {
+			continue
+		}
 		for _, term := range p.table.ExpectedTerminals(a.state) {
 			seen[term] = true
 		}
@@ -724,7 +715,6 @@ func (p *Parser) reducer(q *gssNode, rule int, kids []*dag.Node) {
 			p.seqMulti = append(p.seqMulti, seqMark{node: node, state: int32(state)})
 		}
 	} else if old := retained(rule, kids); old != nil {
-		p.restamped = p.restamped || old.State != int32(state)
 		old.State = int32(state)
 		node = old
 		p.Stats.RetainedNodes++

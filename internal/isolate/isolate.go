@@ -70,7 +70,7 @@ type Result struct {
 	// Regions are the final quarantine regions, leftmost first.
 	Regions []Region
 	// Work counts what the isolation did outside its masked parses: the
-	// terminals it read or indexed plus the sequence parts it handled.
+	// tree nodes and terminals it read plus the sequence parts it handled.
 	Work int
 }
 
@@ -84,26 +84,19 @@ type Region struct {
 
 // Reparse runs isolation over the document's current state using the
 // given parser (whose Budget applies to every masked attempt). failed, when
-// not nil, is the syntax error of p's latest parse, a parse of that same
-// state: a parse without a mask would fail the same way, so failed stands
-// for the first attempt — unless the failing round restamped a committed
-// node (iglr.Parser.Restamped), when a repeat can fail with fewer expected
-// terminals and isolation reports the repeat's. On success the returned
-// Result's Root contains at least one error node — at worst one that owns
-// every terminal — and the document's text is untouched. It fails with
-// ErrUnbounded only when the document has no terminal, and otherwise only
-// with an error that aborted a masked parse. A nil ctx disables
-// cancellation polls.
+// not nil, is the syntax error of a parse of that same state without a
+// mask: a repeat would fail the same way, so failed stands for the first
+// attempt. On success the returned Result's Root contains at least one
+// error node — at worst one that owns every terminal — and the document's
+// text is untouched. It fails with ErrUnbounded only when the document has
+// no terminal, and otherwise only with an error that aborted a masked
+// parse. A nil ctx disables cancellation polls.
 func Reparse(ctx context.Context, d *document.Document, p *iglr.Parser, failed *iglr.SyntaxError) (Result, error) {
-	if p.Restamped() {
-		failed = nil
-	}
 	n := d.NumTerms()
 	if n == 0 {
 		return Result{}, ErrUnbounded
 	}
 	s := newSplicer(d)
-	defer s.release()
 
 	var regions []Region
 	var expected []string // the first failure's, for the whole-file node
@@ -206,7 +199,6 @@ func Requarantine(ctx context.Context, d *document.Document, p *iglr.Parser, reg
 		end = r.Hi
 	}
 	s := newSplicer(d)
-	defer s.release()
 	if len(regions) == 1 && regions[0].Lo == 0 && regions[0].Hi == n {
 		return s.wholeFile(regions[0].Expected), nil
 	}

@@ -18,14 +18,11 @@ type splicer struct {
 	a   *dag.Arena
 	g   *grammar.Grammar
 	seq *dag.SeqBuilder
-	// idx maps each document terminal to its index, for the nodes the tree
-	// cannot place: built on the first such node, released by release.
-	idx *dag.Scratch
 	// rest holds, during spliceAll, the regions not yet spliced: the gaps
 	// in the tree's yield that separate its positions from the document's
 	// terminal indices.
 	rest []Region
-	// work counts the terminals read or indexed plus the sequence parts
+	// work counts the tree nodes and terminals read plus the sequence parts
 	// handled (Result.Work).
 	work int
 }
@@ -36,13 +33,6 @@ func newSplicer(d *document.Document) *splicer {
 	return &splicer{d: d, a: d.Arena(), g: d.Grammar(), seq: dag.NewSeqBuilder(d.Arena(), d.Grammar())}
 }
 
-// release returns the fallback index, if one was built.
-func (s *splicer) release() {
-	if s.idx != nil {
-		dag.ReleaseScratch(s.idx)
-	}
-}
-
 // term returns document terminal i, read through the runs.
 func (s *splicer) term(i int) *dag.Node {
 	s.work++
@@ -50,42 +40,12 @@ func (s *splicer) term(i int) *dag.Node {
 }
 
 // presentSpan returns the [lo, hi) terminal-index span of the committed
-// node n's yield over the terminals still present in the document,
-// located from the tree and the pending edits (Document.PresentSpan).
-// Only a node the tree cannot place falls back to an index of every
-// terminal, built once per splicer.
+// node n's yield over the terminals still present in the document
+// (Document.PresentSpan).
 func (s *splicer) presentSpan(n *dag.Node) (lo, hi int, ok bool) {
-	lo, hi, ok, located := s.d.PresentSpan(n)
+	lo, hi, ok = s.d.PresentSpan(n)
 	s.work += s.d.LastReadWork
-	if located {
-		return lo, hi, ok
-	}
-	if s.idx == nil {
-		s.idx = dag.AcquireScratch()
-		terms := s.d.AppendTerms(nil, 0, s.d.NumTerms())
-		for i, t := range terms {
-			s.idx.SetValue(t, i)
-		}
-		s.work += len(terms)
-	}
-	lo, hi = -1, -1
-	for _, t := range n.Terminals(nil) {
-		s.work++
-		i, present := s.idx.Value(t)
-		if !present {
-			continue
-		}
-		if lo < 0 || i < lo {
-			lo = i
-		}
-		if i >= hi {
-			hi = i + 1
-		}
-	}
-	if lo < 0 {
-		return 0, 0, false
-	}
-	return lo, hi, true
+	return lo, hi, ok
 }
 
 // expandReq asks the isolation loop to absorb the document-terminal span

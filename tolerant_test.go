@@ -261,34 +261,55 @@ func TestTolerantTextWithNoToken(t *testing.T) {
 	}
 }
 
-// TestIsolationRepeatsARestampingFailure: isolation starts from the plain
-// parse's syntax error instead of repeating that parse, unless the round
-// that failed restamped a committed node. Typing "(" after the second int
-// of "int a; int b; int c;" is such a failure: bottom-up retention
-// restamps the committed declarator, and the round fails at ';' expecting
-// ')', ';' and '=' (a plain Do on a twin session shows it). A repeat
-// shifts the restamped node whole and fails at the same ';' expecting only
-// ')', the set the diagnostic reports.
-func TestIsolationRepeatsARestampingFailure(t *testing.T) {
-	const src = "int a; int b; int c;"
-	open := func() *incremental.Session {
-		s := incremental.NewSession(incremental.CSubset(), src)
-		if out := s.Do(nil); !out.Clean {
-			t.Fatal(out.Err)
+// TestExpectedSetIndependentOfHistory: a syntax error's expected set
+// names what the parsers stopped on the failing token could accept, not
+// what the parsers that reduced on it could, so it is the same for a cold
+// parse of a broken text and for a clean session edited into it. In both
+// texts only ')' can follow the declarator before the failing ';'. The
+// plain Do reports the set, and isolation, which starts from the plain
+// parse's failure, reports it on the first diagnostic.
+func TestExpectedSetIndependentOfHistory(t *testing.T) {
+	type edit struct {
+		off, removed int
+		text         string
+	}
+	for _, tc := range []struct {
+		clean, broken string
+		edits         []edit
+	}{
+		{"int a; int b; int c;", "int a; int( b; int c;", []edit{{10, 0, "("}}},
+		{"int a; int t; int b; int xc;", "int( a; in(}t intb; ;int xc;", []edit{{3, 0, "("}, {8, 14, "in(}t intb; ;"}}},
+	} {
+		opens := map[string]func() *incremental.Session{
+			"cold": func() *incremental.Session { return incremental.NewSession(incremental.CSubset(), tc.broken) },
+			"edited": func() *incremental.Session {
+				s := incremental.NewSession(incremental.CSubset(), tc.clean)
+				if out := s.Do(nil); !out.Clean {
+					t.Fatal(out.Err)
+				}
+				for _, e := range tc.edits {
+					s.Edit(e.off, e.removed, e.text)
+				}
+				if s.Text() != tc.broken {
+					t.Fatalf("edits gave %q, want %q", s.Text(), tc.broken)
+				}
+				return s
+			},
 		}
-		s.Edit(10, 0, "(")
-		return s
-	}
-	var pe *incremental.ParseError
-	if out := open().Do(nil); !errors.As(out.Err, &pe) || !slices.Equal(pe.Expected, []string{"')'", "';'", "'='"}) {
-		t.Fatalf("plain Do: want a failure expecting ')', ';', '=', got %v", out.Err)
-	}
-	s := open()
-	if out := s.Do(nil, incremental.Tolerant()); out.Err != nil || !out.Isolated || out.ErrorRegions != 1 {
-		t.Fatalf("want one isolated region, got %+v", out)
-	}
-	if ds := s.Diagnostics(); len(ds) != 1 || ds[0].Offset != pe.Offset-len("int( b") || !slices.Equal(ds[0].Expected, []string{"')'"}) {
-		t.Fatalf("diagnostics %v, want one over \"int( b;\" expecting ')'", ds)
+		want := []string{"')'"}
+		for name, open := range opens {
+			var pe *incremental.ParseError
+			if out := open().Do(nil); !errors.As(out.Err, &pe) || !slices.Equal(pe.Expected, want) {
+				t.Errorf("%s %q: plain Do: want a failure expecting ')', got %v", name, tc.broken, out.Err)
+			}
+			s := open()
+			if out := s.Do(nil, incremental.Tolerant()); out.Err != nil || !out.Isolated {
+				t.Fatalf("%s %q: want an isolated tree, got %+v", name, tc.broken, out)
+			}
+			if ds := s.Diagnostics(); len(ds) == 0 || !slices.Equal(ds[0].Expected, want) {
+				t.Errorf("%s %q: diagnostics %v, want the first expecting ')'", name, tc.broken, ds)
+			}
+		}
 	}
 }
 
