@@ -498,3 +498,32 @@ func TestSnapshotCostsTheText(t *testing.T) {
 	}
 	t.Logf("snapshot: %d bytes for %d text bytes, %d bytes allocated per call", buf.Len(), len(src), per)
 }
+
+// TestColdSessionBytesPerTextByte bounds what a cold NewSession — the lex
+// and the document build, one terminal node per significant token —
+// allocates per byte of generated C, at 1,000 and 16,000 lines. With
+// 48-byte tokens that held a string, 104-byte nodes in chunks that wasted
+// a size class's tail, and a scan estimate of 4 bytes per token (generated
+// C averages 2.07), it allocated 119 and 109 bytes per text byte; the
+// bounds are half of those.
+func TestColdSessionBytesPerTextByte(t *testing.T) {
+	lang := incremental.CSubset()
+	for _, tc := range []struct {
+		lines int
+		bound float64
+	}{{1000, 59}, {16000, 54}} {
+		src, _ := corpus.Generate(corpus.Spec{Name: "cold", Lines: tc.lines, Lang: "c", Seed: 1})
+		const runs = 3
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			incremental.NewSession(lang, src)
+		}
+		runtime.ReadMemStats(&after)
+		per := float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(len(src))
+		t.Logf("%d lines (%d bytes): a cold NewSession allocates %.1f bytes per text byte", tc.lines, len(src), per)
+		if per > tc.bound {
+			t.Errorf("%d lines: a cold NewSession allocates %.1f bytes per text byte, want at most %.0f", tc.lines, per, tc.bound)
+		}
+	}
+}

@@ -212,7 +212,7 @@ func runSection5(scale float64) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("ambiguity carry cost: plain %.0f ns/reparse, with %d ambiguous regions %.0f ns/reparse → %.2f%% time overhead (paper: well under 1%%)\n",
+	fmt.Printf("ambiguity carry cost (median of alternated reparses): plain %.0f ns/reparse, with %d ambiguous regions %.0f ns/reparse → %.2f%% time overhead (paper: well under 1%%)\n",
 		amb.PlainNsPerRe, amb.Ambiguous, amb.AmbNsPerRe, amb.OverheadPct)
 	fmt.Printf("  parser work per reparse: plain %.1f, ambiguous %.1f → %.2f%% work overhead\n",
 		amb.PlainWorkPerRe, amb.AmbWorkPerRe, amb.WorkOverheadPct)

@@ -181,8 +181,9 @@ func sessionSeqFromID(id string) (uint64, bool) {
 // like the session fields it sits next to.
 type sessPersist struct {
 	store *persistStore
-	// wal is the open journal, nil until the first append (and after the
-	// session is parked or persistence breaks).
+	// wal is the open journal: opened when the session is adopted, or by
+	// a restored session's first append; nil after the session is parked
+	// or persistence breaks.
 	wal      *os.File
 	walBytes int64
 	// seq is the sequence of the last journaled record; snapSeq is the
@@ -248,8 +249,10 @@ func (d *Daemon) persistFail(sess *session, op string, err error) {
 }
 
 // persistAfterParse runs after every successful shard parse: it adopts a
-// new session into the persistence layer (meta record + first snapshot)
-// and rolls an oversized journal into a fresh snapshot.
+// new session into the persistence layer (meta record, open journal and
+// first snapshot) and rolls an oversized journal into a fresh snapshot.
+// Creating the journal here keeps the file creation, which costs several
+// times an append, off the session's first edit.
 func (d *Daemon) persistAfterParse(sess *session) {
 	if d.persist == nil {
 		return
@@ -265,6 +268,10 @@ func (d *Daemon) persistAfterParse(sess *session) {
 		}
 		if err != nil {
 			d.persistFail(sess, "meta", err)
+			return
+		}
+		if err := sess.p.openJournal(sess.id); err != nil {
+			d.persistFail(sess, "journal open", err)
 			return
 		}
 	}
@@ -291,14 +298,25 @@ func (d *Daemon) persistAppend(sess *session, edits []editJSON) {
 	}
 }
 
+// openJournal opens (creating it if needed) session id's journal for
+// appending.
+func (p *sessPersist) openJournal(id string) error {
+	f, err := os.OpenFile(p.store.walPath(id), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return err
+	}
+	p.wal = f
+	return nil
+}
+
 func (d *Daemon) appendRecord(sess *session, edits []editJSON) error {
 	p := sess.p
 	if p.wal == nil {
-		f, err := os.OpenFile(p.store.walPath(sess.id), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
+		// A restored session: its restore opened no file, as a racing
+		// restore's discarded copy must not.
+		if err := p.openJournal(sess.id); err != nil {
 			return err
 		}
-		p.wal = f
 	}
 	rec := sesscodec.JournalRecord{Seq: p.seq + 1, Edits: make([]sesscodec.JournalEdit, len(edits))}
 	for i, e := range edits {

@@ -173,6 +173,36 @@ func TestPersistCrashRecovery(t *testing.T) {
 	}
 }
 
+// TestPersistJournalOpenedAtCreate: a persistent create leaves the
+// session's journal on disk next to its meta record and snapshot, so the
+// first edit only appends to it; a hard close before any edit restores
+// the session from those files.
+func TestPersistJournalOpenedAtCreate(t *testing.T) {
+	cfg := persistConfig(t)
+	d1 := crashableDaemon(t, cfg)
+	created := createExpr(t, d1, "1+2*3")
+	for _, ext := range []string{".json", ".ccsess", ".wal"} {
+		if _, err := os.Stat(filepath.Join(cfg.Persist.Dir, created.ID+ext)); err != nil {
+			t.Fatalf("after create: %v", err)
+		}
+	}
+	want := outline(t, d1, created.ID, created.Outcome.TextLen)
+	crashDaemon(t, d1)
+
+	d2 := testDaemon(t, cfg)
+	if got := outline(t, d2, created.ID, created.Outcome.TextLen); got != want {
+		t.Fatalf("restored tree diverged:\nlive:\n%s\nrestored:\n%s", want, got)
+	}
+	m := scrapeMetrics(t, d2)
+	if v := metricValue(t, m, "iglrd_sessions_restored_total"); v != 1 {
+		t.Fatalf("restored_total = %d, want 1", v)
+	}
+	out := editOnce(t, d2, created.ID, editJSON{Offset: 0, Remove: 1, Insert: "4"})
+	if out.Error != "" {
+		t.Fatalf("edit after restore: %s", out.Error)
+	}
+}
+
 // TestPersistTornJournal: a crash mid-append leaves a torn record at the
 // journal's tail. Recovery replays the intact prefix, counts the tear,
 // truncates it, and the session stays consistent across further edits and

@@ -1,6 +1,8 @@
 package dag
 
 import (
+	"unsafe"
+
 	"iglr/internal/faultinject"
 	"iglr/internal/grammar"
 	"iglr/internal/guard"
@@ -14,14 +16,19 @@ import (
 //
 // An arena only grows — nodes escape into the committed tree, so memory is
 // never recycled; the GC reclaims whole chunks once no node in them is
-// reachable. All nodes reachable from one dag must come from a single arena
-// (IDs from different arenas collide in Scratch), which is why every
-// operation that creates nodes takes the arena owning its input.
+// reachable. The parse-time nodes of sequence chains, which a commit
+// replaces, therefore come from chunks of their own (Reduction), so that a
+// committed tree's chunks hold only nodes it can reach. All nodes
+// reachable from one dag must come from a single arena (IDs from different
+// arenas collide in Scratch), which is why every operation that creates
+// nodes takes the arena owning its input.
 //
 // An Arena is not safe for concurrent use; documents are single-writer.
 type Arena struct {
-	cur []Node
-	n   int32
+	// cur and chains are the current node chunks: chains for sequence
+	// chain nodes, cur for every other node.
+	cur, chains []Node
+	n           int32
 	// limit, when positive, is the exclusive allocation cap: alloc panics
 	// with a *guard.BudgetError once n reaches it. The parsers arm it for
 	// the duration of one parse (start count + budget) and disarm it on
@@ -30,13 +37,16 @@ type Arena struct {
 	// kidsBuf is the current chunk of the kid-slice bump allocator (Kids):
 	// production nodes own a capacity-capped subslice of it, so one heap
 	// allocation per kidsChunk pointers replaces one per reduction.
-	kidsBuf []*Node
+	// chainKids is the same for sequence chain nodes.
+	kidsBuf, chainKids []*Node
 }
 
-// arenaChunk is the nodes-per-chunk batch size: large enough to amortize
-// allocation to noise, small enough that a nearly-empty tail chunk wastes
-// little memory (~28KB at current Node size).
-const arenaChunk = 256
+// arenaChunk is the nodes-per-chunk batch size: as many nodes as fill the
+// allocator's largest small size class, 32 KiB (341 nodes of 96 bytes), so
+// a chunk wastes less than one node to rounding. That is large enough to
+// amortize allocation to noise, and a nearly-empty tail chunk costs at
+// most 32 KiB.
+const arenaChunk = 32 << 10 / int(unsafe.Sizeof(Node{}))
 
 // NewArena creates an empty arena.
 func NewArena() *Arena { return &Arena{} }
@@ -51,17 +61,17 @@ const kidsChunk = 4096
 // append on the node's Kids copies out instead of scribbling over the
 // neighboring node's children. Like node storage, a chunk is reclaimed by
 // the GC once every node holding a piece of it is unreachable.
-func (a *Arena) Kids(n int) []*Node {
-	if cap(a.kidsBuf)-len(a.kidsBuf) < n {
-		c := kidsChunk
-		if n > c {
-			c = n
-		}
-		a.kidsBuf = make([]*Node, 0, c)
+func (a *Arena) Kids(n int) []*Node { return bumpKids(&a.kidsBuf, n) }
+
+// bumpKids carves an n-pointer slice of capacity n from the chunk *buf,
+// starting a new chunk when it has no room.
+func bumpKids(buf *[]*Node, n int) []*Node {
+	if cap(*buf)-len(*buf) < n {
+		*buf = make([]*Node, 0, max(n, kidsChunk))
 	}
-	i := len(a.kidsBuf)
-	a.kidsBuf = a.kidsBuf[:i+n]
-	return a.kidsBuf[i : i+n : i+n]
+	i := len(*buf)
+	*buf = (*buf)[:i+n]
+	return (*buf)[i : i+n : i+n]
 }
 
 // NumNodes returns the number of nodes ever allocated — also the exclusive
@@ -78,20 +88,26 @@ func (a *Arena) SetLimit(max int) {
 	a.limit = int32(max)
 }
 
-func (a *Arena) alloc() *Node {
+func (a *Arena) alloc() *Node { return a.allocIn(&a.cur) }
+
+// allocIn allocates a node from the chunk *chunk, starting a new chunk
+// when it is full.
+func (a *Arena) allocIn(chunk *[]Node) *Node {
 	if a.limit > 0 && a.n >= a.limit {
 		panic(&guard.BudgetError{Resource: guard.ResArenaNodes, Limit: int64(a.limit), Used: int64(a.n) + 1})
 	}
 	if faultinject.Enabled() && faultinject.Fire(faultinject.ArenaAlloc, "") == faultinject.ActBudget {
 		panic(&guard.BudgetError{Resource: guard.ResArenaNodes, Limit: int64(a.n), Used: int64(a.n) + 1})
 	}
-	if len(a.cur) == cap(a.cur) {
-		a.cur = make([]Node, 0, arenaChunk)
+	if len(*chunk) == cap(*chunk) {
+		*chunk = make([]Node, 0, arenaChunk)
 	}
-	// Reslice instead of append(a.cur, Node{}): the chunk is already zeroed
-	// by make, so materializing and copying a zero Node would be pure waste.
-	a.cur = a.cur[:len(a.cur)+1]
-	n := &a.cur[len(a.cur)-1]
+	// Reslice instead of append(*chunk, Node{}): the chunk is already
+	// zeroed by make, so materializing and copying a zero Node would be
+	// pure waste.
+	c := (*chunk)[:len(*chunk)+1]
+	*chunk = c
+	n := &c[len(c)-1]
 	n.ID = a.n
 	a.n++
 	return n
@@ -101,17 +117,39 @@ func (a *Arena) alloc() *Node {
 func (a *Arena) Terminal(sym grammar.Sym, text string) *Node {
 	n := a.alloc()
 	n.Kind, n.Sym, n.Prod, n.State, n.Text = KindTerminal, sym, -1, NoState, text
-	n.LeftmostTerm, n.RightmostTerm, n.TermCount = n, n, 1
+	n.FirstTerm, n.LastTerm, n.TermCount = n.ID, n.ID, 1
 	return n
 }
 
 // Production creates a production-instance node. The node takes ownership
 // of kids.
 func (a *Arena) Production(sym grammar.Sym, prod int, state int, kids []*Node) *Node {
-	n := a.alloc()
+	return a.production(&a.cur, sym, prod, state, kids)
+}
+
+func (a *Arena) production(chunk *[]Node, sym grammar.Sym, prod, state int, kids []*Node) *Node {
+	n := a.allocIn(chunk)
 	n.Kind, n.Sym, n.Prod, n.State, n.Kids = KindProduction, sym, int32(prod), int32(state), kids
 	n.computeCover()
 	return n
+}
+
+// Reduction creates the node of a reduction by rule of g over a copy of
+// kids, which may be a transient buffer, in parse state state. An
+// instance of a left-recursive sequence production (grammar.IsSeqChain)
+// is allocated, with its kid slice, apart from every other node:
+// Document.Commit replaces such chains by canonical balanced sequences
+// (§3.4), so their chunks turn to garbage once no parse holds them, rather
+// than staying reachable, and scanned by the collector, beside the
+// committed tree's nodes.
+func (a *Arena) Reduction(g *grammar.Grammar, rule, state int, kids []*Node) *Node {
+	chunk, buf := &a.cur, &a.kidsBuf
+	if g.IsSeqChain(rule) {
+		chunk, buf = &a.chains, &a.chainKids
+	}
+	owned := bumpKids(buf, len(kids))
+	copy(owned, kids)
+	return a.production(chunk, g.Production(rule).LHS, rule, state, owned)
 }
 
 // Choice creates a symbol node whose interpretations are alts. Choice nodes

@@ -3,6 +3,8 @@ package dag
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -411,10 +413,74 @@ func TestWalkVisitsSharedOnce(t *testing.T) {
 }
 
 // TestNodeSize pins the layout the Node comment describes: the kind and
-// the seven flags share one word, and a node is 104 bytes.
+// the six flags share one word, a node is 96 bytes, and the collector
+// scans exactly four pointer words in it: Kids, Text, Parent and Err. The
+// yield bounds are node IDs, not pointers.
 func TestNodeSize(t *testing.T) {
-	if got := unsafe.Sizeof(Node{}); got != 104 {
-		t.Fatalf("dag.Node is %d bytes, want 104", got)
+	if got := unsafe.Sizeof(Node{}); got != 96 {
+		t.Fatalf("dag.Node is %d bytes, want 96", got)
+	}
+	var ptrs []string
+	typ := reflect.TypeOf(Node{})
+	for i := range typ.NumField() {
+		switch f := typ.Field(i); f.Type.Kind() {
+		case reflect.Pointer, reflect.Slice, reflect.String, reflect.Map, reflect.Chan, reflect.Func, reflect.UnsafePointer:
+			ptrs = append(ptrs, f.Name)
+		case reflect.Interface, reflect.Struct, reflect.Array:
+			t.Fatalf("field %s (%s): count its pointer words before adding it", f.Name, f.Type)
+		}
+	}
+	if want := []string{"Kids", "Text", "Parent", "Err"}; !slices.Equal(ptrs, want) {
+		t.Fatalf("dag.Node's pointer words are %v, want %v", ptrs, want)
+	}
+}
+
+// TestArenaChunkFillsSizeClass: a node chunk is rounded up to an allocator
+// size class, and the rounding wastes less than one node. append sizes a
+// slice it grows to its whole size class, so a grown copy of a chunk has
+// room for a further node exactly when a chunk wastes one.
+func TestArenaChunkFillsSizeClass(t *testing.T) {
+	node := int(unsafe.Sizeof(Node{}))
+	grown := append([]Node(nil), make([]Node, arenaChunk)...)
+	if c := cap(grown); c != arenaChunk {
+		t.Fatalf("a chunk of %d nodes (%d bytes) sits in a size class of %d nodes or more: %d bytes wasted",
+			arenaChunk, arenaChunk*node, c, (c-arenaChunk)*node)
+	}
+}
+
+// TestReductionKeepsChainsApart: the sequence chain nodes a reduction
+// builds, which a commit replaces, come from chunks of their own, so the
+// nodes a committed tree keeps sit next to each other, and so do the
+// chains.
+func TestReductionKeepsChainsApart(t *testing.T) {
+	g := seqGrammar(t)
+	a := NewArena()
+	stmt := g.ProductionsFor(g.Lookup("Stmt"))[0].ID
+	var single, rec int
+	for _, p := range g.ProductionsFor(g.Lookup("Stmt+")) {
+		if len(p.RHS) == 1 {
+			single = p.ID
+		} else {
+			rec = p.ID
+		}
+	}
+	var kept, chains []*Node
+	for i := range 100 {
+		x, semi := a.Terminal(g.Lookup("x"), "x"), a.Terminal(g.Lookup("';'"), ";")
+		s := a.Reduction(g, stmt, seqElem, []*Node{x, semi})
+		kept = append(kept, x, semi, s)
+		if i == 0 {
+			chains = append(chains, a.Reduction(g, single, seqCont, []*Node{s}))
+		} else {
+			chains = append(chains, a.Reduction(g, rec, seqCont, []*Node{chains[i-1], s}))
+		}
+	}
+	for _, run := range [][]*Node{kept, chains} {
+		for i := 1; i < len(run); i++ {
+			if d := uintptr(unsafe.Pointer(run[i])) - uintptr(unsafe.Pointer(run[i-1])); d != unsafe.Sizeof(Node{}) {
+				t.Fatalf("%v is %d bytes past %v, not the next node of its chunk", run[i], d, run[i-1])
+			}
+		}
 	}
 }
 

@@ -13,5 +13,5 @@ const nodeFootprint = int64(unsafe.Sizeof(Node{})) + 8
 // governor: it moves monotonically with parse work and never under-counts
 // what the GC could still be holding.
 func (a *Arena) Footprint() int64 {
-	return int64(a.n)*nodeFootprint + int64(cap(a.kidsBuf))*8
+	return int64(a.n)*nodeFootprint + int64(cap(a.kidsBuf)+cap(a.chainKids))*8
 }

@@ -63,13 +63,14 @@ const (
 // identity; structural sharing is what makes the representation a dag.
 // Nodes are created through an Arena, which assigns the ID.
 //
-// Field order is deliberate: the one-byte kind and the seven flags pack
-// into a single word, the int32s fill the next three, and the
-// pointer-bearing fields close the struct — 104 bytes total, which
-// TestNodeSize pins. Node memory is the dominant allocation of a
-// cold batch parse (roughly one node per input byte on C-like corpora), so
-// every field byte is zeroed, written, and GC-scanned millions of times per
-// corpus file; keep the struct tight when adding fields.
+// Field order is deliberate: the one-byte kind and the six flags pack
+// into a single word, the int32s fill the next four, and the
+// pointer-bearing fields close the struct — 96 bytes and four pointer
+// words (Kids, Text, Parent, Err), which TestNodeSize pins. Node memory is
+// the dominant allocation of a cold batch parse (roughly one node per
+// input byte on C-like corpora), so every field byte is zeroed and
+// written, and every pointer word GC-scanned, millions of times per corpus
+// file; keep the struct tight, and its pointers few, when adding fields.
 type Node struct {
 	Kind Kind
 	// Filtered marks an interpretation rejected by a semantic filter. The
@@ -82,9 +83,6 @@ type Node struct {
 	// NestedChange marks interior nodes whose yield contains an edit since
 	// the last parse.
 	NestedChange bool
-	// RightChanged marks a terminal whose following token was edited — the
-	// right-context invalidation of §3.2.
-	RightChanged bool
 	// Committed marks nodes that belong to a committed (parsed) tree;
 	// used to distinguish reused structure from freshly built structure.
 	Committed bool
@@ -118,9 +116,11 @@ type Node struct {
 
 	// Incremental bookkeeping (§3.2–3.3). The paper notes that recording
 	// the leftmost terminal descendant in every node trades space for the
-	// ability to locate reuse candidates without traversal; we also record
-	// the rightmost terminal (for the right-context check) and the
-	// terminal count (to advance the input cursor past a shifted subtree).
+	// ability to locate reuse candidates without traversal; we record it,
+	// and the rightmost terminal (for the right-context check), as node
+	// IDs rather than pointers, so the collector never follows them, plus
+	// the terminal count (to advance the input cursor past a shifted
+	// subtree).
 
 	// TermCount is the number of terminal leaves in the subtree.
 	TermCount int32
@@ -128,6 +128,10 @@ type Node struct {
 	// (1 for any other node); it makes balanced-sequence indexing O(1)
 	// per level.
 	SeqCount int32
+	// FirstTerm and LastTerm are the IDs of the first and last terminal of
+	// the node's yield; -1 for a null-yield subtree. FirstTerminal finds
+	// the first terminal's node.
+	FirstTerm, LastTerm int32
 	// Kids are the children: RHS instances for production nodes,
 	// alternatives for choice nodes, elements/subsequences for KindSeq.
 	Kids []*Node
@@ -137,9 +141,6 @@ type Node struct {
 	// (ambiguous regions) record one representative parent; any parent
 	// chain reaches the root, which is all change propagation needs.
 	Parent *Node
-	// LeftmostTerm/RightmostTerm delimit the node's terminal yield; nil
-	// for null-yield subtrees.
-	LeftmostTerm, RightmostTerm *Node
 	// Err carries the failure detail of a KindError node (nil otherwise).
 	Err *ErrorDetail
 }
@@ -163,7 +164,7 @@ type ErrorDetail struct {
 // written once.
 func (n *Node) computeCover() {
 	var count int32
-	var first, last *Node
+	first, last := int32(-1), int32(-1)
 	hasErr := n.Kind == KindError
 	for i, k := range n.Kids {
 		hasErr = hasErr || k.HasError
@@ -171,15 +172,33 @@ func (n *Node) computeCover() {
 			continue // all interpretations share one yield
 		}
 		count += k.TermCount
-		if first == nil {
-			first = k.LeftmostTerm
+		if first < 0 {
+			first = k.FirstTerm
 		}
-		if k.RightmostTerm != nil {
-			last = k.RightmostTerm
+		if k.LastTerm >= 0 {
+			last = k.LastTerm
 		}
 	}
 	n.TermCount, n.HasError = count, hasErr
-	n.LeftmostTerm, n.RightmostTerm = first, last
+	n.FirstTerm, n.LastTerm = first, last
+}
+
+// FirstTerminal returns the first terminal of n's yield — the node whose
+// ID is FirstTerm — or nil for a null yield. It descends through the first
+// kid with a yield at each level (at a choice, the first interpretation,
+// since all of them share one yield), so it costs the depth.
+func (n *Node) FirstTerminal() *Node {
+	for n != nil && n.Kind != KindTerminal {
+		kids := n.Kids
+		n = nil
+		for _, k := range kids {
+			if k.TermCount > 0 {
+				n = k
+				break
+			}
+		}
+	}
+	return n
 }
 
 func seqCountOf(n *Node) int32 {

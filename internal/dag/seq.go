@@ -51,9 +51,7 @@ func IsSeqChain(g *grammar.Grammar, n *Node) bool {
 func SeqJoin(a *Arena, g *grammar.Grammar, top, n *Node, state int) *Node {
 	for _, p := range g.ProductionsFor(top.Sym) {
 		if len(p.RHS) == 2 {
-			kids := a.Kids(2)
-			kids[0], kids[1] = top, n
-			return a.Production(top.Sym, p.ID, state, kids)
+			return a.Reduction(g, p.ID, state, []*Node{top, n})
 		}
 	}
 	panic("dag: sequence symbol without a left-recursive production")

@@ -66,6 +66,11 @@ type Document struct {
 
 	// marked collects nodes whose change bits must be cleared at commit.
 	marked []*dag.Node
+	// rightChanged holds the IDs of the committed terminals whose
+	// following token an edit changed since the last commit — the
+	// right-context invalidation of §3.2. A subtree whose last terminal is
+	// among them is not offered for reuse.
+	rightChanged []int32
 
 	// edited records that the token stream changed since the last commit:
 	// the committed tree's terminal counts then describe another stream,
@@ -117,46 +122,42 @@ func New(spec *lexer.Spec, g *grammar.Grammar, mapTok TokenMapper, initial strin
 func NewOpts(spec *lexer.Spec, g *grammar.Grammar, mapTok TokenMapper, initial string, opts Options) *Document {
 	d := &Document{spec: spec, g: g, mapTok: mapTok, buf: text.NewBuffer(initial), arena: dag.NewArena()}
 	d.eof = d.arena.Terminal(grammar.EOF, "")
-	d.adopt(spec.ScanInto(initial, opts.Toks), opts.Terms)
+	d.adopt(initial, spec.ScanInto(initial, opts.Toks), opts.Terms)
 	return d
 }
 
 // ReleaseBuffers strips the document's large reusable arrays — the token
 // and terminal arrays it was scanned into — for donation to a future
-// document via Options. Every element is cleared first so recycled storage
-// pins neither retired dag nodes nor the old text. The document must not
-// be used afterwards.
+// document via Options. The terminal array is cleared first so recycled
+// storage pins no retired dag node; tokens hold no pointer, so theirs is
+// handed over as it is. The document must not be used afterwards.
 func (d *Document) ReleaseBuffers() (toks []lexer.Token, terms []*dag.Node) {
 	toks, terms = d.toks, d.terms
 	d.toks, d.terms, d.runs = nil, nil, nil
-	clear(toks[:cap(toks)])
 	clear(terms[:cap(terms)])
 	return toks[:0], terms[:0]
 }
 
-// newTerminal builds a fresh (uncommitted, changed) terminal node for tok,
-// or nil for skip tokens.
-func (d *Document) newTerminal(tok lexer.Token) *dag.Node {
-	if tok.Skip {
-		return nil
-	}
+// newTerminal builds a fresh (uncommitted, changed) terminal node for the
+// significant token tok, whose lexeme is text.
+func (d *Document) newTerminal(tok lexer.Token, text string) *dag.Node {
 	var sym grammar.Sym
 	if tok.Type == lexer.ErrorType {
 		sym = grammar.ErrorSym
 	} else {
-		sym = d.mapTok(tok.Type, tok.Text)
+		sym = d.mapTok(int(tok.Type), text)
 	}
 	if faultinject.Enabled() {
-		switch faultinject.Fire(faultinject.LexTerminal, tok.Text) {
+		switch faultinject.Fire(faultinject.LexTerminal, text) {
 		case faultinject.ActError:
 			// Injected lexical fault: the token comes out as an error
 			// terminal, exactly as if the DFA had rejected it.
 			sym = grammar.ErrorSym
 		case faultinject.ActPanic:
-			panic(&faultinject.Panic{Point: faultinject.LexTerminal, Detail: tok.Text})
+			panic(&faultinject.Panic{Point: faultinject.LexTerminal, Detail: text})
 		}
 	}
-	n := d.arena.Terminal(sym, tok.Text)
+	n := d.arena.Terminal(sym, text)
 	n.Changed = true
 	return n
 }
@@ -236,28 +237,36 @@ func (d *Document) Replace(offset, removed int, inserted string) {
 		panic(fmt.Sprintf("document: edit @%d -%d out of range (len %d)", offset, removed, d.buf.Len()))
 	}
 	d.edited = true
-	d.pending = append(d.pending, AppliedEdit{
-		Offset:   offset,
-		Removed:  d.buf.Slice(offset, offset+removed),
-		Inserted: inserted,
-	})
+	rem := d.buf.Slice(offset, offset+removed)
+	d.pending = append(d.pending, AppliedEdit{Offset: offset, Removed: rem, Inserted: inserted})
 	d.buf.Replace(offset, removed, inserted)
 
 	// The relex reads the buffer in place, and the old tokens through the
-	// runs, and copies out only the fresh lexemes, which replace the
-	// damaged tokens [first, resume).
+	// runs, and copies out only the rescanned span, from which the fresh
+	// tokens that replace the damaged ones [first, resume) read their
+	// lexemes.
 	e := lexer.Edit{Offset: offset, Removed: removed, Inserted: inserted}
-	first, resume, fresh := d.spec.Damage((*tokenView)(d), d.buf.View(), e, d.maxLook, d.fresh)
+	text := d.buf.View()
+	first, resume, fresh, span := d.spec.Damage((*tokenView)(d), text, e, d.maxLook, d.fresh)
 	d.fresh = fresh
 	d.LastRelexed = len(fresh)
+	var base uint32
+	if len(fresh) > 0 {
+		base = fresh[0].Offset
+	}
+	lexeme := func(t lexer.Token) string { t.Offset -= base; return t.Lexeme(span) }
 
 	// Token re-alignment: relexing invalidates neighbors whose lookahead
 	// windows touch the edit even when they rescan to identical tokens
 	// (and pure-whitespace edits rescan only skip tokens). Matching
 	// prefix/suffix tokens of the rescanned region keep their old terminal
 	// nodes, which is what lets the parser reuse the surrounding structure.
+	// A fresh token matches an old one of the same rule and lexeme; the
+	// old lexeme is read from the text before the edit, which is the
+	// buffer with the removed bytes put back.
 	sameTok := func(a, b lexer.Token) bool {
-		return a.Type == b.Type && a.Text == b.Text && a.Skip == b.Skip
+		return a.Type == b.Type && a.Skip == b.Skip && a.Len == b.Len &&
+			oldTextHas(text, e, rem, int(b.Offset), lexeme(a))
 	}
 	p := 0
 	for p < len(fresh) && first+p < resume && sameTok(fresh[p], d.tokAt(first+p)) {
@@ -273,8 +282,8 @@ func (d *Document) Replace(offset, removed int, inserted string) {
 	tlo, thi := d.termIndex(first+p), d.termIndex(resume-s)
 	add := d.freshNodes[:0]
 	for _, t := range fresh[p : len(fresh)-s] {
-		if n := d.newTerminal(t); n != nil {
-			add = append(add, n)
+		if !t.Skip {
+			add = append(add, d.newTerminal(t, lexeme(t)))
 		}
 	}
 	d.freshNodes = add
@@ -295,7 +304,7 @@ func (d *Document) Replace(offset, removed int, inserted string) {
 	}
 	for s > 0 {
 		old := d.tokAt(resume - 1)
-		old.Offset += delta
+		old.Offset += uint32(delta)
 		if fresh[len(fresh)-1] != old {
 			break
 		}
@@ -313,11 +322,34 @@ func (d *Document) Replace(offset, removed int, inserted string) {
 		if t.Type == lexer.ErrorType {
 			d.LexErrorCount++
 		}
-		d.maxLook = max(d.maxLook, t.Lookahead)
+		d.maxLook = max(d.maxLook, int(t.Lookahead))
 	}
 	d.LastSpliceWork = d.splice(first, resume, fresh, tlo, thi, add, delta)
 	clear(add)
-	clear(d.fresh)
+}
+
+// oldTextHas reports whether the text before edit e held s at byte o. text
+// is the text after the edit and rem the bytes it removed: the old text is
+// text[:e.Offset] + rem + text[e.Offset+len(e.Inserted):].
+func oldTextHas(text string, e lexer.Edit, rem string, o int, s string) bool {
+	hi := e.Offset + len(rem)
+	for len(s) > 0 {
+		var old string
+		switch {
+		case o < e.Offset:
+			old = text[o:e.Offset]
+		case o < hi:
+			old = rem[o-e.Offset:]
+		default:
+			old = text[o+e.Delta():]
+		}
+		n := min(len(old), len(s))
+		if old[:n] != s[:n] {
+			return false
+		}
+		s, o = s[n:], o+n
+	}
+	return true
 }
 
 // markDamage marks the committed tree for the removal of the terminals
@@ -333,15 +365,15 @@ func (d *Document) markDamage(lo, hi int) {
 			d.propagate(n)
 		}
 	}
-	// Mark the right-context bit on the last significant terminal before
-	// the damage — subtrees ending there saw a different following token —
-	// and propagate a nested change from it so that subtrees spanning the
-	// modification point are invalidated even when no significant terminal
-	// was removed (e.g. an identifier typed into whitespace).
+	// Record the right-context change of the last significant terminal
+	// before the damage — subtrees ending there saw a different following
+	// token — and propagate a nested change from it so that subtrees
+	// spanning the modification point are invalidated even when no
+	// significant terminal was removed (e.g. an identifier typed into
+	// whitespace).
 	if lo > 0 {
 		if n := d.TermAt(lo - 1); n.Committed {
-			n.RightChanged = true
-			d.marked = append(d.marked, n)
+			d.rightChanged = append(d.rightChanged, n.ID)
 			d.propagate(n)
 			return
 		}
@@ -373,9 +405,9 @@ func (d *Document) Commit(root *dag.Node) {
 	for _, n := range d.marked {
 		n.Changed = false
 		n.NestedChange = false
-		n.RightChanged = false
 	}
 	d.marked = d.marked[:0]
+	d.rightChanged = d.rightChanged[:0]
 
 	root.Parent = nil
 	d.commitWalk(root)
@@ -395,7 +427,6 @@ func (d *Document) commitWalk(n *dag.Node) {
 	n.Committed = true
 	n.Changed = false
 	n.NestedChange = false
-	n.RightChanged = false
 	if !fresh {
 		return
 	}
@@ -624,7 +655,7 @@ func (d *Document) termBytes(i int) (start, end int) {
 			continue
 		}
 		if k == i {
-			return r.start + t.Offset, r.start + t.End()
+			return r.start + int(t.Offset), r.start + t.End()
 		}
 		k++
 	}
@@ -659,7 +690,7 @@ func (d *Document) ScanSpan(n *dag.Node) (off, length int, ok bool) {
 			}
 			if want.Seen(r.terms[k]) {
 				if start < 0 {
-					start = r.start + t.Offset
+					start = r.start + int(t.Offset)
 				}
 				end = r.start + t.End()
 			}
@@ -708,7 +739,7 @@ func (d *Document) termsStartingBy(x int) int {
 	r := &d.runs[lo-1]
 	k := r.term
 	for _, t := range r.toks {
-		if r.start+t.Offset > x {
+		if r.start+int(t.Offset) > x {
 			break
 		}
 		d.LastReadWork++

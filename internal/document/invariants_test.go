@@ -14,8 +14,8 @@ import (
 //
 //  1. the significant terminals concatenate to the text minus skip tokens;
 //  2. after a commit, every terminal's parent chain reaches the root;
-//  3. every committed node's terminal cover (LeftmostTerm/RightmostTerm/
-//     TermCount) is consistent with its subtree;
+//  3. every committed node's terminal cover (FirstTerm/LastTerm/TermCount,
+//     and the node FirstTerminal finds) is consistent with its subtree;
 //  4. no change bits remain set after a commit.
 
 func checkInvariants(t *testing.T, l *testLang, d *Document) {
@@ -23,9 +23,10 @@ func checkInvariants(t *testing.T, l *testLang, d *Document) {
 
 	// (1) terminals tile the significant text.
 	var sb strings.Builder
+	text := d.Text()
 	for _, tok := range d.Tokens() {
 		if !tok.Skip && tok.Type >= 0 {
-			sb.WriteString(tok.Text)
+			sb.WriteString(tok.Lexeme(text))
 		}
 	}
 	var tb strings.Builder
@@ -58,26 +59,30 @@ func checkInvariants(t *testing.T, l *testLang, d *Document) {
 
 	// (3) cover consistency and (4) clean bits.
 	root.Walk(func(n *dag.Node) {
-		if n.NestedChange || n.Changed || n.RightChanged {
+		if n.NestedChange || n.Changed {
 			t.Fatalf("change bit set after commit: %v", n)
-		}
-		if n.IsTerminal() {
-			return
 		}
 		terms := n.Terminals(nil)
 		if int(n.TermCount) != len(terms) {
 			t.Fatalf("TermCount %d != %d for %v", n.TermCount, len(terms), n)
 		}
 		if len(terms) == 0 {
-			if n.LeftmostTerm != nil || n.RightmostTerm != nil {
-				t.Fatalf("null-yield node with cover: %v", n)
+			if n.FirstTerm != -1 || n.LastTerm != -1 || n.FirstTerminal() != nil {
+				t.Fatalf("null-yield node with cover: %v (%d, %d)", n, n.FirstTerm, n.LastTerm)
 			}
 			return
 		}
-		if n.LeftmostTerm != terms[0] || n.RightmostTerm != terms[len(terms)-1] {
-			t.Fatalf("cover mismatch for %v", n)
+		first, last := terms[0], terms[len(terms)-1]
+		if n.FirstTerm != first.ID || n.LastTerm != last.ID {
+			t.Fatalf("cover (%d, %d) of %v, yield runs from %d to %d", n.FirstTerm, n.LastTerm, n, first.ID, last.ID)
+		}
+		if got := n.FirstTerminal(); got != first {
+			t.Fatalf("FirstTerminal of %v is %v, yield starts at %v", n, got, first)
 		}
 	})
+	if len(d.rightChanged) != 0 {
+		t.Fatalf("%d right-context marks left after commit", len(d.rightChanged))
+	}
 }
 
 func TestInvariantsUnderRandomEditing(t *testing.T) {

@@ -7,7 +7,8 @@ import (
 
 // TestReleaseBuffersRoundTrip: buffers released from one document seed the
 // next with zero divergence in tokens/terminals, storage actually reused,
-// and no stale pointers retained.
+// and no stale node pointers retained (tokens hold no pointer at all,
+// TestTokenHoldsNoPointer).
 func TestReleaseBuffersRoundTrip(t *testing.T) {
 	l := newTestLang(t)
 
@@ -26,11 +27,6 @@ func TestReleaseBuffersRoundTrip(t *testing.T) {
 	for _, n := range terms[:cap(terms)] {
 		if n != nil {
 			t.Fatal("released terminal storage still pins a dag node")
-		}
-	}
-	for _, tok := range toks[:cap(toks)] {
-		if tok.Text != "" {
-			t.Fatal("released token storage still pins the old text")
 		}
 	}
 

@@ -44,41 +44,42 @@ type run struct {
 	own bool
 }
 
-// adopt installs a whole token stream with absolute offsets as the
-// document's runs: capacity-capped windows of scanRun tokens. One pass
-// rewrites each token's offset relative to its run, derives the error
-// count and the lookahead bound, and creates the significant tokens'
-// terminals into terms[:0]. The arrays become the document's own
-// (ReleaseBuffers donates them).
-func (d *Document) adopt(toks []lexer.Token, terms []*dag.Node) {
+// adopt installs a whole token stream of text, with absolute offsets, as
+// the document's runs: capacity-capped windows of scanRun tokens. One pass
+// counts the significant tokens, so that the terminal array is allocated
+// once at its size; a second rewrites each token's offset relative to its
+// run, derives the error count and the lookahead bound, and creates the
+// significant tokens' terminals into it, their lexemes slices of text. The
+// arrays become the document's own (ReleaseBuffers donates them).
+func (d *Document) adopt(text string, toks []lexer.Token, terms []*dag.Node) {
+	sig := 0
+	for i := range toks {
+		if !toks[i].Skip {
+			sig++
+		}
+	}
+	if cap(terms) < sig {
+		terms = make([]*dag.Node, 0, sig)
+	}
 	terms = terms[:0]
 	d.runs = make([]run, 0, (len(toks)+scanRun-1)/scanRun)
 	d.LexErrorCount, d.maxLook = 0, 0
-	term := 0
 	for i := 0; i < len(toks); i += scanRun {
 		end := min(i+scanRun, len(toks))
-		r := run{start: toks[i].Offset, tok: i, term: term, toks: toks[i:end:end]}
+		r := run{start: int(toks[i].Offset), tok: i, term: len(terms), toks: toks[i:end:end]}
 		for k := range r.toks {
 			t := &r.toks[k]
 			if !t.Skip {
-				terms = append(terms, d.newTerminal(*t))
-				term++
+				terms = append(terms, d.newTerminal(*t, t.Lexeme(text)))
 			}
 			if t.Type == lexer.ErrorType {
 				d.LexErrorCount++
 			}
-			d.maxLook = max(d.maxLook, t.Lookahead)
-			t.Offset -= r.start
+			d.maxLook = max(d.maxLook, int(t.Lookahead))
+			t.Offset -= uint32(r.start)
 		}
+		r.terms = terms[r.term:len(terms):len(terms)]
 		d.runs = append(d.runs, r)
-	}
-	// Window the terminals once they stop moving: appends may reallocate.
-	for i := range d.runs {
-		end := term
-		if i+1 < len(d.runs) {
-			end = d.runs[i+1].term
-		}
-		d.runs[i].terms = terms[d.runs[i].term:end:end]
 	}
 	d.toks, d.terms = toks, terms
 }
@@ -136,7 +137,7 @@ func (d *Document) runOfTerm(i int) int {
 func (d *Document) tokAt(i int) lexer.Token {
 	r := &d.runs[d.runOfTok(i)]
 	t := r.toks[i-r.tok]
-	t.Offset += r.start
+	t.Offset += uint32(r.start)
 	return t
 }
 
@@ -178,7 +179,7 @@ func (d *Document) appendToks(dst []lexer.Token, i, j, shift, base int) []lexer.
 		r := &d.runs[ri]
 		end := min(j, r.tok+len(r.toks))
 		for _, t := range r.toks[i-r.tok : end-r.tok] {
-			t.Offset += r.start + shift - base
+			t.Offset += uint32(r.start + shift - base)
 			dst = append(dst, t)
 		}
 		i = end
@@ -226,7 +227,7 @@ func (d *Document) splice(first, resume int, fresh []lexer.Token, tlo, thi int, 
 		nt, nm := len(r.toks)+dTok, len(r.terms)+dTerm
 		if nt > 0 && nt <= maxRun && (nt >= maxRun/4 || len(d.runs) == 1) {
 			for k := range fresh {
-				fresh[k].Offset -= r.start
+				fresh[k].Offset -= uint32(r.start)
 			}
 			if nt <= cap(r.toks) && nm <= cap(r.terms) {
 				r.toks = slices.Replace(r.toks, i0, i1, fresh...)
@@ -249,7 +250,7 @@ func (d *Document) splice(first, resume int, fresh []lexer.Token, tlo, thi int, 
 			if delta != 0 {
 				work += nt - i0 - len(fresh)
 				for k := i0 + len(fresh); k < nt; k++ {
-					r.toks[k].Offset += delta
+					r.toks[k].Offset += uint32(delta)
 				}
 			}
 			return work + d.shiftHeaders(next, delta, dTok, dTerm)
@@ -273,7 +274,7 @@ func (d *Document) splice(first, resume int, fresh []lexer.Token, tlo, thi int, 
 	}
 	toks := d.appendToks(d.scratchToks[:0], tok0, first, 0, base)
 	for _, t := range fresh {
-		t.Offset -= base
+		t.Offset -= uint32(base)
 		toks = append(toks, t)
 	}
 	toks = d.appendToks(toks, resume, tokEnd, delta, base)
@@ -412,7 +413,7 @@ func (d *Document) CheckRuns() error {
 		}
 		off, sig := 0, 0
 		for k, t := range r.toks {
-			if t.Offset != off {
+			if int(t.Offset) != off {
 				return fmt.Errorf("document: run %d token %d at relative offset %d, want %d", i, k, t.Offset, off)
 			}
 			off = t.End()

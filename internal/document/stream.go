@@ -1,6 +1,8 @@
 package document
 
 import (
+	"slices"
+
 	"iglr/internal/dag"
 )
 
@@ -14,8 +16,8 @@ import (
 //   - A belongs to the committed tree and its leftmost terminal is the
 //     clean terminal at k (so A's yield starts exactly here),
 //   - A contains no nested changes (its terminal run is intact), and
-//   - the right-context bit of A's rightmost terminal is clear (the token
-//     following A is the same one A's construction saw, §3.2).
+//   - no edit changed the right context of A's rightmost terminal (the
+//     token following A is the same one A's construction saw, §3.2).
 //
 // Fresh terminals at modification sites are yielded directly. Breakdown
 // exposes the children of the current subtree (left_breakdown); null-yield
@@ -50,6 +52,7 @@ type Region struct{ Lo, Hi int }
 // the cursor reads the document's runs and the EOF node is shared, so
 // rewinding allocates nothing.
 func (s *Stream) reset(d *Document, regions []Region) {
+	slices.Sort(d.rightChanged) // for maximalSubtree's binary search
 	s.d = d
 	s.cur.reset(d)
 	s.regions, s.ri = regions, 0
@@ -81,7 +84,7 @@ func (s *Stream) La() *dag.Node {
 	if s.ri < len(s.regions) {
 		end = s.regions[s.ri].Lo - 1
 	}
-	best := maximalSubtree(t, end-s.cur.k)
+	best := maximalSubtree(t, end-s.cur.k, s.d.rightChanged)
 	if best != t {
 		s.SubtreeOffers++
 	}
@@ -105,16 +108,16 @@ func (s *Stream) skip() {
 
 // maximalSubtree returns the largest committed subtree of at most maxTerms
 // terminals that the stream may offer at the clean terminal t: its yield
-// starts with t, it contains no nested change, and the right-context bit of
-// its last terminal is clear. It returns t itself when there is none.
-func maximalSubtree(t *dag.Node, maxTerms int) *dag.Node {
+// starts with t, it contains no nested change, and its last terminal is
+// not among rightChanged, the sorted IDs of the terminals whose right
+// context an edit changed. It returns t itself when there is none.
+func maximalSubtree(t *dag.Node, maxTerms int, rightChanged []int32) *dag.Node {
 	best := t
 	if !t.Committed || t.Changed {
 		return best
 	}
-	for a := t.Parent; a != nil && a.Committed && a.LeftmostTerm == t && !a.NestedChange && int(a.TermCount) <= maxTerms; a = a.Parent {
-		r := a.RightmostTerm
-		if r == nil || r.RightChanged {
+	for a := t.Parent; a != nil && a.Committed && a.FirstTerm == t.ID && !a.NestedChange && int(a.TermCount) <= maxTerms; a = a.Parent {
+		if _, changed := slices.BinarySearch(rightChanged, a.LastTerm); changed || a.LastTerm < 0 {
 			break
 		}
 		best = a

@@ -33,12 +33,13 @@ func lexOracle(l *langs.Language, src string) (syms []grammar.Sym, in []iglr.Ter
 		if tok.Type == lexer.ErrorType {
 			return nil, nil, false
 		}
-		s := l.Map(tok.Type, tok.Text)
+		lexeme := tok.Lexeme(src)
+		s := l.Map(int(tok.Type), lexeme)
 		if s == grammar.ErrorSym {
 			return nil, nil, false
 		}
 		syms = append(syms, s)
-		in = append(in, iglr.TerminalInput{Sym: s, Text: tok.Text})
+		in = append(in, iglr.TerminalInput{Sym: s, Text: lexeme})
 	}
 	return syms, in, len(syms) <= maxAcceptTokens
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"time"
 
@@ -327,8 +328,11 @@ func RunSection5Space(n int) (Section5Space, error) {
 // and the same program with none. The paper reports well under 1% extra
 // reconstruction time.
 type Section5Ambiguity struct {
-	Lines        int
-	Ambiguous    int
+	Lines     int
+	Ambiguous int
+	// PlainNsPerRe and AmbNsPerRe are the median times of one reparse (the
+	// edit, the parse and the commit) of each program, and OverheadPct the
+	// ambiguous median's excess over the plain one.
 	PlainNsPerRe float64
 	AmbNsPerRe   float64
 	OverheadPct  float64
@@ -340,52 +344,74 @@ type Section5Ambiguity struct {
 }
 
 // RunSection5Ambiguity runs the comparison at the given size with nEdits
-// self-cancelling pairs applied outside the ambiguous regions.
+// self-cancelling pairs applied outside the ambiguous regions. Both
+// documents are built and parsed first; their reparses then alternate pair
+// by pair, each program going first on every other pair, so that a change
+// in the machine's speed during the run falls on both alike.
 func RunSection5Ambiguity(lines, nEdits int) (Section5Ambiguity, error) {
-	run := func(density float64, seed int64) (ns, work float64, amb int, err error) {
+	// side is one program of the comparison: its committed document,
+	// parser and edit pairs, and the time and work of each reparse.
+	type side struct {
+		d     *document.Document
+		p     *iglr.Parser
+		pairs [][2]corpus.Edit
+		ns    []float64
+		work  int
+	}
+	open := func(density float64) (*side, int, error) {
+		// Same seed: identical programs except the ambiguous constructs.
 		spec := corpus.Spec{Name: "amb", Lines: lines, Lang: "c",
-			AmbiguousPerKLoC: density, Seed: seed}
+			AmbiguousPerKLoC: density, Seed: 21}
 		src, amb := corpus.Generate(spec)
 		l := LangFor(spec)
-		d := l.NewDocument(src)
-		p := iglr.New(l.Table)
-		root, err := p.Parse(d.Stream())
+		s := &side{d: l.NewDocument(src), p: iglr.New(l.Table), pairs: corpus.SelfCancellingEdits(src, nEdits, 11)}
+		root, err := s.p.Parse(s.d.Stream())
 		if err != nil {
-			return 0, 0, 0, err
+			return nil, 0, err
 		}
-		d.Commit(root)
-		pairs := corpus.SelfCancellingEdits(src, nEdits, 11)
-		start := time.Now()
-		count, totalWork := 0, 0
-		for _, pair := range pairs {
-			for _, e := range pair {
-				d.Replace(e.Offset, e.Removed, e.Inserted)
-				root, err := p.Parse(d.Stream())
-				if err != nil {
-					return 0, 0, 0, err
-				}
-				totalWork += p.Stats.Shifts + p.Stats.Reductions + p.Stats.Breakdowns
-				d.Commit(root)
-				count++
+		s.d.Commit(root)
+		return s, amb, nil
+	}
+	reparse := func(s *side, i int) error {
+		for _, e := range s.pairs[i] {
+			start := time.Now()
+			s.d.Replace(e.Offset, e.Removed, e.Inserted)
+			root, err := s.p.Parse(s.d.Stream())
+			if err != nil {
+				return err
 			}
+			s.d.Commit(root)
+			s.ns = append(s.ns, float64(time.Since(start).Nanoseconds()))
+			s.work += s.p.Stats.Shifts + s.p.Stats.Reductions + s.p.Stats.Breakdowns
 		}
-		ns = float64(time.Since(start).Nanoseconds()) / float64(count)
-		work = float64(totalWork) / float64(count)
-		return ns, work, amb, nil
+		return nil
 	}
 
-	// Same seed: identical programs except the ambiguous constructs.
-	plainNs, plainWork, _, err := run(0, 21)
+	plain, _, err := open(0)
 	if err != nil {
 		return Section5Ambiguity{}, err
 	}
-	ambNs, ambWork, amb, err := run(20, 21)
+	amb, nAmb, err := open(20)
 	if err != nil {
 		return Section5Ambiguity{}, err
 	}
+	for i := range min(len(plain.pairs), len(amb.pairs)) {
+		order := [2]*side{plain, amb}
+		if i%2 == 1 {
+			order = [2]*side{amb, plain}
+		}
+		for _, s := range order {
+			if err := reparse(s, i); err != nil {
+				return Section5Ambiguity{}, err
+			}
+		}
+	}
+	plainNs, ambNs := median(plain.ns), median(amb.ns)
+	plainWork := float64(plain.work) / float64(len(plain.ns))
+	ambWork := float64(amb.work) / float64(len(amb.ns))
 	return Section5Ambiguity{
 		Lines:           lines,
-		Ambiguous:       amb,
+		Ambiguous:       nAmb,
 		PlainNsPerRe:    plainNs,
 		AmbNsPerRe:      ambNs,
 		OverheadPct:     100 * (ambNs - plainNs) / plainNs,
@@ -393,4 +419,17 @@ func RunSection5Ambiguity(lines, nEdits int) (Section5Ambiguity, error) {
 		AmbWorkPerRe:    ambWork,
 		WorkOverheadPct: 100 * (ambWork - plainWork) / plainWork,
 	}, nil
+}
+
+// median returns the median of xs, which it sorts, or 0 when xs is empty.
+func median(xs []float64) float64 {
+	slices.Sort(xs)
+	n := len(xs)
+	switch {
+	case n == 0:
+		return 0
+	case n%2 == 1:
+		return xs[n/2]
+	}
+	return (xs[n/2-1] + xs[n/2]) / 2
 }

@@ -189,9 +189,7 @@ func (p *Parser) burst() error {
 				node = old
 				p.Stats.RetainedNodes++
 			} else {
-				owned := p.arena.Kids(len(kids))
-				copy(owned, kids)
-				node = p.arena.Production(p.g.Production(int(step.rule)).LHS, int(step.rule), int(step.gt), owned)
+				node = p.arena.Reduction(p.g, int(step.rule), int(step.gt), kids)
 			}
 			p.gauge.AddGSSNode()
 			p.gauge.AddGSSLink()

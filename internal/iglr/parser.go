@@ -489,8 +489,9 @@ func (p *Parser) injectReduce() {
 // for a cold parse and an incremental one.
 func (p *Parser) expectedTerminals(la *dag.Node) []string {
 	seen := map[grammar.Sym]bool{}
+	failed := la.FirstTerminal().Sym
 	for _, a := range p.active {
-		if _, n := p.table.OneAction(a.state, la.LeftmostTerm.Sym); n > 0 {
+		if _, n := p.table.OneAction(a.state, failed); n > 0 {
 			continue
 		}
 		for _, term := range p.table.ExpectedTerminals(a.state) {
@@ -719,12 +720,10 @@ func (p *Parser) reducer(q *gssNode, rule int, kids []*dag.Node) {
 		node = old
 		p.Stats.RetainedNodes++
 	} else {
-		// kids may be the shared reduction buffer; the node needs its own,
-		// bump-allocated so a reduce-heavy parse is one allocation per
-		// kidsChunk pointers rather than one per reduction.
-		owned := p.arena.Kids(len(kids))
-		copy(owned, kids)
-		node = p.arena.Production(p.g.Production(rule).LHS, rule, state, owned)
+		// kids may be the shared reduction buffer; the node gets its own
+		// copy, bump-allocated so a reduce-heavy parse is one allocation
+		// per chunk of pointers rather than one per reduction.
+		node = p.arena.Reduction(p.g, rule, state, kids)
 	}
 
 	if existing := p.findActive(state); existing != nil {

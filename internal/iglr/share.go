@@ -30,13 +30,6 @@ type coverKey struct {
 	lo, hi int32
 }
 
-func coverID(n *dag.Node) int32 {
-	if n == nil {
-		return -1
-	}
-	return n.ID
-}
-
 // share holds the per-round sharing state. The maps persist across rounds
 // and across parses (only their entries are cleared, keeping the buckets
 // warm); deterministic rounds never touch them at all.
@@ -82,9 +75,7 @@ func (s *share) getNode(a *dag.Arena, g *grammar.Grammar, rule int, kids []*dag.
 	if multi {
 		st = dag.MultiState
 	}
-	owned := a.Kids(len(kids))
-	copy(owned, kids)
-	n := a.Production(g.Production(rule).LHS, rule, st, owned)
+	n := a.Reduction(g, rule, st, kids)
 	s.nodes[key] = n
 	return n
 }
@@ -106,7 +97,7 @@ func (s *share) kidsKey(kids []*dag.Node) string {
 // proxy-replacement, footnote 10). It returns the node to link into the GSS.
 func (s *share) mergeInterpretation(a *dag.Arena, n *dag.Node) *dag.Node {
 	s.dirty = true
-	key := coverKey{sym: n.Sym, lo: coverID(n.LeftmostTerm), hi: coverID(n.RightmostTerm)}
+	key := coverKey{sym: n.Sym, lo: n.FirstTerm, hi: n.LastTerm}
 	existing, ok := s.symbols[key]
 	if !ok {
 		s.symbols[key] = n

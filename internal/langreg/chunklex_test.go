@@ -8,7 +8,7 @@ import (
 )
 
 // TestChunkedLexTilesText: the batch lexer's stream must tile the input
-// exactly (no gaps, no overlaps) and alias it, for every bundled language.
+// exactly (no gaps, no overlaps), for every bundled language.
 func TestChunkedLexTilesText(t *testing.T) {
 	for _, e := range langreg.All() {
 		var sb strings.Builder
@@ -23,11 +23,8 @@ func TestChunkedLexTilesText(t *testing.T) {
 		}
 		pos := 0
 		for i, tok := range toks {
-			if tok.Offset != pos {
-				t.Fatalf("%s: token %d starts at %d, want %d", e.Name, i, tok.Offset, pos)
-			}
-			if tok.Text != text[tok.Offset:tok.End()] {
-				t.Fatalf("%s: token %d text does not alias input", e.Name, i)
+			if int(tok.Offset) != pos || tok.Len == 0 {
+				t.Fatalf("%s: token %d spans [%d, %d), want to start at %d", e.Name, i, tok.Offset, tok.End(), pos)
 			}
 			pos = tok.End()
 		}

@@ -38,8 +38,8 @@ func CStyleSemantics(l *Language) semantics.Config {
 			if n.Kind != production || n.Sym != declSym || isTypedef(n) {
 				return "", false
 			}
-			if id := findFirst(n, declIdSym); id != nil && id.LeftmostTerm != nil {
-				return id.LeftmostTerm.Text, true
+			if id := findFirst(n, declIdSym); id != nil && id.FirstTerm >= 0 {
+				return id.FirstTerminal().Text, true
 			}
 			return "", false
 		},

@@ -1,8 +1,10 @@
 package lexer
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // tokensEqual compares two streams field-for-field.
@@ -39,5 +41,22 @@ func TestScanIntoReuse(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("ScanInto with sufficient capacity allocates: %v allocs/op", allocs)
+	}
+}
+
+// TestTokenHoldsNoPointer pins the token record: 16 bytes, and every field
+// a number or a flag, so a token array costs the collector nothing to scan
+// and a lexeme is read from the text.
+func TestTokenHoldsNoPointer(t *testing.T) {
+	if got := unsafe.Sizeof(Token{}); got != 16 {
+		t.Fatalf("lexer.Token is %d bytes, want 16", got)
+	}
+	typ := reflect.TypeOf(Token{})
+	for i := range typ.NumField() {
+		switch f := typ.Field(i); f.Type.Kind() {
+		case reflect.Bool, reflect.Int16, reflect.Uint32:
+		default:
+			t.Fatalf("lexer.Token field %s is a %s, want a number or a flag", f.Name, f.Type)
+		}
 	}
 }

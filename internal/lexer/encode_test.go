@@ -60,7 +60,7 @@ func TestRelexAppendScansOnlyAppendedText(t *testing.T) {
 	old := s.Scan(oldText)
 	newText := oldText + " int y = 2;"
 	e := Edit{Offset: len(oldText), Inserted: " int y = 2;"}
-	first, resume, fresh := s.Damage(flat(old), newText, e, maxLookahead(old), nil)
+	first, resume, fresh, _ := s.Damage(flat(old), newText, e, maxLookahead(old), nil)
 
 	if first != len(old) || resume != len(old) {
 		t.Fatalf("damage [%d,%d), want [%d,%d) (whole old stream kept)", first, resume, len(old), len(old))
@@ -85,7 +85,7 @@ func TestRelexAppendMergesOpenToken(t *testing.T) {
 	}
 	newText := oldText + "2;"
 	e := Edit{Offset: len(oldText), Inserted: "2;"}
-	first, resume, fresh := s.Damage(flat(old), newText, e, maxLookahead(old), nil)
+	first, resume, fresh, _ := s.Damage(flat(old), newText, e, maxLookahead(old), nil)
 	if first >= len(old) {
 		t.Fatalf("first = %d: open token at EOF must be invalidated by an append", first)
 	}
@@ -95,8 +95,8 @@ func TestRelexAppendMergesOpenToken(t *testing.T) {
 	}
 	joined := ""
 	for _, tok := range toks {
-		if tok.Type >= 0 && s.Rule(tok.Type).Name == "NUM" {
-			joined = tok.Text
+		if tok.Type >= 0 && s.Rule(int(tok.Type)).Name == "NUM" {
+			joined = tok.Lexeme(newText)
 		}
 	}
 	if joined != "12" {

@@ -84,17 +84,13 @@ func (s *Spec) RuleIndex(name string) int {
 	return -1
 }
 
-// Token is one lexeme.
+// Token is one lexeme: a 16-byte record with no pointer, so a token array
+// costs the collector nothing to scan. The lexeme itself is not stored; it
+// is the text's bytes [Offset, End()) (Lexeme). uint32 offsets bound a
+// text below 4 GiB, as the parse dag's int32 node IDs already do.
 type Token struct {
 	// Type is the rule index, or ErrorType for unmatched characters.
-	Type int
-	// Offset is the byte offset of the token in the current text.
-	Offset int
-	// Text is the lexeme.
-	Text string
-	// Lookahead is the number of bytes beyond the end of Text that the
-	// recognizer examined while deciding this token (≥0).
-	Lookahead int
+	Type int16
 	// Skip marks tokens from skip rules; they are retained in the stream
 	// for exact incremental accounting but hidden from the parser.
 	Skip bool
@@ -105,10 +101,21 @@ type Token struct {
 	// dead or transition-free state are closed — no append can change
 	// them — which is what lets Damage skip them entirely.
 	Open bool
+	// Offset is the byte offset of the token in the text it was scanned
+	// from (the document keeps it relative to the token's run).
+	Offset uint32
+	// Len is the lexeme's length in bytes.
+	Len uint32
+	// Lookahead is the number of bytes beyond the end of the lexeme that
+	// the recognizer examined while deciding this token.
+	Lookahead uint32
 }
 
-// End returns the byte offset one past the token text.
-func (t Token) End() int { return t.Offset + len(t.Text) }
+// End returns the byte offset one past the lexeme.
+func (t Token) End() int { return int(t.Offset + t.Len) }
+
+// Lexeme returns the token's text, read from the text it was scanned from.
+func (t Token) Lexeme(text string) string { return text[t.Offset : t.Offset+t.Len] }
 
 // scanOne recognizes one token at pos. It returns the matched byte length
 // (≥1 even on error), the rule (or ErrorType), the total number of bytes
@@ -173,17 +180,6 @@ func (s *Spec) Scan(text string) []Token {
 	return s.ScanInto(text, nil)
 }
 
-// Significant filters out skip tokens.
-func Significant(toks []Token) []Token {
-	out := make([]Token, 0, len(toks))
-	for _, t := range toks {
-		if !t.Skip && t.Type != ErrorType {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
 // Edit describes a single text modification: Removed bytes at Offset were
 // replaced by Inserted.
 type Edit struct {
@@ -210,9 +206,10 @@ type Tokens interface {
 // tail's offsets. fresh is buf[:0] with the rescanned tokens appended, and
 // its length is the incremental work measure.
 //
-// text may alias mutable storage, such as a buffer's in-place view: the
-// fresh lexemes are copied out of it, so no returned token refers to text.
-func (s *Spec) Damage(old Tokens, text string, e Edit, maxLook int, buf []Token) (first, resume int, fresh []Token) {
+// text may alias mutable storage, such as a buffer's in-place view, so the
+// rescanned bytes are copied out of it once: span is that copy, the text
+// of fresh from fresh[0].Offset on, from which each fresh lexeme reads.
+func (s *Spec) Damage(old Tokens, text string, e Edit, maxLook int, buf []Token) (first, resume int, fresh []Token, span string) {
 	lo := e.Offset
 	oldLen := len(text) - e.Delta()
 	n := old.Len()
@@ -239,7 +236,7 @@ func (s *Spec) Damage(old Tokens, text string, e Edit, maxLook int, buf []Token)
 	first = n
 	for ; i < n; i++ {
 		t := old.At(i)
-		windowEnd := t.End() + t.Lookahead
+		windowEnd := t.End() + int(t.Lookahead)
 		if windowEnd > lo || (t.Open && windowEnd >= oldLen) {
 			first = i
 			break
@@ -254,7 +251,7 @@ func (s *Spec) Damage(old Tokens, text string, e Edit, maxLook int, buf []Token)
 	// candidates for resync start at or after its end.
 	hiOld := e.Offset + e.Removed
 	resume = first
-	for resume < n && old.At(resume).Offset < hiOld {
+	for resume < n && int(old.At(resume).Offset) < hiOld {
 		resume++
 	}
 
@@ -266,10 +263,10 @@ func (s *Spec) Damage(old Tokens, text string, e Edit, maxLook int, buf []Token)
 		// recognition from there reads the same characters as before.
 		if pos >= lo+len(e.Inserted) {
 			oldPos := pos - delta
-			for resume < n && old.At(resume).Offset < oldPos {
+			for resume < n && int(old.At(resume).Offset) < oldPos {
 				resume++
 			}
-			if resume < n && old.At(resume).Offset == oldPos {
+			if resume < n && int(old.At(resume).Offset) == oldPos {
 				break
 			}
 		}
@@ -279,27 +276,20 @@ func (s *Spec) Damage(old Tokens, text string, e Edit, maxLook int, buf []Token)
 	if pos >= len(text) {
 		resume = n
 	}
-
-	// One copy of the rescanned span backs every fresh lexeme.
 	if len(fresh) > 0 {
-		start := fresh[0].Offset
-		own := strings.Clone(text[start:pos])
-		for k := range fresh {
-			off := fresh[k].Offset - start
-			fresh[k].Text = own[off : off+len(fresh[k].Text)]
-		}
+		span = strings.Clone(text[fresh[0].Offset:pos])
 	}
-	return first, resume, fresh
+	return first, resume, fresh, span
 }
 
 // freshToken scans one token at pos of text.
 func (s *Spec) freshToken(text string, pos int) Token {
 	length, rule, examined, open := s.scanOne(text, pos)
 	tok := Token{
-		Type:      rule,
-		Offset:    pos,
-		Text:      text[pos : pos+length],
-		Lookahead: examined - length,
+		Type:      int16(rule),
+		Offset:    uint32(pos),
+		Len:       uint32(length),
+		Lookahead: uint32(examined - length),
 		Open:      open,
 	}
 	if rule >= 0 {

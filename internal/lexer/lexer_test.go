@@ -43,7 +43,7 @@ func names(s *Spec, toks []Token) []string {
 			out = append(out, "ERROR")
 			continue
 		}
-		out = append(out, s.Rule(t.Type).Name)
+		out = append(out, s.Rule(int(t.Type)).Name)
 	}
 	return out
 }
@@ -64,8 +64,8 @@ func TestTokensTileText(t *testing.T) {
 	toks := s.Scan(text)
 	pos := 0
 	for _, tok := range toks {
-		if tok.Offset != pos {
-			t.Fatalf("gap at %d: token %q starts at %d", pos, tok.Text, tok.Offset)
+		if int(tok.Offset) != pos {
+			t.Fatalf("gap at %d: token %q starts at %d", pos, tok.Lexeme(text), tok.Offset)
 		}
 		pos = tok.End()
 	}
@@ -76,7 +76,7 @@ func TestTokensTileText(t *testing.T) {
 
 func TestKeywordPriority(t *testing.T) {
 	s := MustSpec(cRules())
-	toks := Significant(s.Scan("if iffy int integer"))
+	toks := s.Scan("if iffy int integer")
 	want := []string{"IF", "ID", "INT", "ID"}
 	got := names(s, toks)
 	if strings.Join(got, " ") != strings.Join(want, " ") {
@@ -86,13 +86,14 @@ func TestKeywordPriority(t *testing.T) {
 
 func TestErrorTokens(t *testing.T) {
 	s := MustSpec(cRules())
-	toks := s.Scan("x @ y")
+	text := "x @ y"
+	toks := s.Scan(text)
 	var errs int
 	for _, tok := range toks {
 		if tok.Type == ErrorType {
 			errs++
-			if tok.Text != "@" {
-				t.Fatalf("error token text %q", tok.Text)
+			if tok.Lexeme(text) != "@" {
+				t.Fatalf("error token text %q", tok.Lexeme(text))
 			}
 		}
 	}
@@ -105,15 +106,15 @@ func TestLookaheadRecorded(t *testing.T) {
 	s := MustSpec(cRules())
 	// "==" requires looking at the char after a single "=" to decide;
 	// after scanning "=" the DFA keeps going and dies at 'x'.
-	toks := Significant(s.Scan("= x"))
-	if toks[0].Text != "=" {
-		t.Fatalf("first token %q", toks[0].Text)
+	toks := s.Scan("= x")
+	if toks[0].Lexeme("= x") != "=" {
+		t.Fatalf("first token %q", toks[0].Lexeme("= x"))
 	}
 	if toks[0].Lookahead < 1 {
 		t.Fatalf("'=' should record lookahead >= 1, got %d", toks[0].Lookahead)
 	}
 	// A token at end of input examines nothing beyond itself.
-	toks = Significant(s.Scan("abc"))
+	toks = s.Scan("abc")
 	if toks[0].Lookahead != 0 {
 		t.Fatalf("EOF token lookahead = %d, want 0", toks[0].Lookahead)
 	}
@@ -134,7 +135,7 @@ func applyEdit(text string, e Edit) string {
 func splice(old []Token, first, resume int, fresh []Token, delta int) []Token {
 	out := append(append([]Token(nil), old[:first]...), fresh...)
 	for _, t := range old[resume:] {
-		t.Offset += delta
+		t.Offset += uint32(delta)
 		out = append(out, t)
 	}
 	return out
@@ -143,7 +144,7 @@ func splice(old []Token, first, resume int, fresh []Token, delta int) []Token {
 func maxLookahead(toks []Token) int {
 	m := 0
 	for _, t := range toks {
-		m = max(m, t.Lookahead)
+		m = max(m, int(t.Lookahead))
 	}
 	return m
 }
@@ -154,7 +155,7 @@ func maxLookahead(toks []Token) int {
 // with a bound past the text length (the linear-scan degenerate case),
 // which must give the same damage. The new text is handed over as a view
 // of a byte array that is overwritten afterwards, as a gap buffer's next
-// edit would, so a fresh token aliasing it shows up as a mismatch.
+// edit would, so a span that aliases it shows up as a mismatch.
 func checkIncremental(t *testing.T, s *Spec, text string, e Edit) (relexed int) {
 	t.Helper()
 	old := s.Scan(text)
@@ -168,10 +169,13 @@ func checkIncremental(t *testing.T, s *Spec, text string, e Edit) (relexed int) 
 		if len(b) > 0 {
 			view = unsafe.String(&b[0], len(b))
 		}
-		first, resume, fresh := s.Damage(flat(old), view, e, bound, nil)
+		first, resume, fresh, span := s.Damage(flat(old), view, e, bound, nil)
 		clear(b)
 		if !reflect.DeepEqual(old, before) {
 			t.Fatalf("edit %+v on %q: Damage modified the old stream", e, text)
+		}
+		if len(fresh) > 0 && span != newText[fresh[0].Offset:fresh[len(fresh)-1].End()] {
+			t.Fatalf("edit %+v on %q: span %q is not the rescanned text", e, text, span)
 		}
 		got := splice(old, first, resume, fresh, e.Delta())
 		if len(got) != len(want) {

@@ -57,10 +57,10 @@ func (r *Resolver) Resolve(root *dag.Node) (Result, []ReinterpretedRegion) {
 	var flips []ReinterpretedRegion
 	occ := map[string]int{}
 	root.Walk(func(n *dag.Node) {
-		if n.Kind != dag.KindChoice || n.LeftmostTerm == nil {
+		if n.Kind != dag.KindChoice || n.FirstTerm < 0 {
 			return
 		}
-		name := n.LeftmostTerm.Text
+		name := n.FirstTerminal().Text
 		r.useSites[name] = append(r.useSites[name], n)
 		key := fmt.Sprintf("%s#%d", name, occ[name])
 		occ[name]++

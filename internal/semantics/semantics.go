@@ -145,7 +145,7 @@ func (res *Result) resolveChoice(n *dag.Node, sc *Scope, cfg Config, walk func(*
 			stmtKids = append(stmtKids, k)
 		}
 	}
-	lead := n.LeftmostTerm
+	lead := n.FirstTerminal()
 	if lead == nil || len(declKids) == 0 || len(stmtKids) == 0 {
 		// Not a declaration/statement ambiguity; leave for other filters.
 		res.Unresolved++

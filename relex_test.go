@@ -38,7 +38,8 @@ func checkRelexOracle(t *testing.T, s *Session, step string) {
 		t.Fatalf("%s: %v", step, err)
 	}
 	toks := d.Tokens()
-	want := s.lang.def.Spec.Scan(d.Text())
+	text := d.Text()
+	want := s.lang.def.Spec.Scan(text)
 	if len(toks) != len(want) {
 		t.Fatalf("%s: %d tokens, batch scan has %d", step, len(toks), len(want))
 	}
@@ -67,11 +68,12 @@ func checkRelexOracle(t *testing.T, s *Session, step string) {
 			t.Fatalf("%s: %d terminals, fewer than the significant tokens", step, len(terms))
 		}
 		n := terms[k]
+		lexeme := tok.Lexeme(text)
 		sym := grammar.ErrorSym
 		if tok.Type != lexer.ErrorType {
-			sym = s.lang.def.Map(tok.Type, tok.Text)
+			sym = s.lang.def.Map(int(tok.Type), lexeme)
 		}
-		if !n.IsTerminal() || n.Text != tok.Text || n.Sym != sym || seen[n] {
+		if !n.IsTerminal() || n.Text != lexeme || n.Sym != sym || seen[n] {
 			t.Fatalf("%s: terminal %d is %v %q (sym %d, repeated %v), token %+v (sym %d)",
 				step, k, n.Kind, n.Text, n.Sym, seen[n], tok, sym)
 		}
@@ -82,9 +84,9 @@ func checkRelexOracle(t *testing.T, s *Session, step string) {
 			k++
 			continue
 		}
-		if off, length, ok := d.NodeSpan(n); !ok || off != tok.Offset || length != len(tok.Text) {
+		if off, length, ok := d.NodeSpan(n); !ok || off != int(tok.Offset) || length != int(tok.Len) {
 			t.Fatalf("%s: terminal %d %q spans [%d,+%d) ok=%v, its token [%d,+%d)",
-				step, k, n.Text, off, length, ok, tok.Offset, len(tok.Text))
+				step, k, n.Text, off, length, ok, tok.Offset, tok.Len)
 		}
 		k++
 	}
