@@ -71,10 +71,10 @@ func (s *Session) Diagnostics() []Diagnostic {
 		}
 		line, col := s.doc.Position(off)
 		d := Diagnostic{Offset: off, Length: length, Line: line, Col: col}
-		if n.Err != nil {
-			d.Expected = n.Err.Expected
-			if n.Err.Region != grammar.InvalidSym {
-				d.Region = s.lang.def.Grammar.Name(n.Err.Region)
+		if det := s.doc.Arena().ErrorDetail(n); det != nil {
+			d.Expected = det.Expected
+			if det.Region != grammar.InvalidSym {
+				d.Region = s.lang.def.Grammar.Name(det.Region)
 			}
 		}
 		out = append(out, d)

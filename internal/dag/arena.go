@@ -39,13 +39,18 @@ type Arena struct {
 	// allocation per kidsChunk pointers replaces one per reduction.
 	// chainKids is the same for sequence chain nodes.
 	kidsBuf, chainKids []*Node
+	// errs is the error-detail table: the detail of each KindError node,
+	// keyed by its ID. Only error nodes enter it, so a node carries no
+	// pointer word for a detail that only error nodes use. Entries stay
+	// for the arena's life, as the nodes do.
+	errs map[int32]*ErrorDetail
 }
 
 // arenaChunk is the nodes-per-chunk batch size: as many nodes as fill the
-// allocator's largest small size class, 32 KiB (341 nodes of 96 bytes), so
-// a chunk wastes less than one node to rounding. That is large enough to
-// amortize allocation to noise, and a nearly-empty tail chunk costs at
-// most 32 KiB.
+// allocator's largest small size class, 32 KiB (409 nodes of 80 bytes, 48
+// bytes to spare), so a chunk wastes less than one node to rounding. That
+// is large enough to amortize allocation to noise, and a nearly-empty tail
+// chunk costs at most 32 KiB.
 const arenaChunk = 32 << 10 / int(unsafe.Sizeof(Node{}))
 
 // NewArena creates an empty arena.
@@ -117,7 +122,7 @@ func (a *Arena) allocIn(chunk *[]Node) *Node {
 func (a *Arena) Terminal(sym grammar.Sym, text string) *Node {
 	n := a.alloc()
 	n.Kind, n.Sym, n.Prod, n.State, n.Text = KindTerminal, sym, -1, NoState, text
-	n.FirstTerm, n.LastTerm, n.TermCount = n.ID, n.ID, 1
+	n.LastTerm, n.TermCount = n.ID, 1
 	return n
 }
 
@@ -173,23 +178,44 @@ func (a *Arena) Seq(sym grammar.Sym, kids []*Node) *Node {
 }
 
 // Error creates an isolated syntax-error region over the quarantined
-// terminal nodes kids (kept verbatim, in text order). The node carries
-// NoState so incremental reparses break it down instead of reusing it.
+// terminal nodes kids (kept verbatim, in text order) and records det, when
+// it is not nil, as the node's ErrorDetail. The node carries NoState so
+// incremental reparses break it down instead of reusing it.
 func (a *Arena) Error(kids []*Node, det *ErrorDetail) *Node {
 	n := a.alloc()
 	n.Kind, n.Sym, n.Prod, n.State, n.Kids = KindError, grammar.ErrorSym, -1, NoState, kids
-	n.Err = det
 	n.computeCover()
+	a.setErrorDetail(n.ID, det)
 	return n
 }
 
-// Clone allocates a shallow copy of n with a fresh identity (new ID). The
-// Kids slice is shared with the original; callers that rewire children must
-// replace it.
+func (a *Arena) setErrorDetail(id int32, det *ErrorDetail) {
+	if det == nil {
+		return
+	}
+	if a.errs == nil {
+		a.errs = make(map[int32]*ErrorDetail)
+	}
+	a.errs[id] = det
+}
+
+// ErrorDetail returns the failure detail recorded for the error node n of
+// this arena, or nil when n is not an error node or none was recorded.
+func (a *Arena) ErrorDetail(n *Node) *ErrorDetail {
+	if n.Kind != KindError {
+		return nil
+	}
+	return a.errs[n.ID]
+}
+
+// Clone allocates a shallow copy of n with a fresh identity (new ID), an
+// error node's detail included. The Kids slice is shared with the
+// original; callers that rewire children must replace it.
 func (a *Arena) Clone(n *Node) *Node {
 	c := a.alloc()
 	id := c.ID
 	*c = *n
 	c.ID = id
+	a.setErrorDetail(id, a.ErrorDetail(n))
 	return c
 }

@@ -412,13 +412,14 @@ func TestWalkVisitsSharedOnce(t *testing.T) {
 	}
 }
 
-// TestNodeSize pins the layout the Node comment describes: the kind and
-// the six flags share one word, a node is 96 bytes, and the collector
-// scans exactly four pointer words in it: Kids, Text, Parent and Err. The
-// yield bounds are node IDs, not pointers.
+// TestNodeSize pins the layout the Node comment describes: the kind,
+// Filtered and the flags byte share one word with the ID, a node is 80
+// bytes, and the collector scans exactly three pointer words in it: Kids,
+// Text and Parent. The last terminal is a node ID, not a pointer, and an
+// error node's detail lives in its arena's table.
 func TestNodeSize(t *testing.T) {
-	if got := unsafe.Sizeof(Node{}); got != 96 {
-		t.Fatalf("dag.Node is %d bytes, want 96", got)
+	if got := unsafe.Sizeof(Node{}); got != 80 {
+		t.Fatalf("dag.Node is %d bytes, want 80", got)
 	}
 	var ptrs []string
 	typ := reflect.TypeOf(Node{})
@@ -430,8 +431,30 @@ func TestNodeSize(t *testing.T) {
 			t.Fatalf("field %s (%s): count its pointer words before adding it", f.Name, f.Type)
 		}
 	}
-	if want := []string{"Kids", "Text", "Parent", "Err"}; !slices.Equal(ptrs, want) {
+	if want := []string{"Kids", "Text", "Parent"}; !slices.Equal(ptrs, want) {
 		t.Fatalf("dag.Node's pointer words are %v, want %v", ptrs, want)
+	}
+}
+
+// TestErrorDetailBesideTheTree: an error node's detail is kept in its
+// arena's table, not in the node; a clone of the node carries it, and no
+// other node has one.
+func TestErrorDetailBesideTheTree(t *testing.T) {
+	a := NewArena()
+	det := &ErrorDetail{Expected: []string{"';'"}, Region: 3}
+	x := a.Terminal(1, "x")
+	e := a.Error([]*Node{x}, det)
+	if got := a.ErrorDetail(e); got != det {
+		t.Fatalf("ErrorDetail of the error node = %v, want %v", got, det)
+	}
+	if got := a.ErrorDetail(a.Clone(e)); got != det {
+		t.Fatalf("ErrorDetail of a clone = %v, want %v", got, det)
+	}
+	if got := a.ErrorDetail(x); got != nil {
+		t.Fatalf("ErrorDetail of a terminal = %v, want nil", got)
+	}
+	if got := a.ErrorDetail(a.Error([]*Node{a.Terminal(1, "y")}, nil)); got != nil {
+		t.Fatalf("ErrorDetail of an error node built without one = %v, want nil", got)
 	}
 }
 
@@ -490,7 +513,7 @@ func TestReductionKeepsChainsApart(t *testing.T) {
 // while visiting one node of a clean tree.
 func TestHasErrorSummary(t *testing.T) {
 	clean := testArena.Production(2, 1, NoState, []*Node{term("a"), term("b")})
-	if clean.HasError {
+	if clean.HasError() {
 		t.Fatal("clean production carries HasError")
 	}
 	if errs, visited := CollectErrors(clean); len(errs) != 0 || visited != 1 {
@@ -499,13 +522,13 @@ func TestHasErrorSummary(t *testing.T) {
 	e1 := testArena.Error([]*Node{term("@")}, nil)
 	bad := testArena.Production(2, 2, NoState, []*Node{e1})
 	choice := testArena.Choice(2, testArena.Production(2, 3, NoState, []*Node{term("c")}), bad)
-	if !e1.HasError || !bad.HasError || !choice.HasError {
-		t.Fatalf("HasError: error %v, parent %v, choice over it %v", e1.HasError, bad.HasError, choice.HasError)
+	if !e1.HasError() || !bad.HasError() || !choice.HasError() {
+		t.Fatalf("HasError: error %v, parent %v, choice over it %v", e1.HasError(), bad.HasError(), choice.HasError())
 	}
 	e2 := testArena.Error([]*Node{term("$")}, nil)
 	later := testArena.Choice(2, testArena.Production(2, 4, NoState, []*Node{term("d")}))
 	later.AddChoice(testArena.Production(2, 5, NoState, []*Node{e2}))
-	if !later.HasError {
+	if !later.HasError() {
 		t.Fatal("AddChoice of an alternative with an error left HasError unset")
 	}
 	root := testArena.Production(2, 6, NoState, []*Node{clean, choice, later})

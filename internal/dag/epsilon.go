@@ -32,7 +32,7 @@ func UnshareEpsilon(a *Arena, root *Node) int {
 					continue // the fresh copy is uniquely owned; no revisit needed
 				}
 			}
-			if !k.Committed {
+			if !k.Committed() {
 				visit(n.Kids[i])
 			}
 		}

@@ -63,43 +63,27 @@ const (
 // identity; structural sharing is what makes the representation a dag.
 // Nodes are created through an Arena, which assigns the ID.
 //
-// Field order is deliberate: the one-byte kind and the six flags pack
-// into a single word, the int32s fill the next four, and the
-// pointer-bearing fields close the struct — 96 bytes and four pointer
-// words (Kids, Text, Parent, Err), which TestNodeSize pins. Node memory is
-// the dominant allocation of a cold batch parse (roughly one node per
-// input byte on C-like corpora), so every field byte is zeroed and
-// written, and every pointer word GC-scanned, millions of times per corpus
-// file; keep the struct tight, and its pointers few, when adding fields.
+// Field order is deliberate: the kind, Filtered and the flags byte share
+// one word with the ID, the int32s fill the next three, and the
+// pointer-bearing fields close the struct — 80 bytes and three pointer
+// words (Kids, Text, Parent), which TestNodeSize pins. What only some
+// nodes need lives beside the tree: an error node's detail in its arena's
+// table (Arena.ErrorDetail), and a node's first terminal is found by
+// position (FirstTerminal) rather than recorded. Node memory is the
+// dominant allocation of a cold batch parse (roughly one node per input
+// byte on C-like corpora), and the collector's cost follows a node's
+// bytes, so every field byte is zeroed, written and scanned millions of
+// times per corpus file; keep the struct tight, and its pointers few, when
+// adding fields.
 type Node struct {
 	Kind Kind
 	// Filtered marks an interpretation rejected by a semantic filter. The
 	// node is retained (semantic filtering is reversible, §4.2) but
 	// ignored by pipeline stages that read the embedded tree.
 	Filtered bool
-	// Changed marks terminals removed or modified since the last parse;
-	// the document layer maintains it.
-	Changed bool
-	// NestedChange marks interior nodes whose yield contains an edit since
-	// the last parse.
-	NestedChange bool
-	// Committed marks nodes that belong to a committed (parsed) tree;
-	// used to distinguish reused structure from freshly built structure.
-	Committed bool
-	// BudgetPruned marks a choice node whose interpretations were cut to
-	// the statically preferred one because the region exceeded the
-	// ambiguity budget (guard.Budget.MaxAlternatives). The tree is usable
-	// but no longer encodes the full forest for this region — analyses
-	// that rely on the §5 bounded-ambiguity claims should treat the region
-	// as disambiguated by policy, not by evidence.
-	BudgetPruned bool
-	// HasError summarizes the subtree: it is set when a KindError node is
-	// reachable from this one through any kid, every choice alternative
-	// included. The constructors compute it from the kids, and AddChoice
-	// and the parser's in-place choice promotion keep it, so CollectErrors
-	// skips every subtree without it. Filters that drop alternatives leave
-	// it set, which only makes that walk look further.
-	HasError bool
+	// flags holds the five bookkeeping bits (flagChanged …), read and set
+	// through the methods of the same names.
+	flags uint8
 	// ID is the dense per-arena node number, assigned at allocation. It
 	// never changes and is unique within the node's arena; Scratch tables
 	// index by it.
@@ -114,24 +98,25 @@ type Node struct {
 	// shifted (state-matching, §3.2), or NoState / MultiState.
 	State int32
 
-	// Incremental bookkeeping (§3.2–3.3). The paper notes that recording
-	// the leftmost terminal descendant in every node trades space for the
-	// ability to locate reuse candidates without traversal; we record it,
-	// and the rightmost terminal (for the right-context check), as node
-	// IDs rather than pointers, so the collector never follows them, plus
-	// the terminal count (to advance the input cursor past a shifted
-	// subtree).
+	// Incremental bookkeeping (§3.2–3.3). The paper records the leftmost
+	// terminal descendant in every node to locate reuse candidates without
+	// traversal; here a subtree starts at a terminal exactly when the climb
+	// from that terminal passes only through first kids (document.Stream's
+	// maximalSubtree), so the record is the position, not a field. The
+	// rightmost terminal is recorded (for the right-context check) as a
+	// node ID, which the collector never follows, and so is the terminal
+	// count (to advance the input cursor past a shifted subtree).
 
-	// TermCount is the number of terminal leaves in the subtree.
+	// TermCount is the number of terminal leaves in the subtree; 0 for a
+	// null yield.
 	TermCount int32
 	// SeqCount is the number of sequence elements under a KindSeq node
 	// (1 for any other node); it makes balanced-sequence indexing O(1)
 	// per level.
 	SeqCount int32
-	// FirstTerm and LastTerm are the IDs of the first and last terminal of
-	// the node's yield; -1 for a null-yield subtree. FirstTerminal finds
-	// the first terminal's node.
-	FirstTerm, LastTerm int32
+	// LastTerm is the ID of the last terminal of the node's yield; -1 for
+	// a null-yield subtree. FirstTerminal finds the first terminal's node.
+	LastTerm int32
 	// Kids are the children: RHS instances for production nodes,
 	// alternatives for choice nodes, elements/subsequences for KindSeq.
 	Kids []*Node
@@ -141,9 +126,67 @@ type Node struct {
 	// (ambiguous regions) record one representative parent; any parent
 	// chain reaches the root, which is all change propagation needs.
 	Parent *Node
-	// Err carries the failure detail of a KindError node (nil otherwise).
-	Err *ErrorDetail
 }
+
+// The bits of Node.flags.
+const (
+	flagChanged uint8 = 1 << iota
+	flagNestedChange
+	flagCommitted
+	flagBudgetPruned
+	flagHasError
+)
+
+func (n *Node) set(bit uint8, on bool) {
+	if on {
+		n.flags |= bit
+	} else {
+		n.flags &^= bit
+	}
+}
+
+// Changed marks terminals removed or modified since the last parse; the
+// document layer maintains it.
+func (n *Node) Changed() bool { return n.flags&flagChanged != 0 }
+
+// SetChanged sets or clears Changed.
+func (n *Node) SetChanged(on bool) { n.set(flagChanged, on) }
+
+// NestedChange marks interior nodes whose yield contains an edit since the
+// last parse.
+func (n *Node) NestedChange() bool { return n.flags&flagNestedChange != 0 }
+
+// SetNestedChange sets or clears NestedChange.
+func (n *Node) SetNestedChange(on bool) { n.set(flagNestedChange, on) }
+
+// Committed marks nodes that belong to a committed (parsed) tree; used to
+// distinguish reused structure from freshly built structure.
+func (n *Node) Committed() bool { return n.flags&flagCommitted != 0 }
+
+// SetCommitted sets or clears Committed.
+func (n *Node) SetCommitted(on bool) { n.set(flagCommitted, on) }
+
+// BudgetPruned marks a choice node whose interpretations were cut to the
+// statically preferred one because the region exceeded the ambiguity
+// budget (guard.Budget.MaxAlternatives). The tree is usable but no longer
+// encodes the full forest for this region — analyses that rely on the §5
+// bounded-ambiguity claims should treat the region as disambiguated by
+// policy, not by evidence.
+func (n *Node) BudgetPruned() bool { return n.flags&flagBudgetPruned != 0 }
+
+// SetBudgetPruned sets or clears BudgetPruned.
+func (n *Node) SetBudgetPruned(on bool) { n.set(flagBudgetPruned, on) }
+
+// HasError summarizes the subtree: it is set when a KindError node is
+// reachable from this one through any kid, every choice alternative
+// included. The constructors compute it from the kids, and AddChoice and
+// the parser's in-place choice promotion keep it, so CollectErrors skips
+// every subtree without it. Filters that drop alternatives leave it set,
+// which only makes that walk look further.
+func (n *Node) HasError() bool { return n.flags&flagHasError != 0 }
+
+// SetHasError sets or clears HasError.
+func (n *Node) SetHasError(on bool) { n.set(flagHasError, on) }
 
 // ErrorDetail records why a KindError region failed to parse — the raw
 // material of the session's Diagnostics API. Positions are not stored: they
@@ -164,29 +207,26 @@ type ErrorDetail struct {
 // written once.
 func (n *Node) computeCover() {
 	var count int32
-	first, last := int32(-1), int32(-1)
+	last := int32(-1)
 	hasErr := n.Kind == KindError
 	for i, k := range n.Kids {
-		hasErr = hasErr || k.HasError
+		hasErr = hasErr || k.HasError()
 		if n.Kind == KindChoice && i > 0 {
 			continue // all interpretations share one yield
 		}
 		count += k.TermCount
-		if first < 0 {
-			first = k.FirstTerm
-		}
 		if k.LastTerm >= 0 {
 			last = k.LastTerm
 		}
 	}
-	n.TermCount, n.HasError = count, hasErr
-	n.FirstTerm, n.LastTerm = first, last
+	n.TermCount, n.LastTerm = count, last
+	n.SetHasError(hasErr)
 }
 
-// FirstTerminal returns the first terminal of n's yield — the node whose
-// ID is FirstTerm — or nil for a null yield. It descends through the first
-// kid with a yield at each level (at a choice, the first interpretation,
-// since all of them share one yield), so it costs the depth.
+// FirstTerminal returns the first terminal of n's yield, or nil for a null
+// yield. It descends through the first kid with a yield at each level (at
+// a choice, the first interpretation, since all of them share one yield),
+// so it costs the depth.
 func (n *Node) FirstTerminal() *Node {
 	for n != nil && n.Kind != KindTerminal {
 		kids := n.Kids
@@ -223,7 +263,9 @@ func (n *Node) AddChoice(alt *Node) {
 		panic("dag: AddChoice on non-choice node")
 	}
 	n.Kids = append(n.Kids, alt)
-	n.HasError = n.HasError || alt.HasError
+	if alt.HasError() {
+		n.SetHasError(true)
+	}
 }
 
 // Selected returns the surviving interpretation of a choice node: the
@@ -373,14 +415,14 @@ func CollectErrors(root *Node) (errs []*Node, visited int) {
 	if root == nil {
 		return nil, 0
 	}
-	if !root.HasError {
+	if !root.HasError() {
 		return nil, 1
 	}
 	seen := make(map[*Node]bool)
 	var collect func(n *Node)
 	collect = func(n *Node) {
 		visited++
-		if !n.HasError || seen[n] {
+		if !n.HasError() || seen[n] {
 			return
 		}
 		seen[n] = true

@@ -67,7 +67,7 @@ func SeqRecord(n *Node) *Node {
 	switch {
 	case n.Kind == KindSeq:
 		return n
-	case n.Committed && n.Parent != nil && n.Parent.Kind == KindSeq:
+	case n.Committed() && n.Parent != nil && n.Parent.Kind == KindSeq:
 		return n.Parent
 	}
 	return nil

@@ -72,7 +72,7 @@ func Measure(root *Node) Stats {
 		case KindError:
 			s.ErrorNodes++
 		}
-		if n.BudgetPruned {
+		if n.BudgetPruned() {
 			s.BudgetPruned++
 		}
 	})

@@ -131,7 +131,7 @@ func (p *Parser) Parse(stream Stream) (*dag.Node, error) {
 				stream.Pop()
 				continue
 			}
-			if !la.Changed && !la.IsChoice() && la.State >= 0 {
+			if !la.Changed() && !la.IsChoice() && la.State >= 0 {
 				if gt := p.table.Goto(top, la.Sym); gt >= 0 && gt == int(la.State) {
 					p.stack = append(p.stack, entry{state: gt, node: la})
 					p.Stats.Shifts++
@@ -161,7 +161,7 @@ func (p *Parser) Parse(stream Stream) (*dag.Node, error) {
 		switch act.Kind {
 		case lr.Shift:
 			la.State = int32(act.Target)
-			la.Changed = false
+			la.SetChanged(false)
 			p.stack = append(p.stack, entry{state: int(act.Target), node: la})
 			p.Stats.Shifts++
 			p.Stats.TerminalShifts++

@@ -158,7 +158,7 @@ func (d *Document) newTerminal(tok lexer.Token, text string) *dag.Node {
 		}
 	}
 	n := d.arena.Terminal(sym, text)
-	n.Changed = true
+	n.SetChanged(true)
 	return n
 }
 
@@ -359,8 +359,8 @@ func oldTextHas(text string, e lexer.Edit, rem string, o int, s string) bool {
 func (d *Document) markDamage(lo, hi int) {
 	// Mark removed terminals and their spines in the old tree.
 	for i := lo; i < hi; i++ {
-		if n := d.TermAt(i); n.Committed {
-			n.Changed = true
+		if n := d.TermAt(i); n.Committed() {
+			n.SetChanged(true)
 			d.marked = append(d.marked, n)
 			d.propagate(n)
 		}
@@ -372,7 +372,7 @@ func (d *Document) markDamage(lo, hi int) {
 	// significant terminal was removed (e.g. an identifier typed into
 	// whitespace).
 	if lo > 0 {
-		if n := d.TermAt(lo - 1); n.Committed {
+		if n := d.TermAt(lo - 1); n.Committed() {
 			d.rightChanged = append(d.rightChanged, n.ID)
 			d.propagate(n)
 			return
@@ -381,7 +381,7 @@ func (d *Document) markDamage(lo, hi int) {
 	// Damage at the very start: invalidate via the following significant
 	// old terminal instead.
 	if hi < d.NumTerms() {
-		if n := d.TermAt(hi); n.Committed {
+		if n := d.TermAt(hi); n.Committed() {
 			d.propagate(n)
 		}
 	}
@@ -390,8 +390,8 @@ func (d *Document) markDamage(lo, hi int) {
 // propagate sets NestedChange up the parent spine, recording what was
 // marked so Commit can clear it.
 func (d *Document) propagate(n *dag.Node) {
-	for a := n.Parent; a != nil && !a.NestedChange; a = a.Parent {
-		a.NestedChange = true
+	for a := n.Parent; a != nil && !a.NestedChange(); a = a.Parent {
+		a.SetNestedChange(true)
 		d.marked = append(d.marked, a)
 	}
 }
@@ -403,8 +403,8 @@ func (d *Document) propagate(n *dag.Node) {
 // tree's leaves.
 func (d *Document) Commit(root *dag.Node) {
 	for _, n := range d.marked {
-		n.Changed = false
-		n.NestedChange = false
+		n.SetChanged(false)
+		n.SetNestedChange(false)
 	}
 	d.marked = d.marked[:0]
 	d.rightChanged = d.rightChanged[:0]
@@ -423,10 +423,10 @@ func (d *Document) Commit(root *dag.Node) {
 // are untouched — their parents are still correct — which keeps the commit
 // proportional to the amount of new structure.
 func (d *Document) commitWalk(n *dag.Node) {
-	fresh := !n.Committed
-	n.Committed = true
-	n.Changed = false
-	n.NestedChange = false
+	fresh := !n.Committed()
+	n.SetCommitted(true)
+	n.SetChanged(false)
+	n.SetNestedChange(false)
 	if !fresh {
 		return
 	}
@@ -434,7 +434,7 @@ func (d *Document) commitWalk(n *dag.Node) {
 	// readings, can hold a chain.
 	host := n.Kind != dag.KindProduction || d.g.IsSeqHost(int(n.Prod))
 	for i, k := range n.Kids {
-		if host && !k.Committed && dag.IsSeqChain(d.g, k) {
+		if host && !k.Committed() && dag.IsSeqChain(d.g, k) {
 			if d.seq == nil {
 				d.seq = dag.NewSeqBuilder(d.arena, d.g)
 			}
@@ -599,7 +599,7 @@ func (d *Document) edgePresent(n *dag.Node, i int, fromEnd bool) (int, *dag.Node
 	d.LastReadWork++
 	switch n.Kind {
 	case dag.KindTerminal:
-		if n.Changed {
+		if n.Changed() {
 			return 0, nil
 		}
 		return i, n

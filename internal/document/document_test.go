@@ -23,7 +23,7 @@ type testLang struct {
 
 func newTestLang(t testing.TB) *testLang {
 	t.Helper()
-	g, err := grammar.Parse(`
+	l := buildTestLang(t, `
 %token ID NUM '=' ';' '+' '(' ')'
 %start Prog
 Prog : Stmt* ;
@@ -31,6 +31,17 @@ Stmt : ID '=' Expr ';' ;
 Expr : Expr '+' Term | Term ;
 Term : ID | NUM | '(' Expr ')' ;
 `)
+	if !l.tbl.Deterministic() {
+		t.Fatalf("test language should be deterministic:\n%s", l.tbl.DescribeConflicts())
+	}
+	return l
+}
+
+// buildTestLang builds a language of grammar src over the assignment
+// language's tokens.
+func buildTestLang(t testing.TB, src string) *testLang {
+	t.Helper()
+	g, err := grammar.Parse(src)
 	if err != nil {
 		t.Fatalf("grammar: %v", err)
 	}
@@ -51,9 +62,6 @@ Term : ID | NUM | '(' Expr ')' ;
 	tbl, err := lr.Build(g, lr.Options{Method: lr.LALR})
 	if err != nil {
 		t.Fatalf("table: %v", err)
-	}
-	if !tbl.Deterministic() {
-		t.Fatalf("test language should be deterministic:\n%s", tbl.DescribeConflicts())
 	}
 	m := map[int]grammar.Sym{
 		spec.RuleIndex("ID"):   g.Lookup("ID"),

@@ -14,8 +14,8 @@ import (
 //
 //  1. the significant terminals concatenate to the text minus skip tokens;
 //  2. after a commit, every terminal's parent chain reaches the root;
-//  3. every committed node's terminal cover (FirstTerm/LastTerm/TermCount,
-//     and the node FirstTerminal finds) is consistent with its subtree;
+//  3. every committed node's terminal cover (LastTerm/TermCount, and the
+//     node FirstTerminal finds) is consistent with its subtree;
 //  4. no change bits remain set after a commit.
 
 func checkInvariants(t *testing.T, l *testLang, d *Document) {
@@ -59,7 +59,7 @@ func checkInvariants(t *testing.T, l *testLang, d *Document) {
 
 	// (3) cover consistency and (4) clean bits.
 	root.Walk(func(n *dag.Node) {
-		if n.NestedChange || n.Changed {
+		if n.NestedChange() || n.Changed() {
 			t.Fatalf("change bit set after commit: %v", n)
 		}
 		terms := n.Terminals(nil)
@@ -67,14 +67,14 @@ func checkInvariants(t *testing.T, l *testLang, d *Document) {
 			t.Fatalf("TermCount %d != %d for %v", n.TermCount, len(terms), n)
 		}
 		if len(terms) == 0 {
-			if n.FirstTerm != -1 || n.LastTerm != -1 || n.FirstTerminal() != nil {
-				t.Fatalf("null-yield node with cover: %v (%d, %d)", n, n.FirstTerm, n.LastTerm)
+			if n.LastTerm != -1 || n.FirstTerminal() != nil {
+				t.Fatalf("null-yield node with cover: %v (last %d)", n, n.LastTerm)
 			}
 			return
 		}
 		first, last := terms[0], terms[len(terms)-1]
-		if n.FirstTerm != first.ID || n.LastTerm != last.ID {
-			t.Fatalf("cover (%d, %d) of %v, yield runs from %d to %d", n.FirstTerm, n.LastTerm, n, first.ID, last.ID)
+		if n.LastTerm != last.ID {
+			t.Fatalf("LastTerm %d of %v, yield ends at %d", n.LastTerm, n, last.ID)
 		}
 		if got := n.FirstTerminal(); got != first {
 			t.Fatalf("FirstTerminal of %v is %v, yield starts at %v", n, got, first)

@@ -113,16 +113,34 @@ func (s *Stream) skip() {
 // context an edit changed. It returns t itself when there is none.
 func maximalSubtree(t *dag.Node, maxTerms int, rightChanged []int32) *dag.Node {
 	best := t
-	if !t.Committed || t.Changed {
+	if !t.Committed() || t.Changed() {
 		return best
 	}
-	for a := t.Parent; a != nil && a.Committed && a.FirstTerm == t.ID && !a.NestedChange && int(a.TermCount) <= maxTerms; a = a.Parent {
+	for c, a := t, t.Parent; a != nil && a.Committed() && !a.NestedChange() && int(a.TermCount) <= maxTerms && startsWith(a, c, t); c, a = a, a.Parent {
 		if _, changed := slices.BinarySearch(rightChanged, a.LastTerm); changed || a.LastTerm < 0 {
 			break
 		}
 		best = a
 	}
 	return best
+}
+
+// startsWith reports whether the yield of a, the Parent of c, starts with
+// the terminal t, given that c's yield does. That holds by position when c
+// is a's first kid with a yield, or any reading of a choice (the readings
+// share one yield), and fails when a kid with a yield precedes c. A child
+// can be missing from its parent's kids: disambig.Apply collapses a choice
+// into its surviving reading, which keeps the choice as its Parent. Only
+// then is a's first terminal found by descent.
+func startsWith(a, c, t *dag.Node) bool {
+	earlier := false // a kid with a yield precedes c
+	for _, k := range a.Kids {
+		if k == c {
+			return !earlier || a.Kind == dag.KindChoice
+		}
+		earlier = earlier || k.TermCount > 0
+	}
+	return a.FirstTerminal() == t
 }
 
 // Pop advances past the current subtree.

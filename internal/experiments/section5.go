@@ -324,9 +324,10 @@ func RunSection5Space(n int) (Section5Space, error) {
 }
 
 // Section5Ambiguity measures the incremental cost of carrying ambiguous
-// regions: identical edit scripts over a program with ambiguous constructs
-// and the same program with none. The paper reports well under 1% extra
-// reconstruction time.
+// regions: one edit script over a program with none and over the same
+// program with ambiguous constructs inserted, each edit shifted past the
+// inserted bytes. The paper reports well under 1% extra reconstruction
+// time.
 type Section5Ambiguity struct {
 	Lines     int
 	Ambiguous int
@@ -344,10 +345,11 @@ type Section5Ambiguity struct {
 }
 
 // RunSection5Ambiguity runs the comparison at the given size with nEdits
-// self-cancelling pairs applied outside the ambiguous regions. Both
-// documents are built and parsed first; their reparses then alternate pair
-// by pair, each program going first on every other pair, so that a change
-// in the machine's speed during the run falls on both alike.
+// self-cancelling pairs applied outside the ambiguous regions, which sit
+// at 20 per thousand lines. Both documents are built and parsed first;
+// their reparses then alternate pair by pair, each program going first on
+// every other pair, so that a change in the machine's speed during the run
+// falls on both alike.
 func RunSection5Ambiguity(lines, nEdits int) (Section5Ambiguity, error) {
 	// side is one program of the comparison: its committed document,
 	// parser and edit pairs, and the time and work of each reparse.
@@ -358,19 +360,26 @@ func RunSection5Ambiguity(lines, nEdits int) (Section5Ambiguity, error) {
 		ns    []float64
 		work  int
 	}
-	open := func(density float64) (*side, int, error) {
-		// Same seed: identical programs except the ambiguous constructs.
-		spec := corpus.Spec{Name: "amb", Lines: lines, Lang: "c",
-			AmbiguousPerKLoC: density, Seed: 21}
-		src, amb := corpus.Generate(spec)
-		l := LangFor(spec)
-		s := &side{d: l.NewDocument(src), p: iglr.New(l.Table), pairs: corpus.SelfCancellingEdits(src, nEdits, 11)}
+	spec := corpus.Spec{Name: "amb", Lines: lines, Lang: "c", Seed: 21}
+	l := LangFor(spec)
+	open := func(src string, pairs [][2]corpus.Edit) (*side, error) {
+		s := &side{d: l.NewDocument(src), p: iglr.New(l.Table), pairs: pairs}
 		root, err := s.p.Parse(s.d.Stream())
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		s.d.Commit(root)
-		return s, amb, nil
+		return s, nil
+	}
+	src, _ := corpus.Generate(spec)
+	pairs := corpus.SelfCancellingEdits(src, nEdits, 11)
+	ambSrc, nAmb, shift := withAmbiguity(src, lines*20/1000)
+	ambPairs := make([][2]corpus.Edit, len(pairs))
+	for i, pair := range pairs {
+		for j, e := range pair {
+			e.Offset = shift(e.Offset)
+			ambPairs[i][j] = e
+		}
 	}
 	reparse := func(s *side, i int) error {
 		for _, e := range s.pairs[i] {
@@ -387,15 +396,15 @@ func RunSection5Ambiguity(lines, nEdits int) (Section5Ambiguity, error) {
 		return nil
 	}
 
-	plain, _, err := open(0)
+	plain, err := open(src, pairs)
 	if err != nil {
 		return Section5Ambiguity{}, err
 	}
-	amb, nAmb, err := open(20)
+	amb, err := open(ambSrc, ambPairs)
 	if err != nil {
 		return Section5Ambiguity{}, err
 	}
-	for i := range min(len(plain.pairs), len(amb.pairs)) {
+	for i := range pairs {
 		order := [2]*side{plain, amb}
 		if i%2 == 1 {
 			order = [2]*side{amb, plain}
@@ -419,6 +428,56 @@ func RunSection5Ambiguity(lines, nEdits int) (Section5Ambiguity, error) {
 		AmbWorkPerRe:    ambWork,
 		WorkOverheadPct: 100 * (ambWork - plainWork) / plainWork,
 	}, nil
+}
+
+// withAmbiguity inserts up to n ambiguous constructs `tN(ambK);`, the kind
+// corpus.Generate emits, into src, a program it generated with none: one
+// in the middle of each of n evenly spaced blocks, as Generate places
+// them. It returns the program, the number of constructs inserted, and
+// shift, which maps an offset of src to the same byte of the program. Two
+// programs Generate makes with different densities share no edit script,
+// since its random stream diverges at the first construct; an edit of src
+// moved by shift is the same edit of this one.
+func withAmbiguity(src string, n int) (string, int, func(int) int) {
+	const middle = 8 // lines from a block's '{' to its middle statement
+	var mids []int   // offset of each block's middle statement
+	brace := -1      // line of the last '{'
+	for off, line := 0, 0; off < len(src); line++ {
+		end := len(src)
+		if i := strings.IndexByte(src[off:], '\n'); i >= 0 {
+			end = off + i + 1
+		}
+		switch {
+		case src[off:end] == "{\n":
+			brace = line
+		case brace >= 0 && line == brace+middle:
+			mids = append(mids, off)
+		}
+		off = end
+	}
+	type insertion struct{ at, size int }
+	var ins []insertion
+	var b strings.Builder
+	last := 0
+	for i := 0; n > 0 && i < len(mids) && len(ins) < n; i += max(len(mids)/n, 1) {
+		stmt := fmt.Sprintf("  t%d(amb%d);\n", len(ins)%8, len(ins))
+		b.WriteString(src[last:mids[i]])
+		b.WriteString(stmt)
+		ins = append(ins, insertion{mids[i], len(stmt)})
+		last = mids[i]
+	}
+	b.WriteString(src[last:])
+	shift := func(off int) int {
+		moved := off
+		for _, in := range ins {
+			if in.at > off {
+				break
+			}
+			moved += in.size
+		}
+		return moved
+	}
+	return b.String(), len(ins), shift
 }
 
 // median returns the median of xs, which it sorts, or 0 when xs is empty.

@@ -199,7 +199,7 @@ func (p *Parser) burst() error {
 
 		// Shift la, exactly as the shifter would for one parser.
 		la.State = int32(target)
-		la.Changed = false
+		la.SetChanged(false)
 		p.Stats.Rounds++
 		p.Stats.Shifts++
 		p.Stats.TerminalShifts++

@@ -67,7 +67,7 @@ func retained(rule int, kids []*dag.Node) *dag.Node {
 		return nil // ε instances are always rebuilt (§3.5)
 	}
 	old := kids[0].Parent
-	if old == nil || !old.Committed || old.Kind != dag.KindProduction ||
+	if old == nil || !old.Committed() || old.Kind != dag.KindProduction ||
 		int(old.Prod) != rule || len(old.Kids) != len(kids) {
 		return nil
 	}
@@ -344,7 +344,7 @@ func (p *Parser) enforceAltCap(n *dag.Node) *dag.Node {
 		}
 	}
 	n.Kids = append(n.Kids[:0], best)
-	n.BudgetPruned = true
+	n.SetBudgetPruned(true)
 	p.Stats.BudgetPruned++
 	if p.Trace != nil {
 		p.tracef("P: ambiguity budget pruned %s to 1 alternative", p.g.Name(n.Sym))
@@ -641,7 +641,7 @@ func (p *Parser) appendSeq(a *gssNode, la *dag.Node) bool {
 // subtrees consumed dynamic lookahead and must be reconstructed (§3.3);
 // choice nodes are multi-state by definition.
 func (p *Parser) reusable(n *dag.Node) bool {
-	return !n.Changed && !n.IsChoice() && n.State >= 0
+	return !n.Changed() && !n.IsChoice() && n.State >= 0
 }
 
 func countTerms(n *dag.Node) int { return int(n.TermCount) }
@@ -863,7 +863,7 @@ func (p *Parser) shifter() {
 			p.Stats.SeqPieces++
 		}
 	}
-	la.Changed = false
+	la.SetChanged(false)
 	if len(p.seqMulti) > 0 {
 		p.stampSeqMulti()
 	}

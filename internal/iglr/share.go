@@ -21,13 +21,16 @@ type nodeKey struct {
 	kids string // concatenated child IDs, 4 bytes little-endian each
 }
 
-// coverKey identifies a yield region by the IDs of its first and last
-// terminal instances (cover, Appendix A). Null-yield nodes have no
-// extremes (-1); within one shift round they all sit at the same input
-// position, so merging them by symbol alone is sound.
+// coverKey identifies a yield region (cover, Appendix A) by its terminal
+// count and the ID of its last terminal instance. Within one parse a
+// terminal instance sits at one input position, so the two name the span
+// the first and last terminal would. Null-yield nodes have neither (0,
+// -1); within one shift round they all sit at the same input position, so
+// merging them by symbol alone is sound.
 type coverKey struct {
-	sym    grammar.Sym
-	lo, hi int32
+	sym   grammar.Sym
+	terms int32
+	last  int32
 }
 
 // share holds the per-round sharing state. The maps persist across rounds
@@ -97,7 +100,7 @@ func (s *share) kidsKey(kids []*dag.Node) string {
 // proxy-replacement, footnote 10). It returns the node to link into the GSS.
 func (s *share) mergeInterpretation(a *dag.Arena, n *dag.Node) *dag.Node {
 	s.dirty = true
-	key := coverKey{sym: n.Sym, lo: n.FirstTerm, hi: n.LastTerm}
+	key := coverKey{sym: n.Sym, terms: n.TermCount, last: n.LastTerm}
 	existing, ok := s.symbols[key]
 	if !ok {
 		s.symbols[key] = n
@@ -136,6 +139,6 @@ func addInterpretation(a *dag.Arena, target, alt *dag.Node) *dag.Node {
 	target.State = dag.MultiState
 	target.Text = ""
 	target.Kids = []*dag.Node{first, alt}
-	target.HasError = first.HasError || alt.HasError
+	target.SetHasError(first.HasError() || alt.HasError())
 	return target
 }

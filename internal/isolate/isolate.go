@@ -290,7 +290,7 @@ func (s *splicer) failureRegion(anchor int) failed {
 func (s *splicer) elementSpan(t *dag.Node) (lo, hi int, ok bool) {
 	for n := t; n != nil; n = n.Parent {
 		p := n.Parent
-		if p == nil || !n.Committed {
+		if p == nil || !n.Committed() {
 			return 0, 0, false
 		}
 		if isSeqStruct(s.g, p) && !isSeqStruct(s.g, n) {
@@ -380,7 +380,7 @@ func adjacentRegion(regions []Region, anchor int) int {
 // caller falls back to token-level growth).
 func (s *splicer) escalate(r Region) (lo, hi int, ok bool) {
 	for i := r.Hi - 1; i >= r.Lo; i-- {
-		for n := s.term(i); n != nil && n.Committed; n = n.Parent {
+		for n := s.term(i); n != nil && n.Committed(); n = n.Parent {
 			p := n.Parent
 			if p == nil {
 				break

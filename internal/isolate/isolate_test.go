@@ -60,11 +60,12 @@ func TestIsolateMiddleStatement(t *testing.T) {
 	if got := strings.Join(toks, " "); got != "int ( ;" {
 		t.Fatalf("quarantined tokens = %q, want %q", got, "int ( ;")
 	}
-	if e.Err == nil || len(e.Err.Expected) == 0 {
-		t.Fatalf("error detail missing expected-token set: %+v", e.Err)
+	det := d.Arena().ErrorDetail(e)
+	if det == nil || len(det.Expected) == 0 {
+		t.Fatalf("error detail missing expected-token set: %+v", det)
 	}
-	if e.Err.Region < 0 {
-		t.Fatalf("error detail missing isolating region: %+v", e.Err)
+	if det.Region < 0 {
+		t.Fatalf("error detail missing isolating region: %+v", det)
 	}
 	d.Commit(res.Root)
 

@@ -38,7 +38,7 @@ func CStyleSemantics(l *Language) semantics.Config {
 			if n.Kind != production || n.Sym != declSym || isTypedef(n) {
 				return "", false
 			}
-			if id := findFirst(n, declIdSym); id != nil && id.FirstTerm >= 0 {
+			if id := findFirst(n, declIdSym); id != nil && id.TermCount > 0 {
 				return id.FirstTerminal().Text, true
 			}
 			return "", false

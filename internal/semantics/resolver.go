@@ -57,7 +57,7 @@ func (r *Resolver) Resolve(root *dag.Node) (Result, []ReinterpretedRegion) {
 	var flips []ReinterpretedRegion
 	occ := map[string]int{}
 	root.Walk(func(n *dag.Node) {
-		if n.Kind != dag.KindChoice || n.FirstTerm < 0 {
+		if n.Kind != dag.KindChoice || n.TermCount == 0 {
 			return
 		}
 		name := n.FirstTerminal().Text

@@ -181,7 +181,7 @@ func checkDiverged(t *testing.T, l restoreLang, live, twin *Session, res *sessco
 	pruned := func(n *Node) (keys []sesscodec.ChoiceKey) {
 		sites, _ := choiceSites(n)
 		for _, c := range sites {
-			if c.n.BudgetPruned {
+			if c.n.BudgetPruned() {
 				keys = append(keys, c.key)
 			}
 		}
@@ -297,7 +297,7 @@ func runRestoreScript(t *testing.T, l restoreLang, seed int64, steps int, st *re
 		if root := live.Tree(); root != nil {
 			sites, _ := choiceSites(root)
 			for _, c := range sites {
-				if c.n.BudgetPruned {
+				if c.n.BudgetPruned() {
 					st.prunes++
 				}
 			}

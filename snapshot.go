@@ -101,8 +101,8 @@ func (s *Session) marshalSnapshot(tag uint64) ([]byte, error) {
 				return nil, fmt.Errorf("incremental: snapshot: an error region is not in the committed tree")
 			}
 			r := isolate.Region{Lo: i, Hi: i + int(n.TermCount)}
-			if n.Err != nil {
-				r.Expected = n.Err.Expected
+			if det := s.doc.Arena().ErrorDetail(n); det != nil {
+				r.Expected = det.Expected
 			}
 			st.Regions = append(st.Regions, r)
 		}
@@ -144,7 +144,7 @@ func choiceSites(root *Node) ([]choiceSite, uint64) {
 	var walk func(n *Node, base int) uint64
 	walk = func(n *Node, base int) uint64 {
 		w := uint64(n.Kind)<<32 | uint64(uint32(n.Sym))
-		if n.BudgetPruned {
+		if n.BudgetPruned() {
 			w |= 1 << 40
 		}
 		h := mix(w, uint64(uint32(n.Prod)))
