@@ -4,15 +4,12 @@
 // retry_after_ms}), and the client retries them with jittered exponential
 // backoff, honoring the server's hint as the floor for each wait.
 //
-// Retry safety is decided by the shed code, not the status: admission-gate
-// sheds (queue_full, inflight_cap, memory_pressure, quota, shutdown,
-// deadline, stalled) mean the daemon acted on nothing, so they are retried
-// for every method. The one exception is "parse_pending" — the edit batch
-// was accepted and is durable, only its reparse failed — which is never
-// auto-retried for a mutating request (re-sending would apply it twice);
-// likewise sheds without a code, and transport-level errors, where the
-// server may have acted without answering, are retried only for
-// idempotent methods.
+// Retry safety is decided by the shed code, not the status: a coded shed
+// (queue_full, inflight_cap, memory_pressure, quota, shutdown, deadline,
+// stalled) means nothing the request asked for stands, so it is retried
+// for every method. Sheds without a code, and transport-level errors,
+// where the server may have acted without answering, are retried only
+// for idempotent methods.
 //
 // The chaos/overload harness and iglrbench's daemon_mix workload drive the
 // daemon through this package, so its backoff behavior is itself under
@@ -57,13 +54,6 @@ func (e *StatusError) Error() string {
 // retrying after its hint.
 func (e *StatusError) Shed() bool {
 	return e.Status == http.StatusTooManyRequests || e.Status == http.StatusServiceUnavailable
-}
-
-// retrySafe reports whether replaying the request cannot double-apply it:
-// the shed carries a code, and that code is not "parse_pending" (whose
-// edit batch is already durable server-side).
-func (e *StatusError) retrySafe() bool {
-	return e.Code != "" && e.Code != "parse_pending"
 }
 
 // Options tunes a Client. The zero value gets sensible defaults.
@@ -200,10 +190,10 @@ func (c *Client) Close(ctx context.Context, id string) error {
 	return c.do(ctx, http.MethodDelete, "/sessions/"+id, nil, nil)
 }
 
-// do runs one request with retry. Coded shed responses other than
-// parse_pending (the daemon guarantees it acted on nothing) retry for
-// every method; uncoded sheds and transport errors retry only for
-// idempotent methods, since the server may have acted.
+// do runs one request with retry. Coded shed responses (nothing the
+// request asked for stands) retry for every method; uncoded sheds and
+// transport errors retry only for idempotent methods, since the server
+// may have acted.
 func (c *Client) do(ctx context.Context, method, path string, body, out any) error {
 	var payload []byte
 	if body != nil {
@@ -234,7 +224,7 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 			if !se.Shed() {
 				return lastErr // a real 4xx/5xx answer, not backpressure
 			}
-			if !se.retrySafe() && !idempotent {
+			if se.Code == "" && !idempotent {
 				return lastErr // the server may already hold this mutation
 			}
 			retriable = true

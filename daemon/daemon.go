@@ -240,22 +240,13 @@ func (d *Daemon) Shutdown(ctx context.Context) error {
 }
 
 // parkSession closes one session and releases its governor account. Runs
-// on the session's shard goroutine. With persistence on, the session is
-// parked on disk first (the next touch restores it); pressure is true for
+// on the session's shard goroutine, between requests: a request's task
+// applies and parses its batch, so a session never waits here with work a
+// shed request left behind. With persistence on, the session is parked on
+// disk first (the next touch restores it); pressure is true for
 // memory-pressure evictions, false for TTL ones (they count differently).
-//
-// A session with an uncommitted parse (fresh before its first parse, or
-// an edit batch whose parse is still queued) is skipped: snapshotting it
-// would persist work whose request may have been shed, and a client retry
-// after the shed would then apply it twice. The tradeoff: such a session
-// stays in RAM until a parse commits it; bounded, since the next touch or
-// the request already in its queue runs that parse.
 func (d *Daemon) parkSession(sess *session, when string, pressure bool) {
-	if sess.pendingParse {
-		return
-	}
 	toDisk := d.persistPark(sess, when)
-	sess.parked = toDisk
 	if d.closeSession(sess) {
 		if pressure {
 			d.mets.pressureEvictions.Add(1)

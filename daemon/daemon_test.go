@@ -11,6 +11,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -875,13 +876,14 @@ func TestShardPanicContained(t *testing.T) {
 		createSessionJSON{Language: "expr", Text: "1+2"}, &created); s != http.StatusCreated {
 		t.Fatalf("create: status %d", s)
 	}
-	sess, ok := d.sessions.get(created.ID)
-	if !ok {
-		t.Fatal("session not registered")
+	req := httptest.NewRequest("GET", "/sessions/"+created.ID, nil)
+	req.SetPathValue("id", created.ID)
+	rec := httptest.NewRecorder()
+	if d.runSession(rec, req, func(*session) { panic("poisoned parse state") }) {
+		t.Fatal("runSession reported a panicked task as served")
 	}
-	err := d.runSession(context.Background(), sess, func() { panic("poisoned parse state") })
-	if !errors.Is(err, errShardPanic) {
-		t.Fatalf("runSession after panic: err = %v, want errShardPanic", err)
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("panicked task: status %d, want 500", rec.Code)
 	}
 	// The poisoned session is gone; the daemon is not.
 	if s := doJSON(t, "GET", dataURL(d, "/sessions/"+created.ID), nil, nil); s != http.StatusNotFound {
@@ -954,10 +956,12 @@ func TestConcurrentReloadsSerialized(t *testing.T) {
 	}
 }
 
-// TestAbortedCreateDoesNotLeakQuota: a client that disconnects before the
-// initial parse is enqueued never learns the session ID, so the daemon
-// must unregister the session itself or repeated aborted creates exhaust
-// the quota forever (the default TTL of 0 never evicts).
+// TestAbortedCreateDoesNotLeakQuota: a client that disconnects before its
+// create's task runs never learns the session ID and could never DELETE
+// it, so a dropped create must leave nothing registered, or repeated
+// aborted creates exhaust the quota forever (the default TTL of 0 never
+// evicts). The task registers the session, so a task that never ran
+// registered nothing.
 func TestAbortedCreateDoesNotLeakQuota(t *testing.T) {
 	d := testDaemon(t, Config{Bundled: []string{"expr"}, Shards: 1, MaxSessions: 1})
 
@@ -979,15 +983,15 @@ func TestAbortedCreateDoesNotLeakQuota(t *testing.T) {
 		t.Fatalf("create on a wedged shard: status %d, want client timeout", resp.StatusCode)
 	}
 
-	// The handler notices the abort and must free the slot.
-	deadline := time.Now().Add(5 * time.Second)
-	for d.sessions.len() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("aborted create leaked: %d sessions registered", d.sessions.len())
-		}
-		time.Sleep(20 * time.Millisecond)
+	// The handler notices the abort and abandons the queued task, which
+	// then never runs: nothing holds the slot.
+	if v := pollMetric(t, d, "iglrd_queue_expired_total", 1, 5*time.Second); v != 1 {
+		t.Fatalf("queue_expired_total = %d, want 1 (the aborted create's task)", v)
 	}
 	close(block)
+	if n := d.sessions.len(); n != 0 {
+		t.Fatalf("aborted create leaked: %d sessions registered", n)
+	}
 
 	// The single quota slot is usable again.
 	var created sessionJSON
@@ -1049,5 +1053,119 @@ func TestShutdownExpiredDrainAndDoubleShutdown(t *testing.T) {
 	defer cancel2()
 	if err := d.Shutdown(ctx2); err != nil {
 		t.Fatalf("second Shutdown: %v", err)
+	}
+}
+
+// TestMetricsInventory pins what GET /metrics declares: every family once,
+// with one # HELP and one # TYPE line and its samples in one block after
+// them, and the families and their types exactly the list below. A metric
+// added, dropped, renamed, retyped or declared twice fails it; the order
+// of the families may change.
+func TestMetricsInventory(t *testing.T) {
+	want := map[string]string{
+		"iglrd_config_version":                  "gauge",
+		"iglrd_config_reloads_total":            "counter",
+		"iglrd_config_reload_errors_total":      "counter",
+		"iglrd_sessions_open":                   "gauge",
+		"iglrd_sessions_opened_total":           "counter",
+		"iglrd_sessions_closed_total":           "counter",
+		"iglrd_sessions_evicted_total":          "counter",
+		"iglrd_sessions_denied_total":           "counter",
+		"iglrd_recovered_panics_total":          "counter",
+		"iglrd_edits_total":                     "counter",
+		"iglrd_parses_total":                    "counter",
+		"iglrd_parse_errors_total":              "counter",
+		"iglrd_budget_trips_total":              "counter",
+		"iglrd_degraded_parses_total":           "counter",
+		"iglrd_isolated_parses_total":           "counter",
+		"iglrd_diagnostics_total":               "counter",
+		"iglrd_parse_seconds":                   "histogram",
+		"iglrd_shed_queue_full_total":           "counter",
+		"iglrd_shed_inflight_total":             "counter",
+		"iglrd_shed_memory_total":               "counter",
+		"iglrd_queue_expired_total":             "counter",
+		"iglrd_watchdog_cancels_total":          "counter",
+		"iglrd_pressure_evictions_total":        "counter",
+		"iglrd_degraded_admits_total":           "counter",
+		"iglrd_queue_wait_seconds":              "histogram",
+		"iglrd_batch_requests_total":            "counter",
+		"iglrd_batch_files_total":               "counter",
+		"iglrd_batch_failed_files_total":        "counter",
+		"iglrd_sessions_restored_total":         "counter",
+		"iglrd_session_restore_misses_total":    "counter",
+		"iglrd_session_restores_diverged_total": "counter",
+		"iglrd_sessions_evicted_to_disk_total":  "counter",
+		"iglrd_journal_records_total":           "counter",
+		"iglrd_journal_replayed_total":          "counter",
+		"iglrd_journal_torn_total":              "counter",
+		"iglrd_snapshots_written_total":         "counter",
+		"iglrd_persist_errors_total":            "counter",
+		"iglrd_memory_bytes":                    "gauge",
+		"iglrd_memory_soft_bytes":               "gauge",
+		"iglrd_memory_hard_bytes":               "gauge",
+		"iglrd_memory_state":                    "gauge",
+		"iglrd_shard_memory_bytes":              "gauge",
+		"iglrd_inflight_requests":               "gauge",
+	}
+	d := testDaemon(t, Config{Bundled: []string{"expr"}, Shards: 2})
+	createExpr(t, d, "1+2")
+
+	var (
+		help    = map[string]int{}
+		types   = map[string]string{}
+		samples = map[string]int{}
+		cur     string // the family of the last # TYPE line
+	)
+	for _, line := range strings.Split(strings.TrimSuffix(scrapeMetrics(t, d), "\n"), "\n") {
+		if rest, ok := strings.CutPrefix(line, "# HELP "); ok {
+			name, _, _ := strings.Cut(rest, " ")
+			help[name]++
+			continue
+		}
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			f := strings.Fields(rest)
+			if len(f) != 2 {
+				t.Fatalf("malformed line %q", line)
+			}
+			if _, dup := types[f[0]]; dup {
+				t.Errorf("family %s has two # TYPE lines", f[0])
+			}
+			if help[f[0]] != 1 {
+				t.Errorf("family %s: %d # HELP lines before its # TYPE line, want 1", f[0], help[f[0]])
+			}
+			types[f[0]], cur = f[1], f[0]
+			continue
+		}
+		name, _, _ := strings.Cut(line, " ")
+		name, _, _ = strings.Cut(name, "{")
+		if types[cur] == "histogram" {
+			for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+				if base, ok := strings.CutSuffix(name, suffix); ok && base == cur {
+					name = cur
+				}
+			}
+		}
+		if name != cur {
+			t.Errorf("sample %q outside its family's block (after # TYPE %s)", line, cur)
+		}
+		samples[name]++
+	}
+	for name, n := range help {
+		if n != 1 {
+			t.Errorf("family %s has %d # HELP lines", name, n)
+		}
+	}
+	for name, typ := range types {
+		if samples[name] == 0 {
+			t.Errorf("family %s has no sample", name)
+		}
+		if want[name] != typ {
+			t.Errorf("family %s is a %s; the inventory says %q", name, typ, want[name])
+		}
+	}
+	for name := range want {
+		if _, ok := types[name]; !ok {
+			t.Errorf("family %s missing from /metrics", name)
+		}
 	}
 }

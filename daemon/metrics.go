@@ -84,7 +84,6 @@ type metrics struct {
 	shedQueueFull     atomic.Int64
 	shedInflight      atomic.Int64
 	shedMemory        atomic.Int64
-	shedParsePending  atomic.Int64
 	queueExpired      atomic.Int64
 	watchdogCancels   atomic.Int64
 	pressureEvictions atomic.Int64
@@ -162,7 +161,6 @@ func (m *metrics) write(w io.Writer) {
 	c("iglrd_shed_queue_full_total", "Requests shed with 429 because their shard's queue was full.", m.shedQueueFull.Load())
 	c("iglrd_shed_inflight_total", "Requests shed with 429 by the global in-flight cap.", m.shedInflight.Load())
 	c("iglrd_shed_memory_total", "Creations and restores shed with 503 by the memory hard watermark.", m.shedMemory.Load())
-	c("iglrd_shed_parse_pending_total", "Edit batches accepted and durable whose reparse failed (503 parse_pending; the batch must not be re-sent).", m.shedParsePending.Load())
 	c("iglrd_queue_expired_total", "Queued tasks dropped because their request deadline expired before a shard could run them.", m.queueExpired.Load())
 	c("iglrd_watchdog_cancels_total", "Parses cancelled after running past stall_timeout (the session is closed).", m.watchdogCancels.Load())
 	c("iglrd_pressure_evictions_total", "Sessions parked to disk by memory-pressure eviction (soft-watermark sweeps and hard-watermark relief).", m.pressureEvictions.Load())

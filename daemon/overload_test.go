@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -17,9 +18,11 @@ import (
 	incremental "iglr"
 	"iglr/daemon/client"
 	"iglr/internal/faultinject"
+	"iglr/internal/sesscodec"
 
 	"context"
 	"os"
+	"path/filepath"
 )
 
 // pathologicalSrc is the ambiguity fixture shared with the budget tests:
@@ -379,10 +382,9 @@ func TestPressureEvictRestoreByteIdentical(t *testing.T) {
 		createSessionJSON{Language: "expr-ambiguous", Text: pathologicalSrc(t)}, &created); s != http.StatusCreated {
 		t.Fatalf("create: status %d", s)
 	}
-	// The edit follows the retry contract, as the reads below do: the
-	// janitor may park the new session before the edit reaches its shard,
-	// and that shed is retryable. parse_pending (the batch applied, the
-	// reparse failed) is never retried and fails the test.
+	// The edit follows the retry contract, as the reads below do. The
+	// janitor may park the new session before the edit's task runs; the
+	// task then restores it first.
 	cl := client.New("http://"+d.Addr().String(), client.Options{MaxRetries: 8})
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
@@ -402,10 +404,8 @@ func TestPressureEvictRestoreByteIdentical(t *testing.T) {
 		t.Fatalf("pressure_evictions_total = %d, want >= 1 (global=%d)", v, d.gov.Global())
 	}
 
-	// The next touch restores from disk. Everything must match, byte for
-	// byte. With a 1 KiB soft watermark the janitor may re-park the
-	// session between its restore and the read task running — that answer
-	// is the designed retryable 503, so read like a real client and retry.
+	// The next touch restores from disk, in the read's own task.
+	// Everything must match, byte for byte.
 	var gotSub subtreeJSON
 	if err := json.Unmarshal([]byte(shedTolerantGET(t,
 		dataURL(d, fmt.Sprintf("/sessions/%s/subtree?offset=0&length=%d", created.ID, out.TextLen)))), &gotSub); err != nil {
@@ -506,8 +506,7 @@ func TestPressureEvictRestoreDiverged(t *testing.T) {
 }
 
 // shedTolerantGET fetches url like a well-behaved client: 429/503 sheds
-// (e.g. the janitor re-parking a just-restored session before its read
-// task ran) are retried until the deadline; any other non-200 fails.
+// are retried until the deadline; any other non-200 fails.
 func shedTolerantGET(t *testing.T, url string) string {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -582,26 +581,7 @@ func TestQueueDeadlineDrop(t *testing.T) {
 	}
 
 	// Phase 2: fill the queue, then one more — shed with 429 queue_full.
-	var fillers sync.WaitGroup
-	for i := 0; i < depth; i++ {
-		fillers.Add(1)
-		go func() {
-			defer fillers.Done()
-			resp, err := http.Get(dataURL(d, "/sessions/"+created.ID))
-			if err == nil {
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-			}
-		}()
-	}
-	// Wait for all depth fillers to be sitting in the queue.
-	deadline := time.Now().Add(2 * time.Second)
-	for len(d.pool.tasks[0]) < depth && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if n := len(d.pool.tasks[0]); n < depth {
-		t.Fatalf("queue filled to %d of %d", n, depth)
-	}
+	fillers := fillQueue(t, d, dataURL(d, "/sessions/"+created.ID), depth)
 	resp, err = http.Get(dataURL(d, "/sessions/"+created.ID))
 	if err != nil {
 		t.Fatalf("overflow request: %v", err)
@@ -618,6 +598,32 @@ func TestQueueDeadlineDrop(t *testing.T) {
 		t.Fatalf("shed_queue_full_total = %d, want >= 1", v)
 	}
 	fillers.Wait()
+}
+
+// fillQueue sends depth GETs of url, which queue on shard 0 behind a task
+// that wedges it, and returns once they all sit in the queue. Wait on the
+// result for their answers.
+func fillQueue(t *testing.T, d *Daemon, url string, depth int) *sync.WaitGroup {
+	t.Helper()
+	var fillers sync.WaitGroup
+	for i := 0; i < depth; i++ {
+		fillers.Add(1)
+		go func() {
+			defer fillers.Done()
+			if resp, err := http.Get(url); err == nil {
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+			}
+		}()
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for len(d.pool.tasks[0]) < depth && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := len(d.pool.tasks[0]); n < depth {
+		t.Fatalf("queue filled to %d of %d", n, depth)
+	}
+	return &fillers
 }
 
 // TestWatchdogCancelsStalledShard: a parse wedged mid-round (injected 3s
@@ -791,5 +797,164 @@ func TestHealthzDegradedAndOverloaded(t *testing.T) {
 	}
 	if st, body := health(); st != http.StatusOK || body["state"] != "ready" {
 		t.Fatalf("recovered healthz = %d %v, want 200 ready", st, body)
+	}
+}
+
+// TestOneShardTaskPerRequest: every per-session request, a restore
+// included, is exactly one task on its session's shard — one sample of
+// the queue-wait histogram each. An edit batch is validated, journaled,
+// applied and reparsed in that one task.
+func TestOneShardTaskPerRequest(t *testing.T) {
+	cfg := persistConfig(t) // no TTL and no watermarks: the janitor submits nothing
+	tasks := func(d *Daemon) int64 {
+		return metricValue(t, scrapeMetrics(t, d), "iglrd_queue_wait_seconds_count")
+	}
+	oneTask := func(d *Daemon, what string, req func()) {
+		t.Helper()
+		before := tasks(d)
+		req()
+		if got := tasks(d) - before; got != 1 {
+			t.Errorf("%s ran %d shard tasks, want 1", what, got)
+		}
+	}
+
+	d1 := crashableDaemon(t, cfg)
+	var created sessionJSON
+	oneTask(d1, "create", func() { created = createExpr(t, d1, "1+2*3") })
+	var out outcomeJSON
+	oneTask(d1, "edit batch", func() {
+		out = editOnce(t, d1, created.ID, editJSON{Offset: 0, Insert: "7+"}, editJSON{Offset: 7, Insert: "-1"})
+	})
+	if !out.Clean || out.TextLen != len("7+1+2*3-1") {
+		t.Fatalf("edit outcome %+v", out)
+	}
+	oneTask(d1, "get", func() {
+		if s := doJSON(t, "GET", dataURL(d1, "/sessions/"+created.ID), nil, nil); s != http.StatusOK {
+			t.Fatalf("get: status %d", s)
+		}
+	})
+	oneTask(d1, "diagnostics", func() {
+		if s := doJSON(t, "GET", dataURL(d1, "/sessions/"+created.ID+"/diagnostics"), nil, nil); s != http.StatusOK {
+			t.Fatalf("diagnostics: status %d", s)
+		}
+	})
+	var want string
+	oneTask(d1, "subtree", func() { want = outline(t, d1, created.ID, out.TextLen) })
+	crashDaemon(t, d1)
+
+	d2 := testDaemon(t, cfg)
+	oneTask(d2, "subtree that restores", func() {
+		if got := outline(t, d2, created.ID, out.TextLen); got != want {
+			t.Fatalf("restored tree diverged:\nlive:\n%s\nrestored:\n%s", want, got)
+		}
+	})
+	oneTask(d2, "edit batch after the restore", func() {
+		editOnce(t, d2, created.ID, editJSON{Offset: 0, Remove: 1, Insert: "8"})
+	})
+	oneTask(d2, "delete", func() {
+		if s := doJSON(t, "DELETE", dataURL(d2, "/sessions/"+created.ID), nil, nil); s != http.StatusNoContent {
+			t.Fatalf("delete: status %d", s)
+		}
+	})
+	if v := metricValue(t, scrapeMetrics(t, d2), "iglrd_sessions_restored_total"); v != 1 {
+		t.Fatalf("restored_total = %d, want 1", v)
+	}
+}
+
+// TestNoShedAfterActing: a shed means the request changed nothing. An edit
+// batch whose journal fsync outlasts the request deadline has been
+// journaled and applied by the time the deadline passes, so it answers
+// 200 with the parse's cancellation as data and the batch in the text; a
+// request shed before its task ran (its deadline expired in the queue, or
+// the queue was full) leaves the text and the journal as they were.
+func TestNoShedAfterActing(t *testing.T) {
+	const deadline = 100 * time.Millisecond
+	cfg := persistConfig(t)
+	cfg.Shards, cfg.QueueDepth = 1, 2
+	cfg.DefaultDeadline = Duration(deadline)
+	d := testDaemon(t, cfg)
+	created := createExpr(t, d, "1+2*3")
+	walPath := filepath.Join(cfg.Persist.Dir, created.ID+".wal")
+	textLen := func() int {
+		t.Helper()
+		var got struct {
+			TextLen int `json:"text_len"`
+		}
+		if s := doJSON(t, "GET", dataURL(d, "/sessions/"+created.ID), nil, &got); s != http.StatusOK {
+			t.Fatalf("get: status %d", s)
+		}
+		return got.TextLen
+	}
+	journal := func() []byte {
+		t.Helper()
+		data, err := os.ReadFile(walPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+
+	faultinject.Activate(faultinject.NewPlan(faultinject.Trigger{
+		Point: faultinject.PersistSync, Do: faultinject.ActDelay,
+		Sleep: 3 * deadline, Every: 1,
+	}))
+	var out outcomeJSON
+	status := doJSON(t, "POST", dataURL(d, "/sessions/"+created.ID+"/edits"),
+		editsRequestJSON{Edits: []editJSON{{Offset: 5, Insert: "+4"}}}, &out)
+	faultinject.Deactivate()
+	if status != http.StatusOK {
+		t.Fatalf("edit whose fsync outlasted its deadline: status %d, want 200", status)
+	}
+	if out.TextLen != len("1+2*3+4") || out.Error == "" {
+		t.Fatalf("outcome %+v, want the batch in text_len and the cancelled parse's error", out)
+	}
+	if n := textLen(); n != len("1+2*3+4") {
+		t.Fatalf("text_len after the edit = %d, want %d", n, len("1+2*3+4"))
+	}
+	recs, torn := sesscodec.DecodeJournal(journal())
+	if torn || len(recs) != 1 || len(recs[0].Edits) != 1 || recs[0].Edits[0].Insert != "+4" {
+		t.Fatalf("journal holds %+v (torn %v), want the one batch", recs, torn)
+	}
+	wal := journal()
+
+	// Wedge the only shard: an edit queued behind it expires unserved.
+	release := make(chan struct{})
+	wedged := make(chan struct{})
+	go d.pool.run(context.Background(), 0, func() { close(wedged); <-release })
+	<-wedged
+	resp, err := http.Post(dataURL(d, "/sessions/"+created.ID+"/edits"), "application/json",
+		strings.NewReader(`{"edits":[{"offset":0,"insert":"9*"}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	var sj shedJSON
+	if resp.StatusCode != http.StatusServiceUnavailable || json.Unmarshal(body, &sj) != nil || sj.Code != shedCodeDeadline {
+		t.Fatalf("edit expired in the queue: status %d, body %s", resp.StatusCode, body)
+	}
+	// Fill the queue, then one more edit: shed at once with queue_full.
+	fillers := fillQueue(t, d, dataURL(d, "/sessions/"+created.ID), cfg.QueueDepth)
+	resp, err = http.Post(dataURL(d, "/sessions/"+created.ID+"/edits"), "application/json",
+		strings.NewReader(`{"edits":[{"offset":0,"insert":"9*"}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests || json.Unmarshal(body, &sj) != nil || sj.Code != shedCodeQueueFull {
+		t.Fatalf("edit past a full queue: status %d, body %s", resp.StatusCode, body)
+	}
+	close(release)
+	fillers.Wait()
+
+	if n := textLen(); n != len("1+2*3+4") {
+		t.Fatalf("text_len after two shed edits = %d, want %d", n, len("1+2*3+4"))
+	}
+	if got := journal(); !bytes.Equal(got, wal) {
+		t.Fatalf("shed edits changed the journal: %d bytes, was %d", len(got), len(wal))
+	}
+	if v := metricValue(t, scrapeMetrics(t, d), "iglrd_journal_records_total"); v != 1 {
+		t.Fatalf("journal_records_total = %d, want 1", v)
 	}
 }

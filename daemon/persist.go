@@ -181,9 +181,8 @@ func sessionSeqFromID(id string) (uint64, bool) {
 // like the session fields it sits next to.
 type sessPersist struct {
 	store *persistStore
-	// wal is the open journal: opened when the session is adopted, or by
-	// a restored session's first append; nil after the session is parked
-	// or persistence breaks.
+	// wal is the open journal: opened when the session is adopted or
+	// restored; nil once the session is parked or persistence breaks.
 	wal      *os.File
 	walBytes int64
 	// seq is the sequence of the last journaled record; snapSeq is the
@@ -311,16 +310,9 @@ func (p *sessPersist) openJournal(id string) error {
 
 func (d *Daemon) appendRecord(sess *session, edits []editJSON) error {
 	p := sess.p
-	if p.wal == nil {
-		// A restored session: its restore opened no file, as a racing
-		// restore's discarded copy must not.
-		if err := p.openJournal(sess.id); err != nil {
-			return err
-		}
-	}
 	rec := sesscodec.JournalRecord{Seq: p.seq + 1, Edits: make([]sesscodec.JournalEdit, len(edits))}
 	for i, e := range edits {
-		rec.Edits[i] = sesscodec.JournalEdit{Offset: e.Offset, Remove: e.Remove, Insert: e.Insert}
+		rec.Edits[i] = sesscodec.JournalEdit(e)
 	}
 	frame := sesscodec.AppendJournalRecord(nil, rec)
 	if err := persistFault(faultinject.PersistAppend, sess.id); err != nil {
@@ -362,14 +354,8 @@ func (d *Daemon) writeSnapshot(sess *session) error {
 	// The snapshot covers every journaled record, so dropping the journal
 	// is an optimization; a crash between the rename above and the
 	// truncate below double-applies nothing (replay skips by sequence).
-	if p.wal != nil {
-		if err := p.wal.Truncate(0); err == nil {
-			p.walBytes = 0
-		}
-	} else if p.walBytes > 0 {
-		if err := os.Remove(p.store.walPath(sess.id)); err == nil || os.IsNotExist(err) {
-			p.walBytes = 0
-		}
+	if err := p.wal.Truncate(0); err == nil {
+		p.walBytes = 0
 	}
 	return nil
 }
@@ -388,10 +374,8 @@ func (d *Daemon) persistPark(sess *session, when string) bool {
 			return false
 		}
 	}
-	if p.wal != nil {
-		p.wal.Close()
-		p.wal = nil
-	}
+	p.wal.Close()
+	p.wal = nil
 	return true
 }
 
@@ -414,7 +398,9 @@ func (d *Daemon) persistRemove(sess *session) {
 }
 
 // persistAll parks every live session at shutdown, shard by shard, so a
-// graceful restart restores without journal replay.
+// graceful restart restores without journal replay. A parked session is
+// closed like an evicted one: a request still queued behind the park
+// restores it, as it would after an eviction.
 func (d *Daemon) persistAll(ctx context.Context) {
 	if d.persist == nil {
 		return
@@ -426,10 +412,9 @@ func (d *Daemon) persistAll(ctx context.Context) {
 		}
 		d.pool.run(ctx, i, func() {
 			for _, sess := range sessions {
-				if sess.closed {
-					continue
+				if !sess.closed && d.persistPark(sess, "shutdown") {
+					d.closeSession(sess)
 				}
-				d.persistPark(sess, "shutdown")
 			}
 		})
 	}
@@ -437,31 +422,31 @@ func (d *Daemon) persistAll(ctx context.Context) {
 
 // ---- restore -------------------------------------------------------------
 
-// restoreSession rebuilds a session from its on-disk artifacts: snapshot
-// load, then replay of every journal record the snapshot does not cover,
-// each batch applied and parsed exactly as the live daemon did. A snapshot
-// whose tree the restore's parse does not reproduce still restores, with
-// the cold parse's tree (counted as diverged). Any unusable state fails
-// the restore, removes the artifacts, and reports a miss — the caller
-// 404s and the client re-creates the session from source. shed is true
-// when the rebuilt session's footprint would push the memory governor
-// past its hard watermark: the artifacts stay intact and the caller 503s
-// with a retry hint instead of 404ing. Runs on the request goroutine; the
-// session is private until restoreAdd publishes it.
-func (d *Daemon) restoreSession(id string) (sess *session, ok, shed bool) {
+// restoreSession rebuilds session id from its on-disk artifacts: snapshot
+// load, then replay of every journal record the snapshot does not cover
+// through applyAndParse, the path live edits take. A snapshot whose tree
+// the restore's parse does not reproduce still restores, with the cold
+// parse's tree (counted as diverged). Any unusable state fails the
+// restore, removes the artifacts, and reports a miss — the caller 404s and
+// the client re-creates the session from source. shed is true when the
+// rebuilt session's footprint would push the memory governor past its hard
+// watermark: the artifacts stay intact and the caller 503s with a retry
+// hint instead of 404ing. Runs in a request's task on the ID's shard (see
+// runSession), so the shard is busy for one cold parse plus the replay.
+func (d *Daemon) restoreSession(id string) (sess *session, shed bool) {
 	ps := d.persist
 	seqID, ok := sessionSeqFromID(id)
 	if !ok {
-		return nil, false, false
+		return nil, false
 	}
 	metaRaw, err := os.ReadFile(ps.metaPath(id))
 	if err != nil {
-		return nil, false, false // never persisted: a plain 404, not a miss
+		return nil, false // never persisted: a plain 404, not a miss
 	}
 	var meta sessionMetaJSON
 	if err := json.Unmarshal(metaRaw, &meta); err != nil {
 		d.restoreFailed(id, "meta", err)
-		return nil, false, false
+		return nil, false
 	}
 	sn := d.snap.Load()
 	lang, ok := sn.langs[meta.Language]
@@ -470,12 +455,12 @@ func (d *Daemon) restoreSession(id string) (sess *session, ok, shed bool) {
 		// files — a reload may bring it back.
 		d.mets.restoreMisses.Add(1)
 		d.Logf("daemon: session %s not restored: language %q not in active config", id, meta.Language)
-		return nil, false, false
+		return nil, false
 	}
 	snapRaw, err := os.ReadFile(ps.snapPath(id))
 	if err != nil {
 		d.restoreFailed(id, "snapshot", err)
-		return nil, false, false
+		return nil, false
 	}
 	s, tag, err := incremental.RestoreSessionTagged(bytes.NewReader(snapRaw), lang,
 		incremental.WithBudget(meta.Budget))
@@ -491,7 +476,17 @@ func (d *Daemon) restoreSession(id string) (sess *session, ok, shed bool) {
 	}
 	if err != nil {
 		d.restoreFailed(id, "snapshot decode", err)
-		return nil, false, false
+		return nil, false
+	}
+	sess = &session{
+		id:       id,
+		tenant:   meta.Tenant,
+		langName: meta.Language,
+		lang:     lang,
+		shard:    d.pool.indexFor(id),
+		tolerant: meta.Tolerant,
+		s:        s,
+		lastUsed: time.Now(),
 	}
 
 	seq := tag
@@ -502,9 +497,17 @@ func (d *Daemon) restoreSession(id string) (sess *session, ok, shed bool) {
 			if rec.Seq <= tag {
 				continue // already inside the snapshot
 			}
-			if err := replayRecord(s, rec, meta.Tolerant); err != nil {
-				d.restoreFailed(id, "journal replay", err)
-				return nil, false, false
+			// A parse outcome error (syntax error, budget trip) is data, as
+			// it was live; only a batch that no longer fits fails the
+			// replay. Like the snapshot's cold parse, replay takes no
+			// deadline: a restore finishes or fails whole.
+			edits := make([]editJSON, len(rec.Edits))
+			for i, e := range rec.Edits {
+				edits[i] = editJSON(e)
+			}
+			if _, _, err := d.applyAndParse(context.Background(), sess, edits, 0); err != nil {
+				d.restoreFailed(id, "journal replay", fmt.Errorf("record %d: %w", rec.Seq, err))
+				return nil, false
 			}
 			seq = rec.Seq
 			d.mets.journalReplayed.Add(1)
@@ -522,7 +525,7 @@ func (d *Daemon) restoreSession(id string) (sess *session, ok, shed bool) {
 			}
 			if err := os.Truncate(ps.walPath(id), int64(len(intact))); err != nil {
 				d.restoreFailed(id, "journal truncate", err)
-				return nil, false, false
+				return nil, false
 			}
 			walBytes = int64(len(intact))
 		} else {
@@ -530,39 +533,25 @@ func (d *Daemon) restoreSession(id string) (sess *session, ok, shed bool) {
 		}
 	}
 
-	sess = &session{
-		id:       id,
-		tenant:   meta.Tenant,
-		langName: meta.Language,
-		lang:     lang,
-		shard:    d.pool.indexFor(id),
-		tolerant: meta.Tolerant,
-		s:        s,
-		lastUsed: time.Now(),
-		p: &sessPersist{
-			store: ps, walBytes: walBytes, seq: seq, snapSeq: tag, haveSnap: !diverged,
-		},
-	}
 	// Reviving the session adds its full footprint back to the fleet; a
 	// charge the hard watermark refuses keeps it parked (shed, not lost).
 	fp := s.MemoryFootprint()
 	if !d.gov.TryCharge(sess.shard, fp) {
-		return nil, false, true
+		return nil, true
 	}
 	sess.memBytes = fp
-	d.sessions.floorSeq(seqID)
-	winner, inserted := d.sessions.restoreAdd(sess)
-	if !inserted {
-		// Two requests raced the restore; the published session wins and
-		// this copy (which opened no files) is garbage-collected — and its
-		// charge returned.
-		d.gov.Release(sess.shard, fp)
-		return winner, true, false
+	sess.p = &sessPersist{
+		store: ps, walBytes: walBytes, seq: seq, snapSeq: tag, haveSnap: !diverged,
 	}
+	if err := sess.p.openJournal(id); err != nil {
+		d.persistFail(sess, "journal open", err)
+	}
+	d.sessions.floorSeq(seqID)
+	d.sessions.add(sess, 0, 0)
 	d.mets.sessionsOpen.Add(1)
 	d.mets.restoreHits.Add(1)
 	d.Logf("daemon: session %s restored from disk (%s, seq %d)", id, meta.Language, seq)
-	return sess, true, false
+	return sess, false
 }
 
 // restoreFailed counts a failed restore and removes the artifacts so the
@@ -572,28 +561,4 @@ func (d *Daemon) restoreFailed(id, op string, err error) {
 	d.mets.restoreMisses.Add(1)
 	d.Logf("daemon: session %s restore failed (%s), falling back: %v", id, op, err)
 	d.persist.removeArtifacts(id)
-}
-
-// replayRecord re-applies one journaled edit batch exactly as the live
-// daemon did: validate against the running length, apply, parse. A parse
-// outcome error (syntax error, budget trip) is data, as it was live; only
-// an edit that no longer fits the document fails the replay.
-func replayRecord(s *incremental.Session, rec sesscodec.JournalRecord, tolerant bool) error {
-	n := s.Len()
-	for i, e := range rec.Edits {
-		if e.Offset < 0 || e.Remove < 0 || e.Offset > n || e.Remove > n-e.Offset {
-			return fmt.Errorf("record %d edit %d: range [%d,+%d) outside document of %d bytes",
-				rec.Seq, i, e.Offset, e.Remove, n)
-		}
-		n += len(e.Insert) - e.Remove
-	}
-	for _, e := range rec.Edits {
-		s.Edit(e.Offset, e.Remove, e.Insert)
-	}
-	if tolerant {
-		s.Do(nil, incremental.Tolerant())
-	} else {
-		s.Do(nil)
-	}
-	return nil
 }

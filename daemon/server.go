@@ -136,7 +136,9 @@ type shedJSON struct {
 	RetryAfterMS int64  `json:"retry_after_ms"`
 }
 
-// Shed codes, one per admission-control gate.
+// Shed codes, one per admission-control gate. Every shed may be re-sent:
+// the request's task never ran, or it ran and left nothing behind (a
+// refused create or restore), or its parse stalled and closed the session.
 const (
 	shedCodeQueueFull = "queue_full"
 	shedCodeInflight  = "inflight_cap"
@@ -145,12 +147,6 @@ const (
 	shedCodeStalled   = "stalled"
 	shedCodeDeadline  = "deadline"
 	shedCodeShutdown  = "shutdown"
-	// shedCodeParsePending is special: the edit batch WAS accepted —
-	// journaled, durable, applied — but the reparse after it did not
-	// complete. Re-sending the batch would apply it twice; converge with a
-	// read (GET, subtree) or an empty edit batch instead. Every other shed
-	// code means the daemon acted on nothing.
-	shedCodeParsePending = "parse_pending"
 )
 
 // writeShed renders a load-shedding response: Retry-After (whole seconds,
@@ -196,21 +192,47 @@ func kindString(k dag.Kind) string {
 	}
 }
 
-// runSession executes fn on sess's shard through the bounded data-plane
-// queue: a full queue sheds the request (errQueueFull → 429) instead of
-// piling up behind a slow parse. A panic inside fn — a poisoned parse
-// state, a library bug — is contained to this one request: the shard
-// goroutine survives (see shardPool.run), the session, whose state can no
-// longer be trusted, is closed and unregistered, and the caller gets an
-// error wrapping errShardPanic.
-func (d *Daemon) runSession(ctx context.Context, sess *session, fn func()) error {
-	err := d.pool.runQueued(ctx, sess.shard, fn)
-	if errors.Is(err, errShardPanic) {
-		d.mets.panics.Add(1)
-		d.Logf("daemon: session %s poisoned, closing: %v", sess.id, err)
-		d.dropSession(sess)
+// runSession runs fn as the one task of a request on session id's shard,
+// through the bounded data-plane queue: a full queue sheds the request
+// (errQueueFull → 429) instead of piling up behind a slow parse. The task
+// looks the session up, restoring it from the persistence directory when
+// it is not live (parked to disk, or persisted by a previous process),
+// and calls fn with it; so the lookup, a restore and fn are ordered with
+// every other operation on the session, and no two requests race a
+// restore. It reports whether fn ran; when it did not, the answer is
+// written: 404 for an unknown session, 503 for a restore the memory
+// governor refused (the session stays parked, and a retry after relief
+// revives it), a shed for a task that never ran, 500 for a panic (see
+// shardFailed).
+func (d *Daemon) runSession(w http.ResponseWriter, r *http.Request, fn func(sess *session)) bool {
+	id := r.PathValue("id")
+	var (
+		sess *session
+		shed bool
+	)
+	err := d.pool.runQueued(r.Context(), d.pool.indexFor(id), func() {
+		var live bool
+		if sess, live = d.sessions.get(id); !live && d.persist != nil {
+			sess, shed = d.restoreSession(id)
+		}
+		if sess != nil {
+			sess.lastUsed = time.Now()
+			fn(sess)
+		}
+	})
+	switch {
+	case err != nil:
+		d.shardFailed(w, err, sess)
+	case shed:
+		d.mets.shedMemory.Add(1)
+		writeShed(w, http.StatusServiceUnavailable, shedCodeMemory, 2*time.Second,
+			"memory hard watermark reached; session %q stays parked", id)
+	case sess == nil:
+		httpError(w, http.StatusNotFound, "no session %q", id)
+	default:
+		return true
 	}
-	return err
+	return false
 }
 
 // closeSession is the one close path: it marks sess closed, unregisters
@@ -230,10 +252,10 @@ func (d *Daemon) closeSession(sess *session) bool {
 	return true
 }
 
-// dropSession closes and unregisters a session outside the normal DELETE
-// path (panic containment, aborted creates). The close runs on the
-// session's shard; if the shard is wedged or gone the task never runs and
-// the close happens here, so the slot and the charge are freed either way.
+// dropSession closes and unregisters a session whose task panicked. The
+// close runs on the session's shard; if the shard is wedged or gone the
+// task never runs and the close happens here, so the slot and the charge
+// are freed either way.
 func (d *Daemon) dropSession(sess *session) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
@@ -249,14 +271,25 @@ func (d *Daemon) dropSession(sess *session) {
 	}
 }
 
-// writeShardError renders a shard-task failure: 429 + Retry-After when the
-// shard's queue shed the request, 503 + Retry-After when the request's
-// deadline expired (waiting in queue or mid-parse) or a parse stalled past
-// stall_timeout, 500 when the task itself panicked. Panic details stay
-// in the log, not the response.
-func (d *Daemon) writeShardError(w http.ResponseWriter, err error) {
+// shardFailed answers a request whose shard task failed: 429 +
+// Retry-After when the shard's queue shed it, 503 + Retry-After when its
+// deadline expired in the queue, its parse stalled past stall_timeout or
+// the pool is shut down, 500 when the task panicked. A shed task changed
+// nothing; a stalled parse closed its session. A panic is contained to
+// its request: the shard goroutine survives (see shardPool.run), and sess,
+// the session the task held, whose state can no longer be trusted, is
+// closed and unregistered. Panic details stay in the log, not the
+// response.
+func (d *Daemon) shardFailed(w http.ResponseWriter, err error, sess *session) {
 	switch {
 	case errors.Is(err, errShardPanic):
+		d.mets.panics.Add(1)
+		if sess == nil {
+			d.Logf("daemon: shard task panicked: %v", err)
+		} else {
+			d.Logf("daemon: session %s poisoned, closing: %v", sess.id, err)
+			d.dropSession(sess)
+		}
 		httpError(w, http.StatusInternalServerError, "internal error; session closed")
 	case errors.Is(err, errQueueFull):
 		d.mets.shedQueueFull.Add(1)
@@ -276,78 +309,95 @@ func (d *Daemon) writeShardError(w http.ResponseWriter, err error) {
 	}
 }
 
-// parseSession runs one parse of sess on its shard, updating metrics, the
-// idle clock, and the session's governor account, and renders the outcome.
-// With a stall_timeout, the parse runs under a context that times out
-// after it with errShardStalled as the cause (the parser polls its context
-// every 64 rounds); a parse it stopped closes the session, whose state can
-// no longer be trusted to finish anything, and surfaces as
-// errShardStalled. The bool reports whether the session was still open.
-func (d *Daemon) parseSession(r *http.Request, sess *session) (outcomeJSON, bool, error) {
-	var (
-		oj      outcomeJSON
-		open    bool
-		stalled bool
-	)
-	err := d.runSession(r.Context(), sess, func() {
-		if sess.closed {
-			return
+// applyAndParse is the one way text reaches a session, live and in journal
+// replay: it validates the whole batch against the running document
+// length, journals it, applies it and parses. A batch that does not fit
+// changes nothing and is returned as the error; the comparisons are
+// overflow-safe, so a huge Offset or Remove cannot wrap negative and slip
+// past the check into a panic. The parse runs under ctx, bounded by stall
+// when it is positive; its outcome's error is data, and a parse the stall
+// bound stopped returns errShardStalled. A create's first parse passes no
+// edits.
+func (d *Daemon) applyAndParse(ctx context.Context, sess *session, edits []editJSON, stall time.Duration) (out incremental.Outcome, took time.Duration, err error) {
+	n := sess.s.Len()
+	for i, e := range edits {
+		if e.Offset < 0 || e.Remove < 0 || e.Offset > n || e.Remove > n-e.Offset {
+			return out, 0, fmt.Errorf("edit %d: range [%d,+%d) outside document of %d bytes",
+				i, e.Offset, e.Remove, n)
 		}
-		open = true
-		sess.lastUsed = time.Now()
-		start := time.Now()
-		pctx := r.Context()
-		stall := time.Duration(d.snap.Load().cfg.StallTimeout)
-		if stall > 0 {
-			var cancel context.CancelFunc
-			pctx, cancel = context.WithTimeoutCause(pctx, stall, errShardStalled)
-			defer cancel()
-		}
-		var out incremental.Outcome
-		if sess.tolerant {
-			out = sess.s.Do(pctx, incremental.Tolerant())
-		} else {
-			out = sess.s.Do(pctx)
-		}
-		if out.Err != nil && context.Cause(pctx) == errShardStalled {
-			// The parse stalled: close the session like a panicked one —
-			// livelock and panic get the same containment.
-			d.mets.watchdogCancels.Add(1)
-			d.Logf("daemon: cancelled stalled parse on shard %d (session %s, running %v > stall_timeout %v)",
-				sess.shard, sess.id, time.Since(start).Round(time.Millisecond), stall)
-			stalled = true
-			d.persistRemove(sess)
-			if d.closeSession(sess) {
-				d.mets.sessionsClosed.Add(1)
-			}
-			return
-		}
-		// The parse committed whatever was pending (the initial text, an
-		// applied edit batch); the session is safe to park again.
-		sess.pendingParse = false
-		dur := time.Since(start)
-		diags := sess.s.Diagnostics()
-		d.mets.observeParse(&out, dur, len(diags))
-		oj = outcomeJSON{
-			Clean:        out.Clean,
-			Isolated:     out.Isolated,
-			ErrorRegions: out.ErrorRegions,
-			Degraded:     out.Stats.BudgetPruned > 0,
-			ParseMicros:  dur.Microseconds(),
-			TextLen:      sess.s.Len(),
-			Diagnostics:  toDiagJSON(diags),
-		}
-		if out.Err != nil {
-			oj.Error = out.Err.Error()
-			oj.BudgetTrip = errors.Is(out.Err, incremental.ErrBudget)
-		}
-		d.persistAfterParse(sess)
-		d.accountParse(sess)
-	})
-	if err == nil && stalled {
+		n += len(e.Insert) - e.Remove
+	}
+	// Journal the accepted batch — appended and fsynced — before the
+	// first edit is applied: any state a client sees acknowledged is on
+	// disk, and a kill -9 between here and the response replays it. A
+	// create's session and a replaying restore's have no journal yet.
+	d.persistAppend(sess, edits)
+	for _, e := range edits {
+		sess.s.Edit(e.Offset, e.Remove, e.Insert)
+	}
+	if stall > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeoutCause(ctx, stall, errShardStalled)
+		defer cancel()
+	}
+	start := time.Now()
+	if sess.tolerant {
+		out = sess.s.Do(ctx, incremental.Tolerant())
+	} else {
+		out = sess.s.Do(ctx)
+	}
+	took = time.Since(start)
+	if out.Err != nil && context.Cause(ctx) == errShardStalled {
 		err = errShardStalled
 	}
-	return oj, open, err
+	return out, took, err
+}
+
+// editSession runs a request's batch through applyAndParse on sess's
+// shard and settles the rest of the request: metrics, persistence and the
+// governor account. With a stall_timeout, the parser polls its context
+// every 64 rounds; a parse that timeout stopped closes the session, whose
+// state can no longer be trusted to finish anything, and returns
+// errShardStalled. A parse the request's own deadline cancelled is not a
+// failure of the request: the batch stands, and the outcome carries the
+// error. A batch that does not fit changes nothing and is returned as the
+// error.
+func (d *Daemon) editSession(ctx context.Context, sess *session, edits []editJSON) (outcomeJSON, error) {
+	stall := time.Duration(d.snap.Load().cfg.StallTimeout)
+	out, took, err := d.applyAndParse(ctx, sess, edits, stall)
+	if errors.Is(err, errShardStalled) {
+		// Livelock and panic get the same containment.
+		d.mets.watchdogCancels.Add(1)
+		d.Logf("daemon: cancelled stalled parse on shard %d (session %s, running %v > stall_timeout %v)",
+			sess.shard, sess.id, took.Round(time.Millisecond), stall)
+		d.persistRemove(sess)
+		if d.closeSession(sess) {
+			d.mets.sessionsClosed.Add(1)
+		}
+		return outcomeJSON{}, err
+	}
+	if err != nil {
+		return outcomeJSON{}, err
+	}
+	d.mets.edits.Add(int64(len(edits)))
+	diags := sess.s.Diagnostics()
+	d.mets.observeParse(&out, took, len(diags))
+	oj := outcomeJSON{
+		Clean:        out.Clean,
+		Isolated:     out.Isolated,
+		ErrorRegions: out.ErrorRegions,
+		Degraded:     out.Stats.BudgetPruned > 0,
+		ParseMicros:  took.Microseconds(),
+		TextLen:      sess.s.Len(),
+		Diagnostics:  toDiagJSON(diags),
+	}
+	if out.Err != nil {
+		oj.Error = out.Err.Error()
+		oj.BudgetTrip = errors.Is(out.Err, incremental.ErrBudget)
+	}
+	d.persistAfterParse(sess)
+	d.accountParse(sess)
+	return oj, nil
 }
 
 // ---- data plane ----------------------------------------------------------
@@ -421,109 +471,74 @@ func (d *Daemon) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 			d.mets.degradedAdmits.Add(1)
 		}
 	}
+	id := d.sessions.reserveID()
 	sess := &session{
+		id:       id,
 		tenant:   req.Tenant,
 		langName: req.Language,
 		lang:     lang,
+		shard:    d.pool.indexFor(id),
 		tolerant: req.Tolerant,
+		s:        incremental.NewSession(lang, req.Text, incremental.WithBudget(budget)),
 		lastUsed: time.Now(),
-		// Not parkable until the first parse commits the initial text.
-		pendingParse: true,
 	}
-	sess.s = incremental.NewSession(lang, req.Text, incremental.WithBudget(budget))
-	if !d.sessions.add(sess, d.pool, sn.cfg.MaxSessions, ten.MaxSessions) {
+	// One task registers the session, parses, persists and accounts it, so
+	// no other task sees the session before its first parse, and a create
+	// whose task never ran left nothing behind.
+	var (
+		oj               outcomeJSON
+		denied, noMemory bool
+		perr             error
+	)
+	err := d.pool.runQueued(r.Context(), sess.shard, func() {
+		if !d.sessions.add(sess, sn.cfg.MaxSessions, ten.MaxSessions) {
+			denied = true
+			return
+		}
+		// Charge the pre-parse estimate (the source text and fixed session
+		// state; the first parse settles the real figure). A refusal here
+		// is the hard watermark holding as an invariant, not just a
+		// threshold.
+		est := int64(len(req.Text)) + 4096
+		if !d.gov.TryCharge(sess.shard, est) {
+			d.sessions.remove(sess.id)
+			noMemory = true
+			return
+		}
+		sess.memBytes = est
+		d.mets.sessionsOpen.Add(1)
+		d.mets.sessionsOpened.Add(1)
+		oj, perr = d.editSession(r.Context(), sess, nil)
+	})
+	switch {
+	case err != nil:
+		d.shardFailed(w, err, sess)
+	case denied:
 		d.mets.sessionsDenied.Add(1)
 		writeShed(w, http.StatusTooManyRequests, shedCodeQuota, 5*time.Second,
 			"session quota exhausted (tenant %q)", req.Tenant)
-		return
-	}
-	// Charge the pre-parse estimate (the source text and fixed session
-	// state; the first parse settles the real figure). A refusal here is
-	// the hard watermark holding as an invariant, not just a threshold.
-	est := int64(len(req.Text)) + 4096
-	if !d.gov.TryCharge(sess.shard, est) {
-		d.sessions.remove(sess.id)
+	case noMemory:
 		d.mets.shedMemory.Add(1)
 		writeShed(w, http.StatusServiceUnavailable, shedCodeMemory, 2*time.Second,
 			"memory hard watermark reached")
-		return
+	case perr != nil:
+		d.shardFailed(w, perr, nil)
+	default:
+		writeJSON(w, http.StatusCreated, sessionJSON{
+			ID: sess.id, Language: sess.langName, Tenant: sess.tenant,
+			Tolerant: sess.tolerant, Outcome: oj,
+		})
 	}
-	sess.memBytes = est
-	d.mets.sessionsOpen.Add(1)
-	d.mets.sessionsOpened.Add(1)
-
-	oj, open, err := d.parseSession(r, sess)
-	if err != nil {
-		// The client is getting an error, so it never learns the ID and
-		// can never DELETE it: drop the session now (idempotent if the
-		// panic path already did) or an aborted create leaks its quota
-		// slot forever.
-		d.dropSession(sess)
-		d.writeShardError(w, err)
-		return
-	}
-	if !open {
-		// Evicted between add and first parse — only possible with a TTL of
-		// ~0; report it like any other vanished session.
-		httpError(w, http.StatusNotFound, "session expired before first parse")
-		return
-	}
-	writeJSON(w, http.StatusCreated, sessionJSON{
-		ID: sess.id, Language: sess.langName, Tenant: sess.tenant,
-		Tolerant: sess.tolerant, Outcome: oj,
-	})
-}
-
-// lookup resolves {id} or writes a 404, transparently restoring the
-// session from the persistence directory when it is not live (evicted to
-// disk, or persisted by a previous process before a restart). A restore
-// the memory governor refuses is a 503 shed, not a 404: the session
-// exists, safely parked, and a retry after relief will revive it.
-func (d *Daemon) lookup(w http.ResponseWriter, r *http.Request) (*session, bool) {
-	id := r.PathValue("id")
-	sess, ok := d.sessions.get(id)
-	if !ok && d.persist != nil {
-		var shed bool
-		sess, ok, shed = d.restoreSession(id)
-		if shed {
-			d.mets.shedMemory.Add(1)
-			writeShed(w, http.StatusServiceUnavailable, shedCodeMemory, 2*time.Second,
-				"memory hard watermark reached; session %q stays parked", id)
-			return nil, false
-		}
-	}
-	if !ok {
-		httpError(w, http.StatusNotFound, "no session %q", id)
-		return nil, false
-	}
-	return sess, true
 }
 
 func (d *Daemon) handleGetSession(w http.ResponseWriter, r *http.Request) {
-	sess, ok := d.lookup(w, r)
-	if !ok {
-		return
-	}
-	var (
-		textLen int
-		diags   int
-		open    bool
-	)
-	err := d.runSession(r.Context(), sess, func() {
-		if sess.closed {
-			return
-		}
-		open = true
-		sess.lastUsed = time.Now()
-		textLen = sess.s.Len()
-		diags = len(sess.s.Diagnostics())
-	})
-	if err != nil {
-		d.writeShardError(w, err)
-		return
-	}
-	if !open {
-		d.writeSessionGone(w, sess)
+	var textLen, diags int
+	var sess *session
+	if !d.runSession(w, r, func(s *session) {
+		sess = s
+		textLen = s.s.Len()
+		diags = len(s.s.Diagnostics())
+	}) {
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
@@ -533,141 +548,47 @@ func (d *Daemon) handleGetSession(w http.ResponseWriter, r *http.Request) {
 }
 
 func (d *Daemon) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
-	sess, ok := d.lookup(w, r)
-	if !ok {
-		return
-	}
-	err := d.runSession(r.Context(), sess, func() {
-		if sess.closed {
-			return
-		}
+	if !d.runSession(w, r, func(sess *session) {
 		d.persistRemove(sess)
 		if d.closeSession(sess) {
 			d.mets.sessionsClosed.Add(1)
 		}
-	})
-	if err != nil {
-		d.writeShardError(w, err)
+	}) {
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
 }
 
 func (d *Daemon) handleEdits(w http.ResponseWriter, r *http.Request) {
-	sess, ok := d.lookup(w, r)
-	if !ok {
-		return
-	}
 	var req editsRequestJSON
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
 	var (
-		open    bool
-		badEdit error
+		oj  outcomeJSON
+		err error
 	)
-	err := d.runSession(r.Context(), sess, func() {
-		if sess.closed {
-			return
-		}
-		open = true
-		// Validate the whole batch against the running document length
-		// before touching the text: a 400 must imply no mutation, or the
-		// client's view silently diverges from the server's document.
-		// The comparisons are overflow-safe — a huge Offset or Remove
-		// must not wrap negative and slip past the check into a panic.
-		n := sess.s.Len()
-		for i, e := range req.Edits {
-			if e.Offset < 0 || e.Remove < 0 || e.Offset > n || e.Remove > n-e.Offset {
-				badEdit = fmt.Errorf("edit %d: range [%d,+%d) outside document of %d bytes",
-					i, e.Offset, e.Remove, n)
-				return
-			}
-			n += len(e.Insert) - e.Remove
-		}
-		// Journal the accepted batch — appended and fsynced — before the
-		// first edit is applied: any state a client sees acknowledged is
-		// on disk, and a kill -9 between here and the response replays it.
-		d.persistAppend(sess, req.Edits)
-		for _, e := range req.Edits {
-			sess.s.Edit(e.Offset, e.Remove, e.Insert)
-		}
-		// Applied but not yet reparsed: block parking until the parse
-		// task commits (see parkSession).
-		sess.pendingParse = true
-	})
-	if err != nil {
-		d.writeShardError(w, err)
+	if !d.runSession(w, r, func(sess *session) {
+		oj, err = d.editSession(r.Context(), sess, req.Edits)
+	}) {
 		return
 	}
-	if !open {
-		d.writeSessionGone(w, sess)
-		return
+	switch {
+	case errors.Is(err, errShardStalled):
+		d.shardFailed(w, err, nil)
+	case err != nil:
+		httpError(w, http.StatusBadRequest, "%v", err)
+	default:
+		writeJSON(w, http.StatusOK, oj)
 	}
-	if badEdit != nil {
-		httpError(w, http.StatusBadRequest, "%v", badEdit)
-		return
-	}
-	d.mets.edits.Add(int64(len(req.Edits)))
-
-	oj, open, err := d.parseSession(r, sess)
-	if err != nil {
-		// The batch is journaled and applied — only the reparse failed.
-		// This must not look like the retry-safe sheds: re-sending the
-		// batch would apply it twice.
-		if errors.Is(err, errShardPanic) {
-			httpError(w, http.StatusInternalServerError, "internal error; session closed")
-			return
-		}
-		d.mets.shedParsePending.Add(1)
-		writeShed(w, http.StatusServiceUnavailable, shedCodeParsePending, time.Second,
-			"edit batch accepted and durable, but the reparse did not complete (%v); converge with a read or an empty batch, do not re-send", err)
-		return
-	}
-	if !open {
-		d.writeSessionGone(w, sess)
-		return
-	}
-	writeJSON(w, http.StatusOK, oj)
-}
-
-// writeSessionGone renders the fate of a session that closed between
-// lookup and its shard task: parked ones are retryable — the state is on
-// disk and the next attempt restores it — deleted ones are a plain 404.
-func (d *Daemon) writeSessionGone(w http.ResponseWriter, sess *session) {
-	if sess.parked {
-		d.mets.shedMemory.Add(1)
-		writeShed(w, http.StatusServiceUnavailable, shedCodeMemory, time.Second,
-			"session %q parked under memory pressure; retry to restore", sess.id)
-		return
-	}
-	httpError(w, http.StatusNotFound, "no session %q", sess.id)
 }
 
 func (d *Daemon) handleDiagnostics(w http.ResponseWriter, r *http.Request) {
-	sess, ok := d.lookup(w, r)
-	if !ok {
-		return
-	}
-	var (
-		diags []incremental.Diagnostic
-		open  bool
-	)
-	err := d.runSession(r.Context(), sess, func() {
-		if sess.closed {
-			return
-		}
-		open = true
-		sess.lastUsed = time.Now()
+	var diags []incremental.Diagnostic
+	if !d.runSession(w, r, func(sess *session) {
 		diags = sess.s.Diagnostics()
-	})
-	if err != nil {
-		d.writeShardError(w, err)
-		return
-	}
-	if !open {
-		d.writeSessionGone(w, sess)
+	}) {
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"diagnostics": toDiagJSON(diags)})
@@ -724,10 +645,6 @@ func capOutline(outline string) string {
 }
 
 func (d *Daemon) handleSubtree(w http.ResponseWriter, r *http.Request) {
-	sess, ok := d.lookup(w, r)
-	if !ok {
-		return
-	}
 	q := r.URL.Query()
 	offset, err1 := strconv.Atoi(q.Get("offset"))
 	length, err2 := strconv.Atoi(q.Get("length"))
@@ -738,14 +655,8 @@ func (d *Daemon) handleSubtree(w http.ResponseWriter, r *http.Request) {
 	var (
 		resp  subtreeJSON
 		found bool
-		open  bool
 	)
-	err := d.runSession(r.Context(), sess, func() {
-		if sess.closed {
-			return
-		}
-		open = true
-		sess.lastUsed = time.Now()
+	if !d.runSession(w, r, func(sess *session) {
 		n := sess.s.Subtree(offset, length)
 		if n == nil {
 			return
@@ -762,13 +673,7 @@ func (d *Daemon) handleSubtree(w http.ResponseWriter, r *http.Request) {
 			Length:  ln,
 			Outline: renderOutline(sess.lang, n),
 		}
-	})
-	if err != nil {
-		d.writeShardError(w, err)
-		return
-	}
-	if !open {
-		d.writeSessionGone(w, sess)
+	}) {
 		return
 	}
 	if !found {

@@ -49,16 +49,6 @@ type session struct {
 	s        *incremental.Session
 	lastUsed time.Time
 	closed   bool
-	// parked marks a session closed by an eviction that kept its state on
-	// disk: the id stays addressable (the next touch restores it), so
-	// handlers answer a parked session with a retryable shed, not a 404.
-	parked bool
-	// pendingParse marks state the next parse has not yet committed: a
-	// fresh session before its first parse, or an applied edit batch whose
-	// parse task is still queued. Such a session is never parked — its
-	// snapshot would bake in work whose request may have been shed,
-	// breaking the "a shed request changed nothing" retry contract.
-	pendingParse bool
 	// p is the session's durability state (nil until the persistence
 	// layer adopts the session on its shard; always nil when persistence
 	// is disabled). Shard-owned like the fields above.
@@ -265,9 +255,22 @@ func newRegistry() *registry {
 	return &registry{byID: map[string]*session{}, perTen: map[string]int{}}
 }
 
-// add admits a session under the global and tenant quotas, assigning its
-// ID. It returns false when a quota is exhausted.
-func (r *registry) add(sess *session, pool *shardPool, globalMax, tenantMax int) (ok bool) {
+// reserveID issues a new session ID. The session it names is registered
+// later, by add on the ID's shard; an ID whose session is never added is
+// simply never used.
+func (r *registry) reserveID() string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.nextSeq++
+	return fmt.Sprintf("s%08x", r.nextSeq)
+}
+
+// add registers sess under the global and tenant quotas (0 is unlimited)
+// and counts it toward its tenant. It returns false when a quota is
+// exhausted. A restore adds with no quotas: the session was admitted when
+// it was created, and a restart must not strand a client's acknowledged
+// session behind a 429.
+func (r *registry) add(sess *session, globalMax, tenantMax int) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if globalMax > 0 && len(r.byID) >= globalMax {
@@ -276,30 +279,9 @@ func (r *registry) add(sess *session, pool *shardPool, globalMax, tenantMax int)
 	if tenantMax > 0 && r.perTen[sess.tenant] >= tenantMax {
 		return false
 	}
-	r.nextSeq++
-	sess.id = fmt.Sprintf("s%08x", r.nextSeq)
-	sess.shard = pool.indexFor(sess.id)
 	r.byID[sess.id] = sess
 	r.perTen[sess.tenant]++
 	return true
-}
-
-// restoreAdd re-registers a restored session under its original ID. It
-// bypasses the session quotas — the session was admitted under quota when
-// it was created, and a restart must not strand a client's acknowledged
-// session behind a 429 — but still counts toward its tenant, so future
-// creates see it. When the ID is already live (two requests raced the
-// same restore) the existing session wins and the caller discards its
-// copy.
-func (r *registry) restoreAdd(sess *session) (*session, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if cur, ok := r.byID[sess.id]; ok {
-		return cur, false
-	}
-	r.byID[sess.id] = sess
-	r.perTen[sess.tenant]++
-	return sess, true
 }
 
 // floorSeq raises the ID sequence to at least n, so IDs found on disk at

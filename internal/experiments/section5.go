@@ -181,8 +181,11 @@ func RunSection5Batch(n, reps int) (Section5Batch, error) {
 // to the times: on this conflict-free program both parsers make the same
 // shifts and reductions, and the IGLR parser keeps one stack.
 type Section5Incremental struct {
-	Statements  int
-	Edits       int
+	Statements int
+	Edits      int
+	// DetNsPerRe and IGLRNsPerRe are the median times of one reparse (the
+	// edit, the parse and the commit) under each parser, and Ratio the
+	// IGLR median over the deterministic one.
 	DetNsPerRe  float64
 	IGLRNsPerRe float64
 	Ratio       float64
@@ -196,82 +199,90 @@ type Section5Incremental struct {
 }
 
 // RunSection5Incremental runs nEdits self-cancelling edit pairs over a
-// program with n statements under both parsers.
+// program with n statements under both parsers, alternated by
+// timeReparses.
 func RunSection5Incremental(n, nEdits int) (Section5Incremental, error) {
 	l := DetLang()
 	src := detProgram(n)
 	pairs := corpus.SelfCancellingEdits(src, nEdits, 7)
 	out := Section5Incremental{Statements: n, Edits: len(pairs) * 2}
 
-	run := func(parse func(d *document.Document) error, d *document.Document) (time.Duration, error) {
-		var total time.Duration
-		for _, pair := range pairs {
-			for _, e := range pair {
-				d.Replace(e.Offset, e.Removed, e.Inserted)
-				start := time.Now()
-				if err := parse(d); err != nil {
-					return 0, err
-				}
-				total += time.Since(start)
-			}
-		}
-		return total, nil
-	}
-
-	// Deterministic parser.
-	dDet := l.NewDocument(src)
 	det, err := detparse.New(l.Table)
 	if err != nil {
 		return out, err
 	}
-	commitDet := func(d *document.Document) error {
+	detSide := &reparser{d: l.NewDocument(src), pairs: pairs, parse: func(d *document.Document) (*dag.Node, error) {
 		root, err := det.Parse(d.Stream())
-		if err != nil {
-			return err
-		}
 		out.DetShifts += det.Stats.Shifts
 		out.DetReductions += det.Stats.Reductions
-		d.Commit(root)
-		return nil
-	}
-	if err := commitDet(dDet); err != nil {
-		return out, err
-	}
-	out.DetShifts, out.DetReductions = 0, 0
-	detTotal, err := run(commitDet, dDet)
-	if err != nil {
-		return out, err
-	}
-
-	// IGLR parser.
-	dGLR := l.NewDocument(src)
+		return root, err
+	}}
 	glr := iglr.New(l.Table)
-	commitGLR := func(d *document.Document) error {
+	glrSide := &reparser{d: l.NewDocument(src), pairs: pairs, parse: func(d *document.Document) (*dag.Node, error) {
 		root, err := glr.Parse(d.Stream())
-		if err != nil {
-			return err
-		}
 		out.IGLRShifts += glr.Stats.Shifts
 		out.IGLRReductions += glr.Stats.Reductions
 		out.IGLRMaxActiveParsers = max(out.IGLRMaxActiveParsers, glr.Stats.MaxActiveParsers)
-		d.Commit(root)
-		return nil
+		return root, err
+	}}
+	for _, s := range []*reparser{detSide, glrSide} {
+		if err := s.commit(); err != nil {
+			return out, err
+		}
 	}
-	if err := commitGLR(dGLR); err != nil {
-		return out, err
-	}
+	out.DetShifts, out.DetReductions = 0, 0
 	out.IGLRShifts, out.IGLRReductions, out.IGLRMaxActiveParsers = 0, 0, 0
-	glrTotal, err := run(commitGLR, dGLR)
-	if err != nil {
+	if err := timeReparses(detSide, glrSide); err != nil {
 		return out, err
 	}
-
-	re := float64(out.Edits)
-	out.DetNsPerRe = float64(detTotal.Nanoseconds()) / re
-	out.IGLRNsPerRe = float64(glrTotal.Nanoseconds()) / re
+	out.DetNsPerRe, out.IGLRNsPerRe = median(detSide.ns), median(glrSide.ns)
 	out.Ratio = out.IGLRNsPerRe / out.DetNsPerRe
-	out.IGLRShiftsPerRe = float64(out.IGLRShifts) / re
+	out.IGLRShiftsPerRe = float64(out.IGLRShifts) / float64(out.Edits)
 	return out, nil
+}
+
+// reparser is one side of a paired timing: a document, the parse that
+// reparses it, the edit pairs it takes and the time of each reparse.
+type reparser struct {
+	d     *document.Document
+	parse func(*document.Document) (*dag.Node, error)
+	pairs [][2]corpus.Edit
+	ns    []float64
+}
+
+// commit parses the document and commits the tree.
+func (s *reparser) commit() error {
+	root, err := s.parse(s.d)
+	if err != nil {
+		return err
+	}
+	s.d.Commit(root)
+	return nil
+}
+
+// timeReparses applies both sides' edit pairs, pair by pair, each side
+// going first on every other pair, so that a change in the machine's
+// speed during the run falls on both alike. Each reparse, the edit, the
+// parse and the commit, is timed on its own. Both documents must have
+// been built and committed first.
+func timeReparses(a, b *reparser) error {
+	for i := range a.pairs {
+		order := [2]*reparser{a, b}
+		if i%2 == 1 {
+			order = [2]*reparser{b, a}
+		}
+		for _, s := range order {
+			for _, e := range s.pairs[i] {
+				start := time.Now()
+				s.d.Replace(e.Offset, e.Removed, e.Inserted)
+				if err := s.commit(); err != nil {
+					return err
+				}
+				s.ns = append(s.ns, float64(time.Since(start).Nanoseconds()))
+			}
+		}
+	}
+	return nil
 }
 
 // Section5Space reports the per-node storage comparison: the paper
@@ -337,6 +348,11 @@ type Section5Ambiguity struct {
 	PlainNsPerRe float64
 	AmbNsPerRe   float64
 	OverheadPct  float64
+	// DiffNs holds the first quartile, the median and the third quartile
+	// of the per-pair difference, ambiguous minus plain: each reparse of
+	// one program against the reparse of the same edit in the other,
+	// timed next to it. A median inside a wide quartile range is noise.
+	DiffNs [3]float64
 	// Work counters (shifts+reductions+breakdowns per reparse) — the
 	// deterministic observable, free of timer noise.
 	PlainWorkPerRe  float64
@@ -346,31 +362,11 @@ type Section5Ambiguity struct {
 
 // RunSection5Ambiguity runs the comparison at the given size with nEdits
 // self-cancelling pairs applied outside the ambiguous regions, which sit
-// at 20 per thousand lines. Both documents are built and parsed first;
-// their reparses then alternate pair by pair, each program going first on
-// every other pair, so that a change in the machine's speed during the run
-// falls on both alike.
+// at 20 per thousand lines; the two programs are alternated by
+// timeReparses.
 func RunSection5Ambiguity(lines, nEdits int) (Section5Ambiguity, error) {
-	// side is one program of the comparison: its committed document,
-	// parser and edit pairs, and the time and work of each reparse.
-	type side struct {
-		d     *document.Document
-		p     *iglr.Parser
-		pairs [][2]corpus.Edit
-		ns    []float64
-		work  int
-	}
 	spec := corpus.Spec{Name: "amb", Lines: lines, Lang: "c", Seed: 21}
 	l := LangFor(spec)
-	open := func(src string, pairs [][2]corpus.Edit) (*side, error) {
-		s := &side{d: l.NewDocument(src), p: iglr.New(l.Table), pairs: pairs}
-		root, err := s.p.Parse(s.d.Stream())
-		if err != nil {
-			return nil, err
-		}
-		s.d.Commit(root)
-		return s, nil
-	}
 	src, _ := corpus.Generate(spec)
 	pairs := corpus.SelfCancellingEdits(src, nEdits, 11)
 	ambSrc, nAmb, shift := withAmbiguity(src, lines*20/1000)
@@ -381,52 +377,45 @@ func RunSection5Ambiguity(lines, nEdits int) (Section5Ambiguity, error) {
 			ambPairs[i][j] = e
 		}
 	}
-	reparse := func(s *side, i int) error {
-		for _, e := range s.pairs[i] {
-			start := time.Now()
-			s.d.Replace(e.Offset, e.Removed, e.Inserted)
-			root, err := s.p.Parse(s.d.Stream())
-			if err != nil {
-				return err
-			}
-			s.d.Commit(root)
-			s.ns = append(s.ns, float64(time.Since(start).Nanoseconds()))
-			s.work += s.p.Stats.Shifts + s.p.Stats.Reductions + s.p.Stats.Breakdowns
-		}
-		return nil
+	side := func(src string, pairs [][2]corpus.Edit, work *int) (*reparser, error) {
+		p := iglr.New(l.Table)
+		s := &reparser{d: l.NewDocument(src), pairs: pairs, parse: func(d *document.Document) (*dag.Node, error) {
+			root, err := p.Parse(d.Stream())
+			*work += p.Stats.Shifts + p.Stats.Reductions + p.Stats.Breakdowns
+			return root, err
+		}}
+		err := s.commit()
+		*work = 0
+		return s, err
 	}
-
-	plain, err := open(src, pairs)
+	var plainWork, ambWork int
+	plain, err := side(src, pairs, &plainWork)
 	if err != nil {
 		return Section5Ambiguity{}, err
 	}
-	amb, err := open(ambSrc, ambPairs)
+	amb, err := side(ambSrc, ambPairs, &ambWork)
 	if err != nil {
 		return Section5Ambiguity{}, err
 	}
-	for i := range pairs {
-		order := [2]*side{plain, amb}
-		if i%2 == 1 {
-			order = [2]*side{amb, plain}
-		}
-		for _, s := range order {
-			if err := reparse(s, i); err != nil {
-				return Section5Ambiguity{}, err
-			}
-		}
+	if err := timeReparses(plain, amb); err != nil {
+		return Section5Ambiguity{}, err
+	}
+	diffs := make([]float64, len(plain.ns))
+	for i := range diffs {
+		diffs[i] = amb.ns[i] - plain.ns[i]
 	}
 	plainNs, ambNs := median(plain.ns), median(amb.ns)
-	plainWork := float64(plain.work) / float64(len(plain.ns))
-	ambWork := float64(amb.work) / float64(len(amb.ns))
+	perRe := func(work int) float64 { return float64(work) / float64(len(plain.ns)) }
 	return Section5Ambiguity{
 		Lines:           lines,
 		Ambiguous:       nAmb,
 		PlainNsPerRe:    plainNs,
 		AmbNsPerRe:      ambNs,
 		OverheadPct:     100 * (ambNs - plainNs) / plainNs,
-		PlainWorkPerRe:  plainWork,
-		AmbWorkPerRe:    ambWork,
-		WorkOverheadPct: 100 * (ambWork - plainWork) / plainWork,
+		DiffNs:          quartiles(diffs),
+		PlainWorkPerRe:  perRe(plainWork),
+		AmbWorkPerRe:    perRe(ambWork),
+		WorkOverheadPct: 100 * float64(ambWork-plainWork) / float64(plainWork),
 	}, nil
 }
 
@@ -478,6 +467,15 @@ func withAmbiguity(src string, n int) (string, int, func(int) int) {
 		return moved
 	}
 	return b.String(), len(ins), shift
+}
+
+// quartiles returns the first quartile, the median and the third quartile
+// of xs, which it sorts: the medians of its lower half, of all of it and
+// of its upper half.
+func quartiles(xs []float64) [3]float64 {
+	m := median(xs)
+	n := len(xs)
+	return [3]float64{median(xs[:n/2]), m, median(xs[(n+1)/2:])}
 }
 
 // median returns the median of xs, which it sorts, or 0 when xs is empty.
