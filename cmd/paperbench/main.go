@@ -183,7 +183,7 @@ func runSection5(scale float64) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("batch: det %.0f ns/token, IGLR %.0f ns/token, ratio %.2f (paper: 12%% vs 15%% parse share ≈ 1.25x)\n",
+	fmt.Printf("batch (median of alternated parses): det %.0f ns/token, IGLR %.0f ns/token, ratio %.2f (paper: 12%% vs 15%% parse share ≈ 1.25x)\n",
 		b.DetNsPerTok, b.IGLRNsPerTok, b.Ratio)
 	fmt.Printf("parse share of lex+parse: det %.0f%%, IGLR %.0f%% (paper: 12%% / 15%% of full analysis)\n",
 		100*b.DetShare, 100*b.IGLRShare)

@@ -7,7 +7,7 @@ import (
 	"log"
 	"net"
 	"net/http"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,9 +25,12 @@ type Daemon struct {
 	// always publish in version order, so a slow build can never clobber
 	// a config accepted after it.
 	reloadMu sync.Mutex
-	mets     metrics
-	pool     *shardPool
-	sessions *registry
+	// mets holds the value of each /metrics table row without a read
+	// (see families), at the row's index.
+	mets                    []atomic.Int64
+	parseLatency, queueWait histogram
+	pool                    *shardPool
+	sessions                *registry
 	// persist is the session durability store (nil when persistence is
 	// disabled). Fixed at startup, like the shard pool.
 	persist *persistStore
@@ -63,6 +66,7 @@ func New(cfg Config) (*Daemon, error) {
 		return nil, err
 	}
 	d := &Daemon{
+		mets:        make([]atomic.Int64, len(families)),
 		pool:        newShardPool(sn.cfg.Shards, sn.cfg.QueueDepth),
 		sessions:    newRegistry(),
 		gov:         govern.New(sn.cfg.Shards),
@@ -71,9 +75,8 @@ func New(cfg Config) (*Daemon, error) {
 		janitorDone: make(chan struct{}),
 	}
 	d.gov.SetWatermarks(sn.cfg.MemorySoftBytes, sn.cfg.MemoryHardBytes)
-	d.pool.onWait = d.mets.queueWait.observe
-	d.pool.onExpired = func() { d.mets.queueExpired.Add(1) }
-	d.mets.configVersion.Store(1)
+	d.pool.onWait = d.queueWait.observe
+	d.pool.onExpired = func() { d.mets[mQueueExpired].Add(1) }
 	d.snap.Store(sn)
 	if d.persist, err = newPersistStore(sn.cfg.Persist); err != nil {
 		return nil, err
@@ -121,7 +124,7 @@ func (d *Daemon) Reload(cfg Config) (int64, error) {
 	version := cur.version + 1
 	sn, err := buildSnapshot(cfg, version)
 	if err != nil {
-		d.mets.reloadErrors.Add(1)
+		d.mets[mReloadErrors].Add(1)
 		return cur.version, err
 	}
 	if sn.cfg.Shards != cur.cfg.Shards {
@@ -142,8 +145,7 @@ func (d *Daemon) Reload(cfg Config) (int64, error) {
 	sn.cfg.Listen, sn.cfg.AdminListen = cur.cfg.Listen, cur.cfg.AdminListen
 	d.gov.SetWatermarks(sn.cfg.MemorySoftBytes, sn.cfg.MemoryHardBytes)
 	d.snap.Store(sn)
-	d.mets.configVersion.Store(version)
-	d.mets.reloads.Add(1)
+	d.mets[mReloads].Add(1)
 	d.Logf("daemon: config v%d active (%d languages, ttl %v)",
 		version, len(sn.langs), time.Duration(sn.cfg.SessionTTL))
 	return version, nil
@@ -213,9 +215,13 @@ func (d *Daemon) Shutdown(ctx context.Context) error {
 	}
 	d.stopJanitor.Do(func() { close(d.janitorStop) })
 	<-d.janitorDone
-	// Park every live session on disk (bounded by the drain deadline) so
-	// a graceful restart restores each one without journal replay.
-	d.persistAll(ctx)
+	// Park every live session on disk (bounded by the drain deadline; see
+	// sweep) so a graceful restart restores each one without journal
+	// replay. A request still queued behind the park restores its session,
+	// as it would after an eviction.
+	if d.persist != nil {
+		d.sweep(ctx, 0, "shutdown", never)
+	}
 	// srv.Shutdown can return early (drain deadline expired) with
 	// handlers still in flight — say, wedged on a long unbudgeted parse.
 	// pool.close excludes concurrent producers itself (a straggler gets
@@ -243,57 +249,79 @@ func (d *Daemon) Shutdown(ctx context.Context) error {
 // on the session's shard goroutine, between requests: a request's task
 // applies and parses its batch, so a session never waits here with work a
 // shed request left behind. With persistence on, the session is parked on
-// disk first (the next touch restores it); pressure is true for
-// memory-pressure evictions, false for TTL ones (they count differently).
-func (d *Daemon) parkSession(sess *session, when string, pressure bool) {
-	toDisk := d.persistPark(sess, when)
-	if d.closeSession(sess) {
-		if pressure {
-			d.mets.pressureEvictions.Add(1)
-		} else {
-			d.mets.sessionsEvicted.Add(1)
-		}
-		if toDisk {
-			d.mets.evictedToDisk.Add(1)
-		}
+// disk first (the next touch restores it). why is the reason, which picks
+// the counter: "evict" for the idle TTL, "pressure" for memory pressure;
+// "shutdown" counts nowhere and closes only a session whose state reached
+// disk.
+func (d *Daemon) parkSession(sess *session, why string) {
+	toDisk := d.persistPark(sess, why)
+	if (why == "shutdown" && !toDisk) || !d.closeSession(sess) {
+		return
+	}
+	switch why {
+	case "evict":
+		d.mets[mSessionsEvicted].Add(1)
+	case "pressure":
+		d.mets[mPressureEvictions].Add(1)
+	default:
+		return
+	}
+	if toDisk {
+		d.mets[mEvictedToDisk].Add(1)
 	}
 }
 
 // pressureIdleMin is the minimum idle time before a session is eligible
-// for a pressure eviction: sweeps under memory pressure park idle-first,
-// but never a session something touched in the last beat.
+// for a pressure sweep: sweeps under memory pressure park idle-first, but
+// never a session something touched in the last beat.
 const pressureIdleMin = 100 * time.Millisecond
 
-// relieveShard parks shard i's idle sessions, oldest-idle first, until
-// the governor has at least need bytes of headroom (or the shard runs out
-// of candidates). Runs on shard i's goroutine; protect (the session being
-// grown) is never parked here. Only sessions with their state safely on
-// disk are parked — without persistence, relief would destroy user state,
-// so the governor sheds new work instead.
-func (d *Daemon) relieveShard(i int, need int64, protect *session) {
-	if d.persist == nil {
-		return
-	}
-	cands := d.sessions.byShard(i)
-	sort.Slice(cands, func(a, b int) bool { return cands[a].lastUsed.Before(cands[b].lastUsed) })
-	for _, c := range cands {
-		if hr, ok := d.gov.Headroom(); !ok || hr >= need {
+// parkIdle is the one park sweep: it parks the sessions of cands, all of
+// one shard, oldest-idle first until done holds, leaving alone keep and
+// every session used in the last minIdle. Runs on the shard's goroutine.
+// The janitor's TTL and pressure sweeps and shutdown reach it through
+// sweep; hard-watermark relief (accountParse) calls it on its own shard.
+func (d *Daemon) parkIdle(cands []*session, minIdle time.Duration, keep *session, why string, done func() bool) {
+	cutoff := time.Now().Add(-minIdle)
+	slices.SortFunc(cands, func(a, b *session) int { return a.lastUsed.Compare(b.lastUsed) })
+	for _, sess := range cands {
+		if done() {
 			return
 		}
-		if c == protect || c.closed {
-			continue
+		if sess != keep && !sess.closed && !sess.lastUsed.After(cutoff) {
+			d.parkSession(sess, why)
 		}
-		d.parkSession(c, "pressure", true)
 	}
 }
 
+// sweep runs parkIdle on every shard that has sessions, one task each,
+// until done holds. Each task waits at most a second for its shard, so a
+// wedged shard holds up the others no longer than that.
+func (d *Daemon) sweep(ctx context.Context, minIdle time.Duration, why string, done func() bool) {
+	for i := range d.pool.tasks {
+		if done() {
+			return
+		}
+		if cands := d.sessions.byShard(i); len(cands) > 0 {
+			shardCtx, cancel := context.WithTimeout(ctx, time.Second)
+			d.pool.run(shardCtx, i, func() { d.parkIdle(cands, minIdle, nil, why, done) })
+			cancel()
+		}
+	}
+}
+
+// never is the stop rule of a sweep that parks every session it may.
+func never() bool { return false }
+
 // accountParse settles a session's governor account after a parse: the
 // footprint delta is charged (or released) against the shard. A charge the
-// hard watermark refuses triggers relief — idle neighbors are parked to
-// disk — and if the shard still cannot absorb the growth, the grown
-// session itself is parked (persistence on) or dropped (persistence off):
-// the response the client is about to get is still correct, and the next
-// touch restores or recreates. Runs on the session's shard goroutine.
+// hard watermark refuses triggers relief: with persistence on, idle
+// neighbors are parked to disk until the growth fits (without it, parking
+// would destroy their state). If the shard still cannot absorb the growth,
+// the grown session itself is parked (persistence on) or dropped
+// (persistence off): the response the client is about to get is still
+// correct, and the next touch restores or recreates. Runs on the session's
+// shard goroutine.
 func (d *Daemon) accountParse(sess *session) {
 	fp := sess.s.MemoryFootprint()
 	delta := fp - sess.memBytes
@@ -306,7 +334,12 @@ func (d *Daemon) accountParse(sess *session) {
 		sess.memBytes = fp
 		return
 	}
-	d.relieveShard(sess.shard, delta, sess)
+	if d.persist != nil {
+		d.parkIdle(d.sessions.byShard(sess.shard), 0, sess, "pressure", func() bool {
+			hr, ok := d.gov.Headroom()
+			return !ok || hr >= delta
+		})
+	}
 	if d.gov.TryCharge(sess.shard, delta) {
 		sess.memBytes = fp
 		return
@@ -315,23 +348,16 @@ func (d *Daemon) accountParse(sess *session) {
 	// account is released inside parkSession; the unaccounted growth
 	// leaves the process with the session.
 	d.Logf("daemon: session %s grew past the memory hard watermark (%d bytes), shedding", sess.id, fp)
-	if d.persist != nil {
-		d.parkSession(sess, "pressure", true)
-		return
-	}
-	d.persistRemove(sess)
-	if d.closeSession(sess) {
-		d.mets.pressureEvictions.Add(1)
-	}
+	d.parkSession(sess, "pressure")
 }
 
-// janitor periodically evicts idle sessions. Each sweep runs on the
-// owning shard's goroutine, so it serializes with session operations and
-// a session can never be evicted mid-parse. The TTL is read from the
-// active snapshot every sweep, making it hot-reloadable. Under memory
-// pressure (the governor at or above its soft watermark) the janitor
-// additionally parks idle sessions to disk, oldest-idle first, until the
-// fleet is back under the soft watermark.
+// janitor parks idle sessions every 250 ms: each session idle past the
+// TTL, which it reads from the active snapshot every sweep, making it
+// hot-reloadable; and under memory pressure (the governor at or above its
+// soft watermark), with persistence on, idle sessions oldest-idle first
+// until the fleet is back under the soft watermark. The sweeps run on the
+// owning shards' goroutines, so they serialize with session operations and
+// a session can never be parked mid-parse.
 func (d *Daemon) janitor() {
 	defer close(d.janitorDone)
 	tick := time.NewTicker(250 * time.Millisecond)
@@ -342,59 +368,11 @@ func (d *Daemon) janitor() {
 			return
 		case <-tick.C:
 		}
-		ttl := time.Duration(d.snap.Load().cfg.SessionTTL)
-		if ttl > 0 {
-			cutoff := time.Now().Add(-ttl)
-			for i := range d.pool.tasks {
-				candidates := d.sessions.byShard(i)
-				if len(candidates) == 0 {
-					continue
-				}
-				ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-				d.pool.run(ctx, i, func() {
-					for _, sess := range candidates {
-						if sess.closed || sess.lastUsed.After(cutoff) {
-							continue
-						}
-						// Park the session on disk before dropping it: with
-						// persistence on, eviction demotes to cold storage
-						// (the next touch restores) instead of destroying.
-						d.parkSession(sess, "evict", false)
-					}
-				})
-				cancel()
-			}
+		if ttl := time.Duration(d.snap.Load().cfg.SessionTTL); ttl > 0 {
+			d.sweep(context.Background(), ttl, "evict", never)
 		}
-		// Pressure mode: idle-first eviction to disk until under the soft
-		// watermark. Only parked-safely sessions are eligible, so this
-		// never destroys state (relieveShard enforces both).
-		if d.gov.OverSoft() && d.persist != nil {
-			cutoff := time.Now().Add(-pressureIdleMin)
-			for i := range d.pool.tasks {
-				if !d.gov.OverSoft() {
-					break
-				}
-				candidates := d.sessions.byShard(i)
-				if len(candidates) == 0 {
-					continue
-				}
-				ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-				d.pool.run(ctx, i, func() {
-					sort.Slice(candidates, func(a, b int) bool {
-						return candidates[a].lastUsed.Before(candidates[b].lastUsed)
-					})
-					for _, sess := range candidates {
-						if !d.gov.OverSoft() {
-							return
-						}
-						if sess.closed || sess.lastUsed.After(cutoff) {
-							continue
-						}
-						d.parkSession(sess, "pressure", true)
-					}
-				})
-				cancel()
-			}
+		if d.persist != nil {
+			d.sweep(context.Background(), pressureIdleMin, "pressure", func() bool { return !d.gov.OverSoft() })
 		}
 	}
 }

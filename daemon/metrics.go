@@ -54,132 +54,118 @@ func (h *histogram) write(w io.Writer, name string) {
 
 func formatBound(b float64) string { return fmt.Sprintf("%g", b) }
 
-// metrics is the daemon's instrumentation: plain atomic counters and
-// gauges fed by the session/engine outcome structs, rendered in the
-// Prometheus text exposition format at GET /metrics on the admin plane.
-type metrics struct {
-	configVersion atomic.Int64
-	reloads       atomic.Int64
-	reloadErrors  atomic.Int64
+// family is one row of the /metrics table: a family's type, name and help
+// text, and how a scrape reads its samples. A row without read has one
+// sample, the value each daemon keeps at the row's index in Daemon.mets.
+type family struct {
+	typ, name, help string
+	read            func(d *Daemon, w io.Writer, name string)
+}
 
-	sessionsOpen    atomic.Int64
-	sessionsOpened  atomic.Int64
-	sessionsClosed  atomic.Int64
-	sessionsEvicted atomic.Int64
-	sessionsDenied  atomic.Int64
+// families is the table GET /metrics renders, in exposition order. The
+// var block below fills it, row by row in declaration order.
+var families []family
 
-	panics atomic.Int64
+// def appends a row without read to the table and returns its index, the
+// handle a call site bumps the row's value through: d.mets[mEdits].Add(1).
+func def(typ, name, help string) int { return defRead(typ, name, help, nil) }
 
-	edits        atomic.Int64
-	parses       atomic.Int64
-	parseErrors  atomic.Int64
-	budgetTrips  atomic.Int64
-	degraded     atomic.Int64
-	isolated     atomic.Int64
-	diagnostics  atomic.Int64
-	parseLatency histogram
+// defRead appends a row whose samples a scrape reads from their source.
+func defRead(typ, name, help string, read func(d *Daemon, w io.Writer, name string)) int {
+	families = append(families, family{typ, name, help, read})
+	return len(families) - 1
+}
 
-	// Overload protection: load shedding, queue behavior, stalled parses,
-	// and pressure-mode eviction.
-	shedQueueFull     atomic.Int64
-	shedInflight      atomic.Int64
-	shedMemory        atomic.Int64
-	queueExpired      atomic.Int64
-	watchdogCancels   atomic.Int64
-	pressureEvictions atomic.Int64
-	degradedAdmits    atomic.Int64
-	queueWait         histogram
+// value is the read of a row whose one sample v reads.
+func value(v func(d *Daemon) int64) func(*Daemon, io.Writer, string) {
+	return func(d *Daemon, w io.Writer, name string) { fmt.Fprintf(w, "%s %d\n", name, v(d)) }
+}
 
-	batchRequests atomic.Int64
-	batchFiles    atomic.Int64
-	batchFailed   atomic.Int64
+var (
+	_             = defRead("gauge", "iglrd_config_version", "Version of the active config (bumps on every successful reload).", value(func(d *Daemon) int64 { return d.snap.Load().version }))
+	mReloads      = def("counter", "iglrd_config_reloads_total", "Successful config reloads.")
+	mReloadErrors = def("counter", "iglrd_config_reload_errors_total", "Rejected config reloads (active config unchanged).")
 
-	restoreHits      atomic.Int64
-	restoreMisses    atomic.Int64
-	restoreDiverged  atomic.Int64
-	evictedToDisk    atomic.Int64
-	journalRecords   atomic.Int64
-	journalReplayed  atomic.Int64
-	journalTorn      atomic.Int64
-	snapshotsWritten atomic.Int64
-	persistErrors    atomic.Int64
+	_                = defRead("gauge", "iglrd_sessions_open", "Editing sessions currently open.", value(func(d *Daemon) int64 { return int64(d.sessions.len()) }))
+	mSessionsOpened  = def("counter", "iglrd_sessions_opened_total", "Sessions ever opened.")
+	mSessionsClosed  = def("counter", "iglrd_sessions_closed_total", "Sessions closed by the client.")
+	mSessionsEvicted = def("counter", "iglrd_sessions_evicted_total", "Sessions evicted after exceeding the idle TTL.")
+	mSessionsDenied  = def("counter", "iglrd_sessions_denied_total", "Session creations denied by a quota.")
+
+	mPanics = def("counter", "iglrd_recovered_panics_total", "Shard tasks that panicked and were recovered (the offending session is closed).")
+
+	mEdits       = def("counter", "iglrd_edits_total", "Text edits applied across all sessions.")
+	mParses      = def("counter", "iglrd_parses_total", "Parses run (incremental and initial).")
+	mParseErrors = def("counter", "iglrd_parse_errors_total", "Parses that failed with a syntax error (non-tolerant sessions).")
+	mBudgetTrips = def("counter", "iglrd_budget_trips_total", "Parses aborted by a resource budget.")
+	mDegraded    = def("counter", "iglrd_degraded_parses_total", "Parses that pruned ambiguity under the alternatives budget.")
+	mIsolated    = def("counter", "iglrd_isolated_parses_total", "Tolerant parses that quarantined syntax errors (error isolation).")
+	mDiagnostics = def("counter", "iglrd_diagnostics_total", "Diagnostics reported across all parses.")
+	_            = defRead("histogram", "iglrd_parse_seconds", "Parse latency, per session parse.", func(d *Daemon, w io.Writer, name string) { d.parseLatency.write(w, name) })
+
+	mShedQueueFull     = def("counter", "iglrd_shed_queue_full_total", "Requests shed with 429 because their shard's queue was full.")
+	mShedInflight      = def("counter", "iglrd_shed_inflight_total", "Requests shed with 429 by the global in-flight cap.")
+	mShedMemory        = def("counter", "iglrd_shed_memory_total", "Creations and restores shed with 503 by the memory hard watermark.")
+	mQueueExpired      = def("counter", "iglrd_queue_expired_total", "Queued tasks dropped because their request deadline expired before a shard could run them.")
+	mWatchdogCancels   = def("counter", "iglrd_watchdog_cancels_total", "Parses cancelled after running past stall_timeout (the session is closed).")
+	mPressureEvictions = def("counter", "iglrd_pressure_evictions_total", "Sessions parked to disk by memory-pressure eviction (soft-watermark sweeps and hard-watermark relief).")
+	mDegradedAdmits    = def("counter", "iglrd_degraded_admits_total", "Sessions admitted under the degraded pressure budget.")
+	_                  = defRead("histogram", "iglrd_queue_wait_seconds", "Time tasks spent waiting in a shard queue before running.", func(d *Daemon, w io.Writer, name string) { d.queueWait.write(w, name) })
+	mBatchRequests     = def("counter", "iglrd_batch_requests_total", "One-shot POST /parse batch requests.")
+	mBatchFiles        = def("counter", "iglrd_batch_files_total", "Files parsed by batch requests.")
+	mBatchFailed       = def("counter", "iglrd_batch_failed_files_total", "Batch files that failed.")
+	mRestoreHits       = def("counter", "iglrd_sessions_restored_total", "Sessions restored from disk on first touch after an eviction or restart.")
+	mRestoreMisses     = def("counter", "iglrd_session_restore_misses_total", "Restore attempts that fell back to 404 (missing, corrupt, or unreplayable artifacts).")
+	mRestoreDiverged   = def("counter", "iglrd_session_restores_diverged_total", "Restored sessions whose snapshot tree a cold parse did not reproduce; the text was kept and the tree is the cold parse's.")
+	mEvictedToDisk     = def("counter", "iglrd_sessions_evicted_to_disk_total", "Idle evictions whose full session state was made durable first.")
+	mJournalRecords    = def("counter", "iglrd_journal_records_total", "Write-ahead journal records appended (one per accepted edit batch).")
+	mJournalReplayed   = def("counter", "iglrd_journal_replayed_total", "Journal records replayed while restoring sessions.")
+	mJournalTorn       = def("counter", "iglrd_journal_torn_total", "Torn journal tails detected on restore (the crash-mid-append signature); the intact prefix was replayed.")
+	mSnapshotsWritten  = def("counter", "iglrd_snapshots_written_total", "Session snapshots written (first parse, journal rotation, eviction, shutdown).")
+	mPersistErrors     = def("counter", "iglrd_persist_errors_total", "Disk failures that disabled persistence for one session (the live session is unaffected).")
+
+	// The memory governor's gauges: the global account, the watermarks,
+	// its state and the per-shard split.
+	_ = defRead("gauge", "iglrd_memory_bytes", "Accounted live session bytes.", value(func(d *Daemon) int64 { return d.gov.Global() }))
+	_ = defRead("gauge", "iglrd_memory_soft_bytes", "Soft (pressure) watermark; 0 = unset.", value(func(d *Daemon) int64 { soft, _ := d.gov.Watermarks(); return soft }))
+	_ = defRead("gauge", "iglrd_memory_hard_bytes", "Hard (refusal) watermark; 0 = unset.", value(func(d *Daemon) int64 { _, hard := d.gov.Watermarks(); return hard }))
+	_ = defRead("gauge", "iglrd_memory_state", "Governor state: 0 normal, 1 pressure, 2 critical.", value(func(d *Daemon) int64 { return int64(d.gov.State()) }))
+	_ = defRead("gauge", "iglrd_shard_memory_bytes", "Accounted live bytes per shard.", func(d *Daemon, w io.Writer, name string) {
+		for i := 0; i < d.gov.Shards(); i++ {
+			fmt.Fprintf(w, "%s{shard=\"%d\"} %d\n", name, i, d.gov.Shard(i))
+		}
+	})
+	_ = defRead("gauge", "iglrd_inflight_requests", "Data-plane requests currently executing.", value(func(d *Daemon) int64 { return d.inflight.Load() }))
+)
+
+// writeMetrics renders the table in the Prometheus text exposition format.
+func (d *Daemon) writeMetrics(w io.Writer) {
+	for i, f := range families {
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.typ)
+		if f.read != nil {
+			f.read(d, w, f.name)
+		} else {
+			fmt.Fprintf(w, "%s %d\n", f.name, d.mets[i].Load())
+		}
+	}
 }
 
 // observeParse folds one session parse outcome into the counters.
-func (m *metrics) observeParse(out *incremental.Outcome, dur time.Duration, diags int) {
-	m.parses.Add(1)
-	m.parseLatency.observe(dur)
+func (d *Daemon) observeParse(out *incremental.Outcome, dur time.Duration, diags int) {
+	d.mets[mParses].Add(1)
+	d.parseLatency.observe(dur)
 	if out.Err != nil {
 		if errors.Is(out.Err, incremental.ErrBudget) {
-			m.budgetTrips.Add(1)
+			d.mets[mBudgetTrips].Add(1)
 		} else {
-			m.parseErrors.Add(1)
+			d.mets[mParseErrors].Add(1)
 		}
 	}
 	if out.Isolated {
-		m.isolated.Add(1)
+		d.mets[mIsolated].Add(1)
 	}
 	if out.Stats.BudgetPruned > 0 {
-		m.degraded.Add(1)
+		d.mets[mDegraded].Add(1)
 	}
-	m.diagnostics.Add(int64(diags))
-}
-
-// write renders every metric. One writer, no registry: the inventory is
-// small and fixed, and the daemon has no third-party metric dependencies.
-func (m *metrics) write(w io.Writer) {
-	g := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-	}
-	c := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-
-	g("iglrd_config_version", "Version of the active config (bumps on every successful reload).", m.configVersion.Load())
-	c("iglrd_config_reloads_total", "Successful config reloads.", m.reloads.Load())
-	c("iglrd_config_reload_errors_total", "Rejected config reloads (active config unchanged).", m.reloadErrors.Load())
-
-	g("iglrd_sessions_open", "Editing sessions currently open.", m.sessionsOpen.Load())
-	c("iglrd_sessions_opened_total", "Sessions ever opened.", m.sessionsOpened.Load())
-	c("iglrd_sessions_closed_total", "Sessions closed by the client.", m.sessionsClosed.Load())
-	c("iglrd_sessions_evicted_total", "Sessions evicted after exceeding the idle TTL.", m.sessionsEvicted.Load())
-	c("iglrd_sessions_denied_total", "Session creations denied by a quota.", m.sessionsDenied.Load())
-
-	c("iglrd_recovered_panics_total", "Shard tasks that panicked and were recovered (the offending session is closed).", m.panics.Load())
-
-	c("iglrd_edits_total", "Text edits applied across all sessions.", m.edits.Load())
-	c("iglrd_parses_total", "Parses run (incremental and initial).", m.parses.Load())
-	c("iglrd_parse_errors_total", "Parses that failed with a syntax error (non-tolerant sessions).", m.parseErrors.Load())
-	c("iglrd_budget_trips_total", "Parses aborted by a resource budget.", m.budgetTrips.Load())
-	c("iglrd_degraded_parses_total", "Parses that pruned ambiguity under the alternatives budget.", m.degraded.Load())
-	c("iglrd_isolated_parses_total", "Tolerant parses that quarantined syntax errors (error isolation).", m.isolated.Load())
-	c("iglrd_diagnostics_total", "Diagnostics reported across all parses.", m.diagnostics.Load())
-
-	fmt.Fprintf(w, "# HELP iglrd_parse_seconds Parse latency, per session parse.\n# TYPE iglrd_parse_seconds histogram\n")
-	m.parseLatency.write(w, "iglrd_parse_seconds")
-
-	c("iglrd_shed_queue_full_total", "Requests shed with 429 because their shard's queue was full.", m.shedQueueFull.Load())
-	c("iglrd_shed_inflight_total", "Requests shed with 429 by the global in-flight cap.", m.shedInflight.Load())
-	c("iglrd_shed_memory_total", "Creations and restores shed with 503 by the memory hard watermark.", m.shedMemory.Load())
-	c("iglrd_queue_expired_total", "Queued tasks dropped because their request deadline expired before a shard could run them.", m.queueExpired.Load())
-	c("iglrd_watchdog_cancels_total", "Parses cancelled after running past stall_timeout (the session is closed).", m.watchdogCancels.Load())
-	c("iglrd_pressure_evictions_total", "Sessions parked to disk by memory-pressure eviction (soft-watermark sweeps and hard-watermark relief).", m.pressureEvictions.Load())
-	c("iglrd_degraded_admits_total", "Sessions admitted under the degraded pressure budget.", m.degradedAdmits.Load())
-
-	fmt.Fprintf(w, "# HELP iglrd_queue_wait_seconds Time tasks spent waiting in a shard queue before running.\n# TYPE iglrd_queue_wait_seconds histogram\n")
-	m.queueWait.write(w, "iglrd_queue_wait_seconds")
-
-	c("iglrd_batch_requests_total", "One-shot POST /parse batch requests.", m.batchRequests.Load())
-	c("iglrd_batch_files_total", "Files parsed by batch requests.", m.batchFiles.Load())
-	c("iglrd_batch_failed_files_total", "Batch files that failed.", m.batchFailed.Load())
-
-	c("iglrd_sessions_restored_total", "Sessions restored from disk on first touch after an eviction or restart.", m.restoreHits.Load())
-	c("iglrd_session_restore_misses_total", "Restore attempts that fell back to 404 (missing, corrupt, or unreplayable artifacts).", m.restoreMisses.Load())
-	c("iglrd_session_restores_diverged_total", "Restored sessions whose snapshot tree a cold parse did not reproduce; the text was kept and the tree is the cold parse's.", m.restoreDiverged.Load())
-	c("iglrd_sessions_evicted_to_disk_total", "Idle evictions whose full session state was made durable first.", m.evictedToDisk.Load())
-	c("iglrd_journal_records_total", "Write-ahead journal records appended (one per accepted edit batch).", m.journalRecords.Load())
-	c("iglrd_journal_replayed_total", "Journal records replayed while restoring sessions.", m.journalReplayed.Load())
-	c("iglrd_journal_torn_total", "Torn journal tails detected on restore (the crash-mid-append signature); the intact prefix was replayed.", m.journalTorn.Load())
-	c("iglrd_snapshots_written_total", "Session snapshots written (first parse, journal rotation, eviction, shutdown).", m.snapshotsWritten.Load())
-	c("iglrd_persist_errors_total", "Disk failures that disabled persistence for one session (the live session is unaffected).", m.persistErrors.Load())
+	d.mets[mDiagnostics].Add(int64(diags))
 }

@@ -505,6 +505,51 @@ func TestPressureEvictRestoreDiverged(t *testing.T) {
 	}
 }
 
+// TestHardWatermarkRelief: an edit whose growth the hard watermark
+// refuses parks the oldest idle session on its shard, not the grown one,
+// and answers 200; the parked session restores on its next touch.
+func TestHardWatermarkRelief(t *testing.T) {
+	cfg := persistConfig(t)
+	cfg.Shards = 1 // relief parks the grown session's shard neighbours
+	d := testDaemon(t, cfg)
+	oldText := "1" + strings.Repeat("+1", 2000)
+	oldest := createExpr(t, d, oldText)
+	want := outline(t, d, oldest.ID, len(oldText))
+	middle := createExpr(t, d, "1+2")
+	newest := createExpr(t, d, "1+2")
+
+	capped := cfg
+	capped.MemoryHardBytes = d.gov.Global() + 1
+	if _, err := d.Reload(capped); err != nil {
+		t.Fatalf("reload with a hard watermark: %v", err)
+	}
+	out := editOnce(t, d, newest.ID, editJSON{Offset: 3, Insert: strings.Repeat("*3", 50)})
+	if out.TextLen != 103 || !out.Clean {
+		t.Fatalf("edit outcome %+v", out)
+	}
+	m := scrapeMetrics(t, d)
+	if v := metricValue(t, m, "iglrd_pressure_evictions_total"); v != 1 {
+		t.Fatalf("pressure_evictions_total = %d, want 1", v)
+	}
+	for id, wantLive := range map[string]bool{oldest.ID: false, middle.ID: true, newest.ID: true} {
+		if _, live := d.sessions.get(id); live != wantLive {
+			t.Fatalf("session %s live = %v, want %v", id, live, wantLive)
+		}
+	}
+
+	// The parked session's restore needs more than the freed headroom:
+	// lift the watermark, then touch it.
+	if _, err := d.Reload(cfg); err != nil {
+		t.Fatalf("reload without the watermark: %v", err)
+	}
+	if got := outline(t, d, oldest.ID, len(oldText)); got != want {
+		t.Fatalf("relief park/restore diverged:\nlive:\n%s\nrestored:\n%s", want, got)
+	}
+	if v := metricValue(t, scrapeMetrics(t, d), "iglrd_sessions_restored_total"); v != 1 {
+		t.Fatalf("restored_total = %d, want 1", v)
+	}
+}
+
 // shedTolerantGET fetches url like a well-behaved client: 429/503 sheds
 // are retried until the deadline; any other non-200 fails.
 func shedTolerantGET(t *testing.T, url string) string {

@@ -74,11 +74,12 @@ func (ps *persistStore) snapPath(id string) string {
 }
 func (ps *persistStore) walPath(id string) string { return filepath.Join(ps.dir, id+".wal") }
 
-// removeArtifacts deletes all of a session's files, best-effort.
-func (ps *persistStore) removeArtifacts(id string) {
+// removeArtifacts deletes all of a session's files, best-effort, and
+// reports whether the session's meta record was there to delete.
+func (ps *persistStore) removeArtifacts(id string) bool {
 	os.Remove(ps.walPath(id))
 	os.Remove(ps.snapPath(id))
-	os.Remove(ps.metaPath(id))
+	return os.Remove(ps.metaPath(id)) == nil
 }
 
 // writeFileAtomic writes data under path via temp-file-plus-rename, so a
@@ -238,7 +239,7 @@ func (d *Daemon) persistFail(sess *session, op string, err error) {
 		return
 	}
 	p.broken = true
-	d.mets.persistErrors.Add(1)
+	d.mets[mPersistErrors].Add(1)
 	d.Logf("daemon: session %s persistence disabled (%s: %v)", sess.id, op, err)
 	if p.wal != nil {
 		p.wal.Close()
@@ -329,7 +330,7 @@ func (d *Daemon) appendRecord(sess *session, edits []editJSON) error {
 	}
 	p.seq = rec.Seq
 	p.walBytes += int64(len(frame))
-	d.mets.journalRecords.Add(1)
+	d.mets[mJournalRecords].Add(1)
 	return nil
 }
 
@@ -350,7 +351,7 @@ func (d *Daemon) writeSnapshot(sess *session) error {
 	}
 	p.haveSnap = true
 	p.snapSeq = p.seq
-	d.mets.snapshotsWritten.Add(1)
+	d.mets[mSnapshotsWritten].Add(1)
 	// The snapshot covers every journaled record, so dropping the journal
 	// is an optimization; a crash between the rename above and the
 	// truncate below double-applies nothing (replay skips by sequence).
@@ -397,29 +398,6 @@ func (d *Daemon) persistRemove(sess *session) {
 	}
 }
 
-// persistAll parks every live session at shutdown, shard by shard, so a
-// graceful restart restores without journal replay. A parked session is
-// closed like an evicted one: a request still queued behind the park
-// restores it, as it would after an eviction.
-func (d *Daemon) persistAll(ctx context.Context) {
-	if d.persist == nil {
-		return
-	}
-	for i := range d.pool.tasks {
-		sessions := d.sessions.byShard(i)
-		if len(sessions) == 0 {
-			continue
-		}
-		d.pool.run(ctx, i, func() {
-			for _, sess := range sessions {
-				if !sess.closed && d.persistPark(sess, "shutdown") {
-					d.closeSession(sess)
-				}
-			}
-		})
-	}
-}
-
 // ---- restore -------------------------------------------------------------
 
 // restoreSession rebuilds session id from its on-disk artifacts: snapshot
@@ -453,7 +431,7 @@ func (d *Daemon) restoreSession(id string) (sess *session, shed bool) {
 	if !ok {
 		// Not an artifact problem: the language left the config. Keep the
 		// files — a reload may bring it back.
-		d.mets.restoreMisses.Add(1)
+		d.mets[mRestoreMisses].Add(1)
 		d.Logf("daemon: session %s not restored: language %q not in active config", id, meta.Language)
 		return nil, false
 	}
@@ -470,7 +448,7 @@ func (d *Daemon) restoreSession(id string) (sess *session, shed bool) {
 		// is lost; only the tree is the cold parse's, not the live one's.
 		// The session counts as unsnapshotted, so its next park or parse
 		// writes a snapshot of the tree it now serves.
-		d.mets.restoreDiverged.Add(1)
+		d.mets[mRestoreDiverged].Add(1)
 		d.Logf("daemon: session %s restored with a reparsed tree: %v", id, err)
 		err = nil
 	}
@@ -510,7 +488,7 @@ func (d *Daemon) restoreSession(id string) (sess *session, shed bool) {
 				return nil, false
 			}
 			seq = rec.Seq
-			d.mets.journalReplayed.Add(1)
+			d.mets[mJournalReplayed].Add(1)
 		}
 		if torn {
 			// The crash-mid-append signature: everything before the torn
@@ -518,7 +496,7 @@ func (d *Daemon) restoreSession(id string) (sess *session, shed bool) {
 			// future appends extend an intact journal; the framing is
 			// canonical, so re-encoding the intact records gives the exact
 			// intact prefix length.
-			d.mets.journalTorn.Add(1)
+			d.mets[mJournalTorn].Add(1)
 			var intact []byte
 			for _, rec := range recs {
 				intact = sesscodec.AppendJournalRecord(intact, rec)
@@ -548,8 +526,7 @@ func (d *Daemon) restoreSession(id string) (sess *session, shed bool) {
 	}
 	d.sessions.floorSeq(seqID)
 	d.sessions.add(sess, 0, 0)
-	d.mets.sessionsOpen.Add(1)
-	d.mets.restoreHits.Add(1)
+	d.mets[mRestoreHits].Add(1)
 	d.Logf("daemon: session %s restored from disk (%s, seq %d)", id, meta.Language, seq)
 	return sess, false
 }
@@ -558,7 +535,7 @@ func (d *Daemon) restoreSession(id string) (sess *session, shed bool) {
 // unusable state is never retried: the client sees a 404 and re-creates
 // the session from source — absent, never wrong.
 func (d *Daemon) restoreFailed(id, op string, err error) {
-	d.mets.restoreMisses.Add(1)
+	d.mets[mRestoreMisses].Add(1)
 	d.Logf("daemon: session %s restore failed (%s), falling back: %v", id, op, err)
 	d.persist.removeArtifacts(id)
 }

@@ -360,6 +360,46 @@ func TestPersistDelete(t *testing.T) {
 	}
 }
 
+// TestPersistDeleteParked: DELETE of a session parked on disk removes its
+// artifacts without restoring it, also once its language has left the
+// config; the ID then answers 404.
+func TestPersistDeleteParked(t *testing.T) {
+	cfg := persistConfig(t)
+	d1 := crashableDaemon(t, cfg)
+	first, second := createExpr(t, d1, "1+2*3"), createExpr(t, d1, "4*5")
+	crashDaemon(t, d1)
+
+	d2 := testDaemon(t, cfg)
+	noExpr := cfg
+	noExpr.Bundled = []string{"c-subset"}
+	for i, id := range []string{first.ID, second.ID} {
+		if i == 1 {
+			if _, err := d2.Reload(noExpr); err != nil {
+				t.Fatalf("reload without expr: %v", err)
+			}
+		}
+		if status := doJSON(t, "DELETE", dataURL(d2, "/sessions/"+id), nil, nil); status != http.StatusNoContent {
+			t.Fatalf("delete of parked %s: status %d", id, status)
+		}
+		entries, _ := os.ReadDir(cfg.Persist.Dir)
+		for _, e := range entries {
+			if strings.HasPrefix(e.Name(), id) {
+				t.Fatalf("artifact %s survived DELETE", e.Name())
+			}
+		}
+		if status := doJSON(t, "GET", dataURL(d2, "/sessions/"+id), nil, nil); status != http.StatusNotFound {
+			t.Fatalf("GET after DELETE of %s: status %d", id, status)
+		}
+	}
+	m := scrapeMetrics(t, d2)
+	if v := metricValue(t, m, "iglrd_sessions_restored_total"); v != 0 {
+		t.Fatalf("restored_total = %d, want 0", v)
+	}
+	if v := metricValue(t, m, "iglrd_sessions_closed_total"); v != 2 {
+		t.Fatalf("closed_total = %d, want 2", v)
+	}
+}
+
 // TestPersistTolerantSession: error-recovery sessions persist their
 // quarantined error regions and diagnostics across a crash.
 func TestPersistTolerantSession(t *testing.T) {

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"strconv"
@@ -224,7 +223,7 @@ func (d *Daemon) runSession(w http.ResponseWriter, r *http.Request, fn func(sess
 	case err != nil:
 		d.shardFailed(w, err, sess)
 	case shed:
-		d.mets.shedMemory.Add(1)
+		d.mets[mShedMemory].Add(1)
 		writeShed(w, http.StatusServiceUnavailable, shedCodeMemory, 2*time.Second,
 			"memory hard watermark reached; session %q stays parked", id)
 	case sess == nil:
@@ -245,11 +244,8 @@ func (d *Daemon) closeSession(sess *session) bool {
 	sess.closed = true
 	d.gov.Release(sess.shard, sess.memBytes)
 	sess.memBytes = 0
-	if _, ok := d.sessions.remove(sess.id); !ok {
-		return false
-	}
-	d.mets.sessionsOpen.Add(-1)
-	return true
+	_, ok := d.sessions.remove(sess.id)
+	return ok
 }
 
 // dropSession closes and unregisters a session whose task panicked. The
@@ -267,7 +263,7 @@ func (d *Daemon) dropSession(sess *session) {
 		closed = d.closeSession(sess)
 	}
 	if closed {
-		d.mets.sessionsClosed.Add(1)
+		d.mets[mSessionsClosed].Add(1)
 	}
 }
 
@@ -283,7 +279,7 @@ func (d *Daemon) dropSession(sess *session) {
 func (d *Daemon) shardFailed(w http.ResponseWriter, err error, sess *session) {
 	switch {
 	case errors.Is(err, errShardPanic):
-		d.mets.panics.Add(1)
+		d.mets[mPanics].Add(1)
 		if sess == nil {
 			d.Logf("daemon: shard task panicked: %v", err)
 		} else {
@@ -292,7 +288,7 @@ func (d *Daemon) shardFailed(w http.ResponseWriter, err error, sess *session) {
 		}
 		httpError(w, http.StatusInternalServerError, "internal error; session closed")
 	case errors.Is(err, errQueueFull):
-		d.mets.shedQueueFull.Add(1)
+		d.mets[mShedQueueFull].Add(1)
 		writeShed(w, http.StatusTooManyRequests, shedCodeQueueFull, time.Second,
 			"shard queue full; retry")
 	case errors.Is(err, errShardStalled):
@@ -367,21 +363,21 @@ func (d *Daemon) editSession(ctx context.Context, sess *session, edits []editJSO
 	out, took, err := d.applyAndParse(ctx, sess, edits, stall)
 	if errors.Is(err, errShardStalled) {
 		// Livelock and panic get the same containment.
-		d.mets.watchdogCancels.Add(1)
+		d.mets[mWatchdogCancels].Add(1)
 		d.Logf("daemon: cancelled stalled parse on shard %d (session %s, running %v > stall_timeout %v)",
 			sess.shard, sess.id, took.Round(time.Millisecond), stall)
 		d.persistRemove(sess)
 		if d.closeSession(sess) {
-			d.mets.sessionsClosed.Add(1)
+			d.mets[mSessionsClosed].Add(1)
 		}
 		return outcomeJSON{}, err
 	}
 	if err != nil {
 		return outcomeJSON{}, err
 	}
-	d.mets.edits.Add(int64(len(edits)))
+	d.mets[mEdits].Add(int64(len(edits)))
 	diags := sess.s.Diagnostics()
-	d.mets.observeParse(&out, took, len(diags))
+	d.observeParse(&out, took, len(diags))
 	oj := outcomeJSON{
 		Clean:        out.Clean,
 		Isolated:     out.Isolated,
@@ -423,7 +419,7 @@ func (d *Daemon) Handler() http.Handler {
 		cur := d.inflight.Add(1)
 		defer d.inflight.Add(-1)
 		if max := sn.cfg.MaxInflight; max > 0 && cur > int64(max) {
-			d.mets.shedInflight.Add(1)
+			d.mets[mShedInflight].Add(1)
 			writeShed(w, http.StatusTooManyRequests, shedCodeInflight, time.Second,
 				"in-flight request cap (%d) reached", max)
 			return
@@ -456,7 +452,7 @@ func (d *Daemon) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	// session is accepted at all (the load balancer saw /healthz flip 503
 	// before this starts firing).
 	if d.gov.State() == govern.StateCritical {
-		d.mets.shedMemory.Add(1)
+		d.mets[mShedMemory].Add(1)
 		writeShed(w, http.StatusServiceUnavailable, shedCodeMemory, 2*time.Second,
 			"memory hard watermark reached")
 		return
@@ -468,7 +464,7 @@ func (d *Daemon) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		// they cannot deepen the overload.
 		if pb := sn.cfg.PressureBudget; pb != (incremental.Budget{}) {
 			budget = pb
-			d.mets.degradedAdmits.Add(1)
+			d.mets[mDegradedAdmits].Add(1)
 		}
 	}
 	id := d.sessions.reserveID()
@@ -506,19 +502,18 @@ func (d *Daemon) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		sess.memBytes = est
-		d.mets.sessionsOpen.Add(1)
-		d.mets.sessionsOpened.Add(1)
+		d.mets[mSessionsOpened].Add(1)
 		oj, perr = d.editSession(r.Context(), sess, nil)
 	})
 	switch {
 	case err != nil:
 		d.shardFailed(w, err, sess)
 	case denied:
-		d.mets.sessionsDenied.Add(1)
+		d.mets[mSessionsDenied].Add(1)
 		writeShed(w, http.StatusTooManyRequests, shedCodeQuota, 5*time.Second,
 			"session quota exhausted (tenant %q)", req.Tenant)
 	case noMemory:
-		d.mets.shedMemory.Add(1)
+		d.mets[mShedMemory].Add(1)
 		writeShed(w, http.StatusServiceUnavailable, shedCodeMemory, 2*time.Second,
 			"memory hard watermark reached")
 	case perr != nil:
@@ -547,16 +542,32 @@ func (d *Daemon) handleGetSession(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// handleDeleteSession closes a live session, or removes a parked one's
+// artifacts without restoring it, in one task on the ID's shard.
 func (d *Daemon) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
-	if !d.runSession(w, r, func(sess *session) {
-		d.persistRemove(sess)
-		if d.closeSession(sess) {
-			d.mets.sessionsClosed.Add(1)
+	id := r.PathValue("id")
+	var (
+		sess  *session
+		found bool
+	)
+	err := d.pool.runQueued(r.Context(), d.pool.indexFor(id), func() {
+		var live bool
+		if sess, live = d.sessions.get(id); live {
+			d.persistRemove(sess)
+			found = d.closeSession(sess)
+		} else {
+			found = d.persist != nil && validSessionID(id) && d.persist.removeArtifacts(id)
 		}
-	}) {
-		return
+	})
+	switch {
+	case err != nil:
+		d.shardFailed(w, err, sess)
+	case !found:
+		httpError(w, http.StatusNotFound, "no session %q", id)
+	default:
+		d.mets[mSessionsClosed].Add(1)
+		w.WriteHeader(http.StatusNoContent)
 	}
-	w.WriteHeader(http.StatusNoContent)
 }
 
 func (d *Daemon) handleEdits(w http.ResponseWriter, r *http.Request) {
@@ -701,7 +712,7 @@ func (d *Daemon) handleBatchParse(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "no files")
 		return
 	}
-	d.mets.batchRequests.Add(1)
+	d.mets[mBatchRequests].Add(1)
 	inputs := make([]engine.Input, len(req.Files))
 	for i, f := range req.Files {
 		inputs[i] = engine.Input{Name: f.Name, Source: f.Source}
@@ -734,14 +745,14 @@ func (d *Daemon) handleBatchParse(w http.ResponseWriter, r *http.Request) {
 			out.Error = res.Err.Error()
 		}
 		if errors.Is(res.Err, incremental.ErrBudget) {
-			d.mets.budgetTrips.Add(1)
+			d.mets[mBudgetTrips].Add(1)
 		}
 		resp.Files[i] = out
 	}
-	d.mets.batchFiles.Add(int64(batch.Aggregate.Files))
-	d.mets.batchFailed.Add(int64(batch.Aggregate.Failed))
-	d.mets.degraded.Add(int64(batch.Aggregate.Degraded))
-	d.mets.diagnostics.Add(int64(batch.Aggregate.Diagnostics))
+	d.mets[mBatchFiles].Add(int64(batch.Aggregate.Files))
+	d.mets[mBatchFailed].Add(int64(batch.Aggregate.Failed))
+	d.mets[mDegraded].Add(int64(batch.Aggregate.Degraded))
+	d.mets[mDiagnostics].Add(int64(batch.Aggregate.Diagnostics))
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -841,21 +852,5 @@ func (d *Daemon) handleReload(w http.ResponseWriter, r *http.Request) {
 
 func (d *Daemon) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	d.mets.write(w)
-	d.writeGovernorMetrics(w)
-}
-
-// writeGovernorMetrics renders the memory governor's gauges: watermarks,
-// the global account, its state, and the per-shard split.
-func (d *Daemon) writeGovernorMetrics(w io.Writer) {
-	soft, hard := d.gov.Watermarks()
-	fmt.Fprintf(w, "# HELP iglrd_memory_bytes Accounted live session bytes.\n# TYPE iglrd_memory_bytes gauge\niglrd_memory_bytes %d\n", d.gov.Global())
-	fmt.Fprintf(w, "# HELP iglrd_memory_soft_bytes Soft (pressure) watermark; 0 = unset.\n# TYPE iglrd_memory_soft_bytes gauge\niglrd_memory_soft_bytes %d\n", soft)
-	fmt.Fprintf(w, "# HELP iglrd_memory_hard_bytes Hard (refusal) watermark; 0 = unset.\n# TYPE iglrd_memory_hard_bytes gauge\niglrd_memory_hard_bytes %d\n", hard)
-	fmt.Fprintf(w, "# HELP iglrd_memory_state Governor state: 0 normal, 1 pressure, 2 critical.\n# TYPE iglrd_memory_state gauge\niglrd_memory_state %d\n", int(d.gov.State()))
-	fmt.Fprintf(w, "# HELP iglrd_shard_memory_bytes Accounted live bytes per shard.\n# TYPE iglrd_shard_memory_bytes gauge\n")
-	for i := 0; i < d.gov.Shards(); i++ {
-		fmt.Fprintf(w, "iglrd_shard_memory_bytes{shard=\"%d\"} %d\n", i, d.gov.Shard(i))
-	}
-	fmt.Fprintf(w, "# HELP iglrd_inflight_requests Data-plane requests currently executing.\n# TYPE iglrd_inflight_requests gauge\niglrd_inflight_requests %d\n", d.inflight.Load())
+	d.writeMetrics(w)
 }

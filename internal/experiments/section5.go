@@ -96,7 +96,9 @@ func detProgram(n int) string {
 // next to the times: on this conflict-free program both parsers make the
 // same shifts and reductions, and the IGLR parser never splits.
 type Section5Batch struct {
-	Tokens        int
+	Tokens int
+	// DetNsPerTok and IGLRNsPerTok are each parser's median parse time per
+	// token, and Ratio the IGLR one over the deterministic one.
 	DetNsPerTok   float64
 	IGLRNsPerTok  float64
 	Ratio         float64
@@ -113,61 +115,61 @@ type Section5Batch struct {
 }
 
 // RunSection5Batch measures the batch comparison over a program with n
-// statements, repeating reps times and keeping the best (least-noise) run.
+// statements: reps parses under each parser, alternated parse by parse
+// with each parser going first in every other pair, so that a change in
+// the machine's speed during the run falls on both alike. It reports the
+// median of each parser's parse times and of reps scans.
 func RunSection5Batch(n, reps int) (Section5Batch, error) {
 	l := DetLang()
 	src := detProgram(n)
+	out := Section5Batch{PaperDetShare: 0.12, PaperGLRShare: 0.15}
 
-	var out Section5Batch
-	out.PaperDetShare, out.PaperGLRShare = 0.12, 0.15
-
-	lexBest := time.Duration(1 << 62)
-	for r := 0; r < reps; r++ {
-		start := time.Now()
-		toks := l.Spec.Scan(src)
-		el := time.Since(start)
-		if el < lexBest {
-			lexBest = el
-		}
-		out.Tokens = len(toks)
+	// parse[0] is the deterministic parser, parse[1] IGLR; each runs a
+	// fresh parser over a fresh document, and only the parse is timed.
+	parse := [2]func() (time.Duration, error){
+		func() (time.Duration, error) {
+			d := l.NewDocument(src)
+			p, err := detparse.New(l.Table)
+			if err != nil {
+				return 0, err
+			}
+			start := time.Now()
+			_, err = p.Parse(d.Stream())
+			el := time.Since(start)
+			out.DetShifts, out.DetReductions = p.Stats.Shifts, p.Stats.Reductions
+			return el, err
+		},
+		func() (time.Duration, error) {
+			d := l.NewDocument(src)
+			p := iglr.New(l.Table)
+			start := time.Now()
+			_, err := p.Parse(d.Stream())
+			el := time.Since(start)
+			out.IGLRShifts, out.IGLRReductions = p.Stats.Shifts, p.Stats.Reductions
+			out.IGLRSplits, out.IGLRMaxActiveParsers = p.Stats.Splits, p.Stats.MaxActiveParsers
+			return el, err
+		},
 	}
-
-	detBest := time.Duration(1 << 62)
+	var lexNs []float64
+	var parseNs [2][]float64
 	for r := 0; r < reps; r++ {
-		d := l.NewDocument(src)
-		p, err := detparse.New(l.Table)
-		if err != nil {
-			return out, err
-		}
 		start := time.Now()
-		if _, err := p.Parse(d.Stream()); err != nil {
-			return out, err
+		out.Tokens = len(l.Spec.Scan(src))
+		lexNs = append(lexNs, float64(time.Since(start).Nanoseconds()))
+		for k := range parse {
+			side := (r + k) % 2
+			el, err := parse[side]()
+			if err != nil {
+				return out, err
+			}
+			parseNs[side] = append(parseNs[side], float64(el.Nanoseconds()))
 		}
-		if el := time.Since(start); el < detBest {
-			detBest = el
-		}
-		out.DetShifts, out.DetReductions = p.Stats.Shifts, p.Stats.Reductions
-	}
-
-	iglrBest := time.Duration(1 << 62)
-	for r := 0; r < reps; r++ {
-		d := l.NewDocument(src)
-		p := iglr.New(l.Table)
-		start := time.Now()
-		if _, err := p.Parse(d.Stream()); err != nil {
-			return out, err
-		}
-		if el := time.Since(start); el < iglrBest {
-			iglrBest = el
-		}
-		out.IGLRShifts, out.IGLRReductions = p.Stats.Shifts, p.Stats.Reductions
-		out.IGLRSplits, out.IGLRMaxActiveParsers = p.Stats.Splits, p.Stats.MaxActiveParsers
 	}
 
 	tokens := float64(out.Tokens)
-	out.LexNsPerTok = float64(lexBest.Nanoseconds()) / tokens
-	out.DetNsPerTok = float64(detBest.Nanoseconds()) / tokens
-	out.IGLRNsPerTok = float64(iglrBest.Nanoseconds()) / tokens
+	out.LexNsPerTok = median(lexNs) / tokens
+	out.DetNsPerTok = median(parseNs[0]) / tokens
+	out.IGLRNsPerTok = median(parseNs[1]) / tokens
 	out.Ratio = out.IGLRNsPerTok / out.DetNsPerTok
 	out.DetShare = out.DetNsPerTok / (out.DetNsPerTok + out.LexNsPerTok)
 	out.IGLRShare = out.IGLRNsPerTok / (out.IGLRNsPerTok + out.LexNsPerTok)
